@@ -22,7 +22,7 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError, UnsupportedVariantError
-from .specfun import tricomi_psi, tricomi_psi_boundary
+from .specfun import tricomi_boundary_mod2, tricomi_psi
 
 __all__ = [
     "McKayI", "McKayII", "GenMcKay", "SqMcKay", "KDist", "GIG",
@@ -347,14 +347,12 @@ def kdist_quotient_kernel(al: float, be: float, t):
         expo = al - be - 1.0
         norm = np.exp(-_sp.gammaln(be + 1.0) - _sp.gammaln(al))
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    for i, ti in np.ndenumerate(t):
-        if ti >= 700.0:
-            out[i] = 0.0
-            continue
-        m2 = tricomi_psi_boundary(a_, c_, ti).modulus_sq
-        out[i] = ti ** expo * np.exp(-ti) / m2 * norm
-    return out
+    # e^{-t} underflows past ~745; the kernel is exactly zero there, so
+    # those t skip the boundary evaluation
+    dead = t >= 700.0
+    ts = np.where(dead, 1.0, t)
+    out = ts ** expo * np.exp(-ts) / tricomi_boundary_mod2(a_, c_, ts) * norm
+    return np.where(dead, 0.0, out)
 
 
 def neg_logderiv_lt(d, x, h_scale: float = 1e-3):
@@ -445,23 +443,13 @@ def mgf_logderiv_im(d, re: float, im: float):
         from .quad import integrate_singular_decay
         al, al0 = d.alpha, d.alpha0
         rr = d.beta / d.beta0
-        a_, c_ = al, 1.0 - al0
-        norm = np.exp(-_sp.gammaln(al + 1.0) - _sp.gammaln(al - c_ + 1.0))
 
-        def kern(t):
-            out = np.empty_like(t)
-            for i, ti in np.ndenumerate(t):
-                if ti >= 700.0:
-                    out[i] = 0.0
-                    continue
-                m2 = tricomi_psi_boundary(a_, c_, ti).modulus_sq
-                out[i] = ti ** (-c_) * np.exp(-ti) / m2 * norm
-            return out
-
-        # L(x) = const * psi(a, c, rr x); the Stieltjes nodes sit at
-        # t / rr and carry mass al * kern(t) dt
+        # L(x) = const * psi(al, 1 - al0, rr x), whose Stieltjes kernel is
+        # the quotient density omega_{al, al+al0}; the nodes sit at t / rr
+        # and carry mass al * omega(t) dt
         def f(t):
-            return al * kern(t) * im / ((t / rr - re) ** 2 + im * im)
+            return al * kdist_quotient_kernel(al, al + al0, t) * im \
+                / ((t / rr - re) ** 2 + im * im)
 
         return integrate_singular_decay(f, tol=1e-11).value
     raise UnsupportedVariantError(

@@ -33,6 +33,7 @@ __all__ = [
     "kummer_m",
     "tricomi_psi",
     "tricomi_psi_boundary",
+    "tricomi_boundary_mod2",
     "whittaker_w",
 ]
 
@@ -285,34 +286,52 @@ def tricomi_psi(a: float, c: float, x):
     return _maybe_scalar(out, x)
 
 
+def _boundary_re_im(a: float, c: float, t):
+    """Real and imaginary part of psi(a, c, t e^{i pi}) on an array t > 0.
+
+    Connection formula psi(a, c, t e^{i pi}) = A - e^{-i pi c} B, with A
+    and B real and written through the two Kummer solutions
+        y1(x) = M(a, c, x),   y2(x) = x^{1-c} M(a-c+1, 2-c, x),
+    so only real-argument series are evaluated.
+    """
+    if a <= 0.0:
+        raise DomainError("Tricomi boundary values require a > 0")
+    if c >= 1.0:
+        raise DomainError("Tricomi boundary values require c < 1")
+    if c == np.floor(c):
+        raise DomainError("Tricomi boundary values require non-integer c")
+    arr = _as_float_array(t, "t")
+    if np.any(arr <= 0.0):
+        raise DomainError("Tricomi boundary values require t > 0")
+    A = _sp.gamma(1.0 - c) / _sp.gamma(a - c + 1.0) * _sp.hyp1f1(a, c, -arr)
+    B = (
+        _sp.gamma(c - 1.0)
+        / _sp.gamma(a)
+        * arr ** (1.0 - c)
+        * _sp.hyp1f1(a - c + 1.0, 2.0 - c, -arr)
+    )
+    return A - np.cos(np.pi * c) * B, np.sin(np.pi * c) * B
+
+
 def tricomi_psi_boundary(a: float, c: float, t: float) -> BoundaryPsiPair:
     """Boundary values of psi(a, c, .) on the negative axis.
 
     Returns the limit of psi(a, c, t e^{i pi}) for t > 0 as the cut is
-    approached from above, expressed through the two Kummer solutions
-        y1(x) = M(a, c, x),   y2(x) = x^{1-c} M(a-c+1, 2-c, x),
-    so only real-argument series are evaluated.  Requires a > 0 and
-    c < 1 with c not a non-positive integer.
+    approached from above.  Requires a > 0 and c < 1 with c not a
+    non-positive integer.  For many t use tricomi_boundary_mod2.
     """
-    if a <= 0.0:
-        raise DomainError("tricomi_psi_boundary requires a > 0")
-    if c >= 1.0:
-        raise DomainError("tricomi_psi_boundary requires c < 1")
-    if c == np.floor(c):
-        raise DomainError("tricomi_psi_boundary requires non-integer c")
-    if t <= 0.0:
-        raise DomainError("tricomi_psi_boundary requires t > 0")
-    A = _sp.gamma(1.0 - c) / _sp.gamma(a - c + 1.0) * _sp.hyp1f1(a, c, -t)
-    B = (
-        _sp.gamma(c - 1.0)
-        / _sp.gamma(a)
-        * t ** (1.0 - c)
-        * _sp.hyp1f1(a - c + 1.0, 2.0 - c, -t)
-    )
-    # psi(a,c,t e^{i pi}) = A - e^{-i pi c} B
-    re = A - np.cos(np.pi * c) * B
-    im = np.sin(np.pi * c) * B
+    re, im = _boundary_re_im(a, c, t)
     return BoundaryPsiPair(float(re), float(im))
+
+
+def tricomi_boundary_mod2(a: float, c: float, t):
+    """|psi(a, c, t e^{i pi})|^2 on the cut, vectorized over t > 0.
+
+    Same domain as tricomi_psi_boundary, and the modulus_sq of its pair
+    at each t; the result has the shape of t.
+    """
+    re, im = _boundary_re_im(a, c, t)
+    return _maybe_scalar(re * re + im * im, t)
 
 
 def whittaker_w(kappa: float, m: float, x):

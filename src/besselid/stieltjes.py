@@ -31,7 +31,7 @@ import scipy.special as _sp
 from .errors import DomainError, ParameterError, UnsupportedVariantError
 from .quad import (OscSpec, QuadResult, integrate_oscillatory,
                    integrate_singular_decay, tanh_sinh_finite)
-from .specfun import tricomi_psi, tricomi_psi_boundary
+from .specfun import tricomi_boundary_mod2, tricomi_psi
 
 __all__ = [
     "IdentityRecord", "make_identity", "catalog_names", "default_params",
@@ -138,15 +138,6 @@ def _tricomi_any(a: float, c: float, z):
     if np.iscomplexobj(np.asarray(z)):
         return _tricomi_complex(a, c, z)
     return tricomi_psi(a, c, z)
-
-
-def _psi_boundary_mod2(a: float, c: float, t):
-    """|psi(a, c, t e^{i pi})|^2 on positive t (vectorized)."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    for i, ti in np.ndenumerate(t):
-        out[i] = tricomi_psi_boundary(a, c, ti).modulus_sq
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +417,10 @@ def _build_catalog():
         t = np.asarray(t, dtype=float)
         # e^{-t} underflows past ~745; the kernel is identically zero
         # there in double precision, so skip the boundary evaluation
-        live = t < 700.0
-        ts = np.where(live, t, 1.0)
-        out = ts ** (-c) * np.exp(-ts) / _psi_boundary_mod2(a, c, ts) * norm
-        return np.where(live, out, 0.0)
+        dead = t >= 700.0
+        ts = np.where(dead, 1.0, t)
+        out = ts ** (-c) * np.exp(-ts) / tricomi_boundary_mod2(a, c, ts) * norm
+        return np.where(dead, 0.0, out)
 
     cat["TRICOMI_RATIO"] = _Entry(
         names=("a", "c"),

@@ -284,3 +284,45 @@ def test_quotient_kernel_nonnegative():
     t = np.exp(np.linspace(np.log(1e-3), np.log(50.0), 40))
     k = kdist_quotient_kernel(1.5, 2.5, t)
     assert np.all(k >= 0.0)
+
+
+@pytest.mark.parametrize("al,be", [(1.5, 2.5), (0.7, 0.9), (3.0, 1.0),
+                                   (1.2, 2.0)])
+def test_quotient_kernel_is_exactly_zero_from_700(al, be):
+    live = np.exp(np.linspace(np.log(1e-3), np.log(699.0), 30))
+    dead = np.array([700.0, 750.0, 1e4, np.inf])
+    k = kdist_quotient_kernel(al, be, np.concatenate([live, dead]))
+    assert np.all(np.isfinite(k[:30]) & (k[:30] > 0.0))
+    assert np.all(k[30:] == 0.0)
+
+
+@pytest.mark.parametrize("t", [0.7, np.linspace(0.1, 800.0, 6),
+                               np.linspace(0.1, 800.0, 6).reshape(2, 3)])
+def test_quotient_kernel_keeps_shape(t):
+    assert np.shape(kdist_quotient_kernel(1.5, 2.0, t)) == np.shape(t)
+
+
+# pinned values of the Pick-test transform of the CLI's default gamma
+# quotient, computed with the per-point boundary loop the shared
+# vectorized kernel replaced
+@pytest.mark.parametrize("re,im,ref", [
+    (-2.0, 0.5, 0.05261596322760732),
+    (0.0, 1.0, 0.45613500663681633),
+    (0.5, 0.1, 1.0241115452508247),
+    (3.0, 2.0, 0.30668258529283776),
+    (1.0, 10.0, 0.109695402637874),
+])
+def test_gamma_quotient_mgf_logderiv_im_pinned(re, im, ref):
+    d = DIST_KINDS["gammaquot"](alpha=1.2, beta=1.0, alpha0=0.8, beta0=1.5)
+    assert mgf_logderiv_im(d, re, im) == pytest.approx(ref, rel=1e-10)
+
+
+def test_gamma_quotient_mgf_logderiv_im_at_integer_alpha0():
+    # alpha0 = 1 puts c = 1 - alpha0 on a pole of the boundary pair's
+    # connection coefficients; the kernel is the midpoint of its neighbours
+    def im_part(al0):
+        d = DIST_KINDS["gammaquot"](alpha=1.2, beta=1.0, alpha0=al0, beta0=1.5)
+        return mgf_logderiv_im(d, 0.0, 1.0)
+
+    mid = 0.5 * (im_part(1.0 - 1e-3) + im_part(1.0 + 1e-3))
+    assert im_part(1.0) == pytest.approx(mid, rel=1e-6)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from besselid.errors import DomainError
 from besselid.specfun import (bessel_i, bessel_j, bessel_k, bessel_y,
                               bessel_zero, bessel_zeros, gauss_2f1, kummer_m,
-                              tricomi_psi, tricomi_psi_boundary, whittaker_w)
+                              tricomi_boundary_mod2, tricomi_psi,
+                              tricomi_psi_boundary, whittaker_w)
 
 mp.mp.dps = 30
 
@@ -172,6 +173,64 @@ def test_tricomi_boundary_pair_matches_complex_oracle(act):
 def test_tricomi_boundary_rejects_integer_c():
     with pytest.raises(DomainError):
         tricomi_psi_boundary(1.5, 0.0, 1.0)
+
+
+# ----------------------------------------------------------------------
+# |psi|^2 on the cut, vectorized over t
+# ----------------------------------------------------------------------
+
+def _boundary_sweep(n=240, seed=20240617):
+    """Seeded (a, c, t): a in (0, 3], c in (-3, 1), t log-uniform in
+    [1e-3, 700].  The connection coefficients have poles at integer c,
+    and the two parts cancel there: at a = 1.5, c = -1 + d the relative
+    error is about 3e-11 for d = 1e-3 and 3e-7 for d = 1e-5.  So c stays
+    at least 1e-2 away from an integer."""
+    rng = np.random.default_rng(seed)
+    a = 3.0 - rng.uniform(0.0, 3.0, n)
+    c = rng.uniform(-3.0, 1.0, n)
+    t = np.exp(rng.uniform(np.log(1e-3), np.log(700.0), n))
+    far = np.abs(c - np.round(c)) > 1e-2
+    return a[far], c[far], t[far]
+
+
+def test_tricomi_boundary_mod2_matches_mpmath_sweep():
+    worst = 0.0
+    with mp.workdps(40):
+        for a, c, t in zip(*_boundary_sweep()):
+            ref = abs(mp.hyperu(a, c, mp.mpf(t) * mp.exp(1j * mp.pi))) ** 2
+            got = tricomi_boundary_mod2(a, c, t)
+            worst = max(worst, abs(got / float(ref) - 1.0))
+    assert worst < 1e-11
+
+
+@pytest.mark.parametrize("t", [0.7, np.array(0.7), np.linspace(0.1, 5.0, 7),
+                               np.linspace(0.1, 5.0, 12).reshape(3, 4)])
+def test_tricomi_boundary_mod2_keeps_shape(t):
+    assert np.shape(tricomi_boundary_mod2(1.5, 0.5, t)) == np.shape(t)
+
+
+@pytest.mark.parametrize("ac", [(1.5, 0.5), (0.7, 0.2), (2.0, -0.5),
+                                (0.3, -2.7)])
+def test_tricomi_boundary_mod2_equals_scalar_pair(ac):
+    a, c = ac
+    t = np.exp(np.linspace(np.log(1e-3), np.log(700.0), 60))
+    pairs = np.array([tricomi_psi_boundary(a, c, ti).modulus_sq for ti in t])
+    np.testing.assert_allclose(tricomi_boundary_mod2(a, c, t), pairs,
+                               rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_tricomi_boundary_mod2_rejects_bad_t_inside_array(bad):
+    t = np.array([[0.5, 1.0], [bad, 2.0]])
+    with pytest.raises(DomainError):
+        tricomi_boundary_mod2(1.5, 0.5, t)
+
+
+@pytest.mark.parametrize("ac", [(0.0, 0.5), (1.5, 1.0), (1.5, 1.5),
+                                (1.5, -2.0)])
+def test_tricomi_boundary_mod2_rejects_bad_parameters(ac):
+    with pytest.raises(DomainError):
+        tricomi_boundary_mod2(*ac, np.array([0.5, 1.0]))
 
 
 # ----------------------------------------------------------------------
