@@ -28,11 +28,13 @@ import click
 import numpy as np
 
 from . import __version__
-from .distributions import (DIST_KINDS, NoncentralChiSq, format_dist,
+# perfbench/workloads.py reads the family defaults as cli._DIST_DEFAULTS
+from .distributions import (DIST_DEFAULTS as _DIST_DEFAULTS, DIST_KINDS,
+                            NoncentralChiSq, format_dist,
                             kdist_quotient_kernel, laplace_closed, pdf)
 from .errors import (ConvergenceError, DomainError, ParameterError,
                      UnsupportedVariantError)
-from .idtests import (LT_KINDS, absmon_check, bernstein_check,
+from .idtests import (LT_KINDS, Zeta, absmon_check, bernstein_check,
                       bernstein_targets, hcm_check, landau_bound_margin,
                       landau_constant, lt_value, noncentral_profile_check,
                       pick_check, pick_targets, profile_targets,
@@ -40,54 +42,9 @@ from .idtests import (LT_KINDS, absmon_check, bernstein_check,
 from .quad import integrate_singular_decay, numeric_laplace
 from .specfun import (bessel_i, bessel_j, bessel_k, bessel_y, bessel_zero,
                       bessel_zeros, kummer_m, tricomi_psi)
-from .stieltjes import (catalog_names, default_params, make_identity,
-                        rows_to_csv, tolerance)
+from .stieltjes import catalog_names, make_identity, rows_to_csv
 
 REPORT_VERSION = 1
-
-# source anchors carried on report rows so a report is self-documenting
-_ANCHORS = {
-    "I_EXP": "Theorem thIfirst",
-    "IK_PROD": "eq. (eqproddifpar)",
-    "IK_EQUAL": "eq. (eqprod1)",
-    "IK_EXP": "Theorem theprodIKexprepr2",
-    "KK_PROD": "eq. (eqprodK1)",
-    "II_EXP": "eq. (prodeqI)",
-    "KK_RECIP": "Theorem recprodKrepr",
-    "IK_QUOT": "Theorem theoquotIK",
-    "K_RECIP": "Corollary theoquotIKcoro",
-    "K_RATIO": "eq. (integralKquot)",
-    "TRICOMI_RATIO": "eq. (intfor)",
-    "TRICOMI_Cm1": "Theorem tricrepr",
-    "TRICOMI_Ap1": "Theorem tricrepr",
-    "TRICOMI_Cp1": "Theorem tricrepr",
-    "TRICOMI_Am1": "Theorem tricrepr",
-    "MCDONALD": "eq. (prodK)",
-    "I_PRODUCT_ANGLE": "eq. (intIprod)",
-    "mckay1": "Theorem th1",
-    "mckay2": "Theorem th2",
-    "genmckay": "Theorem th3",
-    "sqmckay": "Theorem th4",
-    "kdist": "Theorem thK",
-    "gig": "Theorem Thnewgigd",
-    "gammaquot": "Lemma 4",
-    "nchisq": "Theorem noncentralchihcm",
-    "rho": "Theorem thiskellap1",
-    "omega1": "Theorem theolap1",
-    "omega2": "Theorem theolap2",
-    "ikmu": "Theorem thprod1",
-    "chi": "Theorem theprodIKexp",
-    "theta": "Theorem thinfdivprodK",
-    "zeta": "Theorem thprodeqIinfdiv",
-    "kappa": "Theorem recprodKinfdiv",
-    "epsilon": "Theorem theoquotIKinfdiv",
-    "epsilon_recip": "Theorem theoquotIKinfdiv",
-    "omega-mass": "eq. (pdfome)",
-    "landau": "Corollary part g",
-    "absmon": "Theorem thprodIabsmon",
-    "inversion": "Lemma 7",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -102,7 +59,6 @@ class RunConfig:
     threads: int = 1
     fmt: str = "json"
     stable: bool = False
-    extended_domain: bool = False
     allow_inconclusive: bool = False
     only: str = ""
 
@@ -156,7 +112,7 @@ def _config_from(path, **overrides) -> RunConfig:
                 kwargs[key] = float(val)
             elif key in ("grid_n", "max_order", "threads"):
                 kwargs[key] = int(val)
-            elif key in ("stable", "extended_domain", "allow_inconclusive"):
+            elif key in ("stable", "allow_inconclusive"):
                 kwargs[key] = val.lower() in ("1", "true", "yes", "on")
             elif key in ("fmt", "format"):
                 kwargs["fmt"] = val
@@ -188,6 +144,16 @@ def _identity_name(text: str):
     return by_fold.get(text.lower())
 
 
+def _from_kind(kinds: dict, kv: dict, what: str):
+    """kinds[kind] built from the key=value pairs left in kv (consumed)."""
+    kind = kv.pop("kind", None)
+    if kind not in kinds:
+        raise click.UsageError(f"unknown {what} kind {kind!r}")
+    out = kinds[kind](**{k: float(v) for k, v in kv.items()})
+    kv.clear()
+    return out
+
+
 def _pop_float(kv: dict, key: str) -> float:
     if key not in kv:
         raise click.UsageError(f"missing parameter {key}=")
@@ -217,22 +183,18 @@ def _verdict(margin: float) -> str:
     return "pass" if margin >= 0.0 else "fail"
 
 
-_DIST_DEFAULTS = {
-    "mckay1": (1.0, 0.5, 1.5),
-    "mckay2": (0.7, 0.6, 1.2),
-    "genmckay": (0.8, 1.2, 0.5, 1.4),
-    "sqmckay": (0.5, 0.3, 1.0),
-    "kdist": (1.2, 2.0, 1.0),
-    "gig": (0.7, 1.0, 1.5),
-    "gammaquot": (1.2, 1.0, 0.8, 1.5),
-    "nchisq": (1.0, 0.4),
-}
+def _report_row(check_id: str, params: str, anchor: str, r,
+                margin: float) -> dict:
+    return _row(check_id, params, anchor, "pass" if r.passed else "fail",
+                margin, r.witness)
+
 
 _OMEGA_PAIRS = ((1.5, 2.5), (0.7, 0.9), (3.0, 1.0))
 _LAPLACE_X = (0.1, 1.0, 10.0)
 _SELFDECOMP_ALPHAS = (0.25, 0.5, 0.75)
 _ABSMON_CASES = ((0.0, 1.0), (0.7, 0.5), (2.0, 1.5))
 _LANDAU_REF = 0.7857468704
+_LANDAU_ANCHOR = "Corollary part g"
 _INVERSION_CASES = (
     ("IK_EQUAL", (0.6, 2.0, 5.0)),
     ("I_EXP", (0.6, 2.0, 5.0)),
@@ -246,12 +208,7 @@ def _identity_tasks(cfg: RunConfig):
     def run(name):
         def task():
             rec = make_identity(name)
-            tol = tolerance(name)
-            if name in ("KK_RECIP", "IK_QUOT"):
-                tol = cfg.tol_hard
-            elif tol <= 1e-7:
-                tol = min(tol, cfg.tol_tight) if cfg.tol_tight < 1e-7 \
-                    else cfg.tol_tight
+            tol = cfg.tol_hard if rec.tol_class == "hard" else cfg.tol_tight
             worst, wz, conv = 0.0, None, True
             for z in zs:
                 rhs = rec.stieltjes_rhs(float(z), tol=0.01 * tol)
@@ -267,7 +224,7 @@ def _identity_tasks(cfg: RunConfig):
             verdict = _verdict(tol - worst)
             if not conv:
                 verdict = "inconclusive"
-            return _row(f"identity:{name}", params, _ANCHORS[name],
+            return _row(f"identity:{name}", params, rec.anchor,
                         verdict, tol - worst, wz)
         return task
 
@@ -283,7 +240,7 @@ def _distribution_tasks(cfg: RunConfig):
             r = integrate_singular_decay(lambda x: pdf(d, x), tol=1e-11)
             margin = 1e-8 - abs(r.value - 1.0)
             verdict = _verdict(margin) if r.converged else "inconclusive"
-            return _row(f"norm:{kind}", format_dist(d), _ANCHORS[kind],
+            return _row(f"norm:{kind}", format_dist(d), d.anchor,
                         verdict, margin)
         return task
 
@@ -300,7 +257,7 @@ def _distribution_tasks(cfg: RunConfig):
                 if res > worst:
                     worst, wx = res, x
             verdict = _verdict(tol - worst) if conv else "inconclusive"
-            return _row(f"laplace:{kind}", format_dist(d), _ANCHORS[kind],
+            return _row(f"laplace:{kind}", format_dist(d), d.anchor,
                         verdict, tol - worst, wx)
         return task
 
@@ -311,7 +268,7 @@ def _distribution_tasks(cfg: RunConfig):
             margin = cfg.tol_tight - abs(r.value - 1.0)
             verdict = _verdict(margin) if r.converged else "inconclusive"
             return _row(f"omega-mass:{al:g}-{be:g}",
-                        f"alpha={al:g} beta={be:g}", _ANCHORS["omega-mass"],
+                        f"alpha={al:g} beta={be:g}", "eq. (pdfome)",
                         verdict, margin)
         return task
 
@@ -324,43 +281,35 @@ def _distribution_tasks(cfg: RunConfig):
     return tasks
 
 
-def _lt_anchor(label: str) -> str:
-    return _ANCHORS.get(label, "Lemma 1")
-
-
 def _idtests_tasks(cfg: RunConfig):
     tasks = []
 
     def bern_task(label, spec):
         def task():
             r = bernstein_check(spec, max_order=cfg.max_order, label=label)
-            return _row(f"bernstein:{label}", label, _lt_anchor(label),
-                        "pass" if r.passed else "fail", r.worst_margin,
-                        r.witness)
+            return _report_row(f"bernstein:{label}", label, spec.anchor, r,
+                               r.worst_margin)
         return task
 
     def sd_task(label, spec, alpha):
         def task():
             r = selfdecomp_check(spec, alpha, label=label)
-            return _row(f"selfdecomp:{label}:{alpha:g}",
-                        f"{label} alpha={alpha:g}", "Lemma 2",
-                        "pass" if r.passed else "fail", r.worst_margin,
-                        r.witness)
+            return _report_row(f"selfdecomp:{label}:{alpha:g}",
+                               f"{label} alpha={alpha:g}", "Lemma 2", r,
+                               r.worst_margin)
         return task
 
     def pick_task(label, spec):
         def task():
             r = pick_check(spec, label=label)
-            return _row(f"pick:{label}", label, "Lemma 3",
-                        "pass" if r.passed else "fail", r.min_im_value,
-                        r.witness)
+            return _report_row(f"pick:{label}", label, "Lemma 3", r,
+                               r.min_im_value)
         return task
 
     def zeta_task():
         point, value = zeta_witness_search()
         found = value < 0.0
-        return _row("pick-witness:zeta", "mu=1 nu=1 a=1 b=2",
-                    _ANCHORS["zeta"],
+        return _row("pick-witness:zeta", "mu=1 nu=1 a=1 b=2", Zeta.anchor,
                     "expected-fail" if found else "fail",
                     -value, [point[0], point[1]])
 
@@ -368,9 +317,8 @@ def _idtests_tasks(cfg: RunConfig):
         def task():
             d = DIST_KINDS[kind](*_DIST_DEFAULTS[kind])
             r = hcm_check(d, u=1.0, max_order=order, label=kind)
-            return _row(f"hcm:{kind}", format_dist(d), _ANCHORS[kind],
-                        "pass" if r.passed else "fail", r.worst_margin,
-                        r.witness)
+            return _report_row(f"hcm:{kind}", format_dist(d), d.anchor, r,
+                               r.worst_margin)
         return task
 
     def profile_task(mu, lam, u):
@@ -378,29 +326,28 @@ def _idtests_tasks(cfg: RunConfig):
             r = noncentral_profile_check(mu, lam, u)
             ok = r.decreasing_ok and r.convex_ok
             return _row(f"profile:{mu:g}-{lam:g}-{u:g}",
-                        f"mu={mu:g} lam={lam:g} u={u:g}", _ANCHORS["nchisq"],
+                        f"mu={mu:g} lam={lam:g} u={u:g}",
+                        NoncentralChiSq.anchor,
                         "pass" if ok else "fail", 1.0 if ok else -1.0)
         return task
 
     def absmon_task(mu, u):
         def task():
             r = absmon_check(mu, u, max_order=6)
-            return _row(f"absmon:{mu:g}-{u:g}", f"mu={mu:g} u={u:g}",
-                        _ANCHORS["absmon"],
-                        "pass" if r.passed else "fail", r.worst_margin,
-                        r.witness)
+            return _report_row(f"absmon:{mu:g}-{u:g}", f"mu={mu:g} u={u:g}",
+                               "Theorem thprodIabsmon", r, r.worst_margin)
         return task
 
     def landau_value_task():
         margin = 1e-8 - abs(landau_constant() - _LANDAU_REF)
         return _row("landau:constant", f"ref={_LANDAU_REF}",
-                    _ANCHORS["landau"], _verdict(margin), margin)
+                    _LANDAU_ANCHOR, _verdict(margin), margin)
 
     def landau_bound_task(mu):
         def task():
             margin = -landau_bound_margin(mu)
             return _row(f"landau:bound:{mu:g}", f"mu={mu:g}",
-                        _ANCHORS["landau"], _verdict(margin), margin)
+                        _LANDAU_ANCHOR, _verdict(margin), margin)
         return task
 
     def inversion_task(name, t):
@@ -411,7 +358,7 @@ def _idtests_tasks(cfg: RunConfig):
             res = abs(got - want) / max(abs(want), 1e-300)
             return _row(f"inversion:{name}:{t:g}",
                         f"t={t:g} kernel={want:.6g}",
-                        _ANCHORS["inversion"], _verdict(1e-5 - res),
+                        "Lemma 7", _verdict(1e-5 - res),
                         1e-5 - res)
         return task
 
@@ -476,7 +423,6 @@ def _envelope(scope: str, cfg: RunConfig, rows) -> dict:
             "grid": f"{cfg.grid_lo:g}:{cfg.grid_hi:g}:{cfg.grid_n}",
             "max_order": cfg.max_order, "threads": cfg.threads,
             "format": cfg.fmt, "stable": cfg.stable,
-            "extended_domain": cfg.extended_domain,
             "allow_inconclusive": cfg.allow_inconclusive,
             "only": cfg.only,
         },
@@ -526,7 +472,6 @@ _CONFIG_OPTIONS = [
                  default=None),
     click.option("--stable", is_flag=True, default=None,
                  help="omit timings for byte-identical output"),
-    click.option("--extended-domain", is_flag=True, default=None),
     click.option("--allow-inconclusive", is_flag=True, default=None),
     click.option("--only", default=None,
                  help="run only rows whose id contains this substring"),
@@ -604,31 +549,20 @@ def eval_cmd(name, params):
             value = float(kummer_m(_pop_float(kv, "a"), _pop_float(kv, "c"),
                                    _pop_float(kv, "x")))
         elif name in ("pdf", "lt"):
-            kind = kv.pop("kind", None)
-            if kind not in DIST_KINDS:
-                raise click.UsageError(f"unknown distribution kind {kind!r}")
             x = _pop_float(kv, "x")
-            d = DIST_KINDS[kind](**{k: float(v) for k, v in kv.items()})
-            kv.clear()
+            d = _from_kind(DIST_KINDS, kv, "distribution")
             value = float(pdf(d, x)) if name == "pdf" \
                 else float(laplace_closed(d, x))
         elif name == "ltspec":
-            kind = kv.pop("kind", None)
-            if kind not in LT_KINDS or kind == "dist":
-                raise click.UsageError(f"unknown transform kind {kind!r}")
             x = _pop_float(kv, "x")
-            spec = LT_KINDS[kind](**{k: float(v) for k, v in kv.items()})
-            kv.clear()
-            value = float(lt_value(spec, x))
+            value = float(lt_value(_from_kind(LT_KINDS, kv, "transform"), x))
         elif name in ("lhs", "kernel"):
             ident = _identity_name(kv.pop("id", ""))
             if ident is None:
                 raise click.UsageError("unknown identity id")
             point = _pop_float(kv, "z" if name == "lhs" else "t")
-            p = default_params(ident)
-            p.update({k: float(v) for k, v in kv.items()})
+            rec = make_identity(ident, **{k: float(v) for k, v in kv.items()})
             kv.clear()
-            rec = make_identity(ident, **p)
             value = float(rec.lhs_value(point)) if name == "lhs" \
                 else float(rec.kernel_density(point))
         else:
@@ -658,10 +592,8 @@ def profile_cmd(target, params, grid):
     rows = []
     try:
         if _identity_name(target) is not None:
-            ident = _identity_name(target)
-            p = default_params(ident)
-            p.update({k: float(v) for k, v in kv.items()})
-            rec = make_identity(ident, **p)
+            rec = make_identity(_identity_name(target),
+                                **{k: float(v) for k, v in kv.items()})
             for z in zs:
                 lhs = float(rec.lhs_value(float(z)))
                 rhs = rec.stieltjes_rhs(float(z))
@@ -669,10 +601,7 @@ def profile_cmd(target, params, grid):
                 rows.append({"z": float(z), "lhs": lhs,
                              "rhs": float(rhs.value), "residual": res})
         elif target == "lt":
-            kind = kv.pop("kind", None)
-            if kind not in DIST_KINDS:
-                raise click.UsageError(f"unknown distribution kind {kind!r}")
-            d = DIST_KINDS[kind](**{k: float(v) for k, v in kv.items()})
+            d = _from_kind(DIST_KINDS, kv, "distribution")
             for z in zs:
                 lhs = float(laplace_closed(d, float(z)))
                 rhs = numeric_laplace(lambda t: pdf(d, t), float(z))

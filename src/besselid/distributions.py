@@ -6,12 +6,12 @@ four-parameter generalization, the squared-Bessel McKay variant, the
 K-distribution (gamma-gamma), the generalized inverse Gaussian, the
 quotient of two gamma variables, and the noncentral chi-square.
 
-Each family gets a log-space density, the closed-form Laplace transform
-where one exists, the negative logarithmic derivative of the Laplace
-transform (the Bernstein-function derivative used by the
-infinite-divisibility checks), the imaginary part of the logarithmic
-MGF derivative on the upper half plane for the Pick-function tests, and
-the hyperbolic profile f(uv) f(u/v) as a function of w = v + 1/v.
+Each family is a frozen dataclass whose methods give a log-space
+density, the closed-form Laplace transform where one exists, the
+derivative ladder of phi' = -(ln L)' for the infinite-divisibility
+checks and the imaginary part of the logarithmic MGF derivative on the
+upper half plane for the Pick-function tests; the hyperbolic profile
+f(uv) f(u/v) as a function of w = v + 1/v is shared.
 """
 
 from __future__ import annotations
@@ -22,47 +22,154 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError, UnsupportedVariantError
+from .quad import integrate_singular_decay
+from .smoothfn import (CauchyLadder, Ladder, PowerLadder, RationalLadder,
+                       StieltjesLadder, frozen_expsinh_nodes, k_ratio_ladder)
 from .specfun import tricomi_boundary_mod2, tricomi_psi
+from .stieltjes import _tricomi_complex
 
 __all__ = [
     "McKayI", "McKayII", "GenMcKay", "SqMcKay", "KDist", "GIG",
-    "GammaQuotient", "NoncentralChiSq", "DIST_KINDS",
-    "log_pdf", "pdf", "laplace_closed", "neg_logderiv_lt",
-    "mgf_logderiv_im", "hcm_profile", "parse_dist", "format_dist",
+    "GammaQuotient", "NoncentralChiSq", "DIST_KINDS", "DIST_DEFAULTS",
+    "log_pdf", "pdf", "laplace_closed", "mgf_logderiv_im", "hcm_profile",
+    "parse_dist", "format_dist",
 ]
 
 
+class _Family:
+    """Methods shared by the families; what a family lacks raises."""
+
+    def laplace(self, x):
+        raise UnsupportedVariantError(f"no Laplace transform for {self!r}")
+
+    def phi_ladder(self) -> Ladder:
+        raise UnsupportedVariantError(f"no Laplace transform for {self!r}")
+
+    def lt_value(self, x):
+        """L at real x > 0 (an array) through laplace_closed."""
+        return laplace_closed(self, float(x) if x.ndim == 0 else x)
+
+    def lt_value_complex(self, z):
+        raise UnsupportedVariantError(f"no continuation for {self!r}")
+
+    def mgf_logderiv_im(self, re: float, im: float) -> float:
+        raise UnsupportedVariantError(f"no Pick kernel for {self!r}")
+
+    def pick_im(self, re: float, im: float) -> float:
+        return mgf_logderiv_im(self, re, im)
+
+    def hcm_ladder(self, u: float):
+        """Exact ladder of the hyperbolic profile in w, or None."""
+        return None
+
+
 @dataclass(frozen=True)
-class McKayI:
+class McKayI(_Family):
     """Density ~ x^mu e^{-bx} I_mu(ax); mu > -1/2, b > a > 0."""
     mu: float
     a: float
     b: float
+    anchor = "Theorem th1"
 
     def __post_init__(self):
         if not (self.mu > -0.5 and self.b > self.a > 0.0):
             raise ParameterError("McKayI requires mu > -1/2 and b > a > 0")
 
+    def log_pdf(self, x):
+        mu, a, b = self.mu, self.a, self.b
+        lc = (0.5 * np.log(np.pi) + (mu + 0.5) * np.log(b * b - a * a)
+              - mu * np.log(2.0 * a) - _sp.gammaln(mu + 0.5))
+        return lc + mu * np.log(x) - b * x + _log_iv(mu, a * x)
+
+    def laplace(self, x):
+        mu, a, b = self.mu, self.a, self.b
+        return ((b * b - a * a) / ((x + b) ** 2 - a * a)) ** (mu + 0.5)
+
+    def lt_value_complex(self, z):
+        return laplace_closed(self, z)
+
+    def phi_ladder(self):
+        mu, a, b = self.mu, self.a, self.b
+        return RationalLadder(((mu + 0.5, b - a), (mu + 0.5, b + a)))
+
+    def mgf_logderiv_im(self, re, im):
+        mu, a, b = self.mu, self.a, self.b
+        x, y = re, im
+        return (mu + 0.5) * (y / ((x + a - b) ** 2 + y * y)
+                             + y / ((x - a - b) ** 2 + y * y))
+
 
 @dataclass(frozen=True)
-class McKayII:
+class McKayII(_Family):
     """Density ~ x^{mu+1} e^{-bx} I_mu(ax); mu > -1, b > a > 0."""
     mu: float
     a: float
     b: float
+    anchor = "Theorem th2"
 
     def __post_init__(self):
         if not (self.mu > -1.0 and self.b > self.a > 0.0):
             raise ParameterError("McKayII requires mu > -1 and b > a > 0")
 
+    def log_pdf(self, x):
+        mu, a, b = self.mu, self.a, self.b
+        lc = (0.5 * np.log(np.pi) + (mu + 1.5) * np.log(b * b - a * a)
+              - np.log(2.0 * b) - mu * np.log(2.0 * a) - _sp.gammaln(mu + 1.5))
+        return lc + (mu + 1.0) * np.log(x) - b * x + _log_iv(mu, a * x)
+
+    def laplace(self, x):
+        mu, a, b = self.mu, self.a, self.b
+        return (1.0 + x / b) * (
+            (b * b - a * a) / ((x + b) ** 2 - a * a)) ** (mu + 1.5)
+
+    def phi_ladder(self):
+        mu, a, b = self.mu, self.a, self.b
+        return RationalLadder(
+            ((mu + 1.5, b - a), (mu + 1.5, b + a), (-1.0, b)))
+
+
+class _ShiftLadder(Ladder):
+    """Derivative ladder of f' given a ladder for f."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def derivatives(self, x: float, max_order: int) -> np.ndarray:
+        return self.base.derivatives(x, max_order + 1)[1:]
+
+
+class _GaussMcKay(_Family):
+    """Families with L(x) = (b/(x+b))^e F(q(x)) / F(q(0)), F a Gauss
+    hypergeometric function; _lt_parts(x) gives (e, F(q(x)), F(q(0)))
+    and L is singular at x = -b + _a_scale a."""
+
+    def laplace(self, x):
+        e, fx, f0 = self._lt_parts(x)
+        return (self.b / (x + self.b)) ** e * fx / f0
+
+    def _neg_log_lt(self, z):
+        # -ln L summed in log space: the phase of L itself passes +-pi on
+        # the Cauchy circle, where its principal log would jump by 2 pi i
+        e, fz, f0 = self._lt_parts(z)
+        return -e * np.log(self.b / (z + self.b)) - np.log(fz) + np.log(f0)
+
+    def phi_ladder(self):
+        # Cauchy circle on -ln L with the radius reaching toward the true
+        # singularity
+        gap = self.b - self.a * self._a_scale
+        return _ShiftLadder(CauchyLadder(self._neg_log_lt, radius_factor=0.6,
+                                         radius_shift=0.9 * gap))
+
 
 @dataclass(frozen=True)
-class GenMcKay:
+class GenMcKay(_GaussMcKay):
     """Density ~ x^{nu-1} e^{-bx} I_mu(ax); mu+1 > 0, mu+nu > 0, b > a > 0."""
     mu: float
     nu: float
     a: float
     b: float
+    anchor = "Theorem th3"
+    _a_scale = 1.0
 
     def __post_init__(self):
         if not (self.mu + 1.0 > 0.0 and self.mu + self.nu > 0.0
@@ -70,66 +177,217 @@ class GenMcKay:
             raise ParameterError(
                 "GenMcKay requires mu+1 > 0, mu+nu > 0 and b > a > 0")
 
+    def _lt_parts(self, x):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        h = (0.5 * (mu + nu), 0.5 * (mu + nu + 1.0), mu + 1.0)
+        return (mu + nu, _sp.hyp2f1(*h, (a / (x + b)) ** 2),
+                _sp.hyp2f1(*h, (a / b) ** 2))
+
+    def log_pdf(self, x):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        lc = -(mu * np.log(0.5 * a) - (mu + nu) * np.log(b)
+               + _sp.gammaln(mu + nu) - _sp.gammaln(mu + 1.0)
+               + np.log(self._lt_parts(0.0)[2]))
+        return lc + (nu - 1.0) * np.log(x) - b * x + _log_iv(mu, a * x)
+
 
 @dataclass(frozen=True)
-class SqMcKay:
+class SqMcKay(_GaussMcKay):
     """Density ~ x^{2 mu} e^{-bx} I_mu(ax)^2; mu > -1/4, b > 2a > 0."""
     mu: float
     a: float
     b: float
+    anchor = "Theorem th4"
+    _a_scale = 2.0
 
     def __post_init__(self):
         if not (self.mu > -0.25 and self.b > 2.0 * self.a > 0.0):
             raise ParameterError("SqMcKay requires mu > -1/4 and b > 2a > 0")
 
+    def _lt_parts(self, x):
+        mu, a, b = self.mu, self.a, self.b
+        h = (mu + 0.5, 2.0 * mu + 0.5, mu + 1.0)
+        return (4.0 * mu + 1.0, _sp.hyp2f1(*h, 4.0 * a * a / (x + b) ** 2),
+                _sp.hyp2f1(*h, 4.0 * a * a / (b * b)))
+
+    def log_pdf(self, x):
+        mu, a, b = self.mu, self.a, self.b
+        lc = -(4.0 * mu * np.log(2.0) + 2.0 * mu * np.log(a) - np.log(np.pi)
+               - (4.0 * mu + 1.0) * np.log(b) + _sp.gammaln(mu + 0.5)
+               + _sp.gammaln(2.0 * mu + 0.5) - _sp.gammaln(mu + 1.0)
+               + np.log(self._lt_parts(0.0)[2]))
+        return lc + 2.0 * mu * np.log(x) - b * x + 2.0 * _log_iv(mu, a * x)
+
+
+class _QuotientMixture(_Family):
+    """Families with phi'(x) = integral of coef omega(t) / (x + node(t)) dt,
+    omega = kdist_quotient_kernel(al, be, .); _mixture() gives
+    (coef, al, be, node)."""
+
+    def phi_ladder(self):
+        # frozen exp-sinh nodes, so the ladder differentiates exactly
+        coef, al, be, node = self._mixture()
+        t, w = frozen_expsinh_nodes(20, 6.0)
+        sel = t < 700.0
+        t, w = t[sel], w[sel]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            m = coef * kdist_quotient_kernel(al, be, t) * w
+        keep = np.isfinite(m) & (m > 0.0)
+        return StieltjesLadder(tuple(node(t[keep])), tuple(m[keep]))
+
+    def mgf_logderiv_im(self, re, im):
+        coef, al, be, node = self._mixture()
+
+        def f(t):
+            return coef * kdist_quotient_kernel(al, be, t) * im \
+                / ((node(t) - re) ** 2 + im * im)
+
+        return integrate_singular_decay(f, tol=1e-11).value
+
 
 @dataclass(frozen=True)
-class KDist:
+class KDist(_QuotientMixture):
     """Gamma-gamma compound: product of two independent gamma variables."""
     alpha: float
     beta: float
     mu: float
+    anchor = "Theorem thK"
 
     def __post_init__(self):
         if not (self.alpha > 0.0 and self.beta > 0.0 and self.mu > 0.0):
             raise ParameterError("KDist requires alpha, beta, mu > 0")
 
+    def log_pdf(self, x):
+        al, be, mu = self.alpha, self.beta, self.mu
+        r = al * be / mu
+        lc = (np.log(2.0) - _sp.gammaln(al) - _sp.gammaln(be)
+              + 0.5 * (al + be) * np.log(r))
+        return (lc + (0.5 * (al + be) - 1.0) * np.log(x)
+                + _log_kv(al - be, 2.0 * np.sqrt(r * x)))
+
+    def laplace(self, x):
+        # the Tricomi factor is evaluated for real arguments only here
+        al, be, mu = self.alpha, self.beta, self.mu
+        if x == 0.0:
+            return 1.0
+        arg = al * be / (mu * x)
+        return arg ** al * tricomi_psi(al, 1.0 + al - be, arg)
+
+    def lt_value_complex(self, z):
+        al, be, mu = self.alpha, self.beta, self.mu
+        arg = al * be / (mu * z)
+        return arg ** al * _tricomi_complex(al, 1.0 + al - be, arg)
+
+    def _mixture(self):
+        # nodes r/t with r = al be / mu; for alpha > beta the kernel is
+        # rebuilt with the roles exchanged, hence the coefficient min
+        al, be = self.alpha, self.beta
+        r = al * be / self.mu
+        return min(al, be), al, be, lambda t: r / t
+
 
 @dataclass(frozen=True)
-class GIG:
+class GIG(_Family):
     """Generalized inverse Gaussian; a, b > 0, mu real."""
     mu: float
     a: float
     b: float
+    anchor = "Theorem Thnewgigd"
 
     def __post_init__(self):
         if not (self.a > 0.0 and self.b > 0.0):
             raise ParameterError("GIG requires a, b > 0")
 
+    def log_pdf(self, x):
+        mu, a, b = self.mu, self.a, self.b
+        lc = (0.5 * mu * np.log(a / b) - np.log(2.0)
+              - _log_kv(mu, np.sqrt(a * b)))
+        return lc + (mu - 1.0) * np.log(x) - 0.5 * (a * x + b / x)
+
+    def laplace(self, x):
+        mu, a, b = self.mu, self.a, self.b
+        return ((a / (2.0 * x + a)) ** (0.5 * mu)
+                * _sp.kv(mu, np.sqrt(b * (2.0 * x + a)))
+                / _sp.kv(mu, np.sqrt(a * b)))
+
+    def lt_value_complex(self, z):
+        return laplace_closed(self, z)
+
+    def phi_ladder(self):
+        """phi'(x) = 2 mu/(2x+a) + (b/g) K_{mu-1}(g)/K_mu(g), g = sqrt(b(2x+a)),
+        as a rational term plus a shifted K-ratio Stieltjes ladder; for
+        mu < 0, K_{-nu} = K_nu and K_{nu+1} = K_{nu-1} + (2 nu/g) K_nu
+        cancel the rational term and leave the ratio at order |mu|."""
+        mu, a, b = self.mu, self.a, self.b
+        kr = k_ratio_ladder(abs(mu), np.sqrt(2.0 * b))
+        shifted = StieltjesLadder(tuple(np.asarray(kr.nodes) + 0.5 * a),
+                                  kr.masses)
+        return RationalLadder(((max(mu, 0.0), 0.5 * a),)) + shifted
+
 
 @dataclass(frozen=True)
-class GammaQuotient:
+class GammaQuotient(_QuotientMixture):
     """Quotient X/Y of independent gammas with shapes alpha, alpha0 and
     rates beta, beta0."""
     alpha: float
     beta: float
     alpha0: float
     beta0: float
+    anchor = "Lemma 4"
 
     def __post_init__(self):
         if min(self.alpha, self.beta, self.alpha0, self.beta0) <= 0.0:
             raise ParameterError("GammaQuotient requires positive parameters")
 
+    def log_pdf(self, x):
+        al, be, al0, be0 = self.alpha, self.beta, self.alpha0, self.beta0
+        r = be0 / be
+        lc = (_sp.gammaln(al + al0) - _sp.gammaln(al) - _sp.gammaln(al0)
+              + al * np.log(r))
+        return lc + (al - 1.0) * np.log(x) - (al + al0) * np.log1p(r * x)
+
+    def laplace(self, x):
+        al, be, al0, be0 = self.alpha, self.beta, self.alpha0, self.beta0
+        if x == 0.0:
+            return 1.0
+        # quotient density has scale beta/beta0 relative to the unit
+        # beta-prime law, hence the rescaled argument of psi
+        s = (be / be0) * x
+        return np.exp(_sp.gammaln(al + al0) - _sp.gammaln(al0)) \
+            * tricomi_psi(al, 1.0 - al0, s)
+
+    def _mixture(self):
+        # L(x) = const * psi(al, 1 - al0, r x) with r = beta/beta0, whose
+        # Stieltjes kernel is omega_{al, al+al0} with nodes at t / r
+        al, r = self.alpha, self.beta / self.beta0
+        return al, al, al + self.alpha0, lambda t: t / r
+
+    def hcm_ladder(self, u):
+        """The profile collapses to A (w + B)^{-(alpha+alpha0)}."""
+        al, al0, r = self.alpha, self.alpha0, self.beta0 / self.beta
+        c = np.exp(_sp.gammaln(al + al0) - _sp.gammaln(al)
+                   - _sp.gammaln(al0) + al * np.log(r))
+        coef = c * c * u ** (2.0 * al - 2.0) * (r * u) ** (-(al + al0))
+        shift = (1.0 + (r * u) ** 2) / (r * u)
+        return PowerLadder(coef, -(al + al0), shift)
+
 
 @dataclass(frozen=True)
-class NoncentralChiSq:
+class NoncentralChiSq(_Family):
     """Noncentral chi-square with mu degrees of freedom, noncentrality lam."""
     mu: float
     lam: float
+    anchor = "Theorem noncentralchihcm"
 
     def __post_init__(self):
         if not (self.mu > 0.0 and self.lam > 0.0):
             raise ParameterError("NoncentralChiSq requires mu, lam > 0")
+
+    def log_pdf(self, x):
+        mu, lam = self.mu, self.lam
+        return (-np.log(2.0) - 0.5 * (x + lam)
+                + (0.25 * mu - 0.5) * np.log(x / lam)
+                + _log_iv(0.5 * mu - 1.0, np.sqrt(lam * x)))
 
 
 DIST_KINDS = {
@@ -143,6 +401,18 @@ DIST_KINDS = {
     "nchisq": NoncentralChiSq,
 }
 _KIND_NAMES = {cls: name for name, cls in DIST_KINDS.items()}
+
+# representative in-domain parameters (positional) of the report rows
+DIST_DEFAULTS = {
+    "mckay1": (1.0, 0.5, 1.5),
+    "mckay2": (0.7, 0.6, 1.2),
+    "genmckay": (0.8, 1.2, 0.5, 1.4),
+    "sqmckay": (0.5, 0.3, 1.0),
+    "kdist": (1.2, 2.0, 1.0),
+    "gig": (0.7, 1.0, 1.5),
+    "gammaquot": (1.2, 1.0, 0.8, 1.5),
+    "nchisq": (1.0, 0.4),
+}
 
 
 _ASYMPTOTIC_Z = 1e8
@@ -186,55 +456,7 @@ def log_pdf(d, x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("densities are supported on x > 0")
-    if isinstance(d, McKayI):
-        mu, a, b = d.mu, d.a, d.b
-        lc = (0.5 * np.log(np.pi) + (mu + 0.5) * np.log(b * b - a * a)
-              - mu * np.log(2.0 * a) - _sp.gammaln(mu + 0.5))
-        return lc + mu * np.log(x) - b * x + _log_iv(mu, a * x)
-    if isinstance(d, McKayII):
-        mu, a, b = d.mu, d.a, d.b
-        lc = (0.5 * np.log(np.pi) + (mu + 1.5) * np.log(b * b - a * a)
-              - np.log(2.0 * b) - mu * np.log(2.0 * a) - _sp.gammaln(mu + 1.5))
-        return lc + (mu + 1.0) * np.log(x) - b * x + _log_iv(mu, a * x)
-    if isinstance(d, GenMcKay):
-        mu, nu, a, b = d.mu, d.nu, d.a, d.b
-        f0 = _sp.hyp2f1(0.5 * (mu + nu), 0.5 * (mu + nu + 1.0), mu + 1.0,
-                        (d.a / d.b) ** 2)
-        lc = -(mu * np.log(0.5 * a) - (mu + nu) * np.log(b)
-               + _sp.gammaln(mu + nu) - _sp.gammaln(mu + 1.0) + np.log(f0))
-        return lc + (nu - 1.0) * np.log(x) - b * x + _log_iv(mu, a * x)
-    if isinstance(d, SqMcKay):
-        mu, a, b = d.mu, d.a, d.b
-        f0 = _sp.hyp2f1(mu + 0.5, 2.0 * mu + 0.5, mu + 1.0, 4.0 * a * a / (b * b))
-        lc = -(4.0 * mu * np.log(2.0) + 2.0 * mu * np.log(a) - np.log(np.pi)
-               - (4.0 * mu + 1.0) * np.log(b) + _sp.gammaln(mu + 0.5)
-               + _sp.gammaln(2.0 * mu + 0.5) - _sp.gammaln(mu + 1.0)
-               + np.log(f0))
-        return lc + 2.0 * mu * np.log(x) - b * x + 2.0 * _log_iv(mu, a * x)
-    if isinstance(d, KDist):
-        al, be, mu = d.alpha, d.beta, d.mu
-        r = al * be / mu
-        lc = (np.log(2.0) - _sp.gammaln(al) - _sp.gammaln(be)
-              + 0.5 * (al + be) * np.log(r))
-        return (lc + (0.5 * (al + be) - 1.0) * np.log(x)
-                + _log_kv(al - be, 2.0 * np.sqrt(r * x)))
-    if isinstance(d, GIG):
-        mu, a, b = d.mu, d.a, d.b
-        lc = (0.5 * mu * np.log(a / b) - np.log(2.0)
-              - _log_kv(mu, np.sqrt(a * b)))
-        return lc + (mu - 1.0) * np.log(x) - 0.5 * (a * x + b / x)
-    if isinstance(d, GammaQuotient):
-        al, be, al0, be0 = d.alpha, d.beta, d.alpha0, d.beta0
-        r = be0 / be
-        lc = (_sp.gammaln(al + al0) - _sp.gammaln(al) - _sp.gammaln(al0)
-              + al * np.log(r))
-        return lc + (al - 1.0) * np.log(x) - (al + al0) * np.log1p(r * x)
-    if isinstance(d, NoncentralChiSq):
-        mu, lam = d.mu, d.lam
-        return (-np.log(2.0) - 0.5 * (x + lam)
-                + (0.25 * mu - 0.5) * np.log(x / lam)
-                + _log_iv(0.5 * mu - 1.0, np.sqrt(lam * x)))
-    raise ParameterError(f"unknown distribution {d!r}")
+    return d.log_pdf(x)
 
 
 def pdf(d, x):
@@ -245,73 +467,10 @@ def laplace_closed(d, x):
     """Closed-form Laplace transform L(x) = E e^{-xX}, x >= 0.
 
     Accepts complex x where the closed form continues analytically
-    (everything except KDist, whose Tricomi factor is evaluated for
-    real arguments only here).
+    (everything except KDist and GammaQuotient, whose Tricomi factor is
+    evaluated for real arguments only here).
     """
-    if isinstance(d, McKayI):
-        mu, a, b = d.mu, d.a, d.b
-        return ((b * b - a * a) / ((x + b) ** 2 - a * a)) ** (mu + 0.5)
-    if isinstance(d, McKayII):
-        mu, a, b = d.mu, d.a, d.b
-        return (1.0 + x / b) * (
-            (b * b - a * a) / ((x + b) ** 2 - a * a)) ** (mu + 1.5)
-    if isinstance(d, GenMcKay):
-        mu, nu, a, b = d.mu, d.nu, d.a, d.b
-        h1, h2, h3 = 0.5 * (mu + nu), 0.5 * (mu + nu + 1.0), mu + 1.0
-        f0 = _sp.hyp2f1(h1, h2, h3, (a / b) ** 2)
-        fx = _sp.hyp2f1(h1, h2, h3, (a / (x + b)) ** 2)
-        return (b / (x + b)) ** (mu + nu) * fx / f0
-    if isinstance(d, SqMcKay):
-        mu, a, b = d.mu, d.a, d.b
-        h1, h2, h3 = mu + 0.5, 2.0 * mu + 0.5, mu + 1.0
-        f0 = _sp.hyp2f1(h1, h2, h3, 4.0 * a * a / (b * b))
-        fx = _sp.hyp2f1(h1, h2, h3, 4.0 * a * a / (x + b) ** 2)
-        return (b / (x + b)) ** (4.0 * mu + 1.0) * fx / f0
-    if isinstance(d, KDist):
-        al, be, mu = d.alpha, d.beta, d.mu
-        if x == 0.0:
-            return 1.0
-        arg = al * be / (mu * x)
-        return arg ** al * tricomi_psi(al, 1.0 + al - be, arg)
-    if isinstance(d, GIG):
-        mu, a, b = d.mu, d.a, d.b
-        if np.iscomplexobj(np.asarray(x)):
-            import scipy.special as sp
-            kz = sp.kv(mu, np.sqrt(b * (2.0 * x + a)))
-        else:
-            kz = _sp.kv(mu, np.sqrt(b * (2.0 * x + a)))
-        return ((a / (2.0 * x + a)) ** (0.5 * mu) * kz
-                / _sp.kv(mu, np.sqrt(a * b)))
-    if isinstance(d, GammaQuotient):
-        al, be, al0, be0 = d.alpha, d.beta, d.alpha0, d.beta0
-        if x == 0.0:
-            return 1.0
-        # quotient density has scale beta/beta0 relative to the unit
-        # beta-prime law, hence the rescaled argument of psi
-        s = (be / be0) * x
-        return np.exp(_sp.gammaln(al + al0) - _sp.gammaln(al0)) \
-            * tricomi_psi(al, 1.0 - al0, s)
-    if isinstance(d, NoncentralChiSq):
-        raise UnsupportedVariantError(
-            "NoncentralChiSq has no closed Laplace transform in this catalog")
-    raise ParameterError(f"unknown distribution {d!r}")
-
-
-def _gen_mckay_logderiv(mu, nu, a, b, x):
-    h1, h2, h3 = 0.5 * (mu + nu), 0.5 * (mu + nu + 1.0), mu + 1.0
-    q = (a / (x + b)) ** 2
-    ratio = _sp.hyp2f1(h1 + 1.0, h2 + 1.0, h3 + 1.0, q) / _sp.hyp2f1(h1, h2, h3, q)
-    return ((mu + nu) / (x + b)
-            + a * a * (mu + nu) * (mu + nu + 1.0)
-            / (2.0 * (mu + 1.0) * (x + b) ** 3) * ratio)
-
-
-def _sq_mckay_logderiv(mu, a, b, x):
-    h1, h2, h3 = mu + 0.5, 2.0 * mu + 0.5, mu + 1.0
-    q = 4.0 * a * a / (x + b) ** 2
-    ratio = _sp.hyp2f1(h1 + 1.0, h2 + 1.0, h3 + 1.0, q) / _sp.hyp2f1(h1, h2, h3, q)
-    return ((4.0 * mu + 1.0) / (x + b)
-            + 8.0 * a * a * h1 * h2 / (h3 * (x + b) ** 3) * ratio)
+    return d.laplace(x)
 
 
 def kdist_quotient_kernel(al: float, be: float, t):
@@ -355,64 +514,6 @@ def kdist_quotient_kernel(al: float, be: float, t):
     return np.where(dead, 0.0, out)
 
 
-def neg_logderiv_lt(d, x, h_scale: float = 1e-3):
-    """-(ln L)'(x): derivative of the Bernstein function of d.
-
-    Closed forms everywhere except KDist (quadrature over the quotient
-    kernel) and NoncentralChiSq (no Laplace transform here).
-    """
-    if isinstance(d, McKayI):
-        mu, a, b = d.mu, d.a, d.b
-        return (mu + 0.5) * (1.0 / (x + b - a) + 1.0 / (x + b + a))
-    if isinstance(d, McKayII):
-        mu, a, b = d.mu, d.a, d.b
-        return ((mu + 1.5) / (x + b - a) + (mu + 1.5) / (x + b + a)
-                - 1.0 / (x + b))
-    if isinstance(d, GenMcKay):
-        return _gen_mckay_logderiv(d.mu, d.nu, d.a, d.b, x)
-    if isinstance(d, SqMcKay):
-        return _sq_mckay_logderiv(d.mu, d.a, d.b, x)
-    if isinstance(d, GIG):
-        mu, a, b = d.mu, d.a, d.b
-        g = np.sqrt(b * (2.0 * x + a))
-        return 2.0 * mu / (2.0 * x + a) + b / g * _sp.kv(mu - 1.0, g) / _sp.kv(mu, g)
-    if isinstance(d, GammaQuotient):
-        al, al0 = d.alpha, d.alpha0
-        r = d.beta / d.beta0
-        s = r * x
-        return r * al * tricomi_psi(al + 1.0, 2.0 - al0, s) \
-            / tricomi_psi(al, 1.0 - al0, s)
-    if isinstance(d, KDist):
-        from .quad import integrate_singular_decay
-        al, be, mu = d.alpha, d.beta, d.mu
-        if al == be:
-            # fall back to Richardson differencing of ln L
-            return _richardson_logderiv(d, x, h_scale)
-        r = al * be / mu
-        coef = min(al, be)
-
-        def f(t):
-            return coef * kdist_quotient_kernel(al, be, t) / (x + r / t)
-
-        return integrate_singular_decay(f, tol=1e-11).value
-    if isinstance(d, NoncentralChiSq):
-        raise UnsupportedVariantError(
-            "NoncentralChiSq has no Laplace transform in this catalog")
-    raise ParameterError(f"unknown distribution {d!r}")
-
-
-def _richardson_logderiv(d, x, h_scale):
-    """Central differences of -ln L with one Richardson refinement."""
-    h = x * h_scale
-
-    def g(y):
-        return -np.log(laplace_closed(d, y))
-
-    d1 = (g(x + h) - g(x - h)) / (2.0 * h)
-    d2 = (g(x + 0.5 * h) - g(x - 0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
 def mgf_logderiv_im(d, re: float, im: float):
     """Im[psi'(s)/psi(s)] for psi(s) = L(-s) at s = re + i im, im > 0.
 
@@ -421,39 +522,7 @@ def mgf_logderiv_im(d, re: float, im: float):
     """
     if im <= 0.0:
         raise DomainError("mgf_logderiv_im requires im > 0")
-    if isinstance(d, McKayI):
-        mu, a, b = d.mu, d.a, d.b
-        x, y = re, im
-        return (mu + 0.5) * (y / ((x + a - b) ** 2 + y * y)
-                             + y / ((x - a - b) ** 2 + y * y))
-    if isinstance(d, KDist):
-        from .quad import integrate_singular_decay
-        al, be, mu = d.alpha, d.beta, d.mu
-        if al == be:
-            raise UnsupportedVariantError("KDist Pick kernel needs alpha != beta")
-        r = al * be / mu
-        coef = min(al, be)
-
-        def f(t):
-            return coef * kdist_quotient_kernel(al, be, t) * im \
-                / ((r / t - re) ** 2 + im * im)
-
-        return integrate_singular_decay(f, tol=1e-11).value
-    if isinstance(d, GammaQuotient):
-        from .quad import integrate_singular_decay
-        al, al0 = d.alpha, d.alpha0
-        rr = d.beta / d.beta0
-
-        # L(x) = const * psi(al, 1 - al0, rr x), whose Stieltjes kernel is
-        # the quotient density omega_{al, al+al0}; the nodes sit at t / rr
-        # and carry mass al * omega(t) dt
-        def f(t):
-            return al * kdist_quotient_kernel(al, al + al0, t) * im \
-                / ((t / rr - re) ** 2 + im * im)
-
-        return integrate_singular_decay(f, tol=1e-11).value
-    raise UnsupportedVariantError(
-        f"mgf_logderiv_im not available for {type(d).__name__}")
+    return d.mgf_logderiv_im(re, im)
 
 
 def hcm_profile(d, u: float, w):

@@ -27,22 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as _sp
 
-from .distributions import (
-    GIG, DIST_KINDS, GammaQuotient, KDist, McKayI, McKayII,
-    _log_iv, _log_kv, hcm_profile, kdist_quotient_kernel, laplace_closed,
-    mgf_logderiv_im,
-)
+from .distributions import (DIST_DEFAULTS, DIST_KINDS, McKayI, _log_iv,
+                            _log_kv, hcm_profile)
 from .errors import DomainError, ParameterError, UnsupportedVariantError
-from .smoothfn import (
-    CauchyLadder, Ladder, MLSumLadder, PowerLadder, RationalLadder,
-    StieltjesLadder, SumLadder, frozen_expsinh_nodes, k_ratio_ladder,
-)
+from .smoothfn import (CauchyLadder, Ladder, MLSumLadder, PowerLadder,
+                       SumLadder, k_ratio_ladder)
 from .specfun import bessel_zeros
-from .stieltjes import _tricomi_complex
 
 __all__ = [
     "Rho", "Omega1", "Omega2", "IKMu", "Chi", "Theta", "Zeta", "Kappa",
-    "Epsilon", "EpsilonRecip", "DistLT", "LT_KINDS",
+    "Epsilon", "EpsilonRecip", "LT_KINDS",
     "lt_value", "lt_value_complex", "neg_logderiv", "neg_logderiv_ladder",
     "CMReport", "PickReport", "cm_check", "bernstein_check",
     "selfdecomp_check", "pick_check", "pick_im", "zeta_witness_search",
@@ -57,153 +51,29 @@ __all__ = [
 # Laplace-transform variants
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rho:
-    """(a sqrt x)^mu / (2^mu Gamma(mu+1) I_mu(a sqrt x)); mu > -1, a > 0."""
-    mu: float
-    a: float
-
-    def __post_init__(self):
-        if not (self.mu > -1.0 and self.a > 0.0):
-            raise ParameterError("Rho requires mu > -1 and a > 0")
+def _iv_ratio(mu, z):
+    return 0.5 * (_sp.iv(mu - 1.0, z) + _sp.iv(mu + 1.0, z)) / _sp.iv(mu, z)
 
 
-@dataclass(frozen=True)
-class Omega1:
-    """(b/a)^{mu-nu} [I_mu(a.)I_nu(b.)]/[I_mu(b.)I_nu(a.)] * Rho(sigma, b)."""
-    mu: float
-    nu: float
-    sigma: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.mu > -1.0 and self.nu > self.sigma > -1.0
-                and self.b > self.a > 0.0):
-            raise ParameterError(
-                "Omega1 requires mu > -1, nu > sigma > -1 and b > a > 0")
+def _kv_ratio(mu, z):
+    return -0.5 * (_sp.kv(mu - 1.0, z) + _sp.kv(mu + 1.0, z)) / _sp.kv(mu, z)
 
 
-@dataclass(frozen=True)
-class Omega2:
-    """(b/a)^{mu-nu} [I_mu(a.)I_nu(b.)]/[I_mu(b.)I_nu(a.)] * e^{-b sqrt x}."""
-    mu: float
-    nu: float
-    a: float
-    b: float
+class _Variant:
+    """Methods shared by the variants; what a variant lacks raises.  The
+    Pick value needs _dlog_dw(w) = d ln L / dw at w = sqrt(-s)."""
 
-    def __post_init__(self):
-        if not (self.mu > -1.0 and self.nu > 0.5 and self.b > self.a > 0.0):
-            raise ParameterError(
-                "Omega2 requires mu > -1, nu > 1/2 and b > a > 0")
+    def lt_value_complex(self, z):
+        raise UnsupportedVariantError(
+            f"no complex continuation registered for {self!r}")
 
+    def _dlog_dw(self, w):
+        raise UnsupportedVariantError(
+            f"no Pick closed form registered for {self!r}")
 
-@dataclass(frozen=True)
-class IKMu:
-    """2 mu I_mu(sqrt x) K_mu(sqrt x); mu > 0."""
-    mu: float
-
-    def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ParameterError("IKMu requires mu > 0")
-
-
-@dataclass(frozen=True)
-class Chi:
-    """Normalized e^{-a sqrt x} x^{(nu-mu)/2} I_mu(a sqrt x) K_nu(b sqrt x)."""
-    mu: float
-    nu: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.mu > 0.5 and self.nu > 0.0
-                and self.a > 0.0 and self.b > 0.0):
-            raise ParameterError("Chi requires mu > 1/2, nu > 0 and a, b > 0")
-
-
-@dataclass(frozen=True)
-class Theta:
-    """Normalized x^{(mu+nu)/2} K_mu(a sqrt x) K_nu(b sqrt x); mu, nu > 0."""
-    mu: float
-    nu: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.mu > 0.0 and self.nu > 0.0
-                and self.a > 0.0 and self.b > 0.0):
-            raise ParameterError("Theta requires mu, nu, a, b > 0")
-
-
-@dataclass(frozen=True)
-class Zeta:
-    """Normalized e^{-(a+b)sqrt x} x^{-(mu+nu)/2} I_mu(a sqrt x) I_nu(b sqrt x)."""
-    mu: float
-    nu: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.mu > 0.5 and self.nu > 0.5
-                and self.a > 0.0 and self.b > 0.0):
-            raise ParameterError("Zeta requires mu, nu > 1/2 and a, b > 0")
-
-
-@dataclass(frozen=True)
-class Kappa:
-    """Normalized e^{-(a+b)sqrt x} / (x^{(mu+nu)/2} K_mu(a.) K_nu(b.))."""
-    mu: float
-    nu: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.mu > 0.5 and self.nu > 0.5
-                and self.a > 0.0 and self.b > 0.0):
-            raise ParameterError("Kappa requires mu, nu > 1/2 and a, b > 0")
-
-
-@dataclass(frozen=True)
-class Epsilon:
-    """Normalized e^{-(a+b)sqrt x} x^{-(mu+nu)/2} I_mu(a.)/K_nu(b.)."""
-    mu: float
-    nu: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.mu > 0.5 and self.nu > 0.5
-                and self.a > 0.0 and self.b > 0.0):
-            raise ParameterError("Epsilon requires mu, nu > 1/2 and a, b > 0")
-
-
-@dataclass(frozen=True)
-class EpsilonRecip:
-    """Normalized x^{(mu+nu)/2} K_nu(b sqrt x)/I_mu(a sqrt x)."""
-    mu: float
-    nu: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.mu > -1.0 and self.nu > 0.0
-                and self.a > 0.0 and self.b > 0.0):
-            raise ParameterError(
-                "EpsilonRecip requires mu > -1, nu > 0 and a, b > 0")
-
-
-@dataclass(frozen=True)
-class DistLT:
-    """Wraps the closed Laplace transform of a distribution."""
-    d: object
-
-
-LT_KINDS = {
-    "rho": Rho, "omega1": Omega1, "omega2": Omega2, "ikmu": IKMu,
-    "chi": Chi, "theta": Theta, "zeta": Zeta, "kappa": Kappa,
-    "epsilon": Epsilon, "epsilon_recip": EpsilonRecip, "dist": DistLT,
-}
+    def pick_im(self, re: float, im: float) -> float:
+        w = np.sqrt(-complex(re, im))
+        return float(np.imag(-0.5 / w * self._dlog_dw(w)))
 
 
 def _log_rho(mu, a, x):
@@ -212,234 +82,329 @@ def _log_rho(mu, a, x):
     return (mu * np.log(0.5 * r) - _sp.gammaln(mu + 1.0) - _log_iv(mu, r))
 
 
-def lt_value(spec, x):
-    """L(x) for x > 0, evaluated through scaled Bessel logarithms."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("lt_value requires x > 0")
-    rx = np.sqrt(x)
-    if isinstance(spec, Rho):
-        return np.exp(_log_rho(spec.mu, spec.a, x))
-    if isinstance(spec, (Omega1, Omega2)):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
-        lg = ((mu - nu) * np.log(b / a)
-              + _log_iv(mu, a * rx) + _log_iv(nu, b * rx)
-              - _log_iv(mu, b * rx) - _log_iv(nu, a * rx))
-        if isinstance(spec, Omega1):
-            lg += _log_rho(spec.sigma, b, x)
-        else:
-            lg -= b * rx
+@dataclass(frozen=True)
+class Rho(_Variant):
+    """(a sqrt x)^mu / (2^mu Gamma(mu+1) I_mu(a sqrt x)); mu > -1, a > 0."""
+    mu: float
+    a: float
+    anchor = "Theorem thiskellap1"
+
+    def __post_init__(self):
+        if not (self.mu > -1.0 and self.a > 0.0):
+            raise ParameterError("Rho requires mu > -1 and a > 0")
+
+    def lt_value(self, x):
+        return np.exp(_log_rho(self.mu, self.a, x))
+
+    def lt_value_complex(self, z):
+        mu, a = self.mu, self.a
+        w = np.sqrt(z)
+        return ((0.5 * a * w) ** mu
+                / (np.exp(_sp.gammaln(mu + 1.0)) * _sp.iv(mu, a * w)))
+
+    def phi_ladder(self):
+        return MLSumLadder(self.mu, self.a)
+
+    def pick_im(self, re, im):
+        t = (bessel_zeros(self.mu, 4000) / self.a) ** 2
+        return float(np.sum(im / ((t - re) ** 2 + im * im)))
+
+
+def _log_omega_ratio(mu, nu, a, b, rx):
+    """ln of (b/a)^{mu-nu} [I_mu(a.)I_nu(b.)]/[I_mu(b.)I_nu(a.)]."""
+    return ((mu - nu) * np.log(b / a)
+            + _log_iv(mu, a * rx) + _log_iv(nu, b * rx)
+            - _log_iv(mu, b * rx) - _log_iv(nu, a * rx))
+
+
+@dataclass(frozen=True)
+class Omega1(_Variant):
+    """(b/a)^{mu-nu} [I_mu(a.)I_nu(b.)]/[I_mu(b.)I_nu(a.)] * Rho(sigma, b)."""
+    mu: float
+    nu: float
+    sigma: float
+    a: float
+    b: float
+    anchor = "Theorem theolap1"
+
+    def __post_init__(self):
+        if not (self.mu > -1.0 and self.nu > self.sigma > -1.0
+                and self.b > self.a > 0.0):
+            raise ParameterError(
+                "Omega1 requires mu > -1, nu > sigma > -1 and b > a > 0")
+
+    def lt_value(self, x):
+        lg = _log_omega_ratio(self.mu, self.nu, self.a, self.b, np.sqrt(x))
+        lg += _log_rho(self.sigma, self.b, x)
         return np.exp(lg)
-    if isinstance(spec, IKMu):
-        mu = spec.mu
-        return 2.0 * mu * np.exp(_log_iv(mu, rx) + _log_kv(mu, rx))
-    if isinstance(spec, Chi):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
+
+    def phi_ladder(self):
+        mu, nu, sg, a, b = self.mu, self.nu, self.sigma, self.a, self.b
+        return SumLadder(
+            (MLSumLadder(mu, a), MLSumLadder(nu, b),
+             MLSumLadder(mu, b), MLSumLadder(nu, a), MLSumLadder(sg, b)),
+            (-1.0, -1.0, 1.0, 1.0, 1.0))
+
+
+@dataclass(frozen=True)
+class Omega2(_Variant):
+    """(b/a)^{mu-nu} [I_mu(a.)I_nu(b.)]/[I_mu(b.)I_nu(a.)] * e^{-b sqrt x}."""
+    mu: float
+    nu: float
+    a: float
+    b: float
+    anchor = "Theorem theolap2"
+
+    def __post_init__(self):
+        if not (self.mu > -1.0 and self.nu > 0.5 and self.b > self.a > 0.0):
+            raise ParameterError(
+                "Omega2 requires mu > -1, nu > 1/2 and b > a > 0")
+
+    def lt_value(self, x):
+        rx = np.sqrt(x)
+        lg = _log_omega_ratio(self.mu, self.nu, self.a, self.b, rx)
+        lg -= self.b * rx
+        return np.exp(lg)
+
+    def phi_ladder(self):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        return SumLadder(
+            (PowerLadder(0.5 * b, -0.5), MLSumLadder(mu, a),
+             MLSumLadder(nu, b), MLSumLadder(mu, b), MLSumLadder(nu, a)),
+            (1.0, -1.0, -1.0, 1.0, 1.0))
+
+
+@dataclass(frozen=True)
+class IKMu(_Variant):
+    """2 mu I_mu(sqrt x) K_mu(sqrt x); mu > 0."""
+    mu: float
+    anchor = "Theorem thprod1"
+
+    def __post_init__(self):
+        if not self.mu > 0.0:
+            raise ParameterError("IKMu requires mu > 0")
+
+    def lt_value(self, x):
+        rx = np.sqrt(x)
+        return 2.0 * self.mu * np.exp(_log_iv(self.mu, rx)
+                                      + _log_kv(self.mu, rx))
+
+    def lt_value_complex(self, z):
+        w = np.sqrt(z)
+        return 2.0 * self.mu * _sp.iv(self.mu, w) * _sp.kv(self.mu, w)
+
+    def phi_ladder(self):
+        return k_ratio_ladder(self.mu, 1.0) - MLSumLadder(self.mu, 1.0)
+
+    def _dlog_dw(self, w):
+        return _iv_ratio(self.mu, w) + _kv_ratio(self.mu, w)
+
+
+@dataclass(frozen=True)
+class _Pair(_Variant):
+    """Variants built from two Bessel factors of orders mu, nu at scales
+    a, b > 0; _orders holds the strict lower bounds on (mu, nu)."""
+    mu: float
+    nu: float
+    a: float
+    b: float
+
+    def __post_init__(self):
+        lo_mu, lo_nu = self._orders
+        if not (self.mu > lo_mu and self.nu > lo_nu
+                and self.a > 0.0 and self.b > 0.0):
+            raise ParameterError(
+                f"{type(self).__name__} requires mu > {lo_mu:g}, "
+                f"nu > {lo_nu:g} and a, b > 0")
+
+
+@dataclass(frozen=True)
+class Chi(_Pair):
+    """Normalized e^{-a sqrt x} x^{(nu-mu)/2} I_mu(a sqrt x) K_nu(b sqrt x)."""
+    anchor = "Theorem theprodIKexp"
+    _orders = (0.5, 0.0)
+
+    def lt_value(self, x):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        rx = np.sqrt(x)
         lc = ((mu - nu + 1.0) * np.log(2.0) + _sp.gammaln(mu + 1.0)
               + nu * np.log(b) - mu * np.log(a) - _sp.gammaln(nu))
         return np.exp(lc - a * rx + 0.5 * (nu - mu) * np.log(x)
                       + _log_iv(mu, a * rx) + _log_kv(nu, b * rx))
-    if isinstance(spec, Theta):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
-        lc = (mu * np.log(a) + nu * np.log(b)
-              - (mu + nu - 2.0) * np.log(2.0)
-              - _sp.gammaln(mu) - _sp.gammaln(nu))
-        return np.exp(lc + 0.5 * (mu + nu) * np.log(x)
+
+    def phi_ladder(self):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        return SumLadder(
+            (PowerLadder(0.5 * a, -0.5), MLSumLadder(mu, a),
+             k_ratio_ladder(nu, b)),
+            (1.0, -1.0, 1.0))
+
+
+def _theta_lc(mu, nu, a, b):
+    return (mu * np.log(a) + nu * np.log(b)
+            - (mu + nu - 2.0) * np.log(2.0)
+            - _sp.gammaln(mu) - _sp.gammaln(nu))
+
+
+@dataclass(frozen=True)
+class Theta(_Pair):
+    """Normalized x^{(mu+nu)/2} K_mu(a sqrt x) K_nu(b sqrt x); mu, nu > 0."""
+    anchor = "Theorem thinfdivprodK"
+    _orders = (0.0, 0.0)
+
+    def lt_value(self, x):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        rx = np.sqrt(x)
+        return np.exp(_theta_lc(mu, nu, a, b) + 0.5 * (mu + nu) * np.log(x)
                       + _log_kv(mu, a * rx) + _log_kv(nu, b * rx))
-    if isinstance(spec, Zeta):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
+
+    def lt_value_complex(self, z):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        w = np.sqrt(z)
+        return (np.exp(_theta_lc(mu, nu, a, b)) * w ** (mu + nu)
+                * _sp.kv(mu, a * w) * _sp.kv(nu, b * w))
+
+    def phi_ladder(self):
+        return k_ratio_ladder(self.mu, self.a) + k_ratio_ladder(self.nu, self.b)
+
+    def _dlog_dw(self, w):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        return ((mu + nu) / w + a * _kv_ratio(mu, a * w)
+                + b * _kv_ratio(nu, b * w))
+
+
+@dataclass(frozen=True)
+class Zeta(_Pair):
+    """Normalized e^{-(a+b)sqrt x} x^{-(mu+nu)/2} I_mu(a sqrt x) I_nu(b sqrt x)."""
+    anchor = "Theorem thprodeqIinfdiv"
+    _orders = (0.5, 0.5)
+
+    def lt_value(self, x):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        rx = np.sqrt(x)
         lc = ((mu + nu) * np.log(2.0) + _sp.gammaln(mu + 1.0)
               + _sp.gammaln(nu + 1.0) - mu * np.log(a) - nu * np.log(b))
         return np.exp(lc - (a + b) * rx - 0.5 * (mu + nu) * np.log(x)
                       + _log_iv(mu, a * rx) + _log_iv(nu, b * rx))
-    if isinstance(spec, Kappa):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
+
+    def phi_ladder(self):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        return SumLadder(
+            (PowerLadder(0.5 * (a + b), -0.5),
+             MLSumLadder(mu, a), MLSumLadder(nu, b)),
+            (1.0, -1.0, -1.0))
+
+    def _dlog_dw(self, w):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        return (-(a + b) - (mu + nu) / w + a * _iv_ratio(mu, a * w)
+                + b * _iv_ratio(nu, b * w))
+
+
+@dataclass(frozen=True)
+class Kappa(_Pair):
+    """Normalized e^{-(a+b)sqrt x} / (x^{(mu+nu)/2} K_mu(a.) K_nu(b.))."""
+    anchor = "Theorem recprodKinfdiv"
+    _orders = (0.5, 0.5)
+
+    def lt_value(self, x):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        rx = np.sqrt(x)
         lc = ((mu + nu - 2.0) * np.log(2.0) + _sp.gammaln(mu)
               + _sp.gammaln(nu) - mu * np.log(a) - nu * np.log(b))
         return np.exp(lc - (a + b) * rx - 0.5 * (mu + nu) * np.log(x)
                       - _log_kv(mu, a * rx) - _log_kv(nu, b * rx))
-    if isinstance(spec, Epsilon):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
+
+    def phi_ladder(self):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        return SumLadder(
+            (PowerLadder(0.5 * (a + b), -0.5),
+             k_ratio_ladder(mu, a), k_ratio_ladder(nu, b)),
+            (1.0, -1.0, -1.0))
+
+
+@dataclass(frozen=True)
+class Epsilon(_Pair):
+    """Normalized e^{-(a+b)sqrt x} x^{-(mu+nu)/2} I_mu(a.)/K_nu(b.)."""
+    anchor = "Theorem theoquotIKinfdiv"
+    _orders = (0.5, 0.5)
+
+    def lt_value(self, x):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        rx = np.sqrt(x)
         lc = ((mu + nu - 1.0) * np.log(2.0) + _sp.gammaln(nu)
               + _sp.gammaln(mu + 1.0) - mu * np.log(a) - nu * np.log(b))
         return np.exp(lc - (a + b) * rx - 0.5 * (mu + nu) * np.log(x)
                       + _log_iv(mu, a * rx) - _log_kv(nu, b * rx))
-    if isinstance(spec, EpsilonRecip):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
+
+    def phi_ladder(self):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        return SumLadder(
+            (PowerLadder(0.5 * (a + b), -0.5),
+             MLSumLadder(mu, a), k_ratio_ladder(nu, b)),
+            (1.0, -1.0, -1.0))
+
+
+@dataclass(frozen=True)
+class EpsilonRecip(_Pair):
+    """Normalized x^{(mu+nu)/2} K_nu(b sqrt x)/I_mu(a sqrt x)."""
+    anchor = "Theorem theoquotIKinfdiv"
+    _orders = (-1.0, 0.0)
+
+    def lt_value(self, x):
+        mu, nu, a, b = self.mu, self.nu, self.a, self.b
+        rx = np.sqrt(x)
         lc = (mu * np.log(a) + nu * np.log(b)
               - (mu + nu - 1.0) * np.log(2.0)
               - _sp.gammaln(nu) - _sp.gammaln(mu + 1.0))
         return np.exp(lc + 0.5 * (mu + nu) * np.log(x)
                       + _log_kv(nu, b * rx) - _log_iv(mu, a * rx))
-    if isinstance(spec, DistLT):
-        return laplace_closed(spec.d, float(x) if x.ndim == 0 else x)
-    raise ParameterError(f"unknown Laplace-transform spec {spec!r}")
+
+    def phi_ladder(self):
+        return MLSumLadder(self.mu, self.a) + k_ratio_ladder(self.nu, self.b)
+
+
+LT_KINDS = {
+    "rho": Rho, "omega1": Omega1, "omega2": Omega2, "ikmu": IKMu,
+    "chi": Chi, "theta": Theta, "zeta": Zeta, "kappa": Kappa,
+    "epsilon": Epsilon, "epsilon_recip": EpsilonRecip,
+}
+
+# representative in-domain parameters (positional) of the variants; the
+# families take theirs from DIST_DEFAULTS
+_LT_DEFAULTS = {
+    "rho": (0.8, 1.0),
+    "omega1": (0.5, 1.2, 0.3, 0.7, 1.5),
+    "omega2": (0.5, 1.2, 0.7, 1.5),
+    "ikmu": (1.0,),
+    "chi": (1.0, 0.8, 0.9, 1.1),
+    "theta": (0.7, 1.2, 0.8, 1.0),
+    "zeta": (0.8, 1.1, 1.0, 0.9),
+    "kappa": (0.8, 1.1, 1.0, 0.9),
+    "epsilon": (0.9, 1.3, 0.8, 1.0),
+    "epsilon_recip": (0.9, 1.3, 0.8, 1.0),
+}
+
+
+def lt_value(spec, x):
+    """L(x) for x > 0, evaluated through scaled Bessel logarithms."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise DomainError("lt_value requires x > 0")
+    return spec.lt_value(x)
 
 
 def lt_value_complex(spec, z):
     """Analytic continuation of L to complex z with Re z > 0.
 
     Supported where the closed form continues with the principal square
-    root: Rho, IKMu, Theta, and DistLT over McKayI, GIG and KDist.
+    root: Rho, IKMu, Theta, McKayI, GIG and KDist.
     """
-    z = np.asarray(z, dtype=complex)
-    w = np.sqrt(z)
-    if isinstance(spec, Rho):
-        mu, a = spec.mu, spec.a
-        return ((0.5 * a * w) ** mu
-                / (np.exp(_sp.gammaln(mu + 1.0)) * _sp.iv(mu, a * w)))
-    if isinstance(spec, IKMu):
-        mu = spec.mu
-        return 2.0 * mu * _sp.iv(mu, w) * _sp.kv(mu, w)
-    if isinstance(spec, Theta):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
-        lc = (mu * np.log(a) + nu * np.log(b)
-              - (mu + nu - 2.0) * np.log(2.0)
-              - _sp.gammaln(mu) - _sp.gammaln(nu))
-        return (np.exp(lc) * w ** (mu + nu)
-                * _sp.kv(mu, a * w) * _sp.kv(nu, b * w))
-    if isinstance(spec, DistLT):
-        d = spec.d
-        if isinstance(d, (McKayI, GIG)):
-            return laplace_closed(d, z)
-        if isinstance(d, KDist):
-            al, be, mu = d.alpha, d.beta, d.mu
-            arg = al * be / (mu * z)
-            return arg ** al * _tricomi_complex(al, 1.0 + al - be, arg)
-    raise UnsupportedVariantError(
-        f"no complex continuation registered for {spec!r}")
-
-
-# ----------------------------------------------------------------------
-# Bernstein-derivative ladders
-# ----------------------------------------------------------------------
-
-class _ShiftLadder(Ladder):
-    """Derivative ladder of f' given a ladder for f."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def derivatives(self, x: float, max_order: int) -> np.ndarray:
-        return self.base.derivatives(x, max_order + 1)[1:]
-
-
-def _kdist_phi_ladder(al, be, mu):
-    """phi' of the K-distribution as a frozen Stieltjes ladder.
-
-    phi'(x) = integral of c omega(t) / (x + r/t) dt with r = al be / mu
-    and c = min(al, be); the quadrature nodes are frozen exp-sinh
-    points so the ladder differentiates exactly.
-    """
-    r = al * be / mu
-    coef = min(al, be)
-    t, w = frozen_expsinh_nodes(20, 6.0)
-    sel = t < 700.0
-    t, w = t[sel], w[sel]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        m = coef * kdist_quotient_kernel(al, be, t) * w
-    keep = np.isfinite(m) & (m > 0.0)
-    return StieltjesLadder(tuple(r / t[keep]), tuple(m[keep]))
-
-
-def _gamma_quotient_phi_ladder(al, be, al0, be0):
-    """phi' of the gamma quotient as a frozen Stieltjes ladder.
-
-    With scale r = beta/beta0 the transform is psi(al, 1-al0, r x), so
-    phi'(x) = integral of al omega_{al, al+al0}(t) / (x + t/r) dt.
-    """
-    r = be / be0
-    t, w = frozen_expsinh_nodes(20, 6.0)
-    sel = t < 700.0
-    t, w = t[sel], w[sel]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        m = al * kdist_quotient_kernel(al, al + al0, t) * w
-    keep = np.isfinite(m) & (m > 0.0)
-    return StieltjesLadder(tuple(t[keep] / r), tuple(m[keep]))
-
-
-def _gig_phi_ladder(mu, a, b):
-    """phi'(x) = 2 mu/(2x+a) + (b/g) K_{mu-1}(g)/K_mu(g), g = sqrt(b(2x+a)),
-    as a rational term plus a shifted K-ratio Stieltjes ladder."""
-    kr = k_ratio_ladder(mu, np.sqrt(2.0 * b))
-    shifted = StieltjesLadder(tuple(np.asarray(kr.nodes) + 0.5 * a),
-                              kr.masses)
-    return RationalLadder(((mu, 0.5 * a),)) + shifted
+    return spec.lt_value_complex(np.asarray(z, dtype=complex))
 
 
 def neg_logderiv_ladder(spec) -> Ladder:
     """Analytic derivative ladder for phi'(x) = -(ln L)'(x)."""
-    if isinstance(spec, Rho):
-        return MLSumLadder(spec.mu, spec.a)
-    if isinstance(spec, Omega1):
-        mu, nu, sg, a, b = spec.mu, spec.nu, spec.sigma, spec.a, spec.b
-        return SumLadder(
-            (MLSumLadder(mu, a), MLSumLadder(nu, b),
-             MLSumLadder(mu, b), MLSumLadder(nu, a), MLSumLadder(sg, b)),
-            (-1.0, -1.0, 1.0, 1.0, 1.0))
-    if isinstance(spec, Omega2):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
-        return SumLadder(
-            (PowerLadder(0.5 * b, -0.5), MLSumLadder(mu, a),
-             MLSumLadder(nu, b), MLSumLadder(mu, b), MLSumLadder(nu, a)),
-            (1.0, -1.0, -1.0, 1.0, 1.0))
-    if isinstance(spec, IKMu):
-        return k_ratio_ladder(spec.mu, 1.0) - MLSumLadder(spec.mu, 1.0)
-    if isinstance(spec, Chi):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
-        return SumLadder(
-            (PowerLadder(0.5 * a, -0.5), MLSumLadder(mu, a),
-             k_ratio_ladder(nu, b)),
-            (1.0, -1.0, 1.0))
-    if isinstance(spec, Theta):
-        return k_ratio_ladder(spec.mu, spec.a) + k_ratio_ladder(spec.nu, spec.b)
-    if isinstance(spec, Zeta):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
-        return SumLadder(
-            (PowerLadder(0.5 * (a + b), -0.5),
-             MLSumLadder(mu, a), MLSumLadder(nu, b)),
-            (1.0, -1.0, -1.0))
-    if isinstance(spec, Kappa):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
-        return SumLadder(
-            (PowerLadder(0.5 * (a + b), -0.5),
-             k_ratio_ladder(mu, a), k_ratio_ladder(nu, b)),
-            (1.0, -1.0, -1.0))
-    if isinstance(spec, Epsilon):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
-        return SumLadder(
-            (PowerLadder(0.5 * (a + b), -0.5),
-             MLSumLadder(mu, a), k_ratio_ladder(nu, b)),
-            (1.0, -1.0, -1.0))
-    if isinstance(spec, EpsilonRecip):
-        return MLSumLadder(spec.mu, spec.a) + k_ratio_ladder(spec.nu, spec.b)
-    if isinstance(spec, DistLT):
-        d = spec.d
-        if isinstance(d, McKayI):
-            mu, a, b = d.mu, d.a, d.b
-            return RationalLadder(((mu + 0.5, b - a), (mu + 0.5, b + a)))
-        if isinstance(d, McKayII):
-            mu, a, b = d.mu, d.a, d.b
-            return RationalLadder(
-                ((mu + 1.5, b - a), (mu + 1.5, b + a), (-1.0, b)))
-        if isinstance(d, KDist):
-            return _kdist_phi_ladder(d.alpha, d.beta, d.mu)
-        if isinstance(d, GIG):
-            return _gig_phi_ladder(d.mu, d.a, d.b)
-        if isinstance(d, GammaQuotient):
-            return _gamma_quotient_phi_ladder(d.alpha, d.beta,
-                                              d.alpha0, d.beta0)
-        # GenMcKay / SqMcKay: hypergeometric closed forms, Cauchy circle
-        # on -ln L with the radius reaching toward the true singularity
-        shift = getattr(d, "b") - getattr(d, "a") * (
-            2.0 if type(d).__name__ == "SqMcKay" else 1.0)
-
-        def phi(z):
-            return -np.log(laplace_closed(d, z))
-
-        return _ShiftLadder(CauchyLadder(phi, radius_factor=0.6,
-                                         radius_shift=0.9 * shift))
-    raise ParameterError(f"unknown Laplace-transform spec {spec!r}")
+    return spec.phi_ladder()
 
 
 def neg_logderiv(spec, x):
@@ -469,6 +434,7 @@ class CMReport:
 
 
 _DEFAULT_GRID = tuple(np.exp(np.linspace(np.log(0.05), np.log(50.0), 9)))
+_SELFDECOMP_GRID = tuple(np.exp(np.linspace(np.log(0.1), np.log(10.0), 7)))
 
 
 def _fd_derivatives(f, x, max_order):
@@ -534,10 +500,12 @@ def bernstein_check(spec, grid=None, max_order: int = 8,
     transforms carry e^{-c sqrt(x)} factors, so the approach to 1 is
     O(sqrt(x)), not O(x).
     """
+    if grid is None:
+        grid = _DEFAULT_GRID
     l0 = float(lt_value(spec, 1e-16))
     if abs(l0 - 1.0) > 1e-6:
-        return CMReport(tuple(grid or _DEFAULT_GRID), max_order,
-                        -(abs(l0 - 1.0)), False, (1e-16, -1), label)
+        return CMReport(tuple(grid), max_order, -(abs(l0 - 1.0)), False,
+                        (1e-16, -1), label)
     return cm_check(neg_logderiv_ladder(spec), grid, max_order, slack,
                     label=label)
 
@@ -551,18 +519,18 @@ def selfdecomp_check(spec, alpha: float, grid=None, max_order: int = 6,
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError("selfdecomp_check requires alpha in (0, 1)")
+    if grid is None:
+        grid = _SELFDECOMP_GRID
 
     def q(z):
         return lt_value_complex(spec, z) / lt_value_complex(spec, alpha * z)
 
     q0 = float(lt_value(spec, 1e-16)) / float(lt_value(spec, alpha * 1e-16))
     if abs(q0 - 1.0) > 1e-6:
-        return CMReport(tuple(grid or _DEFAULT_GRID), max_order,
-                        -(abs(q0 - 1.0)), False, (1e-16, -1), label)
-    ladder = CauchyLadder(q, radius_factor=0.5)
-    if grid is None:
-        grid = tuple(np.exp(np.linspace(np.log(0.1), np.log(10.0), 7)))
-    return cm_check(ladder, grid, max_order, slack, label=label)
+        return CMReport(tuple(grid), max_order, -(abs(q0 - 1.0)), False,
+                        (1e-16, -1), label)
+    return cm_check(CauchyLadder(q, radius_factor=0.5), grid, max_order,
+                    slack, label=label)
 
 
 # ----------------------------------------------------------------------
@@ -580,43 +548,11 @@ class PickReport:
     label: str = ""
 
 
-def _iv_ratio(mu, z):
-    return 0.5 * (_sp.iv(mu - 1.0, z) + _sp.iv(mu + 1.0, z)) / _sp.iv(mu, z)
-
-
-def _kv_ratio(mu, z):
-    return -0.5 * (_sp.kv(mu - 1.0, z) + _sp.kv(mu + 1.0, z)) / _sp.kv(mu, z)
-
-
 def pick_im(spec, re: float, im: float) -> float:
     """Im[psi'(s)/psi(s)] at s = re + i im for psi(s) = L(-s)."""
     if im <= 0.0:
         raise DomainError("pick_im requires im > 0")
-    if isinstance(spec, DistLT):
-        return mgf_logderiv_im(spec.d, re, im)
-    s = complex(re, im)
-    if isinstance(spec, Rho):
-        mu, a = spec.mu, spec.a
-        t = (bessel_zeros(mu, 4000) / a) ** 2
-        return float(np.sum(im / ((t - re) ** 2 + im * im)))
-    w = np.sqrt(-s)
-    dw = -0.5 / w
-    if isinstance(spec, IKMu):
-        mu = spec.mu
-        val = dw * (_iv_ratio(mu, w) + _kv_ratio(mu, w))
-        return float(np.imag(val))
-    if isinstance(spec, Theta):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
-        val = dw * ((mu + nu) / w + a * _kv_ratio(mu, a * w)
-                    + b * _kv_ratio(nu, b * w))
-        return float(np.imag(val))
-    if isinstance(spec, Zeta):
-        mu, nu, a, b = spec.mu, spec.nu, spec.a, spec.b
-        val = dw * (-(a + b) - (mu + nu) / w + a * _iv_ratio(mu, a * w)
-                    + b * _iv_ratio(nu, b * w))
-        return float(np.imag(val))
-    raise UnsupportedVariantError(
-        f"no Pick closed form registered for {spec!r}")
+    return spec.pick_im(re, im)
 
 
 def pick_check(spec, grid=None, slack: float = 1e-12,
@@ -664,22 +600,16 @@ def hcm_check(d, u: float, w_grid=None, max_order: int = 8,
               slack: float = 1e-9, label: str = "") -> CMReport:
     """Complete monotonicity in w = v + 1/v of pdf(uv) pdf(u/v).
 
-    The gamma quotient collapses to an exact power ladder
-    A (w + B)^{-(alpha+alpha0)}; other distributions fall back to
-    finite differences of the profile (order capped at 4).
+    A family with an exact profile ladder (the gamma quotient) is tested
+    through it; other distributions fall back to finite differences of
+    the profile (order capped at 4).
     """
     if w_grid is None:
         w_grid = _DEFAULT_W_GRID
-    if isinstance(d, GammaQuotient):
-        al, al0, r = d.alpha, d.alpha0, d.beta0 / d.beta
-        c = np.exp(_sp.gammaln(al + al0) - _sp.gammaln(al)
-                   - _sp.gammaln(al0) + al * np.log(r))
-        coef = c * c * u ** (2.0 * al - 2.0) * (r * u) ** (-(al + al0))
-        shift = (1.0 + (r * u) ** 2) / (r * u)
-        ladder = PowerLadder(coef, -(al + al0), shift)
-        return cm_check(ladder, w_grid, max_order, slack, label=label)
-    return cm_check(lambda w: float(hcm_profile(d, u, w)), w_grid,
-                    max_order, slack, label=label)
+    target = d.hcm_ladder(u)
+    if target is None:
+        target = lambda w: float(hcm_profile(d, u, w))
+    return cm_check(target, w_grid, max_order, slack, label=label)
 
 
 @dataclass(frozen=True)
@@ -802,53 +732,28 @@ def landau_bound_margin(mu: float, n: int = 20, lo: float = 0.1,
 # Default target lists
 # ----------------------------------------------------------------------
 
+_KINDS = {**LT_KINDS, **DIST_KINDS}
+_DEFAULTS = {**_LT_DEFAULTS, **DIST_DEFAULTS}
+
+
+def _default(label):
+    return _KINDS[label](*_DEFAULTS[label])
+
+
 def bernstein_targets():
     """(label, spec) pairs for every proven-infinitely-divisible
-    Laplace transform, at representative in-domain parameters."""
-    D = DIST_KINDS
-    return [
-        ("rho", Rho(0.8, 1.0)),
-        ("omega1", Omega1(0.5, 1.2, 0.3, 0.7, 1.5)),
-        ("omega2", Omega2(0.5, 1.2, 0.7, 1.5)),
-        ("ikmu", IKMu(1.0)),
-        ("chi", Chi(1.0, 0.8, 0.9, 1.1)),
-        ("theta", Theta(0.7, 1.2, 0.8, 1.0)),
-        ("zeta", Zeta(0.8, 1.1, 1.0, 0.9)),
-        ("kappa", Kappa(0.8, 1.1, 1.0, 0.9)),
-        ("epsilon", Epsilon(0.9, 1.3, 0.8, 1.0)),
-        ("epsilon_recip", EpsilonRecip(0.9, 1.3, 0.8, 1.0)),
-        ("mckay1", DistLT(D["mckay1"](1.0, 0.5, 1.5))),
-        ("mckay2", DistLT(D["mckay2"](0.7, 0.6, 1.2))),
-        ("genmckay", DistLT(D["genmckay"](0.8, 1.2, 0.5, 1.4))),
-        ("sqmckay", DistLT(D["sqmckay"](0.5, 0.3, 1.0))),
-        ("kdist", DistLT(D["kdist"](1.2, 2.0, 1.0))),
-        ("gig", DistLT(D["gig"](0.7, 1.0, 1.5))),
-        ("gammaquot", DistLT(D["gammaquot"](1.2, 1.0, 0.8, 1.5))),
-    ]
+    Laplace transform, at its default parameters."""
+    return [(k, _default(k)) for k in _KINDS if k != "nchisq"]
 
 
 def selfdecomp_targets():
-    D = DIST_KINDS
-    return [
-        ("mckay1", DistLT(D["mckay1"](1.0, 0.5, 1.5))),
-        ("kdist", DistLT(D["kdist"](1.2, 2.0, 1.0))),
-        ("gig", DistLT(D["gig"](0.7, 1.0, 1.5))),
-        ("rho", Rho(0.8, 1.0)),
-        ("ikmu", IKMu(1.0)),
-        ("theta", Theta(0.7, 1.2, 0.8, 1.0)),
-    ]
+    return [(k, _default(k))
+            for k in ("mckay1", "kdist", "gig", "rho", "ikmu", "theta")]
 
 
 def pick_targets():
-    D = DIST_KINDS
-    return [
-        ("mckay1", DistLT(D["mckay1"](1.0, 1.0, 2.0))),
-        ("rho", Rho(1.0, 1.0)),
-        ("ikmu", IKMu(1.0)),
-        ("theta", Theta(0.7, 1.2, 0.8, 1.0)),
-        ("kdist", DistLT(D["kdist"](1.2, 2.0, 1.0))),
-        ("gammaquot", DistLT(D["gammaquot"](1.2, 1.0, 0.8, 1.5))),
-    ]
+    return [("mckay1", McKayI(1.0, 1.0, 2.0)), ("rho", Rho(1.0, 1.0))] + [
+        (k, _default(k)) for k in ("ikmu", "theta", "kdist", "gammaquot")]
 
 
 def profile_targets():

@@ -5,8 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
-from .accel import iterated_average, levin_u, wynn_epsilon
-from .gauss_kronrod import integrate_finite
 from .oscillatory import OscSpec, integrate_oscillatory
 from .result import QuadResult
 from .tanhsinh import integrate_singular_decay, tanh_sinh_finite
@@ -14,14 +12,10 @@ from .tanhsinh import integrate_singular_decay, tanh_sinh_finite
 __all__ = [
     "QuadResult",
     "OscSpec",
-    "integrate_finite",
     "tanh_sinh_finite",
     "integrate_singular_decay",
     "integrate_oscillatory",
     "numeric_laplace",
-    "levin_u",
-    "wynn_epsilon",
-    "iterated_average",
 ]
 
 

@@ -1,13 +1,9 @@
-"""Adaptive Gauss-Kronrod (G7/K15) quadrature on finite intervals."""
+"""Gauss-Kronrod (G7/K15) nodes and weights on [-1, 1]."""
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from ..errors import DomainError
-from .result import QuadResult
 
 # 15-point Kronrod nodes on [-1, 1] (positive half) and weights; the
 # embedded 7-point Gauss rule sits on the odd-indexed nodes.
@@ -30,60 +26,3 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])          # 15 ascending nodes
 _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WGFULL = np.zeros(15)
 _WGFULL[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
-
-
-def _gk15(f, a: float, b: float):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _NODES
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape or not np.all(np.isfinite(y)):
-        raise DomainError("integrand returned a non-finite or mis-shaped sample")
-    ik = half * float(np.dot(_WK, y))
-    ig = half * float(np.dot(_WGFULL, y))
-    err = (200.0 * abs(ik - ig)) ** 1.5 if ik != ig else 0.0
-    err = min(err, abs(ik - ig) * 200.0)
-    return ik, max(err, abs(ik) * 1e-16)
-
-
-def integrate_finite(f, a: float, b: float, tol: float = 1e-10,
-                     max_intervals: int = 2000) -> QuadResult:
-    """Adaptive integral of a vectorized callable f over [a, b].
-
-    Worst-error-first interval bisection; `tol` is treated as a relative
-    tolerance against the running value (with an absolute floor).
-    """
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise DomainError("integrate_finite requires finite endpoints")
-    if a == b:
-        return QuadResult(0.0, 0.0, 0, True)
-    sgn = 1.0
-    if b < a:
-        a, b, sgn = b, a, -1.0
-    val, err = _gk15(f, a, b)
-    heap = [(-err, a, b, val, err)]
-    total, total_err, n_evals = val, err, 15
-    converged = False
-    while len(heap) < max_intervals:
-        bound = tol * max(abs(total), 1e-300) + 1e-305
-        if total_err <= bound:
-            converged = True
-            break
-        neg_err, lo, hi, v, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:        # interval at machine resolution
-            heapq.heappush(heap, (0.0, lo, hi, v, 0.0))
-            total_err -= e
-            continue
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        n_evals += 30
-        total += (v1 + v2) - v
-        total_err += (e1 + e2) - e
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-    else:
-        converged = total_err <= tol * max(abs(total), 1e-300) + 1e-305
-    if not heap:
-        converged = True
-    return QuadResult(sgn * total, total_err, n_evals, converged)

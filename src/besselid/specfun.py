@@ -1,4 +1,4 @@
-"""Special-function layer: gamma, Bessel, hypergeometric, Tricomi.
+"""Special-function layer: Bessel, hypergeometric, Tricomi.
 
 Real arguments on the public surface.  Bessel-function zeros of real
 order are computed here (McMahon expansion polished by Newton, with a
@@ -19,10 +19,7 @@ import scipy.special as _sp
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "EvalPolicy",
     "BoundaryPsiPair",
-    "DEFAULT_POLICY",
-    "log_gamma",
     "bessel_j",
     "bessel_y",
     "bessel_i",
@@ -36,23 +33,6 @@ __all__ = [
     "tricomi_boundary_mod2",
     "whittaker_w",
 ]
-
-
-@dataclass(frozen=True)
-class EvalPolicy:
-    """Accuracy knobs shared by the iterative pieces of this module."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 500
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError("rel_tol must lie in (0, 1)")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
-
-
-DEFAULT_POLICY = EvalPolicy()
 
 
 @dataclass(frozen=True)
@@ -82,14 +62,6 @@ def _maybe_scalar(result, x):
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
         return float(result)
     return result
-
-
-def log_gamma(x):
-    """log |Gamma(x)| for x > 0 (vectorized)."""
-    arr = _as_float_array(x)
-    if np.any(arr <= 0.0):
-        raise DomainError("log_gamma requires x > 0")
-    return _maybe_scalar(_sp.gammaln(arr), x)
 
 
 def bessel_j(nu: float, x):
@@ -149,7 +121,7 @@ def _mcmahon(nu: float, n: np.ndarray) -> np.ndarray:
     )
 
 
-def _newton_polish(nu: float, x: np.ndarray, policy: EvalPolicy) -> np.ndarray:
+def _newton_polish(nu: float, x: np.ndarray) -> np.ndarray:
     x = x.copy()
     for _ in range(30):
         f = _sp.jv(nu, x)
@@ -157,7 +129,7 @@ def _newton_polish(nu: float, x: np.ndarray, policy: EvalPolicy) -> np.ndarray:
         step = f / fp
         np.clip(step, -1.0, 1.0, out=step)
         x -= step
-        if np.max(np.abs(step)) < policy.rel_tol * np.max(x):
+        if np.max(np.abs(step)) < 1e-12 * np.max(x):
             break
     return x
 
@@ -179,9 +151,9 @@ def _scan_low_zeros(nu: float, count: int) -> np.ndarray:
     return np.asarray(roots)
 
 
-def _compute_zeros(nu: float, nmax: int, policy: EvalPolicy) -> np.ndarray:
+def _compute_zeros(nu: float, nmax: int) -> np.ndarray:
     n = np.arange(1, nmax + 1, dtype=float)
-    x = _newton_polish(nu, _mcmahon(nu, n), policy)
+    x = _newton_polish(nu, _mcmahon(nu, n))
     # McMahon is an expansion for n >> nu; low zeros at sizable order may
     # have been pulled onto the wrong root, so re-derive them by scanning.
     n_low = int(min(nmax, np.ceil(nu) + 2)) if nu > 1.0 else 0
@@ -190,13 +162,13 @@ def _compute_zeros(nu: float, nmax: int, policy: EvalPolicy) -> np.ndarray:
         n_low = max(n_low, 2 if not ok else n_low)
         low = _scan_low_zeros(nu, min(nmax, max(n_low, 2)))
         x[: low.size] = low
-        x = _newton_polish(nu, x, policy)
+        x = _newton_polish(nu, x)
     if not np.all(np.diff(x) > 0):
         raise ConvergenceError(f"zero sequence of J_{nu} not monotone")
     return x
 
 
-def bessel_zeros(nu: float, nmax: int, policy: EvalPolicy = DEFAULT_POLICY) -> np.ndarray:
+def bessel_zeros(nu: float, nmax: int) -> np.ndarray:
     """First `nmax` positive zeros of J_nu, nu > -1, as an array (cached)."""
     if nu <= -1.0:
         raise DomainError("bessel_zeros requires nu > -1")
@@ -208,7 +180,7 @@ def bessel_zeros(nu: float, nmax: int, policy: EvalPolicy = DEFAULT_POLICY) -> n
         return cached[:nmax]
     # Compute with headroom outside the lock, publish atomically.
     target = max(nmax, 64)
-    zeros = _compute_zeros(key, target, policy)
+    zeros = _compute_zeros(key, target)
     with _zero_lock:
         cached = _zero_cache.get(key)
         if cached is None or cached.size < zeros.size:
@@ -218,9 +190,9 @@ def bessel_zeros(nu: float, nmax: int, policy: EvalPolicy = DEFAULT_POLICY) -> n
     return zeros[:nmax]
 
 
-def bessel_zero(nu: float, n: int, policy: EvalPolicy = DEFAULT_POLICY) -> float:
+def bessel_zero(nu: float, n: int) -> float:
     """n-th positive zero j_{nu,n} of J_nu (n >= 1, nu > -1)."""
-    return float(bessel_zeros(nu, n, policy)[n - 1])
+    return float(bessel_zeros(nu, n)[n - 1])
 
 
 # ---------------------------------------------------------------------------

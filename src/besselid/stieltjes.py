@@ -35,24 +35,17 @@ from .specfun import tricomi_boundary_mod2, tricomi_psi
 
 __all__ = [
     "IdentityRecord", "make_identity", "catalog_names", "default_params",
-    "tolerance", "verification_rows", "rows_to_csv",
+    "tolerance", "rows_to_csv",
 ]
 
 _TIGHT = 1e-7
 _HARD = 1e-4
 _HARD_ENTRIES = frozenset({"KK_RECIP", "IK_QUOT"})
 
-# entries that are genuine Stieltjes transforms of a measure (support
-# inversion); the complement is the pair of product identities
-_PRODUCT_ENTRIES = frozenset({"MCDONALD", "I_PRODUCT_ANGLE"})
 # entries of the form "inner Laplace gives a section-3 density"
 _LAPLACE_ENTRIES = frozenset({
     "I_EXP", "IK_PROD", "IK_EQUAL", "IK_EXP", "KK_PROD", "II_EXP",
     "KK_RECIP", "IK_QUOT", "K_RECIP", "K_RATIO",
-})
-_TRICOMI_ENTRIES = frozenset({
-    "TRICOMI_RATIO", "TRICOMI_Cm1", "TRICOMI_Ap1", "TRICOMI_Cp1",
-    "TRICOMI_Am1",
 })
 
 
@@ -152,6 +145,7 @@ class _Entry:
     kernel: object                # (params, t array) -> array
     osc: object                   # params -> OscSpec
     defaults: dict
+    anchor: str                   # source of the identity in the paper
     const: object = None          # (params, z) -> constant term (default 0)
     z_factor: bool = False        # integral carries z/(z+t) instead of 1/(z+t)
 
@@ -212,6 +206,7 @@ def _build_catalog():
         * _sp.jv(p["mu"], p["a"] * np.sqrt(t)) * np.sin(p["a"] * np.sqrt(t)),
         osc=lambda p: OscSpec((p["a"], p["a"]), endpoint_exponent=0.5),
         defaults={"mu": 1.0, "a": 1.0},
+        anchor="Theorem thIfirst",
     )
 
     def ikprod_check(p):
@@ -241,6 +236,7 @@ def _build_catalog():
                               endpoint_exponent=0.5 * (p["nu"] + p["mu"])
                               + 0.5 * (p["nu"] - p["mu"])),
         defaults={"mu": 0.6, "nu": 0.8, "a": 0.75, "b": 1.0},
+        anchor="eq. (eqproddifpar)",
     )
 
     cat["IK_EQUAL"] = _Entry(
@@ -251,6 +247,7 @@ def _build_catalog():
         kernel=lambda p, t: _sp.jv(p["mu"], np.sqrt(t)) ** 2,
         osc=lambda p: OscSpec((1.0, 1.0), endpoint_exponent=p["mu"]),
         defaults={"mu": 0.7},
+        anchor="eq. (eqprod1)",
     )
 
     def ikexp_lhs(p, z):
@@ -278,6 +275,7 @@ def _build_catalog():
                                                     0.5 * (p["nu"] - p["mu"])
                                                     + 0.5 * p["mu"])),
         defaults={"mu": 0.8, "nu": 0.6, "a": 0.4, "b": 0.5},
+        anchor="Theorem theprodIKexprepr2",
     )
 
     def kkprod_lhs(p, z):
@@ -304,6 +302,7 @@ def _build_catalog():
                               endpoint_exponent=0.0 if p["nu"] > 0
                               else 0.5 * p["mu"]),
         defaults={"mu": 0.3, "nu": 0.6, "a": 0.2, "b": 0.3},
+        anchor="eq. (eqprodK1)",
     )
 
     def iiexp_lhs(p, z):
@@ -326,6 +325,7 @@ def _build_catalog():
         osc=lambda p: OscSpec((p["a"], p["b"], p["a"] + p["b"]),
                               endpoint_exponent=0.5),
         defaults={"mu": 0.7, "nu": 0.6, "a": 0.2, "b": 0.3},
+        anchor="eq. (prodeqI)",
     )
 
     def kkrecip_lhs(p, z):
@@ -346,6 +346,7 @@ def _build_catalog():
         osc=lambda p: OscSpec((p["a"], p["b"], p["a"] + p["b"]),
                               endpoint_exponent=0.0),
         defaults={"mu": 0.8, "nu": 0.7, "a": 0.3, "b": 0.4},
+        anchor="Theorem recprodKrepr",
     )
 
     def ikquot_lhs(p, z):
@@ -367,6 +368,7 @@ def _build_catalog():
         osc=lambda p: OscSpec((p["a"], p["b"], p["a"] + p["b"]),
                               endpoint_exponent=0.0),
         defaults={"mu": 0.8, "nu": 0.6, "a": 0.3, "b": 0.4},
+        anchor="Theorem theoquotIK",
     )
 
     def krecip_lhs(p, z):
@@ -383,6 +385,7 @@ def _build_catalog():
         * _gamma_small(p["nu"], 0.0, p["b"], t),
         osc=lambda p: OscSpec((p["b"], p["b"]), endpoint_exponent=0.0),
         defaults={"nu": 0.8, "b": 0.5},
+        anchor="Corollary theoquotIKcoro",
     )
 
     def kratio_lhs(p, z):
@@ -401,6 +404,7 @@ def _build_catalog():
         kernel=kratio_kernel,
         osc=lambda p: OscSpec(()),
         defaults={"mu": 0.9},
+        anchor="eq. (integralKquot)",
     )
 
     # --- Tricomi family -----------------------------------------------------
@@ -422,58 +426,34 @@ def _build_catalog():
         out = ts ** (-c) * np.exp(-ts) / tricomi_boundary_mod2(a, c, ts) * norm
         return np.where(dead, 0.0, out)
 
-    cat["TRICOMI_RATIO"] = _Entry(
-        names=("a", "c"),
-        check=tric_check,
-        lhs=lambda p, z: _tricomi_any(p["a"] + 1.0, p["c"] + 1.0, z)
-        / _tricomi_any(p["a"], p["c"], z),
-        kernel=lambda p, t: tric_kernel(p, t, (1.0, 1.0)),
-        osc=lambda p: OscSpec(()),
-        defaults={"a": 1.5, "c": 0.5},
-    )
-    cat["TRICOMI_Cm1"] = _Entry(
-        names=("a", "c"),
-        check=tric_check,
-        lhs=lambda p, z: _tricomi_any(p["a"], p["c"] - 1.0, z)
-        / _tricomi_any(p["a"], p["c"], z),
-        kernel=lambda p, t: tric_kernel(p, t, (0.0, 2.0)),
-        osc=lambda p: OscSpec(()),
-        defaults={"a": 1.5, "c": 0.5},
-        const=lambda p, z: (1.0 - p["c"]) / (p["a"] - p["c"] + 1.0),
-        z_factor=True,
-    )
-    cat["TRICOMI_Ap1"] = _Entry(
-        names=("a", "c"),
-        check=tric_check,
-        lhs=lambda p, z: _tricomi_any(p["a"] + 1.0, p["c"], z)
-        / _tricomi_any(p["a"], p["c"], z),
-        kernel=lambda p, t: -tric_kernel(p, t, (1.0, 2.0)),
-        osc=lambda p: OscSpec(()),
-        defaults={"a": 1.5, "c": 0.5},
-        const=lambda p, z: 1.0 / (p["a"] - p["c"] + 1.0),
-        z_factor=True,
-    )
-    cat["TRICOMI_Cp1"] = _Entry(
-        names=("a", "c"),
-        check=tric_check,
-        lhs=lambda p, z: _tricomi_any(p["a"], p["c"] + 1.0, z)
-        / _tricomi_any(p["a"], p["c"], z),
-        kernel=lambda p, t: tric_kernel(p, t, (0.0, 1.0)),
-        osc=lambda p: OscSpec(()),
-        defaults={"a": 1.5, "c": 0.5},
-        const=lambda p, z: 1.0,
-    )
-    cat["TRICOMI_Am1"] = _Entry(
-        names=("a", "c"),
-        check=tric_check,
-        lhs=lambda p, z: _tricomi_any(p["a"] - 1.0, p["c"], z)
-        / _tricomi_any(p["a"], p["c"], z),
-        kernel=lambda p, t: tric_kernel(p, t, (0.0, 1.0)),
-        osc=lambda p: OscSpec(()),
-        defaults={"a": 1.5, "c": 0.5},
-        const=lambda p, z: z - p["c"] + p["a"],
-        z_factor=True,
-    )
+    def tric_entry(da, dc, gamma_shift, sign=1.0, anchor="Theorem tricrepr",
+                   **extra):
+        """psi(a + da, c + dc, z) / psi(a, c, z) over the Tricomi kernel."""
+        return _Entry(
+            names=("a", "c"),
+            check=tric_check,
+            lhs=lambda p, z: _tricomi_any(p["a"] + da, p["c"] + dc, z)
+            / _tricomi_any(p["a"], p["c"], z),
+            kernel=lambda p, t: sign * tric_kernel(p, t, gamma_shift),
+            osc=lambda p: OscSpec(()),
+            defaults={"a": 1.5, "c": 0.5},
+            anchor=anchor,
+            **extra,
+        )
+
+    cat["TRICOMI_RATIO"] = tric_entry(1.0, 1.0, (1.0, 1.0),
+                                      anchor="eq. (intfor)")
+    cat["TRICOMI_Cm1"] = tric_entry(
+        0.0, -1.0, (0.0, 2.0), z_factor=True,
+        const=lambda p, z: (1.0 - p["c"]) / (p["a"] - p["c"] + 1.0))
+    cat["TRICOMI_Ap1"] = tric_entry(
+        1.0, 0.0, (1.0, 2.0), -1.0, z_factor=True,
+        const=lambda p, z: 1.0 / (p["a"] - p["c"] + 1.0))
+    cat["TRICOMI_Cp1"] = tric_entry(0.0, 1.0, (0.0, 1.0),
+                                    const=lambda p, z: 1.0)
+    cat["TRICOMI_Am1"] = tric_entry(
+        -1.0, 0.0, (0.0, 1.0), z_factor=True,
+        const=lambda p, z: z - p["c"] + p["a"])
 
     # --- product identities (not Stieltjes transforms) ----------------------
     cat["MCDONALD"] = _Entry(
@@ -484,6 +464,7 @@ def _build_catalog():
         kernel=None,
         osc=lambda p: OscSpec(()),
         defaults={"mu": 0.3, "x": 1.0, "y": 1.0},
+        anchor="eq. (prodK)",
     )
     cat["I_PRODUCT_ANGLE"] = _Entry(
         names=("mu", "x", "y"),
@@ -493,6 +474,7 @@ def _build_catalog():
         kernel=None,
         osc=lambda p: OscSpec(()),
         defaults={"mu": 0.7, "x": 0.9, "y": 1.4},
+        anchor="eq. (intIprod)",
     )
     return cat
 
@@ -530,6 +512,10 @@ class IdentityRecord:
     @property
     def tol(self) -> float:
         return tolerance(self.name)
+
+    @property
+    def anchor(self) -> str:
+        return self._entry().anchor
 
     def _entry(self) -> _Entry:
         return _CATALOG[self.name]
@@ -663,7 +649,7 @@ class IdentityRecord:
         polynomially extrapolated to eta = 0 along the ladder.  The
         result should match measure_density(t).
         """
-        if self.name in _PRODUCT_ENTRIES:
+        if self._entry().kernel is None:
             raise UnsupportedVariantError(
                 f"{self.name} is not a Stieltjes transform")
         if t <= 0.0:
@@ -701,31 +687,6 @@ def make_identity(name: str, **params) -> IdentityRecord:
         raise ParameterError(f"{name} missing parameters {sorted(missing)}")
     e.check(p)
     return IdentityRecord(name, tuple(sorted(p.items())))
-
-
-def verification_rows(names=None, z_values=None, tol_scale: float = 1.0):
-    """Residual table across the catalog: one dict per (entry, z)."""
-    names = list(names) if names is not None else list(_CATALOG)
-    rows = []
-    for name in names:
-        rec = make_identity(name)
-        zs = z_values if z_values is not None else np.logspace(-2, 2, 7)
-        for z in zs:
-            lhs = rec.lhs_value(float(z))
-            rhs = rec.stieltjes_rhs(float(z), tol=0.01 * rec.tol * tol_scale)
-            res = abs(lhs - rhs.value) / max(abs(lhs), 1e-300)
-            rows.append({
-                "entry_id": name,
-                "params": " ".join(f"{k}={v:g}" for k, v in rec.params),
-                "z": float(z),
-                "lhs": float(lhs),
-                "rhs": float(rhs.value),
-                "residual": float(res),
-                "err_estimate": float(rhs.err_estimate),
-                "n_evals": int(rhs.n_evals),
-                "converged": bool(rhs.converged),
-            })
-    return rows
 
 
 def rows_to_csv(rows) -> str:

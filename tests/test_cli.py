@@ -1,6 +1,7 @@
 """Command-line interface: eval, verify, profile, zeros, landau."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,35 @@ def test_verify_expected_fail_row(runner):
     [row] = rep["rows"]
     assert row["verdict"] == "expected-fail"
     assert row["witness"] is not None
+
+
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_all_stable.json"
+
+
+def _assert_matches_golden(got, want, where="report"):
+    """Same structure, strings and flags exactly; numbers to rel 1e-9."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            _assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches_golden(g, w, f"{where}[{i}]")
+    elif isinstance(want, float) and not isinstance(want, bool):
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0), where
+    else:
+        assert got == want and type(got) is type(want), where
+
+
+def test_verify_all_matches_golden_report(runner):
+    # the committed report pins every id, params, anchor and verdict of
+    # `besselid verify all --stable`, and every number to rel 1e-9
+    code, rep = _report(runner, ["verify", "all", "--stable"])
+    assert code == 0
+    want = json.loads(GOLDEN_REPORT.read_text())
+    assert [r["id"] for r in rep["rows"]] == [r["id"] for r in want["rows"]]
+    _assert_matches_golden(rep, want)
 
 
 def test_verify_stable_is_deterministic(runner):

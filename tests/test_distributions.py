@@ -10,10 +10,10 @@ from paramsets import PARAM_SETS
 
 from besselid.distributions import (DIST_KINDS, format_dist, hcm_profile,
                                     kdist_quotient_kernel, laplace_closed,
-                                    log_pdf, mgf_logderiv_im, neg_logderiv_lt,
-                                    parse_dist, pdf)
+                                    log_pdf, mgf_logderiv_im, parse_dist, pdf)
 from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
+from besselid.idtests import neg_logderiv
 from besselid.quad import integrate_singular_decay, numeric_laplace
 
 
@@ -158,7 +158,7 @@ def test_mckay1_laplace_decreasing_property(mu, a, gap, x):
 
 
 # ----------------------------------------------------------------------
-# negative log-derivative of the transform
+# negative log-derivative of the transform (the phi' ladders)
 # ----------------------------------------------------------------------
 
 def test_mckay1_neg_logderiv_is_exact_partial_fraction():
@@ -166,19 +166,33 @@ def test_mckay1_neg_logderiv_is_exact_partial_fraction():
     d = DIST_KINDS["mckay1"](mu, a, b)
     for x in (0.1, 1.0, 7.0):
         want = (mu + 0.5) * (1.0 / (x + b - a) + 1.0 / (x + b + a))
-        assert neg_logderiv_lt(d, x) == pytest.approx(want, rel=1e-13)
+        assert neg_logderiv(d, x) == pytest.approx(want, rel=1e-13)
 
 
-@pytest.mark.parametrize("kind", [k for k in DIST_KINDS if k != "nchisq"])
-def test_neg_logderiv_matches_richardson(kind):
-    args = PARAM_SETS[kind][0]
-    d = DIST_KINDS[kind](*args)
-    for x in (0.3, 2.0):
+def _assert_neg_logderiv_matches_fd(d):
+    for x in (0.3, 2.0, 50.0):
         h = 1e-4 * x
         grid = [float(laplace_closed(d, x + k * h)) for k in (-2, -1, 1, 2)]
         num = -(-grid[3] + 8 * grid[2] - 8 * grid[1] + grid[0]) / (12 * h)
         want = num / float(laplace_closed(d, x))
-        assert neg_logderiv_lt(d, x) == pytest.approx(want, rel=1e-7)
+        assert neg_logderiv(d, x) == pytest.approx(want, rel=1e-7), (d, x)
+
+
+_GIG_MU_ZERO = (0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", [k for k in DIST_KINDS if k != "nchisq"])
+def test_neg_logderiv_matches_richardson(kind):
+    for args in PARAM_SETS[kind]:
+        if (kind, args) != ("gig", _GIG_MU_ZERO):
+            _assert_neg_logderiv_matches_fd(DIST_KINDS[kind](*args))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "smoothfn.k_ratio_ladder is inaccurate for small mu (relative error "
+    "1.1e-2 at mu = 0); see the FOUND line on k_ratio_ladder in CHANGES.md"))
+def test_neg_logderiv_matches_richardson_gig_mu_zero():
+    _assert_neg_logderiv_matches_fd(DIST_KINDS["gig"](*_GIG_MU_ZERO))
 
 
 def test_neg_logderiv_positive_on_grid():
@@ -188,7 +202,7 @@ def test_neg_logderiv_positive_on_grid():
             continue
         d = DIST_KINDS[kind](*args)
         for xi in x:
-            assert neg_logderiv_lt(d, float(xi)) > 0.0
+            assert neg_logderiv(d, float(xi)) > 0.0
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from scipy import special as sp
 
 from besselid.distributions import DIST_KINDS
 from besselid.errors import DomainError, ParameterError
-from besselid.idtests import (LT_KINDS, Chi, DistLT, IKMu, Rho, Theta, Zeta,
+from besselid.idtests import (LT_KINDS, Chi, IKMu, Rho, Theta, Zeta,
                               absmon_check, bernstein_check, bernstein_targets,
                               cm_check, hcm_check, landau_bound_margin,
                               landau_constant, lt_value, lt_value_complex,
@@ -43,7 +43,6 @@ def test_rho_half_integer_closed_form():
 
 def test_lt_kinds_registry():
     assert LT_KINDS["rho"] is Rho
-    assert LT_KINDS["dist"] is DistLT
     with pytest.raises(ParameterError):
         Rho(-1.5, 1.0)
     with pytest.raises(ParameterError):
@@ -63,9 +62,9 @@ def test_all_transforms_are_normalized_at_zero():
 
 def test_complex_continuation_agrees_on_real_axis():
     specs = [Rho(0.8, 1.0), IKMu(1.0), Theta(0.7, 1.2, 0.8, 1.0),
-             DistLT(DIST_KINDS["mckay1"](1.0, 0.5, 1.5)),
-             DistLT(DIST_KINDS["gig"](0.7, 1.0, 1.5)),
-             DistLT(DIST_KINDS["kdist"](1.2, 2.0, 1.0))]
+             DIST_KINDS["mckay1"](1.0, 0.5, 1.5),
+             DIST_KINDS["gig"](0.7, 1.0, 1.5),
+             DIST_KINDS["kdist"](1.2, 2.0, 1.0)]
     for spec in specs:
         for x in (0.4, 1.3, 6.0):
             zval = lt_value_complex(spec, complex(x, 0.0))
@@ -88,8 +87,8 @@ def test_complex_continuation_schwarz_symmetry():
 @pytest.mark.parametrize("spec", [
     Rho(0.8, 1.0), IKMu(1.0), Theta(0.7, 1.2, 0.8, 1.0),
     Zeta(0.8, 1.1, 1.0, 0.9),
-    DistLT(DIST_KINDS["kdist"](1.2, 2.0, 1.0)),
-    DistLT(DIST_KINDS["gammaquot"](1.2, 1.0, 0.8, 1.5)),
+    DIST_KINDS["kdist"](1.2, 2.0, 1.0),
+    DIST_KINDS["gammaquot"](1.2, 1.0, 0.8, 1.5),
 ])
 def test_neg_logderiv_matches_richardson(spec):
     for x in (0.3, 2.0):
@@ -129,6 +128,15 @@ def test_bernstein_check_sample_targets():
         assert rep.passed, (label, rep.worst_margin, rep.witness)
 
 
+@pytest.mark.parametrize("kind,args", [
+    ("gig", (-1.2, 2.0, 0.5)),          # mu < 0: K-ratio at order |mu|
+    ("sqmckay", (2.5, 0.5, 1.6)),       # phase of L passes pi on the circle
+])
+def test_bernstein_check_passes_proven_laws_off_defaults(kind, args):
+    rep = bernstein_check(DIST_KINDS[kind](*args), label=kind)
+    assert rep.passed, (rep.worst_margin, rep.witness)
+
+
 def test_selfdecomp_check_sample():
     _, spec = selfdecomp_targets()[0]
     rep = selfdecomp_check(spec, 0.5)
@@ -137,12 +145,40 @@ def test_selfdecomp_check_sample():
         selfdecomp_check(spec, 1.0)
 
 
+class _SqrtTransform:
+    """L(x) = sqrt(x): L(0+) = 0 and L(x)/L(alpha x) = alpha^{-1/2}, so
+    both normalization gates must fail before any ladder is built."""
+
+    def lt_value(self, x):
+        return np.sqrt(x)
+
+
+def test_bernstein_check_fails_unnormalized_transform_on_array_grid():
+    grid = np.array([0.5, 1.0, 2.0])
+    rep = bernstein_check(_SqrtTransform(), grid=grid, label="sqrt")
+    assert not rep.passed and rep.witness == (1e-16, -1)
+    assert rep.grid == (0.5, 1.0, 2.0)
+    assert rep.worst_margin == pytest.approx(-1.0, abs=1e-7)
+
+
+def test_selfdecomp_check_fails_unnormalized_quotient():
+    rep = selfdecomp_check(_SqrtTransform(), 0.25)
+    assert not rep.passed and rep.witness == (1e-16, -1)
+    assert rep.worst_margin == pytest.approx(-1.0)
+    # the failure row reports the grid the check would have used
+    assert rep.grid == selfdecomp_check(selfdecomp_targets()[0][1], 0.25).grid
+    assert rep.grid[0] == pytest.approx(0.1) and len(rep.grid) == 7
+    with_array = selfdecomp_check(_SqrtTransform(), 0.25,
+                                  grid=np.array([1.0, 2.0]))
+    assert not with_array.passed and with_array.grid == (1.0, 2.0)
+
+
 # ----------------------------------------------------------------------
 # Pick-function grid
 # ----------------------------------------------------------------------
 
 def test_pick_im_closed_value():
-    spec = DistLT(DIST_KINDS["mckay1"](1.0, 1.0, 2.0))
+    spec = DIST_KINDS["mckay1"](1.0, 1.0, 2.0)
     assert pick_im(spec, 0.0, 1.0) == pytest.approx(0.9, rel=1e-10)
 
 

@@ -8,25 +8,14 @@ from scipy import special as sp
 
 from besselid.distributions import DIST_KINDS, pdf
 from besselid.errors import DomainError
-from besselid.quad import (OscSpec, integrate_finite, integrate_oscillatory,
-                           integrate_singular_decay, iterated_average,
-                           levin_u, numeric_laplace, tanh_sinh_finite,
-                           wynn_epsilon)
+from besselid.quad import (OscSpec, integrate_oscillatory,
+                           integrate_singular_decay, numeric_laplace,
+                           tanh_sinh_finite)
 
 
 # ----------------------------------------------------------------------
 # finite interval
 # ----------------------------------------------------------------------
-
-def test_finite_linear():
-    r = integrate_finite(lambda x: x, 0.0, 1.0, tol=1e-12)
-    assert r.converged and r.value == pytest.approx(0.5, abs=1e-12)
-
-
-def test_finite_sin_squared():
-    r = integrate_finite(lambda t: np.sin(t) ** 0.0, 0.0, np.pi, tol=1e-12)
-    assert r.value == pytest.approx(np.pi, abs=1e-11)
-
 
 def test_finite_angular_bessel_product():
     # int_0^pi (2 - 2 cos t)^{-1/2} I_1(sqrt(2-2cos t)) sin^2 t dt,
@@ -39,11 +28,6 @@ def test_finite_angular_bessel_product():
 
     r = tanh_sinh_finite(f, 0.0, np.pi, tol=1e-13)
     assert pref * r.value == pytest.approx(sp.iv(1, 1.0) ** 2, rel=1e-11)
-
-
-def test_finite_rejects_non_finite_values():
-    with pytest.raises(DomainError), np.errstate(divide="ignore"):
-        integrate_finite(lambda x: 1.0 / (x - 0.5), 0.0, 1.0, tol=1e-8)
 
 
 def test_tanh_sinh_endpoint_singularity():
@@ -153,30 +137,6 @@ def test_laplace_rejects_nonpositive_x():
 # acceleration
 # ----------------------------------------------------------------------
 
-def _log2_partial_sums(n):
-    terms = (-1.0) ** np.arange(n) / np.arange(1.0, n + 1.0)
-    return np.cumsum(terms), terms
-
-
-def test_levin_u_on_alternating_series():
-    s, terms = _log2_partial_sums(12)
-    col = levin_u(s, terms)
-    assert col[-1] == pytest.approx(np.log(2.0), abs=1e-12)
-
-
-def test_wynn_epsilon_on_alternating_series():
-    s, _ = _log2_partial_sums(16)
-    est, err = wynn_epsilon(s)
-    assert est == pytest.approx(np.log(2.0), abs=1e-10)
-    assert abs(est - np.log(2.0)) <= 10.0 * err
-
-
-def test_iterated_average_on_alternating_series():
-    s, _ = _log2_partial_sums(20)
-    est, err = iterated_average(s)
-    assert est == pytest.approx(np.log(2.0), abs=1e-9)
-
-
 @given(st.floats(0.3, 3.0), st.floats(0.5, 4.0))
 @settings(max_examples=25, deadline=None)
 def test_laplace_of_exponential_property(a, x):
@@ -192,9 +152,6 @@ def _battery():
     """(run, true_value) pairs with closed forms across all engines."""
     cases = []
 
-    def fin(f, a, b, want, tol=1e-10):
-        cases.append((lambda: integrate_finite(f, a, b, tol=tol), want))
-
     def ts(f, a, b, want, tol=1e-12):
         cases.append((lambda: tanh_sinh_finite(f, a, b, tol=tol), want))
 
@@ -205,11 +162,12 @@ def _battery():
         spec = OscSpec(sqrt_frequencies=freqs, endpoint_exponent=p)
         cases.append((lambda: integrate_oscillatory(f, spec, tol=tol), want))
 
-    fin(lambda x: x ** 3, 0.0, 1.0, 0.25)
-    fin(np.cos, 0.0, 1.0, np.sin(1.0))
-    fin(lambda x: np.exp(-x * x), -3.0, 3.0, np.sqrt(np.pi) * sp.erf(3.0))
-    fin(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, np.pi / 4.0)
-    fin(lambda x: np.log1p(x), 0.0, 1.0, 2.0 * np.log(2.0) - 1.0)
+    ts(lambda x: x ** 3, 0.0, 1.0, 0.25, tol=1e-10)
+    ts(np.cos, 0.0, 1.0, np.sin(1.0), tol=1e-10)
+    ts(lambda x: np.exp(-x * x), -3.0, 3.0, np.sqrt(np.pi) * sp.erf(3.0),
+       tol=1e-10)
+    ts(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, np.pi / 4.0, tol=1e-10)
+    ts(lambda x: np.log1p(x), 0.0, 1.0, 2.0 * np.log(2.0) - 1.0, tol=1e-10)
     ts(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 2.0)
     ts(lambda x: np.log(x), 0.0, 1.0, -1.0)
     ts(lambda x: x ** (-0.25) * (1 - x) ** (-0.25), 0.0, 1.0,
@@ -230,8 +188,8 @@ def _battery():
     osc(lambda t: sp.j0(2.0 * np.sqrt(t)) ** 2 / (1.0 + t), (2.0, 2.0),
         2.0 * sp.iv(0, 2.0) * sp.kv(0, 2.0))
     sd(lambda t: np.exp(-t) * np.cos(t), 0.5)
-    fin(lambda x: np.abs(x - 0.3) ** 0.5, 0.0, 1.0,
-        (0.3 ** 1.5 + 0.7 ** 1.5) / 1.5, tol=1e-9)
+    ts(lambda x: np.abs(x - 0.3) ** 0.5, 0.0, 1.0,
+       (0.3 ** 1.5 + 0.7 ** 1.5) / 1.5, tol=1e-9)
     return cases
 
 

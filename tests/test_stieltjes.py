@@ -9,7 +9,7 @@ from besselid.errors import (DomainError, ParameterError,
 from besselid.quad import numeric_laplace
 from besselid.specfun import kummer_m
 from besselid.stieltjes import (catalog_names, default_params, make_identity,
-                                rows_to_csv, tolerance, verification_rows)
+                                rows_to_csv, tolerance)
 
 TRICOMI = ("TRICOMI_RATIO", "TRICOMI_Cm1", "TRICOMI_Ap1", "TRICOMI_Cp1",
            "TRICOMI_Am1")
@@ -224,12 +224,14 @@ def test_kummer_pair_wronskian(ac):
 # ----------------------------------------------------------------------
 
 def test_verification_rows_and_csv():
-    rows = verification_rows(names=("IK_EQUAL",), z_values=(1.0, 2.0))
-    assert len(rows) == 2
+    rec = make_identity("IK_EQUAL")
+    rows = [{"entry_id": rec.name, "z": z, "residual": rec.residual(z)}
+            for z in (1.0, 2.0)]
     assert all(r["residual"] <= 1e-7 for r in rows)
     csv_text = rows_to_csv(rows)
-    assert csv_text.splitlines()[0].startswith("entry_id,")
+    assert csv_text.splitlines()[0] == "entry_id,z,residual"
     assert len(csv_text.splitlines()) == 3
+    assert rows_to_csv([]) == ""
 
 
 def test_default_params_round_trip():
