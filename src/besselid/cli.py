@@ -395,6 +395,10 @@ def _run_tasks(tasks, cfg: RunConfig):
             row = fn()
         except ConvergenceError as exc:
             row = _row(check_id, "", "", "inconclusive", None, str(exc))
+        except Exception as exc:
+            # one broken check is a failing row, not an aborted report
+            row = _row(check_id, "", "", "fail", None,
+                       f"{type(exc).__name__}: {exc}")
         row["seconds"] = round(time.perf_counter() - start, 4)
         return row
 

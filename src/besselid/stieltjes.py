@@ -21,9 +21,10 @@ not support inversion or inner Laplace evaluation.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.special as _sp
@@ -500,6 +501,9 @@ class IdentityRecord:
 
     name: str
     params: tuple  # sorted (key, value) pairs
+    # kernel values per quadrature node set; see _kernel_at
+    _kernel_memo: dict = field(default_factory=dict, init=False,
+                               compare=False, repr=False)
 
     @property
     def p(self) -> dict:
@@ -538,6 +542,28 @@ class IdentityRecord:
             raise DomainError("kernel_density requires t > 0")
         return e.kernel(self.p, t)
 
+    def _kernel_at(self, t: np.ndarray) -> np.ndarray:
+        """Kernel m(t) on a quadrature node array, evaluated once per
+        node set.  The quadrature nodes do not depend on z or s, so a
+        sweep over z on one record reuses every kernel array; arrays are
+        keyed by a digest of their bytes and stored read-only."""
+        key = (t.shape, t.dtype.str,
+               hashlib.blake2b(t.tobytes(), digest_size=16).digest())
+        m = self._kernel_memo.get(key)
+        if m is None:
+            m = np.asarray(self._entry().kernel(self.p, t))
+            m.flags.writeable = False
+            self._kernel_memo[key] = m
+        return m
+
+    def _integrate_kernel(self, f, tol: float) -> QuadResult:
+        """Integral of f over (0, oo) on the entry's engine: the
+        oscillatory one for kernels oscillating in sqrt(t), else exp-sinh."""
+        spec = self._entry().osc(self.p)
+        if spec.sqrt_frequencies:
+            return integrate_oscillatory(f, spec, tol=tol)
+        return integrate_singular_decay(f, tol=tol)
+
     def measure_density(self, t):
         """Density recovered by Perron-Stieltjes inversion of the LHS.
 
@@ -557,13 +583,11 @@ class IdentityRecord:
         if e.kernel is None:
             return self._product_rhs(z)
         tol = tol if tol is not None else 0.01 * self.tol
-        spec = e.osc(p)
 
         def f(t):
-            return e.kernel(p, t) / (z + t)
+            return self._kernel_at(t) / (z + t)
 
-        r = integrate_oscillatory(f, spec, tol=tol) if spec.sqrt_frequencies \
-            else integrate_singular_decay(f, tol=tol)
+        r = self._integrate_kernel(f, tol)
         value = r.value * (z if e.z_factor else 1.0)
         if e.const is not None:
             value += e.const(p, z)
@@ -610,17 +634,12 @@ class IdentityRecord:
                 f"{self.name} has no inner-Laplace density")
         if s <= 0.0:
             raise DomainError("laplace_density requires s > 0")
-        e = self._entry()
-        p = self.p
-        spec = e.osc(p)
 
         def f(t):
             with np.errstate(over="ignore", under="ignore"):
-                return np.exp(-s * t) * e.kernel(p, t)
+                return np.exp(-s * t) * self._kernel_at(t)
 
-        if spec.sqrt_frequencies:
-            return integrate_oscillatory(f, spec, tol=tol)
-        return integrate_singular_decay(f, tol=tol)
+        return self._integrate_kernel(f, tol)
 
     def kernel_mass(self, tol: float = 1e-9) -> QuadResult:
         """Total mass of the inner-Laplace density by Fubini:
@@ -628,16 +647,11 @@ class IdentityRecord:
         if self.name not in _LAPLACE_ENTRIES:
             raise UnsupportedVariantError(
                 f"{self.name} has no inner-Laplace density")
-        e = self._entry()
-        p = self.p
-        spec = e.osc(p)
 
         def f(t):
-            return e.kernel(p, t) / t
+            return self._kernel_at(t) / t
 
-        if spec.sqrt_frequencies:
-            return integrate_oscillatory(f, spec, tol=tol)
-        return integrate_singular_decay(f, tol=tol)
+        return self._integrate_kernel(f, tol)
 
     # -- Perron-Stieltjes inversion -----------------------------------------
     def inversion_check(self, t: float,

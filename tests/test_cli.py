@@ -8,8 +8,10 @@ import pytest
 from click.testing import CliRunner
 from scipy import special as sp
 
+from besselid import cli
 from besselid.cli import main
 from besselid.distributions import DIST_KINDS, laplace_closed, pdf
+from besselid.errors import DomainError
 
 
 @pytest.fixture()
@@ -169,6 +171,30 @@ def test_verify_all_matches_golden_report(runner):
     _assert_matches_golden(rep, want)
 
 
+def test_verify_broken_check_becomes_fail_row(runner, monkeypatch):
+    # an unexpected exception in one check fails that row only
+    def broken():
+        raise DomainError("broken check")
+
+    idtests_tasks = cli._idtests_tasks
+
+    def tasks(cfg):
+        return [t for t in idtests_tasks(cfg) if "landau" in t[0]] \
+            + [("broken:check", broken)]
+
+    monkeypatch.setattr(cli, "_idtests_tasks", tasks)
+    code, rep = _report(runner, ["verify", "idtests", "--stable"])
+    assert code == 1
+    rows = {row["id"]: row for row in rep["rows"]}
+    assert rows.pop("broken:check") == {
+        "id": "broken:check", "params": "", "anchor": "", "verdict": "fail",
+        "margin": None, "witness": "DomainError: broken check"}
+    assert len(rows) == 4
+    assert all(row["verdict"] == "pass" for row in rows.values())
+    assert rep["summary"] == {"pass": 4, "fail": 1, "expected-fail": 0,
+                              "inconclusive": 0}
+
+
 def test_verify_stable_is_deterministic(runner):
     args = ["verify", "idtests", "--only", "landau", "--stable"]
     out1 = runner.invoke(main, args).output
@@ -232,6 +258,16 @@ def test_profile_identity(runner):
     assert len(lines) == 4
     for line in lines[1:]:
         assert float(line.split(",")[3]) <= 1e-6
+
+
+GOLDEN_PROFILE = Path(__file__).parent / "data" / "profile_ik_equal.csv"
+
+
+def test_profile_ik_equal_matches_golden(runner):
+    # the default 25-point z sweep on one record, byte for byte
+    r = runner.invoke(main, ["profile", "IK_EQUAL"])
+    assert r.exit_code == 0
+    assert r.stdout_bytes == GOLDEN_PROFILE.read_bytes()
 
 
 def test_profile_distribution_lt(runner):

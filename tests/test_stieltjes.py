@@ -1,9 +1,12 @@
 """Stieltjes-transform identity catalog: residuals, kernels, inversion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import special as sp
 
+from besselid import stieltjes
 from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
 from besselid.quad import numeric_laplace
@@ -217,6 +220,87 @@ def test_kummer_pair_wronskian(ac):
             * kummer_m(a - c + 2.0, 3.0 - c, x)
         want = (1.0 - c) * x ** (-c) * np.exp(x)
         assert y1 * d2 - y2 * d1 == pytest.approx(want, rel=1e-9)
+
+
+# ----------------------------------------------------------------------
+# kernel memo: one kernel evaluation per quadrature node set
+# ----------------------------------------------------------------------
+
+KERNEL_ENTRIES = tuple(n for n in catalog_names() if n not in PRODUCTS)
+MEMO_ZS = tuple(float(z) for z in np.logspace(-3.0, 3.0, 8))
+
+
+def _kernel_every_call(self, t):
+    """The kernel evaluated afresh on each integrand call, as without
+    the memo."""
+    return self._entry().kernel(self.p, t)
+
+
+@pytest.mark.parametrize("name", KERNEL_ENTRIES)
+def test_kernel_memo_sweep_is_bit_identical(name, monkeypatch):
+    # one record swept over z in shuffled order gives exactly the
+    # results of a fresh, unmemoized evaluation per z: value, error,
+    # evals, convergence flag and info
+    with monkeypatch.context() as m:
+        m.setattr(stieltjes.IdentityRecord, "_kernel_at", _kernel_every_call)
+        want = {z: make_identity(name).stieltjes_rhs(z) for z in MEMO_ZS}
+    warm = make_identity(name)
+    order = np.random.default_rng(17).permutation(len(MEMO_ZS))
+    for i in order:
+        z = MEMO_ZS[i]
+        assert warm.stieltjes_rhs(z) == want[z], (name, z)
+    for z in MEMO_ZS:
+        assert make_identity(name).stieltjes_rhs(z) == want[z], (name, z)
+
+
+@pytest.mark.parametrize("name", sorted(stieltjes._LAPLACE_ENTRIES))
+def test_kernel_memo_inner_laplace_is_bit_identical(name, monkeypatch):
+    ss = (0.3, 3.0)
+    with monkeypatch.context() as m:
+        m.setattr(stieltjes.IdentityRecord, "_kernel_at", _kernel_every_call)
+        rec = make_identity(name)
+        want = [rec.laplace_density(s) for s in ss] + [rec.kernel_mass()]
+    warm = make_identity(name)
+    warm.stieltjes_rhs(1.0)
+    got = [warm.laplace_density(s) for s in ss] + [warm.kernel_mass()]
+    assert got == want, name
+    fresh = [make_identity(name).laplace_density(s) for s in ss] \
+        + [make_identity(name).kernel_mass()]
+    assert fresh == want, name
+
+
+def test_kernel_memo_reuses_node_sets(monkeypatch):
+    entry = stieltjes._CATALOG["IK_EQUAL"]
+    calls = []
+
+    def counting(p, t):
+        calls.append(t.size)
+        return entry.kernel(p, t)
+
+    monkeypatch.setitem(stieltjes._CATALOG, "IK_EQUAL",
+                        dataclasses.replace(entry, kernel=counting))
+    used, unused = make_identity("IK_EQUAL"), make_identity("IK_EQUAL")
+    used.stieltjes_rhs(1.0)
+    first = len(calls)
+    assert first == len(used._kernel_memo) > 0
+    # z = 10 converges on a prefix of the z = 1 node sets
+    used.stieltjes_rhs(10.0)
+    used.stieltjes_rhs(1.0)
+    assert len(calls) == first
+
+    # the memo is invisible to equality, hashing and repr
+    assert used == unused and hash(used) == hash(unused)
+    assert repr(used) == repr(unused)
+    # stored kernel arrays cannot be changed through an integrand
+    for m in used._kernel_memo.values():
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0] = 0.0
+    # a record with other parameters starts with an empty memo
+    other = dataclasses.replace(used, params=(("mu", 1.2),))
+    assert other._kernel_memo == {}
+    other.stieltjes_rhs(1.0)
+    assert len(calls) == 2 * first
 
 
 # ----------------------------------------------------------------------
