@@ -1,19 +1,20 @@
 """Special-function layer: Bessel, hypergeometric, Tricomi.
 
 Real arguments on the public surface.  Bessel-function zeros of real
-order are computed here (McMahon expansion polished by Newton, with a
-bracketed-scan fallback for low zeros at large order) and cached per
-order; everything else is delegated to scipy.special behind a thin
-contract that adds domain checking and the scaled-variant switches.
+order are computed here (McMahon expansion polished by Newton; the low
+zeros at large order are bracketed on a grid and refined by an exact
+port of scipy's Brent root finder) and cached per order; everything
+else is delegated to scipy.special behind a thin contract that adds
+domain checking and the scaled-variant switches.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize as _opt
 import scipy.special as _sp
 
 from .errors import ConvergenceError, DomainError
@@ -134,6 +135,72 @@ def _newton_polish(nu: float, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+             maxiter: int = 100) -> float:
+    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
+
+    A line-for-line port of scipy/optimize/Zeros/brentq.c (scipy,
+    BSD-3-Clause; R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): the same floating-point steps in the same
+    order, so the result equals scipy.optimize.brentq(f, xa, xb,
+    xtol=xtol, rtol=rtol, maxiter=maxiter) bit for bit.  Unlike scipy it
+    raises ConvergenceError when the bracket does not change sign, when
+    f is NaN, and when maxiter iterations do not converge.
+    """
+
+    def fval(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ConvergenceError(f"brentq: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = fval(xpre), fval(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ConvergenceError(f"brentq: no sign change on [{xa!r}, {xb!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fval(xcur)
+    raise ConvergenceError(f"brentq: no convergence in {maxiter} iterations")
+
+
 def _scan_low_zeros(nu: float, count: int) -> np.ndarray:
     """Bracketed scan for the first `count` zeros (robust at large order)."""
     lo = max(nu, 1e-6)
@@ -144,8 +211,8 @@ def _scan_low_zeros(nu: float, count: int) -> np.ndarray:
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     roots = []
     for i in idx[: count]:
-        roots.append(_opt.brentq(lambda t: _sp.jv(nu, t), grid[i], grid[i + 1],
-                                 xtol=1e-14, rtol=8.9e-16))
+        roots.append(_brentq(lambda t: _sp.jv(nu, t), grid[i], grid[i + 1],
+                             xtol=1e-14, rtol=8.9e-16))
     if len(roots) < count:
         raise ConvergenceError(f"could not bracket {count} zeros of J_{nu}")
     return np.asarray(roots)

@@ -1,6 +1,9 @@
 """Command-line interface: eval, verify, profile, zeros, landau."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +172,35 @@ def test_verify_all_matches_golden_report(runner):
     want = json.loads(GOLDEN_REPORT.read_text())
     assert [r["id"] for r in rep["rows"]] == [r["id"] for r in want["rows"]]
     _assert_matches_golden(rep, want)
+
+
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+import besselid.cli as cli
+from besselid import specfun
+seen = ["scipy.optimize" in sys.modules]
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "all", "--stable"], standalone_mode=False)
+except SystemExit as exc:  # verify ends with sys.exit(verdict code)
+    code = exc.code
+seen.append("scipy.optimize" in sys.modules)
+print(json.dumps({"code": code, "optimize": seen,
+                  "orders": sorted(specfun._zero_cache)}))
+"""
+
+
+def test_cli_never_imports_scipy_optimize():
+    # a fresh interpreter: the tests import scipy.optimize themselves
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], cwd=root,
+                          env=env, capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout)
+    assert got["optimize"] == [False, False]
+    assert got["code"] == 0
+    # the report ran the bracketed Brent scan (orders above 1)
+    assert {1.1, 1.2} <= set(got["orders"])
 
 
 def test_verify_broken_check_becomes_fail_row(runner, monkeypatch):

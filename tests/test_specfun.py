@@ -1,12 +1,16 @@
 """Special-function floor: Bessel values, zeros, hypergeometric pieces."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselid.errors import DomainError
+from besselid import specfun
+from besselid.errors import ConvergenceError, DomainError
 from besselid.specfun import (bessel_i, bessel_j, bessel_k, bessel_y,
                               bessel_zero, bessel_zeros, gauss_2f1, kummer_m,
                               tricomi_boundary_mod2, tricomi_psi,
@@ -108,6 +112,80 @@ def test_zeros_match_mpmath():
         for n in (1, 2, 5, 12):
             assert zs[n - 1] == pytest.approx(
                 float(mp.besseljzero(nu, n)), abs=1e-10)
+
+
+@pytest.mark.parametrize("nu", (1.1, 1.2, 3.0, 10.0, 40.0))
+def test_scanned_zeros_match_mpmath(nu):
+    # the first ceil(nu) + 2 zeros come from the bracketed Brent scan,
+    # the others from McMahon's expansion; both polished by Newton
+    zs = bessel_zeros(nu, 4000)
+    k = math.ceil(nu)
+    for n in (1, 2, k + 2, k + 3, 100, 4000):
+        assert zs[n - 1] == pytest.approx(float(mp.besseljzero(nu, n)),
+                                          rel=1e-14, abs=0.0)
+
+
+def _scipy_brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    return scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol,
+                                 maxiter=maxiter)
+
+
+def test_brentq_is_bit_identical_to_scipy_on_scan_brackets(monkeypatch):
+    port = specfun._brentq
+    brackets = []
+
+    def both(f, xa, xb, xtol, rtol):
+        brackets.append((xa, xb))
+        root = port(f, xa, xb, xtol, rtol)
+        assert root == _scipy_brentq(f, xa, xb, xtol, rtol)
+        return root
+
+    monkeypatch.setattr(specfun, "_brentq", both)
+    for nu in [*np.linspace(0.0, 40.0, 81), 1.1, 1.2]:
+        specfun._scan_low_zeros(float(nu), max(2, math.ceil(nu) + 2))
+    assert len(brackets) > 1000
+
+
+def test_brentq_is_bit_identical_to_scipy_on_rough_functions():
+    # J_nu is so smooth near its zeros that most step choices land on the
+    # same root; cubics plus a fast sine exercise every branch
+    rng = np.random.default_rng(7)
+    xs = np.linspace(-3.0, 3.0, 31)
+    n = 0
+    for c in rng.normal(size=(3000, 4)):
+        def f(x):
+            return c[0] + c[1] * x + c[2] * x**3 + np.sin(5.0 * c[3] * x)
+
+        v = f(xs)
+        for i in np.nonzero(v[:-1] * v[1:] < 0.0)[0]:
+            for xtol, rtol in ((1e-14, 8.9e-16), (1e-6, 1e-6), (1e-2, 1e-3)):
+                n += 1
+                assert specfun._brentq(f, xs[i], xs[i + 1], xtol, rtol) \
+                    == _scipy_brentq(f, xs[i], xs[i + 1], xtol, rtol)
+    assert n > 1000
+
+
+@pytest.mark.parametrize("nu", (0.0, 0.5, 1.1, 1.2, 1.5, 3.0, 10.0, 40.0))
+def test_zeros_unchanged_by_brentq_port(monkeypatch, nu):
+    ours = specfun._compute_zeros(nu, 4000)
+    monkeypatch.setattr(specfun, "_brentq", _scipy_brentq)
+    assert np.array_equal(specfun._compute_zeros(nu, 4000), ours)
+
+
+def test_brentq_errors_and_endpoint_roots():
+    f = lambda x: x * x - 2.0  # noqa: E731
+    with pytest.raises(ConvergenceError, match="sign"):
+        specfun._brentq(f, 2.0, 3.0, 1e-14, 8.9e-16)
+    with pytest.raises(ConvergenceError, match="iterations"):
+        specfun._brentq(f, 0.0, 3.0, 1e-14, 8.9e-16, maxiter=1)
+    with pytest.raises(ConvergenceError, match="NaN"):
+        specfun._brentq(lambda x: math.nan if x > 1.0 else -1.0, 0.0, 3.0,
+                        1e-14, 8.9e-16)
+    g = lambda x: x - 1.5  # noqa: E731
+    assert specfun._brentq(g, 1.5, 3.0, 1e-14, 8.9e-16) == 1.5
+    assert specfun._brentq(g, 0.0, 1.5, 1e-14, 8.9e-16) == 1.5
+    assert specfun._brentq(f, 0.0, 3.0, 1e-14, 8.9e-16) == pytest.approx(
+        math.sqrt(2.0), rel=1e-15)
 
 
 def test_zeros_increase_with_order():
