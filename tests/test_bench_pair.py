@@ -1,6 +1,8 @@
 """Summary of before/after benchmark pairs (tools/bench_pair.py)."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -71,3 +73,39 @@ def test_summary_flags_incorrect_and_mismatched_runs():
 def test_quartiles_of_one_value():
     assert bench_pair.quartiles([2.0]) == {"values": [2.0], "median": 2.0,
                                            "q1": 2.0, "q3": 2.0}
+
+
+def test_plan_is_read_from_benchmark_json(tmp_path):
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps({
+        "command": ["python3", "perfbench/run.py"], "paths": ["perfbench"],
+        "run_seconds": 25,
+        "workloads": [{"name": "report", "why": "a"},
+                      {"name": "zsweep", "why": "b"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower",
+                        "bound": 0.25},
+                       {"name": "ops_per_s", "unit": "1/s",
+                        "better": "higher", "bound": 0.25}]}))
+    assert bench_pair.load_benchmark(path) == {
+        "command": ["python3", "perfbench/run.py"], "seconds": 25,
+        "workloads": ["report", "zsweep"], "better": BETTER}
+
+
+def test_revision_of_a_checkout(tmp_path):
+    assert bench_pair.revision(tmp_path) is None
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(tmp_path), "-c", "user.name=t",
+             "-c", "user.email=t@t", *args],
+            check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("1\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "a")
+    head = git("rev-parse", "--short", "HEAD")
+    (tmp_path / "untracked.txt").write_text("x\n")
+    assert bench_pair.revision(tmp_path) == head
+    (tmp_path / "a.txt").write_text("2\n")
+    assert bench_pair.revision(tmp_path) == head + "+dirty"

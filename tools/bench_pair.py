@@ -1,17 +1,19 @@
 """Before/after benchmark pairs of two checkouts of besselid.
 
     python3 tools/bench_pair.py --parent DIR --change DIR \
-        --workload report --workload zsweep --seeds 90417,1,2 \
-        --seconds 25 --out BENCH_<n>.json
+        --seeds 90417,1,2 --out BENCH_<n>.json
 
-Runs each checkout's own, unchanged `perfbench/run.py --trace 0` once
-per workload and seed, the two sides back to back, and alternates which
-side goes first from one seed to the next (the parent first on the
-first seed).  Writes, per workload and end-to-end metric, every value of
-each side, its median and quartiles, and in how many pairs the change
-is better (the direction is read from the change's BENCHMARK.json);
-and `attempted`/`failed` of every run.  The file is rewritten after
-every pair, so an interrupted run keeps the pairs it measured.
+Reads the benchmark command, its run length, its workloads and the
+direction of each end-to-end metric from the change's BENCHMARK.json.
+Runs each checkout's own, unchanged benchmark command with `--trace 0`
+once per workload and seed, the two sides back to back, and alternates
+which side goes first from one seed to the next (the parent first on
+the first seed).  Writes the commit of each checkout (`git rev-parse
+--short HEAD`, with "+dirty" if tracked files differ from it) and, per
+workload and end-to-end metric, every value of each side, its median
+and quartiles, and in how many pairs the change is better; and
+`attempted`/`failed` of every run.  The file is rewritten after every
+pair, so an interrupted run keeps the pairs it measured.
 
 Exits with 1 if any run fails or reports `correct: false`, or if
 `attempted` or `failed` differ between the two sides on one seed.
@@ -99,12 +101,35 @@ def summarize(runs: list, better: dict) -> tuple:
     return summary, problems
 
 
-def run_side(checkout: Path, workload: str, seed: int,
+def load_benchmark(path: Path) -> dict:
+    """The run plan that a BENCHMARK.json fixes: command, run length,
+    workload names and the direction of each end-to-end metric."""
+    bench = json.loads(path.read_text())
+    return {"command": list(bench["command"]),
+            "seconds": bench["run_seconds"],
+            "workloads": [w["name"] for w in bench["workloads"]],
+            "better": {m["name"]: m["better"] for m in bench["end_to_end"]}}
+
+
+def revision(checkout: Path) -> str | None:
+    """Short commit of a git checkout, with "+dirty" if tracked files
+    differ from it; None if `checkout` is not a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True)
+    head = git("rev-parse", "--short", "HEAD")
+    if head.returncode != 0:
+        return None
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout
+    return head.stdout.strip() + ("+dirty" if dirty.strip() else "")
+
+
+def run_side(checkout: Path, command: list, workload: str, seed: int,
              seconds: float) -> dict:
-    """One `perfbench/run.py --trace 0` run in `checkout`; its result
-    line, or {"error": ...} if it printed none."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    """One run of the benchmark command with `--trace 0` in `checkout`;
+    its result line, or {"error": ...} if it printed none."""
+    cmd = [*command, "--workload", workload, "--seed", str(seed),
+           "--seconds", f"{seconds:g}", "--trace", "0"]
     try:
         proc = subprocess.run(cmd, cwd=checkout, capture_output=True,
                               text=True, timeout=RUN_TIMEOUT_S)
@@ -125,39 +150,33 @@ def main(argv=None) -> int:
                    help="checkout of the parent commit")
     p.add_argument("--change", type=Path, required=True,
                    help="checkout of the change")
-    p.add_argument("--workload", action="append", required=True,
-                   choices=["report", "zsweep", "idchecks"])
     p.add_argument("--seeds", required=True,
                    help="comma-separated seeds, e.g. 90417,1,2")
-    p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--parent-rev", default=None,
-                   help="revision of the parent, recorded as given")
-    p.add_argument("--change-rev", default=None,
-                   help="revision of the change, recorded as given")
     args = p.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     dirs = {"parent": args.parent, "change": args.change}
-    with open(args.change / "BENCHMARK.json") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    plan = load_benchmark(args.change / "BENCHMARK.json")
 
     header = {
-        "command": f"perfbench/run.py --seconds {args.seconds:g} --trace 0",
-        "revisions": {"parent": args.parent_rev, "change": args.change_rev},
+        "command": " ".join(plan["command"])
+        + f" --seconds {plan['seconds']:g} --trace 0",
+        "revisions": {side: revision(d) for side, d in dirs.items()},
         "machine": {"python": platform.python_version(),
                     "machine": platform.machine(), "nproc": os.cpu_count()},
     }
     runs, problems = [], []
-    for workload in args.workload:
+    for workload in plan["workloads"]:
         for k, seed in enumerate(seeds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
                 print(f"{workload} seed {seed} {side}", file=sys.stderr)
                 runs.append({"workload": workload, "seed": seed,
                              "side": side, "first": order[0],
-                             "result": run_side(dirs[side], workload, seed,
-                                                args.seconds)})
-            summary, problems = summarize(runs, better)
+                             "result": run_side(dirs[side], plan["command"],
+                                                workload, seed,
+                                                plan["seconds"])})
+            summary, problems = summarize(runs, plan["better"])
             args.out.write_text(json.dumps(
                 {**header, "workloads": summary, "problems": problems},
                 indent=1) + "\n")
