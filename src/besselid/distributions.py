@@ -17,12 +17,13 @@ f(uv) f(u/v) as a function of w = v + 1/v is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError, UnsupportedVariantError
-from .quad import integrate_singular_decay
+from .quad import _values_on_nodes, integrate_singular_decay
 from .smoothfn import (CauchyLadder, Ladder, PowerLadder, RationalLadder,
                        StieltjesLadder, frozen_expsinh_nodes, k_ratio_ladder)
 from .specfun import tricomi_boundary_mod2, tricomi_psi
@@ -235,11 +236,21 @@ class _QuotientMixture(_Family):
         keep = np.isfinite(m) & (m > 0.0)
         return StieltjesLadder(tuple(node(t[keep])), tuple(m[keep]))
 
+    @cached_property
+    def _kernel_memo(self) -> dict:
+        # omega per exp-sinh node set: the nodes depend on the level
+        # only, not on (re, im); outside the dataclass fields, so never
+        # in ==, hash, repr or replace()
+        return {}
+
     def mgf_logderiv_im(self, re, im):
         coef, al, be, node = self._mixture()
 
+        def omega(t):
+            return kdist_quotient_kernel(al, be, t)
+
         def f(t):
-            return coef * kdist_quotient_kernel(al, be, t) * im \
+            return coef * _values_on_nodes(self._kernel_memo, t, omega) * im \
                 / ((node(t) - re) ** 2 + im * im)
 
         return integrate_singular_decay(f, tol=1e-11).value

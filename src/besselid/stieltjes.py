@@ -21,17 +21,19 @@ not support inversion or inner Laplace evaluation.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError, UnsupportedVariantError
-from .quad import (OscSpec, QuadResult, integrate_oscillatory,
-                   integrate_singular_decay, tanh_sinh_finite)
+from .quad import (OscSpec, QuadResult, _values_on_nodes,
+                   integrate_oscillatory, integrate_singular_decay,
+                   tanh_sinh_finite)
+from .smoothfn import frozen_expsinh_nodes
 from .specfun import tricomi_boundary_mod2, tricomi_psi
 
 __all__ = [
@@ -69,54 +71,64 @@ def _kv_scaled(nu, w):
     return _sp.kve(nu, w)
 
 
-def _tricomi_complex_large(a: float, c: float, z: complex):
+def _tricomi_complex_large(a: float, c: float, z):
     """Divergent-series asymptotics psi ~ z^{-a} sum (a)_k (a-c+1)_k /
-    (k! (-z)^k), truncated at the smallest term."""
-    total = term = 1.0 + 0j
+    (k! (-z)^k), each element truncated at its smallest term."""
+    total = np.ones_like(z)
+    term = np.ones_like(z)
+    live = np.ones(z.shape, dtype=bool)
     for k in range(40):
         nxt = term * (a + k) * (a - c + 1.0 + k) / ((k + 1.0) * (-z))
-        if abs(nxt) >= abs(term):
+        live &= np.abs(nxt) < np.abs(term)
+        if not live.any():
             break
-        term = nxt
-        total += term
+        term = np.where(live, nxt, term)
+        total = np.where(live, total + term, total)
     return np.exp(-a * np.log(z)) * total
 
 
-def _tricomi_complex_integral(a: float, c: float, z: complex):
+_LAPLACE_T, _LAPLACE_W = frozen_expsinh_nodes(40, 3.5)
+
+
+def _tricomi_complex_integral(a: float, c: float, z):
     """psi(a, c, z) = (1/Gamma(a)) int_0^oo e^{-zt} t^{a-1} (1+t)^{c-a-1} dt
     on frozen exp-sinh nodes; needs a > 0 and Re z comfortably positive."""
-    h = 1.0 / 40.0
-    u = np.arange(-3.5, 3.5 + 0.5 * h, h)
-    s = 0.5 * np.pi * np.sinh(u)
-    t = np.exp(s)
-    w = h * 0.5 * np.pi * np.cosh(u) * t
+    t, zt = _LAPLACE_T, z[:, None] * _LAPLACE_T
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ex = np.where(z.real * t < 700.0, np.exp(-z * t), 0.0)
+        ex = np.where(zt.real < 700.0, np.exp(-zt), 0.0)
         vals = ex * t ** (a - 1.0) * (1.0 + t) ** (c - a - 1.0)
-    return np.sum(w * vals) / math.gamma(a)
+    return np.sum(_LAPLACE_W * vals, axis=1) / math.gamma(a)
+
+
+def _tricomi_complex_kummer(a: float, c: float, z):
+    """psi from the two-Kummer connection formula."""
+    m1 = _sp.hyp1f1(a, c, z)
+    m2 = _sp.hyp1f1(a - c + 1.0, 2.0 - c, z)
+    g1 = math.gamma(1.0 - c) / math.gamma(a - c + 1.0)
+    g2 = math.gamma(c - 1.0) / math.gamma(a)
+    return g1 * m1 + g2 * np.exp((1.0 - c) * np.log(z)) * m2
 
 
 def _tricomi_complex(a: float, c: float, z):
-    """Tricomi psi(a, c, z) for complex z off (-oo, 0], c non-integer.
+    """Tricomi psi(a, c, z) for complex z off (-oo, 0], c non-integer,
+    elementwise over an array of any shape.
 
     The two-Kummer connection formula cancels like e^{Re z}, so it is
     used only for Re z <= 8; larger real parts go through the Laplace
     integral and |z| > 25 through the large-argument asymptotic series.
     """
-    za = np.asarray(z, dtype=complex)
-    if za.ndim > 0:
-        return np.array([_tricomi_complex(a, c, w) for w in za.ravel()]
-                        ).reshape(za.shape)
-    zc = complex(za)
-    if abs(zc) > 25.0:
-        return _tricomi_complex_large(a, c, zc)
-    if zc.real > 8.0 and a > 0.0:
-        return _tricomi_complex_integral(a, c, zc)
-    m1 = _sp.hyp1f1(a, c, zc)
-    m2 = _sp.hyp1f1(a - c + 1.0, 2.0 - c, zc)
-    g1 = math.gamma(1.0 - c) / math.gamma(a - c + 1.0)
-    g2 = math.gamma(c - 1.0) / math.gamma(a)
-    return g1 * m1 + g2 * np.exp((1.0 - c) * np.log(zc)) * m2
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    large = np.abs(flat) > 25.0
+    laplace = ~large & (flat.real > 8.0) & (a > 0.0)
+    kummer = ~(large | laplace)
+    out = np.empty_like(flat)
+    for mask, regime in ((large, _tricomi_complex_large),
+                         (laplace, _tricomi_complex_integral),
+                         (kummer, _tricomi_complex_kummer)):
+        if mask.any():
+            out[mask] = regime(a, c, flat[mask])
+    return out.reshape(z.shape)[()]
 
 
 def _tricomi_any(a: float, c: float, z):
@@ -501,9 +513,6 @@ class IdentityRecord:
 
     name: str
     params: tuple  # sorted (key, value) pairs
-    # kernel values per quadrature node set; see _kernel_at
-    _kernel_memo: dict = field(default_factory=dict, init=False,
-                               compare=False, repr=False)
 
     @property
     def p(self) -> dict:
@@ -542,19 +551,18 @@ class IdentityRecord:
             raise DomainError("kernel_density requires t > 0")
         return e.kernel(self.p, t)
 
+    @cached_property
+    def _kernel_memo(self) -> dict:
+        # kernel values per quadrature node set, outside the dataclass
+        # fields: a memo never enters ==, hash, repr or replace()
+        return {}
+
     def _kernel_at(self, t: np.ndarray) -> np.ndarray:
         """Kernel m(t) on a quadrature node array, evaluated once per
-        node set.  The quadrature nodes do not depend on z or s, so a
-        sweep over z on one record reuses every kernel array; arrays are
-        keyed by a digest of their bytes and stored read-only."""
-        key = (t.shape, t.dtype.str,
-               hashlib.blake2b(t.tobytes(), digest_size=16).digest())
-        m = self._kernel_memo.get(key)
-        if m is None:
-            m = np.asarray(self._entry().kernel(self.p, t))
-            m.flags.writeable = False
-            self._kernel_memo[key] = m
-        return m
+        node set, so a sweep over z on one record reuses every kernel
+        array."""
+        return _values_on_nodes(self._kernel_memo, t,
+                                lambda t: self._entry().kernel(self.p, t))
 
     def _integrate_kernel(self, f, tol: float) -> QuadResult:
         """Integral of f over (0, oo) on the entry's engine: the

@@ -1,5 +1,8 @@
 """Distribution catalog: densities, transforms, log-derivatives, profiles."""
 
+import dataclasses
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +11,13 @@ from scipy import special as sp
 
 from paramsets import PARAM_SETS
 
+from besselid import distributions
 from besselid.distributions import (DIST_KINDS, format_dist, hcm_profile,
                                     kdist_quotient_kernel, laplace_closed,
                                     log_pdf, mgf_logderiv_im, parse_dist, pdf)
 from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
-from besselid.idtests import neg_logderiv
+from besselid.idtests import _SELFDECOMP_GRID, neg_logderiv, pick_check
 from besselid.quad import integrate_singular_decay, numeric_laplace
 
 
@@ -340,3 +344,97 @@ def test_gamma_quotient_mgf_logderiv_im_at_integer_alpha0():
 
     mid = 0.5 * (im_part(1.0 - 1e-3) + im_part(1.0 + 1e-3))
     assert im_part(1.0) == pytest.approx(mid, rel=1e-6)
+
+
+# ----------------------------------------------------------------------
+# quotient-mixture kernel memo: omega once per exp-sinh node set
+# ----------------------------------------------------------------------
+
+MEMO_FAMILIES = (
+    ("kdist", (1.2, 2.0, 1.0)),
+    ("gammaquot", (1.2, 1.0, 0.8, 1.5)),
+    # alpha - (alpha + alpha0) = -2: the kernel averages beta -/+ 1e-5
+    ("gammaquot", (1.2, 1.0, 2.0, 1.5)),
+)
+MEMO_POINTS = tuple((float(x), float(y)) for x in np.linspace(-5.0, 5.0, 6)
+                    for y in (0.25, 1.0, 5.0))
+
+
+def _omega_every_call(memo, t, fn):
+    """The kernel evaluated afresh on each integrand call, as without
+    the memo."""
+    return fn(t)
+
+
+@pytest.mark.parametrize("kind,args", MEMO_FAMILIES)
+def test_quotient_memo_pick_is_bit_identical(kind, args, monkeypatch):
+    # fresh, warmed-in-shuffled-order and unmemoized evaluations give
+    # exactly the same Pick values and the same pick_check report
+    with monkeypatch.context() as m:
+        m.setattr(distributions, "_values_on_nodes", _omega_every_call)
+        want = {p: mgf_logderiv_im(DIST_KINDS[kind](*args), *p)
+                for p in MEMO_POINTS}
+        want_check = pick_check(DIST_KINDS[kind](*args))
+    warm = DIST_KINDS[kind](*args)
+    for i in np.random.default_rng(23).permutation(len(MEMO_POINTS)):
+        p = MEMO_POINTS[i]
+        assert mgf_logderiv_im(warm, *p) == want[p], (kind, args, p)
+    for p in MEMO_POINTS:
+        assert mgf_logderiv_im(DIST_KINDS[kind](*args), *p) == want[p]
+    assert pick_check(warm) == want_check
+    assert pick_check(DIST_KINDS[kind](*args)) == want_check
+
+
+@pytest.mark.parametrize("kind,args", MEMO_FAMILIES[:2])
+def test_quotient_memo_is_invisible_and_read_only(kind, args):
+    used, unused = DIST_KINDS[kind](*args), DIST_KINDS[kind](*args)
+    mgf_logderiv_im(used, 0.5, 1.0)
+    assert len(used._kernel_memo) > 0
+    assert used == unused and hash(used) == hash(unused)
+    assert repr(used) == repr(unused)
+    for m in used._kernel_memo.values():
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0] = 0.0
+    other = dataclasses.replace(used, alpha=1.3)
+    assert other._kernel_memo == {}
+    assert mgf_logderiv_im(other, 0.5, 1.0) \
+        != mgf_logderiv_im(unused, 0.5, 1.0)
+
+
+def test_pick_check_evaluates_omega_once_per_node_level(monkeypatch):
+    # the exp-sinh nodes depend on the level only, so one pick_check
+    # (55 points) evaluates the kernel at most once per level; a return
+    # to per-point evaluation would cost hundreds of calls
+    calls = []
+
+    def counting(al, be, t):
+        calls.append(t.size)
+        return kdist_quotient_kernel(al, be, t)
+
+    monkeypatch.setattr(distributions, "kdist_quotient_kernel", counting)
+    d = DIST_KINDS["kdist"](1.2, 2.0, 1.0)
+    pick_check(d)
+    assert 0 < len(calls) == len(d._kernel_memo) <= 12
+
+
+# ----------------------------------------------------------------------
+# complex continuation of the K-distribution transform
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+def test_kdist_lt_value_complex_matches_mpmath_on_selfdecomp_circles(alpha):
+    # the Cauchy circles of selfdecomp_check's default grid, scaled by
+    # alpha as its quotient L(z)/L(alpha z) needs them
+    al, be, mu = 1.2, 2.0, 1.0
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    z = np.concatenate([alpha * (x + 0.5 * x * np.exp(1j * theta))
+                        for x in _SELFDECOMP_GRID])
+    got = DIST_KINDS["kdist"](al, be, mu).lt_value_complex(z)
+    with mp.workdps(40):
+        def ref(w):
+            arg = mp.mpf(al) * be / (mu * mp.mpc(w))
+            return complex(arg ** al * mp.hyperu(al, 1.0 + al - be, arg))
+
+        want = np.array([ref(w) for w in z])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-8
