@@ -23,7 +23,8 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError, UnsupportedVariantError
-from .quad import _values_on_nodes, integrate_singular_decay
+from .quad import _values_on_nodes
+from .quad.tanhsinh import _integrate_singular_decay_rows
 from .smoothfn import (CauchyLadder, Ladder, PowerLadder, RationalLadder,
                        StieltjesLadder, frozen_expsinh_nodes, k_ratio_ladder)
 from .specfun import tricomi_boundary_mod2, tricomi_psi
@@ -53,10 +54,10 @@ class _Family:
     def lt_value_complex(self, z):
         raise UnsupportedVariantError(f"no continuation for {self!r}")
 
-    def mgf_logderiv_im(self, re: float, im: float) -> float:
+    def mgf_logderiv_im(self, re, im):
         raise UnsupportedVariantError(f"no Pick kernel for {self!r}")
 
-    def pick_im(self, re: float, im: float) -> float:
+    def pick_im(self, re, im):
         return mgf_logderiv_im(self, re, im)
 
     def hcm_ladder(self, u: float):
@@ -95,9 +96,12 @@ class McKayI(_Family):
 
     def mgf_logderiv_im(self, re, im):
         mu, a, b = self.mu, self.a, self.b
-        x, y = re, im
-        return (mu + 0.5) * (y / ((x + a - b) ** 2 + y * y)
-                             + y / ((x - a - b) ** 2 + y * y))
+
+        def at(x, y):
+            return (mu + 0.5) * (y / ((x + a - b) ** 2 + y * y)
+                                 + y / ((x - a - b) ** 2 + y * y))
+
+        return _pointwise(at, re, im)
 
 
 @dataclass(frozen=True)
@@ -135,8 +139,8 @@ class _ShiftLadder(Ladder):
     def __init__(self, base):
         self.base = base
 
-    def derivatives(self, x: float, max_order: int) -> np.ndarray:
-        return self.base.derivatives(x, max_order + 1)[1:]
+    def derivatives(self, x, max_order: int) -> np.ndarray:
+        return self.base.derivatives(x, max_order + 1)[..., 1:]
 
 
 class _GaussMcKay(_Family):
@@ -244,16 +248,23 @@ class _QuotientMixture(_Family):
         return {}
 
     def mgf_logderiv_im(self, re, im):
+        # one exp-sinh row per point: the rows share every level's nodes
+        # and so every kernel evaluation
         coef, al, be, node = self._mixture()
+        re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
+                                     np.asarray(im, dtype=float))
+        x, y = re.reshape(-1, 1), im.reshape(-1, 1)
 
         def omega(t):
             return kdist_quotient_kernel(al, be, t)
 
-        def f(t):
-            return coef * _values_on_nodes(self._kernel_memo, t, omega) * im \
-                / ((node(t) - re) ** 2 + im * im)
+        def f(t, rows):
+            yr = y[rows]
+            return coef * _values_on_nodes(self._kernel_memo, t, omega) * yr \
+                / ((node(t) - x[rows]) ** 2 + yr * yr)
 
-        return integrate_singular_decay(f, tol=1e-11).value
+        res = _integrate_singular_decay_rows(f, re.size, tol=1e-11)
+        return res.value.reshape(re.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -525,15 +536,27 @@ def kdist_quotient_kernel(al: float, be: float, t):
     return np.where(dead, 0.0, out)
 
 
-def mgf_logderiv_im(d, re: float, im: float):
-    """Im[psi'(s)/psi(s)] for psi(s) = L(-s) at s = re + i im, im > 0.
+def mgf_logderiv_im(d, re, im):
+    """Im[psi'(s)/psi(s)] for psi(s) = L(-s) at s = re + i im, im > 0,
+    elementwise over broadcast arrays re and im.
 
     Supported: McKayI (rational closed form), KDist and GammaQuotient
     (positive Stieltjes kernels).
     """
-    if im <= 0.0:
+    if np.any(np.asarray(im) <= 0.0):
         raise DomainError("mgf_logderiv_im requires im > 0")
     return d.mgf_logderiv_im(re, im)
+
+
+def _pointwise(fn, re, im):
+    """fn(re, im) in Python floats at each point of the broadcast arrays:
+    array squares and complex products round differently from the
+    scalar arithmetic of these closed forms."""
+    re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
+                                 np.asarray(im, dtype=float))
+    out = np.array([fn(float(x), float(y)) for x, y in zip(re.flat, im.flat)],
+                   dtype=float)
+    return out.reshape(re.shape)[()]
 
 
 def hcm_profile(d, u: float, w):

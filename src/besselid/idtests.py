@@ -28,7 +28,7 @@ import numpy as np
 import scipy.special as _sp
 
 from .distributions import (DIST_DEFAULTS, DIST_KINDS, McKayI, _log_iv,
-                            _log_kv, hcm_profile)
+                            _log_kv, _pointwise, hcm_profile)
 from .errors import DomainError, ParameterError, UnsupportedVariantError
 from .smoothfn import (CauchyLadder, Ladder, MLSumLadder, PowerLadder,
                        SumLadder, k_ratio_ladder)
@@ -71,9 +71,12 @@ class _Variant:
         raise UnsupportedVariantError(
             f"no Pick closed form registered for {self!r}")
 
-    def pick_im(self, re: float, im: float) -> float:
-        w = np.sqrt(-complex(re, im))
-        return float(np.imag(-0.5 / w * self._dlog_dw(w)))
+    def pick_im(self, re, im):
+        def at(x, y):
+            w = np.sqrt(-complex(x, y))
+            return float(np.imag(-0.5 / w * self._dlog_dw(w)))
+
+        return _pointwise(at, re, im)
 
 
 def _log_rho(mu, a, x):
@@ -107,7 +110,15 @@ class Rho(_Variant):
 
     def pick_im(self, re, im):
         t = (bessel_zeros(self.mu, 4000) / self.a) ** 2
-        return float(np.sum(im / ((t - re) ** 2 + im * im)))
+        re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
+                                     np.asarray(im, dtype=float))
+        y = im[..., None]
+        # one (points x zeros) buffer, updated in place
+        s = np.subtract(t, re[..., None])
+        np.square(s, out=s)
+        s += y * y
+        np.divide(y, s, out=s)
+        return s.sum(axis=-1)[()]
 
 
 def _log_omega_ratio(mu, nu, a, b, rx):
@@ -438,22 +449,35 @@ _SELFDECOMP_GRID = tuple(np.exp(np.linspace(np.log(0.1), np.log(10.0), 7)))
 
 
 def _fd_derivatives(f, x, max_order):
-    """Central differences with one Richardson step, order <= 4."""
+    """Central differences with one Richardson step, order <= 4, at each
+    point of the 1-d array x; f is called once, on every stencil point
+    of the grid."""
     if max_order > 4:
         raise DomainError("finite differences support order <= 4 only")
-    out = np.empty(max_order + 1)
-    out[0] = f(x)
+    # per order n: the stencils of steps h and h/2, (points, n + 1)
+    stencils = []
     for n in range(1, max_order + 1):
         h = x * (1e-3 if n <= 2 else 1e-2)
+        off = 0.5 * n - np.arange(n + 1.0)
+        stencils.append([(s, x[:, None] + off * s[:, None])
+                         for s in (h, 0.5 * h)])
+    vals = np.asarray(f(np.concatenate(
+        [x] + [p.ravel() for st in stencils for _, p in st])), dtype=float)
+    out = np.empty((x.size, max_order + 1))
+    out[:, 0] = vals[:x.size]
+    start = x.size
+    for n, st in enumerate(stencils, start=1):
         coef = np.array([(-1.0) ** k * _sp.comb(n, k, exact=True)
                          for k in range(n + 1)])
-        off = 0.5 * n - np.arange(n + 1.0)
-
-        def stencil(step):
-            return float(coef @ np.array([f(x + o * step) for o in off])) \
-                / step ** n
-        d1, d2 = stencil(h), stencil(0.5 * h)
-        out[n] = (4.0 * d2 - d1) / 3.0
+        d = []
+        for step, pts in st:
+            block = vals[start:start + pts.size].reshape(pts.shape)
+            start += pts.size
+            # per point: a matrix product may round differently from the
+            # vector product, and numpy powers from Python-float ones
+            d.append([float(coef @ row) / float(s) ** n
+                      for row, s in zip(block, step)])
+        out[:, n] = [(4.0 * d2 - d1) / 3.0 for d1, d2 in zip(*d)]
     return out
 
 
@@ -462,7 +486,9 @@ def cm_check(target, grid=None, max_order: int = 8, slack: float = 1e-9,
     """Sign-pattern test of the derivatives of target on a grid.
 
     target is a smoothfn ladder (exact derivatives) or a plain callable
-    (finite differences, order capped at 4, default slack 1e-6).
+    (finite differences, order capped at 4, default slack 1e-6).  Either
+    is evaluated once on the whole grid, so a plain callable must accept
+    an array and return the values elementwise.
     signs = "alternating" tests (-1)^n f^(n) >= 0 (complete
     monotonicity); "positive" tests f^(n) >= 0 (absolute monotonicity).
     """
@@ -474,10 +500,9 @@ def cm_check(target, grid=None, max_order: int = 8, slack: float = 1e-9,
         max_order = min(max_order, 4)
         if slack < 1e-6:
             slack = 1e-6
-    table = np.empty((len(grid), max_order + 1))
-    for i, x in enumerate(grid):
-        table[i] = (target.derivatives(x, max_order) if is_ladder
-                    else _fd_derivatives(target, x, max_order))
+    x = np.array(grid)
+    table = (target.derivatives(x, max_order) if is_ladder
+             else _fd_derivatives(target, x, max_order))
     if signs == "alternating":
         signed = table * (-1.0) ** np.arange(max_order + 1)
     elif signs == "positive":
@@ -548,11 +573,25 @@ class PickReport:
     label: str = ""
 
 
-def pick_im(spec, re: float, im: float) -> float:
-    """Im[psi'(s)/psi(s)] at s = re + i im for psi(s) = L(-s)."""
-    if im <= 0.0:
+def pick_im(spec, re, im):
+    """Im[psi'(s)/psi(s)] at s = re + i im for psi(s) = L(-s),
+    elementwise over broadcast arrays re and im."""
+    if np.any(np.asarray(im) <= 0.0):
         raise DomainError("pick_im requires im > 0")
     return spec.pick_im(re, im)
+
+
+def _grid_minimum(spec, points):
+    """(value, point) of the first strict minimum of Im[psi'/psi] over
+    the points in order, from one pick_im call; NaN and +inf are never
+    selected, and (inf, None) is returned when nothing is."""
+    points = [(float(x), float(y)) for x, y in points]
+    re, im = np.array(points).T
+    v = np.asarray(pick_im(spec, re, im), dtype=float)
+    i = int(np.argmin(np.where(v < np.inf, v, np.inf)))
+    if not v[i] < np.inf:
+        return np.inf, None
+    return float(v[i]), points[i]
 
 
 def pick_check(spec, grid=None, slack: float = 1e-12,
@@ -561,14 +600,10 @@ def pick_check(spec, grid=None, slack: float = 1e-12,
     if grid is None:
         grid = tuple((x, y) for x in np.linspace(-5.0, 5.0, 11)
                      for y in (0.25, 0.5, 1.0, 2.5, 5.0))
-    best = (np.inf, None)
-    for (x, y) in grid:
-        v = pick_im(spec, float(x), float(y))
-        if v < best[0]:
-            best = (v, (float(x), float(y)))
-    passed = best[0] >= -slack
-    return PickReport(tuple(grid), float(best[0]), passed,
-                      None if passed else best[1], label)
+    value, point = _grid_minimum(spec, grid)
+    passed = value >= -slack
+    return PickReport(tuple(grid), value, passed,
+                      None if passed else point, label)
 
 
 def zeta_witness_search(spec=None):
@@ -580,13 +615,10 @@ def zeta_witness_search(spec=None):
     """
     if spec is None:
         spec = Zeta(1.0, 1.0, 1.0, 2.0)
-    best = (np.inf, None)
-    for x in np.linspace(-20.0, 5.0, 51):
-        for y in np.concatenate([np.geomspace(0.05, 5.0, 12)]):
-            v = pick_im(spec, float(x), float(y))
-            if v < best[0]:
-                best = (v, (float(x), float(y)))
-    return best[1], best[0]
+    value, point = _grid_minimum(
+        spec, [(x, y) for x in np.linspace(-20.0, 5.0, 51)
+               for y in np.geomspace(0.05, 5.0, 12)])
+    return point, value
 
 
 # ----------------------------------------------------------------------
@@ -608,7 +640,7 @@ def hcm_check(d, u: float, w_grid=None, max_order: int = 8,
         w_grid = _DEFAULT_W_GRID
     target = d.hcm_ladder(u)
     if target is None:
-        target = lambda w: float(hcm_profile(d, u, w))
+        target = lambda w: hcm_profile(d, u, w)
     return cm_check(target, w_grid, max_order, slack, label=label)
 
 
@@ -635,26 +667,19 @@ def noncentral_profile_check(mu: float, lam: float, u: float,
     d = DIST_KINDS["nchisq"](mu, lam)
     if w_grid is None:
         w_grid = _DEFAULT_W_GRID
-
-    def profile(w):
-        return float(hcm_profile(d, u, w))
-
     dec_claim = lam <= 2.0 * (2.0 * mu + 1.0)
     cvx_claim = lam <= 2.0 * mu + 1.0
-    dec_ok = True
-    cvx_ok = True
-    for w in w_grid:
-        # step large enough that the curvature signal beats rounding in
-        # the three-point stencil; the profile scales are smooth in w
-        h = min(0.02 * w, 0.25 * (w - 2.0))
-        f0, fp, fm = profile(w), profile(w + h), profile(w - h)
-        d1 = (fp - fm) / (2.0 * h)
-        d2 = (fp - 2.0 * f0 + fm) / (h * h)
-        scale = abs(f0) / w
-        if dec_claim and d1 >= -1e-9 * scale:
-            dec_ok = False
-        if cvx_claim and d2 <= -1e-9 * scale / w:
-            cvx_ok = False
+    w = np.array(w_grid, dtype=float)
+    # step large enough that the curvature signal beats rounding in the
+    # three-point stencil; the profile scales are smooth in w
+    h = np.minimum(0.02 * w, 0.25 * (w - 2.0))
+    f0, fp, fm = np.split(hcm_profile(d, u, np.concatenate(
+        [w, w + h, w - h])), 3)
+    d1 = (fp - fm) / (2.0 * h)
+    d2 = (fp - 2.0 * f0 + fm) / (h * h)
+    scale = np.abs(f0) / w
+    dec_ok = not np.any(d1 >= -1e-9 * scale)
+    cvx_ok = not np.any(d2 <= -1e-9 * scale / w)
     return ProfileReport(dec_claim, dec_ok and dec_claim,
                          cvx_claim, cvx_ok and cvx_claim, tuple(w_grid))
 

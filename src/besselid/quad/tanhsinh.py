@@ -12,50 +12,60 @@ from .result import QuadResult
 _HALF_PI = 0.5 * np.pi
 
 
-def _de_integrate(g, u_max: float, tol: float, max_level: int = 12):
-    """Trapezoid sums of the transformed integrand over [-u_max, u_max]
+def _de_integrate(g, n_rows: int, u_max: float, tol: float,
+                  max_level: int = 12):
+    """Trapezoid sums of n_rows transformed integrands over [-u_max, u_max]
     with step halving and a last-difference error estimate.
+
+    g(u, rows) gives the rows listed in the index array `rows` at the
+    nodes u, shape (rows.size, u.size).  Each row stops at the level
+    where its own last difference meets tol and is not sampled again,
+    so its value, error, evaluation count and convergence flag (arrays
+    over the rows) are those of a one-row call.
 
     Values that are non-finite in the extreme tails are treated as zero
     (the transform has already damped them below tolerance there);
     non-finite values in the core abort the computation.
     """
-    n_evals = 0
+    n_evals = np.zeros(n_rows, dtype=int)
 
-    def sample(u):
-        nonlocal n_evals
-        n_evals += u.size
+    def row_sums(u, rows):
+        n_evals[rows] += u.size
         with np.errstate(over="ignore", invalid="ignore", under="ignore",
                          divide="ignore"):
-            v = np.asarray(g(u), dtype=float)
+            v = np.asarray(g(u, rows), dtype=float).reshape(rows.size, u.size)
         bad = ~np.isfinite(v)
         if np.any(bad):
-            if np.any(np.abs(u[bad]) < 0.75 * u_max):
+            if np.any(np.abs(u[bad.any(axis=0)]) < 0.75 * u_max):
                 raise DomainError("integrand returned non-finite values")
             v = np.where(bad, 0.0, v)
-        return v
+        return v.sum(axis=-1)
 
     level = 3
     h = u_max / 2.0 ** level
     u = np.arange(-u_max, u_max + 0.5 * h, h)
-    total = float(np.sum(sample(u))) * h
-    prev = np.inf
-    err = np.inf
-    converged = False
-    while level < max_level:
+    rows = np.arange(n_rows)
+    total = row_sums(u, rows) * h
+    err = np.full(n_rows, np.inf)
+    converged = np.zeros(n_rows, dtype=bool)
+    while level < max_level and rows.size:
         level += 1
         h *= 0.5
         u_new = np.arange(-u_max + h, u_max, 2.0 * h)
-        new_total = 0.5 * total + h * float(np.sum(sample(u_new)))
-        err = abs(new_total - total)
-        prev, total = total, new_total
-        scale = max(abs(total), 1e-300)
-        if err <= tol * scale:
-            # double-exponential convergence: one more halving squares
-            # the error, so the last difference bounds it comfortably
-            converged = True
-            break
+        new_total = 0.5 * total[rows] + h * row_sums(u_new, rows)
+        err[rows] = np.abs(new_total - total[rows])
+        total[rows] = new_total
+        # double-exponential convergence: one more halving squares the
+        # error, so the last difference bounds it comfortably
+        done = err[rows] <= tol * np.maximum(np.abs(new_total), 1e-300)
+        converged[rows] = done
+        rows = rows[~done]
     return total, err, n_evals, converged
+
+
+def _first_row(res: QuadResult) -> QuadResult:
+    return QuadResult(float(res.value[0]), float(res.err_estimate[0]),
+                      int(res.n_evals[0]), bool(res.converged[0]))
 
 
 def tanh_sinh_finite(f, a: float, b: float, tol: float = 1e-12,
@@ -78,8 +88,8 @@ def tanh_sinh_finite(f, a: float, b: float, tol: float = 1e-12,
         jac = half * _HALF_PI * np.cosh(u) / np.cosh(s) ** 2
         return f(x) * jac
 
-    value, err, n_evals, converged = _de_integrate(g, u_max, tol, max_level)
-    return QuadResult(value, err, n_evals, converged)
+    return _first_row(QuadResult(*_de_integrate(lambda u, rows: g(u), 1,
+                                                 u_max, tol, max_level)))
 
 
 def integrate_singular_decay(f, tol: float = 1e-10, u_max: float = 6.5,
@@ -90,14 +100,27 @@ def integrate_singular_decay(f, tol: float = 1e-10, u_max: float = 6.5,
     origin together with exponential or algebraic (faster than 1/t)
     decay at infinity.
     """
+    return _first_row(_integrate_singular_decay_rows(
+        lambda t, rows: f(t), 1, tol, u_max, max_level))
 
-    def g(u):
+
+def _integrate_singular_decay_rows(f, n_rows: int, tol: float = 1e-10,
+                                   u_max: float = 6.5,
+                                   max_level: int = 12) -> QuadResult:
+    """integrate_singular_decay of n_rows integrands in one pass.
+
+    f(t, rows) gives the rows listed in the index array `rows` at the
+    nodes t, shape (rows.size, t.size).  Every field of the result is
+    an array over the rows, and row i equals the one-row call on its
+    integrand, bit for bit.
+    """
+
+    def g(u, rows):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             s = _HALF_PI * np.sinh(u)
             t = np.exp(s)
             jac = _HALF_PI * np.cosh(u) * t
-            out = np.where(np.isfinite(jac), f(t) * jac, np.inf)
+            out = np.where(np.isfinite(jac), f(t, rows) * jac, np.inf)
         return out
 
-    value, err, n_evals, converged = _de_integrate(g, u_max, tol, max_level)
-    return QuadResult(value, err, n_evals, converged)
+    return QuadResult(*_de_integrate(g, n_rows, u_max, tol, max_level))

@@ -41,9 +41,11 @@ def falling_factorial(p: float, n: int) -> float:
 
 
 class Ladder:
-    """Base: derivatives(x, max_order) -> array of f^(n)(x), n = 0..max_order."""
+    """Base: derivatives(x, max_order) -> f^(n)(x), n = 0..max_order, at
+    every element of x, shape x.shape + (max_order + 1,); a scalar x
+    gives one vector."""
 
-    def derivatives(self, x: float, max_order: int) -> np.ndarray:
+    def derivatives(self, x, max_order: int) -> np.ndarray:
         raise NotImplementedError
 
     def value(self, x: float) -> float:
@@ -60,19 +62,23 @@ class Ladder:
 
 
 def _rational_ladder_vec(coefs, roots, powers, x, max_order):
-    """Derivative vector of sum_i coefs[i] / (x + roots[i])^powers[i]."""
+    """Derivatives of sum_i coefs[i] / (x + roots[i])^powers[i] at every
+    element of x, shape x.shape + (max_order + 1,)."""
     coefs = np.asarray(coefs, dtype=float)
-    base = x + np.asarray(roots, dtype=float)
     powers = np.asarray(powers, dtype=float)
+    x = np.asarray(x, dtype=float)
+    base = x[..., None] + np.asarray(roots, dtype=float)
     if np.any(base <= 0.0):
         raise DomainError("rational ladder evaluated at a pole or beyond")
-    out = np.empty(max_order + 1)
-    cur = coefs * base ** (-powers)
-    out[0] = np.sum(cur)
+    out = np.empty(x.shape + (max_order + 1,))
+    term = np.empty_like(base)
     fac = np.ones_like(powers)
-    for n in range(1, max_order + 1):
-        fac = fac * (-(powers + n - 1.0))
-        out[n] = np.sum(coefs * fac * base ** (-(powers + n)))
+    for n in range(max_order + 1):
+        if n > 0:
+            fac = fac * (-(powers + n - 1.0))
+        np.power(base, -(powers + n), out=term)
+        term *= coefs * fac
+        out[..., n] = term.sum(axis=-1)
     return out
 
 
@@ -98,7 +104,7 @@ class RationalLadder(Ladder):
             powers.append(p)
         return coefs, roots, powers
 
-    def derivatives(self, x: float, max_order: int) -> np.ndarray:
+    def derivatives(self, x, max_order: int) -> np.ndarray:
         coefs, roots, powers = self._unpack()
         return _rational_ladder_vec(coefs, roots, powers, x, max_order)
 
@@ -111,14 +117,19 @@ class PowerLadder(Ladder):
     exponent: float
     shift: float = 0.0
 
-    def derivatives(self, x: float, max_order: int) -> np.ndarray:
-        base = x + self.shift
-        if base <= 0.0:
+    def derivatives(self, x, max_order: int) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if np.any(x + self.shift <= 0.0):
             raise DomainError("power ladder needs x + shift > 0")
-        out = np.empty(max_order + 1)
-        for n in range(max_order + 1):
-            out[n] = self.coef * falling_factorial(self.exponent, n) \
-                * base ** (self.exponent - n)
+        out = np.empty(x.shape + (max_order + 1,))
+        # Python-float powers per point: numpy array powers differ from
+        # them in the last bit on a few percent of arguments
+        for i, xi in np.ndenumerate(x):
+            base = float(xi) + self.shift
+            for n in range(max_order + 1):
+                out[i + (n,)] = self.coef \
+                    * falling_factorial(self.exponent, n) \
+                    * base ** (self.exponent - n)
         return out
 
 
@@ -143,8 +154,9 @@ class MLSumLadder(Ladder):
         if self.mu <= -1.0 or self.a <= 0.0:
             raise ParameterError("MLSumLadder requires mu > -1 and a > 0")
 
-    def derivatives(self, x: float, max_order: int) -> np.ndarray:
-        if x <= 0.0:
+    def derivatives(self, x, max_order: int) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if np.any(x <= 0.0):
             raise DomainError("MLSumLadder requires x > 0")
         a, mu, nz = self.a, self.mu, self.n_zeros
         roots = (bessel_zeros(mu, nz) / a) ** 2
@@ -159,15 +171,13 @@ class MLSumLadder(Ladder):
         q2 = a * a * xs / (np.pi * np.pi)
         c = nz + 1.0 + delta
         r = a * a / (np.pi * np.pi)
-        if q2 > 0.0:
-            q = np.sqrt(q2)
-            tail = r * float(np.imag(_sp.digamma(c + 1j * q))) / q
-        elif q2 < 0.0:
-            p = np.sqrt(-q2)
-            tail = r * float(_sp.digamma(c + p) - _sp.digamma(c - p)) / (2.0 * p)
-        else:
-            tail = r * float(_sp.polygamma(1, c))
-        out[0] += tail
+        tail = np.full(x.shape, r * float(_sp.polygamma(1, c)))
+        pos, neg = q2 > 0.0, q2 < 0.0
+        q = np.sqrt(q2[pos])
+        tail[pos] = r * np.imag(_sp.digamma(c + 1j * q)) / q
+        p = np.sqrt(-q2[neg])
+        tail[neg] = r * (_sp.digamma(c + p) - _sp.digamma(c - p)) / (2.0 * p)
+        out[..., 0] += tail
         return out
 
 
@@ -189,7 +199,7 @@ class StieltjesLadder(Ladder):
     nodes: tuple
     masses: tuple
 
-    def derivatives(self, x: float, max_order: int) -> np.ndarray:
+    def derivatives(self, x, max_order: int) -> np.ndarray:
         n = len(self.nodes)
         return _rational_ladder_vec(self.masses, self.nodes, np.ones(n),
                                     x, max_order)
@@ -229,23 +239,27 @@ class CauchyLadder(Ladder):
     n_points: int = 64
     radius_shift: float = 0.0
 
-    def derivatives(self, x: float, max_order: int) -> np.ndarray:
-        if x <= 0.0:
+    def derivatives(self, x, max_order: int) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if np.any(x <= 0.0):
             raise DomainError("CauchyLadder requires x > 0")
         r = self.radius_factor * (x + self.radius_shift)
         m = self.n_points
         theta = 2.0 * np.pi * np.arange(m) / m
-        z = x + r * np.exp(1j * theta)
+        z = x[..., None] + r[..., None] * np.exp(1j * theta)
         vals = np.asarray(self.fn(z), dtype=complex)
         if not np.all(np.isfinite(vals)):
             raise DomainError("function returned non-finite values on circle")
-        coef = np.fft.fft(vals) / m
-        out = np.empty(max_order + 1)
-        fact = 1.0
-        for n in range(max_order + 1):
-            if n > 0:
-                fact *= n
-            out[n] = float(np.real(coef[n])) * fact / r ** n
+        coef = np.fft.fft(vals, axis=-1) / m
+        out = np.empty(x.shape + (max_order + 1,))
+        # Python-float r ** n per point, as in PowerLadder
+        for i, ri in np.ndenumerate(r):
+            fact = 1.0
+            for n in range(max_order + 1):
+                if n > 0:
+                    fact *= n
+                out[i + (n,)] = float(np.real(coef[i + (n,)])) * fact \
+                    / float(ri) ** n
         return out
 
 
@@ -259,8 +273,8 @@ class SumLadder(Ladder):
         if len(self.parts) != len(self.coefs):
             raise ParameterError("parts and coefs must match in length")
 
-    def derivatives(self, x: float, max_order: int) -> np.ndarray:
-        out = np.zeros(max_order + 1)
+    def derivatives(self, x, max_order: int) -> np.ndarray:
+        out = np.zeros(np.shape(x) + (max_order + 1,))
         for c, p in zip(self.coefs, self.parts):
             out += c * p.derivatives(x, max_order)
         return out

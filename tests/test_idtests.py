@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from besselid.distributions import DIST_KINDS
+from besselid import distributions, idtests, smoothfn
+from besselid.distributions import (DIST_KINDS, GammaQuotient, McKayI,
+                                    hcm_profile, kdist_quotient_kernel)
 from besselid.errors import DomainError, ParameterError
-from besselid.idtests import (LT_KINDS, Chi, IKMu, Rho, Theta, Zeta,
+from besselid.idtests import (LT_KINDS, Chi, IKMu, Omega1, Rho, Theta, Zeta,
+                              ProfileReport, _fd_derivatives,
                               absmon_check, bernstein_check, bernstein_targets,
                               cm_check, hcm_check, landau_bound_margin,
                               landau_constant, lt_value, lt_value_complex,
@@ -15,7 +18,9 @@ from besselid.idtests import (LT_KINDS, Chi, IKMu, Rho, Theta, Zeta,
                               pick_check, pick_im, pick_targets,
                               profile_targets, selfdecomp_check,
                               selfdecomp_targets, zeta_witness_search)
+from besselid.quad import integrate_singular_decay
 from besselid.smoothfn import RationalLadder
+from besselid.specfun import bessel_zeros
 
 mp.mp.dps = 30
 
@@ -194,6 +199,91 @@ def test_zeta_witness_is_negative():
     assert im > 0.0
 
 
+def _pick_per_point(spec, re, im):
+    """Im[psi'/psi] at one point, with the scalar arithmetic of the Pick
+    values before they took arrays."""
+    if isinstance(spec, McKayI):
+        mu, a, b = spec.mu, spec.a, spec.b
+        return (mu + 0.5) * (im / ((re + a - b) ** 2 + im * im)
+                             + im / ((re - a - b) ** 2 + im * im))
+    if isinstance(spec, Rho):
+        t = (bessel_zeros(spec.mu, 4000) / spec.a) ** 2
+        return float(np.sum(im / ((t - re) ** 2 + im * im)))
+    if isinstance(spec, distributions._QuotientMixture):
+        coef, al, be, node = spec._mixture()
+        return integrate_singular_decay(
+            lambda t: coef * kdist_quotient_kernel(al, be, t) * im
+            / ((node(t) - re) ** 2 + im * im), tol=1e-11).value
+    w = np.sqrt(-complex(re, im))
+    return float(np.imag(-0.5 / w * spec._dlog_dw(w)))
+
+
+@pytest.mark.parametrize("label,spec", pick_targets() + [
+    ("gammaquot-integer-gap", GammaQuotient(1.2, 1.0, 2.0, 1.5))])
+def test_pick_grid_equals_per_point(label, spec):
+    rng = np.random.default_rng(31)
+    grid = tuple((float(x), float(y)) for x in rng.uniform(-5.0, 5.0, 11)
+                 for y in np.geomspace(0.25, 5.0, 5) * rng.uniform(0.8, 1.2))
+    want = [_pick_per_point(spec, x, y) for x, y in grid]
+    re, im = np.array(grid).T
+    assert np.array_equal(pick_im(spec, re, im), want), label
+    assert pick_im(spec, *grid[3]) == want[3]
+    # the report as the per-point loop built it
+    best = (np.inf, None)
+    for p, v in zip(grid, want):
+        if v < best[0]:
+            best = (v, p)
+    rep = pick_check(spec, grid=grid, label=label)
+    assert rep.min_im_value == best[0] and rep.passed
+    assert rep == pick_check(spec, grid=grid, label=label)
+
+
+def test_mckay_pick_grid_keeps_python_float_squares():
+    # an array square differs from the Python-float x ** 2 on about one
+    # argument in a thousand; a dense grid makes that visible
+    spec = McKayI(0.7, 0.3, 1.9)
+    rng = np.random.default_rng(3)
+    re, im = rng.uniform(-12.0, 12.0, 5000), rng.uniform(0.01, 5.0, 5000)
+    want = [_pick_per_point(spec, float(x), float(y)) for x, y in zip(re, im)]
+    assert np.array_equal(pick_im(spec, re, im), want)
+
+
+class _TableSpec:
+    """Pick values read from a table, one per grid point in order."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+
+    def pick_im(self, re, im):
+        return self.values[:np.size(re)]
+
+
+def test_pick_check_witness_is_first_strict_minimum_never_nan():
+    grid = tuple((float(k), 1.0) for k in range(6))
+    rep = pick_check(_TableSpec([0.5, np.nan, -2.0, 3.0, -2.0, np.nan]),
+                     grid=grid)
+    assert rep.min_im_value == -2.0 and rep.witness == (2.0, 1.0)
+    assert not rep.passed
+    rep = pick_check(_TableSpec([np.nan, -np.inf, -np.inf]), grid=grid[:3])
+    assert rep.min_im_value == -np.inf and rep.witness == (1.0, 1.0)
+    rep = pick_check(_TableSpec([np.nan, np.inf]), grid=grid[:2])
+    assert rep.min_im_value == np.inf and rep.passed and rep.witness is None
+
+
+def test_pick_check_runs_the_row_engine_once(monkeypatch):
+    calls = []
+    rows = distributions._integrate_singular_decay_rows
+
+    def counting(f, n_rows, *args, **kwargs):
+        calls.append(n_rows)
+        return rows(f, n_rows, *args, **kwargs)
+
+    monkeypatch.setattr(distributions, "_integrate_singular_decay_rows",
+                        counting)
+    assert pick_check(DIST_KINDS["kdist"](1.2, 2.0, 1.0)).passed
+    assert calls == [55]
+
+
 # ----------------------------------------------------------------------
 # hyperbolic profiles
 # ----------------------------------------------------------------------
@@ -208,6 +298,103 @@ def test_hcm_check_kdist_finite_difference():
     d = DIST_KINDS["kdist"](1.2, 2.0, 1.0)
     rep = hcm_check(d, 1.0, max_order=3)
     assert rep.passed, rep.worst_margin
+
+
+def _fd_per_point(f, x, max_order):
+    """Finite-difference derivative vector at one Python-float x, one f
+    call per stencil point, as before the grid went in one call."""
+    out = np.empty(max_order + 1)
+    out[0] = f(x)
+    for n in range(1, max_order + 1):
+        h = x * (1e-3 if n <= 2 else 1e-2)
+        coef = np.array([(-1.0) ** k * sp.comb(n, k, exact=True)
+                         for k in range(n + 1)])
+        off = 0.5 * n - np.arange(n + 1.0)
+
+        def stencil(step):
+            return float(coef @ np.array([f(x + o * step) for o in off])) \
+                / step ** n
+        d1, d2 = stencil(h), stencil(0.5 * h)
+        out[n] = (4.0 * d2 - d1) / 3.0
+    return out
+
+
+@pytest.mark.parametrize("kind", ("kdist", "gig"))
+def test_fd_derivatives_of_hcm_profile_equal_per_point(kind):
+    d = DIST_KINDS[kind](*distributions.DIST_DEFAULTS[kind])
+    w = 2.0 + np.exp(np.sort(
+        np.random.default_rng(5).uniform(np.log(0.2), np.log(18.0), 8)))
+    want = np.array([_fd_per_point(lambda v: float(hcm_profile(d, 1.0, v)),
+                                   float(wi), 4) for wi in w])
+    got = _fd_derivatives(lambda v: hcm_profile(d, 1.0, v), w, 4)
+    assert np.array_equal(got, want), kind
+
+
+def test_bernstein_check_builds_each_leaf_ladder_once(monkeypatch):
+    calls = []
+    vec = smoothfn._rational_ladder_vec
+
+    def counting(coefs, roots, powers, x, max_order):
+        calls.append(np.shape(x))
+        return vec(coefs, roots, powers, x, max_order)
+
+    monkeypatch.setattr(smoothfn, "_rational_ladder_vec", counting)
+    assert bernstein_check(Omega1(0.5, 1.2, 0.3, 0.7, 1.5)).passed
+    assert calls == [(9,)] * 5
+
+
+def test_selfdecomp_check_makes_two_continuation_calls(monkeypatch):
+    calls = []
+
+    def counting(spec, z):
+        calls.append(np.shape(z))
+        return lt_value_complex(spec, z)
+
+    monkeypatch.setattr(idtests, "lt_value_complex", counting)
+    assert selfdecomp_check(DIST_KINDS["kdist"](1.2, 2.0, 1.0), 0.5).passed
+    assert calls == [(7, 64)] * 2
+
+
+def test_hcm_check_evaluates_the_profile_once(monkeypatch):
+    calls = []
+
+    def counting(d, u, w):
+        calls.append(np.shape(w))
+        return hcm_profile(d, u, w)
+
+    monkeypatch.setattr(idtests, "hcm_profile", counting)
+    assert hcm_check(DIST_KINDS["kdist"](1.2, 2.0, 1.0), 1.0,
+                     max_order=3).passed
+    # 8 points, and 2 stencils of n + 1 points each per point and order
+    assert calls == [(8 + 8 * 2 * (2 + 3 + 4),)]
+
+
+def _profile_per_point(mu, lam, u, w_grid):
+    """noncentral_profile_check with one profile call per value."""
+    d = DIST_KINDS["nchisq"](mu, lam)
+    dec_claim = lam <= 2.0 * (2.0 * mu + 1.0)
+    cvx_claim = lam <= 2.0 * mu + 1.0
+    dec_ok = cvx_ok = True
+    for w in w_grid:
+        h = min(0.02 * w, 0.25 * (w - 2.0))
+        f0, fp, fm = (float(hcm_profile(d, u, v)) for v in (w, w + h, w - h))
+        d1 = (fp - fm) / (2.0 * h)
+        d2 = (fp - 2.0 * f0 + fm) / (h * h)
+        scale = abs(f0) / w
+        if dec_claim and d1 >= -1e-9 * scale:
+            dec_ok = False
+        if cvx_claim and d2 <= -1e-9 * scale / w:
+            cvx_ok = False
+    return ProfileReport(dec_claim, dec_ok and dec_claim,
+                         cvx_claim, cvx_ok and cvx_claim, tuple(w_grid))
+
+
+@pytest.mark.parametrize("mu,lam,u", profile_targets() + [
+    (1.0, 3.0, 1.0), (0.5, 1.9, 0.3), (2.0, 9.5, 1.5), (0.5, 10.0, 1.0)])
+def test_noncentral_profile_grid_equals_per_point(mu, lam, u):
+    w_grid = tuple(2.0 + np.geomspace(0.01, 30.0, 12))
+    assert noncentral_profile_check(mu, lam, u, w_grid) \
+        == _profile_per_point(mu, lam, u, w_grid)
 
 
 @pytest.mark.parametrize("mu,lam,u", profile_targets())

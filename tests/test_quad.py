@@ -11,6 +11,7 @@ from besselid.errors import DomainError
 from besselid.quad import (OscSpec, integrate_oscillatory,
                            integrate_singular_decay, numeric_laplace,
                            tanh_sinh_finite)
+from besselid.quad.tanhsinh import _integrate_singular_decay_rows
 
 
 # ----------------------------------------------------------------------
@@ -53,6 +54,33 @@ def test_singular_decay_gamma_half():
 def test_singular_decay_algebraic_tail():
     r = integrate_singular_decay(lambda t: 1.0 / (1.0 + t) ** 2, tol=1e-11)
     assert r.value == pytest.approx(1.0, rel=1e-10)
+
+
+def test_singular_decay_rows_equal_one_row_calls():
+    # rows that stop at different levels, and with max_level 8 some that
+    # never converge; every field of each row equals the one-row call
+    rng = np.random.default_rng(17)
+    c, r, y = (rng.uniform(0.2, 3.0, 9), rng.uniform(-4.0, 4.0, 9),
+               np.geomspace(0.05, 5.0, 9))
+    c2, r2, y2 = c[:, None], r[:, None], y[:, None]
+
+    def rows(t, k):
+        return np.exp(-c2[k] * t) * np.sqrt(t) * y2[k] \
+            / ((t - r2[k]) ** 2 + y2[k] * y2[k])
+
+    for max_level in (12, 8):
+        got = _integrate_singular_decay_rows(rows, 9, tol=1e-11,
+                                             max_level=max_level)
+        for i in range(9):
+            one = integrate_singular_decay(
+                lambda t: np.exp(-c[i] * t) * np.sqrt(t) * y[i]
+                / ((t - r[i]) ** 2 + y[i] * y[i]), tol=1e-11,
+                max_level=max_level)
+            assert (got.value[i], got.err_estimate[i], got.n_evals[i],
+                    got.converged[i]) == (one.value, one.err_estimate,
+                                          one.n_evals, one.converged)
+        assert len(set(got.n_evals)) > 1
+    assert got.converged.any() and not got.converged.all()
 
 
 # ----------------------------------------------------------------------

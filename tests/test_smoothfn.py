@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from besselid.distributions import _ShiftLadder
 from besselid.errors import DomainError, ParameterError
+from besselid.idtests import (bernstein_targets, lt_value_complex,
+                              neg_logderiv_ladder, selfdecomp_targets)
 from besselid.smoothfn import (CauchyLadder, MLSumLadder, PowerLadder,
                                RationalLadder, StieltjesLadder, SumLadder,
                                falling_factorial, frozen_expsinh_nodes,
                                k_ratio_ladder)
+from besselid.specfun import bessel_zeros
 
 
 def test_falling_factorial():
@@ -197,3 +201,124 @@ def test_high_order_consistency(make):
         num = (lad.derivatives(x + h, n - 1)[n - 1]
                - lad.derivatives(x - h, n - 1)[n - 1]) / (2.0 * h)
         assert hi[n] == pytest.approx(num, rel=5e-4, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# grid evaluation against the per-point reference, bit for bit
+# ----------------------------------------------------------------------
+
+def _per_point(ladder, x, max_order):
+    """Derivative vector of ladder at one Python-float x, with the
+    scalar arithmetic the ladders used before they took arrays."""
+    if isinstance(ladder, SumLadder):
+        out = np.zeros(max_order + 1)
+        for c, p in zip(ladder.coefs, ladder.parts):
+            out += c * _per_point(p, x, max_order)
+        return out
+    if isinstance(ladder, _ShiftLadder):
+        return _per_point(ladder.base, x, max_order + 1)[1:]
+    if isinstance(ladder, PowerLadder):
+        base = x + ladder.shift
+        return np.array([ladder.coef * falling_factorial(ladder.exponent, n)
+                         * base ** (ladder.exponent - n)
+                         for n in range(max_order + 1)])
+    if isinstance(ladder, CauchyLadder):
+        r = ladder.radius_factor * (x + ladder.radius_shift)
+        m = ladder.n_points
+        theta = 2.0 * np.pi * np.arange(m) / m
+        coef = np.fft.fft(np.asarray(ladder.fn(x + r * np.exp(1j * theta)),
+                                     dtype=complex)) / m
+        out, fact = np.empty(max_order + 1), 1.0
+        for n in range(max_order + 1):
+            if n > 0:
+                fact *= n
+            out[n] = float(np.real(coef[n])) * fact / r ** n
+        return out
+    if isinstance(ladder, RationalLadder):
+        coefs, roots, powers = map(np.asarray, ladder._unpack())
+    elif isinstance(ladder, StieltjesLadder):
+        coefs, roots = np.asarray(ladder.masses), np.asarray(ladder.nodes)
+        powers = np.ones(roots.size)
+    else:
+        roots = (bessel_zeros(ladder.mu, ladder.n_zeros) / ladder.a) ** 2
+        coefs = powers = np.ones(ladder.n_zeros)
+    base = x + roots
+    out = np.empty(max_order + 1)
+    out[0] = np.sum(coefs * base ** (-powers))
+    fac = np.ones_like(powers)
+    for n in range(1, max_order + 1):
+        fac = fac * (-(powers + n - 1.0))
+        out[n] = np.sum(coefs * fac * base ** (-(powers + n)))
+    if isinstance(ladder, MLSumLadder):
+        a, mu, nz = ladder.a, ladder.mu, ladder.n_zeros
+        xs = x - (4.0 * mu * mu - 1.0) / (4.0 * a * a)
+        q2 = a * a * xs / (np.pi * np.pi)
+        c = nz + 1.0 + 0.5 * mu - 0.25
+        r = a * a / (np.pi * np.pi)
+        if q2 > 0.0:
+            q = np.sqrt(q2)
+            out[0] += r * float(np.imag(sp.digamma(c + 1j * q))) / q
+        elif q2 < 0.0:
+            p = np.sqrt(-q2)
+            out[0] += r * float(sp.digamma(c + p) - sp.digamma(c - p)) \
+                / (2.0 * p)
+        else:
+            out[0] += r * float(sp.polygamma(1, c))
+    return out
+
+
+def _log_grid(seed, lo, hi, n):
+    rng = np.random.default_rng(seed)
+    return np.exp(np.sort(rng.uniform(np.log(lo), np.log(hi), n)))
+
+
+@pytest.mark.parametrize("label,spec", bernstein_targets())
+def test_bernstein_ladder_grid_equals_per_point(label, spec):
+    lad = neg_logderiv_ladder(spec)
+    x = _log_grid(7, 0.05, 50.0, 13)
+    want = np.array([_per_point(lad, float(xi), 8) for xi in x])
+    assert np.array_equal(lad.derivatives(x, 8), want), label
+
+
+@pytest.mark.parametrize("alpha", (0.25, 0.5, 0.75))
+@pytest.mark.parametrize("label,spec", selfdecomp_targets())
+def test_selfdecomp_quotient_grid_equals_per_point(label, spec, alpha):
+    # the quotient ladder of selfdecomp_check
+    lad = CauchyLadder(lambda z: lt_value_complex(spec, z)
+                       / lt_value_complex(spec, alpha * z), radius_factor=0.5)
+    x = _log_grid(11, 0.1, 10.0, 9)
+    want = np.array([_per_point(lad, float(xi), 6) for xi in x])
+    assert np.array_equal(lad.derivatives(x, 6), want), (label, alpha)
+
+
+# one ladder of each class, every one singular at x = 0
+LADDERS = {
+    "rational": lambda: RationalLadder(((2.0, 0.0), (1.0, 0.0, 2.5))),
+    "power": lambda: PowerLadder(1.5, -0.7),
+    "mlsum": lambda: MLSumLadder(mu=0.8, a=1.3, n_zeros=500),
+    "stieltjes": lambda: StieltjesLadder((0.0, 2.0), (1.0, 0.5)),
+    "cauchy": lambda: CauchyLadder(fn=lambda z: 1.0 / np.sqrt(z)),
+    "sum": lambda: PowerLadder(1.0, -0.5) - RationalLadder(((1.0, 0.0),)),
+    "shift": lambda: _ShiftLadder(CauchyLadder(fn=np.log)),
+}
+
+
+@pytest.mark.parametrize("kind", LADDERS)
+def test_ladder_keeps_the_shape_of_x(kind):
+    lad = LADDERS[kind]()
+    x = np.array([[0.3, 1.0, 4.0], [0.7, 2.5, 9.0]])
+    grid = lad.derivatives(x, 3)
+    assert grid.shape == (2, 3, 4)
+    assert lad.derivatives(0.3, 3).shape == (4,)
+    assert lad.derivatives(np.float64(0.3), 3).shape == (4,)
+    assert np.array_equal(lad.derivatives(x.ravel(), 3),
+                          grid.reshape(6, 4))
+    for i, xi in np.ndenumerate(x):
+        assert np.array_equal(lad.derivatives(float(xi), 3), grid[i])
+
+
+@pytest.mark.parametrize("kind", LADDERS)
+@pytest.mark.parametrize("bad", (0.0, -1.5))
+def test_ladder_rejects_a_grid_reaching_x_le_0(kind, bad):
+    with pytest.raises(DomainError):
+        LADDERS[kind]().derivatives(np.array([1.0, bad, 2.0]), 2)
