@@ -112,13 +112,17 @@ class Rho(_Variant):
         t = (bessel_zeros(self.mu, 4000) / self.a) ** 2
         re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
                                      np.asarray(im, dtype=float))
-        y = im[..., None]
-        # one (points x zeros) buffer, updated in place
-        s = np.subtract(t, re[..., None])
-        np.square(s, out=s)
-        s += y * y
-        np.divide(y, s, out=s)
-        return s.sum(axis=-1)[()]
+        x, y = re.reshape(-1, 1), im.reshape(-1, 1)
+        out = np.empty(x.size)
+        # blocks of 8 points keep the (points x zeros) buffer at 256 kB
+        for i in range(0, x.size, 8):
+            yb = y[i:i + 8]
+            s = np.subtract(t, x[i:i + 8])
+            np.square(s, out=s)
+            s += yb * yb
+            np.divide(yb, s, out=s)
+            out[i:i + 8] = s.sum(axis=-1)
+        return out.reshape(re.shape)[()]
 
 
 def _log_omega_ratio(mu, nu, a, b, rx):

@@ -27,15 +27,12 @@ def _de_integrate(g, n_rows: int, u_max: float, tol: float,
     (the transform has already damped them below tolerance there);
     non-finite values in the core abort the computation.
     """
-    n_evals = np.zeros(n_rows, dtype=int)
-
     def row_sums(u, rows):
-        n_evals[rows] += u.size
         with np.errstate(over="ignore", invalid="ignore", under="ignore",
                          divide="ignore"):
             v = np.asarray(g(u, rows), dtype=float).reshape(rows.size, u.size)
         bad = ~np.isfinite(v)
-        if np.any(bad):
+        if bad.any():
             if np.any(np.abs(u[bad.any(axis=0)]) < 0.75 * u_max):
                 raise DomainError("integrand returned non-finite values")
             v = np.where(bad, 0.0, v)
@@ -44,23 +41,34 @@ def _de_integrate(g, n_rows: int, u_max: float, tol: float,
     level = 3
     h = u_max / 2.0 ** level
     u = np.arange(-u_max, u_max + 0.5 * h, h)
-    rows = np.arange(n_rows)
-    total = row_sums(u, rows) * h
-    err = np.full(n_rows, np.inf)
-    converged = np.zeros(n_rows, dtype=bool)
-    while level < max_level and rows.size:
+    n = u.size
+    total = (row_sums(u, np.arange(n_rows)) * h).tolist()
+    err = [np.inf] * n_rows
+    n_evals = [n] * n_rows
+    converged = [False] * n_rows
+    # the level bookkeeping runs per live row in Python floats: the
+    # arithmetic of a one-row call, at its cost
+    rows = list(range(n_rows))
+    while level < max_level and rows:
         level += 1
         h *= 0.5
         u_new = np.arange(-u_max + h, u_max, 2.0 * h)
-        new_total = 0.5 * total[rows] + h * row_sums(u_new, rows)
-        err[rows] = np.abs(new_total - total[rows])
-        total[rows] = new_total
-        # double-exponential convergence: one more halving squares the
-        # error, so the last difference bounds it comfortably
-        done = err[rows] <= tol * np.maximum(np.abs(new_total), 1e-300)
-        converged[rows] = done
-        rows = rows[~done]
-    return total, err, n_evals, converged
+        n += u_new.size
+        live = []
+        for r, s in zip(rows, row_sums(u_new, np.array(rows)).tolist()):
+            new = 0.5 * total[r] + h * s
+            err[r] = abs(new - total[r])
+            total[r] = new
+            n_evals[r] = n
+            # double-exponential convergence: one more halving squares
+            # the error, so the last difference bounds it comfortably
+            if err[r] <= tol * max(abs(new), 1e-300):
+                converged[r] = True
+            else:
+                live.append(r)
+        rows = live
+    return (np.array(total), np.array(err), np.array(n_evals),
+            np.array(converged))
 
 
 def _first_row(res: QuadResult) -> QuadResult:
@@ -76,7 +84,7 @@ def tanh_sinh_finite(f, a: float, b: float, tol: float = 1e-12,
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
 
-    def g(u):
+    def g(u, rows):
         s = _HALF_PI * np.sinh(u)
         # distance to the nearer endpoint, cancellation-free:
         # 1 - tanh|s| = 2 e^{-2|s|} / (1 + e^{-2|s|}) stays accurate in
@@ -88,8 +96,8 @@ def tanh_sinh_finite(f, a: float, b: float, tol: float = 1e-12,
         jac = half * _HALF_PI * np.cosh(u) / np.cosh(s) ** 2
         return f(x) * jac
 
-    return _first_row(QuadResult(*_de_integrate(lambda u, rows: g(u), 1,
-                                                 u_max, tol, max_level)))
+    return _first_row(QuadResult(*_de_integrate(g, 1, u_max, tol,
+                                                 max_level)))
 
 
 def integrate_singular_decay(f, tol: float = 1e-10, u_max: float = 6.5,

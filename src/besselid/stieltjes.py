@@ -93,11 +93,16 @@ _LAPLACE_T, _LAPLACE_W = frozen_expsinh_nodes(40, 3.5)
 def _tricomi_complex_integral(a: float, c: float, z):
     """psi(a, c, z) = (1/Gamma(a)) int_0^oo e^{-zt} t^{a-1} (1+t)^{c-a-1} dt
     on frozen exp-sinh nodes; needs a > 0 and Re z comfortably positive."""
-    t, zt = _LAPLACE_T, z[:, None] * _LAPLACE_T
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ex = np.where(zt.real < 700.0, np.exp(-zt), 0.0)
-        vals = ex * t ** (a - 1.0) * (1.0 + t) ** (c - a - 1.0)
-    return np.sum(_LAPLACE_W * vals, axis=1) / math.gamma(a)
+    t = _LAPLACE_T
+    out = np.empty(z.size, dtype=complex)
+    # blocks of 64 points keep the (points x nodes) temporaries small
+    for i in range(0, z.size, 64):
+        zt = z[i:i + 64, None] * t
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            ex = np.where(zt.real < 700.0, np.exp(-zt), 0.0)
+            vals = ex * t ** (a - 1.0) * (1.0 + t) ** (c - a - 1.0)
+        out[i:i + 64] = np.sum(_LAPLACE_W * vals, axis=1)
+    return out / math.gamma(a)
 
 
 def _tricomi_complex_kummer(a: float, c: float, z):
