@@ -121,15 +121,15 @@ class PowerLadder(Ladder):
         x = np.asarray(x, dtype=float)
         if np.any(x + self.shift <= 0.0):
             raise DomainError("power ladder needs x + shift > 0")
+        e = self.exponent
+        facs = [self.coef * falling_factorial(e, n)
+                for n in range(max_order + 1)]
         out = np.empty(x.shape + (max_order + 1,))
         # Python-float powers per point: numpy array powers differ from
         # them in the last bit on a few percent of arguments
-        for i, xi in np.ndenumerate(x):
-            base = float(xi) + self.shift
-            for n in range(max_order + 1):
-                out[i + (n,)] = self.coef \
-                    * falling_factorial(self.exponent, n) \
-                    * base ** (self.exponent - n)
+        for row, xi in zip(out.reshape(-1, max_order + 1), x.ravel().tolist()):
+            base = xi + self.shift
+            row[:] = [f * base ** (e - n) for n, f in enumerate(facs)]
         return out
 
 
@@ -250,16 +250,16 @@ class CauchyLadder(Ladder):
         vals = np.asarray(self.fn(z), dtype=complex)
         if not np.all(np.isfinite(vals)):
             raise DomainError("function returned non-finite values on circle")
-        coef = np.fft.fft(vals, axis=-1) / m
+        coef = np.real(np.fft.fft(vals, axis=-1) / m).reshape(-1, m)
         out = np.empty(x.shape + (max_order + 1,))
         # Python-float r ** n per point, as in PowerLadder
-        for i, ri in np.ndenumerate(r):
+        for row, c, ri in zip(out.reshape(-1, max_order + 1), coef,
+                              r.ravel().tolist()):
             fact = 1.0
             for n in range(max_order + 1):
                 if n > 0:
                     fact *= n
-                out[i + (n,)] = float(np.real(coef[i + (n,)])) * fact \
-                    / float(ri) ** n
+                row[n] = float(c[n]) * fact / ri ** n
         return out
 
 
