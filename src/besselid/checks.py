@@ -1,0 +1,253 @@
+"""The checks of `besselid verify`, one table entry per report row.
+
+The table is built from the library's target lists (catalog names,
+family defaults, the idtests targets) and the cases below, and building
+it runs no check.  A check looks its check functions up as module
+globals when it runs, so a wrapper installed on them later sees every
+call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
+
+from .distributions import (DIST_DEFAULTS, DIST_KINDS, OMEGA_ANCHOR,
+                            NoncentralChiSq, format_dist,
+                            kdist_quotient_kernel, laplace_closed, pdf)
+from .idtests import (ABSMON_ANCHOR, LANDAU_ANCHOR, PICK_ANCHOR,
+                      SELFDECOMP_ANCHOR, Zeta, absmon_check, bernstein_check,
+                      bernstein_targets, hcm_check, landau_bound_margin,
+                      landau_constant, noncentral_profile_check, pick_check,
+                      pick_targets, profile_targets, selfdecomp_check,
+                      selfdecomp_targets, zeta_witness_search)
+from .quad import integrate_singular_decay, numeric_laplace
+from .stieltjes import IdentityRecord, catalog_names, make_identity
+
+__all__ = ["Check", "SCOPES", "row", "table", "SELFDECOMP_ALPHAS",
+           "ABSMON_CASES"]
+
+SELFDECOMP_ALPHAS = (0.25, 0.5, 0.75)
+ABSMON_CASES = ((0.0, 1.0), (0.7, 0.5), (2.0, 1.5))
+_OMEGA_PAIRS = ((1.5, 2.5), (0.7, 0.9), (3.0, 1.0))
+_LAPLACE_X = (0.1, 1.0, 10.0)
+_LANDAU_REF = 0.7857468704
+
+
+def row(check_id: str, params: str, anchor: str, result: tuple) -> dict:
+    """The report row of a check's (verdict, margin, witness)."""
+    verdict, margin, witness = result
+    return {"id": check_id, "params": params, "anchor": anchor,
+            "verdict": verdict,
+            "margin": None if margin is None else float(margin),
+            "witness": witness}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One report row before it runs: run() gives (verdict, margin,
+    witness).  `params` is the params text, or a function giving it when
+    the text holds a value the check computes."""
+
+    id: str
+    anchor: str
+    params: str | Callable[[], str]
+    run: Callable[[], tuple]
+
+    def report(self) -> dict:
+        result = self.run()
+        params = self.params() if callable(self.params) else self.params
+        return row(self.id, params, self.anchor, result)
+
+
+def _graded(margin: float, witness=None, converged: bool = True) -> tuple:
+    """Pass at margin >= 0, else fail; inconclusive when the computation
+    behind the margin did not converge."""
+    verdict = "pass" if margin >= 0.0 else "fail"
+    return verdict if converged else "inconclusive", margin, witness
+
+
+def _passed(report, margin: float) -> tuple:
+    """The verdict an idtests report gives itself (within its slack)."""
+    return "pass" if report.passed else "fail", margin, report.witness
+
+
+def _identity(name: str, zs, tol_tight: float, tol_hard: float) -> tuple:
+    rec = make_identity(name)
+    tol = tol_hard if rec.tol_class == "hard" else tol_tight
+    worst, wz, conv = 0.0, None, True
+    for z in zs:
+        rhs = rec.stieltjes_rhs(z, tol=0.01 * tol)
+        lhs = rec.lhs_value(z)
+        # the quadrature aims well below tol; its own error estimate
+        # certifying tol itself is still conclusive
+        conv = conv and (rhs.converged
+                         or rhs.err_estimate <= 0.5 * tol * abs(lhs))
+        res = abs(lhs - rhs.value) / max(abs(lhs), 1e-300)
+        if res > worst:
+            worst, wz = res, z
+    return _graded(tol - worst, wz, conv)
+
+
+def _norm(d) -> tuple:
+    r = integrate_singular_decay(lambda x: pdf(d, x), tol=1e-11)
+    return _graded(1e-8 - abs(r.value - 1.0), converged=r.converged)
+
+
+def _laplace(d, tol: float) -> tuple:
+    worst, wx, conv = 0.0, None, True
+    for x in _LAPLACE_X:
+        closed = float(laplace_closed(d, x))
+        num = numeric_laplace(lambda t: pdf(d, t), x, tol=1e-10)
+        conv = conv and num.converged
+        res = abs(closed - num.value) / max(abs(closed), 1e-300)
+        if res > worst:
+            worst, wx = res, x
+    return _graded(tol - worst, wx, conv)
+
+
+def _omega_mass(al: float, be: float, tol: float) -> tuple:
+    r = integrate_singular_decay(lambda t: kdist_quotient_kernel(al, be, t),
+                                 tol=1e-10)
+    return _graded(tol - abs(r.value - 1.0), converged=r.converged)
+
+
+def _bernstein(spec, label: str, max_order: int) -> tuple:
+    r = bernstein_check(spec, max_order=max_order, label=label)
+    return _passed(r, r.worst_margin)
+
+
+def _selfdecomp(spec, alpha: float, label: str) -> tuple:
+    r = selfdecomp_check(spec, alpha, label=label)
+    return _passed(r, r.worst_margin)
+
+
+def _pick(spec, label: str) -> tuple:
+    r = pick_check(spec, label=label)
+    return _passed(r, r.min_im_value)
+
+
+def _zeta_witness() -> tuple:
+    point, value = zeta_witness_search()
+    return ("expected-fail" if value < 0.0 else "fail", -value,
+            [point[0], point[1]])
+
+
+def _hcm(d, kind: str, max_order: int) -> tuple:
+    r = hcm_check(d, u=1.0, max_order=max_order, label=kind)
+    return _passed(r, r.worst_margin)
+
+
+def _profile(mu: float, lam: float, u: float) -> tuple:
+    r = noncentral_profile_check(mu, lam, u)
+    ok = r.decreasing_ok and r.convex_ok
+    return "pass" if ok else "fail", 1.0 if ok else -1.0, None
+
+
+def _absmon(mu: float, u: float) -> tuple:
+    r = absmon_check(mu, u, max_order=6)
+    return _passed(r, r.worst_margin)
+
+
+def _landau_constant() -> tuple:
+    return _graded(1e-8 - abs(landau_constant() - _LANDAU_REF))
+
+
+def _landau_bound(mu: float) -> tuple:
+    return _graded(-landau_bound_margin(mu))
+
+
+def _inversion_kernel(name: str, t: float) -> float:
+    return float(make_identity(name).measure_density(t))
+
+
+def _inversion(name: str, t: float) -> tuple:
+    got = make_identity(name).inversion_check(t)
+    want = _inversion_kernel(name, t)
+    return _graded(1e-5 - abs(got - want) / max(abs(want), 1e-300))
+
+
+def _inversion_params(name: str, t: float) -> str:
+    return f"t={t:g} kernel={_inversion_kernel(name, t):.6g}"
+
+
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+
+def _identity_checks(cfg) -> list:
+    zs = [float(z) for z in cfg.grid]
+    return [Check(f"identity:{rec.name}", rec.anchor,
+                  " ".join(f"{k}={v:g}" for k, v in rec.params),
+                  partial(_identity, rec.name, zs, cfg.tol_tight,
+                          cfg.tol_hard))
+            for rec in map(make_identity, catalog_names())]
+
+
+def _distribution_checks(cfg) -> list:
+    out = []
+    for kind, args in DIST_DEFAULTS.items():
+        d = DIST_KINDS[kind](*args)
+        out.append(Check(f"norm:{kind}", d.anchor, format_dist(d),
+                         partial(_norm, d)))
+        if kind != "nchisq":
+            tol = 1e-6 if kind == "kdist" else cfg.tol_tight
+            out.append(Check(f"laplace:{kind}", d.anchor, format_dist(d),
+                             partial(_laplace, d, tol)))
+    return out + [Check(f"omega-mass:{al:g}-{be:g}", OMEGA_ANCHOR,
+                        f"alpha={al:g} beta={be:g}",
+                        partial(_omega_mass, al, be, cfg.tol_tight))
+                  for al, be in _OMEGA_PAIRS]
+
+
+def _idtests_checks(cfg) -> list:
+    out = [Check(f"bernstein:{label}", spec.anchor, label,
+                 partial(_bernstein, spec, label, cfg.max_order))
+           for label, spec in bernstein_targets()]
+    out += [Check(f"selfdecomp:{label}:{alpha:g}", SELFDECOMP_ANCHOR,
+                  f"{label} alpha={alpha:g}",
+                  partial(_selfdecomp, spec, alpha, label))
+            for label, spec in selfdecomp_targets()
+            for alpha in SELFDECOMP_ALPHAS]
+    out += [Check(f"pick:{label}", PICK_ANCHOR, label,
+                  partial(_pick, spec, label))
+            for label, spec in pick_targets()]
+    out.append(Check("pick-witness:zeta", Zeta.anchor, "mu=1 nu=1 a=1 b=2",
+                     _zeta_witness))
+    for kind, order in (("gammaquot", cfg.max_order), ("kdist", 3),
+                        ("gig", 3)):
+        d = DIST_KINDS[kind](*DIST_DEFAULTS[kind])
+        out.append(Check(f"hcm:{kind}", d.anchor, format_dist(d),
+                         partial(_hcm, d, kind, order)))
+    out += [Check(f"profile:{mu:g}-{lam:g}-{u:g}", NoncentralChiSq.anchor,
+                  f"mu={mu:g} lam={lam:g} u={u:g}",
+                  partial(_profile, mu, lam, u))
+            for mu, lam, u in profile_targets()]
+    out += [Check(f"absmon:{mu:g}-{u:g}", ABSMON_ANCHOR, f"mu={mu:g} u={u:g}",
+                  partial(_absmon, mu, u))
+            for mu, u in ABSMON_CASES]
+    out.append(Check("landau:constant", LANDAU_ANCHOR, f"ref={_LANDAU_REF}",
+                     _landau_constant))
+    out += [Check(f"landau:bound:{mu:g}", LANDAU_ANCHOR, f"mu={mu:g}",
+                  partial(_landau_bound, mu))
+            for mu in (0.5, 1.0, 3.0)]
+    return out + [Check(f"inversion:{name}:{t:g}",
+                        IdentityRecord.inversion_anchor,
+                        partial(_inversion_params, name, t),
+                        partial(_inversion, name, t))
+                  for name in ("IK_EQUAL", "I_EXP", "K_RATIO")
+                  for t in (0.6, 2.0, 5.0)]
+
+
+_BUILDERS = {"identities": _identity_checks,
+             "distributions": _distribution_checks,
+             "idtests": _idtests_checks}
+SCOPES = tuple(_BUILDERS)
+
+
+def table(scope: str, cfg) -> list:
+    """The checks of one of SCOPES, or of all of them for "all", in run
+    order, under the tolerances, grid and order of the RunConfig cfg."""
+    return [c for name, build in _BUILDERS.items()
+            if scope in (name, "all") for c in build(cfg)]

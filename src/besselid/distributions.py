@@ -34,7 +34,7 @@ __all__ = [
     "McKayI", "McKayII", "GenMcKay", "SqMcKay", "KDist", "GIG",
     "GammaQuotient", "NoncentralChiSq", "DIST_KINDS", "DIST_DEFAULTS",
     "log_pdf", "pdf", "laplace_closed", "mgf_logderiv_im", "hcm_profile",
-    "parse_dist", "format_dist",
+    "OMEGA_ANCHOR", "format_dist",
 ]
 
 
@@ -495,6 +495,9 @@ def laplace_closed(d, x):
     return d.laplace(x)
 
 
+OMEGA_ANCHOR = "eq. (pdfome)"
+
+
 def kdist_quotient_kernel(al: float, be: float, t):
     """Density omega_{alpha,beta}(t) of the gamma quotient underlying the
     K-distribution Bernstein derivative.
@@ -576,21 +579,3 @@ def format_dist(d) -> str:
         parts.append(f"{f.name}={getattr(d, f.name):g}")
     return " ".join(parts)
 
-
-def parse_dist(text: str):
-    """Inverse of format_dist."""
-    items = {}
-    for tok in text.split():
-        if "=" not in tok:
-            raise ParameterError(f"malformed token {tok!r}")
-        k, v = tok.split("=", 1)
-        items[k] = v
-    kind = items.pop("kind", None)
-    if kind not in DIST_KINDS:
-        raise ParameterError(f"unknown distribution kind {kind!r}")
-    cls = DIST_KINDS[kind]
-    names = {f.name for f in fields(cls)}
-    if set(items) != names:
-        raise ParameterError(
-            f"{kind} needs parameters {sorted(names)}, got {sorted(items)}")
-    return cls(**{k: float(v) for k, v in items.items()})

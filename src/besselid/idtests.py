@@ -42,6 +42,7 @@ __all__ = [
     "selfdecomp_check", "pick_check", "pick_im", "zeta_witness_search",
     "hcm_check", "noncentral_profile_check", "ProfileReport",
     "absmon_check", "landau_constant", "landau_bound_margin",
+    "SELFDECOMP_ANCHOR", "PICK_ANCHOR", "ABSMON_ANCHOR", "LANDAU_ANCHOR",
     "bernstein_targets", "selfdecomp_targets", "pick_targets",
     "profile_targets",
 ]
@@ -539,6 +540,9 @@ def bernstein_check(spec, grid=None, max_order: int = 8,
                     label=label)
 
 
+SELFDECOMP_ANCHOR = "Lemma 2"
+
+
 def selfdecomp_check(spec, alpha: float, grid=None, max_order: int = 6,
                      slack: float = 1e-9, label: str = "") -> CMReport:
     """Complete monotonicity of x -> L(x)/L(alpha x), alpha in (0, 1).
@@ -596,6 +600,9 @@ def _grid_minimum(spec, points):
     if not v[i] < np.inf:
         return np.inf, None
     return float(v[i]), points[i]
+
+
+PICK_ANCHOR = "Lemma 3"
 
 
 def pick_check(spec, grid=None, slack: float = 1e-12,
@@ -688,6 +695,9 @@ def noncentral_profile_check(mu: float, lam: float, u: float,
                          cvx_claim, cvx_ok and cvx_claim, tuple(w_grid))
 
 
+ABSMON_ANCHOR = "Theorem thprodIabsmon"
+
+
 def absmon_check(mu: float, u: float, w_grid=None, max_order: int = 6,
                  slack: float = 1e-9, label: str = "") -> CMReport:
     """Absolute monotonicity in w of I_mu(uv) I_mu(u/v) on (2, oo).
@@ -717,6 +727,9 @@ def absmon_check(mu: float, u: float, w_grid=None, max_order: int = 6,
 # ----------------------------------------------------------------------
 # Landau constant
 # ----------------------------------------------------------------------
+
+LANDAU_ANCHOR = "Corollary part g"
+
 
 def landau_constant() -> float:
     """sup over t > 0 of t^(1/3) J_0(t), by golden section plus Newton.

@@ -27,12 +27,10 @@ __all__ = [
     "bessel_k",
     "bessel_zero",
     "bessel_zeros",
-    "gauss_2f1",
     "kummer_m",
     "tricomi_psi",
     "tricomi_psi_boundary",
     "tricomi_boundary_mod2",
-    "whittaker_w",
 ]
 
 
@@ -266,16 +264,6 @@ def bessel_zero(nu: float, n: int) -> float:
 # Hypergeometric family
 # ---------------------------------------------------------------------------
 
-def gauss_2f1(a: float, b: float, c: float, x):
-    """Gauss hypergeometric 2F1(a, b; c; x) for x < 1."""
-    arr = _as_float_array(x)
-    if np.any(arr >= 1.0):
-        raise DomainError("gauss_2f1 requires x < 1")
-    if c <= 0.0 and c == np.floor(c):
-        raise DomainError("gauss_2f1: c must not be a non-positive integer")
-    return _maybe_scalar(_sp.hyp2f1(a, b, c, arr), x)
-
-
 def kummer_m(a: float, c: float, x):
     """Kummer confluent function M(a, c, x) = Phi(a; c; x)."""
     if c <= 0.0 and c == np.floor(c):
@@ -372,26 +360,3 @@ def tricomi_boundary_mod2(a: float, c: float, t):
     re, im = _boundary_re_im(a, c, t)
     return _maybe_scalar(re * re + im * im, t)
 
-
-def whittaker_w(kappa: float, m: float, x):
-    """Whittaker function W_{kappa, m}(x) for x > 0.
-
-    Defined through the Tricomi function,
-        W_{kappa,m}(x) = e^{-x/2} x^{m+1/2} psi(m - kappa + 1/2, 1 + 2m, x),
-    and symmetric under m -> -m.
-    """
-    arr = _as_float_array(x)
-    if np.any(arr <= 0.0):
-        raise DomainError("whittaker_w requires x > 0")
-    # the m -> -m symmetry allows either orientation; prefer the one
-    # with c = 1 + 2m < 1, falling back to whichever keeps a > 0
-    candidates = [-abs(m), abs(m)]
-    for m_use in candidates:
-        a = m_use - kappa + 0.5
-        if a > 0.0:
-            m = m_use
-            break
-    else:
-        raise DomainError("whittaker_w requires m - kappa + 1/2 > 0 (up to m-sign)")
-    out = np.exp(-arr / 2.0) * arr ** (m + 0.5) * tricomi_psi(a, 1.0 + 2.0 * m, arr)
-    return _maybe_scalar(out, x)

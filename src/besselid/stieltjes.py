@@ -667,6 +667,8 @@ class IdentityRecord:
         return self._integrate_kernel(f, tol)
 
     # -- Perron-Stieltjes inversion -----------------------------------------
+    inversion_anchor = "Lemma 7"
+
     def inversion_check(self, t: float,
                         eta_ladder=(1e-2, 1e-3, 1e-4)) -> float:
         """Density recovered from boundary values of the LHS:

@@ -11,10 +11,10 @@ import pytest
 from click.testing import CliRunner
 from scipy import special as sp
 
-from besselid import cli
-from besselid.cli import main
+from besselid import checks
+from besselid.cli import RunConfig, main
 from besselid.distributions import DIST_KINDS, laplace_closed, pdf
-from besselid.errors import DomainError
+from besselid.errors import ConvergenceError, DomainError
 
 
 @pytest.fixture()
@@ -179,11 +179,9 @@ import contextlib, io, json, sys
 import besselid.cli as cli
 from besselid import specfun
 seen = ["scipy.optimize" in sys.modules]
-try:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["verify", "all", "--stable"], standalone_mode=False)
-except SystemExit as exc:  # verify ends with sys.exit(verdict code)
-    code = exc.code
+# verify returns its exit code through click, without SystemExit
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "all", "--stable"], standalone_mode=False)
 seen.append("scipy.optimize" in sys.modules)
 print(json.dumps({"code": code, "optimize": seen,
                   "orders": sorted(specfun._zero_cache)}))
@@ -208,13 +206,13 @@ def test_verify_broken_check_becomes_fail_row(runner, monkeypatch):
     def broken():
         raise DomainError("broken check")
 
-    idtests_tasks = cli._idtests_tasks
+    table = checks.table
 
-    def tasks(cfg):
-        return [t for t in idtests_tasks(cfg) if "landau" in t[0]] \
-            + [("broken:check", broken)]
+    def landau_and_broken(scope, cfg):
+        return [c for c in table(scope, cfg) if "landau" in c.id] \
+            + [checks.Check("broken:check", "Lemma 0", "x=1", broken)]
 
-    monkeypatch.setattr(cli, "_idtests_tasks", tasks)
+    monkeypatch.setattr(checks, "table", landau_and_broken)
     code, rep = _report(runner, ["verify", "idtests", "--stable"])
     assert code == 1
     rows = {row["id"]: row for row in rep["rows"]}
@@ -225,6 +223,19 @@ def test_verify_broken_check_becomes_fail_row(runner, monkeypatch):
     assert all(row["verdict"] == "pass" for row in rows.values())
     assert rep["summary"] == {"pass": 4, "fail": 1, "expected-fail": 0,
                               "inconclusive": 0}
+
+
+def test_verify_inconclusive_row_exits_3(runner, monkeypatch):
+    def unconverged():
+        raise ConvergenceError("no convergence")
+
+    monkeypatch.setattr(checks, "table", lambda scope, cfg: [
+        checks.Check("stuck:check", "Lemma 0", "x=1", unconverged)])
+    args = ["verify", "idtests", "--stable"]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 3
+    assert json.loads(r.output)["rows"][0]["verdict"] == "inconclusive"
+    assert runner.invoke(main, args + ["--allow-inconclusive"]).exit_code == 0
 
 
 def test_verify_stable_is_deterministic(runner):
@@ -267,14 +278,41 @@ def test_verify_config_file_with_flag_override(runner, tmp_path):
                              "--only", "landau:bound:1"])
     rep = json.loads(r.output)
     assert [row["id"] for row in rep["rows"]] == ["landau:bound:1"]
+    # the thread pool is gone, and so is its config key; a bad value in
+    # the file or on the command line is a usage error too
+    for text in ("threads = 2", "max_order = abc", "tol_tight = -1",
+                 "format = xml"):
+        cfg.write_text(f"stable = true\n{text}\n")
+        r = runner.invoke(main, ["verify", "idtests", "--config", str(cfg)])
+        assert r.exit_code == 2, text
+    assert runner.invoke(main, ["verify", "idtests", "--tol-tight",
+                                "-1"]).exit_code == 2
 
 
-def test_verify_threads_agree_with_serial(runner):
-    args = ["verify", "idtests", "--only", "absmon", "--stable"]
-    serial = runner.invoke(main, args).output
-    threaded = runner.invoke(main, args + ["--threads", "4"]).output
-    s, t = json.loads(serial), json.loads(threaded)
-    assert s["rows"] == t["rows"]
+def test_verify_exit_code_is_returned_through_click(capsys):
+    # a library caller gets the code back instead of a SystemExit
+    code = main(["verify", "idtests", "--only", "landau", "--stable"],
+                standalone_mode=False)
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["pass"] == 4
+
+
+def test_check_table_ids_anchors_and_only_selection():
+    table = checks.table("all", RunConfig())
+    ids = [c.id for c in table]
+    assert len(ids) == len(set(ids)) == 99
+    assert all(c.anchor for c in table)
+
+    def only(text):
+        return sorted(i for i in ids if text in i)
+
+    assert only("identity:IK") == ["identity:IK_EQUAL", "identity:IK_EXP",
+                                   "identity:IK_PROD", "identity:IK_QUOT"]
+    assert only("landau") == ["landau:bound:0.5", "landau:bound:1",
+                              "landau:bound:3", "landau:constant"]
+    assert only("selfdecomp:kdist") == ["selfdecomp:kdist:0.25",
+                                        "selfdecomp:kdist:0.5",
+                                        "selfdecomp:kdist:0.75"]
 
 
 # ----------------------------------------------------------------------

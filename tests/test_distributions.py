@@ -12,9 +12,9 @@ from scipy import special as sp
 from paramsets import PARAM_SETS
 
 from besselid import distributions
-from besselid.distributions import (DIST_KINDS, format_dist, hcm_profile,
+from besselid.distributions import (DIST_KINDS, hcm_profile,
                                     kdist_quotient_kernel, laplace_closed,
-                                    log_pdf, mgf_logderiv_im, parse_dist, pdf)
+                                    log_pdf, mgf_logderiv_im, pdf)
 from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
 from besselid.idtests import _SELFDECOMP_GRID, neg_logderiv, pick_check
@@ -27,7 +27,7 @@ def _all_cases():
 
 
 # ----------------------------------------------------------------------
-# construction and serialization
+# construction
 # ----------------------------------------------------------------------
 
 def test_parameter_validation():
@@ -39,12 +39,6 @@ def test_parameter_validation():
         DIST_KINDS["kdist"](-1.0, 2.0, 1.0)
     with pytest.raises(ParameterError):
         DIST_KINDS["nchisq"](1.0, 0.0)
-
-
-def test_format_parse_roundtrip():
-    for kind, args in _all_cases():
-        d = DIST_KINDS[kind](*args)
-        assert parse_dist(format_dist(d)) == d
 
 
 def test_pdf_rejects_nonpositive_x():
