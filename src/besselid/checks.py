@@ -16,6 +16,7 @@ from typing import Callable
 from .distributions import (DIST_DEFAULTS, DIST_KINDS, OMEGA_ANCHOR,
                             NoncentralChiSq, format_dist,
                             kdist_quotient_kernel, laplace_closed, pdf)
+from .errors import ConvergenceError
 from .idtests import (ABSMON_ANCHOR, LANDAU_ANCHOR, PICK_ANCHOR,
                       SELFDECOMP_ANCHOR, Zeta, absmon_check, bernstein_check,
                       bernstein_targets, hcm_check, landau_bound_margin,
@@ -48,7 +49,8 @@ def row(check_id: str, params: str, anchor: str, result: tuple) -> dict:
 class Check:
     """One report row before it runs: run() gives (verdict, margin,
     witness).  `params` is the params text, or a function giving it when
-    the text holds a value the check computes."""
+    the text holds a value the check computes.  A check that raises
+    still gives its row: inconclusive on a ConvergenceError, else fail."""
 
     id: str
     anchor: str
@@ -56,8 +58,16 @@ class Check:
     run: Callable[[], tuple]
 
     def report(self) -> dict:
-        result = self.run()
-        params = self.params() if callable(self.params) else self.params
+        params = self.params if isinstance(self.params, str) else ""
+        try:
+            result = self.run()
+            if callable(self.params):
+                params = self.params()
+        except ConvergenceError as exc:
+            result = ("inconclusive", None, str(exc))
+        except Exception as exc:
+            # one broken check is a failing row, not an aborted report
+            result = ("fail", None, f"{type(exc).__name__}: {exc}")
         return row(self.id, params, self.anchor, result)
 
 

@@ -31,8 +31,7 @@ from .checks import (ABSMON_CASES as _ABSMON_CASES,
                      SELFDECOMP_ALPHAS as _SELFDECOMP_ALPHAS)
 from .distributions import (DIST_DEFAULTS as _DIST_DEFAULTS, DIST_KINDS,
                             laplace_closed, pdf)
-from .errors import (ConvergenceError, DomainError, ParameterError,
-                     UnsupportedVariantError)
+from .errors import DomainError, ParameterError, UnsupportedVariantError
 from .idtests import LT_KINDS, landau_constant, lt_value
 from .quad import numeric_laplace
 from .specfun import (bessel_i, bessel_j, bessel_k, bessel_y, bessel_zero,
@@ -158,27 +157,16 @@ def _pop_float(kv: dict, key: str) -> float:
 # ----------------------------------------------------------------------
 
 def _run_tasks(tasks, cfg: RunConfig):
-    """Rows of the (check_id, fn) tasks in id order; fn returns a row."""
-    def guarded(check_id, fn):
+    """Rows of the (check_id, fn) tasks in id order; fn returns a row,
+    timed in its "seconds" field unless the report is stable."""
+    rows = []
+    for _, fn in tasks:
         start = time.perf_counter()
-        try:
-            row = fn()
-        except ConvergenceError as exc:
-            row = checks.row(check_id, "", "", ("inconclusive", None,
-                                                str(exc)))
-        except Exception as exc:
-            # one broken check is a failing row, not an aborted report
-            row = checks.row(check_id, "", "", (
-                "fail", None, f"{type(exc).__name__}: {exc}"))
-        row["seconds"] = round(time.perf_counter() - start, 4)
-        return row
-
-    rows = [guarded(check_id, fn) for check_id, fn in tasks]
-    rows.sort(key=lambda r: r["id"])
-    if cfg.stable:
-        for row in rows:
-            del row["seconds"]
-    return rows
+        row = fn()
+        if not cfg.stable:
+            row["seconds"] = round(time.perf_counter() - start, 4)
+        rows.append(row)
+    return sorted(rows, key=lambda r: r["id"])
 
 
 def _envelope(scope: str, cfg: RunConfig, rows) -> dict:

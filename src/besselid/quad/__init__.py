@@ -7,13 +7,12 @@ import hashlib
 import numpy as np
 
 from ..errors import DomainError
-from .oscillatory import OscSpec, integrate_oscillatory
+from .oscillatory import integrate_oscillatory
 from .result import QuadResult
 from .tanhsinh import integrate_singular_decay, tanh_sinh_finite
 
 __all__ = [
     "QuadResult",
-    "OscSpec",
     "tanh_sinh_finite",
     "integrate_singular_decay",
     "integrate_oscillatory",

@@ -12,7 +12,6 @@ table supplies both the value and an honest error estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -21,28 +20,7 @@ import numpy as np
 from ..errors import DomainError
 from .gauss_kronrod import _NODES, _WGFULL, _WK
 from .result import QuadResult
-from .tanhsinh import integrate_singular_decay, tanh_sinh_finite
-
-
-@dataclass(frozen=True)
-class OscSpec:
-    """Oscillatory structure of an integrand on (0, oo).
-
-    sqrt_frequencies: frequencies of the oscillatory factors as
-        functions of u = sqrt(t); for J_mu(a sqrt t) or trig(a sqrt t)
-        the entry is a.  An empty tuple routes the integral to the
-        double-exponential rule.
-    endpoint_exponent: integrand ~ t^p as t -> 0 (p > -1).
-    decay_exponent: envelope decay t^{-d} at infinity (informational).
-    """
-
-    sqrt_frequencies: tuple
-    endpoint_exponent: float = 0.0
-    decay_exponent: float = 1.0
-
-    def __post_init__(self):
-        if self.endpoint_exponent <= -1.0:
-            raise DomainError("endpoint_exponent must exceed -1")
+from .tanhsinh import tanh_sinh_finite
 
 
 def _common_base(freqs) -> float:
@@ -111,12 +89,16 @@ def _sidi_w(sums: np.ndarray, cells: np.ndarray, max_depth: int = 16):
     return best
 
 
-def integrate_oscillatory(f, spec: OscSpec, tol: float = 1e-7,
-                          max_cells: int = 128) -> QuadResult:
-    """Integral of f over (0, infinity) for kernels oscillating in sqrt(t)."""
-    freqs = tuple(w for w in spec.sqrt_frequencies if w > 0.0)
-    if not freqs:
-        return integrate_singular_decay(f, tol=min(tol, 1e-10))
+def integrate_oscillatory(f, sqrt_frequencies: tuple,
+                          tol: float = 1e-7) -> QuadResult:
+    """Integral of f over (0, infinity) for kernels oscillating in sqrt(t).
+
+    sqrt_frequencies holds the frequencies of the oscillatory factors as
+    functions of u = sqrt(t): a for J_mu(a sqrt t) or trig(a sqrt t).
+    """
+    freqs = tuple(sqrt_frequencies)
+    if not freqs or min(freqs) <= 0.0:
+        raise DomainError("sqrt_frequencies must be nonempty and positive")
     base = _common_base(freqs)
     period = 2.0 * np.pi / base
     # resolve the fastest possible beat of products of the given factors
@@ -135,9 +117,7 @@ def integrate_oscillatory(f, spec: OscSpec, tol: float = 1e-7,
     total = head.value
     best = (total, np.inf)
     converged = False
-    checkpoints = [16, 24, 32, 40, 56, 72, 96, 128, 192, 256]
-    checkpoints = [c for c in checkpoints if c <= max_cells] or [max_cells]
-    for target in checkpoints:
+    for target in (16, 24, 32, 40, 56, 72, 96, 128):
         while len(cells) < target:
             k = len(cells)
             lo = (k + 1.0) * period

@@ -30,9 +30,8 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError, UnsupportedVariantError
-from .quad import (OscSpec, QuadResult, _values_on_nodes,
-                   integrate_oscillatory, integrate_singular_decay,
-                   tanh_sinh_finite)
+from .quad import (QuadResult, _values_on_nodes, integrate_oscillatory,
+                   integrate_singular_decay, tanh_sinh_finite)
 from .smoothfn import frozen_expsinh_nodes
 from .specfun import tricomi_boundary_mod2, tricomi_psi
 
@@ -43,13 +42,6 @@ __all__ = [
 
 _TIGHT = 1e-7
 _HARD = 1e-4
-_HARD_ENTRIES = frozenset({"KK_RECIP", "IK_QUOT"})
-
-# entries of the form "inner Laplace gives a section-3 density"
-_LAPLACE_ENTRIES = frozenset({
-    "I_EXP", "IK_PROD", "IK_EQUAL", "IK_EXP", "KK_PROD", "II_EXP",
-    "KK_RECIP", "IK_QUOT", "K_RECIP", "K_RATIO",
-})
 
 
 def _sqrtz(z):
@@ -160,12 +152,16 @@ class _Entry:
     names: tuple                  # parameter names in order
     check: object                 # params -> None or raises ParameterError
     lhs: object                   # (params, z) -> value (complex capable)
-    kernel: object                # (params, t array) -> array
-    osc: object                   # params -> OscSpec
     defaults: dict
     anchor: str                   # source of the identity in the paper
+    kernel: object = None         # (params, t array) -> array
+    freqs: object = None          # params -> sqrt(t) frequencies; None: exp-sinh
     const: object = None          # (params, z) -> constant term (default 0)
     z_factor: bool = False        # integral carries z/(z+t) instead of 1/(z+t)
+    hard: bool = False            # residual tolerance _HARD, else _TIGHT
+    laplace: bool = True          # the inner Laplace transform is a density
+    rhs: object = None            # params -> QuadResult, in place of a kernel
+    options: tuple = ()           # optional parameters beyond `names`
 
 
 def _chk(cond: bool, msg: str):
@@ -222,7 +218,7 @@ def _build_catalog():
         lhs=iexp_lhs,
         kernel=lambda p, t: (1.0 / np.pi) * t ** (-0.5 * p["mu"])
         * _sp.jv(p["mu"], p["a"] * np.sqrt(t)) * np.sin(p["a"] * np.sqrt(t)),
-        osc=lambda p: OscSpec((p["a"], p["a"]), endpoint_exponent=0.5),
+        freqs=lambda p: (p["a"], p["a"]),
         defaults={"mu": 1.0, "a": 1.0},
         anchor="Theorem thIfirst",
     )
@@ -250,11 +246,10 @@ def _build_catalog():
         kernel=lambda p, t: 0.5 * t ** (0.5 * (p["nu"] - p["mu"]))
         * _sp.jv(p["mu"], p["a"] * np.sqrt(t))
         * _sp.jv(p["nu"], p["b"] * np.sqrt(t)),
-        osc=lambda p: OscSpec((p["a"], p["b"]),
-                              endpoint_exponent=0.5 * (p["nu"] + p["mu"])
-                              + 0.5 * (p["nu"] - p["mu"])),
+        freqs=lambda p: (p["a"], p["b"]),
         defaults={"mu": 0.6, "nu": 0.8, "a": 0.75, "b": 1.0},
         anchor="eq. (eqproddifpar)",
+        options=("extended_domain",),
     )
 
     cat["IK_EQUAL"] = _Entry(
@@ -263,7 +258,7 @@ def _build_catalog():
         lhs=lambda p, z: 2.0 * _iv_scaled(p["mu"], _sqrtz(z))
         * _kv_scaled(p["mu"], _sqrtz(z)),
         kernel=lambda p, t: _sp.jv(p["mu"], np.sqrt(t)) ** 2,
-        osc=lambda p: OscSpec((1.0, 1.0), endpoint_exponent=p["mu"]),
+        freqs=lambda p: (1.0, 1.0),
         defaults={"mu": 0.7},
         anchor="eq. (eqprod1)",
     )
@@ -288,10 +283,7 @@ def _build_catalog():
                              "IK_EXP requires mu, nu > -1 and a, b > 0"),
         lhs=ikexp_lhs,
         kernel=ikexp_kernel,
-        osc=lambda p: OscSpec((p["a"], p["b"], p["a"]),
-                              endpoint_exponent=min(p["nu"],
-                                                    0.5 * (p["nu"] - p["mu"])
-                                                    + 0.5 * p["mu"])),
+        freqs=lambda p: (p["a"], p["b"], p["a"]),
         defaults={"mu": 0.8, "nu": 0.6, "a": 0.4, "b": 0.5},
         anchor="Theorem theprodIKexprepr2",
     )
@@ -316,9 +308,7 @@ def _build_catalog():
                              "KK_PROD requires mu, nu >= 0 and a, b > 0"),
         lhs=kkprod_lhs,
         kernel=kkprod_kernel,
-        osc=lambda p: OscSpec((p["a"], p["b"]),
-                              endpoint_exponent=0.0 if p["nu"] > 0
-                              else 0.5 * p["mu"]),
+        freqs=lambda p: (p["a"], p["b"]),
         defaults={"mu": 0.3, "nu": 0.6, "a": 0.2, "b": 0.3},
         anchor="eq. (eqprodK1)",
     )
@@ -340,8 +330,7 @@ def _build_catalog():
         * _sp.jv(p["mu"], p["a"] * np.sqrt(t))
         * _sp.jv(p["nu"], p["b"] * np.sqrt(t))
         * np.sin((p["a"] + p["b"]) * np.sqrt(t)),
-        osc=lambda p: OscSpec((p["a"], p["b"], p["a"] + p["b"]),
-                              endpoint_exponent=0.5),
+        freqs=lambda p: (p["a"], p["b"], p["a"] + p["b"]),
         defaults={"mu": 0.7, "nu": 0.6, "a": 0.2, "b": 0.3},
         anchor="eq. (prodeqI)",
     )
@@ -361,10 +350,10 @@ def _build_catalog():
         kernel=lambda p, t: (4.0 / np.pi**3)
         * t ** (-0.5 * (p["mu"] + p["nu"]))
         * _gamma_big(p["mu"], p["nu"], p["a"], p["b"], t),
-        osc=lambda p: OscSpec((p["a"], p["b"], p["a"] + p["b"]),
-                              endpoint_exponent=0.0),
+        freqs=lambda p: (p["a"], p["b"], p["a"] + p["b"]),
         defaults={"mu": 0.8, "nu": 0.7, "a": 0.3, "b": 0.4},
         anchor="Theorem recprodKrepr",
+        hard=True,
     )
 
     def ikquot_lhs(p, z):
@@ -383,10 +372,10 @@ def _build_catalog():
         * t ** (-0.5 * (p["mu"] + p["nu"]))
         * _sp.jv(p["mu"], p["a"] * np.sqrt(t))
         * _gamma_small(p["nu"], p["a"], p["b"], t),
-        osc=lambda p: OscSpec((p["a"], p["b"], p["a"] + p["b"]),
-                              endpoint_exponent=0.0),
+        freqs=lambda p: (p["a"], p["b"], p["a"] + p["b"]),
         defaults={"mu": 0.8, "nu": 0.6, "a": 0.3, "b": 0.4},
         anchor="Theorem theoquotIK",
+        hard=True,
     )
 
     def krecip_lhs(p, z):
@@ -401,7 +390,7 @@ def _build_catalog():
         lhs=krecip_lhs,
         kernel=lambda p, t: -(2.0 / np.pi**2) * t ** (-0.5 * p["nu"])
         * _gamma_small(p["nu"], 0.0, p["b"], t),
-        osc=lambda p: OscSpec((p["b"], p["b"]), endpoint_exponent=0.0),
+        freqs=lambda p: (p["b"], p["b"]),
         defaults={"nu": 0.8, "b": 0.5},
         anchor="Corollary theoquotIKcoro",
     )
@@ -420,7 +409,6 @@ def _build_catalog():
         check=lambda p: _chk(p["mu"] >= 0.0, "K_RATIO requires mu >= 0"),
         lhs=kratio_lhs,
         kernel=kratio_kernel,
-        osc=lambda p: OscSpec(()),
         defaults={"mu": 0.9},
         anchor="eq. (integralKquot)",
     )
@@ -453,7 +441,7 @@ def _build_catalog():
             lhs=lambda p, z: _tricomi_any(p["a"] + da, p["c"] + dc, z)
             / _tricomi_any(p["a"], p["c"], z),
             kernel=lambda p, t: sign * tric_kernel(p, t, gamma_shift),
-            osc=lambda p: OscSpec(()),
+            laplace=False,
             defaults={"a": 1.5, "c": 0.5},
             anchor=anchor,
             **extra,
@@ -474,23 +462,47 @@ def _build_catalog():
         const=lambda p, z: z - p["c"] + p["a"])
 
     # --- product identities (not Stieltjes transforms) ----------------------
+    def mcdonald_rhs(p):
+        mu, x, y = p["mu"], p["x"], p["y"]
+
+        def f(t):
+            with np.errstate(over="ignore", under="ignore"):
+                return 0.5 * np.exp(-0.5 * t - 0.5 * (x * x + y * y) / t) \
+                    * _sp.kv(mu, x * y / t) / t
+
+        return integrate_singular_decay(f, tol=1e-12)
+
     cat["MCDONALD"] = _Entry(
         names=("mu", "x", "y"),
         check=lambda p: _chk(p["x"] > 0 and p["y"] > 0,
                              "MCDONALD requires x, y > 0"),
         lhs=lambda p, z: _sp.kv(p["mu"], p["x"]) * _sp.kv(p["mu"], p["y"]),
-        kernel=None,
-        osc=lambda p: OscSpec(()),
+        rhs=mcdonald_rhs,
+        laplace=False,
         defaults={"mu": 0.3, "x": 1.0, "y": 1.0},
         anchor="eq. (prodK)",
     )
+
+    def iprod_rhs(p):
+        mu, x, y = p["mu"], p["x"], p["y"]
+        pref = (0.5 * x * y) ** mu / (np.sqrt(np.pi) * math.gamma(mu + 0.5))
+
+        def g(t):
+            s2 = x * x + y * y - 2.0 * x * y * np.cos(t)
+            s = np.sqrt(s2)
+            return s ** (-mu) * _sp.iv(mu, s) * np.sin(t) ** (2.0 * mu)
+
+        r = tanh_sinh_finite(g, 0.0, np.pi, tol=1e-13)
+        return QuadResult(pref * r.value, pref * r.err_estimate,
+                          r.n_evals, r.converged)
+
     cat["I_PRODUCT_ANGLE"] = _Entry(
         names=("mu", "x", "y"),
         check=lambda p: _chk(p["mu"] > -0.5 and p["x"] > 0 and p["y"] > 0,
                              "I_PRODUCT_ANGLE requires mu > -1/2, x, y > 0"),
         lhs=lambda p, z: _sp.iv(p["mu"], p["x"]) * _sp.iv(p["mu"], p["y"]),
-        kernel=None,
-        osc=lambda p: OscSpec(()),
+        rhs=iprod_rhs,
+        laplace=False,
         defaults={"mu": 0.7, "x": 0.9, "y": 1.4},
         anchor="eq. (intIprod)",
     )
@@ -509,7 +521,7 @@ def default_params(name: str) -> dict:
 
 
 def tolerance(name: str) -> float:
-    return _HARD if name in _HARD_ENTRIES else _TIGHT
+    return _HARD if _CATALOG[name].hard else _TIGHT
 
 
 @dataclass(frozen=True)
@@ -525,7 +537,7 @@ class IdentityRecord:
 
     @property
     def tol_class(self) -> str:
-        return "hard" if self.name in _HARD_ENTRIES else "tight"
+        return "hard" if self._entry().hard else "tight"
 
     @property
     def tol(self) -> float:
@@ -572,10 +584,10 @@ class IdentityRecord:
     def _integrate_kernel(self, f, tol: float) -> QuadResult:
         """Integral of f over (0, oo) on the entry's engine: the
         oscillatory one for kernels oscillating in sqrt(t), else exp-sinh."""
-        spec = self._entry().osc(self.p)
-        if spec.sqrt_frequencies:
-            return integrate_oscillatory(f, spec, tol=tol)
-        return integrate_singular_decay(f, tol=tol)
+        freqs = self._entry().freqs
+        if freqs is None:
+            return integrate_singular_decay(f, tol=tol)
+        return integrate_oscillatory(f, freqs(self.p), tol=tol)
 
     def measure_density(self, t):
         """Density recovered by Perron-Stieltjes inversion of the LHS.
@@ -593,8 +605,8 @@ class IdentityRecord:
             raise DomainError("stieltjes_rhs requires z > 0")
         e = self._entry()
         p = self.p
-        if e.kernel is None:
-            return self._product_rhs(z)
+        if e.rhs is not None:
+            return e.rhs(p)
         tol = tol if tol is not None else 0.01 * self.tol
 
         def f(t):
@@ -607,31 +619,6 @@ class IdentityRecord:
         err = r.err_estimate * (z if e.z_factor else 1.0)
         return QuadResult(value, err, r.n_evals, r.converged, info=r.info)
 
-    def _product_rhs(self, z: float) -> QuadResult:
-        p = self.p
-        mu = p["mu"]
-        if self.name == "MCDONALD":
-            x, y = p["x"], p["y"]
-
-            def f(t):
-                with np.errstate(over="ignore", under="ignore"):
-                    return 0.5 * np.exp(-0.5 * t - 0.5 * (x * x + y * y) / t) \
-                        * _sp.kv(mu, x * y / t) / t
-
-            return integrate_singular_decay(f, tol=1e-12)
-        # I_PRODUCT_ANGLE
-        x, y = p["x"], p["y"]
-        pref = (0.5 * x * y) ** mu / (np.sqrt(np.pi) * math.gamma(mu + 0.5))
-
-        def g(t):
-            s2 = x * x + y * y - 2.0 * x * y * np.cos(t)
-            s = np.sqrt(s2)
-            return s ** (-mu) * _sp.iv(mu, s) * np.sin(t) ** (2.0 * mu)
-
-        r = tanh_sinh_finite(g, 0.0, np.pi, tol=1e-13)
-        return QuadResult(pref * r.value, pref * r.err_estimate,
-                          r.n_evals, r.converged)
-
     def residual(self, z: float, tol: float = None) -> float:
         """|lhs - rhs| / max(|lhs|, tiny) at z > 0."""
         lhs = self.lhs_value(z)
@@ -642,7 +629,7 @@ class IdentityRecord:
     def laplace_density(self, s: float, tol: float = 1e-9) -> QuadResult:
         """Inner Laplace transform g(s) = integral e^{-st} m(t) dt; the
         density (up to normalization) of the associated distribution."""
-        if self.name not in _LAPLACE_ENTRIES:
+        if not self._entry().laplace:
             raise UnsupportedVariantError(
                 f"{self.name} has no inner-Laplace density")
         if s <= 0.0:
@@ -657,7 +644,7 @@ class IdentityRecord:
     def kernel_mass(self, tol: float = 1e-9) -> QuadResult:
         """Total mass of the inner-Laplace density by Fubini:
         integral g(s) ds = integral m(t) / t dt."""
-        if self.name not in _LAPLACE_ENTRIES:
+        if not self._entry().laplace:
             raise UnsupportedVariantError(
                 f"{self.name} has no inner-Laplace density")
 
@@ -706,7 +693,7 @@ def make_identity(name: str, **params) -> IdentityRecord:
         raise ParameterError(f"unknown identity {name!r}; "
                              f"known: {', '.join(_CATALOG)}")
     e = _CATALOG[name]
-    extras = set(params) - set(e.names) - {"extended_domain"}
+    extras = set(params) - set(e.names) - set(e.options)
     if extras:
         raise ParameterError(f"{name} does not take parameters {sorted(extras)}")
     p = dict(e.defaults)

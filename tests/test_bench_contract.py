@@ -13,20 +13,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_REPORT = ROOT / "tests" / "data" / "verify_all_stable.json"
 
-# the warm-up round of each warm workload, then the layer wrappers
+# the warm-up round of each warm workload, untraced and then again
+# under the layer wrappers (as `--trace 1` runs it)
 WARM_OPS_AND_TRACER = """
 import json
 import run, tracer, workloads
 
-outcomes = {}
-for w in ("zsweep", "idchecks"):
-    for label, op in workloads.OPS[w](workloads.make_inputs(w, 1, 1)["warmup"]):
-        try:
-            outcomes[label] = op()
-        except Exception as exc:
-            outcomes[label] = f"{type(exc).__name__}: {exc}"
-tracer.install(tracer.Tracer())
-print(json.dumps({"outcomes": outcomes, "expected": run.EXPECTED_SUMMARY,
+def warm_outcomes(run_op):
+    outcomes = {}
+    for w in ("zsweep", "idchecks"):
+        inputs = workloads.make_inputs(w, 1, 1)["warmup"]
+        for label, op in workloads.OPS[w](inputs):
+            try:
+                outcomes[label] = run_op(label, op)
+            except Exception as exc:
+                outcomes[label] = f"{type(exc).__name__}: {exc}"
+    return outcomes
+
+outcomes = warm_outcomes(lambda label, op: op())
+t = tracer.Tracer()
+tracer.install(t)
+traced = warm_outcomes(t.run_op)
+print(json.dumps({"outcomes": outcomes, "traced": traced,
+                  "layers": t.summary(), "expected": run.EXPECTED_SUMMARY,
                   "expected_fail": sorted(run.EXPECTED_FAIL_ROWS)}))
 """
 
@@ -44,6 +53,9 @@ def test_bench_warm_ops_tracer_and_report_child(tmp_path):
     assert got["outcomes"]
     assert {label: v for label, v in got["outcomes"].items()
             if v not in ("ok", "inconclusive")} == {}
+    assert got["traced"] == got["outcomes"]
+    # one zsweep warm-up op per catalog entry with sqrt(t) frequencies
+    assert got["layers"]["quad.integrate_oscillatory"]["calls"] == 9
 
     out = tmp_path / "report.json"
     subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"),

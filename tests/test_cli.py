@@ -79,6 +79,15 @@ def test_eval_usage_errors(runner):
                                 "a=1", "b=1.5", "x=-1"]).exit_code == 2
 
 
+def test_eval_extended_domain_only_for_ik_prod(runner):
+    ext = ["z=1", "extended_domain=1"]
+    assert runner.invoke(main, ["eval", "lhs", "id=I_EXP"] + ext
+                         ).exit_code == 2
+    r = runner.invoke(main, ["eval", "lhs", "id=IK_PROD", "mu=0.2", "nu=1.5",
+                             "a=0.5", "b=1"] + ext)
+    assert r.exit_code == 0, r.output
+
+
 # ----------------------------------------------------------------------
 # zeros and landau
 # ----------------------------------------------------------------------
@@ -217,8 +226,9 @@ def test_verify_broken_check_becomes_fail_row(runner, monkeypatch):
     assert code == 1
     rows = {row["id"]: row for row in rep["rows"]}
     assert rows.pop("broken:check") == {
-        "id": "broken:check", "params": "", "anchor": "", "verdict": "fail",
-        "margin": None, "witness": "DomainError: broken check"}
+        "id": "broken:check", "params": "x=1", "anchor": "Lemma 0",
+        "verdict": "fail", "margin": None,
+        "witness": "DomainError: broken check"}
     assert len(rows) == 4
     assert all(row["verdict"] == "pass" for row in rows.values())
     assert rep["summary"] == {"pass": 4, "fail": 1, "expected-fail": 0,

@@ -1,11 +1,13 @@
 """Infinite-divisibility checks: ladders, sign tests, profiles, Landau."""
 
+from types import SimpleNamespace
+
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sp
 
-from besselid import distributions, idtests, smoothfn
+from besselid import checks, distributions, idtests, smoothfn
 from besselid.distributions import (DIST_KINDS, GammaQuotient, McKayI,
                                     hcm_profile, kdist_quotient_kernel)
 from besselid.errors import DomainError, ParameterError
@@ -415,6 +417,51 @@ def test_noncentral_profile_outside_claimed_region():
 def test_absmon_i_product(mu, u):
     rep = absmon_check(mu, u, max_order=6)
     assert rep.passed, (mu, u, rep.worst_margin)
+
+
+def _absmon_per_point(mu, u, w_grid, max_order, iv=sp.iv):
+    """absmon_check as one CauchyLadder and one cm_check per point, as
+    before the grid went in one ladder call."""
+    reports = []
+    for w0 in w_grid:
+        def f(w):
+            v = 0.5 * (w + np.sqrt(w * w - 4.0 + 0j))
+            return iv(mu, u * v) * iv(mu, u / v)
+        ladder = smoothfn.CauchyLadder(
+            f, radius_factor=0.45, radius_shift=-(2.0 + 0.55 * (w0 - 2.0)))
+        reports.append(cm_check(ladder, (w0,), max_order, 1e-9,
+                                signs="positive"))
+    bad = [r for r in reports if not r.passed]
+    return idtests.CMReport(tuple(w_grid), max_order,
+                            min(r.worst_margin for r in reports), not bad,
+                            bad[0].witness if bad else None)
+
+
+def _absmon_grid(seed):
+    rng = np.random.default_rng(seed)
+    return tuple(2.0 + np.exp(np.sort(rng.uniform(np.log(0.2),
+                                                  np.log(18.0), 8))))
+
+
+def test_absmon_check_equals_per_point_loop():
+    for mu, u in checks.ABSMON_CASES:
+        for seed in range(5):
+            w = _absmon_grid(seed)
+            assert absmon_check(mu, u, w_grid=w, max_order=6) \
+                == _absmon_per_point(mu, u, w, 6), (mu, u, seed)
+
+
+def test_absmon_check_witness_equals_per_point_loop(monkeypatch):
+    # with I_mu(x) cos(x/8) the first three points pass and later ones
+    # fail: the witness is the first failing point and its worst order
+    def iv(mu, x):
+        return sp.iv(mu, x) * np.cos(x / 8.0)
+
+    monkeypatch.setattr(idtests, "_sp", SimpleNamespace(iv=iv))
+    w = _absmon_grid(0)
+    got = absmon_check(0.7, 1.5, w_grid=w, max_order=6)
+    assert not got.passed and got.witness[0] == w[3]
+    assert got == _absmon_per_point(0.7, 1.5, w, 6, iv)
 
 
 def test_absmon_rejects_bad_parameters():

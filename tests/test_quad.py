@@ -8,7 +8,7 @@ from scipy import special as sp
 
 from besselid.distributions import DIST_KINDS, pdf
 from besselid.errors import DomainError
-from besselid.quad import (OscSpec, integrate_oscillatory,
+from besselid.quad import (integrate_oscillatory,
                            integrate_singular_decay, numeric_laplace,
                            tanh_sinh_finite)
 from besselid.quad.tanhsinh import _integrate_singular_decay_rows
@@ -88,9 +88,8 @@ def test_singular_decay_rows_equal_one_row_calls():
 # ----------------------------------------------------------------------
 
 def test_oscillatory_j0_squared_stieltjes():
-    spec = OscSpec(sqrt_frequencies=(1.0, 1.0))
     r = integrate_oscillatory(
-        lambda t: sp.j0(np.sqrt(t)) ** 2 / (1.0 + t), spec, tol=1e-9)
+        lambda t: sp.j0(np.sqrt(t)) ** 2 / (1.0 + t), (1.0, 1.0), tol=1e-9)
     want = 2.0 * sp.iv(0, 1.0) * sp.kv(0, 1.0)
     assert r.converged
     assert r.value == pytest.approx(want, rel=1e-8)
@@ -99,31 +98,27 @@ def test_oscillatory_j0_squared_stieltjes():
 def test_oscillatory_cosine_closed_form():
     # u = sqrt(t): int_0^oo cos(sqrt t)/(2 sqrt t (1+t)) dt
     #            = int_0^oo cos(u)/(1+u^2) du = pi/(2e)
-    spec = OscSpec(sqrt_frequencies=(1.0,), endpoint_exponent=-0.5)
     r = integrate_oscillatory(
         lambda t: np.cos(np.sqrt(t)) / (2.0 * np.sqrt(t) * (1.0 + t)),
-        spec, tol=1e-9)
+        (1.0,), tol=1e-9)
     assert r.value == pytest.approx(np.pi / (2.0 * np.e), rel=1e-8)
 
 
-def test_oscillatory_zero_frequency_falls_back():
-    f = lambda t: np.exp(-t)
-    a = integrate_oscillatory(f, OscSpec(sqrt_frequencies=()), tol=1e-10)
-    b = integrate_singular_decay(f, tol=1e-10)
-    assert a.value == pytest.approx(b.value, abs=1e-12)
+def test_oscillatory_rejects_empty_or_nonpositive_frequencies():
+    # a kernel without sqrt(t) frequencies belongs to exp-sinh, which
+    # the caller picks
+    for freqs in ((), (0.0,), (1.0, -1.0)):
+        with pytest.raises(DomainError):
+            integrate_oscillatory(lambda t: np.exp(-t), freqs, tol=1e-10)
 
 
 def test_oscillatory_linearity():
-    spec = OscSpec(sqrt_frequencies=(1.0,), endpoint_exponent=-0.5)
     f = lambda t: np.cos(np.sqrt(t)) / (2.0 * np.sqrt(t) * (1.0 + t))
     g = lambda t: sp.j0(np.sqrt(t)) ** 2 / (1.0 + t)
-    spec2 = OscSpec(sqrt_frequencies=(1.0, 1.0))
-    rf = integrate_oscillatory(f, spec, tol=1e-9)
-    rg = integrate_oscillatory(g, spec2, tol=1e-9)
+    rf = integrate_oscillatory(f, (1.0,), tol=1e-9)
+    rg = integrate_oscillatory(g, (1.0, 1.0), tol=1e-9)
     rc = integrate_oscillatory(
-        lambda t: 2.0 * f(t) + 3.0 * g(t),
-        OscSpec(sqrt_frequencies=(1.0, 1.0), endpoint_exponent=-0.5),
-        tol=1e-9)
+        lambda t: 2.0 * f(t) + 3.0 * g(t), (1.0, 1.0), tol=1e-9)
     combined = 2.0 * rf.value + 3.0 * rg.value
     budget = 2.0 * rf.err_estimate + 3.0 * rg.err_estimate + rc.err_estimate
     assert abs(rc.value - combined) <= max(budget, 1e-8)
@@ -149,9 +144,8 @@ def test_laplace_of_j_squared_gives_bessel_kernel():
     # int e^{-xt} J_mu^2(sqrt t) dt = (1/x) e^{-1/(2x)} I_mu(1/(2x))
     mu, x = 1.0, 0.8
     f = lambda t: sp.jv(mu, np.sqrt(t)) ** 2
-    spec = OscSpec(sqrt_frequencies=(1.0, 1.0), endpoint_exponent=mu)
     r = integrate_oscillatory(
-        lambda t: np.exp(-x * t) * f(t), spec, tol=1e-10)
+        lambda t: np.exp(-x * t) * f(t), (1.0, 1.0), tol=1e-10)
     want = np.exp(-0.5 / x) * sp.iv(mu, 0.5 / x) / x
     assert r.value == pytest.approx(want, rel=1e-8)
 
@@ -186,9 +180,8 @@ def _battery():
     def sd(f, want, tol=1e-11):
         cases.append((lambda: integrate_singular_decay(f, tol=tol), want))
 
-    def osc(f, freqs, want, tol=1e-8, p=0.0):
-        spec = OscSpec(sqrt_frequencies=freqs, endpoint_exponent=p)
-        cases.append((lambda: integrate_oscillatory(f, spec, tol=tol), want))
+    def osc(f, freqs, want, tol=1e-8):
+        cases.append((lambda: integrate_oscillatory(f, freqs, tol=tol), want))
 
     ts(lambda x: x ** 3, 0.0, 1.0, 0.25, tol=1e-10)
     ts(np.cos, 0.0, 1.0, np.sin(1.0), tol=1e-10)
@@ -208,9 +201,9 @@ def _battery():
     osc(lambda t: sp.j0(np.sqrt(t)) ** 2 / (1.0 + t), (1.0, 1.0),
         2.0 * sp.iv(0, 1.0) * sp.kv(0, 1.0))
     osc(lambda t: sp.jv(1.0, np.sqrt(t)) ** 2 / (2.0 + t), (1.0, 1.0),
-        2.0 * sp.iv(1, np.sqrt(2.0)) * sp.kv(1, np.sqrt(2.0)), p=1.0)
+        2.0 * sp.iv(1, np.sqrt(2.0)) * sp.kv(1, np.sqrt(2.0)))
     osc(lambda t: np.cos(np.sqrt(t)) / (2.0 * np.sqrt(t) * (1.0 + t)),
-        (1.0,), np.pi / (2.0 * np.e), p=-0.5)
+        (1.0,), np.pi / (2.0 * np.e))
     osc(lambda t: np.exp(-t) * sp.j0(np.sqrt(t)) ** 2, (1.0, 1.0),
         np.exp(-0.5) * sp.iv(0, 0.5))
     osc(lambda t: sp.j0(2.0 * np.sqrt(t)) ** 2 / (1.0 + t), (2.0, 2.0),

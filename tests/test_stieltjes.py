@@ -20,6 +20,9 @@ from besselid.stieltjes import (_tricomi_complex, catalog_names,
 TRICOMI = ("TRICOMI_RATIO", "TRICOMI_Cm1", "TRICOMI_Ap1", "TRICOMI_Cp1",
            "TRICOMI_Am1")
 PRODUCTS = ("MCDONALD", "I_PRODUCT_ANGLE")
+# entries whose inner Laplace transform is a density
+LAPLACE = ("I_EXP", "IK_PROD", "IK_EQUAL", "IK_EXP", "KK_PROD", "II_EXP",
+           "KK_RECIP", "IK_QUOT", "K_RECIP", "K_RATIO")
 
 
 # ----------------------------------------------------------------------
@@ -75,6 +78,13 @@ def test_ik_prod_domain_and_extension():
                       extended_domain=1)
 
 
+def test_extended_domain_only_for_ik_prod():
+    for name in catalog_names():
+        if name != "IK_PROD":
+            with pytest.raises(ParameterError, match="extended_domain"):
+                make_identity(name, extended_domain=1)
+
+
 def test_domain_errors_on_evaluation():
     rec = make_identity("IK_EQUAL")
     with pytest.raises(DomainError):
@@ -110,6 +120,17 @@ def test_equal_argument_inner_laplace_closed_form(mu):
         want = (mu / s) * np.exp(-0.5 / s) * sp.iv(mu, 0.5 / s)
         got = mu * rec.laplace_density(s, tol=1e-10).value
         assert abs(got - want) <= 1e-8 * abs(want)
+
+
+def test_no_inner_laplace_outside_density_entries():
+    others = [n for n in catalog_names() if n not in LAPLACE]
+    assert sorted(others) == sorted(TRICOMI + PRODUCTS)
+    for name in others:
+        rec = make_identity(name)
+        with pytest.raises(UnsupportedVariantError):
+            rec.laplace_density(1.0)
+        with pytest.raises(UnsupportedVariantError):
+            rec.kernel_mass()
 
 
 def test_inner_outer_consistency():
@@ -256,7 +277,7 @@ def test_kernel_memo_sweep_is_bit_identical(name, monkeypatch):
         assert make_identity(name).stieltjes_rhs(z) == want[z], (name, z)
 
 
-@pytest.mark.parametrize("name", sorted(stieltjes._LAPLACE_ENTRIES))
+@pytest.mark.parametrize("name", LAPLACE)
 def test_kernel_memo_inner_laplace_is_bit_identical(name, monkeypatch):
     ss = (0.3, 3.0)
     with monkeypatch.context() as m:
