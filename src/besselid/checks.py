@@ -84,20 +84,28 @@ def _passed(report, margin: float) -> tuple:
 
 
 def _identity(name: str, zs, tol_tight: float, tol_hard: float) -> tuple:
+    """Worst residual over zs; inconclusive, with the first uncertified
+    z and the engine's reason as witness, where a right side is not
+    certified.  The margin then covers the certified z only."""
     rec = make_identity(name)
     tol = tol_hard if rec.tol_class == "hard" else tol_tight
-    worst, wz, conv = 0.0, None, True
+    worst, wz, uncertified = 0.0, None, None
     for z in zs:
         rhs = rec.stieltjes_rhs(z, tol=0.01 * tol)
         lhs = rec.lhs_value(z)
         # the quadrature aims well below tol; its own error estimate
         # certifying tol itself is still conclusive
-        conv = conv and (rhs.converged
-                         or rhs.err_estimate <= 0.5 * tol * abs(lhs))
+        if not (rhs.converged or rhs.err_estimate <= 0.5 * tol * abs(lhs)):
+            if uncertified is None:
+                reason = rhs.info.get("reason", "not converged")
+                uncertified = f"z={z:g}: {reason}"
+            continue
         res = abs(lhs - rhs.value) / max(abs(lhs), 1e-300)
         if res > worst:
             worst, wz = res, z
-    return _graded(tol - worst, wz, conv)
+    if uncertified is not None:
+        return "inconclusive", tol - worst, uncertified
+    return _graded(tol - worst, wz)
 
 
 def _norm(d) -> tuple:

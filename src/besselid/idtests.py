@@ -704,8 +704,9 @@ def absmon_check(mu: float, u: float, w_grid=None, max_order: int = 6,
 
     v(w) = (w + sqrt(w^2 - 4))/2 continues analytically off [-2, 2],
     so the derivatives come from a Cauchy circle inside that domain, its
-    radius set per point.  Each point's derivatives are scaled by their
-    own size, and the witness is the first failing point.
+    radius set per point.  Each order is scaled by its largest |value|
+    over the grid, as in cm_check, so a margin shows how close a
+    derivative comes to zero; the witness is the first failing point.
     """
     if not (mu > -0.5 and u > 0.0):
         raise ParameterError("absmon_check requires mu > -1/2 and u > 0")
@@ -720,7 +721,7 @@ def absmon_check(mu: float, u: float, w_grid=None, max_order: int = 6,
     ladder = CauchyLadder(f, radius_factor=0.45,
                           radius_shift=-(2.0 + 0.55 * (w - 2.0)))
     table = ladder.derivatives(w, max_order)
-    margins = table / np.maximum(np.abs(table), 1e-300)
+    margins = table / np.maximum(np.max(np.abs(table), axis=0), 1e-300)
     bad = np.flatnonzero(~(margins.min(axis=1) >= -slack))
     witness = (float(w[bad[0]]), int(np.argmin(margins[bad[0]]))) \
         if bad.size else None

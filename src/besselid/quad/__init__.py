@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from ..errors import DomainError
-from .oscillatory import integrate_oscillatory
+from .oscillatory import (HankelTerm, _values_on_nodes,
+                          integrate_oscillatory)
 from .result import QuadResult
 from .tanhsinh import integrate_singular_decay, tanh_sinh_finite
 
@@ -16,6 +15,7 @@ __all__ = [
     "tanh_sinh_finite",
     "integrate_singular_decay",
     "integrate_oscillatory",
+    "HankelTerm",
     "numeric_laplace",
 ]
 
@@ -31,19 +31,3 @@ def numeric_laplace(f, x: float, tol: float = 1e-10) -> QuadResult:
 
     return integrate_singular_decay(g, tol=tol)
 
-
-def _values_on_nodes(memo: dict, t: np.ndarray, fn) -> np.ndarray:
-    """fn(t) on a quadrature node array, evaluated once per node set.
-
-    The nodes of an engine do not depend on the outer argument (z, s or
-    a point of the upper half plane), so a sweep over that argument
-    reuses every array; arrays are keyed in memo by shape, dtype and a
-    digest of their bytes and stored read-only."""
-    key = (t.shape, t.dtype.str,
-           hashlib.blake2b(t.tobytes(), digest_size=16).digest())
-    m = memo.get(key)
-    if m is None:
-        m = np.asarray(fn(t))
-        m.flags.writeable = False
-        memo[key] = m
-    return m

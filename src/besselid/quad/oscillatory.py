@@ -1,145 +1,271 @@
-"""Semi-infinite integrals of Bessel/trig kernels oscillating in sqrt(t).
+"""Half-line integrals of kernels oscillating in sqrt(t), by contour
+rotation of Hankel terms (numerical steepest descent: Huybrechs and
+Vandewalle, SIAM J. Numer. Anal. 44, 2006).
 
-The substitution u = sqrt(t) turns the phases into plain frequencies.
-The u-axis is partitioned into cells of one full common period of every
-frequency the kernel carries (sums and differences of commensurate base
-frequencies are again multiples of the base, so each cell sum decays
-smoothly with the cell index).  The cell partial sums are extrapolated
-with a divided-difference Levin-type transformation (Sidi's
-W-algorithm, u-type remainder estimates); the saturation point of the
-table supplies both the value and an honest error estimate.
+With u = sqrt(t) the kernel is written as the real part of a finite sum
+of terms
+
+    coef * u^p * e^{i omega u} * prod_k H^{(1|2)}_{nu_k}(s_k u)^{+-1},
+
+each with a net frequency Omega = omega + sum(+-s_k) (+ for H^(1), - for
+H^(2), times the exponent).  A weight w(t) that is analytic off the
+negative axis and real on the positive one (1/(z+t), e^{-st}, 1/t)
+then gives
+
+    int_0^oo m(t) w(t) dt = head + Re[ray] + tail:
+
+* head: the closed kernel on u in [0, u0], by tanh-sinh;
+* ray: the terms with Omega > 0 along u0 + r e^{i pi/4}, by exp-sinh in
+  r; there they decay like e^{-Omega Im u}, and the ray never meets
+  the poles of 1/(z+u^2) on the imaginary axis;
+* tail: the terms with Omega = 0 along [u0, oo), by exp-sinh in r;
+  scaled Hankel functions do not oscillate there.
+
+A term with Omega < 0 is to be written as its complex conjugate, which
+has the same real part on the real axis.  Every value but the weight's
+sits on nodes that do not depend on the weight, so a memo shared across
+calls (one per kernel) keeps them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+import hashlib
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.special as _sp
 
 from ..errors import DomainError
-from .gauss_kronrod import _NODES, _WGFULL, _WK
 from .result import QuadResult
-from .tanhsinh import tanh_sinh_finite
+
+_HALF_PI = 0.5 * np.pi
+_RAY = np.exp(0.25j * np.pi)
+# rounding floor: this many eps times the integral of |integrand|
+# along the paths (against mpmath, random in-domain parameters of the
+# nine catalog kernels stayed below 51 eps times it)
+_ROUNDING = 64.0 * np.finfo(float).eps
+_ASYMPTOTIC = 1e6       # |x| beyond which H_nu(x) uses its Hankel series
+_TS_MAX = 4.0           # tanh-sinh range of the head
+_ES_MAX = 6.5           # exp-sinh range of the ray and the tail
+_FIRST_LEVEL = 3
+_MAX_LEVEL = 12
+UNRESOLVED = "below the absolute resolution of the representation"
 
 
-def _common_base(freqs) -> float:
-    """Largest frequency dividing all entries (rationalized); falls back
-    to the smallest frequency for effectively incommensurate sets."""
-    fracs = []
-    for w in freqs:
-        fr = Fraction(w).limit_denominator(512)
-        if fr == 0 or abs(float(fr) - w) > 1e-9 * abs(w):
-            return min(freqs)
-        fracs.append(fr)
-    num, den = 0, 1
-    for fr in fracs:
-        num = gcd(num, fr.numerator)
-        den = lcm(den, fr.denominator)
-    return num / den
+def _values_on_nodes(memo: dict, t: np.ndarray, fn) -> np.ndarray:
+    """fn(t) on a quadrature node array, evaluated once per node set.
+
+    The nodes of an engine do not depend on the outer argument (z, s or
+    a point of the upper half plane), so a sweep over that argument
+    reuses every array; arrays are keyed in memo by shape, dtype and a
+    digest of their bytes and stored read-only."""
+    key = (t.shape, t.dtype.str,
+           hashlib.blake2b(t.tobytes(), digest_size=16).digest())
+    m = memo.get(key)
+    if m is None:
+        m = np.asarray(fn(t))
+        m.flags.writeable = False
+        memo[key] = m
+    return m
 
 
-def _composite_gk(g, lo: float, hi: float, panels: int):
-    """Non-adaptive composite G7/K15 over [lo, hi] in one vector call."""
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    x = (mids[:, None] + halves[:, None] * _NODES[None, :]).ravel()
-    y = np.asarray(g(x), dtype=float).reshape(panels, _NODES.size)
-    if not np.all(np.isfinite(y)):
-        raise DomainError("integrand returned non-finite values")
-    ik = halves * (y @ _WK)
-    ig = halves * (y @ _WGFULL)
-    d = float(np.sum(np.abs(ik - ig)))
-    err = min(d, (200.0 * d) ** 1.5 / 200.0) if d > 0 else 0.0
-    return float(np.sum(ik)), err, x.size
+@dataclass(frozen=True)
+class HankelTerm:
+    """coef * u^power * e^{i omega u} * prod H^{(kind)}_order(scale u)^exponent
+    with factors a tuple of (kind, order, scale, exponent), kind 1 or 2
+    and exponent +1 or -1."""
+
+    coef: complex
+    power: float = 0.0
+    omega: float = 0.0
+    factors: tuple = ()
+
+    @property
+    def frequency(self) -> float:
+        """Net frequency: the rate of e^{i Omega u} in the term's
+        large-u behaviour."""
+        return self.omega + sum((s if k == 1 else -s) * e
+                                for k, _, s, e in self.factors)
+
+    def __call__(self, u):
+        """Values at real or complex u with Re u > 0, from the scaled
+        Hankel functions; zero where e^{i Omega u} is below e^{-700}."""
+        u = np.asarray(u, dtype=complex)
+        w = self.frequency
+        out = self.coef * u ** self.power * np.exp(
+            1j * w * np.where(w * u.imag > 700.0, 0.0, u))
+        for kind, nu, s, e in self.factors:
+            out = out * _hankel_scaled(kind, nu, s * u) ** e
+        return np.where(w * u.imag > 700.0, 0.0, out)
 
 
-def _sidi_w(sums: np.ndarray, cells: np.ndarray, max_depth: int = 16):
-    """Limit estimate of the cell partial sums by the W-algorithm.
+def _hankel_scaled(kind: int, nu: float, x):
+    """H^{(1)}_nu(x) e^{-ix} or H^{(2)}_nu(x) e^{ix}; beyond |x| = 1e6 by
+    three terms of the Hankel series (DLMF 10.17.5-6), whose next term
+    is below 1e-18 there for moderate nu."""
+    sign = 1.0 if kind == 1 else -1.0
+    big = np.abs(x) > _ASYMPTOTIC
+    xs = np.where(big, 1.0, x)
+    out = _sp.hankel1e(nu, xs) if kind == 1 else _sp.hankel2e(nu, xs)
+    if big.any():
+        xb = np.where(big, x, 1.0)
+        m = 4.0 * nu * nu
+        a1 = (m - 1.0) / 8.0
+        a2 = (m - 1.0) * (m - 9.0) / 128.0
+        series = 1.0 + sign * 1j * a1 / xb - a2 / (xb * xb)
+        phase = np.exp(-sign * 1j * (_HALF_PI * nu + 0.25 * np.pi))
+        out = np.where(big, np.sqrt(2.0 / (np.pi * xb)) * phase * series,
+                       out)
+    return out
 
-    Remainder model: omega_j * (polynomial in x_j), with u-type
-    omega_j = (j+2) * cells[j] and x_j = 1/(j+2).  Returns (estimate,
-    error estimate) at the saturation depth of the table.
+
+def _level_nodes(level: int, x_max: float) -> tuple:
+    """Trapezoid nodes of one level on [-x_max, x_max] and the step:
+    every node at the first level, the new (odd) nodes after it."""
+    h = x_max / 2.0 ** level
+    if level == _FIRST_LEVEL:
+        return np.arange(-x_max, x_max + 0.5 * h, h), h
+    return np.arange(-x_max + h, x_max, 2.0 * h), h
+
+
+def _tanh_sinh(x, length: float):
+    """Nodes in (0, length) and Jacobian of the tanh-sinh map."""
+    s = _HALF_PI * np.sinh(x)
+    # distance to the nearer endpoint without cancellation
+    q = np.exp(-2.0 * np.abs(s))
+    delta = length * q / (1.0 + q)
+    u = np.where(x < 0.0, delta, length - delta)
+    return u, 0.5 * length * _HALF_PI * np.cosh(x) / np.cosh(s) ** 2
+
+
+def _exp_sinh(x):
+    """Nodes in (0, oo) and Jacobian of the exp-sinh map."""
+    with np.errstate(over="ignore"):
+        r = np.exp(_HALF_PI * np.sinh(x))
+        return r, _HALF_PI * np.cosh(x) * r
+
+
+class _Piece:
+    """One of head, ray and tail: per level, its nodes t = u^2 and the
+    weight-free factor a of the integrand (Jacobian, du/dr, 2u and the
+    kernel or term values), so that the level's sum is h * Re sum a w(t)."""
+
+    def __init__(self, x_max: float, factor):
+        self.x_max = x_max
+        self.factor = factor            # x -> (t, a)
+        self.value = self.mass = 0.0
+        self.diff = np.inf
+        self.n_evals = 0
+
+    def add_level(self, level: int, weight) -> None:
+        x, h = _level_nodes(level, self.x_max)
+        t, a = self.factor(x)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore",
+                         divide="ignore"):
+            v = a * weight(t)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            # the transform has damped the extreme tails below any
+            # tolerance; a non-finite value in the core is an error
+            if np.any(np.abs(x[bad]) < 0.75 * self.x_max):
+                raise DomainError("integrand returned non-finite values")
+            v = np.where(bad, 0.0, v)
+        s, m = h * float(np.sum(v.real)), h * float(np.sum(np.abs(v)))
+        if level == _FIRST_LEVEL:
+            self.value, self.mass = s, m
+        else:
+            new = 0.5 * self.value + s
+            self.diff = abs(new - self.value)
+            self.value, self.mass = new, 0.5 * self.mass + m
+        self.n_evals += x.size
+
+
+def _pieces(terms: list, kernel, u0: float, memo: dict) -> list:
+    def head(x):
+        u, jac = _tanh_sinh(x, u0)
+        t = u * u
+        return t, 2.0 * u * jac * kernel(t)
+
+    def on_path(rotate, group):
+        def values(u, jac):
+            with np.errstate(over="ignore", invalid="ignore"):
+                a = rotate * jac * 2.0 * u * sum(tm(u) for tm in group)
+            return a if rotate != 1.0 else a.real
+
+        def factor(x):
+            r, jac = _exp_sinh(x)
+            u = u0 + rotate * r
+            # one memo entry per node set: ray nodes are complex, tail
+            # nodes real and past u0 (the head's are below it)
+            a = _values_on_nodes(memo, u, lambda u: values(u, jac))
+            with np.errstate(over="ignore", invalid="ignore"):
+                return u * u, a
+        return factor
+
+    rays = [tm for tm in terms if tm.frequency > 0.0]
+    flat = [tm for tm in terms if tm.frequency == 0.0]
+    out = [_Piece(_TS_MAX, head)]
+    if rays:
+        out.append(_Piece(_ES_MAX, on_path(_RAY, rays)))
+    if flat:
+        out.append(_Piece(_ES_MAX, on_path(1.0, flat)))
+    return out
+
+
+def _head_length(terms) -> float:
+    """u0 = 2 pi over the smallest Hankel scale or frequency: past it
+    every Hankel factor is in its oscillatory regime, so the terms
+    carry no cancelling singular parts."""
+    scales = [s for tm in terms for _, _, s, _ in tm.factors] \
+        + [abs(tm.omega) for tm in terms]
+    scales = [s for s in scales if s > 0.0]
+    return 2.0 * np.pi / min(scales) if scales else 1.0
+
+
+def integrate_oscillatory(weight, terms, kernel, tol: float = 1e-7,
+                          memo: dict = None) -> QuadResult:
+    """Integral of kernel(t) * weight(t) over (0, oo), where
+    kernel(t) = Re sum(term(sqrt t) for term in terms).
+
+    weight is called on real and complex t (see the module docstring);
+    kernel only on real t in (0, u0^2].  memo keeps the term values per
+    node set across calls with the same terms.
+
+    The error estimate is the sum of the last differences of the
+    trapezoid sequences plus a rounding floor, 64 eps times the integral
+    of |integrand| along the paths (info["mass"]); both scale with the
+    integrand.  The result has converged when the estimate is within
+    tol * |value|.  Where the floor alone is not, the value is below
+    what double precision resolves on these paths, and info["reason"]
+    says so.
     """
-    n = sums.size
-    if n < 4:
-        return float(sums[-1]), np.inf
-    xs = 1.0 / np.arange(2.0, n + 2.0)
-    omega = np.arange(2.0, n + 2.0) * cells
-    omega = np.where(omega == 0.0, 1e-300, omega)
-    M = sums / omega
-    N = 1.0 / omega
-    history = []
-    best = (float(sums[-1]), np.inf)
-    for k in range(1, min(max_depth, n - 1) + 1):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            M = (M[1:] - M[:-1]) / (xs[k:] - xs[:-k])
-            N = (N[1:] - N[:-1]) / (xs[k:] - xs[:-k])
-            est = M[-1] / N[-1]
-        history.append(est)
-        if k >= 2 and np.isfinite(history[-1]) and np.isfinite(history[-2]):
-            err = abs(history[-1] - history[-2])
-            if k >= 3 and np.isfinite(history[-3]):
-                err += abs(history[-2] - history[-3])
-            else:
-                err *= 2.0
-            if err < best[1]:
-                best = (float(est), err)
-    return best
-
-
-def integrate_oscillatory(f, sqrt_frequencies: tuple,
-                          tol: float = 1e-7) -> QuadResult:
-    """Integral of f over (0, infinity) for kernels oscillating in sqrt(t).
-
-    sqrt_frequencies holds the frequencies of the oscillatory factors as
-    functions of u = sqrt(t): a for J_mu(a sqrt t) or trig(a sqrt t).
-    """
-    freqs = tuple(sqrt_frequencies)
-    if not freqs or min(freqs) <= 0.0:
-        raise DomainError("sqrt_frequencies must be nonempty and positive")
-    base = _common_base(freqs)
-    period = 2.0 * np.pi / base
-    # resolve the fastest possible beat of products of the given factors
-    w_fast = 2.0 * sum(freqs)
-    panels = int(max(6, np.ceil(w_fast * period / np.pi)))
-
-    def g(u):
-        return 2.0 * u * f(u * u)
-
-    head = tanh_sinh_finite(g, 0.0, period, tol=1e-13)
-    n_evals = head.n_evals
-    quad_err = head.err_estimate
-
-    cells: list[float] = []
-    sums: list[float] = []
-    total = head.value
-    best = (total, np.inf)
-    converged = False
-    for target in (16, 24, 32, 40, 56, 72, 96, 128):
-        while len(cells) < target:
-            k = len(cells)
-            lo = (k + 1.0) * period
-            c, e, ne = _composite_gk(g, lo, lo + period, panels)
-            n_evals += ne
-            quad_err += e
-            total += c
-            cells.append(c)
-            sums.append(total)
-        est, err = _sidi_w(np.asarray(sums), np.asarray(cells))
-        if np.isfinite(est) and err < best[1]:
-            best = (est, err)
-        # rapidly damped envelopes terminate the cell series outright;
-        # the raw sum then beats any extrapolation
-        tail = abs(cells[-1]) + abs(cells[-2])
-        if tail < best[1]:
-            best = (total, tail)
-        scale = max(abs(best[0]), 1e-300)
-        if best[1] + quad_err <= tol * scale:
-            converged = True
+    if not terms or min(tm.frequency for tm in terms) < 0.0:
+        raise DomainError("integrate_oscillatory needs a nonempty term list "
+                          "with net frequencies >= 0")
+    u0 = _head_length(terms)
+    pieces = _pieces(terms, kernel, u0, {} if memo is None else memo)
+    live = list(pieces)
+    level = _FIRST_LEVEL
+    while True:
+        for piece in live:
+            piece.add_level(level, weight)
+        value = sum(p.value for p in pieces)
+        floor = _ROUNDING * sum(p.mass for p in pieces)
+        if level > _FIRST_LEVEL:
+            budget = max(tol * abs(value) - floor, floor) / len(pieces)
+            live = [p for p in live if p.diff > budget]
+        if not live or level == _MAX_LEVEL:
             break
-    err_estimate = best[1] + quad_err if np.isfinite(best[1]) else abs(total - best[0]) + quad_err
-    return QuadResult(best[0], err_estimate, n_evals, converged,
-                      info={"cells": len(cells), "period": period,
-                            "raw_tail_sum": total})
+        level += 1
+    err = sum(p.diff for p in pieces) + floor
+    converged = err <= tol * abs(value)
+    info = {"u0": u0, "levels": level, "mass": floor / _ROUNDING}
+    if not converged:
+        if floor >= 0.5 * tol * abs(value):
+            info["reason"] = (f"{UNRESOLVED}: tol * |value| = "
+                              f"{tol * abs(value):.3g}, rounding floor "
+                              f"{floor:.3g}")
+        else:
+            info["reason"] = f"no convergence by level {_MAX_LEVEL}"
+    return QuadResult(value, err, sum(p.n_evals for p in pieces), converged,
+                      info=info)

@@ -30,8 +30,9 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError, UnsupportedVariantError
-from .quad import (QuadResult, _values_on_nodes, integrate_oscillatory,
-                   integrate_singular_decay, tanh_sinh_finite)
+from .quad import (HankelTerm, QuadResult, _values_on_nodes,
+                   integrate_oscillatory, integrate_singular_decay,
+                   tanh_sinh_finite)
 from .smoothfn import frozen_expsinh_nodes
 from .specfun import tricomi_boundary_mod2, tricomi_psi
 
@@ -155,7 +156,8 @@ class _Entry:
     defaults: dict
     anchor: str                   # source of the identity in the paper
     kernel: object = None         # (params, t array) -> array
-    freqs: object = None          # params -> sqrt(t) frequencies; None: exp-sinh
+    terms: object = None          # params -> HankelTerms, Re sum = kernel
+                                  # at u = sqrt(t); None: exp-sinh rule
     const: object = None          # (params, z) -> constant term (default 0)
     z_factor: bool = False        # integral carries z/(z+t) instead of 1/(z+t)
     hard: bool = False            # residual tolerance _HARD, else _TIGHT
@@ -202,6 +204,16 @@ def _gamma_small(nu, a, b, t):
     return (jn * np.cos(s) + yn * np.sin(s)) / (jn**2 + yn**2)
 
 
+def _pair_terms(coef, power, omega, j_factor, *factors):
+    """J_nu(s u) * Re[coef u^power e^{i omega u} * prod(factors)] as two
+    Hankel terms, from J = (H1 + H2) / 2 with j_factor = (nu, s): J is
+    real on the real axis, so it moves inside the real part."""
+    nu, s = j_factor
+    return tuple(HankelTerm(0.5 * coef, power, omega,
+                            ((kind, nu, s, 1),) + factors)
+                 for kind in (1, 2))
+
+
 def _build_catalog():
     cat = {}
 
@@ -218,7 +230,8 @@ def _build_catalog():
         lhs=iexp_lhs,
         kernel=lambda p, t: (1.0 / np.pi) * t ** (-0.5 * p["mu"])
         * _sp.jv(p["mu"], p["a"] * np.sqrt(t)) * np.sin(p["a"] * np.sqrt(t)),
-        freqs=lambda p: (p["a"], p["a"]),
+        terms=lambda p: _pair_terms(-1j / np.pi, -p["mu"], p["a"],
+                                    (p["mu"], p["a"])),
         defaults={"mu": 1.0, "a": 1.0},
         anchor="Theorem thIfirst",
     )
@@ -246,7 +259,10 @@ def _build_catalog():
         kernel=lambda p, t: 0.5 * t ** (0.5 * (p["nu"] - p["mu"]))
         * _sp.jv(p["mu"], p["a"] * np.sqrt(t))
         * _sp.jv(p["nu"], p["b"] * np.sqrt(t)),
-        freqs=lambda p: (p["a"], p["b"]),
+        # H2_mu(a u) H1_nu(b u) has net frequency b - a >= 0
+        terms=lambda p: _pair_terms(0.5, p["nu"] - p["mu"], 0.0,
+                                    (p["mu"], p["a"]),
+                                    (1, p["nu"], p["b"], 1)),
         defaults={"mu": 0.6, "nu": 0.8, "a": 0.75, "b": 1.0},
         anchor="eq. (eqproddifpar)",
         options=("extended_domain",),
@@ -258,7 +274,8 @@ def _build_catalog():
         lhs=lambda p, z: 2.0 * _iv_scaled(p["mu"], _sqrtz(z))
         * _kv_scaled(p["mu"], _sqrtz(z)),
         kernel=lambda p, t: _sp.jv(p["mu"], np.sqrt(t)) ** 2,
-        freqs=lambda p: (1.0, 1.0),
+        terms=lambda p: _pair_terms(1.0, 0.0, 0.0, (p["mu"], 1.0),
+                                    (1, p["mu"], 1.0, 1)),
         defaults={"mu": 0.7},
         anchor="eq. (eqprod1)",
     )
@@ -283,7 +300,10 @@ def _build_catalog():
                              "IK_EXP requires mu, nu > -1 and a, b > 0"),
         lhs=ikexp_lhs,
         kernel=ikexp_kernel,
-        freqs=lambda p: (p["a"], p["b"], p["a"]),
+        # J_nu cos - Y_nu sin = Re[e^{iau} H1_nu(bu)]
+        terms=lambda p: _pair_terms(0.5, p["nu"] - p["mu"], p["a"],
+                                    (p["mu"], p["a"]),
+                                    (1, p["nu"], p["b"], 1)),
         defaults={"mu": 0.8, "nu": 0.6, "a": 0.4, "b": 0.5},
         anchor="Theorem theprodIKexprepr2",
     )
@@ -308,7 +328,10 @@ def _build_catalog():
                              "KK_PROD requires mu, nu >= 0 and a, b > 0"),
         lhs=kkprod_lhs,
         kernel=kkprod_kernel,
-        freqs=lambda p: (p["a"], p["b"]),
+        # J_mu Y_nu + J_nu Y_mu = Im[H1_mu(au) H1_nu(bu)]
+        terms=lambda p: (HankelTerm(0.25j * np.pi, p["mu"] + p["nu"], 0.0,
+                                    ((1, p["mu"], p["a"], 1),
+                                     (1, p["nu"], p["b"], 1))),),
         defaults={"mu": 0.3, "nu": 0.6, "a": 0.2, "b": 0.3},
         anchor="eq. (eqprodK1)",
     )
@@ -330,7 +353,11 @@ def _build_catalog():
         * _sp.jv(p["mu"], p["a"] * np.sqrt(t))
         * _sp.jv(p["nu"], p["b"] * np.sqrt(t))
         * np.sin((p["a"] + p["b"]) * np.sqrt(t)),
-        freqs=lambda p: (p["a"], p["b"], p["a"] + p["b"]),
+        # J_mu J_nu sin(s) = Re[-i e^{is} (H1 + H2)_mu (H1 + H2)_nu / 4]
+        terms=lambda p: tuple(
+            HankelTerm(-0.25j / np.pi, -(p["mu"] + p["nu"]), p["a"] + p["b"],
+                       ((k, p["mu"], p["a"], 1), (j, p["nu"], p["b"], 1)))
+            for k in (1, 2) for j in (1, 2)),
         defaults={"mu": 0.7, "nu": 0.6, "a": 0.2, "b": 0.3},
         anchor="eq. (prodeqI)",
     )
@@ -350,7 +377,11 @@ def _build_catalog():
         kernel=lambda p, t: (4.0 / np.pi**3)
         * t ** (-0.5 * (p["mu"] + p["nu"]))
         * _gamma_big(p["mu"], p["nu"], p["a"], p["b"], t),
-        freqs=lambda p: (p["a"], p["b"], p["a"] + p["b"]),
+        # Gamma = Re[i e^{i(a+b)u} / (H1_mu(au) H1_nu(bu))]
+        terms=lambda p: (HankelTerm(4j / np.pi**3, -(p["mu"] + p["nu"]),
+                                    p["a"] + p["b"],
+                                    ((1, p["mu"], p["a"], -1),
+                                     (1, p["nu"], p["b"], -1))),),
         defaults={"mu": 0.8, "nu": 0.7, "a": 0.3, "b": 0.4},
         anchor="Theorem recprodKrepr",
         hard=True,
@@ -372,7 +403,10 @@ def _build_catalog():
         * t ** (-0.5 * (p["mu"] + p["nu"]))
         * _sp.jv(p["mu"], p["a"] * np.sqrt(t))
         * _gamma_small(p["nu"], p["a"], p["b"], t),
-        freqs=lambda p: (p["a"], p["b"], p["a"] + p["b"]),
+        # gamma = Re[e^{i(a+b)u} / H1_nu(bu)]
+        terms=lambda p: _pair_terms(-2.0 / np.pi**2, -(p["mu"] + p["nu"]),
+                                    p["a"] + p["b"], (p["mu"], p["a"]),
+                                    (1, p["nu"], p["b"], -1)),
         defaults={"mu": 0.8, "nu": 0.6, "a": 0.3, "b": 0.4},
         anchor="Theorem theoquotIK",
         hard=True,
@@ -390,7 +424,8 @@ def _build_catalog():
         lhs=krecip_lhs,
         kernel=lambda p, t: -(2.0 / np.pi**2) * t ** (-0.5 * p["nu"])
         * _gamma_small(p["nu"], 0.0, p["b"], t),
-        freqs=lambda p: (p["b"], p["b"]),
+        terms=lambda p: (HankelTerm(-2.0 / np.pi**2, -p["nu"], p["b"],
+                                    ((1, p["nu"], p["b"], -1),)),),
         defaults={"nu": 0.8, "b": 0.5},
         anchor="Corollary theoquotIKcoro",
     )
@@ -581,13 +616,20 @@ class IdentityRecord:
         return _values_on_nodes(self._kernel_memo, t,
                                 lambda t: self._entry().kernel(self.p, t))
 
-    def _integrate_kernel(self, f, tol: float) -> QuadResult:
-        """Integral of f over (0, oo) on the entry's engine: the
-        oscillatory one for kernels oscillating in sqrt(t), else exp-sinh."""
-        freqs = self._entry().freqs
-        if freqs is None:
+    @cached_property
+    def _contour_memo(self) -> dict:
+        # Hankel-term values per node set of the contour engine's paths
+        return {}
+
+    def _integrate_kernel(self, weight, f, tol: float) -> QuadResult:
+        """Integral of kernel * weight over (0, oo) on the entry's engine:
+        contour rotation of its Hankel terms, else exp-sinh of f, the
+        same integrand written out."""
+        terms = self._entry().terms
+        if terms is None:
             return integrate_singular_decay(f, tol=tol)
-        return integrate_oscillatory(f, freqs(self.p), tol=tol)
+        return integrate_oscillatory(weight, terms(self.p), self._kernel_at,
+                                     tol=tol, memo=self._contour_memo)
 
     def measure_density(self, t):
         """Density recovered by Perron-Stieltjes inversion of the LHS.
@@ -608,11 +650,9 @@ class IdentityRecord:
         if e.rhs is not None:
             return e.rhs(p)
         tol = tol if tol is not None else 0.01 * self.tol
-
-        def f(t):
-            return self._kernel_at(t) / (z + t)
-
-        r = self._integrate_kernel(f, tol)
+        r = self._integrate_kernel(lambda t: 1.0 / (z + t),
+                                   lambda t: self._kernel_at(t) / (z + t),
+                                   tol)
         value = r.value * (z if e.z_factor else 1.0)
         if e.const is not None:
             value += e.const(p, z)
@@ -635,11 +675,12 @@ class IdentityRecord:
         if s <= 0.0:
             raise DomainError("laplace_density requires s > 0")
 
-        def f(t):
+        def weight(t):
             with np.errstate(over="ignore", under="ignore"):
-                return np.exp(-s * t) * self._kernel_at(t)
+                return np.exp(-s * t)
 
-        return self._integrate_kernel(f, tol)
+        return self._integrate_kernel(
+            weight, lambda t: weight(t) * self._kernel_at(t), tol)
 
     def kernel_mass(self, tol: float = 1e-9) -> QuadResult:
         """Total mass of the inner-Laplace density by Fubini:
@@ -647,11 +688,8 @@ class IdentityRecord:
         if not self._entry().laplace:
             raise UnsupportedVariantError(
                 f"{self.name} has no inner-Laplace density")
-
-        def f(t):
-            return self._kernel_at(t) / t
-
-        return self._integrate_kernel(f, tol)
+        return self._integrate_kernel(lambda t: 1.0 / t,
+                                      lambda t: self._kernel_at(t) / t, tol)
 
     # -- Perron-Stieltjes inversion -----------------------------------------
     inversion_anchor = "Lemma 7"

@@ -15,6 +15,7 @@ from besselid import checks
 from besselid.cli import RunConfig, main
 from besselid.distributions import DIST_KINDS, laplace_closed, pdf
 from besselid.errors import ConvergenceError, DomainError
+from besselid.quad.oscillatory import UNRESOLVED
 
 
 @pytest.fixture()
@@ -181,6 +182,23 @@ def test_verify_all_matches_golden_report(runner):
     want = json.loads(GOLDEN_REPORT.read_text())
     assert [r["id"] for r in rep["rows"]] == [r["id"] for r in want["rows"]]
     _assert_matches_golden(rep, want)
+
+
+def test_verify_identities_wide_grid(runner):
+    # z in 1e-6..1e6: no fail, and every inconclusive row names the
+    # engine's resolution reason; only the three entries whose left side
+    # falls to e^{-250} or below by z = 1e6 are inconclusive
+    r = runner.invoke(main, ["verify", "identities", "--stable",
+                             "--grid", "1e-6:1e6:13"])
+    rows = json.loads(r.output)["rows"]
+    assert r.exit_code == 3
+    assert len(rows) == 17
+    assert not [row["id"] for row in rows if row["verdict"] == "fail"]
+    open_rows = [row for row in rows if row["verdict"] == "inconclusive"]
+    assert sorted(row["id"] for row in open_rows) == [
+        "identity:IK_EXP", "identity:IK_PROD", "identity:KK_PROD"]
+    for row in open_rows:
+        assert UNRESOLVED in row["witness"], row
 
 
 IMPORT_GUARD = """

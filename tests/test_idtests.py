@@ -420,21 +420,22 @@ def test_absmon_i_product(mu, u):
 
 
 def _absmon_per_point(mu, u, w_grid, max_order, iv=sp.iv):
-    """absmon_check as one CauchyLadder and one cm_check per point, as
-    before the grid went in one ladder call."""
-    reports = []
-    for w0 in w_grid:
-        def f(w):
-            v = 0.5 * (w + np.sqrt(w * w - 4.0 + 0j))
-            return iv(mu, u * v) * iv(mu, u / v)
-        ladder = smoothfn.CauchyLadder(
-            f, radius_factor=0.45, radius_shift=-(2.0 + 0.55 * (w0 - 2.0)))
-        reports.append(cm_check(ladder, (w0,), max_order, 1e-9,
-                                signs="positive"))
-    bad = [r for r in reports if not r.passed]
-    return idtests.CMReport(tuple(w_grid), max_order,
-                            min(r.worst_margin for r in reports), not bad,
-                            bad[0].witness if bad else None)
+    """absmon_check with one CauchyLadder per point, as before the grid
+    went in one ladder call, and each order scaled by its largest
+    |value| over the grid."""
+    def f(w):
+        v = 0.5 * (w + np.sqrt(w * w - 4.0 + 0j))
+        return iv(mu, u * v) * iv(mu, u / v)
+
+    table = np.array([smoothfn.CauchyLadder(
+        f, radius_factor=0.45, radius_shift=-(2.0 + 0.55 * (w0 - 2.0))
+    ).derivatives(np.array([w0]), max_order)[0] for w0 in w_grid])
+    margins = table / np.max(np.abs(table), axis=0)
+    bad = [i for i, m in enumerate(margins) if m.min() < -1e-9]
+    witness = (w_grid[bad[0]], int(np.argmin(margins[bad[0]]))) \
+        if bad else None
+    return idtests.CMReport(tuple(w_grid), max_order, float(margins.min()),
+                            not bad, witness)
 
 
 def _absmon_grid(seed):
@@ -449,6 +450,17 @@ def test_absmon_check_equals_per_point_loop():
             w = _absmon_grid(seed)
             assert absmon_check(mu, u, w_grid=w, max_order=6) \
                 == _absmon_per_point(mu, u, w, 6), (mu, u, seed)
+
+
+def test_absmon_margin_carries_magnitude():
+    # the order-6 derivative at w = 2.2 is tiny next to its value at
+    # w = 20; scaled over the grid, as in cm_check, the margin says so
+    # (a point scaled by itself gives exactly 1)
+    rep = absmon_check(0.7, 0.5, w_grid=(2.2, 20.0), max_order=6)
+    assert rep.passed and rep.witness is None
+    assert 0.0 < rep.worst_margin < 1e-3
+    assert absmon_check(0.7, 0.5, w_grid=(2.2,), max_order=6) \
+        .worst_margin == 1.0
 
 
 def test_absmon_check_witness_equals_per_point_loop(monkeypatch):

@@ -8,7 +8,7 @@ from scipy import special as sp
 
 from besselid.distributions import DIST_KINDS, pdf
 from besselid.errors import DomainError
-from besselid.quad import (integrate_oscillatory,
+from besselid.quad import (HankelTerm, integrate_oscillatory,
                            integrate_singular_decay, numeric_laplace,
                            tanh_sinh_finite)
 from besselid.quad.tanhsinh import _integrate_singular_decay_rows
@@ -87,9 +87,28 @@ def test_singular_decay_rows_equal_one_row_calls():
 # oscillatory sqrt-phase integrals
 # ----------------------------------------------------------------------
 
+def _j_squared(mu, a=1.0, coef=1.0):
+    """J_mu(a sqrt t)^2 as Hankel terms, with its closed kernel:
+    J^2 = Re[H1^2 / 2] + |H1|^2 / 2 on the real axis."""
+    h1 = (1, mu, a, 1)
+    terms = [HankelTerm(0.5 * coef, 0.0, 0.0, (h1, h1)),
+             HankelTerm(0.5 * coef, 0.0, 0.0, (h1, (2, mu, a, 1)))]
+    return terms, lambda t: coef * sp.jv(mu, a * np.sqrt(t)) ** 2
+
+
+def _cos_over_root(coef=1.0):
+    """cos(sqrt t) / (2 sqrt t) = Re[e^{iu} / (2u)] at u = sqrt t."""
+    return ([HankelTerm(0.5 * coef, -1.0, 1.0)],
+            lambda t: coef * np.cos(np.sqrt(t)) / (2.0 * np.sqrt(t)))
+
+
+def _stieltjes(z):
+    return lambda t: 1.0 / (z + t)
+
+
 def test_oscillatory_j0_squared_stieltjes():
-    r = integrate_oscillatory(
-        lambda t: sp.j0(np.sqrt(t)) ** 2 / (1.0 + t), (1.0, 1.0), tol=1e-9)
+    terms, kernel = _j_squared(0.0)
+    r = integrate_oscillatory(_stieltjes(1.0), terms, kernel, tol=1e-9)
     want = 2.0 * sp.iv(0, 1.0) * sp.kv(0, 1.0)
     assert r.converged
     assert r.value == pytest.approx(want, rel=1e-8)
@@ -98,27 +117,27 @@ def test_oscillatory_j0_squared_stieltjes():
 def test_oscillatory_cosine_closed_form():
     # u = sqrt(t): int_0^oo cos(sqrt t)/(2 sqrt t (1+t)) dt
     #            = int_0^oo cos(u)/(1+u^2) du = pi/(2e)
-    r = integrate_oscillatory(
-        lambda t: np.cos(np.sqrt(t)) / (2.0 * np.sqrt(t) * (1.0 + t)),
-        (1.0,), tol=1e-9)
+    terms, kernel = _cos_over_root()
+    r = integrate_oscillatory(_stieltjes(1.0), terms, kernel, tol=1e-9)
     assert r.value == pytest.approx(np.pi / (2.0 * np.e), rel=1e-8)
 
 
-def test_oscillatory_rejects_empty_or_nonpositive_frequencies():
-    # a kernel without sqrt(t) frequencies belongs to exp-sinh, which
-    # the caller picks
-    for freqs in ((), (0.0,), (1.0, -1.0)):
+def test_oscillatory_rejects_empty_or_negative_frequency_terms():
+    # a term of negative net frequency is to be written as its conjugate
+    for terms in ([], [HankelTerm(1.0, 0.0, -1.0)],
+                  [HankelTerm(1.0, 0.0, 0.0, ((2, 0.0, 1.0, 1),))]):
         with pytest.raises(DomainError):
-            integrate_oscillatory(lambda t: np.exp(-t), freqs, tol=1e-10)
+            integrate_oscillatory(_stieltjes(1.0), terms,
+                                  lambda t: np.exp(-t), tol=1e-10)
 
 
 def test_oscillatory_linearity():
-    f = lambda t: np.cos(np.sqrt(t)) / (2.0 * np.sqrt(t) * (1.0 + t))
-    g = lambda t: sp.j0(np.sqrt(t)) ** 2 / (1.0 + t)
-    rf = integrate_oscillatory(f, (1.0,), tol=1e-9)
-    rg = integrate_oscillatory(g, (1.0, 1.0), tol=1e-9)
+    (f_terms, f), (g_terms, g) = _cos_over_root(), _j_squared(0.0)
+    rf = integrate_oscillatory(_stieltjes(1.0), f_terms, f, tol=1e-9)
+    rg = integrate_oscillatory(_stieltjes(1.0), g_terms, g, tol=1e-9)
     rc = integrate_oscillatory(
-        lambda t: 2.0 * f(t) + 3.0 * g(t), (1.0, 1.0), tol=1e-9)
+        _stieltjes(1.0), _cos_over_root(2.0)[0] + _j_squared(0.0, coef=3.0)[0],
+        lambda t: 2.0 * f(t) + 3.0 * g(t), tol=1e-9)
     combined = 2.0 * rf.value + 3.0 * rg.value
     budget = 2.0 * rf.err_estimate + 3.0 * rg.err_estimate + rc.err_estimate
     assert abs(rc.value - combined) <= max(budget, 1e-8)
@@ -143,9 +162,9 @@ def test_laplace_of_mckay1_pdf():
 def test_laplace_of_j_squared_gives_bessel_kernel():
     # int e^{-xt} J_mu^2(sqrt t) dt = (1/x) e^{-1/(2x)} I_mu(1/(2x))
     mu, x = 1.0, 0.8
-    f = lambda t: sp.jv(mu, np.sqrt(t)) ** 2
-    r = integrate_oscillatory(
-        lambda t: np.exp(-x * t) * f(t), (1.0, 1.0), tol=1e-10)
+    terms, kernel = _j_squared(mu)
+    r = integrate_oscillatory(lambda t: np.exp(-x * t), terms, kernel,
+                              tol=1e-10)
     want = np.exp(-0.5 / x) * sp.iv(mu, 0.5 / x) / x
     assert r.value == pytest.approx(want, rel=1e-8)
 
@@ -180,8 +199,14 @@ def _battery():
     def sd(f, want, tol=1e-11):
         cases.append((lambda: integrate_singular_decay(f, tol=tol), want))
 
-    def osc(f, freqs, want, tol=1e-8):
-        cases.append((lambda: integrate_oscillatory(f, freqs, tol=tol), want))
+    def osc(weight, case, want, tol=1e-8):
+        # each case as given and scaled by 1e-12 and by 1e12: the
+        # estimate must not depend on the size of the integrand
+        for scale in (1.0, 1e-12, 1e12):
+            terms, kernel = case(scale)
+            cases.append((lambda w=weight, tm=terms, k=kernel:
+                           integrate_oscillatory(w, tm, k, tol=tol),
+                           scale * want))
 
     ts(lambda x: x ** 3, 0.0, 1.0, 0.25, tol=1e-10)
     ts(np.cos, 0.0, 1.0, np.sin(1.0), tol=1e-10)
@@ -198,15 +223,14 @@ def _battery():
     sd(lambda t: np.exp(-2.0 * t) / np.sqrt(t), np.sqrt(np.pi / 2.0))
     sd(lambda t: 1.0 / (1.0 + t) ** 1.5, 2.0)
     sd(lambda t: t / (1.0 + t ** 3), 2.0 * np.pi / (3.0 * np.sqrt(3.0)))
-    osc(lambda t: sp.j0(np.sqrt(t)) ** 2 / (1.0 + t), (1.0, 1.0),
+    osc(_stieltjes(1.0), lambda c: _j_squared(0.0, coef=c),
         2.0 * sp.iv(0, 1.0) * sp.kv(0, 1.0))
-    osc(lambda t: sp.jv(1.0, np.sqrt(t)) ** 2 / (2.0 + t), (1.0, 1.0),
+    osc(_stieltjes(2.0), lambda c: _j_squared(1.0, coef=c),
         2.0 * sp.iv(1, np.sqrt(2.0)) * sp.kv(1, np.sqrt(2.0)))
-    osc(lambda t: np.cos(np.sqrt(t)) / (2.0 * np.sqrt(t) * (1.0 + t)),
-        (1.0,), np.pi / (2.0 * np.e))
-    osc(lambda t: np.exp(-t) * sp.j0(np.sqrt(t)) ** 2, (1.0, 1.0),
+    osc(_stieltjes(1.0), _cos_over_root, np.pi / (2.0 * np.e))
+    osc(lambda t: np.exp(-t), lambda c: _j_squared(0.0, coef=c),
         np.exp(-0.5) * sp.iv(0, 0.5))
-    osc(lambda t: sp.j0(2.0 * np.sqrt(t)) ** 2 / (1.0 + t), (2.0, 2.0),
+    osc(_stieltjes(1.0), lambda c: _j_squared(0.0, 2.0, coef=c),
         2.0 * sp.iv(0, 2.0) * sp.kv(0, 2.0))
     sd(lambda t: np.exp(-t) * np.cos(t), 0.5)
     ts(lambda x: np.abs(x - 0.3) ** 0.5, 0.0, 1.0,

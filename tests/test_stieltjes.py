@@ -12,6 +12,7 @@ from besselid import stieltjes
 from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
 from besselid.quad import numeric_laplace
+from besselid.quad.oscillatory import _ROUNDING, UNRESOLVED
 from besselid.specfun import kummer_m
 from besselid.stieltjes import (_tricomi_complex, catalog_names,
                                 default_params, make_identity, rows_to_csv,
@@ -244,6 +245,145 @@ def test_kummer_pair_wronskian(ac):
             * kummer_m(a - c + 2.0, 3.0 - c, x)
         want = (1.0 - c) * x ** (-c) * np.exp(x)
         assert y1 * d2 - y2 * d1 == pytest.approx(want, rel=1e-9)
+
+
+# ----------------------------------------------------------------------
+# Hankel terms of the oscillatory kernels and the contour engine
+# ----------------------------------------------------------------------
+
+OSCILLATORY = ("I_EXP", "IK_PROD", "IK_EQUAL", "IK_EXP", "KK_PROD",
+               "II_EXP", "KK_RECIP", "IK_QUOT", "K_RECIP")
+TERM_T = np.logspace(-6.0, 6.0, 40)
+
+
+def _mp_kernel(name, p, u):
+    """The paper's kernels at u = sqrt(t) in mpmath, from J and Y."""
+    mu, nu = mp.mpf(p.get("mu", 0.0)), mp.mpf(p.get("nu", 0.0))
+    a, b = mp.mpf(p.get("a", 1.0)), mp.mpf(p.get("b", 1.0))
+    jm, ym = mp.besselj(mu, a * u), mp.bessely(mu, a * u)
+    jn, yn = mp.besselj(nu, b * u), mp.bessely(nu, b * u)
+    s = (a + b) * u
+    if name == "I_EXP":
+        return u ** -mu * jm * mp.sin(a * u) / mp.pi
+    if name == "IK_PROD":
+        return u ** (nu - mu) * jm * jn / 2
+    if name == "IK_EQUAL":
+        return mp.besselj(mu, u) ** 2
+    if name == "IK_EXP":
+        return u ** (nu - mu) * jm * (jn * mp.cos(a * u)
+                                      - yn * mp.sin(a * u)) / 2
+    if name == "KK_PROD":
+        return -mp.pi / 4 * u ** (mu + nu) * (jm * yn + jn * ym)
+    if name == "II_EXP":
+        return u ** -(mu + nu) * jm * jn * mp.sin(s) / mp.pi
+    if name == "KK_RECIP":
+        t1, t2 = jm * yn + jn * ym, jm * jn - ym * yn
+        return 4 / mp.pi ** 3 * u ** -(mu + nu) \
+            * (t1 * mp.cos(s) - t2 * mp.sin(s)) \
+            / ((jm ** 2 + ym ** 2) * (jn ** 2 + yn ** 2))
+    if name == "IK_QUOT":
+        return -2 / mp.pi ** 2 * u ** -(mu + nu) * jm \
+            * (jn * mp.cos(s) + yn * mp.sin(s)) / (jn ** 2 + yn ** 2)
+    assert name == "K_RECIP"
+    return -2 / mp.pi ** 2 * u ** -nu \
+        * (jn * mp.cos(b * u) + yn * mp.sin(b * u)) / (jn ** 2 + yn ** 2)
+
+
+def _mp_term(term, u):
+    out = mp.mpc(term.coef) * u ** term.power * mp.expj(term.omega * u)
+    for kind, nu, s, e in term.factors:
+        j, y = mp.besselj(nu, s * u), mp.bessely(nu, s * u)
+        out *= (j + (1j if kind == 1 else -1j) * y) ** e
+    return out
+
+
+def _term_misfit(name, p, terms):
+    """Largest |Re sum(terms) - kernel| / sum|terms| over TERM_T, in
+    mpmath at 30 digits."""
+    worst = 0.0
+    with mp.workdps(30):
+        for t in TERM_T:
+            u = mp.sqrt(mp.mpf(t))
+            vals = [_mp_term(tm, u) for tm in terms]
+            scale = sum(abs(v) for v in vals)
+            miss = abs(mp.re(sum(vals)) - _mp_kernel(name, p, u))
+            worst = max(worst, float(miss / scale) if scale else np.inf)
+    return worst
+
+
+@pytest.mark.parametrize("name", OSCILLATORY)
+def test_hankel_terms_equal_kernel(name):
+    rec = make_identity(name)
+    terms = stieltjes._CATALOG[name].terms(rec.p)
+    assert _term_misfit(name, rec.p, terms) <= 1e-12
+    # the double-precision kernel and term values agree with mpmath
+    # on the same scale
+    with mp.workdps(30):
+        for t in TERM_T:
+            u = mp.sqrt(mp.mpf(t))
+            want = _mp_kernel(name, rec.p, u)
+            scale = float(sum(abs(_mp_term(tm, u)) for tm in terms))
+            got = sum(tm(np.sqrt(t)) for tm in terms).real
+            assert abs(got - float(want)) <= 1e-12 * scale, (name, t)
+            assert abs(float(rec.kernel_density(t)) - float(want)) \
+                <= 1e-12 * scale, (name, t)
+
+
+@pytest.mark.parametrize("name", OSCILLATORY)
+def test_hankel_term_mutations_fail(name):
+    rec = make_identity(name)
+    terms = list(stieltjes._CATALOG[name].terms(rec.p))
+    first = terms[0]
+    kind, nu, s, e = first.factors[0]
+    conjugated = dataclasses.replace(
+        first, factors=((3 - kind, nu, s, e),) + first.factors[1:])
+    scaled = dataclasses.replace(first, coef=first.coef * (1.0 + 1e-3))
+    for label, bad in (("dropped term", terms[1:]),
+                       ("conjugated factor", [conjugated] + terms[1:]),
+                       ("scaled coefficient", [scaled] + terms[1:])):
+        assert _term_misfit(name, rec.p, bad) > 1e-12, (name, label)
+
+
+def _mp_lhs(name, p, z):
+    """The left sides in mpmath, unscaled."""
+    g = {k: mp.mpf(v) for k, v in p.items()}
+    z = mp.mpf(z)
+    w = mp.sqrt(z)
+    mu, nu = g.get("mu", 0), g.get("nu", 0)
+    a, b = g.get("a", 1), g.get("b", 1)
+    i_mu, k_nu = mp.besseli(mu, a * w), mp.besselk(nu, b * w)
+    return {
+        "I_EXP": lambda: z ** (-mu / 2) * i_mu * mp.exp(-a * w),
+        "IK_PROD": lambda: z ** ((nu - mu) / 2) * i_mu * k_nu,
+        "IK_EQUAL": lambda: 2 * mp.besseli(mu, w) * mp.besselk(mu, w),
+        "IK_EXP": lambda: z ** ((nu - mu) / 2) * i_mu * k_nu * mp.exp(-a * w),
+        "KK_PROD": lambda: z ** ((mu + nu) / 2) * mp.besselk(mu, a * w) * k_nu,
+        "II_EXP": lambda: z ** (-(mu + nu) / 2) * i_mu
+        * mp.besseli(nu, b * w) * mp.exp(-(a + b) * w),
+        "KK_RECIP": lambda: z ** (-(mu + nu) / 2) * mp.exp(-(a + b) * w)
+        / (mp.besselk(mu, a * w) * k_nu),
+        "IK_QUOT": lambda: z ** (-(mu + nu) / 2) * i_mu / k_nu
+        * mp.exp(-(a + b) * w),
+        "K_RECIP": lambda: z ** (-nu / 2) * mp.exp(-b * w) / k_nu,
+    }[name]()
+
+
+@pytest.mark.parametrize("name", OSCILLATORY)
+def test_oscillatory_rhs_wide_z_against_mpmath(name):
+    # 13 z in 1e-6..1e6: within 1e-12 of the mpmath left side, or the
+    # left side is below what double precision resolves on the paths;
+    # that happens only where it is exponentially small
+    rec = make_identity(name)
+    for z in np.logspace(-6.0, 6.0, 13):
+        r = rec.stieltjes_rhs(float(z), tol=1e-12)
+        with mp.workdps(30):
+            want = _mp_lhs(name, rec.p, z)
+        if r.converged:
+            assert abs(r.value - want) <= 1e-12 * abs(want), (name, z)
+        else:
+            assert r.info["reason"].startswith(UNRESOLVED), (name, z)
+            assert 1e-12 * abs(want) < _ROUNDING * r.info["mass"]
+            assert name in ("IK_PROD", "IK_EXP", "KK_PROD") and z >= 1e2
 
 
 # ----------------------------------------------------------------------
