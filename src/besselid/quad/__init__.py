@@ -30,4 +30,3 @@ def numeric_laplace(f, x: float, tol: float = 1e-10) -> QuadResult:
             return np.exp(-x * t) * f(t)
 
     return integrate_singular_decay(g, tol=tol)
-

@@ -92,11 +92,12 @@ class HankelTerm:
         Hankel functions; zero where e^{i Omega u} is below e^{-700}."""
         u = np.asarray(u, dtype=complex)
         w = self.frequency
-        out = self.coef * u ** self.power * np.exp(
-            1j * w * np.where(w * u.imag > 700.0, 0.0, u))
+        dead = w * u.imag > 700.0
+        out = self.coef * u ** self.power \
+            * np.exp(1j * w * np.where(dead, 0.0, u))
         for kind, nu, s, e in self.factors:
             out = out * _hankel_scaled(kind, nu, s * u) ** e
-        return np.where(w * u.imag > 700.0, 0.0, out)
+        return np.where(dead, 0.0, out)
 
 
 def _hankel_scaled(kind: int, nu: float, x):

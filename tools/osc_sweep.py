@@ -1,0 +1,53 @@
+"""Time the z sweep of the nine oscillatory Stieltjes identities.
+
+    PYTHONPATH=src python3 tools/osc_sweep.py [--repeats 7]
+
+For each of the nine entries whose kernel oscillates in sqrt(t), makes a
+fresh record at its default parameters and evaluates `stieltjes_rhs` at
+the 25 z of logspace(-6, 6, 25), at the default tolerance.  One untimed
+sweep warms the imports and caches; the median of the timed sweeps is
+printed in ms, with each entry's median.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import time
+
+import numpy as np
+
+from besselid.stieltjes import make_identity
+
+ENTRIES = ("I_EXP", "IK_PROD", "IK_EQUAL", "IK_EXP", "KK_PROD", "II_EXP",
+           "KK_RECIP", "IK_QUOT", "K_RECIP")
+ZS = [float(z) for z in np.logspace(-6.0, 6.0, 25)]
+
+
+def sweep() -> dict:
+    """Seconds per entry of one sweep on fresh records."""
+    out = {}
+    for name in ENTRIES:
+        t0 = time.perf_counter()
+        rec = make_identity(name)
+        for z in ZS:
+            rec.stieltjes_rhs(z)
+        out[name] = time.perf_counter() - t0
+    return out
+
+
+def main() -> None:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--repeats", type=int, default=7)
+    args = p.parse_args()
+    sweep()
+    runs = [sweep() for _ in range(args.repeats)]
+    total = statistics.median(sum(r.values()) for r in runs)
+    print(f"median {total * 1e3:.1f} ms over {args.repeats} sweeps")
+    for name in ENTRIES:
+        ms = statistics.median(r[name] for r in runs) * 1e3
+        print(f"  {name:9s} {ms:6.1f} ms")
+
+
+if __name__ == "__main__":
+    main()
