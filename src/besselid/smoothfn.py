@@ -7,8 +7,11 @@ is represented by a "ladder" object that produces the whole derivative
 vector analytically:
 
 * rational terms c / (x + r)^p differentiate in closed form;
-* Mittag-Leffler sums over squared Bessel zeros reduce to rational
-  ladders over cached zeros, with a digamma closed form for the tail;
+* Mittag-Leffler sums over squared Bessel zeros sum a short head of
+  cached zeros exactly and the far zeros through a series in x over
+  their inverse-power moments, with closed forms beyond the last zero
+  (digamma at order 0, Hurwitz zeta above; orders >= 1 valid up to
+  x = r_N / 16);
 * Stieltjes transforms with a fixed positive kernel reduce to rational
   ladders over frozen double-exponential quadrature nodes;
 * anything with a complex-analytic closed form is differentiated by
@@ -17,7 +20,9 @@ vector analytically:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.special as _sp
@@ -133,17 +138,68 @@ class PowerLadder(Ladder):
         return out
 
 
+# The Mittag-Leffler sum at x is split after its first K(x) = max(_ML_HEAD,
+# number of r_k < _ML_GAP x) terms: those term by term, the rest through
+# _ML_TERMS + 1 terms of its series in x over inverse-power moments.
+_ML_HEAD = 64
+_ML_GAP = 16.0
+_ML_TERMS = 24
+_ML_BLOCK = 8
+
+
+@lru_cache(maxsize=None)
+def _ml_series_coefs(max_order: int) -> np.ndarray:
+    """(-1)^(n+m) (n+m)!/m!, the coefficient of x^m M_{n+1+m} in the
+    n-th derivative of sum_k 1/(x + r_k); rows n = 0..max_order,
+    columns m = 0.._ML_TERMS."""
+    c = np.array([[(-1) ** (n + m) * math.perm(n + m, n)
+                   for m in range(_ML_TERMS + 1)]
+                  for n in range(max_order + 1)], dtype=float)
+    c.setflags(write=False)
+    return c
+
+
+def _inverse_power_sums(inv, starts, n_p):
+    """sum(inv[s:] ** p) for each s of starts and p = 1..n_p, shape
+    (len(starts), n_p); the powers by repeated multiplication, at most
+    _ML_BLOCK of them held at a time."""
+    out = np.empty((len(starts), n_p))
+    rows = np.empty((min(_ML_BLOCK, n_p), inv.size))
+    prev = np.ones_like(inv)
+    for p0 in range(0, n_p, rows.shape[0]):
+        block = rows[:n_p - p0]
+        for row in block:
+            np.multiply(prev, inv, out=row)
+            prev = row
+        for g, s in enumerate(starts):
+            out[g, p0:p0 + block.shape[0]] = block[:, s:].sum(axis=1)
+    return out
+
+
 @dataclass(frozen=True)
 class MLSumLadder(Ladder):
     """Mittag-Leffler sum over squared Bessel zeros:
 
-        f(x) = sum_{n >= 1} 1 / (x + j_{mu,n}^2 / a^2)
+        f(x) = sum_{k >= 1} 1 / (x + r_k),   r_k = j_{mu,k}^2 / a^2,
              = (a / (2 sqrt x)) I_{mu+1}(a sqrt x) / I_mu(a sqrt x).
 
-    The first n_zeros zeros are summed explicitly; the order-0 tail is
-    evaluated in closed form through the digamma function applied to
-    the McMahon approximation of the remaining zeros, and higher-order
-    tails are negligible at this truncation depth.
+    At each x the first K(x) = max(64, number of r_k < 16 x) terms are
+    summed exactly.  The rest, k = K+1..n_zeros, all with x / r_k <= 1/16,
+    enter through
+
+        f^(n) rest = sum_{m <= 24} (-1)^(n+m) (n+m)!/m! x^m M_{n+1+m},
+        M_p = sum_{K < k <= n_zeros} r_k^{-p},
+
+    whose truncation is below rounding.  The moments are built on each
+    call by repeated multiplication of 1/r_k, no powers.  Beyond
+    the last zero, McMahon's j_k ~ pi (k + mu/2 - 1/4) gives the
+    remainder in closed form: at order 0 for every x through the
+    digamma function, and at orders >= 1 as the Hurwitz zeta tail
+    (a/pi)^{2p} zeta(2p, n_zeros + 1 + mu/2 - 1/4) added to each M_p.
+    Orders >= 1 therefore need x <= r_{n_zeros}/16 (about 1e7/a^2 at
+    the default 4000 zeros) and raise DomainError beyond it.  Each point's
+    value depends on that point alone, so a grid gives the per-point
+    values bit for bit.
     """
 
     mu: float
@@ -160,16 +216,51 @@ class MLSumLadder(Ladder):
             raise DomainError("MLSumLadder requires x > 0")
         a, mu, nz = self.a, self.mu, self.n_zeros
         roots = (bessel_zeros(mu, nz) / a) ** 2
-        out = _rational_ladder_vec(np.ones(nz), roots, np.ones(nz),
-                                   x, max_order)
-        # order-0 tail: McMahon zeros j ~ pi (n + delta), j^2 ~ beta^2 -
-        # (4 mu^2 - 1)/4; the shifted-argument digamma identity
-        # sum_{n >= 0} 1/((n + c)^2 + q^2) = Im psi(c + i q) / q
-        # then sums the remainder in closed form
+        # McMahon: j_k ~ pi (k + delta) beyond the last zero
         delta = 0.5 * mu - 0.25
+        c = nz + 1.0 + delta
+        xf = x.reshape(-1)
+        below = np.searchsorted(roots, _ML_GAP * xf)
+        if max_order >= 1 and np.any(below >= nz):
+            raise DomainError(
+                f"MLSumLadder derivatives need x <= r_N / {_ML_GAP:g} = "
+                f"{roots[-1] / _ML_GAP!r} (N = n_zeros = {nz}); "
+                f"got x = {float(xf.max())!r}")
+        heads = np.clip(below, _ML_HEAD, nz)
+        sizes = np.unique(heads)
+        lo = int(heads.min(initial=nz))
+        n_p = max_order + 1 + _ML_TERMS
+        moments = _inverse_power_sums(1.0 / roots[lo:], (sizes - lo).tolist(),
+                                      n_p)
+        # Hurwitz tail of M_p beyond the last zero, in logs: the factor
+        # (a/pi)^{2p} alone overflows at large a
+        ps = np.arange(1, n_p + 1, dtype=float)
+        with np.errstate(divide="ignore"):
+            hurwitz = np.exp(ps * (2.0 * np.log(a / np.pi))
+                             + np.log(_sp.zeta(ps + ps, c)))
+        coefs = _ml_series_coefs(max_order)
+        idx = np.add.outer(np.arange(max_order + 1), np.arange(_ML_TERMS + 1))
+        out = np.empty((xf.size, max_order + 1))
+        for m, k in zip(moments, sizes.tolist()):
+            sel = heads == k
+            xg = xf[sel]
+            head = _rational_ladder_vec(np.ones(k), roots[:k], np.ones(k), xg,
+                                        max_order)
+            cm = coefs * (m + hurwitz)[idx]
+            # order 0 takes the partial moments: its digamma remainder
+            # below covers the zeros beyond the last
+            cm[0] = coefs[0] * m[:_ML_TERMS + 1]
+            acc = np.broadcast_to(cm[:, -1], (xg.size, max_order + 1))
+            for j in range(_ML_TERMS - 1, -1, -1):
+                acc = acc * xg[:, None] + cm[:, j]
+            out[sel] = head + acc
+        out = out.reshape(x.shape + (max_order + 1,))
+        # order-0 remainder: with j^2 ~ pi^2 (k + delta)^2 - (4 mu^2 - 1)/4
+        # the shifted-argument digamma identity
+        # sum_{n >= 0} 1/((n + c)^2 + q^2) = Im psi(c + i q) / q
+        # sums it in closed form
         xs = x - (4.0 * mu * mu - 1.0) / (4.0 * a * a)
         q2 = a * a * xs / (np.pi * np.pi)
-        c = nz + 1.0 + delta
         r = a * a / (np.pi * np.pi)
         tail = np.full(x.shape, r * float(_sp.polygamma(1, c)))
         pos, neg = q2 > 0.0, q2 < 0.0

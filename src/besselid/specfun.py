@@ -120,17 +120,32 @@ def _mcmahon(nu: float, n: np.ndarray) -> np.ndarray:
     )
 
 
-def _newton_polish(nu: float, x: np.ndarray) -> np.ndarray:
+def _newton_polish(nu: float, x: np.ndarray, moving=None):
+    """Clipped Newton steps on J_nu from x, for at most 30 passes.
+
+    A pass steps only the zeros that the previous pass moved (all, or
+    those flagged in `moving`, on the first): a zero its own step left
+    unchanged gets that same step again on every later pass.  Returns
+    the zeros and the mask of those the last pass moved.
+    """
     x = x.copy()
+    idx = np.arange(x.size) if moving is None else np.flatnonzero(moving)
     for _ in range(30):
-        f = _sp.jv(nu, x)
-        fp = _sp.jvp(nu, x)
-        step = f / fp
+        if not idx.size:
+            break
+        xi = x[idx]
+        step = _sp.jv(nu, xi) / _sp.jvp(nu, xi)
         np.clip(step, -1.0, 1.0, out=step)
-        x -= step
+        new = xi - step
+        x[idx] = new
+        idx = idx[new != xi]
+        # an unchanged zero's step is below an ulp of it, so below this
+        # threshold: the steps of the moving zeros decide alone
         if np.max(np.abs(step)) < 1e-12 * np.max(x):
             break
-    return x
+    moved = np.zeros(x.size, dtype=bool)
+    moved[idx] = True
+    return x, moved
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
@@ -218,7 +233,7 @@ def _scan_low_zeros(nu: float, count: int) -> np.ndarray:
 
 def _compute_zeros(nu: float, nmax: int) -> np.ndarray:
     n = np.arange(1, nmax + 1, dtype=float)
-    x = _newton_polish(nu, _mcmahon(nu, n))
+    x, moving = _newton_polish(nu, _mcmahon(nu, n))
     # McMahon is an expansion for n >> nu; low zeros at sizable order may
     # have been pulled onto the wrong root, so re-derive them by scanning.
     n_low = int(min(nmax, np.ceil(nu) + 2)) if nu > 1.0 else 0
@@ -227,7 +242,8 @@ def _compute_zeros(nu: float, nmax: int) -> np.ndarray:
         n_low = max(n_low, 2 if not ok else n_low)
         low = _scan_low_zeros(nu, min(nmax, max(n_low, 2)))
         x[: low.size] = low
-        x = _newton_polish(nu, x)
+        moving[: low.size] = True
+        x, _ = _newton_polish(nu, x, moving)
     if not np.all(np.diff(x) > 0):
         raise ConvergenceError(f"zero sequence of J_{nu} not monotone")
     return x

@@ -1,5 +1,8 @@
 """Derivative ladders: closed forms, spec-level ratio invariants."""
 
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -90,6 +93,65 @@ def test_ml_sum_rejects_bad_parameters():
         MLSumLadder(mu=-1.5, a=1.0)
     with pytest.raises(DomainError):
         MLSumLadder(mu=0.5, a=1.0).derivatives(0.0, 0)
+
+
+def test_ml_sum_derivatives_stop_where_the_moment_series_ends():
+    # orders >= 1 need x < r_N / 16; order 0 has its closed remainder
+    lad = MLSumLadder(mu=0.3, a=2.0, n_zeros=500)
+    edge = (bessel_zeros(0.3, 500)[-1] / 2.0) ** 2 / 16.0
+    assert np.all(np.isfinite(lad.derivatives(np.array([1.0, 0.99 * edge]),
+                                              8)))
+    with pytest.raises(DomainError, match="MLSumLadder"):
+        lad.derivatives(np.array([1.0, 1.01 * edge]), 1)
+    s = np.sqrt(1.01 * edge)
+    want = sp.ive(1.3, 2.0 * s) / sp.ive(0.3, 2.0 * s) / s
+    assert lad.value(1.01 * edge) == pytest.approx(want, rel=1e-12)
+
+
+ML_CASES = ((0.0, 0.7), (0.3, 3.0), (0.8, 1.3), (1.0, 1.0), (2.5, 2.0))
+_ML_REF_MEMO = {}
+
+
+def _ml_reference(mu, a, x, n):
+    """n-th derivative of (a / (2 sqrt x)) I_{mu+1}(a sqrt x) / I_mu(a sqrt x)
+    at 40 digits, by mpmath's Cauchy-integral differentiation."""
+    with mp.workdps(40):
+        # mu + 1 in mpf: a rounded float order would add an x^{eps/2} branch
+        m, big_a = mp.mpf(mu), mp.mpf(a)
+        memo = _ML_REF_MEMO.setdefault((mu, a), {})
+
+        def f(z):
+            if z not in memo:
+                w = big_a * mp.sqrt(z)
+                memo[z] = (big_a / (2 * mp.sqrt(z)) * mp.besseli(m + 1, w)
+                           / mp.besseli(m, w))
+            return memo[z]
+
+        xm = mp.mpf(x)
+        return mp.diff(f, xm, n, method="quad", radius=xm / 2.5)
+
+
+@pytest.mark.parametrize("x", (0.05, 1.0, 50.0))
+@pytest.mark.parametrize("mu,a", ML_CASES)
+def test_ml_sum_ladder_against_mpmath(mu, a, x):
+    got = MLSumLadder(mu, a).derivatives(x, 8)
+    for n in range(9):
+        want = _ml_reference(mu, a, x, n)
+        assert abs(got[n] - want) <= 1e-13 * abs(want), (n, got[n], want)
+
+
+@pytest.mark.parametrize("mu,a", ((0.8, 1.0), (0.3, 3.0), (1.0, 12.0)))
+def test_ml_sum_point_does_not_depend_on_its_grid(mu, a):
+    # at a = 12 the grid spans several head sizes K(x)
+    lad = MLSumLadder(mu, a)
+    grid = _log_grid(3, 0.05, 50.0, 11)
+    wide = np.append(grid, 1e4)
+    on_grid, on_wide = lad.derivatives(grid, 8), lad.derivatives(wide, 8)
+    for i, xi in enumerate(wide.tolist()):
+        alone = lad.derivatives(xi, 8)
+        assert np.array_equal(on_wide[i], alone), xi
+        if i < grid.size:
+            assert np.array_equal(on_grid[i], alone), xi
 
 
 # ----------------------------------------------------------------------
@@ -234,14 +296,17 @@ def _per_point(ladder, x, max_order):
                 fact *= n
             out[n] = float(np.real(coef[n])) * fact / r ** n
         return out
+    if isinstance(ladder, MLSumLadder):
+        return _ml_per_point(ladder, x, max_order)
     if isinstance(ladder, RationalLadder):
         coefs, roots, powers = map(np.asarray, ladder._unpack())
-    elif isinstance(ladder, StieltjesLadder):
+    else:
         coefs, roots = np.asarray(ladder.masses), np.asarray(ladder.nodes)
         powers = np.ones(roots.size)
-    else:
-        roots = (bessel_zeros(ladder.mu, ladder.n_zeros) / ladder.a) ** 2
-        coefs = powers = np.ones(ladder.n_zeros)
+    return _rational_per_point(coefs, roots, powers, x, max_order)
+
+
+def _rational_per_point(coefs, roots, powers, x, max_order):
     base = x + roots
     out = np.empty(max_order + 1)
     out[0] = np.sum(coefs * base ** (-powers))
@@ -249,21 +314,50 @@ def _per_point(ladder, x, max_order):
     for n in range(1, max_order + 1):
         fac = fac * (-(powers + n - 1.0))
         out[n] = np.sum(coefs * fac * base ** (-(powers + n)))
-    if isinstance(ladder, MLSumLadder):
-        a, mu, nz = ladder.a, ladder.mu, ladder.n_zeros
-        xs = x - (4.0 * mu * mu - 1.0) / (4.0 * a * a)
-        q2 = a * a * xs / (np.pi * np.pi)
-        c = nz + 1.0 + 0.5 * mu - 0.25
-        r = a * a / (np.pi * np.pi)
-        if q2 > 0.0:
-            q = np.sqrt(q2)
-            out[0] += r * float(np.imag(sp.digamma(c + 1j * q))) / q
-        elif q2 < 0.0:
-            p = np.sqrt(-q2)
-            out[0] += r * float(sp.digamma(c + p) - sp.digamma(c - p)) \
-                / (2.0 * p)
-        else:
-            out[0] += r * float(sp.polygamma(1, c))
+    return out
+
+
+def _ml_per_point(ladder, x, max_order, head=64, gap=16.0, terms=24):
+    """The Mittag-Leffler ladder at one x: the first K = max(head, first k
+    with r_k >= gap x) terms exactly, the rest by the series over the
+    moments M_p = sum_{k >= K} r_k^{-p} (plus the Hurwitz tail at orders
+    >= 1), and the digamma remainder at order 0."""
+    a, mu, nz = ladder.a, ladder.mu, ladder.n_zeros
+    roots = (bessel_zeros(mu, nz) / a) ** 2
+    k = max(head, int(np.searchsorted(roots, gap * x)))
+    assert k < nz
+    out = _rational_per_point(np.ones(k), roots[:k], np.ones(k), x,
+                              max_order)
+    inv = 1.0 / roots[k:]
+    pw, moments = inv, []
+    for _ in range(max_order + 1 + terms):
+        moments.append(float(np.sum(pw)))
+        pw = pw * inv
+    c = nz + 1.0 + (0.5 * mu - 0.25)
+    p = np.arange(2.0, max_order + 2 + terms)
+    hurwitz = np.exp(p * (2.0 * np.log(a / np.pi)) + np.log(sp.zeta(p + p, c)))
+    for n in range(max_order + 1):
+        m = moments[n:n + terms + 1]
+        if n:
+            m = [mj + float(hurwitz[n - 1 + j]) for j, mj in enumerate(m)]
+        coef = [(-1) ** (n + j) * math.factorial(n + j) / math.factorial(j)
+                for j in range(terms + 1)]
+        acc = coef[terms] * m[terms]
+        for j in range(terms - 1, -1, -1):
+            acc = acc * x + coef[j] * m[j]
+        out[n] += acc
+    xs = x - (4.0 * mu * mu - 1.0) / (4.0 * a * a)
+    q2 = a * a * xs / (np.pi * np.pi)
+    r = a * a / (np.pi * np.pi)
+    if q2 > 0.0:
+        q = np.sqrt(q2)
+        out[0] += r * float(np.imag(sp.digamma(c + 1j * q))) / q
+    elif q2 < 0.0:
+        p = np.sqrt(-q2)
+        out[0] += r * float(sp.digamma(c + p) - sp.digamma(c - p)) \
+            / (2.0 * p)
+    else:
+        out[0] += r * float(sp.polygamma(1, c))
     return out
 
 

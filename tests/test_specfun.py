@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy import special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,6 +171,39 @@ def test_zeros_unchanged_by_brentq_port(monkeypatch, nu):
     ours = specfun._compute_zeros(nu, 4000)
     monkeypatch.setattr(specfun, "_brentq", _scipy_brentq)
     assert np.array_equal(specfun._compute_zeros(nu, 4000), ours)
+
+
+def _full_polish(nu, x):
+    """Newton polish that steps every zero on every pass."""
+    x = x.copy()
+    for _ in range(30):
+        step = sp.jv(nu, x) / sp.jvp(nu, x)
+        np.clip(step, -1.0, 1.0, out=step)
+        x -= step
+        if np.max(np.abs(step)) < 1e-12 * np.max(x):
+            break
+    return x
+
+
+def _full_polish_zeros(nu, nmax):
+    """_compute_zeros with both polishes stepping the whole array."""
+    x = _full_polish(nu, specfun._mcmahon(nu, np.arange(1.0, nmax + 1.0)))
+    n_low = int(min(nmax, np.ceil(nu) + 2)) if nu > 1.0 else 0
+    ok = np.all(np.diff(x) > 0) and np.all(x > 0)
+    if n_low or not ok:
+        n_low = max(n_low, 2 if not ok else n_low)
+        low = specfun._scan_low_zeros(nu, min(nmax, max(n_low, 2)))
+        x[: low.size] = low
+        x = _full_polish(nu, x)
+    return x
+
+
+@pytest.mark.parametrize("nu", (-0.9, -0.5, 0.0, 0.01, 0.239, 0.3, 0.5, 0.8,
+                                0.9, 1.0, 1.1, 1.2, 1.7, 2.5, 3.3, 5.0, 10.0))
+def test_moving_mask_polish_equals_full_polish(nu):
+    # skipping the zeros whose last step left them unchanged changes no bit
+    assert np.array_equal(specfun._compute_zeros(nu, 4000),
+                          _full_polish_zeros(nu, 4000))
 
 
 def test_brentq_errors_and_endpoint_roots():
