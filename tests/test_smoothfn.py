@@ -96,7 +96,7 @@ def test_ml_sum_rejects_bad_parameters():
 
 
 def test_ml_sum_derivatives_stop_where_the_moment_series_ends():
-    # orders >= 1 need x < r_N / 16; order 0 has its closed remainder
+    # orders >= 1 need x <= r_N / 16; order 0 has its closed remainder
     lad = MLSumLadder(mu=0.3, a=2.0, n_zeros=500)
     edge = (bessel_zeros(0.3, 500)[-1] / 2.0) ** 2 / 16.0
     assert np.all(np.isfinite(lad.derivatives(np.array([1.0, 0.99 * edge]),
@@ -118,6 +118,7 @@ def _ml_reference(mu, a, x, n):
     with mp.workdps(40):
         # mu + 1 in mpf: a rounded float order would add an x^{eps/2} branch
         m, big_a = mp.mpf(mu), mp.mpf(a)
+        # the quadrature nodes repeat from one order to the next
         memo = _ML_REF_MEMO.setdefault((mu, a), {})
 
         def f(z):
