@@ -10,6 +10,7 @@ domain checking and the scaled-variant switches.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -317,6 +318,50 @@ def _tricomi_psi_scalar(a: float, c: float, x: float) -> float:
     return _tricomi_psi_integral(a, c, x)
 
 
+@functools.lru_cache(maxsize=64)
+def _laguerre_rule(a: float, n: int):
+    """n-point Gauss rule for the weight rho^{a-1} e^{-rho} / Gamma(a).
+
+    Golub & Welsch, Math. Comp. 23 (1969): the nodes are the eigenvalues
+    of the Jacobi matrix of the generalized Laguerre polynomials, and
+    since the weight has unit mass the weights are the squared first
+    components of its eigenvectors.  Read-only (nodes, weights).
+    """
+    k = np.arange(n, dtype=float)
+    off = np.sqrt(k[1:] * (k[1:] + a - 1.0))
+    jac = np.diag(2.0 * k + a) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vecs = np.linalg.eigh(jac)
+    weights = vecs[0] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _tricomi_laguerre(a: float, c: float, z):
+    """psi(a, c, z) for a > 0 and Re z >= 0, |z| >= 5, over a 1-d array z.
+
+    DLMF 13.4.4 with t = rho / z rotates the Euler integral onto the
+    positive axis:
+        psi = z^{-a} int_0^oo rho^{a-1} e^{-rho} / Gamma(a)
+                             (1 + rho/z)^{c-a-1} drho,
+    a Gauss-Laguerre sum whose only singularity is the branch point
+    rho = -z.  Its error falls with Re sqrt(z): for a in (0, 3] and
+    c in (-3, 3), 30 nodes stay within 3e-15 of psi where
+    Re sqrt(z) >= 2.8 and 80 nodes down to |z| = 5 on the imaginary
+    axis (Re sqrt(z) = 1.58).  Each point is one row of an elementwise
+    product, so its value does not depend on the rest of the batch.
+    """
+    out = np.empty_like(z)
+    far = np.sqrt(z).real >= 2.8
+    for mask, n in ((far, 30), (~far, 80)):
+        if mask.any():
+            rho, w = _laguerre_rule(float(a), n)
+            zm = z[mask]
+            out[mask] = np.sum(w * (1.0 + rho / zm[:, None]) ** (c - a - 1.0),
+                               axis=1) * zm ** -a
+    return out
+
+
 def tricomi_psi(a: float, c: float, x):
     """Tricomi confluent function psi(a, c, x) for a > 0, x > 0."""
     if a <= 0.0:
@@ -324,9 +369,14 @@ def tricomi_psi(a: float, c: float, x):
     arr = _as_float_array(x)
     if np.any(arr <= 0.0):
         raise DomainError("tricomi_psi requires x > 0")
-    out = np.array([_tricomi_psi_scalar(a, c, xi) for xi in np.atleast_1d(arr)])
-    out = out.reshape(arr.shape) if arr.ndim else out[0]
-    return _maybe_scalar(out, x)
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    rule = flat >= 5.0
+    if rule.any():
+        out[rule] = _tricomi_laguerre(a, c, flat[rule])
+    for i in np.flatnonzero(~rule):
+        out[i] = _tricomi_psi_scalar(a, c, flat[i])
+    return _maybe_scalar(out.reshape(arr.shape), x)
 
 
 def _boundary_re_im(a: float, c: float, t):

@@ -33,8 +33,7 @@ from .errors import DomainError, ParameterError, UnsupportedVariantError
 from .quad import (HankelTerm, QuadResult, _values_on_nodes,
                    integrate_oscillatory, integrate_singular_decay,
                    tanh_sinh_finite)
-from .smoothfn import frozen_expsinh_nodes
-from .specfun import tricomi_boundary_mod2, tricomi_psi
+from .specfun import _tricomi_laguerre, tricomi_boundary_mod2, tricomi_psi
 
 __all__ = [
     "IdentityRecord", "make_identity", "catalog_names", "default_params",
@@ -80,24 +79,6 @@ def _tricomi_complex_large(a: float, c: float, z):
     return np.exp(-a * np.log(z)) * total
 
 
-_LAPLACE_T, _LAPLACE_W = frozen_expsinh_nodes(40, 3.5)
-
-
-def _tricomi_complex_integral(a: float, c: float, z):
-    """psi(a, c, z) = (1/Gamma(a)) int_0^oo e^{-zt} t^{a-1} (1+t)^{c-a-1} dt
-    on frozen exp-sinh nodes; needs a > 0 and Re z comfortably positive."""
-    t = _LAPLACE_T
-    out = np.empty(z.size, dtype=complex)
-    # blocks of 64 points keep the (points x nodes) temporaries small
-    for i in range(0, z.size, 64):
-        zt = z[i:i + 64, None] * t
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            ex = np.where(zt.real < 700.0, np.exp(-zt), 0.0)
-            vals = ex * t ** (a - 1.0) * (1.0 + t) ** (c - a - 1.0)
-        out[i:i + 64] = np.sum(_LAPLACE_W * vals, axis=1)
-    return out / math.gamma(a)
-
-
 def _tricomi_complex_kummer(a: float, c: float, z):
     """psi from the two-Kummer connection formula."""
     m1 = _sp.hyp1f1(a, c, z)
@@ -111,18 +92,19 @@ def _tricomi_complex(a: float, c: float, z):
     """Tricomi psi(a, c, z) for complex z off (-oo, 0], c non-integer,
     elementwise over an array of any shape.
 
-    The two-Kummer connection formula cancels like e^{Re z}, so it is
-    used only for Re z <= 8; larger real parts go through the Laplace
-    integral and |z| > 25 through the large-argument asymptotic series.
+    For a > 0 the right half-plane from |z| = 5 on is a Gauss-Laguerre
+    sum (specfun._tricomi_laguerre).  Elsewhere |z| > 25 goes through
+    the large-argument asymptotic series and the rest through the
+    two-Kummer connection formula.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
-    large = np.abs(flat) > 25.0
-    laplace = ~large & (flat.real > 8.0) & (a > 0.0)
-    kummer = ~(large | laplace)
+    rule = (flat.real >= 0.0) & (np.abs(flat) >= 5.0) & (a > 0.0)
+    large = ~rule & (np.abs(flat) > 25.0)
+    kummer = ~(rule | large)
     out = np.empty_like(flat)
-    for mask, regime in ((large, _tricomi_complex_large),
-                         (laplace, _tricomi_complex_integral),
+    for mask, regime in ((rule, _tricomi_laguerre),
+                         (large, _tricomi_complex_large),
                          (kummer, _tricomi_complex_kummer)):
         if mask.any():
             out[mask] = regime(a, c, flat[mask])

@@ -431,4 +431,4 @@ def test_kdist_lt_value_complex_matches_mpmath_on_selfdecomp_circles(alpha):
             return complex(arg ** al * mp.hyperu(al, 1.0 + al - be, arg))
 
         want = np.array([ref(w) for w in z])
-    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-8
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10

@@ -249,6 +249,50 @@ def test_tricomi_psi_matches_mpmath(acx):
         float(mp.hyperu(a, c, x)), rel=1e-10)
 
 
+def test_tricomi_laguerre_regime_matches_mpmath():
+    # seeded sweep of the Gauss-Laguerre regime: real x log-uniform in
+    # [5, 1e4] and complex z with Re z >= 0, |z| log-uniform in [5, 1e4]
+    # or, every other draw, in [5, 16] where the node count switches; a
+    # quarter of the z lie on the imaginary axis, where the rule
+    # converges slowest
+    rng = np.random.default_rng(2026)
+    worst = 0.0
+    for k in range(200):
+        a, c = rng.uniform(0.01, 3.0), rng.uniform(-3.0, 3.0)
+        x = 10.0 ** rng.uniform(np.log10(5.0), 4.0)
+        r = 10.0 ** rng.uniform(np.log10(5.0), np.log10(16.0 if k % 2 else 1e4))
+        arg = np.copysign(np.pi / 2, rng.uniform(-1.0, 1.0)) if k % 4 < 2 \
+            else rng.uniform(-np.pi / 2, np.pi / 2)
+        z = r * np.exp(1j * arg)
+        got_z = specfun._tricomi_laguerre(a, c, np.array([z]))[0]
+        got_x = tricomi_psi(a, c, x)
+        with mp.workdps(30):
+            want_z = complex(mp.hyperu(a, c, z))
+            want_x = float(mp.hyperu(a, c, x))
+        worst = max(worst, abs(got_z - want_z) / abs(want_z),
+                    abs(got_x - want_x) / abs(want_x))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("z", [5j, 0.0 - 5.5j, 6.3, 7.9, 8.0 + 5.0j, 15.7j])
+def test_tricomi_laguerre_regime_at_its_node_switch(z):
+    # the slowest corner of the sweep, c - a - 1 near -7, on both sides
+    # of the switch from 80 to 30 nodes at Re sqrt(z) = 2.8
+    a, c = 3.0, -2.99
+    got = specfun._tricomi_laguerre(a, c, np.array([z], dtype=complex))[0]
+    with mp.workdps(30):
+        want = complex(mp.hyperu(a, c, z))
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("a, c", [(0.38, 0.26), (1.18, 1.78)])
+def test_tricomi_psi_matches_mpmath_where_hyperu_was_off(a, c):
+    # scipy hyperu and its Kummer transform agreed on a value 4.5e-7 to
+    # 6.2e-7 off here, so the cross-check passed it
+    assert tricomi_psi(a, c, 20.0) == pytest.approx(
+        float(mp.hyperu(a, c, 20)), rel=1e-13)
+
+
 @pytest.mark.parametrize("acx", [(0.5, 1.2, 0.8), (1.3, 0.6, 2.5)])
 def test_kummer_m_matches_mpmath(acx):
     a, c, x = acx

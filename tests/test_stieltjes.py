@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from besselid import stieltjes
+from besselid import specfun, stieltjes
 from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
 from besselid.quad import numeric_laplace
@@ -482,26 +482,41 @@ def test_tricomi_complex_keeps_shape(z):
 
 
 def test_tricomi_complex_reaches_each_regime(monkeypatch):
-    # |z| > 25: asymptotic series; else Re z > 8: Laplace integral;
-    # else the Kummer connection; each agrees with mpmath
-    z = np.array([40.0 + 5.0j, -20.0 + 25.0j, 12.0 + 3.0j, 9.0 - 15.0j,
-                  0.5 + 0.5j, -3.0 + 1.0j, 8.0 + 0.0j])
-    want = {"large": z[:2], "integral": z[2:4], "kummer": z[4:]}
+    # a > 0, Re z >= 0 and |z| >= 5: the Gauss-Laguerre rule, 30 nodes
+    # where Re sqrt(z) >= 2.8 and 80 below; else |z| > 25: asymptotic
+    # series; else the Kummer connection; each agrees with mpmath
+    z = np.array([40.0 + 5.0j, 12.0 + 3.0j, 9.0 + 2.0j, 0.5 + 5.5j,
+                  -20.0 + 25.0j, -40.0 + 1.0j,
+                  0.5 + 0.5j, -3.0 + 1.0j, 4.0 + 0.0j, -10.0 + 15.0j])
+    want = {"_tricomi_laguerre": z[:4], "_tricomi_complex_large": z[4:6],
+            "_tricomi_complex_kummer": z[6:]}
     seen = {}
-    for regime in want:
-        name = f"_tricomi_complex_{regime}"
+    for name in want:
 
-        def spy(a, c, w, regime=regime, fn=getattr(stieltjes, name)):
-            seen[regime] = w.copy()
+        def spy(a, c, w, name=name, fn=getattr(stieltjes, name)):
+            seen[name] = w.copy()
             return fn(a, c, w)
 
         monkeypatch.setattr(stieltjes, name, spy)
     got = _tricomi_complex(1.2, 0.2, z)
-    for regime, pts in want.items():
-        np.testing.assert_array_equal(seen[regime], pts)
+    for name, pts in want.items():
+        np.testing.assert_array_equal(seen[name], pts)
     with mp.workdps(40):
         ref = np.array([complex(mp.hyperu(1.2, 0.2, w)) for w in z])
-    assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref))
+    err = np.abs(got - ref) / np.abs(ref)
+    assert np.all(err[:4] <= 1e-13) and np.all(err <= 1e-9)
+
+    rules = []
+
+    def rule_spy(a, n, fn=specfun._laguerre_rule):
+        rules.append(n)
+        return fn(a, n)
+
+    monkeypatch.setattr(specfun, "_laguerre_rule", rule_spy)
+    for w, n in zip(z[:4], (30, 30, 30, 80)):
+        rules.clear()
+        _tricomi_complex(1.2, 0.2, w)
+        assert rules == [n], w
 
 
 def _kummer_kappa(a, c, z, psi):
@@ -509,7 +524,7 @@ def _kummer_kappa(a, c, z, psi):
     connection formula on its own regime, 1 elsewhere."""
     g1 = math.gamma(1.0 - c) / math.gamma(a - c + 1.0)
     g2 = math.gamma(c - 1.0) / math.gamma(a)
-    kummer = (np.abs(z) <= 25.0) & (z.real <= 8.0)
+    kummer = (np.abs(z) <= 25.0) & ((z.real < 0.0) | (np.abs(z) < 5.0))
     w = np.where(kummer, z, 1.0)
     m2 = sp.hyp1f1(a - c + 1.0, 2.0 - c, w)
     parts = np.abs(g1 * sp.hyp1f1(a, c, w)) \
@@ -544,27 +559,47 @@ def test_tricomi_complex_array_matches_elementwise():
                       <= 8.0 * EPS * kappa * np.abs(one[ok])), (a, c, x)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the Kummer regime of _tricomi_complex is silently wrong at large "
-    "|Im z| (relative error 769 here); see the FOUND line on the complex "
-    "Tricomi psi in CHANGES.md"))
 def test_tricomi_complex_kummer_regime_at_large_imaginary_part():
+    # the Kummer connection cancelled beyond double precision here
+    # (relative error 769); the point now takes the Gauss-Laguerre rule
     a, c = 2.498179279424799, -0.9096527087346504
     z = 6.55859066916802 + 22.993461633812156j
     with mp.workdps(40):
         want = complex(mp.hyperu(a, c, z))
-    assert abs(_tricomi_complex(a, c, z) - want) <= 1e-8 * abs(want)
+    assert abs(_tricomi_complex(a, c, z) - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the Laplace-integral regime of _tricomi_complex starts its nodes at "
-    "t ~ 5e-12 and drops the t^(a-1) head for small a (relative error "
-    "0.31 here); see the FOUND line on that regime in CHANGES.md"))
 def test_tricomi_complex_laplace_regime_at_small_a():
+    # frozen exp-sinh nodes from t ~ 5e-12 dropped the t^(a-1) head here
+    # (relative error 0.31); the Gauss-Laguerre weight holds it exactly
     a, c, z = 0.05, -0.4, 12.0 + 3.0j
     with mp.workdps(40):
         want = complex(mp.hyperu(a, c, z))
-    assert abs(_tricomi_complex(a, c, z) - want) <= 1e-8 * abs(want)
+    assert abs(_tricomi_complex(a, c, z) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the asymptotic series of _tricomi_complex is truncated at its "
+    "smallest term, which at |z| ~ 25 is still 5.4e-5 of psi; see the "
+    "FOUND line on the left half-plane in CHANGES.md"))
+def test_tricomi_complex_asymptotic_regime_in_left_half_plane():
+    a, c = 2.1410641348153567, -1.4631265781559317
+    z = -24.34528086533426 + 7.3122572339310254j
+    with mp.workdps(40):
+        want = complex(mp.hyperu(a, c, z))
+    assert abs(_tricomi_complex(a, c, z) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the Kummer connection of _tricomi_complex cancels at large |Im z| "
+    "in the left half-plane (relative error 8.1e-7 here); see the FOUND "
+    "line on the left half-plane in CHANGES.md"))
+def test_tricomi_complex_kummer_regime_in_left_half_plane():
+    a, c = 0.9413673606321847, -0.6447906938320163
+    z = -6.8662472021770355 - 22.44064202631428j
+    with mp.workdps(40):
+        want = complex(mp.hyperu(a, c, z))
+    assert abs(_tricomi_complex(a, c, z) - want) <= 1e-12 * abs(want)
 
 
 # ----------------------------------------------------------------------
