@@ -337,25 +337,34 @@ def _laguerre_rule(a: float, n: int):
     return nodes, weights
 
 
+def _laguerre_covers(a: float, c: float, z):
+    """Mask of the points of an array z that _tricomi_laguerre takes."""
+    return (z.real >= 0.0) & (np.abs(z) >= 5.0) & (a > 0.0) & (c <= a + 6.0)
+
+
 def _tricomi_laguerre(a: float, c: float, z):
-    """psi(a, c, z) for a > 0 and Re z >= 0, |z| >= 5, over a 1-d array z.
+    """psi(a, c, z) for a > 0, c <= a + 6 and Re z >= 0, |z| >= 5, over a
+    1-d array z.
 
     DLMF 13.4.4 with t = rho / z rotates the Euler integral onto the
     positive axis:
         psi = z^{-a} int_0^oo rho^{a-1} e^{-rho} / Gamma(a)
                              (1 + rho/z)^{c-a-1} drho,
     a Gauss-Laguerre sum whose only singularity is the branch point
-    rho = -z.  Its error falls with Re sqrt(z): for a in (0, 3] and
-    c in (-3, 3), 30 nodes stay within 3e-15 of psi where
+    rho = -z, a pole-like one of order m = a + 1 - c.  The error falls
+    with Re sqrt(z) and rises with m: for m <= 7 and
+    c - a - 1 <= 5, 30 nodes stay within 1e-13 of psi where
     Re sqrt(z) >= 2.8 and 80 nodes down to |z| = 5 on the imaginary
-    axis (Re sqrt(z) = 1.58).  Each point is one row of an elementwise
-    product, so its value does not depend on the rest of the batch.
+    axis (Re sqrt(z) = 1.58); a larger m takes m/7 times as many.  Each
+    point is one row of an elementwise product, so its value does not
+    depend on the rest of the batch.
     """
+    scale = max(1.0, (a + 1.0 - c) / 7.0)
     out = np.empty_like(z)
     far = np.sqrt(z).real >= 2.8
     for mask, n in ((far, 30), (~far, 80)):
         if mask.any():
-            rho, w = _laguerre_rule(float(a), n)
+            rho, w = _laguerre_rule(float(a), 10 * math.ceil(n * scale / 10))
             zm = z[mask]
             out[mask] = np.sum(w * (1.0 + rho / zm[:, None]) ** (c - a - 1.0),
                                axis=1) * zm ** -a
@@ -371,7 +380,7 @@ def tricomi_psi(a: float, c: float, x):
         raise DomainError("tricomi_psi requires x > 0")
     flat = arr.ravel()
     out = np.empty_like(flat)
-    rule = flat >= 5.0
+    rule = _laguerre_covers(a, c, flat)
     if rule.any():
         out[rule] = _tricomi_laguerre(a, c, flat[rule])
     for i in np.flatnonzero(~rule):

@@ -33,7 +33,8 @@ from .errors import DomainError, ParameterError, UnsupportedVariantError
 from .quad import (HankelTerm, QuadResult, _values_on_nodes,
                    integrate_oscillatory, integrate_singular_decay,
                    tanh_sinh_finite)
-from .specfun import _tricomi_laguerre, tricomi_boundary_mod2, tricomi_psi
+from .specfun import (_laguerre_covers, _tricomi_laguerre,
+                      tricomi_boundary_mod2, tricomi_psi)
 
 __all__ = [
     "IdentityRecord", "make_identity", "catalog_names", "default_params",
@@ -92,14 +93,14 @@ def _tricomi_complex(a: float, c: float, z):
     """Tricomi psi(a, c, z) for complex z off (-oo, 0], c non-integer,
     elementwise over an array of any shape.
 
-    For a > 0 the right half-plane from |z| = 5 on is a Gauss-Laguerre
-    sum (specfun._tricomi_laguerre).  Elsewhere |z| > 25 goes through
+    For a > 0 and c <= a + 6 the right half-plane from |z| = 5 on is a
+    Gauss-Laguerre sum (specfun._tricomi_laguerre).  Elsewhere |z| > 25 goes through
     the large-argument asymptotic series and the rest through the
     two-Kummer connection formula.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
-    rule = (flat.real >= 0.0) & (np.abs(flat) >= 5.0) & (a > 0.0)
+    rule = _laguerre_covers(a, c, flat)
     large = ~rule & (np.abs(flat) > 25.0)
     kummer = ~(rule | large)
     out = np.empty_like(flat)

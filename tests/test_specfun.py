@@ -285,6 +285,19 @@ def test_tricomi_laguerre_regime_at_its_node_switch(z):
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
+@pytest.mark.parametrize("a, c", [(12.0, 0.5), (12.0, 1.5), (9.0, 14.5),
+                                  (0.5, -20.0)])
+@pytest.mark.parametrize("z", [5j, 7.9, 8.0 + 5.0j, 15.7j, 100.0 + 30.0j])
+def test_tricomi_laguerre_regime_outside_the_sweep(a, c, z):
+    # pole order m = a + 1 - c near 12 and at 21.5, where the rule takes
+    # m/7 times its base node count, and c - a - 1 = 4.5, a growing
+    # integrand
+    got = specfun._tricomi_laguerre(a, c, np.array([z], dtype=complex))[0]
+    with mp.workdps(40):
+        want = complex(mp.hyperu(a, c, z))
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 @pytest.mark.parametrize("a, c", [(0.38, 0.26), (1.18, 1.78)])
 def test_tricomi_psi_matches_mpmath_where_hyperu_was_off(a, c):
     # scipy hyperu and its Kummer transform agreed on a value 4.5e-7 to
