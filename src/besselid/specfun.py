@@ -352,12 +352,12 @@ def _tricomi_laguerre(a: float, c: float, z):
                              (1 + rho/z)^{c-a-1} drho,
     a Gauss-Laguerre sum whose only singularity is the branch point
     rho = -z, a pole-like one of order m = a + 1 - c.  The error falls
-    with Re sqrt(z) and rises with m: for m <= 7 and
-    c - a - 1 <= 5, 30 nodes stay within 1e-13 of psi where
-    Re sqrt(z) >= 2.8 and 80 nodes down to |z| = 5 on the imaginary
-    axis (Re sqrt(z) = 1.58); a larger m takes m/7 times as many.  Each
-    point is one row of an elementwise product, so its value does not
-    depend on the rest of the batch.
+    with Re sqrt(z) and rises with m: for m <= 7 (and m >= -5, beyond
+    which the integrand grows too fast for any node count), 30 nodes
+    stay within 1e-13 of psi where Re sqrt(z) >= 2.8 and 80 nodes down
+    to |z| = 5 on the imaginary axis (Re sqrt(z) = 1.58); a larger m
+    takes m/7 times as many.  Each point is one row of an elementwise
+    product, so its value does not depend on the rest of the batch.
     """
     scale = max(1.0, (a + 1.0 - c) / 7.0)
     out = np.empty_like(z)

@@ -94,9 +94,9 @@ def _tricomi_complex(a: float, c: float, z):
     elementwise over an array of any shape.
 
     For a > 0 and c <= a + 6 the right half-plane from |z| = 5 on is a
-    Gauss-Laguerre sum (specfun._tricomi_laguerre).  Elsewhere |z| > 25 goes through
-    the large-argument asymptotic series and the rest through the
-    two-Kummer connection formula.
+    Gauss-Laguerre sum (specfun._tricomi_laguerre).  Elsewhere |z| > 25
+    goes through the large-argument asymptotic series and the rest
+    through the two-Kummer connection formula.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()

@@ -260,7 +260,8 @@ def test_tricomi_laguerre_regime_matches_mpmath():
     for k in range(200):
         a, c = rng.uniform(0.01, 3.0), rng.uniform(-3.0, 3.0)
         x = 10.0 ** rng.uniform(np.log10(5.0), 4.0)
-        r = 10.0 ** rng.uniform(np.log10(5.0), np.log10(16.0 if k % 2 else 1e4))
+        r = 10.0 ** rng.uniform(np.log10(5.0),
+                                np.log10(16.0 if k % 2 else 1e4))
         arg = np.copysign(np.pi / 2, rng.uniform(-1.0, 1.0)) if k % 4 < 2 \
             else rng.uniform(-np.pi / 2, np.pi / 2)
         z = r * np.exp(1j * arg)

@@ -13,7 +13,7 @@ from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
 from besselid.quad import numeric_laplace
 from besselid.quad.oscillatory import _ROUNDING, UNRESOLVED
-from besselid.specfun import kummer_m
+from besselid.specfun import kummer_m, tricomi_psi
 from besselid.stieltjes import (_tricomi_complex, catalog_names,
                                 default_params, make_identity, rows_to_csv,
                                 tolerance)
@@ -576,6 +576,17 @@ def test_tricomi_complex_laplace_regime_at_small_a():
     with mp.workdps(40):
         want = complex(mp.hyperu(a, c, z))
     assert abs(_tricomi_complex(a, c, z) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("a, c, z", [(1.0, 21.5, 5j), (1.0, 21.5, 6.0 + 2.0j),
+                                     (2.0, 25.5, 5.5)])
+def test_tricomi_psi_keeps_growing_integrands_off_the_rule(a, c, z):
+    # for c - a - 1 > 5 the Gauss-Laguerre rule is up to 1.6e-9 off here,
+    # so these points stay on the Kummer connection and on hyperu
+    psi = _tricomi_complex if isinstance(z, complex) else tricomi_psi
+    with mp.workdps(40):
+        want = complex(mp.hyperu(a, c, z))
+    assert abs(psi(a, c, z) - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.xfail(strict=True, reason=(

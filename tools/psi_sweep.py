@@ -1,6 +1,7 @@
 """Time and check each regime of the Tricomi psi on a seeded draw.
 
-    PYTHONPATH=src python3 tools/psi_sweep.py [--seed 7] [--draws 20] [--points 64] [--repeats 7]
+    PYTHONPATH=src python3 tools/psi_sweep.py [--seed 7] [--draws 20] \
+        [--points 64] [--repeats 7]
 
 Draws `draws` parameter pairs a in (0.01, 3], c in (-3, 3) (c kept 1e-3
 from an integer, which the Kummer connection needs) and, for each pair
