@@ -339,12 +339,14 @@ def _laguerre_rule(a: float, n: int):
 
 def _laguerre_covers(a: float, c: float, z):
     """Mask of the points of an array z that _tricomi_laguerre takes."""
-    return (z.real >= 0.0) & (np.abs(z) >= 5.0) & (a > 0.0) & (c <= a + 6.0)
+    m = a + 1.0 - c
+    return ((z.real >= 0.0) & (np.abs(z) >= 5.0) & (a > 0.0)
+            & (-5.0 <= m <= 21.5))
 
 
 def _tricomi_laguerre(a: float, c: float, z):
-    """psi(a, c, z) for a > 0, c <= a + 6 and Re z >= 0, |z| >= 5, over a
-    1-d array z.
+    """psi(a, c, z) for a > 0, -5 <= a + 1 - c <= 21.5 and Re z >= 0,
+    |z| >= 5, over a 1-d array z.
 
     DLMF 13.4.4 with t = rho / z rotates the Euler integral onto the
     positive axis:
@@ -356,8 +358,11 @@ def _tricomi_laguerre(a: float, c: float, z):
     which the integrand grows too fast for any node count), 30 nodes
     stay within 1e-13 of psi where Re sqrt(z) >= 2.8 and 80 nodes down
     to |z| = 5 on the imaginary axis (Re sqrt(z) = 1.58); a larger m
-    takes m/7 times as many.  Each point is one row of an elementwise
-    product, so its value does not depend on the rest of the batch.
+    takes m/7 times as many, at most 250 at m = 21.5.  Beyond that m the
+    rule loses digits near |z| = 5 and its Jacobi matrix grows as m^2,
+    so those points keep the other regimes.  Each point is one row of an
+    elementwise product, so its value does not depend on the rest of
+    the batch.
     """
     scale = max(1.0, (a + 1.0 - c) / 7.0)
     out = np.empty_like(z)

@@ -589,6 +589,41 @@ def test_tricomi_psi_keeps_growing_integrands_off_the_rule(a, c, z):
     assert abs(psi(a, c, z) - want) <= 1e-12 * abs(want)
 
 
+def test_tricomi_psi_keeps_large_pole_orders_off_the_rule(monkeypatch):
+    # the rule's Jacobi matrix has order 80 m / 7 for m = a + 1 - c up to
+    # 21.5; beyond it points stay on hyperu and the Kummer connection,
+    # so a K-distribution with a large beta (m = beta) or a very
+    # negative c builds no rule at all
+    from besselid.distributions import GammaQuotient, KDist
+
+    sizes = []
+
+    def spy(a, n, fn=specfun._laguerre_rule):
+        sizes.append(n)
+        # fail before building a rule too large to hold in memory
+        assert n <= 250, n
+        return fn(a, n)
+
+    monkeypatch.setattr(specfun, "_laguerre_rule", spy)
+    real = [(1.0, -20000.0, 10.0), (1.2, 1.2 - 999.0, 12000.0),
+            (1.0, -40.5, 6.0)]
+    cplx = [(1.0, -40.5, 6.0 + 1.0j), (1.0, -40.5, 5.0j)]
+    got = [tricomi_psi(a, c, x) for a, c, x in real] \
+        + [_tricomi_complex(a, c, z) for a, c, z in cplx]
+    KDist(1.2, 1000.0, 1.0).laplace(0.1)
+    GammaQuotient(1.0, 1.0, 500.0, 1.0).laplace(10.0)
+    assert sizes == []
+    with mp.workdps(30):
+        want = [complex(mp.hyperu(a, c, z)) for a, c, z in real + cplx]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * abs(w)
+
+    # at the largest covered order the rule takes 250 nodes near |z| = 5
+    _tricomi_complex(0.5, -20.0, 5.0j)
+    tricomi_psi(0.5, -20.0, 100.0)
+    assert sizes == [250, 100]
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "the asymptotic series of _tricomi_complex is truncated at its "
     "smallest term, which at |z| ~ 25 is still 5.4e-5 of psi; see the "

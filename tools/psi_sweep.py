@@ -1,11 +1,10 @@
 """Time and check each regime of the Tricomi psi on a seeded draw.
 
-    PYTHONPATH=src python3 tools/psi_sweep.py [--seed 7] [--draws 20] \
-        [--points 64] [--repeats 7]
+    PYTHONPATH=src python3 tools/psi_sweep.py [--repeats 7]
 
-Draws `draws` parameter pairs a in (0.01, 3], c in (-3, 3) (c kept 1e-3
+Draws DRAWS parameter pairs a in (0.01, 3], c in (-3, 3) (c kept 1e-3
 from an integer, which the Kummer connection needs) and, for each pair
-and regime, `points` points inside that regime's region:
+and regime, POINTS points inside that regime's region, from SEED:
 
     laguerre-30   complex, Re z >= 0, Re sqrt(z) >= 2.8, |z| <= 1e4
     laguerre-80   complex, Re z >= 0, |z| >= 5, Re sqrt(z) < 2.8
@@ -35,6 +34,9 @@ from besselid.stieltjes import _tricomi_complex
 
 REGIMES = ("laguerre-30", "laguerre-80", "asymptotic", "kummer",
            "real-rule", "real-scalar")
+SEED = 7
+DRAWS = 20
+POINTS = 64
 N_CHECKED = 4
 
 
@@ -70,16 +72,16 @@ def _points(rng, name: str, n: int) -> np.ndarray:
     return np.array(out)
 
 
-def _draw(seed: int, draws: int, points: int) -> dict:
-    rng = np.random.default_rng(seed)
+def _draw() -> dict:
+    rng = np.random.default_rng(SEED)
     cases = {name: [] for name in REGIMES}
-    for _ in range(draws):
+    for _ in range(DRAWS):
         a = rng.uniform(0.01, 3.0)
         c = rng.uniform(-3.0, 3.0)
         while abs(c - round(c)) < 1e-3:
             c = rng.uniform(-3.0, 3.0)
         for name in REGIMES:
-            cases[name].append((a, c, _points(rng, name, points)))
+            cases[name].append((a, c, _points(rng, name, POINTS)))
     return cases
 
 
@@ -110,20 +112,17 @@ def _worst_error(name: str, batches: list) -> float:
 
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--draws", type=int, default=20)
-    p.add_argument("--points", type=int, default=64)
     p.add_argument("--repeats", type=int, default=7)
     args = p.parse_args()
-    cases = _draw(args.seed, args.draws, args.points)
+    cases = _draw()
     try:
         import mpmath  # noqa: F401
         have_mp = True
     except ImportError:
         have_mp = False
-    n = args.draws * args.points
-    print(f"seed {args.seed}: {args.draws} (a, c) draws x {args.points} "
-          f"points per regime, median of {args.repeats} passes")
+    n = DRAWS * POINTS
+    print(f"seed {SEED}: {DRAWS} (a, c) draws x {POINTS} points per "
+          f"regime, median of {args.repeats} passes")
     for name in REGIMES:
         _time(name, cases[name])
         us = statistics.median(_time(name, cases[name])
