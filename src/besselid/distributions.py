@@ -23,8 +23,7 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError, UnsupportedVariantError
-from .quad import _values_on_nodes
-from .quad.tanhsinh import _integrate_singular_decay_rows
+from .quad.tanhsinh import _integrate_singular_decay_rows, _values_on_nodes
 from .smoothfn import (CauchyLadder, Ladder, PowerLadder, RationalLadder,
                        StieltjesLadder, frozen_expsinh_nodes, k_ratio_ladder)
 from .specfun import tricomi_boundary_mod2, tricomi_psi

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
-from .oscillatory import (HankelTerm, _values_on_nodes,
-                          integrate_oscillatory)
+from .oscillatory import HankelTerm, integrate_oscillatory
 from .result import QuadResult
 from .tanhsinh import integrate_singular_decay, tanh_sinh_finite
 

@@ -23,13 +23,12 @@ then gives
 
 A term with Omega < 0 is to be written as its complex conjugate, which
 has the same real part on the real axis.  Every value but the weight's
-sits on nodes that do not depend on the weight, so a memo shared across
-calls (one per kernel) keeps them.
+sits on nodes that do not depend on the weight, so a plan shared across
+calls (one per term list) keeps them, level by level.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,7 @@ import scipy.special as _sp
 
 from ..errors import DomainError
 from .result import QuadResult
+from .tanhsinh import FIRST_LEVEL, de_level, tanh_sinh_nodes
 
 _HALF_PI = 0.5 * np.pi
 _RAY = np.exp(0.25j * np.pi)
@@ -47,26 +47,8 @@ _ROUNDING = 64.0 * np.finfo(float).eps
 _ASYMPTOTIC = 1e6       # |x| beyond which H_nu(x) uses its Hankel series
 _TS_MAX = 4.0           # tanh-sinh range of the head
 _ES_MAX = 6.5           # exp-sinh range of the ray and the tail
-_FIRST_LEVEL = 3
 _MAX_LEVEL = 12
 UNRESOLVED = "below the absolute resolution of the representation"
-
-
-def _values_on_nodes(memo: dict, t: np.ndarray, fn) -> np.ndarray:
-    """fn(t) on a quadrature node array, evaluated once per node set.
-
-    The nodes of an engine do not depend on the outer argument (z, s or
-    a point of the upper half plane), so a sweep over that argument
-    reuses every array; arrays are keyed in memo by shape, dtype and a
-    digest of their bytes and stored read-only."""
-    key = (t.shape, t.dtype.str,
-           hashlib.blake2b(t.tobytes(), digest_size=16).digest())
-    m = memo.get(key)
-    if m is None:
-        m = np.asarray(fn(t))
-        m.flags.writeable = False
-        memo[key] = m
-    return m
 
 
 @dataclass(frozen=True)
@@ -89,15 +71,18 @@ class HankelTerm:
 
     def __call__(self, u):
         """Values at real or complex u with Re u > 0, from the scaled
-        Hankel functions; zero where e^{i Omega u} is below e^{-700}."""
+        Hankel functions; an exact zero, with no Hankel evaluation, where
+        e^{i Omega u} is below e^{-700}."""
         u = np.asarray(u, dtype=complex)
         w = self.frequency
-        dead = w * u.imag > 700.0
-        out = self.coef * u ** self.power \
-            * np.exp(1j * w * np.where(dead, 0.0, u))
+        live = ~(w * u.imag > 700.0)
+        ul = u[live]
+        v = self.coef * ul ** self.power * np.exp(1j * w * ul)
         for kind, nu, s, e in self.factors:
-            out = out * _hankel_scaled(kind, nu, s * u) ** e
-        return np.where(dead, 0.0, out)
+            v = v * _hankel_scaled(kind, nu, s * ul) ** e
+        out = np.zeros(u.shape, dtype=complex)
+        out[live] = v
+        return out
 
 
 def _hankel_scaled(kind: int, nu: float, x):
@@ -106,61 +91,39 @@ def _hankel_scaled(kind: int, nu: float, x):
     is below 1e-18 there for moderate nu."""
     sign = 1.0 if kind == 1 else -1.0
     big = np.abs(x) > _ASYMPTOTIC
-    xs = np.where(big, 1.0, x)
-    out = _sp.hankel1e(nu, xs) if kind == 1 else _sp.hankel2e(nu, xs)
+    out = np.empty(x.shape, dtype=complex)
+    out[~big] = (_sp.hankel1e if kind == 1 else _sp.hankel2e)(nu, x[~big])
     if big.any():
-        xb = np.where(big, x, 1.0)
+        xb = x[big]
         m = 4.0 * nu * nu
         a1 = (m - 1.0) / 8.0
         a2 = (m - 1.0) * (m - 9.0) / 128.0
         series = 1.0 + sign * 1j * a1 / xb - a2 / (xb * xb)
         phase = np.exp(-sign * 1j * (_HALF_PI * nu + 0.25 * np.pi))
-        out = np.where(big, np.sqrt(2.0 / (np.pi * xb)) * phase * series,
-                       out)
+        out[big] = np.sqrt(2.0 / (np.pi * xb)) * phase * series
     return out
 
 
-def _level_nodes(level: int, x_max: float) -> tuple:
-    """Trapezoid nodes of one level on [-x_max, x_max] and the step:
-    every node at the first level, the new (odd) nodes after it."""
-    h = x_max / 2.0 ** level
-    if level == _FIRST_LEVEL:
-        return np.arange(-x_max, x_max + 0.5 * h, h), h
-    return np.arange(-x_max + h, x_max, 2.0 * h), h
-
-
-def _tanh_sinh(x, length: float):
-    """Nodes in (0, length) and Jacobian of the tanh-sinh map."""
-    s = _HALF_PI * np.sinh(x)
-    # distance to the nearer endpoint without cancellation
-    q = np.exp(-2.0 * np.abs(s))
-    delta = length * q / (1.0 + q)
-    u = np.where(x < 0.0, delta, length - delta)
-    return u, 0.5 * length * _HALF_PI * np.cosh(x) / np.cosh(s) ** 2
-
-
-def _exp_sinh(x):
-    """Nodes in (0, oo) and Jacobian of the exp-sinh map."""
-    with np.errstate(over="ignore"):
-        r = np.exp(_HALF_PI * np.sinh(x))
-        return r, _HALF_PI * np.cosh(x) * r
-
-
 class _Piece:
-    """One of head, ray and tail: per level, its nodes t = u^2 and the
-    weight-free factor a of the integrand (Jacobian, du/dr, 2u and the
-    kernel or term values), so that the level's sum is h * Re sum a w(t)."""
+    """One of head, ray and tail.  Its plan holds per level, built once by
+    build(level), the nodes x, the step h, the points t = u^2 and the
+    weight-free factor a (Jacobian, du/dr, 2u and the kernel or term
+    values): the level's sum is h * Re sum a w(t)."""
 
-    def __init__(self, x_max: float, factor):
-        self.x_max = x_max
-        self.factor = factor            # x -> (t, a)
+    def __init__(self, name: str, x_max: float, build, plan: dict):
+        self.name, self.x_max, self.build, self.plan = name, x_max, build, plan
         self.value = self.mass = 0.0
         self.diff = np.inf
         self.n_evals = 0
 
     def add_level(self, level: int, weight) -> None:
-        x, h = _level_nodes(level, self.x_max)
-        t, a = self.factor(x)
+        step = self.plan.get((self.name, level))
+        if step is None:
+            x, h, t, a = step = self.build(level)
+            t.setflags(write=False)
+            a.setflags(write=False)
+            self.plan[(self.name, level)] = step
+        x, h, t, a = step
         with np.errstate(over="ignore", under="ignore", invalid="ignore",
                          divide="ignore"):
             v = a * weight(t)
@@ -172,7 +135,7 @@ class _Piece:
                 raise DomainError("integrand returned non-finite values")
             v = np.where(bad, 0.0, v)
         s, m = h * float(np.sum(v.real)), h * float(np.sum(np.abs(v)))
-        if level == _FIRST_LEVEL:
+        if level == FIRST_LEVEL:
             self.value, self.mass = s, m
         else:
             new = 0.5 * self.value + s
@@ -181,35 +144,29 @@ class _Piece:
         self.n_evals += x.size
 
 
-def _pieces(terms: list, kernel, u0: float, memo: dict) -> list:
-    def head(x):
-        u, jac = _tanh_sinh(x, u0)
+def _pieces(terms: list, kernel, u0: float, plan: dict) -> list:
+    def head(level):
+        x, h, *_ = lvl = de_level("tanh", _TS_MAX, level)
+        u, jac = tanh_sinh_nodes(lvl, 0.0, u0)
         t = u * u
-        return t, 2.0 * u * jac * kernel(t)
+        return x, h, t, 2.0 * u * jac * kernel(t)
 
     def on_path(rotate, group):
-        def values(u, jac):
+        def build(level):
+            x, h, r, jac = de_level("exp", _ES_MAX, level)
             with np.errstate(over="ignore", invalid="ignore"):
+                u = u0 + rotate * r
                 a = rotate * jac * 2.0 * u * sum(tm(u) for tm in group)
-            return a if rotate != 1.0 else a.real
-
-        def factor(x):
-            r, jac = _exp_sinh(x)
-            u = u0 + rotate * r
-            # one memo entry per node set: ray nodes are complex, tail
-            # nodes real and past u0 (the head's are below it)
-            a = _values_on_nodes(memo, u, lambda u: values(u, jac))
-            with np.errstate(over="ignore", invalid="ignore"):
-                return u * u, a
-        return factor
+                return x, h, u * u, a if rotate != 1.0 else a.real
+        return build
 
     rays = [tm for tm in terms if tm.frequency > 0.0]
     flat = [tm for tm in terms if tm.frequency == 0.0]
-    out = [_Piece(_TS_MAX, head)]
+    out = [_Piece("head", _TS_MAX, head, plan)]
     if rays:
-        out.append(_Piece(_ES_MAX, on_path(_RAY, rays)))
+        out.append(_Piece("ray", _ES_MAX, on_path(_RAY, rays), plan))
     if flat:
-        out.append(_Piece(_ES_MAX, on_path(1.0, flat)))
+        out.append(_Piece("tail", _ES_MAX, on_path(1.0, flat), plan))
     return out
 
 
@@ -224,13 +181,13 @@ def _head_length(terms) -> float:
 
 
 def integrate_oscillatory(weight, terms, kernel, tol: float = 1e-7,
-                          memo: dict = None) -> QuadResult:
+                          plan: dict = None) -> QuadResult:
     """Integral of kernel(t) * weight(t) over (0, oo), where
     kernel(t) = Re sum(term(sqrt t) for term in terms).
 
     weight is called on real and complex t (see the module docstring);
-    kernel only on real t in (0, u0^2].  memo keeps the term values per
-    node set across calls with the same terms.
+    kernel only on real t in (0, u0^2].  plan keeps every value but the
+    weight's across calls with the same terms and kernel.
 
     The error estimate is the sum of the last differences of the
     trapezoid sequences plus a rounding floor, 64 eps times the integral
@@ -244,15 +201,15 @@ def integrate_oscillatory(weight, terms, kernel, tol: float = 1e-7,
         raise DomainError("integrate_oscillatory needs a nonempty term list "
                           "with net frequencies >= 0")
     u0 = _head_length(terms)
-    pieces = _pieces(terms, kernel, u0, {} if memo is None else memo)
+    pieces = _pieces(terms, kernel, u0, {} if plan is None else plan)
     live = list(pieces)
-    level = _FIRST_LEVEL
+    level = FIRST_LEVEL
     while True:
         for piece in live:
             piece.add_level(level, weight)
         value = sum(p.value for p in pieces)
         floor = _ROUNDING * sum(p.mass for p in pieces)
-        if level > _FIRST_LEVEL:
+        if level > FIRST_LEVEL:
             budget = max(tol * abs(value) - floor, floor) / len(pieces)
             live = [p for p in live if p.diff > budget]
         if not live or level == _MAX_LEVEL:

@@ -1,8 +1,11 @@
-"""Double-exponential quadrature: tanh-sinh (finite interval with
-endpoint singularities) and exp-sinh (half line, integrable endpoint
-singularity at 0 plus decay at infinity)."""
+"""Double-exponential quadrature on one table of levels (de_level):
+tanh-sinh (finite interval with endpoint singularities) and exp-sinh
+(half line, integrable singularity at 0 plus decay at infinity)."""
 
 from __future__ import annotations
+
+import functools
+import hashlib
 
 import numpy as np
 
@@ -10,39 +13,92 @@ from ..errors import DomainError
 from .result import QuadResult
 
 _HALF_PI = 0.5 * np.pi
+FIRST_LEVEL = 3
 
 
-def _de_integrate(g, n_rows: int, u_max: float, tol: float,
+@functools.lru_cache(maxsize=64)
+def de_level(kind: str, x_max: float, level: int) -> tuple:
+    """(x, h, *parts), read-only: the nodes x of one trapezoid level on
+    [-x_max, x_max] (all at FIRST_LEVEL, the new odd ones after it), its
+    step h and the map's weight-free arrays, with s = (pi/2) sinh x:
+    kind "exp" (exp-sinh onto (0, oo)) the nodes e^s and their Jacobian;
+    "tanh" q = e^{-2|s|}, 1 + q, cosh x, cosh(s)^2 (see tanh_sinh_nodes)."""
+    h = x_max / 2.0 ** level
+    if level == FIRST_LEVEL:
+        x = np.arange(-x_max, x_max + 0.5 * h, h)
+    else:
+        x = np.arange(-x_max + h, x_max, 2.0 * h)
+    with np.errstate(over="ignore", under="ignore"):
+        s = _HALF_PI * np.sinh(x)
+        if kind == "exp":
+            r = np.exp(s)
+            parts = (r, _HALF_PI * np.cosh(x) * r)
+        else:
+            q = np.exp(-2.0 * np.abs(s))
+            parts = (q, 1.0 + q, np.cosh(x), np.cosh(s) ** 2)
+    for v in (x, *parts):
+        v.setflags(write=False)
+    return (x, h, *parts)
+
+
+def tanh_sinh_nodes(lvl: tuple, a: float, b: float) -> tuple:
+    """Nodes in (a, b) and Jacobian of tanh-sinh on a "tanh" level."""
+    x, _, q, one_q, cosh_x, cosh_s2 = lvl
+    half = 0.5 * (b - a)
+    # distance to the nearer endpoint without cancellation, where
+    # mid + half*tanh(s) would round onto it and lose a singularity
+    delta = half * 2.0 * q / one_q
+    return (np.where(x < 0.0, a + delta, b - delta),
+            half * _HALF_PI * cosh_x / cosh_s2)
+
+
+def _values_on_nodes(memo: dict, t: np.ndarray, fn) -> np.ndarray:
+    """fn(t) on a quadrature node array, evaluated once per node set.
+
+    The nodes of an engine do not depend on the outer argument (z, s or
+    a point of the upper half plane), so a sweep over that argument
+    reuses every array; arrays are keyed in memo by shape, dtype and a
+    digest of their bytes and stored read-only."""
+    key = (t.shape, t.dtype.str,
+           hashlib.blake2b(t.tobytes(), digest_size=16).digest())
+    m = memo.get(key)
+    if m is None:
+        m = np.asarray(fn(t))
+        m.flags.writeable = False
+        memo[key] = m
+    return m
+
+
+def _de_integrate(g, kind: str, n_rows: int, x_max: float, tol: float,
                   max_level: int = 12):
-    """Trapezoid sums of n_rows transformed integrands over [-u_max, u_max]
-    with step halving and a last-difference error estimate.
+    """Trapezoid sums of n_rows integrands on the levels of
+    de_level(kind, x_max, .), with a last-difference error estimate.
 
-    g(u, rows) gives the rows listed in the index array `rows` at the
-    nodes u, shape (rows.size, u.size).  Each row stops at the level
-    where its own last difference meets tol and is not sampled again,
-    so its value, error, evaluation count and convergence flag (arrays
-    over the rows) are those of a one-row call.
-
-    Values that are non-finite in the extreme tails are treated as zero
-    (the transform has already damped them below tolerance there);
-    non-finite values in the core abort the computation.
+    g(lvl, rows) gives the rows listed in the index array `rows` on the
+    level lvl, shape (rows.size, nodes).  Each row stops at the level
+    where its own last difference meets tol, so its value, error,
+    evaluation count and convergence flag (arrays over the rows) are
+    those of a one-row call.  Non-finite values in the extreme tails,
+    where the map has damped the integrand below tolerance, count as
+    zero; in the core they abort.
     """
-    def row_sums(u, rows):
+    def row_sums(lvl, rows):
+        u = lvl[0]
         with np.errstate(over="ignore", invalid="ignore", under="ignore",
                          divide="ignore"):
-            v = np.asarray(g(u, rows), dtype=float).reshape(rows.size, u.size)
+            v = np.asarray(g(lvl, rows), dtype=float)
+        v = v.reshape(rows.size, u.size)
         bad = ~np.isfinite(v)
         if bad.any():
-            if np.any(np.abs(u[bad.any(axis=0)]) < 0.75 * u_max):
+            if np.any(np.abs(u[bad.any(axis=0)]) < 0.75 * x_max):
                 raise DomainError("integrand returned non-finite values")
             v = np.where(bad, 0.0, v)
         return v.sum(axis=-1)
 
-    level = 3
-    h = u_max / 2.0 ** level
-    u = np.arange(-u_max, u_max + 0.5 * h, h)
-    n = u.size
-    total = (row_sums(u, np.arange(n_rows)) * h).tolist()
+    level = FIRST_LEVEL
+    x, h, *_ = lvl = de_level(kind, x_max, level)
+    n = x.size
+    total = (row_sums(lvl, np.arange(n_rows)) * h).tolist()
     err = [np.inf] * n_rows
     n_evals = [n] * n_rows
     converged = [False] * n_rows
@@ -51,11 +107,10 @@ def _de_integrate(g, n_rows: int, u_max: float, tol: float,
     rows = list(range(n_rows))
     while level < max_level and rows:
         level += 1
-        h *= 0.5
-        u_new = np.arange(-u_max + h, u_max, 2.0 * h)
-        n += u_new.size
+        x, h, *_ = lvl = de_level(kind, x_max, level)
+        n += x.size
         live = []
-        for r, s in zip(rows, row_sums(u_new, np.array(rows)).tolist()):
+        for r, s in zip(rows, row_sums(lvl, np.array(rows)).tolist()):
             new = 0.5 * total[r] + h * s
             err[r] = abs(new - total[r])
             total[r] = new
@@ -81,22 +136,12 @@ def tanh_sinh_finite(f, a: float, b: float, tol: float = 1e-12,
     """Integral over [a, b] tolerating endpoint singularities."""
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise DomainError("tanh_sinh_finite requires finite a < b")
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
 
-    def g(u, rows):
-        s = _HALF_PI * np.sinh(u)
-        # distance to the nearer endpoint, cancellation-free:
-        # 1 - tanh|s| = 2 e^{-2|s|} / (1 + e^{-2|s|}) stays accurate in
-        # the tails where mid + half*tanh(s) would round onto the
-        # endpoint and destroy integrable singularities
-        q = np.exp(-2.0 * np.abs(s))
-        delta = half * 2.0 * q / (1.0 + q)
-        x = np.where(u < 0.0, a + delta, b - delta)
-        jac = half * _HALF_PI * np.cosh(u) / np.cosh(s) ** 2
+    def g(lvl, rows):
+        x, jac = tanh_sinh_nodes(lvl, a, b)
         return f(x) * jac
 
-    return _first_row(QuadResult(*_de_integrate(g, 1, u_max, tol,
+    return _first_row(QuadResult(*_de_integrate(g, "tanh", 1, u_max, tol,
                                                  max_level)))
 
 
@@ -123,12 +168,9 @@ def _integrate_singular_decay_rows(f, n_rows: int, tol: float = 1e-10,
     integrand, bit for bit.
     """
 
-    def g(u, rows):
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            s = _HALF_PI * np.sinh(u)
-            t = np.exp(s)
-            jac = _HALF_PI * np.cosh(u) * t
-            out = np.where(np.isfinite(jac), f(t, rows) * jac, np.inf)
-        return out
+    def g(lvl, rows):
+        _, _, t, jac = lvl
+        return np.where(np.isfinite(jac), f(t, rows) * jac, np.inf)
 
-    return QuadResult(*_de_integrate(g, n_rows, u_max, tol, max_level))
+    return QuadResult(*_de_integrate(g, "exp", n_rows, u_max, tol,
+                                     max_level))

@@ -341,37 +341,38 @@ def _laguerre_covers(a: float, c: float, z):
     """Mask of the points of an array z that _tricomi_laguerre takes."""
     m = a + 1.0 - c
     return ((z.real >= 0.0) & (np.abs(z) >= 5.0) & (a > 0.0)
-            & (-5.0 <= m <= 21.5))
+            & (-5.0 <= m) & (min(m, a) <= 21.5))
 
 
 def _tricomi_laguerre(a: float, c: float, z):
-    """psi(a, c, z) for a > 0, -5 <= a + 1 - c <= 21.5 and Re z >= 0,
-    |z| >= 5, over a 1-d array z.
+    """psi(a, c, z) over a 1-d array z with Re z >= 0, |z| >= 5, for
+    a > 0, m = a + 1 - c >= -5 and min(m, a) <= 21.5.
 
     DLMF 13.4.4 with t = rho / z rotates the Euler integral onto the
-    positive axis:
-        psi = z^{-a} int_0^oo rho^{a-1} e^{-rho} / Gamma(a)
-                             (1 + rho/z)^{c-a-1} drho,
-    a Gauss-Laguerre sum whose only singularity is the branch point
-    rho = -z, a pole-like one of order m = a + 1 - c.  The error falls
-    with Re sqrt(z) and rises with m: for m <= 7 (and m >= -5, beyond
-    which the integrand grows too fast for any node count), 30 nodes
-    stay within 1e-13 of psi where Re sqrt(z) >= 2.8 and 80 nodes down
-    to |z| = 5 on the imaginary axis (Re sqrt(z) = 1.58); a larger m
-    takes m/7 times as many, at most 250 at m = 21.5.  Beyond that m the
-    rule loses digits near |z| = 5 and its Jacobi matrix grows as m^2,
-    so those points keep the other regimes.  Each point is one row of an
-    elementwise product, so its value does not depend on the rest of
-    the batch.
+    positive axis, psi = z^{-a} int_0^oo rho^{a-1} e^{-rho} / Gamma(a)
+    (1 + rho/z)^{c-a-1} drho: a Gauss-Laguerre sum whose only
+    singularity, rho = -z, is pole-like of order m.  For -5 <= m <= 7
+    (below -5 the integrand grows too fast for any node count) 30 nodes
+    stay within 1e-13 where Re sqrt(z) >= 2.8 and 80 down to |z| = 5 on
+    the imaginary axis; a larger m takes m/7 times as many, at most 250
+    at m = 21.5.  Beyond it the rule loses digits near |z| = 5, so
+    m > 21.5 (then c < 1) goes through psi = z^{1-c} psi(a-c+1, 2-c, z)
+    (DLMF 13.2.40), of pole order a: weight rho^{a-c} e^{-rho}, integrand
+    (1 + rho/z)^{-a}, the same prefactor z^{-a}.  Each point is one row
+    of an elementwise product, independent of the rest of the batch.
     """
-    scale = max(1.0, (a + 1.0 - c) / 7.0)
+    m = a + 1.0 - c
+    b, power = a, c - a - 1.0
+    if m > 21.5:
+        b, power, m = a - c + 1.0, -a, a
+    scale = max(1.0, m / 7.0)
     out = np.empty_like(z)
     far = np.sqrt(z).real >= 2.8
     for mask, n in ((far, 30), (~far, 80)):
         if mask.any():
-            rho, w = _laguerre_rule(float(a), 10 * math.ceil(n * scale / 10))
+            rho, w = _laguerre_rule(float(b), 10 * math.ceil(n * scale / 10))
             zm = z[mask]
-            out[mask] = np.sum(w * (1.0 + rho / zm[:, None]) ** (c - a - 1.0),
+            out[mask] = np.sum(w * (1.0 + rho / zm[:, None]) ** power,
                                axis=1) * zm ** -a
     return out
 

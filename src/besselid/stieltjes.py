@@ -30,9 +30,9 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError, UnsupportedVariantError
-from .quad import (HankelTerm, QuadResult, _values_on_nodes,
-                   integrate_oscillatory, integrate_singular_decay,
-                   tanh_sinh_finite)
+from .quad import (HankelTerm, QuadResult, integrate_oscillatory,
+                   integrate_singular_decay, tanh_sinh_finite)
+from .quad.tanhsinh import _values_on_nodes
 from .specfun import (_laguerre_covers, _tricomi_laguerre,
                       tricomi_boundary_mod2, tricomi_psi)
 
@@ -93,10 +93,10 @@ def _tricomi_complex(a: float, c: float, z):
     """Tricomi psi(a, c, z) for complex z off (-oo, 0], c non-integer,
     elementwise over an array of any shape.
 
-    For a > 0 and c <= a + 6 the right half-plane from |z| = 5 on is a
-    Gauss-Laguerre sum (specfun._tricomi_laguerre).  Elsewhere |z| > 25
-    goes through the large-argument asymptotic series and the rest
-    through the two-Kummer connection formula.
+    Where specfun._laguerre_covers holds (a > 0, Re z >= 0, |z| >= 5, a
+    pole order the rule reaches) psi is a Gauss-Laguerre sum; elsewhere
+    |z| > 25 goes through the large-argument asymptotic series and the
+    rest through the two-Kummer connection formula.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
@@ -601,18 +601,19 @@ class IdentityRecord:
 
     @cached_property
     def _contour_memo(self) -> dict:
-        # Hankel-term values per node set of the contour engine's paths
+        # the contour engine's plan: per piece and level, points and factors
         return {}
 
     def _integrate_kernel(self, weight, f, tol: float) -> QuadResult:
         """Integral of kernel * weight over (0, oo) on the entry's engine:
         contour rotation of its Hankel terms, else exp-sinh of f, the
         same integrand written out."""
-        terms = self._entry().terms
-        if terms is None:
+        e = self._entry()
+        if e.terms is None:
             return integrate_singular_decay(f, tol=tol)
-        return integrate_oscillatory(weight, terms(self.p), self._kernel_at,
-                                     tol=tol, memo=self._contour_memo)
+        return integrate_oscillatory(weight, e.terms(self.p),
+                                     lambda t: e.kernel(self.p, t),
+                                     tol=tol, plan=self._contour_memo)
 
     def measure_density(self, t):
         """Density recovered by Perron-Stieltjes inversion of the LHS.

@@ -12,6 +12,7 @@ from besselid import specfun, stieltjes
 from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
 from besselid.quad import numeric_laplace
+from besselid.quad import oscillatory, tanhsinh
 from besselid.quad.oscillatory import _ROUNDING, UNRESOLVED
 from besselid.specfun import kummer_m, tricomi_psi
 from besselid.stieltjes import (_tricomi_complex, catalog_names,
@@ -386,6 +387,21 @@ def test_oscillatory_rhs_wide_z_against_mpmath(name):
             assert name in ("IK_PROD", "IK_EXP", "KK_PROD") and z >= 1e2
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the tanh-sinh last difference underestimates the head's error at "
+    "the strong endpoint singularity t^-0.876: err_estimate 3.6e-7 "
+    "against an error of 4.0e-6; see the FOUND line on the contour head "
+    "in CHANGES.md"))
+def test_oscillatory_head_error_estimate_at_strong_endpoint():
+    rec = make_identity("IK_EQUAL", mu=-0.876)
+    r = rec.stieltjes_rhs(1e-4)
+    assert r.converged
+    with mp.workdps(30):
+        w = mp.sqrt(mp.mpf("1e-4"))
+        want = float(2 * mp.besseli(-0.876, w) * mp.besselk(-0.876, w))
+    assert abs(r.value - want) <= r.err_estimate
+
+
 # ----------------------------------------------------------------------
 # kernel memo: one kernel evaluation per quadrature node set
 # ----------------------------------------------------------------------
@@ -433,38 +449,135 @@ def test_kernel_memo_inner_laplace_is_bit_identical(name, monkeypatch):
     assert fresh == want, name
 
 
-def test_kernel_memo_reuses_node_sets(monkeypatch):
-    entry = stieltjes._CATALOG["IK_EQUAL"]
+def _counting_kernel(monkeypatch, name):
+    """Replace the catalog kernel of `name` by one that records the size
+    of each node array it is called on."""
+    entry = stieltjes._CATALOG[name]
     calls = []
 
     def counting(p, t):
         calls.append(t.size)
         return entry.kernel(p, t)
 
-    monkeypatch.setitem(stieltjes._CATALOG, "IK_EQUAL",
+    monkeypatch.setitem(stieltjes._CATALOG, name,
                         dataclasses.replace(entry, kernel=counting))
+    return calls
+
+
+def test_kernel_memo_reuses_node_sets(monkeypatch):
+    # the contour plan holds each head level's kernel values: one kernel
+    # call per planned head level
+    calls = _counting_kernel(monkeypatch, "IK_EQUAL")
     used, unused = make_identity("IK_EQUAL"), make_identity("IK_EQUAL")
     used.stieltjes_rhs(1.0)
     first = len(calls)
-    assert first == len(used._kernel_memo) > 0
-    # z = 10 converges on a prefix of the z = 1 node sets
+    heads = [key for key in used._contour_memo if key[0] == "head"]
+    assert first == len(heads) > 0
+    # z = 10 converges on a prefix of the z = 1 levels
     used.stieltjes_rhs(10.0)
     used.stieltjes_rhs(1.0)
     assert len(calls) == first
 
-    # the memo is invisible to equality, hashing and repr
+    # the plan is invisible to equality, hashing and repr
     assert used == unused and hash(used) == hash(unused)
     assert repr(used) == repr(unused)
-    # stored kernel arrays cannot be changed through an integrand
-    for m in used._kernel_memo.values():
-        assert not m.flags.writeable
-        with pytest.raises(ValueError):
-            m[0] = 0.0
-    # a record with other parameters starts with an empty memo
+    # stored arrays cannot be changed through a weight
+    for x, h, t, a in used._contour_memo.values():
+        for m in (x, t, a):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0] = 0.0
+    # a record with other parameters starts with an empty plan
     other = dataclasses.replace(used, params=(("mu", 1.2),))
-    assert other._kernel_memo == {}
+    assert other._contour_memo == {} and other._kernel_memo == {}
     other.stieltjes_rhs(1.0)
     assert len(calls) == 2 * first
+
+
+def test_kernel_memo_reuses_exp_sinh_node_sets(monkeypatch):
+    # entries without Hankel terms keep their kernel values per exp-sinh
+    # node set, keyed by the nodes' bytes
+    calls = _counting_kernel(monkeypatch, "TRICOMI_RATIO")
+    used = make_identity("TRICOMI_RATIO")
+    used.stieltjes_rhs(1.0)
+    first = len(calls)
+    assert first == len(used._kernel_memo) > 0
+    assert used._contour_memo == {}
+    used.stieltjes_rhs(1.0)
+    assert len(calls) == first
+    used.stieltjes_rhs(10.0)
+    assert len(calls) == len(used._kernel_memo)
+    for m in used._kernel_memo.values():
+        assert not m.flags.writeable
+    assert dataclasses.replace(used)._kernel_memo == {}
+
+
+def test_plan_warm_z_calls_no_kernel_and_no_hankel(monkeypatch):
+    calls = _counting_kernel(monkeypatch, "IK_EQUAL")
+    rec = make_identity("IK_EQUAL")
+    rec.stieltjes_rhs(1.0)
+    planned = dict(rec._contour_memo)
+    hankel = []
+    for fn in ("hankel1e", "hankel2e"):
+        monkeypatch.setattr(oscillatory._sp, fn,
+                            lambda nu, x: hankel.append(x) or 0.0 * x)
+    calls.clear()
+    # z = 10 converges on a prefix of the z = 1 levels
+    for z in (10.0, 1.0):
+        rec.stieltjes_rhs(z)
+    assert calls == [] and hankel == []
+    # the warm calls read the plan and add nothing to it
+    assert rec._contour_memo.keys() == planned.keys()
+    assert all(rec._contour_memo[k] is planned[k] for k in planned)
+
+
+def test_hankel_factors_only_on_live_nodes(monkeypatch):
+    # scipy's scaled Hankel functions see neither a node whose term is
+    # below e^{-700} (an exact zero) nor a point beyond |x| = 1e6 (the
+    # Hankel series): exactly s u on the other nodes, factor by factor
+    expected, seen = [], {"dead": 0, "big": 0, "scipy": 0}
+    term_call = oscillatory.HankelTerm.__call__
+
+    def spy_term(self, u):
+        u = np.asarray(u, dtype=complex)
+        live = ~(self.frequency * u.imag > 700.0)
+        seen["dead"] += int(np.count_nonzero(~live))
+        for _, _, s, _ in self.factors:
+            x = s * u[live]
+            small = np.abs(x) <= oscillatory._ASYMPTOTIC
+            seen["big"] += int(np.count_nonzero(~small))
+            expected.append(x[small])
+        return term_call(self, u)
+
+    def spy_hankel(fn):
+        def hankel(nu, x):
+            np.testing.assert_array_equal(x, expected.pop(0))
+            seen["scipy"] += x.size
+            return fn(nu, x)
+        return hankel
+
+    monkeypatch.setattr(oscillatory.HankelTerm, "__call__", spy_term)
+    for fn in ("hankel1e", "hankel2e"):
+        monkeypatch.setattr(oscillatory._sp, fn,
+                            spy_hankel(getattr(oscillatory._sp, fn)))
+    for name in OSCILLATORY:
+        rec = make_identity(name)
+        for z in (1e-3, 1.0, 1e3):
+            rec.stieltjes_rhs(z)
+    assert expected == []
+    assert min(seen.values()) > 0, seen
+
+
+def test_node_table_is_bounded_and_read_only():
+    for name in OSCILLATORY:
+        make_identity(name).stieltjes_rhs(1.0)
+    info = tanhsinh.de_level.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+    for kind in ("tanh", "exp"):
+        x, h, *parts = tanhsinh.de_level(kind, 4.0, 5)
+        assert h == 4.0 / 2 ** 5
+        for v in (x, *parts):
+            assert not v.flags.writeable
 
 
 # ----------------------------------------------------------------------
@@ -589,11 +702,11 @@ def test_tricomi_psi_keeps_growing_integrands_off_the_rule(a, c, z):
     assert abs(psi(a, c, z) - want) <= 1e-12 * abs(want)
 
 
-def test_tricomi_psi_keeps_large_pole_orders_off_the_rule(monkeypatch):
+def test_tricomi_psi_takes_large_pole_orders_through_kummer(monkeypatch):
     # the rule's Jacobi matrix has order 80 m / 7 for m = a + 1 - c up to
-    # 21.5; beyond it points stay on hyperu and the Kummer connection,
-    # so a K-distribution with a large beta (m = beta) or a very
-    # negative c builds no rule at all
+    # 21.5; beyond it the rule takes psi = z^{1-c} psi(a-c+1, 2-c, z),
+    # whose pole order is a, so a K-distribution with a large beta
+    # (m = beta) or a very negative c builds a rule of at most 80 nodes
     from besselid.distributions import GammaQuotient, KDist
 
     sizes = []
@@ -612,16 +725,41 @@ def test_tricomi_psi_keeps_large_pole_orders_off_the_rule(monkeypatch):
         + [_tricomi_complex(a, c, z) for a, c, z in cplx]
     KDist(1.2, 1000.0, 1.0).laplace(0.1)
     GammaQuotient(1.0, 1.0, 500.0, 1.0).laplace(10.0)
-    assert sizes == []
+    assert len(sizes) == 7 and max(sizes) <= 80
     with mp.workdps(30):
         want = [complex(mp.hyperu(a, c, z)) for a, c, z in real + cplx]
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * abs(w)
 
-    # at the largest covered order the rule takes 250 nodes near |z| = 5
+    # at the largest order it covers directly the rule takes 250 nodes
+    # near |z| = 5
+    sizes.clear()
     _tricomi_complex(0.5, -20.0, 5.0j)
     tricomi_psi(0.5, -20.0, 100.0)
     assert sizes == [250, 100]
+
+
+@pytest.mark.parametrize("a, c, z", [(19.98, -11.53, -5.83j),
+                                     (1.0, -40.5, 60.0 + 1.0j)])
+def test_tricomi_complex_kummer_route_at_large_pole_order(a, c, z):
+    # m = 32.5 and 42.5: the Kummer connection and the asymptotic series
+    # were 2.8e-2 and 4.1e-2 off here; the transformed point has pole
+    # order a and takes the rule
+    with mp.workdps(40):
+        want = complex(mp.hyperu(a, c, z))
+    assert abs(_tricomi_complex(a, c, z) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "m = 51.5 and, after the Kummer transformation, a = 49.1: both "
+    "beyond the rule's 21.5, so the point stays on the Kummer "
+    "connection, 3.4e6 off; see the FOUND line on large pole orders "
+    "in CHANGES.md"))
+def test_tricomi_complex_large_pole_order_and_large_a():
+    a, c, z = 49.1, -1.42, 5.96j
+    with mp.workdps(40):
+        want = complex(mp.hyperu(a, c, z))
+    assert abs(_tricomi_complex(a, c, z) - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.xfail(strict=True, reason=(

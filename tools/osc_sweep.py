@@ -6,7 +6,9 @@ For each of the nine entries whose kernel oscillates in sqrt(t), makes a
 fresh record at its default parameters and evaluates `stieltjes_rhs` at
 the 25 z of logspace(-6, 6, 25), at the default tolerance.  One untimed
 sweep warms the imports and caches; the median of the timed sweeps is
-printed in ms, with each entry's median.
+printed in ms, with each entry's median.  One more sweep, untimed,
+counts its deterministic work: the points passed to scipy's scaled
+Hankel functions and the total `n_evals` of the results.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import statistics
 import time
 
 import numpy as np
+import scipy.special as sp
 
 from besselid.stieltjes import make_identity
 
@@ -36,6 +39,32 @@ def sweep() -> dict:
     return out
 
 
+def count() -> tuple:
+    """Hankel-factor points passed to scipy and total n_evals of one
+    sweep on fresh records."""
+    points = 0
+
+    def counted(fn):
+        def hankel(nu, x):
+            nonlocal points
+            points += np.size(x)
+            return fn(nu, x)
+        return hankel
+
+    saved = {fn: getattr(sp, fn) for fn in ("hankel1e", "hankel2e")}
+    for fn, f in saved.items():
+        setattr(sp, fn, counted(f))
+    try:
+        n_evals = 0
+        for name in ENTRIES:
+            rec = make_identity(name)
+            n_evals += sum(rec.stieltjes_rhs(z).n_evals for z in ZS)
+    finally:
+        for fn, f in saved.items():
+            setattr(sp, fn, f)
+    return points, n_evals
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--repeats", type=int, default=7)
@@ -43,7 +72,9 @@ def main() -> None:
     sweep()
     runs = [sweep() for _ in range(args.repeats)]
     total = statistics.median(sum(r.values()) for r in runs)
-    print(f"median {total * 1e3:.1f} ms over {args.repeats} sweeps")
+    points, n_evals = count()
+    print(f"median {total * 1e3:.1f} ms over {args.repeats} sweeps; "
+          f"per sweep {points} Hankel points to scipy, {n_evals} n_evals")
     for name in ENTRIES:
         ms = statistics.median(r[name] for r in runs) * 1e3
         print(f"  {name:9s} {ms:6.1f} ms")
