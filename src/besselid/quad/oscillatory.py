@@ -134,7 +134,7 @@ class _Piece:
             if np.any(np.abs(x[bad]) < 0.75 * self.x_max):
                 raise DomainError("integrand returned non-finite values")
             v = np.where(bad, 0.0, v)
-        s, m = h * float(np.sum(v.real)), h * float(np.sum(np.abs(v)))
+        s, m = h * float(v.real.sum()), h * float(np.abs(v).sum())
         if level == FIRST_LEVEL:
             self.value, self.mass = s, m
         else:
