@@ -97,8 +97,7 @@ def _identity(name: str, zs, tol_tight: float, tol_hard: float) -> tuple:
         # certifying tol itself is still conclusive
         if not (rhs.converged or rhs.err_estimate <= 0.5 * tol * abs(lhs)):
             if uncertified is None:
-                reason = rhs.info.get("reason", "not converged")
-                uncertified = f"z={z:g}: {reason}"
+                uncertified = f"z={z:g}: {rhs.info['reason']}"
             continue
         res = abs(lhs - rhs.value) / max(abs(lhs), 1e-300)
         if res > worst:

@@ -23,11 +23,10 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError, UnsupportedVariantError
-from .quad.tanhsinh import _integrate_singular_decay_rows, _values_on_nodes
+from .quad.tanhsinh import half_line_piece, integrate_pieces
 from .smoothfn import (CauchyLadder, Ladder, PowerLadder, RationalLadder,
                        StieltjesLadder, frozen_expsinh_nodes, k_ratio_ladder)
-from .specfun import tricomi_boundary_mod2, tricomi_psi
-from .stieltjes import _tricomi_complex
+from .specfun import _tricomi_complex, tricomi_boundary_mod2, tricomi_psi
 
 __all__ = [
     "McKayI", "McKayII", "GenMcKay", "SqMcKay", "KDist", "GIG",
@@ -240,10 +239,10 @@ class _QuotientMixture(_Family):
         return StieltjesLadder(tuple(node(t[keep])), tuple(m[keep]))
 
     @cached_property
-    def _kernel_memo(self) -> dict:
-        # omega per exp-sinh node set: the nodes depend on the level
-        # only, not on (re, im); outside the dataclass fields, so never
-        # in ==, hash, repr or replace()
+    def _plan(self) -> dict:
+        # per exp-sinh level, omega times the Jacobian: the nodes depend
+        # on the level only, not on (re, im); outside the dataclass
+        # fields, so never in ==, hash, repr or replace()
         return {}
 
     def mgf_logderiv_im(self, re, im):
@@ -254,16 +253,14 @@ class _QuotientMixture(_Family):
                                      np.asarray(im, dtype=float))
         x, y = re.reshape(-1, 1), im.reshape(-1, 1)
 
-        def omega(t):
-            return kdist_quotient_kernel(al, be, t)
-
-        def f(t, rows):
+        def weight(t, rows):
             yr = y[rows]
-            return coef * _values_on_nodes(self._kernel_memo, t, omega) * yr \
-                / ((node(t) - x[rows]) ** 2 + yr * yr)
+            return coef * yr / ((node(t) - x[rows]) ** 2 + yr * yr)
 
-        res = _integrate_singular_decay_rows(f, re.size, tol=1e-11)
-        return res.value.reshape(re.shape)[()]
+        piece = half_line_piece(
+            6.5, self._plan, lambda t: kdist_quotient_kernel(al, be, t))
+        res = integrate_pieces([piece], weight, re.size, tol=1e-11)
+        return np.array([r.value for r in res]).reshape(re.shape)[()]
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,4 @@ def numeric_laplace(f, x: float, tol: float = 1e-10) -> QuadResult:
     """Numeric Laplace transform: integral of e^{-x t} f(t) over (0, oo)."""
     if x <= 0.0:
         raise DomainError("numeric_laplace requires x > 0")
-
-    def g(t):
-        with np.errstate(over="ignore", under="ignore"):
-            return np.exp(-x * t) * f(t)
-
-    return integrate_singular_decay(g, tol=tol)
+    return integrate_singular_decay(lambda t: np.exp(-x * t) * f(t), tol=tol)

@@ -22,9 +22,10 @@ then gives
   scaled Hankel functions do not oscillate there.
 
 A term with Omega < 0 is to be written as its complex conjugate, which
-has the same real part on the real axis.  Every value but the weight's
-sits on nodes that do not depend on the weight, so a plan shared across
-calls (one per term list) keeps them, level by level.
+has the same real part on the real axis.  With no terms the kernel is
+integrated over the whole half line by exp-sinh in t.  Every value but
+the weight's sits on nodes that do not depend on the weight, so a plan
+shared across calls (one per term list) keeps them, level by level.
 """
 
 from __future__ import annotations
@@ -36,19 +37,14 @@ import scipy.special as _sp
 
 from ..errors import DomainError
 from .result import QuadResult
-from .tanhsinh import FIRST_LEVEL, de_level, tanh_sinh_nodes
+from .tanhsinh import (Piece, de_level, half_line_piece, integrate_pieces,
+                       tanh_sinh_level)
 
 _HALF_PI = 0.5 * np.pi
 _RAY = np.exp(0.25j * np.pi)
-# rounding floor: this many eps times the integral of |integrand|
-# along the paths (against mpmath, random in-domain parameters of the
-# nine catalog kernels stayed below 51 eps times it)
-_ROUNDING = 64.0 * np.finfo(float).eps
 _ASYMPTOTIC = 1e6       # |x| beyond which H_nu(x) uses its Hankel series
 _TS_MAX = 4.0           # tanh-sinh range of the head
-_ES_MAX = 6.5           # exp-sinh range of the ray and the tail
-_MAX_LEVEL = 12
-UNRESOLVED = "below the absolute resolution of the representation"
+_ES_MAX = 6.5           # exp-sinh range of the ray, the tail and the half line
 
 
 @dataclass(frozen=True)
@@ -104,69 +100,35 @@ def _hankel_scaled(kind: int, nu: float, x):
     return out
 
 
-class _Piece:
-    """One of head, ray and tail.  Its plan holds per level, built once by
-    build(level), the nodes x, the step h, the points t = u^2 and the
-    weight-free factor a (Jacobian, du/dr, 2u and the kernel or term
-    values): the level's sum is h * Re sum a w(t)."""
+def _pieces(terms: list, kernel, plan: dict) -> list:
+    if not terms:
+        return [half_line_piece(_ES_MAX, plan, kernel)]
+    u0 = _head_length(terms)
 
-    def __init__(self, name: str, x_max: float, build, plan: dict):
-        self.name, self.x_max, self.build, self.plan = name, x_max, build, plan
-        self.value = self.mass = 0.0
-        self.diff = np.inf
-        self.n_evals = 0
-
-    def add_level(self, level: int, weight) -> None:
-        step = self.plan.get((self.name, level))
-        if step is None:
-            x, h, t, a = step = self.build(level)
-            t.setflags(write=False)
-            a.setflags(write=False)
-            self.plan[(self.name, level)] = step
-        x, h, t, a = step
-        with np.errstate(over="ignore", under="ignore", invalid="ignore",
-                         divide="ignore"):
-            v = a * weight(t)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            # the transform has damped the extreme tails below any
-            # tolerance; a non-finite value in the core is an error
-            if np.any(np.abs(x[bad]) < 0.75 * self.x_max):
-                raise DomainError("integrand returned non-finite values")
-            v = np.where(bad, 0.0, v)
-        s, m = h * float(v.real.sum()), h * float(np.abs(v).sum())
-        if level == FIRST_LEVEL:
-            self.value, self.mass = s, m
-        else:
-            new = 0.5 * self.value + s
-            self.diff = abs(new - self.value)
-            self.value, self.mass = new, 0.5 * self.mass + m
-        self.n_evals += x.size
-
-
-def _pieces(terms: list, kernel, u0: float, plan: dict) -> list:
     def head(level):
-        x, h, *_ = lvl = de_level("tanh", _TS_MAX, level)
-        u, jac = tanh_sinh_nodes(lvl, 0.0, u0)
+        x, h, u, jac = tanh_sinh_level(0.0, u0, _TS_MAX, level)
         t = u * u
         return x, h, t, 2.0 * u * jac * kernel(t)
 
     def on_path(rotate, group):
         def build(level):
             x, h, r, jac = de_level("exp", _ES_MAX, level)
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = u0 + rotate * r
-                a = rotate * jac * 2.0 * u * sum(tm(u) for tm in group)
-                return x, h, u * u, a if rotate != 1.0 else a.real
+            u = u0 + rotate * r
+            a = rotate * jac * 2.0 * u * sum(tm(u) for tm in group)
+            # past |u| ~ 1e154 on the ray u^2 overflows to nan; the terms
+            # are exact zeros there, and the weights vanish at infinity
+            t = u * u
+            t[~np.isfinite(t)] = np.inf
+            return x, h, t, a if rotate != 1.0 else a.real
         return build
 
     rays = [tm for tm in terms if tm.frequency > 0.0]
     flat = [tm for tm in terms if tm.frequency == 0.0]
-    out = [_Piece("head", _TS_MAX, head, plan)]
+    out = [Piece("head", _TS_MAX, head, plan)]
     if rays:
-        out.append(_Piece("ray", _ES_MAX, on_path(_RAY, rays), plan))
+        out.append(Piece("ray", _ES_MAX, on_path(_RAY, rays), plan))
     if flat:
-        out.append(_Piece("tail", _ES_MAX, on_path(1.0, flat), plan))
+        out.append(Piece("tail", _ES_MAX, on_path(1.0, flat), plan))
     return out
 
 
@@ -183,47 +145,16 @@ def _head_length(terms) -> float:
 def integrate_oscillatory(weight, terms, kernel, tol: float = 1e-7,
                           plan: dict = None) -> QuadResult:
     """Integral of kernel(t) * weight(t) over (0, oo), where
-    kernel(t) = Re sum(term(sqrt t) for term in terms).
+    kernel(t) = Re sum(term(sqrt t) for term in terms); with no terms,
+    the whole half line by exp-sinh in t.
 
     weight is called on real and complex t (see the module docstring);
-    kernel only on real t in (0, u0^2].  plan keeps every value but the
-    weight's across calls with the same terms and kernel.
-
-    The error estimate is the sum of the last differences of the
-    trapezoid sequences plus a rounding floor, 64 eps times the integral
-    of |integrand| along the paths (info["mass"]); both scale with the
-    integrand.  The result has converged when the estimate is within
-    tol * |value|.  Where the floor alone is not, the value is below
-    what double precision resolves on these paths, and info["reason"]
-    says so.
+    kernel only on real t, in (0, u0^2] when there are terms.  plan
+    keeps every value but the weight's across calls with the same terms
+    and kernel.  The error estimate and info["reason"] are those of
+    tanhsinh.integrate_pieces.
     """
-    if not terms or min(tm.frequency for tm in terms) < 0.0:
-        raise DomainError("integrate_oscillatory needs a nonempty term list "
-                          "with net frequencies >= 0")
-    u0 = _head_length(terms)
-    pieces = _pieces(terms, kernel, u0, {} if plan is None else plan)
-    live = list(pieces)
-    level = FIRST_LEVEL
-    while True:
-        for piece in live:
-            piece.add_level(level, weight)
-        value = sum(p.value for p in pieces)
-        floor = _ROUNDING * sum(p.mass for p in pieces)
-        if level > FIRST_LEVEL:
-            budget = max(tol * abs(value) - floor, floor) / len(pieces)
-            live = [p for p in live if p.diff > budget]
-        if not live or level == _MAX_LEVEL:
-            break
-        level += 1
-    err = sum(p.diff for p in pieces) + floor
-    converged = err <= tol * abs(value)
-    info = {"u0": u0, "levels": level, "mass": floor / _ROUNDING}
-    if not converged:
-        if floor >= 0.5 * tol * abs(value):
-            info["reason"] = (f"{UNRESOLVED}: tol * |value| = "
-                              f"{tol * abs(value):.3g}, rounding floor "
-                              f"{floor:.3g}")
-        else:
-            info["reason"] = f"no convergence by level {_MAX_LEVEL}"
-    return QuadResult(value, err, sum(p.n_evals for p in pieces), converged,
-                      info=info)
+    if terms and min(tm.frequency for tm in terms) < 0.0:
+        raise DomainError("integrate_oscillatory needs net frequencies >= 0")
+    pieces = _pieces(terms, kernel, {} if plan is None else plan)
+    return integrate_pieces(pieces, lambda t, rows: weight(t), 1, tol)[0]

@@ -1,11 +1,14 @@
-"""Double-exponential quadrature on one table of levels (de_level):
-tanh-sinh (finite interval with endpoint singularities) and exp-sinh
-(half line, integrable singularity at 0 plus decay at infinity)."""
+"""Double-exponential quadrature (Takahasi and Mori, 1974) on one table
+of levels (de_level) and one level loop (integrate_pieces) over
+pieces x rows: tanh-sinh (finite interval with endpoint singularities)
+and exp-sinh (half line, integrable singularity at 0 plus decay at
+infinity)."""
 
 from __future__ import annotations
 
 import functools
-import hashlib
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,6 +17,12 @@ from .result import QuadResult
 
 _HALF_PI = 0.5 * np.pi
 FIRST_LEVEL = 3
+MAX_LEVEL = 12
+# rounding floor: this many eps times the integral of |integrand|
+# along the paths (against mpmath, random in-domain parameters of the
+# nine catalog kernels with Hankel terms stayed below 51 eps times it)
+_ROUNDING = 64.0 * float(np.finfo(float).eps)
+UNRESOLVED = "below the absolute resolution of the representation"
 
 
 @functools.lru_cache(maxsize=64)
@@ -22,7 +31,7 @@ def de_level(kind: str, x_max: float, level: int) -> tuple:
     [-x_max, x_max] (all at FIRST_LEVEL, the new odd ones after it), its
     step h and the map's weight-free arrays, with s = (pi/2) sinh x:
     kind "exp" (exp-sinh onto (0, oo)) the nodes e^s and their Jacobian;
-    "tanh" q = e^{-2|s|}, 1 + q, cosh x, cosh(s)^2 (see tanh_sinh_nodes)."""
+    "tanh" q = e^{-2|s|}, 1 + q, cosh x, cosh(s)^2 (see tanh_sinh_level)."""
     h = x_max / 2.0 ** level
     if level == FIRST_LEVEL:
         x = np.arange(-x_max, x_max + 0.5 * h, h)
@@ -41,94 +50,141 @@ def de_level(kind: str, x_max: float, level: int) -> tuple:
     return (x, h, *parts)
 
 
-def tanh_sinh_nodes(lvl: tuple, a: float, b: float) -> tuple:
-    """Nodes in (a, b) and Jacobian of tanh-sinh on a "tanh" level."""
-    x, _, q, one_q, cosh_x, cosh_s2 = lvl
+def tanh_sinh_level(a: float, b: float, x_max: float, level: int) -> tuple:
+    """(x, h, nodes in (a, b), Jacobian) of tanh-sinh on one level."""
+    x, h, q, one_q, cosh_x, cosh_s2 = de_level("tanh", x_max, level)
     half = 0.5 * (b - a)
     # distance to the nearer endpoint without cancellation, where
     # mid + half*tanh(s) would round onto it and lose a singularity
     delta = half * 2.0 * q / one_q
-    return (np.where(x < 0.0, a + delta, b - delta),
+    return (x, h, np.where(x < 0.0, a + delta, b - delta),
             half * _HALF_PI * cosh_x / cosh_s2)
 
 
-def _values_on_nodes(memo: dict, t: np.ndarray, fn) -> np.ndarray:
-    """fn(t) on a quadrature node array, evaluated once per node set.
+@dataclass(eq=False)
+class Piece:
+    """One path of an integral (a finite interval, the half line, or a
+    head, ray or tail of the contour engine).  Its plan holds per level,
+    built once by build(level), the nodes x, the step h, the points t
+    and the weight-free factor a (Jacobian times kernel or Hankel-term
+    values): the level's sum for a row is h * Re sum a weight(t, row)."""
 
-    The nodes of an engine do not depend on the outer argument (z, s or
-    a point of the upper half plane), so a sweep over that argument
-    reuses every array; arrays are keyed in memo by shape, dtype and a
-    digest of their bytes and stored read-only."""
-    key = (t.shape, t.dtype.str,
-           hashlib.blake2b(t.tobytes(), digest_size=16).digest())
-    m = memo.get(key)
-    if m is None:
-        m = np.asarray(fn(t))
-        m.flags.writeable = False
-        memo[key] = m
-    return m
+    name: str
+    x_max: float
+    build: object
+    plan: dict
+
+    def level(self, level: int) -> tuple:
+        """(x, h, t, a) of one level, built on first use: t and a
+        read-only, a's non-finite tail values zeroed."""
+        step = self.plan.get((self.name, level))
+        if step is None:
+            x, h, t, a = self.build(level)
+            a = _tails_zeroed(a, x, self.x_max)
+            t.setflags(write=False)
+            a.setflags(write=False)
+            step = self.plan[(self.name, level)] = x, h, t, a
+        return step
 
 
-def _de_integrate(g, kind: str, n_rows: int, x_max: float, tol: float,
-                  max_level: int = 12):
-    """Trapezoid sums of n_rows integrands on the levels of
-    de_level(kind, x_max, .), with a last-difference error estimate.
+def _tails_zeroed(v, x, x_max: float):
+    """v (over the nodes x, or rows of them) with its non-finite values
+    set to zero: the map has damped the extreme tails below any
+    tolerance.  A non-finite value in the core is an error."""
+    finite = np.isfinite(v)
+    if finite.all():
+        return v
+    bad = ~finite.reshape(-1, x.size).all(axis=0)
+    if np.any(np.abs(x[bad]) < 0.75 * x_max):
+        raise DomainError("integrand returned non-finite values")
+    return np.where(finite, v, 0.0)
 
-    g(lvl, rows) gives the rows listed in the index array `rows` on the
-    level lvl, shape (rows.size, nodes).  Each row stops at the level
-    where its own last difference meets tol, so its value, error,
-    evaluation count and convergence flag (arrays over the rows) are
-    those of a one-row call.  Non-finite values in the extreme tails,
-    where the map has damped the integrand below tolerance, count as
-    zero; in the core they abort.
+
+def half_line_piece(x_max: float, plan: dict, kernel=None) -> Piece:
+    """exp-sinh on (0, oo): the factor is the Jacobian times kernel(t),
+    or the Jacobian alone."""
+    def build(level):
+        x, h, t, jac = de_level("exp", x_max, level)
+        return x, h, t, jac if kernel is None else jac * kernel(t)
+    return Piece("half-line", x_max, build, plan)
+
+
+@np.errstate(all="ignore")
+def integrate_pieces(pieces, weight, n_rows: int, tol: float,
+                     max_level: int = MAX_LEVEL) -> list:
+    """Integrals of n_rows integrands, each the sum over the pieces of
+    their level sums (see Piece) on the levels FIRST_LEVEL, ...,
+    max_level; one QuadResult per row.
+
+    weight(t, rows) gives the rows listed in the index list `rows` at
+    the points t, shape (len(rows), t.size) or, for one row, (t.size,);
+    it runs with floating-point warnings off, as does each piece's build.
+    A piece of a row drops out at the level where its last difference
+    is within the row's budget, and a row stops when all its pieces
+    have, so row i equals the one-row call on its integrand, bit for
+    bit; the level bookkeeping runs per row in Python floats.
+
+    The error estimate is the sum of the last differences plus a
+    rounding floor, 64 eps times the integral of |integrand| along the
+    paths (info["mass"]); both scale with the integrand.  A row has
+    converged when the estimate is within tol * |value|; otherwise
+    info["reason"] says why: the floor alone is not (the value is below
+    what double precision resolves on these paths), or no convergence
+    by max_level.  Non-finite values count as in _tails_zeroed.
     """
-    def row_sums(lvl, rows):
-        u = lvl[0]
-        with np.errstate(over="ignore", invalid="ignore", under="ignore",
-                         divide="ignore"):
-            v = np.asarray(g(lvl, rows), dtype=float)
-        v = v.reshape(rows.size, u.size)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            if np.any(np.abs(u[bad.any(axis=0)]) < 0.75 * x_max):
-                raise DomainError("integrand returned non-finite values")
-            v = np.where(bad, 0.0, v)
-        return v.sum(axis=-1)
-
+    n_pieces = len(pieces)
+    # per row, per piece: trapezoid sum, sum of |integrand| and last
+    # difference, from zero at the first level
+    value = [[0.0] * n_pieces for _ in range(n_rows)]
+    mass = [[0.0] * n_pieces for _ in range(n_rows)]
+    diff = [[0.0] * n_pieces for _ in range(n_rows)]
+    n_evals, budget = [0] * n_rows, [0.0] * n_rows
+    # per piece, the rows it is still live in
+    live = [list(range(n_rows)) for _ in pieces]
     level = FIRST_LEVEL
-    x, h, *_ = lvl = de_level(kind, x_max, level)
-    n = x.size
-    total = (row_sums(lvl, np.arange(n_rows)) * h).tolist()
-    err = [np.inf] * n_rows
-    n_evals = [n] * n_rows
-    converged = [False] * n_rows
-    # the level bookkeeping runs per live row in Python floats: the
-    # arithmetic of a one-row call, at its cost
-    rows = list(range(n_rows))
-    while level < max_level and rows:
+    while True:
+        for k, (piece, on) in enumerate(zip(pieces, live)):
+            if not on:
+                continue
+            x, h, t, a = piece.level(level)
+            v = (a * weight(t, on)).reshape(len(on), x.size)
+            masses = np.abs(v).sum(axis=-1).tolist()
+            # a finite sum of |v| has no non-finite term to look for
+            if not all(map(math.isfinite, masses)):
+                v = _tails_zeroed(v, x, piece.x_max)
+                masses = np.abs(v).sum(axis=-1).tolist()
+            for r, s, m in zip(on, v.real.sum(axis=-1).tolist(), masses):
+                val, mas = value[r], mass[r]
+                new = 0.5 * val[k] + h * s
+                diff[r][k] = abs(new - val[k])
+                val[k], mas[k] = new, 0.5 * mas[k] + h * m
+                n_evals[r] += t.size
+        if level > FIRST_LEVEL:
+            for r in set().union(*live):
+                floor = _ROUNDING * sum(mass[r])
+                budget[r] = max(tol * abs(sum(value[r])) - floor,
+                                floor) / n_pieces
+            live = [[r for r in on if diff[r][k] > budget[r]]
+                    for k, on in enumerate(live)]
+        if not any(live) or level == max_level:
+            break
         level += 1
-        x, h, *_ = lvl = de_level(kind, x_max, level)
-        n += x.size
-        live = []
-        for r, s in zip(rows, row_sums(lvl, np.array(rows)).tolist()):
-            new = 0.5 * total[r] + h * s
-            err[r] = abs(new - total[r])
-            total[r] = new
-            n_evals[r] = n
-            # double-exponential convergence: one more halving squares
-            # the error, so the last difference bounds it comfortably
-            if err[r] <= tol * max(abs(new), 1e-300):
-                converged[r] = True
+
+    out = []
+    for r in range(n_rows):
+        total, floor = sum(value[r]), _ROUNDING * sum(mass[r])
+        err = sum(diff[r]) + floor
+        converged = err <= tol * abs(total)
+        info = {"mass": floor / _ROUNDING}
+        if not converged:
+            if floor >= 0.5 * tol * abs(total):
+                info["reason"] = (f"{UNRESOLVED}: tol * |value| = "
+                                  f"{tol * abs(total):.3g}, rounding floor "
+                                  f"{floor:.3g}")
             else:
-                live.append(r)
-        rows = live
-    return (np.array(total), np.array(err), np.array(n_evals),
-            np.array(converged))
-
-
-def _first_row(res: QuadResult) -> QuadResult:
-    return QuadResult(float(res.value[0]), float(res.err_estimate[0]),
-                      int(res.n_evals[0]), bool(res.converged[0]))
+                info["reason"] = f"no convergence by level {max_level}"
+        out.append(QuadResult(total, err, n_evals[r], converged, info=info))
+    return out
 
 
 def tanh_sinh_finite(f, a: float, b: float, tol: float = 1e-12,
@@ -136,13 +192,10 @@ def tanh_sinh_finite(f, a: float, b: float, tol: float = 1e-12,
     """Integral over [a, b] tolerating endpoint singularities."""
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise DomainError("tanh_sinh_finite requires finite a < b")
-
-    def g(lvl, rows):
-        x, jac = tanh_sinh_nodes(lvl, a, b)
-        return f(x) * jac
-
-    return _first_row(QuadResult(*_de_integrate(g, "tanh", 1, u_max, tol,
-                                                 max_level)))
+    piece = Piece("finite", u_max,
+                  functools.partial(tanh_sinh_level, a, b, u_max), {})
+    return integrate_pieces([piece], lambda t, rows: f(t), 1, tol,
+                            max_level)[0]
 
 
 def integrate_singular_decay(f, tol: float = 1e-10, u_max: float = 6.5,
@@ -153,8 +206,8 @@ def integrate_singular_decay(f, tol: float = 1e-10, u_max: float = 6.5,
     origin together with exponential or algebraic (faster than 1/t)
     decay at infinity.
     """
-    return _first_row(_integrate_singular_decay_rows(
-        lambda t, rows: f(t), 1, tol, u_max, max_level))
+    return integrate_pieces([half_line_piece(u_max, {})],
+                            lambda t, rows: f(t), 1, tol, max_level)[0]
 
 
 def _integrate_singular_decay_rows(f, n_rows: int, tol: float = 1e-10,
@@ -162,15 +215,14 @@ def _integrate_singular_decay_rows(f, n_rows: int, tol: float = 1e-10,
                                    max_level: int = 12) -> QuadResult:
     """integrate_singular_decay of n_rows integrands in one pass.
 
-    f(t, rows) gives the rows listed in the index array `rows` at the
-    nodes t, shape (rows.size, t.size).  Every field of the result is
-    an array over the rows, and row i equals the one-row call on its
-    integrand, bit for bit.
+    f(t, rows) gives the rows listed in the index list `rows` at the
+    nodes t, shape (len(rows), t.size).  Every field of the result is
+    an array over the rows, info["rows"] the rows' infos, and row i
+    equals the one-row call on its integrand, bit for bit.
     """
-
-    def g(lvl, rows):
-        _, _, t, jac = lvl
-        return np.where(np.isfinite(jac), f(t, rows) * jac, np.inf)
-
-    return QuadResult(*_de_integrate(g, "exp", n_rows, u_max, tol,
-                                     max_level))
+    res = integrate_pieces([half_line_piece(u_max, {})], f, n_rows, tol,
+                           max_level)
+    fields = zip(*((r.value, r.err_estimate, r.n_evals, r.converged)
+                   for r in res))
+    return QuadResult(*map(np.array, fields),
+                      info={"rows": [r.info for r in res]})

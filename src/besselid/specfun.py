@@ -394,6 +394,69 @@ def tricomi_psi(a: float, c: float, x):
     return _maybe_scalar(out.reshape(arr.shape), x)
 
 
+def _tricomi_complex_large(a: float, c: float, z):
+    """Divergent-series asymptotics psi ~ z^{-a} sum (a)_k (a-c+1)_k /
+    (k! (-z)^k), each element truncated at its smallest term."""
+    total = np.ones_like(z)
+    term = np.ones_like(z)
+    live = np.ones(z.shape, dtype=bool)
+    for k in range(40):
+        nxt = term * (a + k) * (a - c + 1.0 + k) / ((k + 1.0) * (-z))
+        live &= np.abs(nxt) < np.abs(term)
+        if not live.any():
+            break
+        term = np.where(live, nxt, term)
+        total = np.where(live, total + term, total)
+    return np.exp(-a * np.log(z)) * total
+
+
+def _tricomi_complex_kummer(a: float, c: float, z):
+    """psi from the two-Kummer connection formula."""
+    m1 = _sp.hyp1f1(a, c, z)
+    m2 = _sp.hyp1f1(a - c + 1.0, 2.0 - c, z)
+    g1 = math.gamma(1.0 - c) / math.gamma(a - c + 1.0)
+    g2 = math.gamma(c - 1.0) / math.gamma(a)
+    return g1 * m1 + g2 * np.exp((1.0 - c) * np.log(z)) * m2
+
+
+def _tricomi_complex(a: float, c: float, z):
+    """Tricomi psi(a, c, z) for complex z off (-oo, 0], c non-integer,
+    elementwise over an array of any shape.
+
+    Where _laguerre_covers holds (a > 0, Re z >= 0, |z| >= 5, a
+    pole order the rule reaches) psi is a Gauss-Laguerre sum; elsewhere
+    |z| > 25 goes through the large-argument asymptotic series and the
+    rest through the two-Kummer connection formula.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    rule = _laguerre_covers(a, c, flat)
+    large = ~rule & (np.abs(flat) > 25.0)
+    kummer = ~(rule | large)
+    out = np.empty_like(flat)
+    for mask, regime in ((rule, _tricomi_laguerre),
+                         (large, _tricomi_complex_large),
+                         (kummer, _tricomi_complex_kummer)):
+        if mask.any():
+            out[mask] = regime(a, c, flat[mask])
+    return out.reshape(z.shape)[()]
+
+
+def _tricomi_any(a: float, c: float, z):
+    if a <= 0.0:
+        # three-term recurrence in a,
+        #   psi(a) = (2(a+1) - c + z) psi(a+1)
+        #            - (a+1)(a+2-c) psi(a+2),
+        # keeps evaluation inside the a > 0 region
+        p1 = _tricomi_any(a + 1.0, c, z)
+        p2 = _tricomi_any(a + 2.0, c, z)
+        return (2.0 * (a + 1.0) - c + z) * p1 \
+            - (a + 1.0) * (a + 2.0 - c) * p2
+    if np.iscomplexobj(np.asarray(z)):
+        return _tricomi_complex(a, c, z)
+    return tricomi_psi(a, c, z)
+
+
 def _boundary_re_im(a: float, c: float, t):
     """Real and imaginary part of psi(a, c, t e^{i pi}) on an array t > 0.
 

@@ -32,9 +32,7 @@ import scipy.special as _sp
 from .errors import DomainError, ParameterError, UnsupportedVariantError
 from .quad import (HankelTerm, QuadResult, integrate_oscillatory,
                    integrate_singular_decay, tanh_sinh_finite)
-from .quad.tanhsinh import _values_on_nodes
-from .specfun import (_laguerre_covers, _tricomi_laguerre,
-                      tricomi_boundary_mod2, tricomi_psi)
+from .specfun import _tricomi_any, tricomi_boundary_mod2
 
 __all__ = [
     "IdentityRecord", "make_identity", "catalog_names", "default_params",
@@ -64,69 +62,6 @@ def _kv_scaled(nu, w):
     return _sp.kve(nu, w)
 
 
-def _tricomi_complex_large(a: float, c: float, z):
-    """Divergent-series asymptotics psi ~ z^{-a} sum (a)_k (a-c+1)_k /
-    (k! (-z)^k), each element truncated at its smallest term."""
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    live = np.ones(z.shape, dtype=bool)
-    for k in range(40):
-        nxt = term * (a + k) * (a - c + 1.0 + k) / ((k + 1.0) * (-z))
-        live &= np.abs(nxt) < np.abs(term)
-        if not live.any():
-            break
-        term = np.where(live, nxt, term)
-        total = np.where(live, total + term, total)
-    return np.exp(-a * np.log(z)) * total
-
-
-def _tricomi_complex_kummer(a: float, c: float, z):
-    """psi from the two-Kummer connection formula."""
-    m1 = _sp.hyp1f1(a, c, z)
-    m2 = _sp.hyp1f1(a - c + 1.0, 2.0 - c, z)
-    g1 = math.gamma(1.0 - c) / math.gamma(a - c + 1.0)
-    g2 = math.gamma(c - 1.0) / math.gamma(a)
-    return g1 * m1 + g2 * np.exp((1.0 - c) * np.log(z)) * m2
-
-
-def _tricomi_complex(a: float, c: float, z):
-    """Tricomi psi(a, c, z) for complex z off (-oo, 0], c non-integer,
-    elementwise over an array of any shape.
-
-    Where specfun._laguerre_covers holds (a > 0, Re z >= 0, |z| >= 5, a
-    pole order the rule reaches) psi is a Gauss-Laguerre sum; elsewhere
-    |z| > 25 goes through the large-argument asymptotic series and the
-    rest through the two-Kummer connection formula.
-    """
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    rule = _laguerre_covers(a, c, flat)
-    large = ~rule & (np.abs(flat) > 25.0)
-    kummer = ~(rule | large)
-    out = np.empty_like(flat)
-    for mask, regime in ((rule, _tricomi_laguerre),
-                         (large, _tricomi_complex_large),
-                         (kummer, _tricomi_complex_kummer)):
-        if mask.any():
-            out[mask] = regime(a, c, flat[mask])
-    return out.reshape(z.shape)[()]
-
-
-def _tricomi_any(a: float, c: float, z):
-    if a <= 0.0:
-        # three-term recurrence in a,
-        #   psi(a) = (2(a+1) - c + z) psi(a+1)
-        #            - (a+1)(a+2-c) psi(a+2),
-        # keeps evaluation inside the a > 0 region
-        p1 = _tricomi_any(a + 1.0, c, z)
-        p2 = _tricomi_any(a + 2.0, c, z)
-        return (2.0 * (a + 1.0) - c + z) * p1 \
-            - (a + 1.0) * (a + 2.0 - c) * p2
-    if np.iscomplexobj(np.asarray(z)):
-        return _tricomi_complex(a, c, z)
-    return tricomi_psi(a, c, z)
-
-
 # ---------------------------------------------------------------------------
 # Entry table
 # ---------------------------------------------------------------------------
@@ -139,8 +74,8 @@ class _Entry:
     defaults: dict
     anchor: str                   # source of the identity in the paper
     kernel: object = None         # (params, t array) -> array
-    terms: object = None          # params -> HankelTerms, Re sum = kernel
-                                  # at u = sqrt(t); None: exp-sinh rule
+    terms: object = lambda p: ()  # params -> HankelTerms, Re sum = kernel
+                                  # at u = sqrt(t); none: exp-sinh in t
     const: object = None          # (params, z) -> constant term (default 0)
     z_factor: bool = False        # integral carries z/(z+t) instead of 1/(z+t)
     hard: bool = False            # residual tolerance _HARD, else _TIGHT
@@ -484,9 +419,8 @@ def _build_catalog():
         mu, x, y = p["mu"], p["x"], p["y"]
 
         def f(t):
-            with np.errstate(over="ignore", under="ignore"):
-                return 0.5 * np.exp(-0.5 * t - 0.5 * (x * x + y * y) / t) \
-                    * _sp.kv(mu, x * y / t) / t
+            return 0.5 * np.exp(-0.5 * t - 0.5 * (x * x + y * y) / t) \
+                * _sp.kv(mu, x * y / t) / t
 
         return integrate_singular_decay(f, tol=1e-12)
 
@@ -512,7 +446,7 @@ def _build_catalog():
 
         r = tanh_sinh_finite(g, 0.0, np.pi, tol=1e-13)
         return QuadResult(pref * r.value, pref * r.err_estimate,
-                          r.n_evals, r.converged)
+                          r.n_evals, r.converged, info=r.info)
 
     cat["I_PRODUCT_ANGLE"] = _Entry(
         names=("mu", "x", "y"),
@@ -587,33 +521,20 @@ class IdentityRecord:
         return e.kernel(self.p, t)
 
     @cached_property
-    def _kernel_memo(self) -> dict:
-        # kernel values per quadrature node set, outside the dataclass
-        # fields: a memo never enters ==, hash, repr or replace()
+    def _plan(self) -> dict:
+        # the quadrature plan, per piece and level: nodes, step, points
+        # and weight-free factors; outside the dataclass fields, so never
+        # in ==, hash, repr or replace()
         return {}
 
-    def _kernel_at(self, t: np.ndarray) -> np.ndarray:
-        """Kernel m(t) on a quadrature node array, evaluated once per
-        node set, so a sweep over z on one record reuses every kernel
-        array."""
-        return _values_on_nodes(self._kernel_memo, t,
-                                lambda t: self._entry().kernel(self.p, t))
-
-    @cached_property
-    def _contour_memo(self) -> dict:
-        # the contour engine's plan: per piece and level, points and factors
-        return {}
-
-    def _integrate_kernel(self, weight, f, tol: float) -> QuadResult:
-        """Integral of kernel * weight over (0, oo) on the entry's engine:
-        contour rotation of its Hankel terms, else exp-sinh of f, the
-        same integrand written out."""
+    def _integrate_kernel(self, weight, tol: float) -> QuadResult:
+        """Integral of kernel * weight over (0, oo) on the planned
+        engine: contour rotation of the entry's Hankel terms, or the
+        whole half line by exp-sinh where it lists none."""
         e = self._entry()
-        if e.terms is None:
-            return integrate_singular_decay(f, tol=tol)
         return integrate_oscillatory(weight, e.terms(self.p),
                                      lambda t: e.kernel(self.p, t),
-                                     tol=tol, plan=self._contour_memo)
+                                     tol=tol, plan=self._plan)
 
     def measure_density(self, t):
         """Density recovered by Perron-Stieltjes inversion of the LHS.
@@ -634,9 +555,7 @@ class IdentityRecord:
         if e.rhs is not None:
             return e.rhs(p)
         tol = tol if tol is not None else 0.01 * self.tol
-        r = self._integrate_kernel(lambda t: 1.0 / (z + t),
-                                   lambda t: self._kernel_at(t) / (z + t),
-                                   tol)
+        r = self._integrate_kernel(lambda t: 1.0 / (z + t), tol)
         value = r.value * (z if e.z_factor else 1.0)
         if e.const is not None:
             value += e.const(p, z)
@@ -658,13 +577,7 @@ class IdentityRecord:
                 f"{self.name} has no inner-Laplace density")
         if s <= 0.0:
             raise DomainError("laplace_density requires s > 0")
-
-        def weight(t):
-            with np.errstate(over="ignore", under="ignore"):
-                return np.exp(-s * t)
-
-        return self._integrate_kernel(
-            weight, lambda t: weight(t) * self._kernel_at(t), tol)
+        return self._integrate_kernel(lambda t: np.exp(-s * t), tol)
 
     def kernel_mass(self, tol: float = 1e-9) -> QuadResult:
         """Total mass of the inner-Laplace density by Fubini:
@@ -672,8 +585,7 @@ class IdentityRecord:
         if not self._entry().laplace:
             raise UnsupportedVariantError(
                 f"{self.name} has no inner-Laplace density")
-        return self._integrate_kernel(lambda t: 1.0 / t,
-                                      lambda t: self._kernel_at(t) / t, tol)
+        return self._integrate_kernel(lambda t: 1.0 / t, tol)
 
     # -- Perron-Stieltjes inversion -----------------------------------------
     inversion_anchor = "Lemma 7"

@@ -54,8 +54,9 @@ def test_bench_warm_ops_tracer_and_report_child(tmp_path):
     assert {label: v for label, v in got["outcomes"].items()
             if v not in ("ok", "inconclusive")} == {}
     assert got["traced"] == got["outcomes"]
-    # one zsweep warm-up op per catalog entry with sqrt(t) frequencies
-    assert got["layers"]["quad.integrate_oscillatory"]["calls"] == 9
+    # one zsweep warm-up op per catalog entry with a kernel: nine with
+    # Hankel terms, five Tricomi entries and K_RATIO
+    assert got["layers"]["quad.integrate_oscillatory"]["calls"] == 15
 
     out = tmp_path / "report.json"
     subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"),

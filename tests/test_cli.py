@@ -15,7 +15,7 @@ from besselid import checks
 from besselid.cli import RunConfig, main
 from besselid.distributions import DIST_KINDS, laplace_closed, pdf
 from besselid.errors import ConvergenceError, DomainError
-from besselid.quad.oscillatory import UNRESOLVED
+from besselid.quad.tanhsinh import UNRESOLVED
 
 
 @pytest.fixture()

@@ -341,7 +341,7 @@ def test_gamma_quotient_mgf_logderiv_im_at_integer_alpha0():
 
 
 # ----------------------------------------------------------------------
-# quotient-mixture kernel memo: omega once per exp-sinh node set
+# quotient-mixture plan: omega times the Jacobian once per exp-sinh level
 # ----------------------------------------------------------------------
 
 MEMO_FAMILIES = (
@@ -354,18 +354,16 @@ MEMO_POINTS = tuple((float(x), float(y)) for x in np.linspace(-5.0, 5.0, 6)
                     for y in (0.25, 1.0, 5.0))
 
 
-def _omega_every_call(memo, t, fn):
-    """The kernel evaluated afresh on each integrand call, as without
-    the memo."""
-    return fn(t)
+# a new, empty plan on every access, as without the plan
+_FRESH_PLAN = property(lambda self: {})
 
 
 @pytest.mark.parametrize("kind,args", MEMO_FAMILIES)
 def test_quotient_memo_pick_is_bit_identical(kind, args, monkeypatch):
-    # fresh, warmed-in-shuffled-order and unmemoized evaluations give
+    # fresh, warmed-in-shuffled-order and unplanned evaluations give
     # exactly the same Pick values and the same pick_check report
     with monkeypatch.context() as m:
-        m.setattr(distributions, "_values_on_nodes", _omega_every_call)
+        m.setattr(distributions._QuotientMixture, "_plan", _FRESH_PLAN)
         want = {p: mgf_logderiv_im(DIST_KINDS[kind](*args), *p)
                 for p in MEMO_POINTS}
         want_check = pick_check(DIST_KINDS[kind](*args))
@@ -383,15 +381,16 @@ def test_quotient_memo_pick_is_bit_identical(kind, args, monkeypatch):
 def test_quotient_memo_is_invisible_and_read_only(kind, args):
     used, unused = DIST_KINDS[kind](*args), DIST_KINDS[kind](*args)
     mgf_logderiv_im(used, 0.5, 1.0)
-    assert len(used._kernel_memo) > 0
+    assert len(used._plan) > 0
     assert used == unused and hash(used) == hash(unused)
     assert repr(used) == repr(unused)
-    for m in used._kernel_memo.values():
-        assert not m.flags.writeable
-        with pytest.raises(ValueError):
-            m[0] = 0.0
+    for x, h, t, a in used._plan.values():
+        for m in (x, t, a):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0] = 0.0
     other = dataclasses.replace(used, alpha=1.3)
-    assert other._kernel_memo == {}
+    assert other._plan == {}
     assert mgf_logderiv_im(other, 0.5, 1.0) \
         != mgf_logderiv_im(unused, 0.5, 1.0)
 
@@ -409,7 +408,7 @@ def test_pick_check_evaluates_omega_once_per_node_level(monkeypatch):
     monkeypatch.setattr(distributions, "kdist_quotient_kernel", counting)
     d = DIST_KINDS["kdist"](1.2, 2.0, 1.0)
     pick_check(d)
-    assert 0 < len(calls) == len(d._kernel_memo) <= 12
+    assert 0 < len(calls) == len(d._plan) <= 12
 
 
 # ----------------------------------------------------------------------

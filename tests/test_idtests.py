@@ -20,7 +20,7 @@ from besselid.idtests import (LT_KINDS, Chi, IKMu, Omega1, Rho, Theta, Zeta,
                               pick_check, pick_im, pick_targets,
                               profile_targets, selfdecomp_check,
                               selfdecomp_targets, zeta_witness_search)
-from besselid.quad import integrate_singular_decay
+from besselid.quad.tanhsinh import half_line_piece, integrate_pieces
 from besselid.smoothfn import RationalLadder
 from besselid.specfun import bessel_zeros
 
@@ -212,10 +212,16 @@ def _pick_per_point(spec, re, im):
         t = (bessel_zeros(spec.mu, 4000) / spec.a) ** 2
         return float(np.sum(im / ((t - re) ** 2 + im * im)))
     if isinstance(spec, distributions._QuotientMixture):
+        # one exp-sinh row with its own plan: factor omega * Jacobian,
+        # weight coef im / ((node - re)^2 + im^2)
         coef, al, be, node = spec._mixture()
-        return integrate_singular_decay(
-            lambda t: coef * kdist_quotient_kernel(al, be, t) * im
-            / ((node(t) - re) ** 2 + im * im), tol=1e-11).value
+
+        def weight(t, rows):
+            return coef * im / ((node(t) - re) ** 2 + im * im)
+
+        piece = half_line_piece(
+            6.5, {}, lambda t: kdist_quotient_kernel(al, be, t))
+        return integrate_pieces([piece], weight, 1, tol=1e-11)[0].value
     w = np.sqrt(-complex(re, im))
     return float(np.imag(-0.5 / w * spec._dlog_dw(w)))
 
@@ -274,14 +280,13 @@ def test_pick_check_witness_is_first_strict_minimum_never_nan():
 
 def test_pick_check_runs_the_row_engine_once(monkeypatch):
     calls = []
-    rows = distributions._integrate_singular_decay_rows
+    rows = distributions.integrate_pieces
 
-    def counting(f, n_rows, *args, **kwargs):
+    def counting(pieces, weight, n_rows, *args, **kwargs):
         calls.append(n_rows)
-        return rows(f, n_rows, *args, **kwargs)
+        return rows(pieces, weight, n_rows, *args, **kwargs)
 
-    monkeypatch.setattr(distributions, "_integrate_singular_decay_rows",
-                        counting)
+    monkeypatch.setattr(distributions, "integrate_pieces", counting)
     assert pick_check(DIST_KINDS["kdist"](1.2, 2.0, 1.0)).passed
     assert calls == [55]
 

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from besselid.distributions import DIST_KINDS, pdf
+from besselid import distributions
+from besselid.distributions import DIST_DEFAULTS, DIST_KINDS, pdf
 from besselid.errors import DomainError
 from besselid.quad import (HankelTerm, integrate_oscillatory,
                            integrate_singular_decay, numeric_laplace,
                            tanh_sinh_finite)
-from besselid.quad.tanhsinh import _integrate_singular_decay_rows
+from besselid.idtests import pick_check
+from besselid.quad.tanhsinh import UNRESOLVED, _integrate_singular_decay_rows
+from besselid.stieltjes import catalog_names, make_identity
 
 
 # ----------------------------------------------------------------------
@@ -124,11 +127,21 @@ def test_oscillatory_cosine_closed_form():
 
 def test_oscillatory_rejects_empty_or_negative_frequency_terms():
     # a term of negative net frequency is to be written as its conjugate
-    for terms in ([], [HankelTerm(1.0, 0.0, -1.0)],
+    for terms in ([HankelTerm(1.0, 0.0, -1.0)],
                   [HankelTerm(1.0, 0.0, 0.0, ((2, 0.0, 1.0, 1),))]):
         with pytest.raises(DomainError):
             integrate_oscillatory(_stieltjes(1.0), terms,
                                   lambda t: np.exp(-t), tol=1e-10)
+
+
+def test_oscillatory_without_terms_is_one_half_line_piece():
+    # int_0^oo e^{-t} / (1 + t) dt = e E1(1), by exp-sinh in t
+    plan = {}
+    r = integrate_oscillatory(_stieltjes(1.0), [], lambda t: np.exp(-t),
+                              tol=1e-12, plan=plan)
+    assert r.converged
+    assert r.value == pytest.approx(np.e * sp.exp1(1.0), rel=1e-12)
+    assert {key[0] for key in plan} == {"half-line"}
 
 
 def test_oscillatory_linearity():
@@ -235,7 +248,17 @@ def _battery():
     sd(lambda t: np.exp(-t) * np.cos(t), 0.5)
     ts(lambda x: np.abs(x - 0.3) ** 0.5, 0.0, 1.0,
        (0.3 ** 1.5 + 0.7 ** 1.5) / 1.5, tol=1e-9)
+    sd(_cancelling, _CANCELLED)
     return cases
+
+
+# e^{-t} - 2 (1 - d) e^{-2t} integrates to d = 1e-13 against a mass of
+# about 1/2: below what double precision resolves on the exp-sinh nodes
+_CANCELLED = 1e-13
+
+
+def _cancelling(t):
+    return np.exp(-t) - 2.0 * (1.0 - _CANCELLED) * np.exp(-2.0 * t)
 
 
 def test_error_estimate_honesty():
@@ -246,3 +269,59 @@ def test_error_estimate_honesty():
         if abs(r.value - want) <= 10.0 * max(r.err_estimate, 1e-15):
             honest += 1
     assert honest / total >= 0.95, f"only {honest}/{total} honest"
+    # the cancelling case is honest through its rounding floor, and says
+    # why it has not converged
+    r = integrate_singular_decay(_cancelling, tol=1e-11)
+    assert not r.converged and r.info["reason"].startswith(UNRESOLVED)
+
+
+# ----------------------------------------------------------------------
+# deterministic counters: the level every engine call stops at
+# ----------------------------------------------------------------------
+
+# per catalog entry at its defaults, over z = logspace(-6, 6, 25): total
+# n_evals and the number of converged right sides
+RHS_COUNTERS = {
+    "I_EXP": (19787, 25), "IK_PROD": (22706, 19), "IK_EQUAL": (19659, 25),
+    "IK_EXP": (23346, 18), "KK_PROD": (25138, 18), "II_EXP": (25419, 25),
+    "KK_RECIP": (8114, 25), "IK_QUOT": (15435, 25), "K_RECIP": (10162, 25),
+    "K_RATIO": (8025, 25), "TRICOMI_RATIO": (11801, 25),
+    "TRICOMI_Cm1": (11801, 25), "TRICOMI_Ap1": (11801, 25),
+    "TRICOMI_Cp1": (11801, 25), "TRICOMI_Am1": (11801, 25),
+    "MCDONALD": (12825, 25), "I_PRODUCT_ANGLE": (3225, 25),
+}
+# one pick_check of the default family: total n_evals, converged rows, rows
+PICK_COUNTERS = {"kdist": (44599, 55, 55), "gammaquot": (54839, 55, 55)}
+
+
+def test_engine_counters_are_pinned(monkeypatch):
+    # any moved stopping level changes a count: the error model, the
+    # plans and the row engine must leave every level where it was
+    zs = np.logspace(-6.0, 6.0, 25)
+    got = {}
+    for name in catalog_names():
+        rec = make_identity(name)
+        rs = [rec.stieltjes_rhs(float(z)) for z in zs]
+        got[name] = (sum(r.n_evals for r in rs), sum(r.converged for r in rs))
+    assert got == RHS_COUNTERS
+
+    rec = make_identity("K_RATIO")
+    rs = [rec.laplace_density(0.3), rec.laplace_density(3.0),
+          rec.kernel_mass()]
+    assert [(r.n_evals, r.converged) for r in rs] \
+        == [(257, True), (129, True), (8193, False)]
+
+    rows = []
+    engine = distributions.integrate_pieces
+
+    def recording(*args, **kwargs):
+        out = engine(*args, **kwargs)
+        rows.extend(out)
+        return out
+
+    monkeypatch.setattr(distributions, "integrate_pieces", recording)
+    for kind, want in PICK_COUNTERS.items():
+        rows.clear()
+        pick_check(DIST_KINDS[kind](*DIST_DEFAULTS[kind]))
+        assert (sum(r.n_evals for r in rows), sum(r.converged for r in rows),
+                len(rows)) == want, kind

@@ -13,11 +13,10 @@ from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
 from besselid.quad import numeric_laplace
 from besselid.quad import oscillatory, tanhsinh
-from besselid.quad.oscillatory import _ROUNDING, UNRESOLVED
-from besselid.specfun import kummer_m, tricomi_psi
-from besselid.stieltjes import (_tricomi_complex, catalog_names,
-                                default_params, make_identity, rows_to_csv,
-                                tolerance)
+from besselid.quad.tanhsinh import _ROUNDING, UNRESOLVED
+from besselid.specfun import _tricomi_complex, kummer_m, tricomi_psi
+from besselid.stieltjes import (catalog_names, default_params, make_identity,
+                                rows_to_csv, tolerance)
 
 TRICOMI = ("TRICOMI_RATIO", "TRICOMI_Cm1", "TRICOMI_Ap1", "TRICOMI_Cp1",
            "TRICOMI_Am1")
@@ -387,6 +386,15 @@ def test_oscillatory_rhs_wide_z_against_mpmath(name):
             assert name in ("IK_PROD", "IK_EXP", "KK_PROD") and z >= 1e2
 
 
+def test_unconverged_tricomi_rhs_carries_a_reason():
+    # the kernel goes like t^-0.984: mass below the smallest exp-sinh
+    # node keeps the right side from converging by level 12 (the false
+    # fail it causes needs a truncation term in the error model)
+    r = make_identity("TRICOMI_RATIO", a=0.644, c=0.984).stieltjes_rhs(1.0)
+    assert not r.converged
+    assert r.info["reason"] == "no convergence by level 12"
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "the tanh-sinh last difference underestimates the head's error at "
     "the strong endpoint singularity t^-0.876: err_estimate 3.6e-7 "
@@ -403,26 +411,22 @@ def test_oscillatory_head_error_estimate_at_strong_endpoint():
 
 
 # ----------------------------------------------------------------------
-# kernel memo: one kernel evaluation per quadrature node set
+# plan: one kernel evaluation per piece and level
 # ----------------------------------------------------------------------
 
 KERNEL_ENTRIES = tuple(n for n in catalog_names() if n not in PRODUCTS)
 MEMO_ZS = tuple(float(z) for z in np.logspace(-3.0, 3.0, 8))
-
-
-def _kernel_every_call(self, t):
-    """The kernel evaluated afresh on each integrand call, as without
-    the memo."""
-    return self._entry().kernel(self.p, t)
+# a new, empty plan on every access, as without the plan
+_FRESH_PLAN = property(lambda self: {})
 
 
 @pytest.mark.parametrize("name", KERNEL_ENTRIES)
 def test_kernel_memo_sweep_is_bit_identical(name, monkeypatch):
     # one record swept over z in shuffled order gives exactly the
-    # results of a fresh, unmemoized evaluation per z: value, error,
+    # results of a fresh, unplanned evaluation per z: value, error,
     # evals, convergence flag and info
     with monkeypatch.context() as m:
-        m.setattr(stieltjes.IdentityRecord, "_kernel_at", _kernel_every_call)
+        m.setattr(stieltjes.IdentityRecord, "_plan", _FRESH_PLAN)
         want = {z: make_identity(name).stieltjes_rhs(z) for z in MEMO_ZS}
     warm = make_identity(name)
     order = np.random.default_rng(17).permutation(len(MEMO_ZS))
@@ -437,7 +441,7 @@ def test_kernel_memo_sweep_is_bit_identical(name, monkeypatch):
 def test_kernel_memo_inner_laplace_is_bit_identical(name, monkeypatch):
     ss = (0.3, 3.0)
     with monkeypatch.context() as m:
-        m.setattr(stieltjes.IdentityRecord, "_kernel_at", _kernel_every_call)
+        m.setattr(stieltjes.IdentityRecord, "_plan", _FRESH_PLAN)
         rec = make_identity(name)
         want = [rec.laplace_density(s) for s in ss] + [rec.kernel_mass()]
     warm = make_identity(name)
@@ -471,7 +475,7 @@ def test_kernel_memo_reuses_node_sets(monkeypatch):
     used, unused = make_identity("IK_EQUAL"), make_identity("IK_EQUAL")
     used.stieltjes_rhs(1.0)
     first = len(calls)
-    heads = [key for key in used._contour_memo if key[0] == "head"]
+    heads = [key for key in used._plan if key[0] == "head"]
     assert first == len(heads) > 0
     # z = 10 converges on a prefix of the z = 1 levels
     used.stieltjes_rhs(10.0)
@@ -482,41 +486,42 @@ def test_kernel_memo_reuses_node_sets(monkeypatch):
     assert used == unused and hash(used) == hash(unused)
     assert repr(used) == repr(unused)
     # stored arrays cannot be changed through a weight
-    for x, h, t, a in used._contour_memo.values():
+    for x, h, t, a in used._plan.values():
         for m in (x, t, a):
             assert not m.flags.writeable
             with pytest.raises(ValueError):
                 m[0] = 0.0
     # a record with other parameters starts with an empty plan
     other = dataclasses.replace(used, params=(("mu", 1.2),))
-    assert other._contour_memo == {} and other._kernel_memo == {}
+    assert other._plan == {}
     other.stieltjes_rhs(1.0)
     assert len(calls) == 2 * first
 
 
 def test_kernel_memo_reuses_exp_sinh_node_sets(monkeypatch):
-    # entries without Hankel terms keep their kernel values per exp-sinh
-    # node set, keyed by the nodes' bytes
+    # entries without Hankel terms plan one half-line exp-sinh piece:
+    # one kernel call per planned level, none on a warm z
     calls = _counting_kernel(monkeypatch, "TRICOMI_RATIO")
     used = make_identity("TRICOMI_RATIO")
     used.stieltjes_rhs(1.0)
     first = len(calls)
-    assert first == len(used._kernel_memo) > 0
-    assert used._contour_memo == {}
+    assert first == len(used._plan) > 0
+    assert {key[0] for key in used._plan} == {"half-line"}
     used.stieltjes_rhs(1.0)
     assert len(calls) == first
     used.stieltjes_rhs(10.0)
-    assert len(calls) == len(used._kernel_memo)
-    for m in used._kernel_memo.values():
-        assert not m.flags.writeable
-    assert dataclasses.replace(used)._kernel_memo == {}
+    assert len(calls) == len(used._plan)
+    for x, h, t, a in used._plan.values():
+        for m in (x, t, a):
+            assert not m.flags.writeable
+    assert dataclasses.replace(used)._plan == {}
 
 
 def test_plan_warm_z_calls_no_kernel_and_no_hankel(monkeypatch):
     calls = _counting_kernel(monkeypatch, "IK_EQUAL")
     rec = make_identity("IK_EQUAL")
     rec.stieltjes_rhs(1.0)
-    planned = dict(rec._contour_memo)
+    planned = dict(rec._plan)
     hankel = []
     for fn in ("hankel1e", "hankel2e"):
         monkeypatch.setattr(oscillatory._sp, fn,
@@ -527,8 +532,8 @@ def test_plan_warm_z_calls_no_kernel_and_no_hankel(monkeypatch):
         rec.stieltjes_rhs(z)
     assert calls == [] and hankel == []
     # the warm calls read the plan and add nothing to it
-    assert rec._contour_memo.keys() == planned.keys()
-    assert all(rec._contour_memo[k] is planned[k] for k in planned)
+    assert rec._plan.keys() == planned.keys()
+    assert all(rec._plan[k] is planned[k] for k in planned)
 
 
 def test_hankel_factors_only_on_live_nodes(monkeypatch):
@@ -606,11 +611,11 @@ def test_tricomi_complex_reaches_each_regime(monkeypatch):
     seen = {}
     for name in want:
 
-        def spy(a, c, w, name=name, fn=getattr(stieltjes, name)):
+        def spy(a, c, w, name=name, fn=getattr(specfun, name)):
             seen[name] = w.copy()
             return fn(a, c, w)
 
-        monkeypatch.setattr(stieltjes, name, spy)
+        monkeypatch.setattr(specfun, name, spy)
     got = _tricomi_complex(1.2, 0.2, z)
     for name, pts in want.items():
         np.testing.assert_array_equal(seen[name], pts)

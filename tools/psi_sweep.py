@@ -13,7 +13,7 @@ and regime, POINTS points inside that regime's region, from SEED:
     real-rule     real x in [5, 1e4]
     real-scalar   real x in [0.01, 5)
 
-Each batch is one call of the complex psi (`stieltjes._tricomi_complex`)
+Each batch is one call of the complex psi (`specfun._tricomi_complex`)
 or of `specfun.tricomi_psi`.  One untimed pass fills the Gauss-Laguerre
 rule cache; the median over the timed passes is printed in us per
 point.  Where mpmath is installed, the first 4 points of every batch
@@ -29,8 +29,7 @@ import time
 
 import numpy as np
 
-from besselid.specfun import tricomi_psi
-from besselid.stieltjes import _tricomi_complex
+from besselid.specfun import _tricomi_complex, tricomi_psi
 
 REGIMES = ("laguerre-30", "laguerre-80", "asymptotic", "kummer",
            "real-rule", "real-scalar")
