@@ -83,12 +83,11 @@ def _passed(report, margin: float) -> tuple:
     return "pass" if report.passed else "fail", margin, report.witness
 
 
-def _identity(name: str, zs, tol_tight: float, tol_hard: float) -> tuple:
+def _identity(name: str, zs, tol: float) -> tuple:
     """Worst residual over zs; inconclusive, with the first uncertified
     z and the engine's reason as witness, where a right side is not
     certified.  The margin then covers the certified z only."""
     rec = make_identity(name)
-    tol = tol_hard if rec.tol_class == "hard" else tol_tight
     worst, wz, uncertified = 0.0, None, None
     for z in zs:
         rhs = rec.stieltjes_rhs(z, tol=0.01 * tol)
@@ -197,8 +196,7 @@ def _identity_checks(cfg) -> list:
     zs = [float(z) for z in cfg.grid]
     return [Check(f"identity:{rec.name}", rec.anchor,
                   " ".join(f"{k}={v:g}" for k, v in rec.params),
-                  partial(_identity, rec.name, zs, cfg.tol_tight,
-                          cfg.tol_hard))
+                  partial(_identity, rec.name, zs, cfg.tol_tight))
             for rec in map(make_identity, catalog_names())]
 
 
@@ -209,9 +207,8 @@ def _distribution_checks(cfg) -> list:
         out.append(Check(f"norm:{kind}", d.anchor, format_dist(d),
                          partial(_norm, d)))
         if kind != "nchisq":
-            tol = 1e-6 if kind == "kdist" else cfg.tol_tight
             out.append(Check(f"laplace:{kind}", d.anchor, format_dist(d),
-                             partial(_laplace, d, tol)))
+                             partial(_laplace, d, cfg.tol_tight)))
     return out + [Check(f"omega-mass:{al:g}-{be:g}", OMEGA_ANCHOR,
                         f"alpha={al:g} beta={be:g}",
                         partial(_omega_mass, al, be, cfg.tol_tight))

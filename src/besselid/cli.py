@@ -36,7 +36,7 @@ from .idtests import LT_KINDS, landau_constant, lt_value
 from .quad import numeric_laplace
 from .specfun import (bessel_i, bessel_j, bessel_k, bessel_y, bessel_zero,
                       bessel_zeros, kummer_m, tricomi_psi)
-from .stieltjes import catalog_names, make_identity, rows_to_csv
+from .stieltjes import catalog_names, make_identity
 
 REPORT_VERSION = 1
 
@@ -45,7 +45,6 @@ class RunConfig:
     """Suite configuration; flags override config-file values."""
 
     tol_tight: float = 1e-7
-    tol_hard: float = 1e-4
     grid_lo: float = 1e-2
     grid_hi: float = 1e2
     grid_n: int = 7
@@ -56,8 +55,8 @@ class RunConfig:
     only: str = ""
 
     def __post_init__(self):
-        if not (self.tol_tight > 0.0 and self.tol_hard > 0.0):
-            raise ParameterError("tolerances must be positive")
+        if not self.tol_tight > 0.0:
+            raise ParameterError("the tolerance must be positive")
         if not (self.grid_n >= 1 and self.grid_hi > self.grid_lo > 0.0):
             raise ParameterError("grid must be nonempty with 0 < lo < hi")
         if self.fmt not in ("json", "csv"):
@@ -178,7 +177,7 @@ def _envelope(scope: str, cfg: RunConfig, rows) -> dict:
         "tool": f"besselid {__version__}",
         "scope": scope,
         "config": {
-            "tol_tight": cfg.tol_tight, "tol_hard": cfg.tol_hard,
+            "tol_tight": cfg.tol_tight,
             "grid": f"{cfg.grid_lo:g}:{cfg.grid_hi:g}:{cfg.grid_n}",
             "max_order": cfg.max_order,
             "format": cfg.fmt, "stable": cfg.stable,
@@ -190,23 +189,26 @@ def _envelope(scope: str, cfg: RunConfig, rows) -> dict:
     }
 
 
+def rows_to_csv(rows) -> str:
+    """CSV text of a list of dicts sharing the first one's keys, with a
+    header; empty for no rows."""
+    if not rows:
+        return ""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _emit(envelope: dict, fmt: str):
     if fmt == "json":
         click.echo(json.dumps(envelope, indent=2, sort_keys=True))
         return
-    buf = io.StringIO()
-    fieldnames = ["id", "params", "anchor", "verdict", "margin", "witness"]
-    rows = envelope["rows"]
-    if rows and "seconds" in rows[0]:
-        fieldnames.append("seconds")
-    writer = csv.DictWriter(buf, fieldnames=fieldnames)
-    writer.writeheader()
-    for row in rows:
-        out = dict(row)
-        if isinstance(out.get("witness"), (list, tuple)):
-            out["witness"] = " ".join(f"{v:g}" for v in out["witness"])
-        writer.writerow(out)
-    click.echo(buf.getvalue(), nl=False)
+    rows = [dict(row, witness=" ".join(f"{v:g}" for v in row["witness"]))
+            if isinstance(row["witness"], (list, tuple)) else row
+            for row in envelope["rows"]]
+    click.echo(rows_to_csv(rows), nl=False)
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +226,6 @@ def main():
 @click.option("--config", "config_path", type=click.Path(exists=True),
               default=None, help="key-value config file")
 @click.option("--tol-tight", type=float, default=None)
-@click.option("--tol-hard", type=float, default=None)
 @click.option("--grid", default=None, help="log grid as lo:hi:n")
 @click.option("--max-order", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),

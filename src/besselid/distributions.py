@@ -25,8 +25,9 @@ import scipy.special as _sp
 from .errors import DomainError, ParameterError, UnsupportedVariantError
 from .quad.tanhsinh import half_line_piece, integrate_pieces
 from .smoothfn import (CauchyLadder, Ladder, PowerLadder, RationalLadder,
-                       StieltjesLadder, frozen_expsinh_nodes, k_ratio_ladder)
-from .specfun import _tricomi_complex, tricomi_boundary_mod2, tricomi_psi
+                       StieltjesLadder, k_ratio_ladder)
+from .specfun import _tricomi_complex, tricomi_psi
+from .stieltjes import make_identity
 
 __all__ = [
     "McKayI", "McKayII", "GenMcKay", "SqMcKay", "KDist", "GIG",
@@ -228,15 +229,9 @@ class _QuotientMixture(_Family):
     (coef, al, be, node)."""
 
     def phi_ladder(self):
-        # frozen exp-sinh nodes, so the ladder differentiates exactly
         coef, al, be, node = self._mixture()
-        t, w = frozen_expsinh_nodes(20, 6.0)
-        sel = t < 700.0
-        t, w = t[sel], w[sel]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            m = coef * kdist_quotient_kernel(al, be, t) * w
-        keep = np.isfinite(m) & (m > 0.0)
-        return StieltjesLadder(tuple(node(t[keep])), tuple(m[keep]))
+        return StieltjesLadder.from_kernel(
+            lambda t: kdist_quotient_kernel(al, be, t), coef, node)
 
     @cached_property
     def _plan(self) -> dict:
@@ -504,11 +499,12 @@ def kdist_quotient_kernel(al: float, be: float, t):
     (the Bernstein integrand then carries the coefficient
     min(alpha, beta) rather than alpha).
 
-    Needs alpha != beta; the orientation with c < 1 of the Tricomi
-    boundary pair is chosen automatically.  Integer alpha - beta makes
-    the boundary pair's connection coefficients singular, so the kernel
-    is then evaluated at beta -/+ delta and averaged, which cancels the
-    first-order term of the (smooth) beta-dependence.
+    It is the TRICOMI_RATIO catalog kernel in the orientation with c < 1,
+    at (a, c) = (min(alpha, beta), 1 - |alpha - beta|), so alpha != beta.
+    Integer alpha - beta makes the Tricomi boundary pair's connection
+    coefficients singular, so the kernel is then evaluated at
+    beta -/+ delta and averaged, which cancels the first-order term of
+    the (smooth) beta-dependence.
     """
     if al == be:
         raise ParameterError("kernel requires alpha != beta")
@@ -517,22 +513,9 @@ def kdist_quotient_kernel(al: float, be: float, t):
         delta = 1e-5
         return 0.5 * (kdist_quotient_kernel(al, be - delta, t)
                       + kdist_quotient_kernel(al, be + delta, t))
-    if al < be:
-        a_, c_ = al, 1.0 + al - be
-        expo = be - al - 1.0
-        norm = np.exp(-_sp.gammaln(al + 1.0) - _sp.gammaln(be))
-    else:
-        # Kummer-transformed orientation, alpha and beta exchanged
-        a_, c_ = be, 1.0 - al + be
-        expo = al - be - 1.0
-        norm = np.exp(-_sp.gammaln(be + 1.0) - _sp.gammaln(al))
-    t = np.asarray(t, dtype=float)
-    # e^{-t} underflows past ~745; the kernel is exactly zero there, so
-    # those t skip the boundary evaluation
-    dead = t >= 700.0
-    ts = np.where(dead, 1.0, t)
-    out = ts ** expo * np.exp(-ts) / tricomi_boundary_mod2(a_, c_, ts) * norm
-    return np.where(dead, 0.0, out)
+    lo, hi = min(al, be), max(al, be)
+    return make_identity("TRICOMI_RATIO", a=lo,
+                         c=1.0 + lo - hi).kernel_density(t)
 
 
 def mgf_logderiv_im(d, re, im):

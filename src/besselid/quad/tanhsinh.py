@@ -208,21 +208,3 @@ def integrate_singular_decay(f, tol: float = 1e-10, u_max: float = 6.5,
     """
     return integrate_pieces([half_line_piece(u_max, {})],
                             lambda t, rows: f(t), 1, tol, max_level)[0]
-
-
-def _integrate_singular_decay_rows(f, n_rows: int, tol: float = 1e-10,
-                                   u_max: float = 6.5,
-                                   max_level: int = 12) -> QuadResult:
-    """integrate_singular_decay of n_rows integrands in one pass.
-
-    f(t, rows) gives the rows listed in the index list `rows` at the
-    nodes t, shape (len(rows), t.size).  Every field of the result is
-    an array over the rows, info["rows"] the rows' infos, and row i
-    equals the one-row call on its integrand, bit for bit.
-    """
-    res = integrate_pieces([half_line_piece(u_max, {})], f, n_rows, tol,
-                           max_level)
-    fields = zip(*((r.value, r.err_estimate, r.n_evals, r.converged)
-                   for r in res))
-    return QuadResult(*map(np.array, fields),
-                      info={"rows": [r.info for r in res]})

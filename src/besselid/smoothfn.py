@@ -13,7 +13,7 @@ vector analytically:
   (digamma at order 0, Hurwitz zeta above; orders >= 1 valid up to
   x = r_N / 16);
 * Stieltjes transforms with a fixed positive kernel reduce to rational
-  ladders over frozen double-exponential quadrature nodes;
+  ladders over the nodes of one double-exponential quadrature level;
 * anything with a complex-analytic closed form is differentiated by
   Cauchy's integral formula on a circle.
 """
@@ -28,12 +28,13 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError
+from .quad.tanhsinh import FIRST_LEVEL, de_level
 from .specfun import bessel_zeros
+from .stieltjes import make_identity
 
 __all__ = [
     "RationalLadder", "PowerLadder", "MLSumLadder", "StieltjesLadder",
-    "CauchyLadder", "SumLadder", "frozen_expsinh_nodes",
-    "k_ratio_ladder", "falling_factorial",
+    "CauchyLadder", "SumLadder", "k_ratio_ladder", "falling_factorial",
 ]
 
 
@@ -272,23 +273,37 @@ class MLSumLadder(Ladder):
         return out
 
 
-def frozen_expsinh_nodes(n_per_unit: int = 20, u_max: float = 6.0):
-    """Fixed exp-sinh node/weight set on (0, oo): t = exp((pi/2) sinh u)."""
-    h = 1.0 / n_per_unit
-    u = np.arange(-u_max, u_max + 0.5 * h, h)
-    s = 0.5 * np.pi * np.sinh(u)
-    t = np.exp(s)
-    w = h * 0.5 * np.pi * np.cosh(u) * t
-    return t, w
+# The exp-sinh level of every Stieltjes ladder.  Against level 10, level
+# 7 on [-6, 6] keeps the default K-ratio and quotient ladders within
+# 2.1e-13 at orders 0-8 on the Bernstein grid, where level 6 is 8.5e-6
+# off on the K-distribution; x_max 6.5 would add nodes out to 1e227.
+_LADDER_LEVEL = 7
+_LADDER_X_MAX = 6.0
 
 
 @dataclass(frozen=True)
 class StieltjesLadder(Ladder):
     """f(x) = sum_i masses[i] / (x + nodes[i]); the discretization of a
-    Stieltjes transform with positive kernel on frozen quadrature nodes."""
+    Stieltjes transform with positive kernel on fixed quadrature nodes."""
 
     nodes: tuple
     masses: tuple
+
+    @classmethod
+    def from_kernel(cls, kernel, coef: float, node):
+        """coef * integral of kernel(t) / (x + node(t)) over t > 0: the
+        kernel evaluated once on every node of the exp-sinh trapezoid of
+        level _LADDER_LEVEL on [-_LADDER_X_MAX, _LADDER_X_MAX] (the
+        levels of quad.tanhsinh.de_level up to it), keeping the nodes
+        whose mass is finite and positive."""
+        levels = [de_level("exp", _LADDER_X_MAX, k)
+                  for k in range(FIRST_LEVEL, _LADDER_LEVEL + 1)]
+        t = np.concatenate([lv[2] for lv in levels])
+        with np.errstate(all="ignore"):
+            m = coef * levels[-1][1] * np.concatenate(
+                [lv[3] for lv in levels]) * kernel(t)
+        keep = np.isfinite(m) & (m > 0.0)
+        return cls(tuple(node(t[keep])), tuple(m[keep]))
 
     def derivatives(self, x, max_order: int) -> np.ndarray:
         n = len(self.nodes)
@@ -296,21 +311,14 @@ class StieltjesLadder(Ladder):
                                     x, max_order)
 
 
-def k_ratio_ladder(mu: float, a: float, n_per_unit: int = 24,
-                   u_max: float = 6.0) -> StieltjesLadder:
-    """Ladder for (a / (2 sqrt x)) K_{mu-1}(a sqrt x) / K_mu(a sqrt x)
-    via its Stieltjes representation with kernel
-    (1/pi^2) / (t [J_mu^2(a sqrt t) + Y_mu^2(a sqrt t)])."""
+def k_ratio_ladder(mu: float, a: float) -> StieltjesLadder:
+    """Ladder for (a / (2 sqrt x)) K_{mu-1}(a sqrt x) / K_mu(a sqrt x):
+    half the K_RATIO catalog kernel at s, the Stieltjes node s / a^2."""
     if a <= 0.0:
         raise ParameterError("k_ratio_ladder requires a > 0")
-    t, w = frozen_expsinh_nodes(n_per_unit, u_max)
-    r = a * np.sqrt(t)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        dens = 1.0 / (np.pi * np.pi * t
-                      * (_sp.jv(mu, r) ** 2 + _sp.yv(mu, r) ** 2))
-        m = w * dens
-    keep = np.isfinite(m) & (m > 0.0)
-    return StieltjesLadder(tuple(t[keep]), tuple(m[keep]))
+    rec = make_identity("K_RATIO", mu=mu)
+    return StieltjesLadder.from_kernel(rec.kernel_density, 0.5,
+                                       lambda s: s / (a * a))
 
 
 @dataclass(frozen=True)

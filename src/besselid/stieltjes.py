@@ -20,8 +20,6 @@ not support inversion or inner Laplace evaluation.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,11 +34,10 @@ from .specfun import _tricomi_any, tricomi_boundary_mod2
 
 __all__ = [
     "IdentityRecord", "make_identity", "catalog_names", "default_params",
-    "tolerance", "rows_to_csv",
+    "tolerance",
 ]
 
 _TIGHT = 1e-7
-_HARD = 1e-4
 
 
 def _sqrtz(z):
@@ -78,7 +75,6 @@ class _Entry:
                                   # at u = sqrt(t); none: exp-sinh in t
     const: object = None          # (params, z) -> constant term (default 0)
     z_factor: bool = False        # integral carries z/(z+t) instead of 1/(z+t)
-    hard: bool = False            # residual tolerance _HARD, else _TIGHT
     laplace: bool = True          # the inner Laplace transform is a density
     rhs: object = None            # params -> QuadResult, in place of a kernel
     options: tuple = ()           # optional parameters beyond `names`
@@ -302,7 +298,6 @@ def _build_catalog():
                                      (1, p["nu"], p["b"], -1))),),
         defaults={"mu": 0.8, "nu": 0.7, "a": 0.3, "b": 0.4},
         anchor="Theorem recprodKrepr",
-        hard=True,
     )
 
     def ikquot_lhs(p, z):
@@ -327,7 +322,6 @@ def _build_catalog():
                                     (1, p["nu"], p["b"], -1)),
         defaults={"mu": 0.8, "nu": 0.6, "a": 0.3, "b": 0.4},
         anchor="Theorem theoquotIK",
-        hard=True,
     )
 
     def krecip_lhs(p, z):
@@ -473,7 +467,8 @@ def default_params(name: str) -> dict:
 
 
 def tolerance(name: str) -> float:
-    return _HARD if _CATALOG[name].hard else _TIGHT
+    """Residual tolerance of the catalog entry `name`; one for all."""
+    return _TIGHT
 
 
 @dataclass(frozen=True)
@@ -486,10 +481,6 @@ class IdentityRecord:
     @property
     def p(self) -> dict:
         return dict(self.params)
-
-    @property
-    def tol_class(self) -> str:
-        return "hard" if self._entry().hard else "tight"
 
     @property
     def tol(self) -> float:
@@ -637,14 +628,3 @@ def make_identity(name: str, **params) -> IdentityRecord:
         raise ParameterError(f"{name} missing parameters {sorted(missing)}")
     e.check(p)
     return IdentityRecord(name, tuple(sorted(p.items())))
-
-
-def rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    if not rows:
-        return ""
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()

@@ -1,5 +1,7 @@
 """Command-line interface: eval, verify, profile, zeros, landau."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -287,6 +289,19 @@ def test_verify_csv_format(runner):
     assert r.exit_code == 0
     header = r.output.splitlines()[0]
     assert header == "id,params,anchor,verdict,margin,witness"
+    # byte for byte the JSON report's rows under that header, a list
+    # witness joined by spaces
+    for only in ("landau", "pick-witness:zeta"):
+        args = ["verify", "idtests", "--only", only, "--stable"]
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=header.split(","))
+        writer.writeheader()
+        for row in json.loads(runner.invoke(main, args).output)["rows"]:
+            if isinstance(row["witness"], list):
+                row["witness"] = " ".join(f"{v:g}" for v in row["witness"])
+            writer.writerow(row)
+        csv_out = runner.invoke(main, args + ["--format", "csv"])
+        assert csv_out.stdout_bytes == buf.getvalue().encode(), only
 
 
 def test_verify_only_without_match(runner):
@@ -306,15 +321,18 @@ def test_verify_config_file_with_flag_override(runner, tmp_path):
                              "--only", "landau:bound:1"])
     rep = json.loads(r.output)
     assert [row["id"] for row in rep["rows"]] == ["landau:bound:1"]
-    # the thread pool is gone, and so is its config key; a bad value in
-    # the file or on the command line is a usage error too
-    for text in ("threads = 2", "max_order = abc", "tol_tight = -1",
-                 "format = xml"):
+    # the thread pool and the hard tolerance class are gone, and so are
+    # their config keys; a bad value in the file or on the command line
+    # is a usage error too
+    for text in ("threads = 2", "tol_hard = 1e-4", "max_order = abc",
+                 "tol_tight = -1", "format = xml"):
         cfg.write_text(f"stable = true\n{text}\n")
         r = runner.invoke(main, ["verify", "idtests", "--config", str(cfg)])
         assert r.exit_code == 2, text
     assert runner.invoke(main, ["verify", "idtests", "--tol-tight",
                                 "-1"]).exit_code == 2
+    assert runner.invoke(main, ["verify", "idtests", "--tol-hard",
+                                "1e-4"]).exit_code == 2
 
 
 def test_verify_exit_code_is_returned_through_click(capsys):

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from besselid import smoothfn
 from besselid.distributions import _ShiftLadder
 from besselid.errors import DomainError, ParameterError
-from besselid.idtests import (bernstein_targets, lt_value_complex,
-                              neg_logderiv_ladder, selfdecomp_targets)
+from besselid.idtests import (_DEFAULT_GRID, bernstein_targets,
+                              lt_value_complex, neg_logderiv_ladder,
+                              selfdecomp_targets)
 from besselid.smoothfn import (CauchyLadder, MLSumLadder, PowerLadder,
                                RationalLadder, StieltjesLadder, SumLadder,
-                               falling_factorial, frozen_expsinh_nodes,
-                               k_ratio_ladder)
+                               falling_factorial, k_ratio_ladder)
 from besselid.specfun import bessel_zeros
 
 
@@ -156,15 +157,49 @@ def test_ml_sum_point_does_not_depend_on_its_grid(mu, a):
 
 
 # ----------------------------------------------------------------------
-# frozen nodes and Stieltjes ladders
+# Stieltjes ladders on the exp-sinh level table
 # ----------------------------------------------------------------------
 
-def test_frozen_nodes_integrate_exponential():
-    t, w = frozen_expsinh_nodes()
-    with np.errstate(over="ignore"):
-        v = np.exp(-t)
-    assert float(np.sum(np.where(np.isfinite(v), v, 0.0) * w)) == \
-        pytest.approx(1.0, abs=1e-12)
+def _stieltjes_parts(lad) -> list:
+    if isinstance(lad, StieltjesLadder):
+        return [lad]
+    if isinstance(lad, SumLadder):
+        return [q for p in lad.parts for q in _stieltjes_parts(p)]
+    if isinstance(lad, _ShiftLadder):
+        return _stieltjes_parts(lad.base)
+    return []
+
+
+# Stieltjes nodes of each default Bernstein ladder that has them: 257 per
+# K-ratio piece (every node of the level), 174 per quotient kernel (its
+# zero tail from t = 700 dropped)
+_LADDER_NODES = {"ikmu": 257, "chi": 257, "theta": 514, "kappa": 514,
+                 "epsilon": 257, "epsilon_recip": 257, "kdist": 174,
+                 "gig": 257, "gammaquot": 174}
+
+
+def test_default_ladder_node_counts():
+    got = {label: sum(len(p.nodes) for p in
+                      _stieltjes_parts(neg_logderiv_ladder(spec)))
+           for label, spec in bernstein_targets()}
+    assert {k: n for k, n in got.items() if n} == _LADDER_NODES
+
+
+def test_stieltjes_ladders_match_level_ten(monkeypatch):
+    # each default K-ratio and quotient ladder against the same kernel
+    # on level 10, orders 0-8 on the Bernstein grid, each order scaled
+    # by its largest reference value
+    grid = np.asarray(_DEFAULT_GRID)
+    targets = [(label, spec) for label, spec in bernstein_targets()
+               if label in _LADDER_NODES]
+    got = {label: neg_logderiv_ladder(spec).derivatives(grid, 8)
+           for label, spec in targets}
+    monkeypatch.setattr(smoothfn, "_LADDER_LEVEL", 10)
+    for label, spec in targets:
+        ref = neg_logderiv_ladder(spec).derivatives(grid, 8)
+        scale = np.abs(ref).max(axis=0)
+        err = float((np.abs(got[label] - ref).max(axis=0) / scale).max())
+        assert err <= 1e-12, (label, err)
 
 
 def test_stieltjes_ladder_is_exact_rational():
@@ -188,6 +223,12 @@ def test_k_ratio_ladder_order_zero(mu):
 def test_k_ratio_ladder_rejects_bad_scale():
     with pytest.raises(ParameterError):
         k_ratio_ladder(1.0, 0.0)
+
+
+def test_k_ratio_ladder_rejects_negative_order():
+    # the K_RATIO catalog entry's mu >= 0, not a silent |mu|
+    with pytest.raises(ParameterError, match="mu >= 0"):
+        k_ratio_ladder(-0.5, 1.0)
 
 
 # ----------------------------------------------------------------------

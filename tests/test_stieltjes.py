@@ -9,6 +9,7 @@ import pytest
 from scipy import special as sp
 
 from besselid import specfun, stieltjes
+from besselid.cli import rows_to_csv
 from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
 from besselid.quad import numeric_laplace
@@ -16,7 +17,7 @@ from besselid.quad import oscillatory, tanhsinh
 from besselid.quad.tanhsinh import _ROUNDING, UNRESOLVED
 from besselid.specfun import _tricomi_complex, kummer_m, tricomi_psi
 from besselid.stieltjes import (catalog_names, default_params, make_identity,
-                                rows_to_csv, tolerance)
+                                tolerance)
 
 TRICOMI = ("TRICOMI_RATIO", "TRICOMI_Cm1", "TRICOMI_Ap1", "TRICOMI_Cp1",
            "TRICOMI_Am1")
@@ -39,11 +40,10 @@ def test_residual_within_tolerance(name):
 
 
 def test_tolerance_classes():
-    assert tolerance("KK_RECIP") == 1e-4
-    assert tolerance("IK_QUOT") == 1e-4
-    assert tolerance("IK_EQUAL") == 1e-7
-    assert make_identity("KK_RECIP").tol_class == "hard"
-    assert make_identity("I_EXP").tol_class == "tight"
+    # one residual tolerance: KK_RECIP and IK_QUOT, once a looser class
+    # of their own, are held to it like every other entry
+    assert {tolerance(name) for name in catalog_names()} == {1e-7}
+    assert make_identity("KK_RECIP").tol == 1e-7
 
 
 def test_residual_detects_kernel_perturbation():
