@@ -229,11 +229,10 @@ def _idtests_checks(cfg) -> list:
             for label, spec in pick_targets()]
     out.append(Check("pick-witness:zeta", Zeta.anchor, "mu=1 nu=1 a=1 b=2",
                      _zeta_witness))
-    for kind, order in (("gammaquot", cfg.max_order), ("kdist", 3),
-                        ("gig", 3)):
+    for kind in ("gammaquot", "kdist", "gig"):
         d = DIST_KINDS[kind](*DIST_DEFAULTS[kind])
         out.append(Check(f"hcm:{kind}", d.anchor, format_dist(d),
-                         partial(_hcm, d, kind, order)))
+                         partial(_hcm, d, kind, cfg.max_order)))
     out += [Check(f"profile:{mu:g}-{lam:g}-{u:g}", NoncentralChiSq.anchor,
                   f"mu={mu:g} lam={lam:g} u={u:g}",
                   partial(_profile, mu, lam, u))

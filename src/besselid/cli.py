@@ -59,6 +59,8 @@ class RunConfig:
             raise ParameterError("the tolerance must be positive")
         if not (self.grid_n >= 1 and self.grid_hi > self.grid_lo > 0.0):
             raise ParameterError("grid must be nonempty with 0 < lo < hi")
+        if not self.max_order >= 1:
+            raise ParameterError("max_order must be at least 1")
         if self.fmt not in ("json", "csv"):
             raise ParameterError("format must be json or csv")
 

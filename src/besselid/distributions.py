@@ -226,7 +226,15 @@ class SqMcKay(_GaussMcKay):
 class _QuotientMixture(_Family):
     """Families with phi'(x) = integral of coef omega(t) / (x + node(t)) dt,
     omega = kdist_quotient_kernel(al, be, .); _mixture() gives
-    (coef, al, be, node)."""
+    (coef, al, be, node).  L is a Tricomi psi, _laplace_at(x) at one
+    Python float x > 0."""
+
+    def laplace(self, x):
+        # per point in Python floats: an array gives the scalar values
+        if np.ndim(x):
+            return np.array([self.laplace(xi) for xi in np.ravel(x).tolist()]
+                            ).reshape(np.shape(x))
+        return 1.0 if x == 0.0 else self._laplace_at(x)
 
     def phi_ladder(self):
         coef, al, be, node = self._mixture()
@@ -278,11 +286,8 @@ class KDist(_QuotientMixture):
         return (lc + (0.5 * (al + be) - 1.0) * np.log(x)
                 + _log_kv(al - be, 2.0 * np.sqrt(r * x)))
 
-    def laplace(self, x):
-        # the Tricomi factor is evaluated for real arguments only here
+    def _laplace_at(self, x):
         al, be, mu = self.alpha, self.beta, self.mu
-        if x == 0.0:
-            return 1.0
         arg = al * be / (mu * x)
         return arg ** al * tricomi_psi(al, 1.0 + al - be, arg)
 
@@ -359,10 +364,8 @@ class GammaQuotient(_QuotientMixture):
               + al * np.log(r))
         return lc + (al - 1.0) * np.log(x) - (al + al0) * np.log1p(r * x)
 
-    def laplace(self, x):
+    def _laplace_at(self, x):
         al, be, al0, be0 = self.alpha, self.beta, self.alpha0, self.beta0
-        if x == 0.0:
-            return 1.0
         # quotient density has scale beta/beta0 relative to the unit
         # beta-prime law, hence the rescaled argument of psi
         s = (be / be0) * x
@@ -444,7 +447,10 @@ def _hankel_series_log(nu, z, sign):
 def _log_iv(nu, z):
     """log I_nu(z) for z >= 0, stable for large z via the scaled form
     (scipy's scaled Bessel functions give up past z ~ 1e9, where the
-    Hankel expansion is exact to machine precision)."""
+    Hankel expansion is exact to machine precision); for complex z, a
+    log of I_nu(z) (scipy scales it there by e^{-|Re z|})."""
+    if np.iscomplexobj(z):
+        return np.log(_sp.ive(nu, z)) + np.abs(np.real(z))
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         small = np.log(_sp.ive(nu, np.minimum(z, _ASYMPTOTIC_Z))) + z
@@ -455,6 +461,9 @@ def _log_iv(nu, z):
 
 
 def _log_kv(nu, z):
+    """log K_nu(z) as _log_iv; kve scales by e^z for complex z too."""
+    if np.iscomplexobj(z):
+        return np.log(_sp.kve(nu, z)) - z
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         small = np.log(_sp.kve(nu, np.minimum(z, _ASYMPTOTIC_Z))) - z
@@ -541,13 +550,23 @@ def _pointwise(fn, re, im):
     return out.reshape(re.shape)[()]
 
 
+def _hyperbolic_profile(g, u: float, w):
+    """g(uv) g(u/v) with v + 1/v = w, v = (w + sqrt(w^2 - 4))/2.
+
+    The product is symmetric under v <-> 1/v, so it does not see the
+    branch of the square root and continues analytically in w off
+    (-oo, -2]; for Re w > 0 both uv and u/v have a positive real part.
+    """
+    v = 0.5 * (w + np.sqrt(w * w - 4.0))
+    return g(u * v) * g(u / v)
+
+
 def hcm_profile(d, u: float, w):
     """Hyperbolic profile f(uv) f(u/v) with v + 1/v = w, w > 2."""
     w = np.asarray(w, dtype=float)
     if np.any(w <= 2.0):
         raise DomainError("hcm_profile requires w > 2")
-    v = 0.5 * (w + np.sqrt(w * w - 4.0))
-    return pdf(d, u * v) * pdf(d, u / v)
+    return _hyperbolic_profile(lambda x: pdf(d, x), u, w)
 
 
 def format_dist(d) -> str:

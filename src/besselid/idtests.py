@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as _sp
 
-from .distributions import (DIST_DEFAULTS, DIST_KINDS, McKayI, _log_iv,
-                            _log_kv, _pointwise, hcm_profile)
+from .distributions import (DIST_DEFAULTS, DIST_KINDS, McKayI,
+                            _hyperbolic_profile, _log_iv, _log_kv, _pointwise)
 from .errors import DomainError, ParameterError, UnsupportedVariantError
 from .smoothfn import (CauchyLadder, Ladder, MLSumLadder, PowerLadder,
                        SumLadder, k_ratio_ladder)
@@ -453,61 +453,18 @@ _DEFAULT_GRID = tuple(np.exp(np.linspace(np.log(0.05), np.log(50.0), 9)))
 _SELFDECOMP_GRID = tuple(np.exp(np.linspace(np.log(0.1), np.log(10.0), 7)))
 
 
-def _fd_derivatives(f, x, max_order):
-    """Central differences with one Richardson step, order <= 4, at each
-    point of the 1-d array x; f is called once, on every stencil point
-    of the grid."""
-    if max_order > 4:
-        raise DomainError("finite differences support order <= 4 only")
-    # per order n: the stencils of steps h and h/2, (points, n + 1)
-    stencils = []
-    for n in range(1, max_order + 1):
-        h = x * (1e-3 if n <= 2 else 1e-2)
-        off = 0.5 * n - np.arange(n + 1.0)
-        stencils.append([(s, x[:, None] + off * s[:, None])
-                         for s in (h, 0.5 * h)])
-    vals = np.asarray(f(np.concatenate(
-        [x] + [p.ravel() for st in stencils for _, p in st])), dtype=float)
-    out = np.empty((x.size, max_order + 1))
-    out[:, 0] = vals[:x.size]
-    start = x.size
-    for n, st in enumerate(stencils, start=1):
-        coef = np.array([(-1.0) ** k * _sp.comb(n, k, exact=True)
-                         for k in range(n + 1)])
-        d = []
-        for step, pts in st:
-            block = vals[start:start + pts.size].reshape(pts.shape)
-            start += pts.size
-            # per point: a matrix product may round differently from the
-            # vector product, and numpy powers from Python-float ones
-            d.append([float(coef @ row) / float(s) ** n
-                      for row, s in zip(block, step)])
-        out[:, n] = [(4.0 * d2 - d1) / 3.0 for d1, d2 in zip(*d)]
-    return out
-
-
 def cm_check(target, grid=None, max_order: int = 8, slack: float = 1e-9,
              signs: str = "alternating", label: str = "") -> CMReport:
-    """Sign-pattern test of the derivatives of target on a grid.
+    """Sign-pattern test of the derivatives of the smoothfn ladder
+    target, evaluated once on the whole grid.
 
-    target is a smoothfn ladder (exact derivatives) or a plain callable
-    (finite differences, order capped at 4, default slack 1e-6).  Either
-    is evaluated once on the whole grid, so a plain callable must accept
-    an array and return the values elementwise.
     signs = "alternating" tests (-1)^n f^(n) >= 0 (complete
     monotonicity); "positive" tests f^(n) >= 0 (absolute monotonicity).
     """
     if grid is None:
         grid = _DEFAULT_GRID
     grid = tuple(float(g) for g in grid)
-    is_ladder = isinstance(target, Ladder)
-    if not is_ladder:
-        max_order = min(max_order, 4)
-        if slack < 1e-6:
-            slack = 1e-6
-    x = np.array(grid)
-    table = (target.derivatives(x, max_order) if is_ladder
-             else _fd_derivatives(target, x, max_order))
+    table = target.derivatives(np.array(grid), max_order)
     if signs == "alternating":
         signed = table * (-1.0) ** np.arange(max_order + 1)
     elif signs == "positive":
@@ -522,22 +479,26 @@ def cm_check(target, grid=None, max_order: int = 8, slack: float = 1e-9,
     return CMReport(grid, max_order, worst, worst >= -slack, witness, label)
 
 
+def _normalization_gate(lt, grid, max_order: int, label: str):
+    """The failing report when the transform lt is off 1 by more than
+    1e-6 at x = 1e-16, else None.  x is that small because several
+    transforms carry e^{-c sqrt(x)} factors, so the approach to 1 is
+    O(sqrt(x)), not O(x)."""
+    l0 = float(lt(1e-16))
+    if abs(l0 - 1.0) > 1e-6:
+        return CMReport(tuple(grid), max_order, -abs(l0 - 1.0), False,
+                        (1e-16, -1), label)
+
+
 def bernstein_check(spec, grid=None, max_order: int = 8,
                     slack: float = 1e-9, label: str = "") -> CMReport:
-    """Bernstein-function test: phi(0+) = 0 and phi' completely monotone.
-
-    The normalization gate evaluates at x = 1e-16 because several
-    transforms carry e^{-c sqrt(x)} factors, so the approach to 1 is
-    O(sqrt(x)), not O(x).
-    """
+    """Bernstein-function test: phi(0+) = 0 and phi' completely monotone."""
     if grid is None:
         grid = _DEFAULT_GRID
-    l0 = float(lt_value(spec, 1e-16))
-    if abs(l0 - 1.0) > 1e-6:
-        return CMReport(tuple(grid), max_order, -(abs(l0 - 1.0)), False,
-                        (1e-16, -1), label)
-    return cm_check(neg_logderiv_ladder(spec), grid, max_order, slack,
-                    label=label)
+    return (_normalization_gate(lambda x: lt_value(spec, x), grid, max_order,
+                                label)
+            or cm_check(neg_logderiv_ladder(spec), grid, max_order, slack,
+                        label=label))
 
 
 SELFDECOMP_ANCHOR = "Lemma 2"
@@ -558,12 +519,11 @@ def selfdecomp_check(spec, alpha: float, grid=None, max_order: int = 6,
     def q(z):
         return lt_value_complex(spec, z) / lt_value_complex(spec, alpha * z)
 
-    q0 = float(lt_value(spec, 1e-16)) / float(lt_value(spec, alpha * 1e-16))
-    if abs(q0 - 1.0) > 1e-6:
-        return CMReport(tuple(grid), max_order, -(abs(q0 - 1.0)), False,
-                        (1e-16, -1), label)
-    return cm_check(CauchyLadder(q, radius_factor=0.5), grid, max_order,
-                    slack, label=label)
+    def q0(x):
+        return float(lt_value(spec, x)) / float(lt_value(spec, alpha * x))
+
+    return (_normalization_gate(q0, grid, max_order, label)
+            or cm_check(CauchyLadder(q), grid, max_order, slack, label=label))
 
 
 # ----------------------------------------------------------------------
@@ -639,19 +599,28 @@ def zeta_witness_search(spec=None):
 _DEFAULT_W_GRID = tuple(2.0 + np.geomspace(0.2, 18.0, 8))
 
 
+def _profile_ladder(g, u: float) -> CauchyLadder:
+    """Cauchy ladder in w of the hyperbolic profile g(uv) g(u/v).
+
+    The profile is analytic in w off (-oo, -2], so the default circle,
+    of radius w/2, keeps a fixed fraction of the distance to the cut;
+    on it Re w > 0, so g is evaluated in the right half plane only.
+    """
+    return CauchyLadder(lambda w: _hyperbolic_profile(g, u, w))
+
+
 def hcm_check(d, u: float, w_grid=None, max_order: int = 8,
               slack: float = 1e-9, label: str = "") -> CMReport:
     """Complete monotonicity in w = v + 1/v of pdf(uv) pdf(u/v).
 
     A family with an exact profile ladder (the gamma quotient) is tested
-    through it; other distributions fall back to finite differences of
-    the profile (order capped at 4).
+    through it, every other one through the Cauchy ladder of its
+    profile, evaluated by its complex log-density.
     """
     if w_grid is None:
         w_grid = _DEFAULT_W_GRID
-    target = d.hcm_ladder(u)
-    if target is None:
-        target = lambda w: hcm_profile(d, u, w)
+    target = d.hcm_ladder(u) or _profile_ladder(
+        lambda x: np.exp(d.log_pdf(x)), u)
     return cm_check(target, w_grid, max_order, slack, label=label)
 
 
@@ -681,13 +650,8 @@ def noncentral_profile_check(mu: float, lam: float, u: float,
     dec_claim = lam <= 2.0 * (2.0 * mu + 1.0)
     cvx_claim = lam <= 2.0 * mu + 1.0
     w = np.array(w_grid, dtype=float)
-    # step large enough that the curvature signal beats rounding in the
-    # three-point stencil; the profile scales are smooth in w
-    h = np.minimum(0.02 * w, 0.25 * (w - 2.0))
-    f0, fp, fm = np.split(hcm_profile(d, u, np.concatenate(
-        [w, w + h, w - h])), 3)
-    d1 = (fp - fm) / (2.0 * h)
-    d2 = (fp - 2.0 * f0 + fm) / (h * h)
+    ladder = _profile_ladder(lambda x: np.exp(d.log_pdf(x)), u)
+    f0, d1, d2 = ladder.derivatives(w, 2).T
     scale = np.abs(f0) / w
     dec_ok = not np.any(d1 >= -1e-9 * scale)
     cvx_ok = not np.any(d2 <= -1e-9 * scale / w)
@@ -700,33 +664,15 @@ ABSMON_ANCHOR = "Theorem thprodIabsmon"
 
 def absmon_check(mu: float, u: float, w_grid=None, max_order: int = 6,
                  slack: float = 1e-9, label: str = "") -> CMReport:
-    """Absolute monotonicity in w of I_mu(uv) I_mu(u/v) on (2, oo).
-
-    v(w) = (w + sqrt(w^2 - 4))/2 continues analytically off [-2, 2],
-    so the derivatives come from a Cauchy circle inside that domain, its
-    radius set per point.  Each order is scaled by its largest |value|
-    over the grid, as in cm_check, so a margin shows how close a
-    derivative comes to zero; the witness is the first failing point.
-    """
+    """Absolute monotonicity in w of I_mu(uv) I_mu(u/v) on (2, oo): a
+    cm_check with signs "positive" of the profile ladder of I_mu, so
+    the witness is the worst (w, order) pair."""
     if not (mu > -0.5 and u > 0.0):
         raise ParameterError("absmon_check requires mu > -1/2 and u > 0")
     if w_grid is None:
         w_grid = _DEFAULT_W_GRID
-
-    def f(w):
-        v = 0.5 * (w + np.sqrt(w * w - 4.0 + 0j))
-        return _sp.iv(mu, u * v) * _sp.iv(mu, u / v)
-
-    w = np.array([float(w0) for w0 in w_grid])
-    ladder = CauchyLadder(f, radius_factor=0.45,
-                          radius_shift=-(2.0 + 0.55 * (w - 2.0)))
-    table = ladder.derivatives(w, max_order)
-    margins = table / np.maximum(np.max(np.abs(table), axis=0), 1e-300)
-    bad = np.flatnonzero(~(margins.min(axis=1) >= -slack))
-    witness = (float(w[bad[0]]), int(np.argmin(margins[bad[0]]))) \
-        if bad.size else None
-    return CMReport(tuple(w_grid), max_order, float(np.min(margins)),
-                    not bad.size, witness, label)
+    return cm_check(_profile_ladder(lambda x: _sp.iv(mu, x), u), w_grid,
+                    max_order, slack, signs="positive", label=label)
 
 
 # ----------------------------------------------------------------------

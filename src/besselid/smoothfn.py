@@ -330,8 +330,7 @@ class CauchyLadder(Ladder):
     The radius is radius_factor * (x + radius_shift); radius_shift > 0
     widens the circle when the nearest singularity sits left of the
     origin instead of at it (the circle must stay inside the
-    analyticity domain).  radius_shift is a float or an array of the
-    shape of x, one shift per point.
+    analyticity domain).
     """
 
     fn: object

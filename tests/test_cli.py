@@ -335,6 +335,15 @@ def test_verify_config_file_with_flag_override(runner, tmp_path):
                                 "1e-4"]).exit_code == 2
 
 
+@pytest.mark.parametrize("order", ("-1", "0"))
+def test_verify_max_order_below_one_is_usage_error(runner, order):
+    # order 0 would test no derivative of phi' at all, and a negative
+    # order used to become a failing row
+    r = runner.invoke(main, ["verify", "idtests", "--max-order", order,
+                             "--only", "bernstein:rho"])
+    assert r.exit_code == 2, r.output
+
+
 def test_verify_exit_code_is_returned_through_click(capsys):
     # a library caller gets the code back instead of a SystemExit
     code = main(["verify", "idtests", "--only", "landau", "--stable"],

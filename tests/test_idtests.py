@@ -1,5 +1,6 @@
 """Infinite-divisibility checks: ladders, sign tests, profiles, Landau."""
 
+from functools import partial
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -8,11 +9,12 @@ import pytest
 from scipy import special as sp
 
 from besselid import checks, distributions, idtests, smoothfn
-from besselid.distributions import (DIST_KINDS, GammaQuotient, McKayI,
-                                    hcm_profile, kdist_quotient_kernel)
+from besselid.distributions import (DIST_KINDS, GIG, GammaQuotient, KDist,
+                                    McKayI, NoncentralChiSq, hcm_profile,
+                                    kdist_quotient_kernel)
 from besselid.errors import DomainError, ParameterError
 from besselid.idtests import (LT_KINDS, Chi, IKMu, Omega1, Rho, Theta, Zeta,
-                              ProfileReport, _fd_derivatives,
+                              ProfileReport,
                               absmon_check, bernstein_check, bernstein_targets,
                               cm_check, hcm_check, landau_bound_margin,
                               landau_constant, lt_value, lt_value_complex,
@@ -21,7 +23,7 @@ from besselid.idtests import (LT_KINDS, Chi, IKMu, Omega1, Rho, Theta, Zeta,
                               profile_targets, selfdecomp_check,
                               selfdecomp_targets, zeta_witness_search)
 from besselid.quad.tanhsinh import half_line_piece, integrate_pieces
-from besselid.smoothfn import RationalLadder
+from besselid.smoothfn import PowerLadder, RationalLadder
 from besselid.specfun import bessel_zeros
 
 mp.mp.dps = 30
@@ -59,6 +61,17 @@ def test_lt_kinds_registry():
 def test_lt_value_domain():
     with pytest.raises(DomainError):
         lt_value(IKMu(1.0), 0.0)
+
+
+@pytest.mark.parametrize("spec", [KDist(1.2, 2.0, 1.0),
+                                  GammaQuotient(1.2, 1.0, 0.8, 1.5)],
+                         ids=("kdist", "gammaquot"))
+def test_tricomi_lt_value_on_arrays_equals_per_point(spec):
+    x = np.array([[0.1, 1.0], [7.5, 40.0]])
+    want = np.array([[float(lt_value(spec, xi)) for xi in row] for row in x])
+    got = lt_value(spec, x)
+    assert got.shape == x.shape and np.array_equal(got, want)
+    assert distributions.laplace_closed(spec, 0.0) == 1.0
 
 
 def test_all_transforms_are_normalized_at_zero():
@@ -117,10 +130,11 @@ def test_cm_check_passes_on_stieltjes_kernel():
 
 
 def test_cm_check_fails_with_witness():
-    rep = cm_check(lambda x: np.sin(x), max_order=2)
-    assert not rep.passed
-    x, n = rep.witness
-    assert n >= 0 and x > 0.0
+    # x^2 increases: -f' is most negative, on the scale of its order, at
+    # the end of the grid
+    rep = cm_check(PowerLadder(1.0, 2.0), max_order=2)
+    assert not rep.passed and rep.worst_margin == -1.0
+    assert rep.witness == (rep.grid[-1], 1)
 
 
 def test_cm_check_rejects_bad_signs():
@@ -301,40 +315,69 @@ def test_hcm_check_gamma_quotient_exact_ladder():
     assert rep.passed, rep.worst_margin
 
 
-def test_hcm_check_kdist_finite_difference():
+def test_hcm_check_kdist_cauchy_ladder():
     d = DIST_KINDS["kdist"](1.2, 2.0, 1.0)
-    rep = hcm_check(d, 1.0, max_order=3)
+    rep = hcm_check(d, 1.0, max_order=8)
     assert rep.passed, rep.worst_margin
 
 
-def _fd_per_point(f, x, max_order):
-    """Finite-difference derivative vector at one Python-float x, one f
-    call per stencil point, as before the grid went in one call."""
-    out = np.empty(max_order + 1)
-    out[0] = f(x)
-    for n in range(1, max_order + 1):
-        h = x * (1e-3 if n <= 2 else 1e-2)
-        coef = np.array([(-1.0) ** k * sp.comb(n, k, exact=True)
-                         for k in range(n + 1)])
-        off = 0.5 * n - np.arange(n + 1.0)
-
-        def stencil(step):
-            return float(coef @ np.array([f(x + o * step) for o in off])) \
-                / step ** n
-        d1, d2 = stencil(h), stencil(0.5 * h)
-        out[n] = (4.0 * d2 - d1) / 3.0
-    return out
+def _density(d):
+    """The density of d through its complex log-density, as hcm_check
+    and noncentral_profile_check evaluate it."""
+    return lambda x: np.exp(d.log_pdf(x))
 
 
-@pytest.mark.parametrize("kind", ("kdist", "gig"))
-def test_fd_derivatives_of_hcm_profile_equal_per_point(kind):
-    d = DIST_KINDS[kind](*distributions.DIST_DEFAULTS[kind])
-    w = 2.0 + np.exp(np.sort(
-        np.random.default_rng(5).uniform(np.log(0.2), np.log(18.0), 8)))
-    want = np.array([_fd_per_point(lambda v: float(hcm_profile(d, 1.0, v)),
-                                   float(wi), 4) for wi in w])
-    got = _fd_derivatives(lambda v: hcm_profile(d, 1.0, v), w, 4)
-    assert np.array_equal(got, want), kind
+def _mp_profile_diffs(g, u, w, n):
+    """Derivatives 0..n in w of g(uv) g(u/v), v + 1/v = w, by mpmath at
+    30 digits."""
+    with mp.workdps(30):
+        def f(w):
+            v = (w + mp.sqrt(w * w - 4)) / 2
+            return g(u * v) * g(u / v)
+        return [float(t) for t in mp.diffs(f, mp.mpf(w), n)]
+
+
+def _mp_kdist_pdf(al, be, mu):
+    r = mp.mpf(al) * be / mu
+    return lambda x: (2 / (mp.gamma(al) * mp.gamma(be))
+                      * r ** ((al + be) / 2) * x ** ((al + be) / 2 - 1)
+                      * mp.besselk(al - be, 2 * mp.sqrt(r * x)))
+
+
+def _mp_gig_pdf(mu, a, b):
+    return lambda x: ((mp.mpf(a) / b) ** (mp.mpf(mu) / 2)
+                      / (2 * mp.besselk(mu, mp.sqrt(mp.mpf(a) * b)))
+                      * x ** (mu - 1) * mp.exp(-(a * x + b / x) / 2))
+
+
+def _mp_nchisq_pdf(mu, lam):
+    return lambda x: (mp.exp(-(x + lam) / 2) / 2
+                      * (x / lam) ** (mp.mpf(mu) / 4 - mp.mpf(1) / 2)
+                      * mp.besseli(mp.mpf(mu) / 2 - 1, mp.sqrt(lam * x)))
+
+
+@pytest.mark.parametrize("g,mp_g,u,n", [
+    (_density(KDist(1.2, 2.0, 1.0)), _mp_kdist_pdf(1.2, 2.0, 1.0), 1.0, 8),
+    (_density(GIG(0.7, 1.0, 1.5)), _mp_gig_pdf(0.7, 1.0, 1.5), 1.0, 8),
+    (_density(NoncentralChiSq(3.0, 1.2)), _mp_nchisq_pdf(3.0, 1.2), 2.0, 2),
+] + [(partial(sp.iv, mu), partial(mp.besseli, mu), u, 6)
+     for mu, u in checks.ABSMON_CASES],
+    ids=["kdist", "gig", "nchisq"]
+    + [f"absmon:{mu:g}-{u:g}" for mu, u in checks.ABSMON_CASES])
+def test_profile_ladder_matches_mpmath(g, mp_g, u, n):
+    # each order scaled by its largest value over the three w
+    w = idtests._DEFAULT_W_GRID[::3]
+    want = np.array([_mp_profile_diffs(mp_g, u, wi, n) for wi in w])
+    got = idtests._profile_ladder(g, u).derivatives(np.array(w), n)
+    assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) \
+        <= 1e-10
+
+
+def test_hcm_check_finds_high_order_violation():
+    # the profile of this noncentral chi-square is not completely
+    # monotone; its worst sign, on the scale of each order, is at order 5
+    rep = hcm_check(NoncentralChiSq(1.0, 0.4), 1.0, max_order=8)
+    assert not rep.passed and rep.witness == (2.2, 5)
 
 
 def test_bernstein_check_builds_each_leaf_ladder_once(monkeypatch):
@@ -364,20 +407,21 @@ def test_selfdecomp_check_makes_two_continuation_calls(monkeypatch):
 
 def test_hcm_check_evaluates_the_profile_once(monkeypatch):
     calls = []
+    profile = distributions._hyperbolic_profile
 
-    def counting(d, u, w):
+    def counting(g, u, w):
         calls.append(np.shape(w))
-        return hcm_profile(d, u, w)
+        return profile(g, u, w)
 
-    monkeypatch.setattr(idtests, "hcm_profile", counting)
-    assert hcm_check(DIST_KINDS["kdist"](1.2, 2.0, 1.0), 1.0,
-                     max_order=3).passed
-    # 8 points, and 2 stencils of n + 1 points each per point and order
-    assert calls == [(8 + 8 * 2 * (2 + 3 + 4),)]
+    monkeypatch.setattr(idtests, "_hyperbolic_profile", counting)
+    assert hcm_check(DIST_KINDS["kdist"](1.2, 2.0, 1.0), 1.0).passed
+    # 8 points, 64 on each circle
+    assert calls == [(8, 64)]
 
 
 def _profile_per_point(mu, lam, u, w_grid):
-    """noncentral_profile_check with one profile call per value."""
+    """noncentral_profile_check with the signs of a three-point stencil
+    of the profile at each point."""
     d = DIST_KINDS["nchisq"](mu, lam)
     dec_claim = lam <= 2.0 * (2.0 * mu + 1.0)
     cvx_claim = lam <= 2.0 * mu + 1.0
@@ -425,22 +469,21 @@ def test_absmon_i_product(mu, u):
 
 
 def _absmon_per_point(mu, u, w_grid, max_order, iv=sp.iv):
-    """absmon_check with one CauchyLadder per point, as before the grid
-    went in one ladder call, and each order scaled by its largest
-    |value| over the grid."""
+    """absmon_check with one circle of radius w/2 per point, each order
+    scaled by its largest |value| over the grid, and the worst (w,
+    order) pair as witness."""
     def f(w):
-        v = 0.5 * (w + np.sqrt(w * w - 4.0 + 0j))
+        v = 0.5 * (w + np.sqrt(w * w - 4.0))
         return iv(mu, u * v) * iv(mu, u / v)
 
-    table = np.array([smoothfn.CauchyLadder(
-        f, radius_factor=0.45, radius_shift=-(2.0 + 0.55 * (w0 - 2.0))
-    ).derivatives(np.array([w0]), max_order)[0] for w0 in w_grid])
+    table = np.array([smoothfn.CauchyLadder(f).derivatives(
+        np.array([w0]), max_order)[0] for w0 in w_grid])
     margins = table / np.max(np.abs(table), axis=0)
-    bad = [i for i, m in enumerate(margins) if m.min() < -1e-9]
-    witness = (w_grid[bad[0]], int(np.argmin(margins[bad[0]]))) \
-        if bad else None
-    return idtests.CMReport(tuple(w_grid), max_order, float(margins.min()),
-                            not bad, witness)
+    worst = float(margins.min())
+    i, n = np.unravel_index(np.argmin(margins), margins.shape)
+    witness = (w_grid[i], int(n)) if worst < -1e-9 else None
+    return idtests.CMReport(tuple(w_grid), max_order, worst,
+                            worst >= -1e-9, witness)
 
 
 def _absmon_grid(seed):
@@ -470,14 +513,15 @@ def test_absmon_margin_carries_magnitude():
 
 def test_absmon_check_witness_equals_per_point_loop(monkeypatch):
     # with I_mu(x) cos(x/8) the first three points pass and later ones
-    # fail: the witness is the first failing point and its worst order
+    # fail: the witness is the worst (w, order) pair, here the negative
+    # value at the last point
     def iv(mu, x):
         return sp.iv(mu, x) * np.cos(x / 8.0)
 
     monkeypatch.setattr(idtests, "_sp", SimpleNamespace(iv=iv))
     w = _absmon_grid(0)
     got = absmon_check(0.7, 1.5, w_grid=w, max_order=6)
-    assert not got.passed and got.witness[0] == w[3]
+    assert not got.passed and got.witness == (w[-1], 0)
     assert got == _absmon_per_point(0.7, 1.5, w, 6, iv)
 
 
