@@ -6,33 +6,27 @@ the noncentral chi-square profile signs, and the Landau constant.
 
 Every Laplace transform under test is paired with an analytic
 derivative ladder for its Bernstein function phi' = -(ln L)', built
-from the closed building blocks in :mod:`besselid.smoothfn`:
-
-* the I-Bessel log-derivative is a Mittag-Leffler sum over squared
-  Bessel zeros,
-* the K-Bessel log-derivative is a Stieltjes transform with the
-  explicit positive kernel 1/(pi^2 t [J^2 + Y^2]),
-* exponential and power prefactors differentiate in closed form,
-* anything with only a complex-analytic closed form goes through
-  Cauchy-circle differentiation.
-
-Sign checks then operate on machine-accurate derivative vectors, so a
-failure is evidence about the function, not about the differencing.
+from the closed building blocks in :mod:`besselid.smoothfn`; each
+Bessel-product variant is one factor row (see _Variant), from which its
+L, continuation, ladder and Pick value follow.  Sign checks then operate
+on machine-accurate derivative vectors, so a failure is evidence about
+the function, not about the differencing.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.special as _sp
 
-from .distributions import (DIST_DEFAULTS, DIST_KINDS, McKayI,
-                            _hyperbolic_profile, _log_iv, _log_kv, _pointwise)
-from .errors import DomainError, ParameterError, UnsupportedVariantError
+from .distributions import (DIST_DEFAULTS, DIST_KINDS,
+                            _hyperbolic_profile, _log_iv, _log_kv)
+from .errors import DomainError, ParameterError
 from .smoothfn import (CauchyLadder, Ladder, MLSumLadder, PowerLadder,
                        SumLadder, k_ratio_ladder)
-from .specfun import bessel_zeros
 
 __all__ = [
     "Rho", "Omega1", "Omega2", "IKMu", "Chi", "Theta", "Zeta", "Kappa",
@@ -52,38 +46,83 @@ __all__ = [
 # Laplace-transform variants
 # ----------------------------------------------------------------------
 
-def _iv_ratio(mu, z):
-    return 0.5 * (_sp.iv(mu - 1.0, z) + _sp.iv(mu + 1.0, z)) / _sp.iv(mu, z)
+def _log_factor(kind, order, r):
+    """ln of a factor over its x -> 0+ limit, at r = scale sqrt x:
+    Gamma(mu+1) I_mu(r) / (r/2)^mu for "I", r^nu K_nu(r) / (Gamma(nu)
+    2^{nu-1}) for "K"."""
+    if kind == "I":
+        return (_sp.gammaln(order + 1.0) + _log_iv(order, r)
+                - order * np.log(0.5 * r))
+    return (order * np.log(r) + _log_kv(order, r) - _sp.gammaln(order)
+            - (order - 1.0) * np.log(2.0))
 
 
-def _kv_ratio(mu, z):
-    return -0.5 * (_sp.kv(mu - 1.0, z) + _sp.kv(mu + 1.0, z)) / _sp.kv(mu, z)
+def _factor_complex(kind, order, s, w):
+    """(numerator, denominator) of the same ratio at r = s w, complex w."""
+    if kind == "I":
+        return (np.exp(_sp.gammaln(order + 1.0)) * _sp.iv(order, s * w),
+                (0.5 * s * w) ** order)
+    return (w ** order * _sp.kv(order, s * w),
+            np.exp(_sp.gammaln(order)) * 2.0 ** (order - 1.0) / s ** order)
 
 
 class _Variant:
-    """Methods shared by the variants; what a variant lacks raises.  The
-    Pick value needs _dlog_dw(w) = d ln L / dw at w = sqrt(-s)."""
+    """L(x) = C e^{-c sqrt x} prod F(x)^sign over the factors of the
+    variant's row (c, ((kind, order, scale, sign), ...)), each F one of
+
+        I~_mu(a; x) = x^{-mu/2} I_mu(a sqrt x)    kind "I", mu > -1,
+        K~_nu(b; x) = x^{nu/2} K_nu(b sqrt x)     kind "K", nu > 0,
+
+    and C = 1 / prod F(0+)^sign, so that L(0+) = 1.  The row alone gives
+    L (in logs), its continuation through the principal sqrt z, the
+    ladder of phi' = -(ln L)' and the Pick value.  In phi' each I~ is a
+    Mittag-Leffler sum over squared Bessel zeros and each K~ a Stieltjes
+    function (Grosswald, Z. Wahrsch. 36, 1976; Ismail, Ann. Probab. 5,
+    1977); the Pick value takes the closed w-log-derivatives
+    a I_{mu+1}(aw)/I_mu(aw) of I~ and -b K_{nu-1}(bw)/K_nu(bw) of K~."""
+
+    def lt_value(self, x):
+        c, factors = self.row
+        rx = np.sqrt(x)
+        lg = -c * rx
+        for kind, order, scale, sign in factors:
+            lg = lg + sign * _log_factor(kind, order, scale * rx)
+        return np.exp(lg)
 
     def lt_value_complex(self, z):
-        raise UnsupportedVariantError(
-            f"no complex continuation registered for {self!r}")
+        c, factors = self.row
+        w = np.sqrt(z)
+        # one quotient of products: a one-factor row (Rho) then rounds
+        # as its closed form, which the selfdecomp:rho margins resolve
+        pairs = [_factor_complex(kind, order, scale, w)[::sign]
+                 for kind, order, scale, sign in factors]
+        num, den = (reduce(operator.mul, p) for p in zip(*pairs))
+        return num / den * np.exp(-c * w) if c else num / den
 
-    def _dlog_dw(self, w):
-        raise UnsupportedVariantError(
-            f"no Pick closed form registered for {self!r}")
+    def phi_ladder(self):
+        c, factors = self.row
+        terms = [(1.0, PowerLadder(0.5 * c, -0.5))] if c else []
+        terms += [(-float(sign), MLSumLadder(order, scale)) if kind == "I"
+                  else (float(sign), k_ratio_ladder(order, scale))
+                  for kind, order, scale, sign in factors]
+        coefs, parts = zip(*terms)
+        return SumLadder(parts, coefs)
 
     def pick_im(self, re, im):
-        def at(x, y):
-            w = np.sqrt(-complex(x, y))
-            return float(np.imag(-0.5 / w * self._dlog_dw(w)))
-
-        return _pointwise(at, re, im)
-
-
-def _log_rho(mu, a, x):
-    """ln of Rho: normalized reciprocal I-Bessel."""
-    r = a * np.sqrt(x)
-    return (mu * np.log(0.5 * r) - _sp.gammaln(mu + 1.0) - _log_iv(mu, r))
+        c, factors = self.row
+        w = np.sqrt(-(np.asarray(re, dtype=float)
+                      + 1j * np.asarray(im, dtype=float)))
+        dlog = -c
+        for kind, order, scale, sign in factors:
+            sw = scale * w
+            if kind == "I":
+                d = scale * _sp.iv(order + 1.0, sw) / _sp.iv(order, sw)
+            else:
+                d = -scale * _sp.kv(order - 1.0, sw) / _sp.kv(order, sw)
+            dlog = dlog + sign * d
+        # no complex product: numpy's array loop rounds it differently
+        # from a single point
+        return np.imag(-0.5 * dlog / w)[()]
 
 
 @dataclass(frozen=True)
@@ -92,45 +131,18 @@ class Rho(_Variant):
     mu: float
     a: float
     anchor = "Theorem thiskellap1"
+    defaults = (0.8, 1.0)
+    row = property(lambda s: (0.0, (("I", s.mu, s.a, -1),)))
 
     def __post_init__(self):
         if not (self.mu > -1.0 and self.a > 0.0):
             raise ParameterError("Rho requires mu > -1 and a > 0")
 
-    def lt_value(self, x):
-        return np.exp(_log_rho(self.mu, self.a, x))
 
-    def lt_value_complex(self, z):
-        mu, a = self.mu, self.a
-        w = np.sqrt(z)
-        return ((0.5 * a * w) ** mu
-                / (np.exp(_sp.gammaln(mu + 1.0)) * _sp.iv(mu, a * w)))
-
-    def phi_ladder(self):
-        return MLSumLadder(self.mu, self.a)
-
-    def pick_im(self, re, im):
-        t = (bessel_zeros(self.mu, 4000) / self.a) ** 2
-        re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
-                                     np.asarray(im, dtype=float))
-        x, y = re.reshape(-1, 1), im.reshape(-1, 1)
-        out = np.empty(x.size)
-        # blocks of 8 points keep the (points x zeros) buffer at 256 kB
-        for i in range(0, x.size, 8):
-            yb = y[i:i + 8]
-            s = np.subtract(t, x[i:i + 8])
-            np.square(s, out=s)
-            s += yb * yb
-            np.divide(yb, s, out=s)
-            out[i:i + 8] = s.sum(axis=-1)
-        return out.reshape(re.shape)[()]
-
-
-def _log_omega_ratio(mu, nu, a, b, rx):
-    """ln of (b/a)^{mu-nu} [I_mu(a.)I_nu(b.)]/[I_mu(b.)I_nu(a.)]."""
-    return ((mu - nu) * np.log(b / a)
-            + _log_iv(mu, a * rx) + _log_iv(nu, b * rx)
-            - _log_iv(mu, b * rx) - _log_iv(nu, a * rx))
+def _omega_factors(s):
+    """(b/a)^{mu-nu} [I_mu(a.)I_nu(b.)]/[I_mu(b.)I_nu(a.)]."""
+    return (("I", s.mu, s.a, 1), ("I", s.nu, s.b, 1), ("I", s.mu, s.b, -1),
+            ("I", s.nu, s.a, -1))
 
 
 @dataclass(frozen=True)
@@ -142,24 +154,15 @@ class Omega1(_Variant):
     a: float
     b: float
     anchor = "Theorem theolap1"
+    defaults = (0.5, 1.2, 0.3, 0.7, 1.5)
+    row = property(lambda s: (
+        0.0, _omega_factors(s) + (("I", s.sigma, s.b, -1),)))
 
     def __post_init__(self):
         if not (self.mu > -1.0 and self.nu > self.sigma > -1.0
                 and self.b > self.a > 0.0):
             raise ParameterError(
                 "Omega1 requires mu > -1, nu > sigma > -1 and b > a > 0")
-
-    def lt_value(self, x):
-        lg = _log_omega_ratio(self.mu, self.nu, self.a, self.b, np.sqrt(x))
-        lg += _log_rho(self.sigma, self.b, x)
-        return np.exp(lg)
-
-    def phi_ladder(self):
-        mu, nu, sg, a, b = self.mu, self.nu, self.sigma, self.a, self.b
-        return SumLadder(
-            (MLSumLadder(mu, a), MLSumLadder(nu, b),
-             MLSumLadder(mu, b), MLSumLadder(nu, a), MLSumLadder(sg, b)),
-            (-1.0, -1.0, 1.0, 1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -170,24 +173,13 @@ class Omega2(_Variant):
     a: float
     b: float
     anchor = "Theorem theolap2"
+    defaults = (0.5, 1.2, 0.7, 1.5)
+    row = property(lambda s: (s.b, _omega_factors(s)))
 
     def __post_init__(self):
         if not (self.mu > -1.0 and self.nu > 0.5 and self.b > self.a > 0.0):
             raise ParameterError(
                 "Omega2 requires mu > -1, nu > 1/2 and b > a > 0")
-
-    def lt_value(self, x):
-        rx = np.sqrt(x)
-        lg = _log_omega_ratio(self.mu, self.nu, self.a, self.b, rx)
-        lg -= self.b * rx
-        return np.exp(lg)
-
-    def phi_ladder(self):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        return SumLadder(
-            (PowerLadder(0.5 * b, -0.5), MLSumLadder(mu, a),
-             MLSumLadder(nu, b), MLSumLadder(mu, b), MLSumLadder(nu, a)),
-            (1.0, -1.0, -1.0, 1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -195,25 +187,12 @@ class IKMu(_Variant):
     """2 mu I_mu(sqrt x) K_mu(sqrt x); mu > 0."""
     mu: float
     anchor = "Theorem thprod1"
+    defaults = (1.0,)
+    row = property(lambda s: (0.0, (("K", s.mu, 1.0, 1), ("I", s.mu, 1.0, 1))))
 
     def __post_init__(self):
         if not self.mu > 0.0:
             raise ParameterError("IKMu requires mu > 0")
-
-    def lt_value(self, x):
-        rx = np.sqrt(x)
-        return 2.0 * self.mu * np.exp(_log_iv(self.mu, rx)
-                                      + _log_kv(self.mu, rx))
-
-    def lt_value_complex(self, z):
-        w = np.sqrt(z)
-        return 2.0 * self.mu * _sp.iv(self.mu, w) * _sp.kv(self.mu, w)
-
-    def phi_ladder(self):
-        return k_ratio_ladder(self.mu, 1.0) - MLSumLadder(self.mu, 1.0)
-
-    def _dlog_dw(self, w):
-        return _iv_ratio(self.mu, w) + _kv_ratio(self.mu, w)
 
 
 @dataclass(frozen=True)
@@ -239,27 +218,8 @@ class Chi(_Pair):
     """Normalized e^{-a sqrt x} x^{(nu-mu)/2} I_mu(a sqrt x) K_nu(b sqrt x)."""
     anchor = "Theorem theprodIKexp"
     _orders = (0.5, 0.0)
-
-    def lt_value(self, x):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        rx = np.sqrt(x)
-        lc = ((mu - nu + 1.0) * np.log(2.0) + _sp.gammaln(mu + 1.0)
-              + nu * np.log(b) - mu * np.log(a) - _sp.gammaln(nu))
-        return np.exp(lc - a * rx + 0.5 * (nu - mu) * np.log(x)
-                      + _log_iv(mu, a * rx) + _log_kv(nu, b * rx))
-
-    def phi_ladder(self):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        return SumLadder(
-            (PowerLadder(0.5 * a, -0.5), MLSumLadder(mu, a),
-             k_ratio_ladder(nu, b)),
-            (1.0, -1.0, 1.0))
-
-
-def _theta_lc(mu, nu, a, b):
-    return (mu * np.log(a) + nu * np.log(b)
-            - (mu + nu - 2.0) * np.log(2.0)
-            - _sp.gammaln(mu) - _sp.gammaln(nu))
+    defaults = (1.0, 0.8, 0.9, 1.1)
+    row = property(lambda s: (s.a, (("I", s.mu, s.a, 1), ("K", s.nu, s.b, 1))))
 
 
 @dataclass(frozen=True)
@@ -267,26 +227,8 @@ class Theta(_Pair):
     """Normalized x^{(mu+nu)/2} K_mu(a sqrt x) K_nu(b sqrt x); mu, nu > 0."""
     anchor = "Theorem thinfdivprodK"
     _orders = (0.0, 0.0)
-
-    def lt_value(self, x):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        rx = np.sqrt(x)
-        return np.exp(_theta_lc(mu, nu, a, b) + 0.5 * (mu + nu) * np.log(x)
-                      + _log_kv(mu, a * rx) + _log_kv(nu, b * rx))
-
-    def lt_value_complex(self, z):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        w = np.sqrt(z)
-        return (np.exp(_theta_lc(mu, nu, a, b)) * w ** (mu + nu)
-                * _sp.kv(mu, a * w) * _sp.kv(nu, b * w))
-
-    def phi_ladder(self):
-        return k_ratio_ladder(self.mu, self.a) + k_ratio_ladder(self.nu, self.b)
-
-    def _dlog_dw(self, w):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        return ((mu + nu) / w + a * _kv_ratio(mu, a * w)
-                + b * _kv_ratio(nu, b * w))
+    defaults = (0.7, 1.2, 0.8, 1.0)
+    row = property(lambda s: (0.0, (("K", s.mu, s.a, 1), ("K", s.nu, s.b, 1))))
 
 
 @dataclass(frozen=True)
@@ -294,26 +236,9 @@ class Zeta(_Pair):
     """Normalized e^{-(a+b)sqrt x} x^{-(mu+nu)/2} I_mu(a sqrt x) I_nu(b sqrt x)."""
     anchor = "Theorem thprodeqIinfdiv"
     _orders = (0.5, 0.5)
-
-    def lt_value(self, x):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        rx = np.sqrt(x)
-        lc = ((mu + nu) * np.log(2.0) + _sp.gammaln(mu + 1.0)
-              + _sp.gammaln(nu + 1.0) - mu * np.log(a) - nu * np.log(b))
-        return np.exp(lc - (a + b) * rx - 0.5 * (mu + nu) * np.log(x)
-                      + _log_iv(mu, a * rx) + _log_iv(nu, b * rx))
-
-    def phi_ladder(self):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        return SumLadder(
-            (PowerLadder(0.5 * (a + b), -0.5),
-             MLSumLadder(mu, a), MLSumLadder(nu, b)),
-            (1.0, -1.0, -1.0))
-
-    def _dlog_dw(self, w):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        return (-(a + b) - (mu + nu) / w + a * _iv_ratio(mu, a * w)
-                + b * _iv_ratio(nu, b * w))
+    defaults = (0.8, 1.1, 1.0, 0.9)
+    row = property(lambda s: (
+        s.a + s.b, (("I", s.mu, s.a, 1), ("I", s.nu, s.b, 1))))
 
 
 @dataclass(frozen=True)
@@ -321,21 +246,9 @@ class Kappa(_Pair):
     """Normalized e^{-(a+b)sqrt x} / (x^{(mu+nu)/2} K_mu(a.) K_nu(b.))."""
     anchor = "Theorem recprodKinfdiv"
     _orders = (0.5, 0.5)
-
-    def lt_value(self, x):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        rx = np.sqrt(x)
-        lc = ((mu + nu - 2.0) * np.log(2.0) + _sp.gammaln(mu)
-              + _sp.gammaln(nu) - mu * np.log(a) - nu * np.log(b))
-        return np.exp(lc - (a + b) * rx - 0.5 * (mu + nu) * np.log(x)
-                      - _log_kv(mu, a * rx) - _log_kv(nu, b * rx))
-
-    def phi_ladder(self):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        return SumLadder(
-            (PowerLadder(0.5 * (a + b), -0.5),
-             k_ratio_ladder(mu, a), k_ratio_ladder(nu, b)),
-            (1.0, -1.0, -1.0))
+    defaults = (0.8, 1.1, 1.0, 0.9)
+    row = property(lambda s: (
+        s.a + s.b, (("K", s.mu, s.a, -1), ("K", s.nu, s.b, -1))))
 
 
 @dataclass(frozen=True)
@@ -343,21 +256,9 @@ class Epsilon(_Pair):
     """Normalized e^{-(a+b)sqrt x} x^{-(mu+nu)/2} I_mu(a.)/K_nu(b.)."""
     anchor = "Theorem theoquotIKinfdiv"
     _orders = (0.5, 0.5)
-
-    def lt_value(self, x):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        rx = np.sqrt(x)
-        lc = ((mu + nu - 1.0) * np.log(2.0) + _sp.gammaln(nu)
-              + _sp.gammaln(mu + 1.0) - mu * np.log(a) - nu * np.log(b))
-        return np.exp(lc - (a + b) * rx - 0.5 * (mu + nu) * np.log(x)
-                      + _log_iv(mu, a * rx) - _log_kv(nu, b * rx))
-
-    def phi_ladder(self):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        return SumLadder(
-            (PowerLadder(0.5 * (a + b), -0.5),
-             MLSumLadder(mu, a), k_ratio_ladder(nu, b)),
-            (1.0, -1.0, -1.0))
+    defaults = (0.9, 1.3, 0.8, 1.0)
+    row = property(lambda s: (
+        s.a + s.b, (("I", s.mu, s.a, 1), ("K", s.nu, s.b, -1))))
 
 
 @dataclass(frozen=True)
@@ -365,39 +266,15 @@ class EpsilonRecip(_Pair):
     """Normalized x^{(mu+nu)/2} K_nu(b sqrt x)/I_mu(a sqrt x)."""
     anchor = "Theorem theoquotIKinfdiv"
     _orders = (-1.0, 0.0)
-
-    def lt_value(self, x):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        rx = np.sqrt(x)
-        lc = (mu * np.log(a) + nu * np.log(b)
-              - (mu + nu - 1.0) * np.log(2.0)
-              - _sp.gammaln(nu) - _sp.gammaln(mu + 1.0))
-        return np.exp(lc + 0.5 * (mu + nu) * np.log(x)
-                      + _log_kv(nu, b * rx) - _log_iv(mu, a * rx))
-
-    def phi_ladder(self):
-        return MLSumLadder(self.mu, self.a) + k_ratio_ladder(self.nu, self.b)
+    defaults = (0.9, 1.3, 0.8, 1.0)
+    row = property(lambda s: (
+        0.0, (("I", s.mu, s.a, -1), ("K", s.nu, s.b, 1))))
 
 
 LT_KINDS = {
     "rho": Rho, "omega1": Omega1, "omega2": Omega2, "ikmu": IKMu,
     "chi": Chi, "theta": Theta, "zeta": Zeta, "kappa": Kappa,
     "epsilon": Epsilon, "epsilon_recip": EpsilonRecip,
-}
-
-# representative in-domain parameters (positional) of the variants; the
-# families take theirs from DIST_DEFAULTS
-_LT_DEFAULTS = {
-    "rho": (0.8, 1.0),
-    "omega1": (0.5, 1.2, 0.3, 0.7, 1.5),
-    "omega2": (0.5, 1.2, 0.7, 1.5),
-    "ikmu": (1.0,),
-    "chi": (1.0, 0.8, 0.9, 1.1),
-    "theta": (0.7, 1.2, 0.8, 1.0),
-    "zeta": (0.8, 1.1, 1.0, 0.9),
-    "kappa": (0.8, 1.1, 1.0, 0.9),
-    "epsilon": (0.9, 1.3, 0.8, 1.0),
-    "epsilon_recip": (0.9, 1.3, 0.8, 1.0),
 }
 
 
@@ -412,8 +289,9 @@ def lt_value(spec, x):
 def lt_value_complex(spec, z):
     """Analytic continuation of L to complex z with Re z > 0.
 
-    Supported where the closed form continues with the principal square
-    root: Rho, IKMu, Theta, McKayI, GIG and KDist.
+    Every variant continues its factor row with the principal square
+    root; of the families, McKayI, GIG and KDist continue their closed
+    forms, and the others raise UnsupportedVariantError.
     """
     return spec.lt_value_complex(np.asarray(z, dtype=complex))
 
@@ -726,7 +604,7 @@ def landau_bound_margin(mu: float, n: int = 20, lo: float = 0.1,
 # ----------------------------------------------------------------------
 
 _KINDS = {**LT_KINDS, **DIST_KINDS}
-_DEFAULTS = {**_LT_DEFAULTS, **DIST_DEFAULTS}
+_DEFAULTS = {**{k: v.defaults for k, v in LT_KINDS.items()}, **DIST_DEFAULTS}
 
 
 def _default(label):
@@ -745,8 +623,8 @@ def selfdecomp_targets():
 
 
 def pick_targets():
-    return [("mckay1", McKayI(1.0, 1.0, 2.0)), ("rho", Rho(1.0, 1.0))] + [
-        (k, _default(k)) for k in ("ikmu", "theta", "kdist", "gammaquot")]
+    return [(k, _default(k)) for k in ("mckay1", "rho", "ikmu", "theta",
+                                       "kdist", "gammaquot")]
 
 
 def profile_targets():

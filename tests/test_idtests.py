@@ -13,7 +13,7 @@ from besselid.distributions import (DIST_KINDS, GIG, GammaQuotient, KDist,
                                     McKayI, NoncentralChiSq, hcm_profile,
                                     kdist_quotient_kernel)
 from besselid.errors import DomainError, ParameterError
-from besselid.idtests import (LT_KINDS, Chi, IKMu, Omega1, Rho, Theta, Zeta,
+from besselid.idtests import (LT_KINDS, Chi, IKMu, Omega1, Rho,
                               ProfileReport,
                               absmon_check, bernstein_check, bernstein_targets,
                               cm_check, hcm_check, landau_bound_margin,
@@ -23,8 +23,7 @@ from besselid.idtests import (LT_KINDS, Chi, IKMu, Omega1, Rho, Theta, Zeta,
                               profile_targets, selfdecomp_check,
                               selfdecomp_targets, zeta_witness_search)
 from besselid.quad.tanhsinh import half_line_piece, integrate_pieces
-from besselid.smoothfn import PowerLadder, RationalLadder
-from besselid.specfun import bessel_zeros
+from besselid.smoothfn import CauchyLadder, PowerLadder, RationalLadder
 
 mp.mp.dps = 30
 
@@ -80,17 +79,65 @@ def test_all_transforms_are_normalized_at_zero():
             1.0, abs=1e-6), label
 
 
+def _at_defaults(*labels):
+    return [idtests._default(label) for label in labels]
+
+
 def test_complex_continuation_agrees_on_real_axis():
-    specs = [Rho(0.8, 1.0), IKMu(1.0), Theta(0.7, 1.2, 0.8, 1.0),
-             DIST_KINDS["mckay1"](1.0, 0.5, 1.5),
-             DIST_KINDS["gig"](0.7, 1.0, 1.5),
-             DIST_KINDS["kdist"](1.2, 2.0, 1.0)]
-    for spec in specs:
+    for spec in _at_defaults(*LT_KINDS, "mckay1", "gig", "kdist"):
         for x in (0.4, 1.3, 6.0):
             zval = lt_value_complex(spec, complex(x, 0.0))
             assert complex(zval).imag == pytest.approx(0.0, abs=1e-12)
             assert complex(zval).real == pytest.approx(
-                float(lt_value(spec, x)), rel=1e-10)
+                float(lt_value(spec, x)), rel=1e-10), spec
+
+
+def _mp_unnormalized(label, p, x):
+    """The variant's Laplace transform up to its constant, by mpmath,
+    as its docstring writes it."""
+    r, I, K = mp.sqrt(x), mp.besseli, mp.besselk
+    if label == "rho":
+        return (p.a * r) ** p.mu / I(p.mu, p.a * r)
+    if label == "ikmu":
+        return I(p.mu, r) * K(p.mu, r)
+    a, b, mu, nu = p.a * r, p.b * r, p.mu, p.nu
+    ratio = I(mu, a) * I(nu, b) / (I(mu, b) * I(nu, a))
+    return {
+        "omega1": lambda: ratio * b ** p.sigma / I(p.sigma, b),
+        "omega2": lambda: ratio * mp.exp(-b),
+        "chi": lambda: mp.exp(-a) * x ** ((nu - mu) / 2) * I(mu, a) * K(nu, b),
+        "theta": lambda: x ** ((mu + nu) / 2) * K(mu, a) * K(nu, b),
+        "zeta": lambda: mp.exp(-a - b) * x ** (-(mu + nu) / 2)
+        * I(mu, a) * I(nu, b),
+        "kappa": lambda: mp.exp(-a - b) / (x ** ((mu + nu) / 2)
+                                           * K(mu, a) * K(nu, b)),
+        "epsilon": lambda: mp.exp(-a - b) * x ** (-(mu + nu) / 2)
+        * I(mu, a) / K(nu, b),
+        "epsilon_recip": lambda: x ** ((mu + nu) / 2) * K(nu, b) / I(mu, a),
+    }[label]()
+
+
+@pytest.mark.parametrize("label", LT_KINDS)
+def test_variant_row_against_mpmath(label):
+    # L normalized at x = 1e-60, where every factor has reached its
+    # x -> 0 limit to 30 digits; psi'/psi = -L'(-s)/L(-s)
+    spec = idtests._default(label)
+    c0 = 1 / _mp_unnormalized(label, spec, mp.mpf("1e-60"))
+
+    def ref(x):
+        return c0 * _mp_unnormalized(label, spec, x)
+
+    for x in np.geomspace(1e-3, 1e3, 10):
+        want = float(ref(mp.mpf(float(x))))
+        assert float(lt_value(spec, x)) == pytest.approx(want, rel=1e-13)
+    for z in (0.3 + 0.2j, 2 + 1j, 7 - 3j, 40 + 25j):
+        want = complex(ref(mp.mpc(z)))
+        assert abs(complex(lt_value_complex(spec, z)) - want) \
+            <= 1e-13 * abs(want), z
+    for s in ((-3.0, 0.5), (-0.7, 0.25), (0.6, 1.0), (2.2, 2.5), (4.5, 5.0)):
+        z = -mp.mpc(*s)
+        want = complex(-mp.diff(ref, z) / ref(z))
+        assert abs(pick_im(spec, *s) - want.imag) <= 1e-12 * abs(want), s
 
 
 def test_complex_continuation_schwarz_symmetry():
@@ -104,12 +151,10 @@ def test_complex_continuation_schwarz_symmetry():
 # derivative ladders of -(ln L)'
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("spec", [
-    Rho(0.8, 1.0), IKMu(1.0), Theta(0.7, 1.2, 0.8, 1.0),
-    Zeta(0.8, 1.1, 1.0, 0.9),
-    DIST_KINDS["kdist"](1.2, 2.0, 1.0),
-    DIST_KINDS["gammaquot"](1.2, 1.0, 0.8, 1.5),
-])
+# every variant at its defaults, and two families
+@pytest.mark.parametrize("spec", _at_defaults(
+    "rho", "ikmu", "theta", "zeta", "kdist", "gammaquot", "omega1", "omega2",
+    "chi", "kappa", "epsilon", "epsilon_recip"))
 def test_neg_logderiv_matches_richardson(spec):
     for x in (0.3, 2.0):
         h = 1e-4 * x
@@ -164,6 +209,36 @@ def test_selfdecomp_check_sample():
     assert rep.passed, (rep.worst_margin, rep.witness)
     with pytest.raises(ParameterError):
         selfdecomp_check(spec, 1.0)
+
+
+def _noisy_selfdecomp_margin(spec, alpha, u=None):
+    """selfdecomp_check's margin, with q on each circle multiplied by
+    1 + 2^-52 u: rounding noise of one unit in the last place."""
+    def q(z):
+        out = lt_value_complex(spec, z) / lt_value_complex(spec, alpha * z)
+        return out if u is None else out * (1.0 + 2.0 ** -52 * u)
+
+    return cm_check(CauchyLadder(q), idtests._SELFDECOMP_GRID, 6).worst_margin
+
+
+@pytest.mark.parametrize("label,spec", [
+    pytest.param(label, spec, id=label, marks=pytest.mark.xfail(
+        strict=True, reason=(
+            "the order-6 scale is read at x = 0.1, where the circle of "
+            "radius 0.05 makes the order-6 Fourier coefficient about "
+            "2.7e-15 of |q|, i.e. rounding noise: one ulp of noise moves "
+            "the rho margin by about 1e-2 relative")) if label == "rho"
+        else ())
+    for label, spec in selfdecomp_targets()])
+def test_selfdecomp_margin_is_stable_under_one_ulp_noise(label, spec):
+    margin = _noisy_selfdecomp_margin(spec, 0.5)
+    assert margin == selfdecomp_check(spec, 0.5).worst_margin
+    rng = np.random.default_rng(2024)
+    grid_shape = (len(idtests._SELFDECOMP_GRID), 64)
+    moves = [abs(_noisy_selfdecomp_margin(
+        spec, 0.5, rng.choice((-1.0, 1.0), grid_shape)) / margin - 1.0)
+        for _ in range(5)]
+    assert max(moves) <= 1e-6, moves
 
 
 class _SqrtTransform:
@@ -222,9 +297,6 @@ def _pick_per_point(spec, re, im):
         mu, a, b = spec.mu, spec.a, spec.b
         return (mu + 0.5) * (im / ((re + a - b) ** 2 + im * im)
                              + im / ((re - a - b) ** 2 + im * im))
-    if isinstance(spec, Rho):
-        t = (bessel_zeros(spec.mu, 4000) / spec.a) ** 2
-        return float(np.sum(im / ((t - re) ** 2 + im * im)))
     if isinstance(spec, distributions._QuotientMixture):
         # one exp-sinh row with its own plan: factor omega * Jacobian,
         # weight coef im / ((node - re)^2 + im^2)
@@ -236,8 +308,7 @@ def _pick_per_point(spec, re, im):
         piece = half_line_piece(
             6.5, {}, lambda t: kdist_quotient_kernel(al, be, t))
         return integrate_pieces([piece], weight, 1, tol=1e-11)[0].value
-    w = np.sqrt(-complex(re, im))
-    return float(np.imag(-0.5 / w * spec._dlog_dw(w)))
+    return spec.pick_im(re, im)
 
 
 @pytest.mark.parametrize("label,spec", pick_targets() + [
