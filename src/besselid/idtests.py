@@ -24,7 +24,7 @@ import scipy.special as _sp
 
 from .distributions import (DIST_DEFAULTS, DIST_KINDS,
                             _hyperbolic_profile, _log_iv, _log_kv)
-from .errors import DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError
 from .smoothfn import (CauchyLadder, Ladder, MLSumLadder, PowerLadder,
                        SumLadder, k_ratio_ladder)
 
@@ -429,12 +429,18 @@ def pick_im(spec, re, im):
 
 def _grid_minimum(spec, points):
     """(value, point) of the first strict minimum of Im[psi'/psi] over
-    the points in order, from one pick_im call; NaN and +inf are never
-    selected, and (inf, None) is returned when nothing is."""
+    the points in order, from one pick_im call; +inf is never selected,
+    and (inf, None) is returned when nothing is.  A NaN value raises
+    ConvergenceError naming its point: a grid does not pass on values
+    that could not be computed."""
     points = [(float(x), float(y)) for x, y in points]
     re, im = np.array(points).T
     v = np.asarray(pick_im(spec, re, im), dtype=float)
-    i = int(np.argmin(np.where(v < np.inf, v, np.inf)))
+    nan = np.flatnonzero(np.isnan(v))
+    if nan.size:
+        x, y = points[nan[0]]
+        raise ConvergenceError(f"Im[psi'/psi] is NaN at s = {x!r} + {y!r}i")
+    i = int(np.argmin(v))
     if not v[i] < np.inf:
         return np.inf, None
     return float(v[i]), points[i]

@@ -1,9 +1,10 @@
 """Special-function layer: Bessel, hypergeometric, Tricomi.
 
 Real arguments on the public surface.  Bessel-function zeros of real
-order are computed here (McMahon expansion polished by Newton; the low
-zeros at large order are bracketed on a grid and refined by an exact
-port of scipy's Brent root finder) and cached per order; everything
+order are computed here (McMahon's expansion, rounded once from a
+double-double, beyond a head of zeros that Newton's method polishes;
+the low zeros at large order are bracketed on a grid and refined by an
+exact port of scipy's Brent root finder) and cached per order; everything
 else is delegated to scipy.special behind a thin contract that adds
 domain checking and the scaled-variant switches.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,31 +103,83 @@ def bessel_k(nu: float, x, scaled: bool = False):
 # ---------------------------------------------------------------------------
 
 _zero_cache: dict[float, np.ndarray] = {}
-_zero_lock = threading.Lock()
+
+# pi = _PI_HI + _PI_LO to about 2^-107
+_PI_HI = math.pi
+_PI_LO = 1.2246467991473532e-16
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's splitting constant for doubles
 
 
-def _mcmahon(nu: float, n: np.ndarray) -> np.ndarray:
-    beta = (n + 0.5 * nu - 0.25) * np.pi
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _split(a):
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker, 1971)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _mcmahon(nu: float, n: np.ndarray, terms: int = 3) -> np.ndarray:
+    """McMahon's expansion of j_{nu,n} (DLMF 10.21.19): beta and its
+    first `terms` corrections, through (8 beta)^(1 - 2 terms).
+
+    beta = (n + nu/2 - 1/4) pi is formed as a double-double (TwoSum,
+    then TwoProduct with pi = pi_hi + pi_lo), the corrections are summed
+    in plain double and the whole is rounded once: where the first
+    omitted term is far below an ulp (see `_head_size`), the result is
+    j_{nu,n} correctly rounded but for near ties.  Three corrections
+    make the Newton guesses of the head: the fourth helps far out but
+    spoils the lowest guesses.
+    """
+    s, e = _two_sum(n - 0.25, 0.5 * nu)
+    beta, lo = _two_prod(s, _PI_HI)
+    lo += s * _PI_LO + e * _PI_HI
     mu = 4.0 * nu * nu
-    b8 = 8.0 * beta
-    return (
-        beta
-        - (mu - 1.0) / b8
-        - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * b8**3)
-        - 32.0
-        * (mu - 1.0)
-        * (83.0 * mu * mu - 982.0 * mu + 3779.0)
-        / (15.0 * b8**5)
-    )
+    coef = (1.0, 4.0 * (7.0 * mu - 31.0) / 3.0,
+            32.0 * ((83.0 * mu - 982.0) * mu + 3779.0) / 15.0,
+            64.0 * (((6949.0 * mu - 153855.0) * mu + 1585743.0) * mu
+                    - 6277237.0) / 105.0)[:terms]
+    r = 1.0 / (8.0 * beta)
+    return beta + (lo - (mu - 1.0) * r * np.polyval(coef[::-1], r * r))
+
+
+def _head_size(nu: float, nmax: int) -> int:
+    """Number of zeros that Newton's method polishes: the last n at which
+    McMahon's first omitted term, 512 (mu - 1) P(mu) / (315 (8 beta)^9),
+    may exceed 2^-60 j_{nu,n}, at least ceil(nu) + 2 and at most nmax.
+
+    P is bounded by the sum of its coefficients' moduli, so the bound
+    never vanishes at a root of P.
+    """
+    mu = 4.0 * nu * nu
+    p = (((70197.0 * mu + 2479316.0) * mu + 48010494.0) * mu
+         + 512062548.0) * mu + 2092163573.0
+    c = 512.0 * abs(mu - 1.0) * p / (315.0 * 8.0**9) * 2.0**60
+    # |term| = c 2^-60 / beta^9 <= 2^-60 beta  where beta^10 >= c
+    n = c**0.1 / math.pi - 0.5 * nu + 0.25 if c > 0.0 else 0.0
+    return int(min(nmax, max(math.floor(n), math.ceil(nu) + 2)))
 
 
 def _newton_polish(nu: float, x: np.ndarray, moving=None):
-    """Clipped Newton steps on J_nu from x, for at most 30 passes.
+    """Clipped Newton steps on J_nu from x, at most 30 per zero.
 
-    A pass steps only the zeros that the previous pass moved (all, or
-    those flagged in `moving`, on the first): a zero its own step left
-    unchanged gets that same step again on every later pass.  Returns
-    the zeros and the mask of those the last pass moved.
+    A pass steps the zeros still moving (all, or those flagged in
+    `moving`, on the first).  A zero stops after its first step below
+    1e-12 of it: Newton's error after such a step is below 1e-24 of the
+    zero, so a further step would only add the noise of J_nu.  Returns
+    the zeros and the mask of those still moving after the last pass.
     """
     x = x.copy()
     idx = np.arange(x.size) if moving is None else np.flatnonzero(moving)
@@ -139,11 +191,7 @@ def _newton_polish(nu: float, x: np.ndarray, moving=None):
         np.clip(step, -1.0, 1.0, out=step)
         new = xi - step
         x[idx] = new
-        idx = idx[new != xi]
-        # an unchanged zero's step is below an ulp of it, so below this
-        # threshold: the steps of the moving zeros decide alone
-        if np.max(np.abs(step)) < 1e-12 * np.max(x):
-            break
+        idx = idx[np.abs(step) >= 1e-12 * np.abs(new)]
     moved = np.zeros(x.size, dtype=bool)
     moved[idx] = True
     return x, moved
@@ -216,10 +264,14 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
 
 
 def _scan_low_zeros(nu: float, count: int) -> np.ndarray:
-    """Bracketed scan for the first `count` zeros (robust at large order)."""
+    """Bracketed scan for the first `count` zeros (robust at large order).
+
+    The grid has 16 points per pi, so its cells are far narrower than
+    the gaps between zeros (about pi).
+    """
     lo = max(nu, 1e-6)
     hi = _mcmahon(nu, np.array([count + max(2.0, 0.6 * nu)]))[0]
-    grid = np.linspace(lo, hi, max(2000, 40 * count))
+    grid = np.linspace(lo, hi, 16 * math.ceil((hi - lo) / math.pi) + 1)
     vals = _sp.jv(nu, grid)
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -233,18 +285,23 @@ def _scan_low_zeros(nu: float, count: int) -> np.ndarray:
 
 
 def _compute_zeros(nu: float, nmax: int) -> np.ndarray:
-    n = np.arange(1, nmax + 1, dtype=float)
-    x, moving = _newton_polish(nu, _mcmahon(nu, n))
+    """The first `nmax` zeros: McMahon's expansion beyond the head, and
+    on the head Newton's method from it."""
+    n = np.arange(1.0, nmax + 1.0)
+    h = _head_size(nu, nmax)
+    x = _mcmahon(nu, n, terms=4)
+    head, moving = _newton_polish(nu, _mcmahon(nu, n[:h]))
     # McMahon is an expansion for n >> nu; low zeros at sizable order may
     # have been pulled onto the wrong root, so re-derive them by scanning.
-    n_low = int(min(nmax, np.ceil(nu) + 2)) if nu > 1.0 else 0
-    ok = np.all(np.diff(x) > 0) and np.all(x > 0)
-    if n_low or not ok:
-        n_low = max(n_low, 2 if not ok else n_low)
-        low = _scan_low_zeros(nu, min(nmax, max(n_low, 2)))
-        x[: low.size] = low
+    n_low = math.ceil(nu) + 2 if nu > 1.0 else 0
+    # consecutive zeros lie about pi apart: a smaller gap is one root
+    # reached twice
+    if n_low or not (np.all(np.diff(head) > 1.0) and np.all(head > 0)):
+        low = _scan_low_zeros(nu, min(h, max(n_low, 2)))
+        head[: low.size] = low
         moving[: low.size] = True
-        x, _ = _newton_polish(nu, x, moving)
+        head, _ = _newton_polish(nu, head, moving)
+    x[:h] = head
     if not np.all(np.diff(x) > 0):
         raise ConvergenceError(f"zero sequence of J_{nu} not monotone")
     return x
@@ -260,15 +317,8 @@ def bessel_zeros(nu: float, nmax: int) -> np.ndarray:
     cached = _zero_cache.get(key)
     if cached is not None and cached.size >= nmax:
         return cached[:nmax]
-    # Compute with headroom outside the lock, publish atomically.
-    target = max(nmax, 64)
-    zeros = _compute_zeros(key, target)
-    with _zero_lock:
-        cached = _zero_cache.get(key)
-        if cached is None or cached.size < zeros.size:
-            _zero_cache[key] = zeros
-        else:
-            zeros = cached
+    zeros = _compute_zeros(key, max(nmax, 64))
+    _zero_cache[key] = zeros
     return zeros[:nmax]
 
 

@@ -12,7 +12,7 @@ from besselid import checks, distributions, idtests, smoothfn
 from besselid.distributions import (DIST_KINDS, GIG, GammaQuotient, KDist,
                                     McKayI, NoncentralChiSq, hcm_profile,
                                     kdist_quotient_kernel)
-from besselid.errors import DomainError, ParameterError
+from besselid.errors import ConvergenceError, DomainError, ParameterError
 from besselid.idtests import (LT_KINDS, Chi, IKMu, Omega1, Rho,
                               ProfileReport,
                               absmon_check, bernstein_check, bernstein_targets,
@@ -353,14 +353,25 @@ class _TableSpec:
 
 def test_pick_check_witness_is_first_strict_minimum_never_nan():
     grid = tuple((float(k), 1.0) for k in range(6))
-    rep = pick_check(_TableSpec([0.5, np.nan, -2.0, 3.0, -2.0, np.nan]),
+    rep = pick_check(_TableSpec([0.5, np.inf, -2.0, 3.0, -2.0, np.inf]),
                      grid=grid)
     assert rep.min_im_value == -2.0 and rep.witness == (2.0, 1.0)
     assert not rep.passed
-    rep = pick_check(_TableSpec([np.nan, -np.inf, -np.inf]), grid=grid[:3])
+    rep = pick_check(_TableSpec([np.inf, -np.inf, -np.inf]), grid=grid[:3])
     assert rep.min_im_value == -np.inf and rep.witness == (1.0, 1.0)
-    rep = pick_check(_TableSpec([np.nan, np.inf]), grid=grid[:2])
+    rep = pick_check(_TableSpec([np.inf, np.inf]), grid=grid[:2])
     assert rep.min_im_value == np.inf and rep.passed and rep.witness is None
+    # a NaN is never passed over: the grid is inconclusive at its point
+    with pytest.raises(ConvergenceError, match=r"NaN at s = 3\.0 \+ 1\.0i"):
+        pick_check(_TableSpec([0.5, -2.0, 3.0, np.nan, -2.0, np.nan]),
+                   grid=grid)
+
+
+def test_pick_check_far_on_the_cut_is_inconclusive_not_a_pass():
+    # I_mu overflows at s = -6e5 + i, so the value there is NaN
+    with np.errstate(all="ignore"), \
+            pytest.raises(ConvergenceError, match=r"-600000\.0 \+ 1\.0i"):
+        pick_check(Rho(0.8, 1.0), grid=[(-6e5, 1.0)])
 
 
 def test_pick_check_runs_the_row_engine_once(monkeypatch):

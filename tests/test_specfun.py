@@ -1,5 +1,6 @@
 """Special-function floor: Bessel values, zeros, hypergeometric pieces."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -173,37 +174,138 @@ def test_zeros_unchanged_by_brentq_port(monkeypatch, nu):
     assert np.array_equal(specfun._compute_zeros(nu, 4000), ours)
 
 
-def _full_polish(nu, x):
-    """Newton polish that steps every zero on every pass."""
+def _full_polish(nu, x, active=None):
+    """Newton polish that evaluates every zero on every pass and keeps
+    the step of those still active, each until its first step below
+    1e-12 of it."""
     x = x.copy()
+    active = np.ones(x.size, dtype=bool) if active is None else active.copy()
     for _ in range(30):
-        step = sp.jv(nu, x) / sp.jvp(nu, x)
-        np.clip(step, -1.0, 1.0, out=step)
-        x -= step
-        if np.max(np.abs(step)) < 1e-12 * np.max(x):
-            break
-    return x
+        step = np.clip(sp.jv(nu, x) / sp.jvp(nu, x), -1.0, 1.0)
+        new = x - step
+        x = np.where(active, new, x)
+        active &= np.abs(step) >= 1e-12 * np.abs(new)
+    return x, active
 
 
 def _full_polish_zeros(nu, nmax):
-    """_compute_zeros with both polishes stepping the whole array."""
-    x = _full_polish(nu, specfun._mcmahon(nu, np.arange(1.0, nmax + 1.0)))
-    n_low = int(min(nmax, np.ceil(nu) + 2)) if nu > 1.0 else 0
-    ok = np.all(np.diff(x) > 0) and np.all(x > 0)
-    if n_low or not ok:
-        n_low = max(n_low, 2 if not ok else n_low)
-        low = specfun._scan_low_zeros(nu, min(nmax, max(n_low, 2)))
+    """_compute_zeros with Newton's method on every zero, and both
+    polishes evaluating the whole array."""
+    guess = specfun._mcmahon(nu, np.arange(1.0, nmax + 1.0))
+    x, active = _full_polish(nu, guess)
+    n_low = math.ceil(nu) + 2 if nu > 1.0 else 0
+    if n_low or not (np.all(np.diff(x) > 1.0) and np.all(x > 0)):
+        low = specfun._scan_low_zeros(nu, max(n_low, 2))
         x[: low.size] = low
-        x = _full_polish(nu, x)
+        active[: low.size] = True
+        x, _ = _full_polish(nu, x, active)
     return x
 
 
-@pytest.mark.parametrize("nu", (-0.9, -0.5, 0.0, 0.01, 0.239, 0.3, 0.5, 0.8,
-                                0.9, 1.0, 1.1, 1.2, 1.7, 2.5, 3.3, 5.0, 10.0))
+@functools.lru_cache(maxsize=None)
+def _mp_zero(nu, k, guess):
+    """j_{nu,k} to 40 digits.  besseljzero refuses nu < 0; there it is
+    the root of J_nu next to `guess`, checked to lie between the zeros
+    k - 1 and k of J_{nu+1}, which interlace with those of J_nu (Watson,
+    Treatise on Bessel Functions, 15.22)."""
+    with mp.workdps(40):
+        if nu >= 0.0:
+            return mp.besseljzero(mp.mpf(nu), k)
+        root = mp.findroot(lambda t: mp.besselj(mp.mpf(nu), t),
+                           mp.mpf(guess))
+        lo = mp.besseljzero(nu + 1.0, k - 1) if k > 1 else 0
+        assert lo < root < mp.besseljzero(nu + 1.0, k)
+        return root
+
+
+def _ulps_off(nu, k, x):
+    """Signed distance of x from j_{nu,k}, in ulps of x."""
+    with mp.workdps(40):
+        return float((mp.mpf(x) - _mp_zero(nu, k, float(x))) / math.ulp(x))
+
+
+_ZERO_ORDERS = (-0.9, -0.5, 0.0, 0.01, 0.239, 0.3, 0.5, 0.8, 0.9, 1.0, 1.1,
+                1.2, 1.7, 2.5, 3.3, 5.0, 10.0)
+
+
+@pytest.mark.parametrize("nu", _ZERO_ORDERS)
 def test_moving_mask_polish_equals_full_polish(nu):
-    # skipping the zeros whose last step left them unchanged changes no bit
-    assert np.array_equal(specfun._compute_zeros(nu, 4000),
-                          _full_polish_zeros(nu, 4000))
+    # stepping only the zeros still moving changes no bit of the head
+    head = specfun._head_size(nu, 4000)
+    assert np.array_equal(specfun._compute_zeros(nu, 4000)[:head],
+                          _full_polish_zeros(nu, 4000)[:head])
+
+
+@pytest.mark.parametrize("nu", _ZERO_ORDERS)
+def test_mcmahon_tail_is_full_polish_to_an_ulp_and_rounds_better(nu):
+    # where McMahon's closed form and Newton's method on J_nu differ, the
+    # closed form is the correctly rounded one (near ties aside)
+    zs = specfun._compute_zeros(nu, 4000)
+    ref = _full_polish_zeros(nu, 4000)
+    assert np.all((zs == ref) | (np.nextafter(zs, ref) == ref))
+    for i in np.flatnonzero(zs != ref):
+        assert abs(_ulps_off(nu, int(i) + 1, zs[i])) <= 0.51
+
+
+_SWEEP_ORDERS = (-0.9, -0.5, 0.0, 0.01, 0.3, 0.5, 0.8, 1.2, 2.5, 10.0, 40.0)
+
+
+def _sweep(nu):
+    """(k, ulps off mpmath, in the head) at 30 seeded k in 1..4000, drawn
+    with weight 1/k so that the head and the tail both get draws."""
+    rng = np.random.default_rng([7, _SWEEP_ORDERS.index(nu)])
+    ks = np.arange(1, 4001)
+    zs = bessel_zeros(nu, 4000)
+    head = specfun._head_size(nu, 4000)
+    draws = rng.choice(ks, 30, replace=False, p=1.0 / ks / np.sum(1.0 / ks))
+    return [(int(k), _ulps_off(nu, int(k), zs[k - 1]), k <= head)
+            for k in draws]
+
+
+@pytest.mark.parametrize("nu", _SWEEP_ORDERS)
+def test_zero_sweep_tail_is_correctly_rounded(nu):
+    tail = [(k, off) for k, off, in_head in _sweep(nu) if not in_head]
+    assert tail and all(abs(off) <= 0.51 for _, off in tail), tail
+
+
+_JV_NOISE = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="Newton's method settles within the noise of "
+    "scipy's jv near a zero: 1.1 ulps at nu = 0.3 and 0.8, 4.7 at nu = 40, "
+    "15 at nu = -0.9 (k = 1)")
+
+
+@pytest.mark.parametrize("nu", [
+    pytest.param(nu, marks=_JV_NOISE) if nu in (-0.9, 0.3, 0.8, 40.0) else nu
+    for nu in _SWEEP_ORDERS])
+def test_zero_sweep_head_within_an_ulp(nu):
+    head = [(k, off) for k, off, in_head in _sweep(nu) if in_head]
+    assert head and all(abs(off) <= 1.0 for _, off in head), head
+
+
+def test_report_zero_tables_evaluate_few_jv_points(monkeypatch):
+    # the seven orders of the report's MLSumLadder rows, built cold; jvp
+    # evaluates two J, so its points count twice.  A Newton pass over all
+    # 4000 guesses per table took 117,538 points.
+    points = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(sp, name)
+
+        def jv(self, v, x):
+            points.append(np.size(x))
+            return sp.jv(v, x)
+
+        def jvp(self, v, x):
+            points.append(2 * np.size(x))
+            return sp.jvp(v, x)
+
+    monkeypatch.setattr(specfun, "_sp", Counting())
+    monkeypatch.setattr(specfun, "_zero_cache", {})
+    for mu in (0.3, 0.5, 0.8, 0.9, 1.0, 1.1, 1.2):
+        assert bessel_zeros(mu, 4000).size == 4000
+    assert sum(points) <= 6000
 
 
 def test_brentq_errors_and_endpoint_roots():
