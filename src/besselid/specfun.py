@@ -169,7 +169,7 @@ def _head_size(nu: float, nmax: int) -> int:
     c = 512.0 * abs(mu - 1.0) * p / (315.0 * 8.0**9) * 2.0**60
     # |term| = c 2^-60 / beta^9 <= 2^-60 beta  where beta^10 >= c
     n = c**0.1 / math.pi - 0.5 * nu + 0.25 if c > 0.0 else 0.0
-    return int(min(nmax, max(math.floor(n), math.ceil(nu) + 2)))
+    return min(nmax, max(math.floor(min(n, nmax)), math.ceil(nu) + 2))
 
 
 def _newton_polish(nu: float, x: np.ndarray, moving=None):
@@ -264,14 +264,10 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
 
 
 def _scan_low_zeros(nu: float, count: int) -> np.ndarray:
-    """Bracketed scan for the first `count` zeros (robust at large order).
-
-    The grid has 16 points per pi, so its cells are far narrower than
-    the gaps between zeros (about pi).
-    """
+    """Bracketed scan for the first `count` zeros (robust at large order)."""
     lo = max(nu, 1e-6)
     hi = _mcmahon(nu, np.array([count + max(2.0, 0.6 * nu)]))[0]
-    grid = np.linspace(lo, hi, 16 * math.ceil((hi - lo) / math.pi) + 1)
+    grid = np.linspace(lo, hi, 40 * count + 1)
     vals = _sp.jv(nu, grid)
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -309,8 +305,8 @@ def _compute_zeros(nu: float, nmax: int) -> np.ndarray:
 
 def bessel_zeros(nu: float, nmax: int) -> np.ndarray:
     """First `nmax` positive zeros of J_nu, nu > -1, as an array (cached)."""
-    if nu <= -1.0:
-        raise DomainError("bessel_zeros requires nu > -1")
+    if not -1.0 < nu < math.inf:
+        raise DomainError("bessel_zeros requires finite nu > -1")
     if nmax < 1:
         raise DomainError("nmax must be >= 1")
     key = float(nu)

@@ -228,6 +228,15 @@ _ZERO_ORDERS = (-0.9, -0.5, 0.0, 0.01, 0.239, 0.3, 0.5, 0.8, 0.9, 1.0, 1.1,
                 1.2, 1.7, 2.5, 3.3, 5.0, 10.0)
 
 
+def test_head_size_is_clipped():
+    # nu = +-1/2: McMahon's corrections all vanish, so only the minimum
+    assert [specfun._head_size(nu, 4000) for nu in (-0.5, 0.5, 1.2)] == \
+        [2, 3, 36]
+    assert specfun._head_size(40.0, 100) == 100
+    # the bound overflows to inf at huge order: the head is the table
+    assert specfun._head_size(1e40, 64) == 64
+
+
 @pytest.mark.parametrize("nu", _ZERO_ORDERS)
 def test_moving_mask_polish_equals_full_polish(nu):
     # stepping only the zeros still moving changes no bit of the head
@@ -334,6 +343,9 @@ def test_zeros_increase_with_order():
 def test_zeros_reject_bad_order():
     with pytest.raises((DomainError, ValueError)):
         bessel_zeros(-1.5, 5)
+    for nu in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            bessel_zeros(nu, 5)
 
 
 # ----------------------------------------------------------------------
