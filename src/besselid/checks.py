@@ -89,9 +89,8 @@ def _identity(name: str, zs, tol: float) -> tuple:
     certified.  The margin then covers the certified z only."""
     rec = make_identity(name)
     worst, wz, uncertified = 0.0, None, None
-    for z in zs:
-        rhs = rec.stieltjes_rhs(z, tol=0.01 * tol)
-        lhs = rec.lhs_value(z)
+    for z, lhs, rhs in zip(zs, rec.lhs_value(zs),
+                           rec.stieltjes_rhs(zs, tol=0.01 * tol)):
         # the quadrature aims well below tol; its own error estimate
         # certifying tol itself is still conclusive
         if not (rhs.converged or rhs.err_estimate <= 0.5 * tol * abs(lhs)):
@@ -112,15 +111,14 @@ def _norm(d) -> tuple:
 
 
 def _laplace(d, tol: float) -> tuple:
-    worst, wx, conv = 0.0, None, True
-    for x in _LAPLACE_X:
+    worst, wx = 0.0, None
+    nums = numeric_laplace(lambda t: pdf(d, t), _LAPLACE_X, tol=1e-10)
+    for x, num in zip(_LAPLACE_X, nums):
         closed = float(laplace_closed(d, x))
-        num = numeric_laplace(lambda t: pdf(d, t), x, tol=1e-10)
-        conv = conv and num.converged
         res = abs(closed - num.value) / max(abs(closed), 1e-300)
         if res > worst:
             worst, wx = res, x
-    return _graded(tol - worst, wx, conv)
+    return _graded(tol - worst, wx, nums.converged)
 
 
 def _omega_mass(al: float, be: float, tol: float) -> tuple:

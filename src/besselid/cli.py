@@ -332,22 +332,18 @@ def profile_cmd(target, params, grid):
         if _identity_name(target) is not None:
             rec = make_identity(_identity_name(target),
                                 **{k: float(v) for k, v in kv.items()})
-            for z in zs:
-                lhs = float(rec.lhs_value(float(z)))
-                rhs = rec.stieltjes_rhs(float(z))
-                res = abs(lhs - rhs.value) / max(abs(lhs), 1e-300)
-                rows.append({"z": float(z), "lhs": lhs,
-                             "rhs": float(rhs.value), "residual": res})
+            lhss, rhss = rec.lhs_value(zs), rec.stieltjes_rhs(zs)
         elif target == "lt":
             d = _from_kind(DIST_KINDS, kv, "distribution")
-            for z in zs:
-                lhs = float(laplace_closed(d, float(z)))
-                rhs = numeric_laplace(lambda t: pdf(d, t), float(z))
-                res = abs(lhs - rhs.value) / max(abs(lhs), 1e-300)
-                rows.append({"z": float(z), "lhs": lhs,
-                             "rhs": float(rhs.value), "residual": res})
+            lhss = [laplace_closed(d, z) for z in zs.tolist()]
+            rhss = numeric_laplace(lambda t: pdf(d, t), zs)
         else:
             raise click.UsageError(f"unknown profile target {target!r}")
+        for z, lhs, rhs in zip(zs.tolist(), lhss, rhss):
+            lhs = float(lhs)
+            res = abs(lhs - rhs.value) / max(abs(lhs), 1e-300)
+            rows.append({"z": z, "lhs": lhs, "rhs": float(rhs.value),
+                         "residual": res})
     except (ParameterError, DomainError, UnsupportedVariantError,
             TypeError) as exc:
         raise click.UsageError(str(exc))

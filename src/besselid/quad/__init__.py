@@ -6,21 +6,36 @@ import numpy as np
 
 from ..errors import DomainError
 from .oscillatory import HankelTerm, integrate_oscillatory
-from .result import QuadResult
-from .tanhsinh import integrate_singular_decay, tanh_sinh_finite
+from .result import QuadResult, QuadRows
+from .tanhsinh import (half_line_piece, integrate_pieces,
+                       integrate_singular_decay, tanh_sinh_finite)
 
 __all__ = [
     "QuadResult",
+    "QuadRows",
     "tanh_sinh_finite",
     "integrate_singular_decay",
     "integrate_oscillatory",
     "HankelTerm",
     "numeric_laplace",
+    "positive_points",
 ]
 
 
-def numeric_laplace(f, x: float, tol: float = 1e-10) -> QuadResult:
-    """Numeric Laplace transform: integral of e^{-x t} f(t) over (0, oo)."""
-    if x <= 0.0:
-        raise DomainError("numeric_laplace requires x > 0")
-    return integrate_singular_decay(lambda t: np.exp(-x * t) * f(t), tol=tol)
+def positive_points(x, what: str) -> np.ndarray:
+    """x as a 1-d float array of finite points > 0, else DomainError."""
+    xs = np.ravel(np.asarray(x, dtype=float))
+    if not np.all((xs > 0.0) & (xs < np.inf)):  # NaN fails both
+        raise DomainError(f"{what} requires finite points > 0")
+    return xs
+
+
+def numeric_laplace(f, x, tol: float = 1e-10):
+    """Numeric Laplace transform: integral of e^{-x t} f(t) over (0, oo).
+    An array x gives a QuadRows from one exp-sinh call, which evaluates
+    f once per level for all rows; row i equals the call at x[i]."""
+    xs = positive_points(x, "numeric_laplace")
+    rows = integrate_pieces(
+        [half_line_piece(6.5, {})],
+        lambda t, rows: np.exp(-xs[rows, None] * t) * f(t), xs.size, tol)
+    return rows if np.ndim(x) else rows[0]

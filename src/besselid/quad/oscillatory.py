@@ -143,7 +143,7 @@ def _head_length(terms) -> float:
 
 
 def integrate_oscillatory(weight, terms, kernel, tol: float = 1e-7,
-                          plan: dict = None) -> QuadResult:
+                          plan: dict = None, n_rows: int = None):
     """Integral of kernel(t) * weight(t) over (0, oo), where
     kernel(t) = Re sum(term(sqrt t) for term in terms); with no terms,
     the whole half line by exp-sinh in t.
@@ -152,9 +152,14 @@ def integrate_oscillatory(weight, terms, kernel, tol: float = 1e-7,
     kernel only on real t, in (0, u0^2] when there are terms.  plan
     keeps every value but the weight's across calls with the same terms
     and kernel.  The error estimate and info["reason"] are those of
-    tanhsinh.integrate_pieces.
+    tanhsinh.integrate_pieces.  With n_rows, weight(t) has one row per
+    integrand, shape (n_rows, t.size), and the result is a QuadRows
+    whose row i equals the one-row call on weight row i, bit for bit.
     """
     if terms and min(tm.frequency for tm in terms) < 0.0:
         raise DomainError("integrate_oscillatory needs net frequencies >= 0")
     pieces = _pieces(terms, kernel, {} if plan is None else plan)
-    return integrate_pieces(pieces, lambda t, rows: weight(t), 1, tol)[0]
+    n = n_rows or 1
+    out = integrate_pieces(pieces, lambda t, rows: weight(t)
+                           if len(rows) == n else weight(t)[rows], n, tol)
+    return out if n_rows else out[0]

@@ -1,4 +1,4 @@
-"""Common result record for the quadrature routines."""
+"""Common result records for the quadrature routines."""
 
 from __future__ import annotations
 
@@ -15,3 +15,16 @@ class QuadResult:
 
     def __float__(self):
         return self.value
+
+
+class QuadRows(tuple):
+    """The QuadResults of one engine call, one per row, with the call's
+    total n_evals and whether every row converged."""
+
+    @property
+    def n_evals(self) -> int:
+        return sum(r.n_evals for r in self)
+
+    @property
+    def converged(self) -> bool:
+        return all(r.converged for r in self)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError
-from .result import QuadResult
+from .result import QuadResult, QuadRows
 
 _HALF_PI = 0.5 * np.pi
 FIRST_LEVEL = 3
@@ -111,10 +111,10 @@ def half_line_piece(x_max: float, plan: dict, kernel=None) -> Piece:
 
 @np.errstate(all="ignore")
 def integrate_pieces(pieces, weight, n_rows: int, tol: float,
-                     max_level: int = MAX_LEVEL) -> list:
+                     max_level: int = MAX_LEVEL) -> QuadRows:
     """Integrals of n_rows integrands, each the sum over the pieces of
     their level sums (see Piece) on the levels FIRST_LEVEL, ...,
-    max_level; one QuadResult per row.
+    max_level; a QuadRows of one QuadResult per row.
 
     weight(t, rows) gives the rows listed in the index list `rows` at
     the points t, shape (len(rows), t.size) or, for one row, (t.size,);
@@ -184,7 +184,7 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
             else:
                 info["reason"] = f"no convergence by level {max_level}"
         out.append(QuadResult(total, err, n_evals[r], converged, info=info))
-    return out
+    return QuadRows(out)
 
 
 def tanh_sinh_finite(f, a: float, b: float, tol: float = 1e-12,

@@ -264,9 +264,20 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
 
 
 def _scan_low_zeros(nu: float, count: int) -> np.ndarray:
-    """Bracketed scan for the first `count` zeros (robust at large order)."""
+    """Bracketed scan for the first `count` zeros (robust at large order).
+
+    The grid has 40 cells per zero up to McMahon's zero 0.6 nu past
+    the last.  Cells narrower than pi hold one zero at most, the gaps
+    exceeding pi for nu > 1/2 (Watson, Treatise, 15.8).  Wider ones, at
+    large order, would step over the first zeros, crowded within a few
+    nu^(1/3) of nu: there the grid ends at Qu and Wong's upper bound on
+    j_{nu,count+1} (Trans. AMS 351, 1999), nu + tau nu^(1/3)
+    + (3/10) tau^2 nu^(-1/3) with tau = -a 2^(-1/3), a the zero of Ai."""
     lo = max(nu, 1e-6)
     hi = _mcmahon(nu, np.array([count + max(2.0, 0.6 * nu)]))[0]
+    if hi - lo > 40 * count * math.pi:
+        tau = -_sp.ai_zeros(count + 1)[0][-1] * 2.0 ** (-1.0 / 3.0)
+        hi = nu + tau * nu ** (1 / 3) + 0.3 * tau * tau * nu ** (-1 / 3)
     grid = np.linspace(lo, hi, 40 * count + 1)
     vals = _sp.jv(nu, grid)
     sign = np.sign(vals)

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError, UnsupportedVariantError
-from .quad import (HankelTerm, QuadResult, integrate_oscillatory,
-                   integrate_singular_decay, tanh_sinh_finite)
+from .quad import (HankelTerm, QuadResult, QuadRows, integrate_oscillatory,
+                   integrate_singular_decay, positive_points,
+                   tanh_sinh_finite)
 from .specfun import _tricomi_any, tricomi_boundary_mod2
 
 __all__ = [
@@ -73,11 +74,13 @@ class _Entry:
     kernel: object = None         # (params, t array) -> array
     terms: object = lambda p: ()  # params -> HankelTerms, Re sum = kernel
                                   # at u = sqrt(t); none: exp-sinh in t
-    const: object = None          # (params, z) -> constant term (default 0)
+    const: object = lambda p, z: 0.0  # (params, z) -> constant term
     z_factor: bool = False        # integral carries z/(z+t) instead of 1/(z+t)
     laplace: bool = True          # the inner Laplace transform is a density
     rhs: object = None            # params -> QuadResult, in place of a kernel
     options: tuple = ()           # optional parameters beyond `names`
+    origin: object = None         # params -> p with m(t) ~ t^p at t = 0,
+                                  # where kernel_mass may diverge
 
 
 def _chk(cond: bool, msg: str):
@@ -358,6 +361,8 @@ def _build_catalog():
         kernel=kratio_kernel,
         defaults={"mu": 0.9},
         anchor="eq. (integralKquot)",
+        # Y_mu(sqrt t)^2 ~ t^-mu dominates the modulus
+        origin=lambda p: p["mu"] - 1.0,
     )
 
     # --- Tricomi family -----------------------------------------------------
@@ -495,10 +500,14 @@ class IdentityRecord:
 
     # -- closed forms -------------------------------------------------------
     def lhs_value(self, z):
-        """Closed-form left-hand side; z may be complex off (-oo, 0]."""
-        if not np.iscomplexobj(np.asarray(z)) and z <= 0.0:
-            raise DomainError("lhs_value requires z > 0 on the real axis")
-        return self._entry().lhs(self.p, z)
+        """Closed-form left-hand side; z may be complex off (-oo, 0].
+        An array z gives the values of the scalar calls, one per point:
+        on an array some closed forms round differently in the last bit."""
+        if not np.iscomplexobj(np.asarray(z)):
+            positive_points(z, "lhs_value")
+        lhs = partial(self._entry().lhs, self.p)
+        return lhs(z) if np.ndim(z) == 0 \
+            else np.array([lhs(v) for v in np.ravel(z).tolist()])
 
     def kernel_density(self, t):
         """Kernel density m(t) of the representation integral."""
@@ -518,14 +527,15 @@ class IdentityRecord:
         # in ==, hash, repr or replace()
         return {}
 
-    def _integrate_kernel(self, weight, tol: float) -> QuadResult:
+    def _integrate_kernel(self, weight, tol: float, n_rows: int = None):
         """Integral of kernel * weight over (0, oo) on the planned
         engine: contour rotation of the entry's Hankel terms, or the
-        whole half line by exp-sinh where it lists none."""
+        whole half line by exp-sinh where it lists none; with n_rows,
+        one row per row of weight(t) (see integrate_oscillatory)."""
         e = self._entry()
         return integrate_oscillatory(weight, e.terms(self.p),
                                      lambda t: e.kernel(self.p, t),
-                                     tol=tol, plan=self._plan)
+                                     tol=tol, plan=self._plan, n_rows=n_rows)
 
     def measure_density(self, t):
         """Density recovered by Perron-Stieltjes inversion of the LHS.
@@ -537,21 +547,28 @@ class IdentityRecord:
         return -np.asarray(t) * k if self._entry().z_factor else k
 
     # -- verification -------------------------------------------------------
-    def stieltjes_rhs(self, z: float, tol: float = None) -> QuadResult:
-        """Right-hand side: constant term plus the representation integral."""
-        if z <= 0.0:
-            raise DomainError("stieltjes_rhs requires z > 0")
+    def stieltjes_rhs(self, z, tol: float = None):
+        """Right-hand side: constant term plus the representation
+        integral.  z is a float, giving a QuadResult, or an array, giving
+        a QuadRows with one row per point from one engine call; row i
+        equals the call at z[i] bit for bit."""
+        zs = positive_points(z, "stieltjes_rhs")
         e = self._entry()
         p = self.p
         if e.rhs is not None:
-            return e.rhs(p)
-        tol = tol if tol is not None else 0.01 * self.tol
-        r = self._integrate_kernel(lambda t: 1.0 / (z + t), tol)
-        value = r.value * (z if e.z_factor else 1.0)
-        if e.const is not None:
-            value += e.const(p, z)
-        err = r.err_estimate * (z if e.z_factor else 1.0)
-        return QuadResult(value, err, r.n_evals, r.converged, info=r.info)
+            # a product identity: one right side for every z
+            rows = [e.rhs(p)] * zs.size
+        else:
+            tol = tol if tol is not None else 0.01 * self.tol
+            col = zs[:, None]
+            rows = []
+            for zi, r in zip(zs.tolist(), self._integrate_kernel(
+                    lambda t: 1.0 / (col + t), tol, zs.size)):
+                scale = zi if e.z_factor else 1.0
+                value = r.value * scale + e.const(p, zi)
+                rows.append(QuadResult(value, r.err_estimate * scale,
+                                       r.n_evals, r.converged, info=r.info))
+        return QuadRows(rows) if np.ndim(z) else rows[0]
 
     def residual(self, z: float, tol: float = None) -> float:
         """|lhs - rhs| / max(|lhs|, tiny) at z > 0."""
@@ -573,9 +590,14 @@ class IdentityRecord:
     def kernel_mass(self, tol: float = 1e-9) -> QuadResult:
         """Total mass of the inner-Laplace density by Fubini:
         integral g(s) ds = integral m(t) / t dt."""
-        if not self._entry().laplace:
+        e = self._entry()
+        if not e.laplace:
             raise UnsupportedVariantError(
                 f"{self.name} has no inner-Laplace density")
+        p = e.origin(self.p) if e.origin is not None else 1.0
+        if p <= 0.0:
+            raise DomainError(f"the kernel mass of {self.name} diverges: "
+                              f"m(t) / t ~ t^{p - 1.0:g} at t = 0")
         return self._integrate_kernel(lambda t: 1.0 / t, tol)
 
     # -- Perron-Stieltjes inversion -----------------------------------------

@@ -340,6 +340,19 @@ def test_zeros_increase_with_order():
         assert b > a
 
 
+@pytest.mark.parametrize("nu", (1e4, 1e5, 3e5, 1e6, 1e8))
+def test_large_order_zeros_match_airy_expansion(nu):
+    # j_{nu,k} ~ nu + tau nu^(1/3) + (3/10) tau^2 nu^(-1/3)
+    #            + (5 - tau^3) / (350 nu),  tau = -a_k 2^(-1/3)
+    # (DLMF 10.21.43), with the zeros a_k of Airy's Ai, not J; the next
+    # term is below 6e-11 relative here.  A scan grid out to 3.5 nu
+    # returned 1001575.3 for j_{1e6,1} = 1000185.6.
+    tau = -sp.ai_zeros(3)[0] * 2.0 ** (-1.0 / 3.0)
+    want = nu + tau * nu ** (1.0 / 3.0) + 0.3 * tau**2 * nu ** (-1.0 / 3.0) \
+        + (5.0 - tau**3) / (350.0 * nu)
+    np.testing.assert_allclose(bessel_zeros(nu, 3), want, rtol=1e-10, atol=0)
+
+
 def test_zeros_reject_bad_order():
     with pytest.raises((DomainError, ValueError)):
         bessel_zeros(-1.5, 5)

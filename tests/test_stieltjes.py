@@ -12,7 +12,7 @@ from besselid import specfun, stieltjes
 from besselid.cli import rows_to_csv
 from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
-from besselid.quad import numeric_laplace
+from besselid.quad import QuadRows, numeric_laplace
 from besselid.quad import oscillatory, tanhsinh
 from besselid.quad.tanhsinh import _ROUNDING, UNRESOLVED
 from besselid.specfun import _tricomi_complex, kummer_m, tricomi_psi
@@ -98,6 +98,26 @@ def test_domain_errors_on_evaluation():
         rec.inversion_check(-2.0)
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, 0.0, -1.0))
+@pytest.mark.parametrize("name", ("IK_EQUAL", "TRICOMI_Am1", "MCDONALD"))
+def test_bad_points_raise_anywhere_in_an_array(name, bad):
+    # no silent NaN, no "converged" 0 at z = inf, and the product
+    # identities, whose right side ignores z, check it all the same
+    rec = make_identity(name)
+    for z in (bad, [0.5, 2.0, bad, 7.0], np.array([[1.0, bad]])):
+        for method in (rec.lhs_value, rec.stieltjes_rhs):
+            with pytest.raises(DomainError, match=method.__name__):
+                method(z)
+
+
+def test_lhs_takes_complex_points_off_the_cut():
+    rec = make_identity("IK_EQUAL")
+    zs = [-2.0 + 0.5j, 3.0 - 1e-3j, 1.0 + 0.0j]
+    got = rec.lhs_value(zs)
+    assert got.shape == (3,) and np.all(np.isfinite(got))
+    assert got[1] == rec.lhs_value(3.0 - 1e-3j)
+
+
 def test_product_entries_have_no_kernel():
     rec = make_identity("MCDONALD")
     with pytest.raises(UnsupportedVariantError):
@@ -163,6 +183,19 @@ def test_kernel_mass_closed_forms():
     want = 2.0 ** (mu + nu - 2.0) * sp.gamma(mu) * sp.gamma(nu) \
         / (a ** mu * b ** nu)
     assert rec.kernel_mass().value == pytest.approx(want, rel=1e-7)
+
+
+def test_k_ratio_kernel_mass_closed_form_and_divergence():
+    # int m(t) / t dt = F(0+) = lim K_{mu-1}(w) / (w K_mu(w)) as w -> 0,
+    # which is 1 / (2 (mu - 1)) for mu > 1; at mu <= 1 the integral
+    # diverges at t = 0 and there is no value to return
+    for mu in (1.5, 3.0):
+        r = make_identity("K_RATIO", mu=mu).kernel_mass()
+        assert r.converged
+        assert r.value == pytest.approx(0.5 / (mu - 1.0), rel=1e-9)
+    for mu in (0.0, 0.9, 1.0):
+        with pytest.raises(DomainError, match="diverges"):
+            make_identity("K_RATIO", mu=mu).kernel_mass()
 
 
 def test_equal_argument_kernel_mass():
@@ -440,17 +473,38 @@ def test_kernel_memo_sweep_is_bit_identical(name, monkeypatch):
 @pytest.mark.parametrize("name", LAPLACE)
 def test_kernel_memo_inner_laplace_is_bit_identical(name, monkeypatch):
     ss = (0.3, 3.0)
+    # the kernel mass of K_RATIO is finite only at mu > 1
+    params = {"mu": 1.5} if name == "K_RATIO" else {}
     with monkeypatch.context() as m:
         m.setattr(stieltjes.IdentityRecord, "_plan", _FRESH_PLAN)
-        rec = make_identity(name)
+        rec = make_identity(name, **params)
         want = [rec.laplace_density(s) for s in ss] + [rec.kernel_mass()]
-    warm = make_identity(name)
+    warm = make_identity(name, **params)
     warm.stieltjes_rhs(1.0)
     got = [warm.laplace_density(s) for s in ss] + [warm.kernel_mass()]
     assert got == want, name
-    fresh = [make_identity(name).laplace_density(s) for s in ss] \
-        + [make_identity(name).kernel_mass()]
+    fresh = [make_identity(name, **params).laplace_density(s) for s in ss] \
+        + [make_identity(name, **params).kernel_mass()]
     assert fresh == want, name
+
+
+# the z of logspace(-6, 6, 25) and the seven of the default verify grid
+ROW_ZS = np.concatenate([np.logspace(-6.0, 6.0, 25),
+                         np.logspace(-2.0, 2.0, 7)])
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_rhs_rows_equal_one_z_calls(name):
+    # one array call gives, row by row, every field of the one-z call on
+    # a fresh record; the left side likewise, value for value
+    rows = make_identity(name).stieltjes_rhs(ROW_ZS)
+    lhs = make_identity(name).lhs_value(ROW_ZS)
+    assert isinstance(rows, QuadRows) and len(rows) == lhs.size == ROW_ZS.size
+    for z, row, left in zip(ROW_ZS.tolist(), rows, lhs):
+        rec = make_identity(name)
+        assert row == rec.stieltjes_rhs(z), (name, z)
+        assert left == rec.lhs_value(z), (name, z)
+    assert rows.n_evals == sum(r.n_evals for r in rows)
 
 
 def _counting_kernel(monkeypatch, name):
