@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import DomainError
@@ -24,8 +26,9 @@ __all__ = [
 
 def positive_points(x, what: str) -> np.ndarray:
     """x as a 1-d float array of finite points > 0, else DomainError."""
-    xs = np.ravel(np.asarray(x, dtype=float))
-    if not np.all((xs > 0.0) & (xs < np.inf)):  # NaN fails both
+    xs = np.asarray(x, dtype=float).reshape(-1)
+    # NaN fails both comparisons; a loop beats np.all on a few points
+    if not all(0.0 < v < math.inf for v in xs.tolist()):
         raise DomainError(f"{what} requires finite points > 0")
     return xs
 
@@ -35,7 +38,10 @@ def numeric_laplace(f, x, tol: float = 1e-10):
     An array x gives a QuadRows from one exp-sinh call, which evaluates
     f once per level for all rows; row i equals the call at x[i]."""
     xs = positive_points(x, "numeric_laplace")
+    # one row as a scalar: numpy broadcasts 1-d arrays faster
+    col = -xs[:, None] if xs.size > 1 else -xs[0]
     rows = integrate_pieces(
-        [half_line_piece(6.5, {})],
-        lambda t, rows: np.exp(-xs[rows, None] * t) * f(t), xs.size, tol)
-    return rows if np.ndim(x) else rows[0]
+        [half_line_piece(6.5, {})], lambda t, rows: np.exp(
+            (col if len(rows) == xs.size else col[rows]) * t) * f(t),
+        xs.size, tol)
+    return rows if np.asarray(x).ndim else rows[0]

@@ -503,11 +503,12 @@ class IdentityRecord:
         """Closed-form left-hand side; z may be complex off (-oo, 0].
         An array z gives the values of the scalar calls, one per point:
         on an array some closed forms round differently in the last bit."""
-        if not np.iscomplexobj(np.asarray(z)):
-            positive_points(z, "lhs_value")
+        za = np.asarray(z)
+        if not np.iscomplexobj(za):
+            positive_points(za, "lhs_value")
         lhs = partial(self._entry().lhs, self.p)
-        return lhs(z) if np.ndim(z) == 0 \
-            else np.array([lhs(v) for v in np.ravel(z).tolist()])
+        return lhs(z) if za.ndim == 0 \
+            else np.array([lhs(v) for v in za.ravel().tolist()])
 
     def kernel_density(self, t):
         """Kernel density m(t) of the representation integral."""
@@ -560,7 +561,8 @@ class IdentityRecord:
             rows = [e.rhs(p)] * zs.size
         else:
             tol = tol if tol is not None else 0.01 * self.tol
-            col = zs[:, None]
+            # one row as a scalar: numpy broadcasts 1-d arrays faster
+            col = zs[:, None] if zs.size > 1 else zs[0]
             rows = []
             for zi, r in zip(zs.tolist(), self._integrate_kernel(
                     lambda t: 1.0 / (col + t), tol, zs.size)):
@@ -568,7 +570,7 @@ class IdentityRecord:
                 value = r.value * scale + e.const(p, zi)
                 rows.append(QuadResult(value, r.err_estimate * scale,
                                        r.n_evals, r.converged, info=r.info))
-        return QuadRows(rows) if np.ndim(z) else rows[0]
+        return QuadRows(rows) if np.asarray(z).ndim else rows[0]
 
     def residual(self, z: float, tol: float = None) -> float:
         """|lhs - rhs| / max(|lhs|, tiny) at z > 0."""
