@@ -39,7 +39,7 @@ def numeric_laplace(f, x, tol: float = 1e-10):
     f once per level for all rows; row i equals the call at x[i]."""
     xs = positive_points(x, "numeric_laplace")
     # one row as a scalar: numpy broadcasts 1-d arrays faster
-    col = -xs[:, None] if xs.size > 1 else -xs[0]
+    col = -xs[:, None] if xs.size > 1 else -float(xs[0])
     rows = integrate_pieces(
         [half_line_piece(6.5, {})], lambda t, rows: np.exp(
             (col if len(rows) == xs.size else col[rows]) * t) * f(t),

@@ -562,7 +562,7 @@ class IdentityRecord:
         else:
             tol = tol if tol is not None else 0.01 * self.tol
             # one row as a scalar: numpy broadcasts 1-d arrays faster
-            col = zs[:, None] if zs.size > 1 else zs[0]
+            col = zs[:, None] if zs.size > 1 else float(zs[0])
             rows = []
             for zi, r in zip(zs.tolist(), self._integrate_kernel(
                     lambda t: 1.0 / (col + t), tol, zs.size)):
