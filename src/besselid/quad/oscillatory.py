@@ -153,8 +153,9 @@ def integrate_oscillatory(weight, terms, kernel, tol: float = 1e-7,
     keeps every value but the weight's across calls with the same terms
     and kernel.  The error estimate and info["reason"] are those of
     tanhsinh.integrate_pieces.  With n_rows, weight(t) has one row per
-    integrand, shape (n_rows, t.size), and the result is a QuadRows
-    whose row i equals the one-row call on weight row i, bit for bit.
+    integrand, shape (n_rows, t.size) (or (t.size,) for one), and the
+    result is a QuadRows whose row i equals the one-row call on weight
+    row i, bit for bit.
     """
     if terms and min(tm.frequency for tm in terms) < 0.0:
         raise DomainError("integrate_oscillatory needs net frequencies >= 0")

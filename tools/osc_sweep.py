@@ -5,11 +5,11 @@
 For each of the nine entries whose kernel oscillates in sqrt(t), makes a
 fresh record at its default parameters and evaluates `stieltjes_rhs` at
 the 25 z of logspace(-6, 6, 25) in one array call, at the default
-tolerance.  One untimed
-sweep warms the imports and caches; the median of the timed sweeps is
-printed in ms, with each entry's median.  One more sweep, untimed,
-counts its deterministic work: the points passed to scipy's scaled
-Hankel functions and the total `n_evals` of the results.
+tolerance.  One untimed sweep warms the imports and caches; the median
+of the timed sweeps is printed in ms, with each entry's median.  One
+more sweep, untimed, counts its deterministic work: the points passed
+to scipy's scaled Hankel functions and the total `n_evals` of the
+results.
 """
 
 from __future__ import annotations
