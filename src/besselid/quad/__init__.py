@@ -25,11 +25,12 @@ __all__ = [
 
 
 def positive_points(x, what: str) -> np.ndarray:
-    """x as a 1-d float array of finite points > 0, else DomainError."""
+    """x as a 1-d float array of one or more finite points > 0, else
+    DomainError."""
     xs = np.asarray(x, dtype=float).reshape(-1)
     # NaN fails both comparisons; a loop beats np.all on a few points
-    if not all(0.0 < v < math.inf for v in xs.tolist()):
-        raise DomainError(f"{what} requires finite points > 0")
+    if not (xs.size and all(0.0 < v < math.inf for v in xs.tolist())):
+        raise DomainError(f"{what} requires one or more finite points > 0")
     return xs
 
 

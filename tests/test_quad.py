@@ -195,6 +195,8 @@ def test_laplace_rejects_bad_points_anywhere_in_an_array(bad):
         numeric_laplace(lambda t: np.exp(-t), bad)
     with pytest.raises(DomainError, match="numeric_laplace"):
         numeric_laplace(lambda t: np.exp(-t), [0.5, 2.0, bad, 3.0])
+    with pytest.raises(DomainError, match="numeric_laplace"):
+        numeric_laplace(lambda t: np.exp(-t), [])
 
 
 @pytest.mark.parametrize("kind", [k for k in DIST_DEFAULTS if k != "nchisq"])

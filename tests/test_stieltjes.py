@@ -104,7 +104,7 @@ def test_bad_points_raise_anywhere_in_an_array(name, bad):
     # no silent NaN, no "converged" 0 at z = inf, and the product
     # identities, whose right side ignores z, check it all the same
     rec = make_identity(name)
-    for z in (bad, [0.5, 2.0, bad, 7.0], np.array([[1.0, bad]])):
+    for z in (bad, [0.5, 2.0, bad, 7.0], np.array([[1.0, bad]]), []):
         for method in (rec.lhs_value, rec.stieltjes_rhs):
             with pytest.raises(DomainError, match=method.__name__):
                 method(z)
