@@ -2,9 +2,9 @@
 
 The table is built from the library's target lists (catalog names,
 family defaults, the idtests targets) and the cases below, and building
-it runs no check.  A check looks its check functions up as module
-globals when it runs, so a wrapper installed on them later sees every
-call.
+it runs no check.  A check binds its check function when the table is
+built, so a wrapper installed on the module globals before that sees
+every call.
 """
 
 from __future__ import annotations
@@ -18,16 +18,16 @@ from .distributions import (DIST_DEFAULTS, DIST_KINDS, OMEGA_ANCHOR,
                             kdist_quotient_kernel, laplace_closed, pdf)
 from .errors import ConvergenceError
 from .idtests import (ABSMON_ANCHOR, LANDAU_ANCHOR, PICK_ANCHOR,
-                      SELFDECOMP_ANCHOR, Zeta, absmon_check, bernstein_check,
-                      bernstein_targets, hcm_check, landau_bound_margin,
-                      landau_constant, noncentral_profile_check, pick_check,
-                      pick_targets, profile_targets, selfdecomp_check,
-                      selfdecomp_targets, zeta_witness_search)
+                      SELFDECOMP_ANCHOR, Evidence, Zeta, absmon_check,
+                      bernstein_check, bernstein_targets, hcm_check,
+                      landau_bound_margin, landau_constant,
+                      noncentral_profile_check, pick_check, pick_targets,
+                      profile_targets, selfdecomp_check, selfdecomp_targets,
+                      zeta_witness_search)
 from .quad import integrate_singular_decay, numeric_laplace
 from .stieltjes import IdentityRecord, catalog_names, make_identity
 
-__all__ = ["Check", "SCOPES", "row", "table", "SELFDECOMP_ALPHAS",
-           "ABSMON_CASES"]
+__all__ = ["Check", "SCOPES", "table", "SELFDECOMP_ALPHAS", "ABSMON_CASES"]
 
 SELFDECOMP_ALPHAS = (0.25, 0.5, 0.75)
 ABSMON_CASES = ((0.0, 1.0), (0.7, 0.5), (2.0, 1.5))
@@ -36,54 +36,36 @@ _LAPLACE_X = (0.1, 1.0, 10.0)
 _LANDAU_REF = 0.7857468704
 
 
-def row(check_id: str, params: str, anchor: str, result: tuple) -> dict:
-    """The report row of a check's (verdict, margin, witness)."""
-    verdict, margin, witness = result
-    return {"id": check_id, "params": params, "anchor": anchor,
-            "verdict": verdict,
-            "margin": None if margin is None else float(margin),
-            "witness": witness}
-
-
 @dataclass(frozen=True)
 class Check:
-    """One report row before it runs: run() gives (verdict, margin,
-    witness).  `params` is the params text, or a function giving it when
-    the text holds a value the check computes.  A check that raises
-    still gives its row: inconclusive on a ConvergenceError, else fail."""
+    """One report row before it runs: run() gives its Evidence.
+    `params` is the params text, or a function giving it when the text
+    holds a value the check computes.  A check that raises still gives
+    its row: inconclusive on a ConvergenceError, else fail."""
 
     id: str
     anchor: str
     params: str | Callable[[], str]
-    run: Callable[[], tuple]
+    run: Callable[[], Evidence]
 
     def report(self) -> dict:
         params = self.params if isinstance(self.params, str) else ""
         try:
-            result = self.run()
+            ev = self.run()
             if callable(self.params):
                 params = self.params()
         except ConvergenceError as exc:
-            result = ("inconclusive", None, str(exc))
+            ev = Evidence("inconclusive", None, str(exc))
         except Exception as exc:
             # one broken check is a failing row, not an aborted report
-            result = ("fail", None, f"{type(exc).__name__}: {exc}")
-        return row(self.id, params, self.anchor, result)
+            ev = Evidence("fail", None, f"{type(exc).__name__}: {exc}")
+        return {"id": self.id, "params": params, "anchor": self.anchor,
+                "verdict": ev.verdict,
+                "margin": None if ev.margin is None else float(ev.margin),
+                "witness": ev.witness}
 
 
-def _graded(margin: float, witness=None, converged: bool = True) -> tuple:
-    """Pass at margin >= 0, else fail; inconclusive when the computation
-    behind the margin did not converge."""
-    verdict = "pass" if margin >= 0.0 else "fail"
-    return verdict if converged else "inconclusive", margin, witness
-
-
-def _passed(report, margin: float) -> tuple:
-    """The verdict an idtests report gives itself (within its slack)."""
-    return "pass" if report.passed else "fail", margin, report.witness
-
-
-def _identity(name: str, zs, tol: float) -> tuple:
+def _identity(name: str, zs, tol: float) -> Evidence:
     """Worst residual over zs; inconclusive, with the first uncertified
     z and the engine's reason as witness, where a right side is not
     certified.  The margin then covers the certified z only."""
@@ -100,17 +82,16 @@ def _identity(name: str, zs, tol: float) -> tuple:
         res = abs(lhs - rhs.value) / max(abs(lhs), 1e-300)
         if res > worst:
             worst, wz = res, z
-    if uncertified is not None:
-        return "inconclusive", tol - worst, uncertified
-    return _graded(tol - worst, wz)
+    return Evidence.graded(tol - worst, uncertified or wz,
+                           converged=uncertified is None)
 
 
-def _norm(d) -> tuple:
+def _norm(d) -> Evidence:
     r = integrate_singular_decay(lambda x: pdf(d, x), tol=1e-11)
-    return _graded(1e-8 - abs(r.value - 1.0), converged=r.converged)
+    return Evidence.graded(1e-8 - abs(r.value - 1.0), converged=r.converged)
 
 
-def _laplace(d, tol: float) -> tuple:
+def _laplace(d, tol: float) -> Evidence:
     worst, wx = 0.0, None
     nums = numeric_laplace(lambda t: pdf(d, t), _LAPLACE_X, tol=1e-10)
     for x, num in zip(_LAPLACE_X, nums):
@@ -118,68 +99,37 @@ def _laplace(d, tol: float) -> tuple:
         res = abs(closed - num.value) / max(abs(closed), 1e-300)
         if res > worst:
             worst, wx = res, x
-    return _graded(tol - worst, wx, nums.converged)
+    return Evidence.graded(tol - worst, wx, nums.converged)
 
 
-def _omega_mass(al: float, be: float, tol: float) -> tuple:
+def _omega_mass(al: float, be: float, tol: float) -> Evidence:
     r = integrate_singular_decay(lambda t: kdist_quotient_kernel(al, be, t),
                                  tol=1e-10)
-    return _graded(tol - abs(r.value - 1.0), converged=r.converged)
+    return Evidence.graded(tol - abs(r.value - 1.0), converged=r.converged)
 
 
-def _bernstein(spec, label: str, max_order: int) -> tuple:
-    r = bernstein_check(spec, max_order=max_order, label=label)
-    return _passed(r, r.worst_margin)
-
-
-def _selfdecomp(spec, alpha: float, label: str) -> tuple:
-    r = selfdecomp_check(spec, alpha, label=label)
-    return _passed(r, r.worst_margin)
-
-
-def _pick(spec, label: str) -> tuple:
-    r = pick_check(spec, label=label)
-    return _passed(r, r.min_im_value)
-
-
-def _zeta_witness() -> tuple:
+def _zeta_witness() -> Evidence:
     point, value = zeta_witness_search()
-    return ("expected-fail" if value < 0.0 else "fail", -value,
-            [point[0], point[1]])
+    return Evidence("expected-fail" if value < 0.0 else "fail", -value,
+                    [point[0], point[1]])
 
 
-def _hcm(d, kind: str, max_order: int) -> tuple:
-    r = hcm_check(d, u=1.0, max_order=max_order, label=kind)
-    return _passed(r, r.worst_margin)
+def _landau_constant() -> Evidence:
+    return Evidence.graded(1e-8 - abs(landau_constant() - _LANDAU_REF))
 
 
-def _profile(mu: float, lam: float, u: float) -> tuple:
-    r = noncentral_profile_check(mu, lam, u)
-    ok = r.decreasing_ok and r.convex_ok
-    return "pass" if ok else "fail", 1.0 if ok else -1.0, None
-
-
-def _absmon(mu: float, u: float) -> tuple:
-    r = absmon_check(mu, u, max_order=6)
-    return _passed(r, r.worst_margin)
-
-
-def _landau_constant() -> tuple:
-    return _graded(1e-8 - abs(landau_constant() - _LANDAU_REF))
-
-
-def _landau_bound(mu: float) -> tuple:
-    return _graded(-landau_bound_margin(mu))
+def _landau_bound(mu: float) -> Evidence:
+    return Evidence.graded(-landau_bound_margin(mu))
 
 
 def _inversion_kernel(name: str, t: float) -> float:
     return float(make_identity(name).measure_density(t))
 
 
-def _inversion(name: str, t: float) -> tuple:
+def _inversion(name: str, t: float) -> Evidence:
     got = make_identity(name).inversion_check(t)
     want = _inversion_kernel(name, t)
-    return _graded(1e-5 - abs(got - want) / max(abs(want), 1e-300))
+    return Evidence.graded(1e-5 - abs(got - want) / max(abs(want), 1e-300))
 
 
 def _inversion_params(name: str, t: float) -> str:
@@ -215,28 +165,30 @@ def _distribution_checks(cfg) -> list:
 
 def _idtests_checks(cfg) -> list:
     out = [Check(f"bernstein:{label}", spec.anchor, label,
-                 partial(_bernstein, spec, label, cfg.max_order))
+                 partial(bernstein_check, spec, max_order=cfg.max_order,
+                         label=label))
            for label, spec in bernstein_targets()]
     out += [Check(f"selfdecomp:{label}:{alpha:g}", SELFDECOMP_ANCHOR,
                   f"{label} alpha={alpha:g}",
-                  partial(_selfdecomp, spec, alpha, label))
+                  partial(selfdecomp_check, spec, alpha, label=label))
             for label, spec in selfdecomp_targets()
             for alpha in SELFDECOMP_ALPHAS]
     out += [Check(f"pick:{label}", PICK_ANCHOR, label,
-                  partial(_pick, spec, label))
+                  partial(pick_check, spec, label=label))
             for label, spec in pick_targets()]
     out.append(Check("pick-witness:zeta", Zeta.anchor, "mu=1 nu=1 a=1 b=2",
                      _zeta_witness))
     for kind in ("gammaquot", "kdist", "gig"):
         d = DIST_KINDS[kind](*DIST_DEFAULTS[kind])
         out.append(Check(f"hcm:{kind}", d.anchor, format_dist(d),
-                         partial(_hcm, d, kind, cfg.max_order)))
+                         partial(hcm_check, d, 1.0, max_order=cfg.max_order,
+                                 label=kind)))
     out += [Check(f"profile:{mu:g}-{lam:g}-{u:g}", NoncentralChiSq.anchor,
                   f"mu={mu:g} lam={lam:g} u={u:g}",
-                  partial(_profile, mu, lam, u))
+                  partial(noncentral_profile_check, mu, lam, u))
             for mu, lam, u in profile_targets()]
     out += [Check(f"absmon:{mu:g}-{u:g}", ABSMON_ANCHOR, f"mu={mu:g} u={u:g}",
-                  partial(_absmon, mu, u))
+                  partial(absmon_check, mu, u))
             for mu, u in ABSMON_CASES]
     out.append(Check("landau:constant", LANDAU_ANCHOR, f"ref={_LANDAU_REF}",
                      _landau_constant))

@@ -32,9 +32,9 @@ __all__ = [
     "Rho", "Omega1", "Omega2", "IKMu", "Chi", "Theta", "Zeta", "Kappa",
     "Epsilon", "EpsilonRecip", "LT_KINDS",
     "lt_value", "lt_value_complex", "neg_logderiv", "neg_logderiv_ladder",
-    "CMReport", "PickReport", "cm_check", "bernstein_check",
+    "Evidence", "cm_check", "bernstein_check",
     "selfdecomp_check", "pick_check", "pick_im", "zeta_witness_search",
-    "hcm_check", "noncentral_profile_check", "ProfileReport",
+    "hcm_check", "noncentral_profile_check",
     "absmon_check", "landau_constant", "landau_bound_margin",
     "SELFDECOMP_ANCHOR", "PICK_ANCHOR", "ABSMON_ANCHOR", "LANDAU_ANCHOR",
     "bernstein_targets", "selfdecomp_targets", "pick_targets",
@@ -115,10 +115,12 @@ class _Variant:
         dlog = -c
         for kind, order, scale, sign in factors:
             sw = scale * w
+            # scaled Bessel functions: their common factor cancels in
+            # the ratio, and they stay finite far out on the cut
             if kind == "I":
-                d = scale * _sp.iv(order + 1.0, sw) / _sp.iv(order, sw)
+                d = scale * _sp.ive(order + 1.0, sw) / _sp.ive(order, sw)
             else:
-                d = -scale * _sp.kv(order - 1.0, sw) / _sp.kv(order, sw)
+                d = -scale * _sp.kve(order - 1.0, sw) / _sp.kve(order, sw)
             dlog = dlog + sign * d
         # no complex product: numpy's array loop rounds it differently
         # from a single point
@@ -307,24 +309,34 @@ def neg_logderiv(spec, x):
 
 
 # ----------------------------------------------------------------------
-# Complete-monotonicity and Bernstein checks
+# Evidence and the complete-monotonicity and Bernstein checks
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CMReport:
-    """Sign-pattern verdict for a derivative ladder over a grid.
+class Evidence:
+    """The outcome of one check, as its report row shows it: the verdict
+    ("pass", "fail", "inconclusive" or "expected-fail"), the signed
+    margin, the witness (the worst point, or the reason a check could
+    not decide) and the label of the target."""
 
-    worst_margin is the most negative value of the required-sign
-    derivative, scaled per order by the largest derivative magnitude on
-    the grid; the witness is the (x, order) pair attaining it.
-    """
-
-    grid: tuple
-    max_order: int
-    worst_margin: float
-    passed: bool
+    verdict: str
+    margin: float | None
     witness: object = None
     label: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
+
+    @classmethod
+    def graded(cls, margin, witness=None, converged: bool = True,
+               slack: float = 0.0, label: str = "") -> Evidence:
+        """Pass at margin >= -slack, fail below (and at NaN);
+        inconclusive when the computation behind the margin did not
+        converge."""
+        verdict = "pass" if margin >= -slack else "fail"
+        return cls(verdict if converged else "inconclusive", margin,
+                   witness, label)
 
 
 _DEFAULT_GRID = tuple(np.exp(np.linspace(np.log(0.05), np.log(50.0), 9)))
@@ -332,12 +344,15 @@ _SELFDECOMP_GRID = tuple(np.exp(np.linspace(np.log(0.1), np.log(10.0), 7)))
 
 
 def cm_check(target, grid=None, max_order: int = 8, slack: float = 1e-9,
-             signs: str = "alternating", label: str = "") -> CMReport:
+             signs: str = "alternating", label: str = "") -> Evidence:
     """Sign-pattern test of the derivatives of the smoothfn ladder
     target, evaluated once on the whole grid.
 
     signs = "alternating" tests (-1)^n f^(n) >= 0 (complete
     monotonicity); "positive" tests f^(n) >= 0 (absolute monotonicity).
+    The margin is the most negative required-sign derivative, scaled
+    per order by the largest derivative magnitude on the grid; a failure
+    names the (x, order) pair attaining it.
     """
     if grid is None:
         grid = _DEFAULT_GRID
@@ -354,27 +369,23 @@ def cm_check(target, grid=None, max_order: int = 8, slack: float = 1e-9,
     worst = float(np.min(margins))
     i, n = np.unravel_index(np.argmin(margins), margins.shape)
     witness = (grid[i], int(n)) if worst < -slack else None
-    return CMReport(grid, max_order, worst, worst >= -slack, witness, label)
+    return Evidence.graded(worst, witness, slack=slack, label=label)
 
 
-def _normalization_gate(lt, grid, max_order: int, label: str):
-    """The failing report when the transform lt is off 1 by more than
+def _normalization_gate(lt, label: str):
+    """The failing evidence when the transform lt is off 1 by more than
     1e-6 at x = 1e-16, else None.  x is that small because several
     transforms carry e^{-c sqrt(x)} factors, so the approach to 1 is
     O(sqrt(x)), not O(x)."""
     l0 = float(lt(1e-16))
     if abs(l0 - 1.0) > 1e-6:
-        return CMReport(tuple(grid), max_order, -abs(l0 - 1.0), False,
-                        (1e-16, -1), label)
+        return Evidence.graded(-abs(l0 - 1.0), (1e-16, -1), label=label)
 
 
 def bernstein_check(spec, grid=None, max_order: int = 8,
-                    slack: float = 1e-9, label: str = "") -> CMReport:
+                    slack: float = 1e-9, label: str = "") -> Evidence:
     """Bernstein-function test: phi(0+) = 0 and phi' completely monotone."""
-    if grid is None:
-        grid = _DEFAULT_GRID
-    return (_normalization_gate(lambda x: lt_value(spec, x), grid, max_order,
-                                label)
+    return (_normalization_gate(lambda x: lt_value(spec, x), label)
             or cm_check(neg_logderiv_ladder(spec), grid, max_order, slack,
                         label=label))
 
@@ -383,7 +394,7 @@ SELFDECOMP_ANCHOR = "Lemma 2"
 
 
 def selfdecomp_check(spec, alpha: float, grid=None, max_order: int = 6,
-                     slack: float = 1e-9, label: str = "") -> CMReport:
+                     slack: float = 1e-9, label: str = "") -> Evidence:
     """Complete monotonicity of x -> L(x)/L(alpha x), alpha in (0, 1).
 
     Together with the value 1 at 0+ this is the numerical surrogate for
@@ -400,24 +411,13 @@ def selfdecomp_check(spec, alpha: float, grid=None, max_order: int = 6,
     def q0(x):
         return float(lt_value(spec, x)) / float(lt_value(spec, alpha * x))
 
-    return (_normalization_gate(q0, grid, max_order, label)
+    return (_normalization_gate(q0, label)
             or cm_check(CauchyLadder(q), grid, max_order, slack, label=label))
 
 
 # ----------------------------------------------------------------------
 # Pick-function checks
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PickReport:
-    """Minimum of Im[psi'(s)/psi(s)] over an upper-half-plane grid."""
-
-    grid: tuple
-    min_im_value: float
-    passed: bool
-    witness: object = None
-    label: str = ""
-
 
 def pick_im(spec, re, im):
     """Im[psi'(s)/psi(s)] at s = re + i im for psi(s) = L(-s),
@@ -450,15 +450,15 @@ PICK_ANCHOR = "Lemma 3"
 
 
 def pick_check(spec, grid=None, slack: float = 1e-12,
-               label: str = "") -> PickReport:
-    """Positivity of Im[psi'/psi] over an upper-half-plane grid."""
+               label: str = "") -> Evidence:
+    """Positivity of Im[psi'/psi] over an upper-half-plane grid: the
+    margin is the grid minimum, and a failure names its point."""
     if grid is None:
         grid = tuple((x, y) for x in np.linspace(-5.0, 5.0, 11)
                      for y in (0.25, 0.5, 1.0, 2.5, 5.0))
     value, point = _grid_minimum(spec, grid)
-    passed = value >= -slack
-    return PickReport(tuple(grid), value, passed,
-                      None if passed else point, label)
+    return Evidence.graded(value, point if value < -slack else None,
+                           slack=slack, label=label)
 
 
 def zeta_witness_search(spec=None):
@@ -494,7 +494,7 @@ def _profile_ladder(g, u: float) -> CauchyLadder:
 
 
 def hcm_check(d, u: float, w_grid=None, max_order: int = 8,
-              slack: float = 1e-9, label: str = "") -> CMReport:
+              slack: float = 1e-9, label: str = "") -> Evidence:
     """Complete monotonicity in w = v + 1/v of pdf(uv) pdf(u/v).
 
     A family with an exact profile ladder (the gamma quotient) is tested
@@ -508,46 +508,30 @@ def hcm_check(d, u: float, w_grid=None, max_order: int = 8,
     return cm_check(target, w_grid, max_order, slack, label=label)
 
 
-@dataclass(frozen=True)
-class ProfileReport:
-    """First/second derivative signs of the noncentral chi-square
-    profile w -> pdf(uv) pdf(u/v) on (2, oo)."""
-
-    decreasing_claimed: bool
-    decreasing_ok: bool
-    convex_claimed: bool
-    convex_ok: bool
-    grid: tuple
-
-
 def noncentral_profile_check(mu: float, lam: float, u: float,
-                             w_grid=None) -> ProfileReport:
-    """Monotonicity and convexity of the noncentral chi-square profile.
+                             w_grid=None) -> Evidence:
+    """Positivity, decrease and convexity of the noncentral chi-square
+    profile w -> pdf(uv) pdf(u/v) on (2, oo): a cm_check of its profile
+    ladder at orders 0 to 2.
 
-    The profile is claimed strictly decreasing when lam <= 2(2 mu + 1)
-    and strictly convex when lam <= 2 mu + 1; outside the claimed
-    region the corresponding flag is reported as not claimed.
+    Convexity is claimed for lam <= 2 mu + 1 (and decrease for lam <=
+    2(2 mu + 1)); outside the convex region there is no claim to test.
     """
+    if not lam <= 2.0 * mu + 1.0:
+        raise ParameterError(
+            "noncentral_profile_check requires lam <= 2 mu + 1")
     d = DIST_KINDS["nchisq"](mu, lam)
     if w_grid is None:
         w_grid = _DEFAULT_W_GRID
-    dec_claim = lam <= 2.0 * (2.0 * mu + 1.0)
-    cvx_claim = lam <= 2.0 * mu + 1.0
-    w = np.array(w_grid, dtype=float)
-    ladder = _profile_ladder(lambda x: np.exp(d.log_pdf(x)), u)
-    f0, d1, d2 = ladder.derivatives(w, 2).T
-    scale = np.abs(f0) / w
-    dec_ok = not np.any(d1 >= -1e-9 * scale)
-    cvx_ok = not np.any(d2 <= -1e-9 * scale / w)
-    return ProfileReport(dec_claim, dec_ok and dec_claim,
-                         cvx_claim, cvx_ok and cvx_claim, tuple(w_grid))
+    return cm_check(_profile_ladder(lambda x: np.exp(d.log_pdf(x)), u),
+                    w_grid, 2)
 
 
 ABSMON_ANCHOR = "Theorem thprodIabsmon"
 
 
 def absmon_check(mu: float, u: float, w_grid=None, max_order: int = 6,
-                 slack: float = 1e-9, label: str = "") -> CMReport:
+                 slack: float = 1e-9, label: str = "") -> Evidence:
     """Absolute monotonicity in w of I_mu(uv) I_mu(u/v) on (2, oo): a
     cm_check with signs "positive" of the profile ladder of I_mu, so
     the witness is the worst (w, order) pair."""

@@ -297,10 +297,14 @@ def _compute_zeros(nu: float, nmax: int) -> np.ndarray:
     n = np.arange(1.0, nmax + 1.0)
     h = _head_size(nu, nmax)
     x = _mcmahon(nu, n, terms=4)
-    head, moving = _newton_polish(nu, _mcmahon(nu, n[:h]))
     # McMahon is an expansion for n >> nu; low zeros at sizable order may
     # have been pulled onto the wrong root, so re-derive them by scanning.
     n_low = math.ceil(nu) + 2 if nu > 1.0 else 0
+    if n_low >= h:
+        # the scan below replaces the whole head: nothing to polish yet
+        head, moving = np.empty(h), np.ones(h, dtype=bool)
+    else:
+        head, moving = _newton_polish(nu, _mcmahon(nu, n[:h]))
     # consecutive zeros lie about pi apart: a smaller gap is one root
     # reached twice
     if n_low or not (np.all(np.diff(head) > 1.0) and np.all(head > 0)):

@@ -17,6 +17,7 @@ from besselid import checks
 from besselid.cli import RunConfig, main
 from besselid.distributions import DIST_KINDS, laplace_closed, pdf
 from besselid.errors import ConvergenceError, DomainError
+from besselid.idtests import Evidence
 from besselid.quad.tanhsinh import UNRESOLVED
 
 
@@ -350,6 +351,11 @@ def test_verify_exit_code_is_returned_through_click(capsys):
                 standalone_mode=False)
     assert code == 0
     assert json.loads(capsys.readouterr().out)["summary"]["pass"] == 4
+
+
+def test_every_check_returns_evidence():
+    for c in checks.table("all", RunConfig()):
+        assert isinstance(c.run(), Evidence), c.id
 
 
 def test_check_table_ids_anchors_and_only_selection():

@@ -13,8 +13,7 @@ from besselid.distributions import (DIST_KINDS, GIG, GammaQuotient, KDist,
                                     McKayI, NoncentralChiSq, hcm_profile,
                                     kdist_quotient_kernel)
 from besselid.errors import ConvergenceError, DomainError, ParameterError
-from besselid.idtests import (LT_KINDS, Chi, IKMu, Omega1, Rho,
-                              ProfileReport,
+from besselid.idtests import (LT_KINDS, Chi, Evidence, IKMu, Omega1, Rho,
                               absmon_check, bernstein_check, bernstein_targets,
                               cm_check, hcm_check, landau_bound_margin,
                               landau_constant, lt_value, lt_value_complex,
@@ -168,9 +167,26 @@ def test_neg_logderiv_matches_richardson(spec):
 # sign-pattern checks
 # ----------------------------------------------------------------------
 
+def test_evidence_graded_pass_rule():
+    assert Evidence.graded(-0.0) == Evidence("pass", -0.0)
+    assert Evidence.graded(0.5, (1.0, 2)).passed
+    assert Evidence.graded(-1e-300).verdict == "fail"
+    # a margin that could not be computed never passes
+    assert Evidence.graded(np.nan).verdict == "fail"
+    assert Evidence.graded(np.nan, slack=1.0).verdict == "fail"
+    # an unconverged margin is inconclusive, whatever its sign
+    for margin in (1.0, -1.0):
+        ev = Evidence.graded(margin, "why", converged=False, label="x")
+        assert ev == Evidence("inconclusive", margin, "why", "x")
+        assert not ev.passed
+    assert Evidence.graded(-1e-9, slack=1e-9).passed
+    assert not Evidence.graded(-2e-9, slack=1e-9).passed
+    assert not Evidence("expected-fail", 1.0).passed
+
+
 def test_cm_check_passes_on_stieltjes_kernel():
     rep = cm_check(RationalLadder(((1.0, 1.0),)), max_order=10)
-    assert rep.passed and rep.worst_margin >= -1e-12
+    assert rep.passed and rep.margin >= -1e-12
     assert rep.witness is None
 
 
@@ -178,8 +194,8 @@ def test_cm_check_fails_with_witness():
     # x^2 increases: -f' is most negative, on the scale of its order, at
     # the end of the grid
     rep = cm_check(PowerLadder(1.0, 2.0), max_order=2)
-    assert not rep.passed and rep.worst_margin == -1.0
-    assert rep.witness == (rep.grid[-1], 1)
+    assert not rep.passed and rep.margin == -1.0
+    assert rep.witness == (idtests._DEFAULT_GRID[-1], 1)
 
 
 def test_cm_check_rejects_bad_signs():
@@ -191,7 +207,7 @@ def test_bernstein_check_sample_targets():
     for label, spec in (("rho", Rho(0.8, 1.0)),
                         ("ikmu", IKMu(1.0))):
         rep = bernstein_check(spec, max_order=8, label=label)
-        assert rep.passed, (label, rep.worst_margin, rep.witness)
+        assert rep.passed, (label, rep.margin, rep.witness)
 
 
 @pytest.mark.parametrize("kind,args", [
@@ -200,13 +216,13 @@ def test_bernstein_check_sample_targets():
 ])
 def test_bernstein_check_passes_proven_laws_off_defaults(kind, args):
     rep = bernstein_check(DIST_KINDS[kind](*args), label=kind)
-    assert rep.passed, (rep.worst_margin, rep.witness)
+    assert rep.passed, (rep.margin, rep.witness)
 
 
 def test_selfdecomp_check_sample():
     _, spec = selfdecomp_targets()[0]
     rep = selfdecomp_check(spec, 0.5)
-    assert rep.passed, (rep.worst_margin, rep.witness)
+    assert rep.passed, (rep.margin, rep.witness)
     with pytest.raises(ParameterError):
         selfdecomp_check(spec, 1.0)
 
@@ -218,7 +234,7 @@ def _noisy_selfdecomp_margin(spec, alpha, u=None):
         out = lt_value_complex(spec, z) / lt_value_complex(spec, alpha * z)
         return out if u is None else out * (1.0 + 2.0 ** -52 * u)
 
-    return cm_check(CauchyLadder(q), idtests._SELFDECOMP_GRID, 6).worst_margin
+    return cm_check(CauchyLadder(q), idtests._SELFDECOMP_GRID, 6).margin
 
 
 @pytest.mark.parametrize("label,spec", [
@@ -232,7 +248,7 @@ def _noisy_selfdecomp_margin(spec, alpha, u=None):
     for label, spec in selfdecomp_targets()])
 def test_selfdecomp_margin_is_stable_under_one_ulp_noise(label, spec):
     margin = _noisy_selfdecomp_margin(spec, 0.5)
-    assert margin == selfdecomp_check(spec, 0.5).worst_margin
+    assert margin == selfdecomp_check(spec, 0.5).margin
     rng = np.random.default_rng(2024)
     grid_shape = (len(idtests._SELFDECOMP_GRID), 64)
     moves = [abs(_noisy_selfdecomp_margin(
@@ -252,21 +268,29 @@ class _SqrtTransform:
 def test_bernstein_check_fails_unnormalized_transform_on_array_grid():
     grid = np.array([0.5, 1.0, 2.0])
     rep = bernstein_check(_SqrtTransform(), grid=grid, label="sqrt")
-    assert not rep.passed and rep.witness == (1e-16, -1)
-    assert rep.grid == (0.5, 1.0, 2.0)
-    assert rep.worst_margin == pytest.approx(-1.0, abs=1e-7)
+    assert rep == Evidence("fail", rep.margin, (1e-16, -1), "sqrt")
+    assert rep.margin == pytest.approx(-1.0, abs=1e-7)
 
 
 def test_selfdecomp_check_fails_unnormalized_quotient():
     rep = selfdecomp_check(_SqrtTransform(), 0.25)
     assert not rep.passed and rep.witness == (1e-16, -1)
-    assert rep.worst_margin == pytest.approx(-1.0)
-    # the failure row reports the grid the check would have used
-    assert rep.grid == selfdecomp_check(selfdecomp_targets()[0][1], 0.25).grid
-    assert rep.grid[0] == pytest.approx(0.1) and len(rep.grid) == 7
+    assert rep.margin == pytest.approx(-1.0)
     with_array = selfdecomp_check(_SqrtTransform(), 0.25,
                                   grid=np.array([1.0, 2.0]))
-    assert not with_array.passed and with_array.grid == (1.0, 2.0)
+    assert not with_array.passed
+
+
+def test_selfdecomp_check_default_grid():
+    # seven points from 0.1 to 10, not the Bernstein grid
+    spec = selfdecomp_targets()[0][1]
+    grid = idtests._SELFDECOMP_GRID
+    assert grid[0] == pytest.approx(0.1) and grid[-1] == pytest.approx(10.0)
+    assert len(grid) == 7
+    rep = selfdecomp_check(spec, 0.25)
+    assert rep == selfdecomp_check(spec, 0.25, grid=np.array(grid))
+    assert rep.margin != selfdecomp_check(
+        spec, 0.25, grid=idtests._DEFAULT_GRID).margin
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +304,7 @@ def test_pick_im_closed_value():
 
 def test_pick_check_positive_target():
     rep = pick_check(Rho(1.0, 1.0))
-    assert rep.passed and rep.min_im_value >= -1e-12
+    assert rep.passed and rep.margin >= -1e-12
 
 
 def test_zeta_witness_is_negative():
@@ -327,7 +351,7 @@ def test_pick_grid_equals_per_point(label, spec):
         if v < best[0]:
             best = (v, p)
     rep = pick_check(spec, grid=grid, label=label)
-    assert rep.min_im_value == best[0] and rep.passed
+    assert rep.margin == best[0] and rep.passed
     assert rep == pick_check(spec, grid=grid, label=label)
 
 
@@ -355,23 +379,33 @@ def test_pick_check_witness_is_first_strict_minimum_never_nan():
     grid = tuple((float(k), 1.0) for k in range(6))
     rep = pick_check(_TableSpec([0.5, np.inf, -2.0, 3.0, -2.0, np.inf]),
                      grid=grid)
-    assert rep.min_im_value == -2.0 and rep.witness == (2.0, 1.0)
+    assert rep.margin == -2.0 and rep.witness == (2.0, 1.0)
     assert not rep.passed
     rep = pick_check(_TableSpec([np.inf, -np.inf, -np.inf]), grid=grid[:3])
-    assert rep.min_im_value == -np.inf and rep.witness == (1.0, 1.0)
+    assert rep.margin == -np.inf and rep.witness == (1.0, 1.0)
     rep = pick_check(_TableSpec([np.inf, np.inf]), grid=grid[:2])
-    assert rep.min_im_value == np.inf and rep.passed and rep.witness is None
+    assert rep.margin == np.inf and rep.passed and rep.witness is None
     # a NaN is never passed over: the grid is inconclusive at its point
     with pytest.raises(ConvergenceError, match=r"NaN at s = 3\.0 \+ 1\.0i"):
         pick_check(_TableSpec([0.5, -2.0, 3.0, np.nan, -2.0, np.nan]),
                    grid=grid)
 
 
-def test_pick_check_far_on_the_cut_is_inconclusive_not_a_pass():
-    # I_mu overflows at s = -6e5 + i, so the value there is NaN
-    with np.errstate(all="ignore"), \
-            pytest.raises(ConvergenceError, match=r"-600000\.0 \+ 1\.0i"):
-        pick_check(Rho(0.8, 1.0), grid=[(-6e5, 1.0)])
+def test_pick_check_far_on_the_cut_passes_at_the_mpmath_value():
+    # I_mu(w) overflows at s = -6e5 + i; the ratio of the scaled
+    # I_mu+1 / I_mu does not
+    with mp.workdps(40):
+        w = mp.sqrt(mp.mpf(6e5) - 1j)
+        want = float(mp.im(mp.besseli(1.8, w) / (2 * w * mp.besseli(0.8, w))))
+    rep = pick_check(Rho(0.8, 1.0), grid=[(-6e5, 1.0)])
+    assert rep.passed and rep.margin == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("label", LT_KINDS)
+def test_pick_im_finite_far_on_the_cut(label):
+    spec = LT_KINDS[label](*LT_KINDS[label].defaults)
+    v = pick_im(spec, np.array([-6e5, -1e3, 1e5]), 1.0)
+    assert np.all(np.isfinite(v) & (v > 0.0)), v
 
 
 def test_pick_check_runs_the_row_engine_once(monkeypatch):
@@ -394,13 +428,13 @@ def test_pick_check_runs_the_row_engine_once(monkeypatch):
 def test_hcm_check_gamma_quotient_exact_ladder():
     d = DIST_KINDS["gammaquot"](1.2, 1.0, 0.8, 1.5)
     rep = hcm_check(d, 1.0, max_order=8)
-    assert rep.passed, rep.worst_margin
+    assert rep.passed, rep.margin
 
 
 def test_hcm_check_kdist_cauchy_ladder():
     d = DIST_KINDS["kdist"](1.2, 2.0, 1.0)
     rep = hcm_check(d, 1.0, max_order=8)
-    assert rep.passed, rep.worst_margin
+    assert rep.passed, rep.margin
 
 
 def _density(d):
@@ -502,52 +536,58 @@ def test_hcm_check_evaluates_the_profile_once(monkeypatch):
 
 
 def _profile_per_point(mu, lam, u, w_grid):
-    """noncentral_profile_check with the signs of a three-point stencil
-    of the profile at each point."""
+    """noncentral_profile_check's rule, cm_check at orders 0 to 2, on
+    the value and a three-point stencil of the profile at each point."""
     d = DIST_KINDS["nchisq"](mu, lam)
-    dec_claim = lam <= 2.0 * (2.0 * mu + 1.0)
-    cvx_claim = lam <= 2.0 * mu + 1.0
-    dec_ok = cvx_ok = True
+    table = []
     for w in w_grid:
         h = min(0.02 * w, 0.25 * (w - 2.0))
         f0, fp, fm = (float(hcm_profile(d, u, v)) for v in (w, w + h, w - h))
-        d1 = (fp - fm) / (2.0 * h)
-        d2 = (fp - 2.0 * f0 + fm) / (h * h)
-        scale = abs(f0) / w
-        if dec_claim and d1 >= -1e-9 * scale:
-            dec_ok = False
-        if cvx_claim and d2 <= -1e-9 * scale / w:
-            cvx_ok = False
-    return ProfileReport(dec_claim, dec_ok and dec_claim,
-                         cvx_claim, cvx_ok and cvx_claim, tuple(w_grid))
+        table.append((f0, (fp - fm) / (2.0 * h),
+                      (fp - 2.0 * f0 + fm) / (h * h)))
+    table = np.array(table)
+    margins = table * (1.0, -1.0, 1.0) / np.max(np.abs(table), axis=0)
+    worst = float(margins.min())
+    i, n = np.unravel_index(np.argmin(margins), margins.shape)
+    witness = (float(w_grid[i]), int(n)) if worst < -1e-9 else None
+    return Evidence.graded(worst, witness, slack=1e-9)
 
 
 @pytest.mark.parametrize("mu,lam,u", profile_targets() + [
     (1.0, 3.0, 1.0), (0.5, 1.9, 0.3), (2.0, 9.5, 1.5), (0.5, 10.0, 1.0)])
 def test_noncentral_profile_grid_equals_per_point(mu, lam, u):
     w_grid = tuple(2.0 + np.geomspace(0.01, 30.0, 12))
-    assert noncentral_profile_check(mu, lam, u, w_grid) \
-        == _profile_per_point(mu, lam, u, w_grid)
+    want = _profile_per_point(mu, lam, u, w_grid)
+    if lam > 2.0 * mu + 1.0:
+        # no convexity claimed, and the stencil shows the profile
+        # failing there anyway
+        assert not want.passed
+        with pytest.raises(ParameterError):
+            noncentral_profile_check(mu, lam, u, w_grid)
+        return
+    got = noncentral_profile_check(mu, lam, u, w_grid)
+    assert (got.verdict, got.witness) == (want.verdict, want.witness)
+    assert got.margin == pytest.approx(want.margin, rel=1e-6, abs=1e-12)
 
 
 @pytest.mark.parametrize("mu,lam,u", profile_targets())
 def test_noncentral_profile_targets(mu, lam, u):
     rep = noncentral_profile_check(mu, lam, u)
-    assert rep.decreasing_claimed and rep.decreasing_ok
-    assert rep.convex_claimed and rep.convex_ok
+    assert rep.passed and 0.0 < rep.margin < 1.0
 
 
 def test_noncentral_profile_outside_claimed_region():
-    # lam beyond both thresholds: nothing is claimed, nothing verified
-    rep = noncentral_profile_check(0.5, 10.0, 1.0)
-    assert not rep.decreasing_claimed and not rep.decreasing_ok
-    assert not rep.convex_claimed and not rep.convex_ok
+    # lam beyond 2 mu + 1: convexity is not claimed, nothing to verify
+    with pytest.raises(ParameterError):
+        noncentral_profile_check(0.5, 10.0, 1.0)
+    with pytest.raises(ParameterError):
+        noncentral_profile_check(1.0, np.nextafter(3.0, 4.0), 1.0)
 
 
 @pytest.mark.parametrize("mu,u", [(0.0, 1.0), (0.7, 0.5), (2.0, 1.5)])
 def test_absmon_i_product(mu, u):
     rep = absmon_check(mu, u, max_order=6)
-    assert rep.passed, (mu, u, rep.worst_margin)
+    assert rep.passed, (mu, u, rep.margin)
 
 
 def _absmon_per_point(mu, u, w_grid, max_order, iv=sp.iv):
@@ -564,8 +604,7 @@ def _absmon_per_point(mu, u, w_grid, max_order, iv=sp.iv):
     worst = float(margins.min())
     i, n = np.unravel_index(np.argmin(margins), margins.shape)
     witness = (w_grid[i], int(n)) if worst < -1e-9 else None
-    return idtests.CMReport(tuple(w_grid), max_order, worst,
-                            worst >= -1e-9, witness)
+    return Evidence.graded(worst, witness, slack=1e-9)
 
 
 def _absmon_grid(seed):
@@ -588,9 +627,9 @@ def test_absmon_margin_carries_magnitude():
     # (a point scaled by itself gives exactly 1)
     rep = absmon_check(0.7, 0.5, w_grid=(2.2, 20.0), max_order=6)
     assert rep.passed and rep.witness is None
-    assert 0.0 < rep.worst_margin < 1e-3
+    assert 0.0 < rep.margin < 1e-3
     assert absmon_check(0.7, 0.5, w_grid=(2.2,), max_order=6) \
-        .worst_margin == 1.0
+        .margin == 1.0
 
 
 def test_absmon_check_witness_equals_per_point_loop(monkeypatch):

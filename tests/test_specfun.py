@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -351,6 +352,26 @@ def test_large_order_zeros_match_airy_expansion(nu):
     want = nu + tau * nu ** (1.0 / 3.0) + 0.3 * tau**2 * nu ** (-1.0 / 3.0) \
         + (5.0 - tau**3) / (350.0 * nu)
     np.testing.assert_allclose(bessel_zeros(nu, 3), want, rtol=1e-10, atol=0)
+
+
+def test_large_order_zeros_polish_the_scanned_head_only(monkeypatch):
+    # at nu = 1e11 the scan replaces all 64 head zeros; polishing
+    # McMahon's guesses before it divided by zero far from any zero
+    calls = []
+    polish = specfun._newton_polish
+
+    def counting(nu, x, moving=None):
+        calls.append(moving is None)
+        return polish(nu, x, moving)
+
+    monkeypatch.setattr(specfun, "_newton_polish", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zeros = specfun._compute_zeros(1e11, 64)
+    assert calls == [False]
+    tau = -sp.ai_zeros(1)[0][0] * 2.0 ** (-1.0 / 3.0)
+    assert zeros[0] == pytest.approx(1e11 + tau * 1e11 ** (1.0 / 3.0),
+                                     rel=1e-12)
 
 
 def test_zeros_reject_bad_order():
