@@ -26,7 +26,7 @@ from .errors import DomainError, ParameterError, UnsupportedVariantError
 from .quad.tanhsinh import half_line_piece, integrate_pieces
 from .smoothfn import (CauchyLadder, Ladder, PowerLadder, RationalLadder,
                        StieltjesLadder, k_ratio_ladder)
-from .specfun import _tricomi_complex, tricomi_psi
+from .specfun import _bessel_scaled, _tricomi_complex, tricomi_psi
 from .stieltjes import make_identity
 
 __all__ = [
@@ -431,46 +431,20 @@ DIST_DEFAULTS = {
 }
 
 
-_ASYMPTOTIC_Z = 1e8
-
-
-def _hankel_series_log(nu, z, sign):
-    """log of the Hankel asymptotic factor 1 -+ (4nu^2-1)/(8z) + ...;
-    three terms suffice to machine precision for z > 1e8."""
-    m = 4.0 * nu * nu
-    t1 = (m - 1.0) / (8.0 * z)
-    t2 = t1 * (m - 9.0) / (16.0 * z)
-    t3 = t2 * (m - 25.0) / (24.0 * z)
-    return np.log1p(sign * t1 + t2 + sign * t3)
-
-
 def _log_iv(nu, z):
-    """log I_nu(z) for z >= 0, stable for large z via the scaled form
-    (scipy's scaled Bessel functions give up past z ~ 1e9, where the
-    Hankel expansion is exact to machine precision); for complex z, a
-    log of I_nu(z) (scipy scales it there by e^{-|Re z|})."""
+    """log I_nu(z) for z >= 0 from the scaled I of specfun (Hankel's
+    expansion past 1e8); for complex z, a log of I_nu(z) (scipy scales
+    it there by e^{-|Re z|})."""
     if np.iscomplexobj(z):
         return np.log(_sp.ive(nu, z)) + np.abs(np.real(z))
-    z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        small = np.log(_sp.ive(nu, np.minimum(z, _ASYMPTOTIC_Z))) + z
-        zs = np.maximum(z, _ASYMPTOTIC_Z)
-        large = z - 0.5 * np.log(2.0 * np.pi * zs) \
-            + _hankel_series_log(nu, zs, -1.0)
-    return np.where(z > _ASYMPTOTIC_Z, large, small)
+        return np.log(_bessel_scaled("I", nu, z)) + z
 
 
 def _log_kv(nu, z):
     """log K_nu(z) as _log_iv; kve scales by e^z for complex z too."""
-    if np.iscomplexobj(z):
-        return np.log(_sp.kve(nu, z)) - z
-    z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        small = np.log(_sp.kve(nu, np.minimum(z, _ASYMPTOTIC_Z))) - z
-        zs = np.maximum(z, _ASYMPTOTIC_Z)
-        large = -z + 0.5 * np.log(0.5 * np.pi / zs) \
-            + _hankel_series_log(nu, zs, 1.0)
-    return np.where(z > _ASYMPTOTIC_Z, large, small)
+        return np.log(_bessel_scaled("K", nu, z)) - z
 
 
 def log_pdf(d, x):

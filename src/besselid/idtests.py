@@ -15,18 +15,17 @@ the function, not about the differencing.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 
 import numpy as np
 import scipy.special as _sp
 
-from .distributions import (DIST_DEFAULTS, DIST_KINDS,
-                            _hyperbolic_profile, _log_iv, _log_kv)
+from .distributions import DIST_DEFAULTS, DIST_KINDS, _hyperbolic_profile
 from .errors import ConvergenceError, DomainError, ParameterError
 from .smoothfn import (CauchyLadder, Ladder, MLSumLadder, PowerLadder,
                        SumLadder, k_ratio_ladder)
+from .specfun import bessel_row
 
 __all__ = [
     "Rho", "Omega1", "Omega2", "IKMu", "Chi", "Theta", "Zeta", "Kappa",
@@ -46,26 +45,6 @@ __all__ = [
 # Laplace-transform variants
 # ----------------------------------------------------------------------
 
-def _log_factor(kind, order, r):
-    """ln of a factor over its x -> 0+ limit, at r = scale sqrt x:
-    Gamma(mu+1) I_mu(r) / (r/2)^mu for "I", r^nu K_nu(r) / (Gamma(nu)
-    2^{nu-1}) for "K"."""
-    if kind == "I":
-        return (_sp.gammaln(order + 1.0) + _log_iv(order, r)
-                - order * np.log(0.5 * r))
-    return (order * np.log(r) + _log_kv(order, r) - _sp.gammaln(order)
-            - (order - 1.0) * np.log(2.0))
-
-
-def _factor_complex(kind, order, s, w):
-    """(numerator, denominator) of the same ratio at r = s w, complex w."""
-    if kind == "I":
-        return (np.exp(_sp.gammaln(order + 1.0)) * _sp.iv(order, s * w),
-                (0.5 * s * w) ** order)
-    return (w ** order * _sp.kv(order, s * w),
-            np.exp(_sp.gammaln(order)) * 2.0 ** (order - 1.0) / s ** order)
-
-
 class _Variant:
     """L(x) = C e^{-c sqrt x} prod F(x)^sign over the factors of the
     variant's row (c, ((kind, order, scale, sign), ...)), each F one of
@@ -74,30 +53,31 @@ class _Variant:
         K~_nu(b; x) = x^{nu/2} K_nu(b sqrt x)     kind "K", nu > 0,
 
     and C = 1 / prod F(0+)^sign, so that L(0+) = 1.  The row alone gives
-    L (in logs), its continuation through the principal sqrt z, the
-    ladder of phi' = -(ln L)' and the Pick value.  In phi' each I~ is a
+    L and its continuation (specfun.bessel_row with coef C), the ladder
+    of phi' = -(ln L)' and the Pick value.  In phi' each I~ is a
     Mittag-Leffler sum over squared Bessel zeros and each K~ a Stieltjes
     function (Grosswald, Z. Wahrsch. 36, 1976; Ismail, Ann. Probab. 5,
     1977); the Pick value takes the closed w-log-derivatives
     a I_{mu+1}(aw)/I_mu(aw) of I~ and -b K_{nu-1}(bw)/K_nu(bw) of K~."""
 
-    def lt_value(self, x):
-        c, factors = self.row
-        rx = np.sqrt(x)
-        lg = -c * rx
-        for kind, order, scale, sign in factors:
-            lg = lg + sign * _log_factor(kind, order, scale * rx)
-        return np.exp(lg)
+    @cached_property
+    def _norm(self):
+        # C from the limits I~_mu(a; 0+) = (a/2)^mu / Gamma(mu+1) and
+        # K~_nu(b; 0+) = Gamma(nu) 2^{nu-1} / b^nu, in logs
+        log_f0 = 0.0
+        for kind, order, scale, sign in self.row[1]:
+            if kind == "I":
+                lf = order * np.log(0.5 * scale) - _sp.gammaln(order + 1.0)
+            else:
+                lf = (_sp.gammaln(order) + (order - 1.0) * np.log(2.0)
+                      - order * np.log(scale))
+            log_f0 += sign * lf
+        return float(np.exp(-log_f0))
 
-    def lt_value_complex(self, z):
-        c, factors = self.row
-        w = np.sqrt(z)
-        # one quotient of products: a one-factor row (Rho) then rounds
-        # as its closed form, which the selfdecomp:rho margins resolve
-        pairs = [_factor_complex(kind, order, scale, w)[::sign]
-                 for kind, order, scale, sign in factors]
-        num, den = (reduce(operator.mul, p) for p in zip(*pairs))
-        return num / den * np.exp(-c * w) if c else num / den
+    def lt_value(self, x):
+        return bessel_row(self._norm, *self.row, x)
+
+    lt_value_complex = lt_value
 
     def phi_ladder(self):
         c, factors = self.row
@@ -281,7 +261,8 @@ LT_KINDS = {
 
 
 def lt_value(spec, x):
-    """L(x) for x > 0, evaluated through scaled Bessel logarithms."""
+    """L(x) for x > 0: a variant's factor row from scaled Bessel
+    functions, a family's closed form."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("lt_value requires x > 0")
@@ -584,8 +565,7 @@ def landau_bound_margin(mu: float, n: int = 20, lo: float = 0.1,
     """
     cl2 = landau_constant() ** 2
     x = np.geomspace(lo, hi, n)
-    r = np.sqrt(x)
-    prod = _sp.ive(mu, r) * _sp.kve(mu, r)
+    prod = bessel_row(1.0, 0.0, (("I", mu, 1.0, 1), ("K", mu, 1.0, 1)), x)
     return float(np.max(prod * np.sqrt(3.0) * x ** (2.0 / 3.0) / np.pi - cl2))
 
 

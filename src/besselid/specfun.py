@@ -1,12 +1,16 @@
 """Special-function layer: Bessel, hypergeometric, Tricomi.
 
-Real arguments on the public surface.  Bessel-function zeros of real
-order are computed here (McMahon's expansion, rounded once from a
-double-double, beyond a head of zeros that Newton's method polishes;
-the low zeros at large order are bracketed on a grid and refined by an
-exact port of scipy's Brent root finder) and cached per order; everything
-else is delegated to scipy.special behind a thin contract that adds
-domain checking and the scaled-variant switches.
+Real arguments on the public surface, but for the complex z that
+`bessel_row` also takes.  Bessel-function zeros of real order are
+computed here (McMahon's expansion, rounded once from a double-double,
+beyond a head of zeros that Newton's method polishes; the low zeros at
+large order are bracketed on a grid and refined by an exact port of
+scipy's Brent root finder) and cached per order.  Every Bessel-product
+left side (the catalog's Stieltjes entries and the Laplace-transform
+variants) is one factor row evaluated by `bessel_row` from scaled I and
+K, so none overflows.  Everything else is delegated to scipy.special
+behind a thin contract that adds domain checking and the scaled-variant
+switches.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = [
     "bessel_y",
     "bessel_i",
     "bessel_k",
+    "bessel_row",
     "bessel_zero",
     "bessel_zeros",
     "kummer_m",
@@ -85,8 +90,8 @@ def bessel_i(nu: float, x, scaled: bool = False):
     arr = _as_float_array(x)
     if np.any(arr < 0.0):
         raise DomainError("bessel_i requires x >= 0")
-    fn = _sp.ive if scaled else _sp.iv
-    return _maybe_scalar(fn(nu, arr), x)
+    return _maybe_scalar(_bessel_scaled("I", nu, arr) if scaled
+                         else _sp.iv(nu, arr), x)
 
 
 def bessel_k(nu: float, x, scaled: bool = False):
@@ -94,8 +99,73 @@ def bessel_k(nu: float, x, scaled: bool = False):
     arr = _as_float_array(x)
     if np.any(arr <= 0.0):
         raise DomainError("bessel_k requires x > 0")
-    fn = _sp.kve if scaled else _sp.kv
-    return _maybe_scalar(fn(nu, arr), x)
+    return _maybe_scalar(_bessel_scaled("K", nu, arr) if scaled
+                         else _sp.kv(nu, arr), x)
+
+
+# ---------------------------------------------------------------------------
+# Scaled modified Bessel functions and rows of them
+# ---------------------------------------------------------------------------
+
+# scipy's scaled I and K are within 4e-16 up to about 1e9 and NaN from
+# about 2e9 on; past this point three terms of Hankel's expansion are
+# exact to machine precision
+_HANKEL_Z = 1e8
+
+
+def _bessel_scaled(kind, nu, r):
+    """e^{-r} I_nu(r) for kind "I", e^{r} K_nu(r) for kind "K": at real
+    r >= 0, past _HANKEL_Z from Hankel's expansion (DLMF 10.40.1-2), or
+    at complex r with Re r >= 0 (where scipy's ive scales by e^{-|Re r|}
+    alone)."""
+    fn, sign = (_sp.ive, -1) if kind == "I" else (_sp.kve, 1)
+    value = fn(nu, r)
+    if value.dtype.kind == "c":
+        return value * np.exp(-1j * np.imag(r)) if sign < 0 else value
+    # .any() on arrays only: on one point it would cost more than fn
+    far = r > _HANKEL_Z
+    if not (far.any() if value.ndim else far):
+        return value
+    rs = np.maximum(r, _HANKEL_Z)
+    term = series = 1.0
+    for k in (1, 2, 3):  # sign^k a_k(nu) / r^k, DLMF 10.17.1
+        term = term * sign * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8 * k * rs)
+        series = series + term
+    return np.where(far, series * np.sqrt(np.pi ** sign / (2.0 * rs)), value)
+
+
+def bessel_row(coef, c, factors, z):
+    """coef e^{-c sqrt z} prod F(z)^sign over a factor row, each factor
+    (kind, order, scale, sign) with sign +1 or -1 one of
+
+        I~_mu(a; z) = z^{-mu/2} I_mu(a sqrt z)    kind "I",
+        K~_nu(b; z) = z^{nu/2} K_nu(b sqrt z)     kind "K",
+
+    at real z > 0 or complex z off (-oo, 0], with the principal sqrt z.
+
+    The factors are evaluated scaled, so nothing overflows; their scales
+    leave e^{expo sqrt z}.  expo sums the growing scales, takes c off,
+    then adds the decaying ones, so c cancels the scales it matches
+    exactly: a rounding error there would grow with sqrt z.
+    """
+    w = np.sqrt(z)
+    power = grow = decay = 0.0
+    num, den = [], []
+    for kind, order, scale, sign in factors:
+        k = sign if kind == "I" else -sign  # +1: the factor grows
+        (num if sign > 0 else den).append(
+            _bessel_scaled(kind, order, scale * w))
+        power -= k * order
+        if k > 0:
+            grow += scale
+        else:
+            decay -= scale
+    # Python's float ** where z is one: numpy's power differs from it in
+    # the last bit at some points
+    lead = coef * z ** (0.5 * power) if power else coef
+    value = math.prod(num, start=lead) / math.prod(den)
+    expo = grow - c + decay
+    return value * np.exp(expo * w) if expo else value
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +388,17 @@ def _compute_zeros(nu: float, nmax: int) -> np.ndarray:
     return x
 
 
+# the scan of _scan_low_zeros brackets the first 64 zeros up to about
+# nu = 2.25e15, and none from there on
+_MAX_ZERO_ORDER = 2e15
+
+
 def bessel_zeros(nu: float, nmax: int) -> np.ndarray:
-    """First `nmax` positive zeros of J_nu, nu > -1, as an array (cached)."""
-    if not -1.0 < nu < math.inf:
-        raise DomainError("bessel_zeros requires finite nu > -1")
+    """First `nmax` positive zeros of J_nu, -1 < nu <= 2e15, as an array
+    (cached)."""
+    if not -1.0 < nu <= _MAX_ZERO_ORDER:
+        raise DomainError(f"bessel_zeros requires finite nu in "
+                          f"(-1, {_MAX_ZERO_ORDER:g}]")
     if nmax < 1:
         raise DomainError("nmax must be >= 1")
     key = float(nu)

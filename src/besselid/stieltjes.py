@@ -31,7 +31,8 @@ from .errors import DomainError, ParameterError, UnsupportedVariantError
 from .quad import (HankelTerm, QuadResult, QuadRows, integrate_oscillatory,
                    integrate_singular_decay, positive_points,
                    tanh_sinh_finite)
-from .specfun import _tricomi_any, tricomi_boundary_mod2
+from .specfun import (_bessel_scaled, _tricomi_any, bessel_row,
+                      tricomi_boundary_mod2)
 
 __all__ = [
     "IdentityRecord", "make_identity", "catalog_names", "default_params",
@@ -39,25 +40,6 @@ __all__ = [
 ]
 
 _TIGHT = 1e-7
-
-
-def _sqrtz(z):
-    """Principal square root accepting complex z off the cut."""
-    return np.sqrt(z + 0.0j) if np.iscomplexobj(np.asarray(z)) else np.sqrt(z)
-
-
-def _iv_scaled(nu, w):
-    """I_nu(w) e^{-w}; exact scaling for real w, plain product for complex."""
-    if np.iscomplexobj(np.asarray(w)):
-        return _sp.iv(nu, w) * np.exp(-w)
-    return _sp.ive(nu, w)
-
-
-def _kv_scaled(nu, w):
-    """K_nu(w) e^{+w}."""
-    if np.iscomplexobj(np.asarray(w)):
-        return _sp.kv(nu, w) * np.exp(w)
-    return _sp.kve(nu, w)
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +117,12 @@ def _build_catalog():
     cat = {}
 
     # --- pure Bessel family -------------------------------------------------
-    def iexp_lhs(p, z):
-        mu, a = p["mu"], p["a"]
-        w = _sqrtz(z)
-        return z ** (-0.5 * mu) * _iv_scaled(mu, a * w)
-
     cat["I_EXP"] = _Entry(
         names=("mu", "a"),
         check=lambda p: _chk(p["a"] > 0 and p["mu"] > -0.5,
                              "I_EXP requires a > 0 and mu > -1/2"),
-        lhs=iexp_lhs,
+        lhs=lambda p, z: bessel_row(1.0, p["a"], (("I", p["mu"], p["a"], 1),),
+                                    z),
         kernel=lambda p, t: (1.0 / np.pi) * t ** (-0.5 * p["mu"])
         * _sp.jv(p["mu"], p["a"] * np.sqrt(t)) * np.sin(p["a"] * np.sqrt(t)),
         terms=lambda p: _pair_terms(-1j / np.pi, -p["mu"], p["a"],
@@ -163,16 +141,11 @@ def _build_catalog():
                  "IK_PROD requires nu >= 0 and nu - mu < 1 "
                  "(pass extended_domain=1 for nu > -1, nu - mu < 2)")
 
-    def ikprod_lhs(p, z):
-        mu, nu, a, b = p["mu"], p["nu"], p["a"], p["b"]
-        w = _sqrtz(z)
-        return z ** (0.5 * (nu - mu)) * _iv_scaled(mu, a * w) \
-            * _kv_scaled(nu, b * w) * np.exp((a - b) * w)
-
     cat["IK_PROD"] = _Entry(
         names=("mu", "nu", "a", "b"),
         check=ikprod_check,
-        lhs=ikprod_lhs,
+        lhs=lambda p, z: bessel_row(1.0, 0.0, (("I", p["mu"], p["a"], 1),
+                                               ("K", p["nu"], p["b"], 1)), z),
         kernel=lambda p, t: 0.5 * t ** (0.5 * (p["nu"] - p["mu"]))
         * _sp.jv(p["mu"], p["a"] * np.sqrt(t))
         * _sp.jv(p["nu"], p["b"] * np.sqrt(t)),
@@ -188,20 +161,14 @@ def _build_catalog():
     cat["IK_EQUAL"] = _Entry(
         names=("mu",),
         check=lambda p: _chk(p["mu"] > -1.0, "IK_EQUAL requires mu > -1"),
-        lhs=lambda p, z: 2.0 * _iv_scaled(p["mu"], _sqrtz(z))
-        * _kv_scaled(p["mu"], _sqrtz(z)),
+        lhs=lambda p, z: bessel_row(2.0, 0.0, (("I", p["mu"], 1.0, 1),
+                                               ("K", p["mu"], 1.0, 1)), z),
         kernel=lambda p, t: _sp.jv(p["mu"], np.sqrt(t)) ** 2,
         terms=lambda p: _pair_terms(1.0, 0.0, 0.0, (p["mu"], 1.0),
                                     (1, p["mu"], 1.0, 1)),
         defaults={"mu": 0.7},
         anchor="eq. (eqprod1)",
     )
-
-    def ikexp_lhs(p, z):
-        mu, nu, a, b = p["mu"], p["nu"], p["a"], p["b"]
-        w = _sqrtz(z)
-        return z ** (0.5 * (nu - mu)) * _iv_scaled(mu, a * w) \
-            * _kv_scaled(nu, b * w) * np.exp(-b * w)
 
     def ikexp_kernel(p, t):
         mu, nu, a, b = p["mu"], p["nu"], p["a"], p["b"]
@@ -215,7 +182,9 @@ def _build_catalog():
         check=lambda p: _chk(p["mu"] > -1.0 and p["nu"] > -1.0
                              and p["a"] > 0 and p["b"] > 0,
                              "IK_EXP requires mu, nu > -1 and a, b > 0"),
-        lhs=ikexp_lhs,
+        lhs=lambda p, z: bessel_row(1.0, p["a"], (("I", p["mu"], p["a"], 1),
+                                                  ("K", p["nu"], p["b"], 1)),
+                                    z),
         kernel=ikexp_kernel,
         # J_nu cos - Y_nu sin = Re[e^{iau} H1_nu(bu)]
         terms=lambda p: _pair_terms(0.5, p["nu"] - p["mu"], p["a"],
@@ -224,12 +193,6 @@ def _build_catalog():
         defaults={"mu": 0.8, "nu": 0.6, "a": 0.4, "b": 0.5},
         anchor="Theorem theprodIKexprepr2",
     )
-
-    def kkprod_lhs(p, z):
-        mu, nu, a, b = p["mu"], p["nu"], p["a"], p["b"]
-        w = _sqrtz(z)
-        return z ** (0.5 * (mu + nu)) * _kv_scaled(mu, a * w) \
-            * _kv_scaled(nu, b * w) * np.exp(-(a + b) * w)
 
     def kkprod_kernel(p, t):
         mu, nu, a, b = p["mu"], p["nu"], p["a"], p["b"]
@@ -243,7 +206,8 @@ def _build_catalog():
         check=lambda p: _chk(p["mu"] >= 0 and p["nu"] >= 0
                              and p["a"] > 0 and p["b"] > 0,
                              "KK_PROD requires mu, nu >= 0 and a, b > 0"),
-        lhs=kkprod_lhs,
+        lhs=lambda p, z: bessel_row(1.0, 0.0, (("K", p["mu"], p["a"], 1),
+                                               ("K", p["nu"], p["b"], 1)), z),
         kernel=kkprod_kernel,
         # J_mu Y_nu + J_nu Y_mu = Im[H1_mu(au) H1_nu(bu)]
         terms=lambda p: (HankelTerm(0.25j * np.pi, p["mu"] + p["nu"], 0.0,
@@ -253,19 +217,15 @@ def _build_catalog():
         anchor="eq. (eqprodK1)",
     )
 
-    def iiexp_lhs(p, z):
-        mu, nu, a, b = p["mu"], p["nu"], p["a"], p["b"]
-        w = _sqrtz(z)
-        return z ** (-0.5 * (mu + nu)) * _iv_scaled(mu, a * w) \
-            * _iv_scaled(nu, b * w)
-
     cat["II_EXP"] = _Entry(
         names=("mu", "nu", "a", "b"),
         check=lambda p: _chk(p["mu"] > -1.0 and p["nu"] > -1.0
                              and p["mu"] + p["nu"] > -1.0
                              and p["a"] > 0 and p["b"] > 0,
                              "II_EXP requires mu, nu > -1, mu + nu > -1"),
-        lhs=iiexp_lhs,
+        lhs=lambda p, z: bessel_row(1.0, p["a"] + p["b"],
+                                    (("I", p["mu"], p["a"], 1),
+                                     ("I", p["nu"], p["b"], 1)), z),
         kernel=lambda p, t: (1.0 / np.pi) * t ** (-0.5 * (p["mu"] + p["nu"]))
         * _sp.jv(p["mu"], p["a"] * np.sqrt(t))
         * _sp.jv(p["nu"], p["b"] * np.sqrt(t))
@@ -279,18 +239,14 @@ def _build_catalog():
         anchor="eq. (prodeqI)",
     )
 
-    def kkrecip_lhs(p, z):
-        mu, nu, a, b = p["mu"], p["nu"], p["a"], p["b"]
-        w = _sqrtz(z)
-        return z ** (-0.5 * (mu + nu)) \
-            / (_kv_scaled(mu, a * w) * _kv_scaled(nu, b * w))
-
     cat["KK_RECIP"] = _Entry(
         names=("mu", "nu", "a", "b"),
         check=lambda p: _chk(p["mu"] + p["nu"] > 1.0
                              and p["a"] > 0 and p["b"] > 0,
                              "KK_RECIP requires mu + nu > 1 and a, b > 0"),
-        lhs=kkrecip_lhs,
+        lhs=lambda p, z: bessel_row(1.0, p["a"] + p["b"],
+                                    (("K", p["mu"], p["a"], -1),
+                                     ("K", p["nu"], p["b"], -1)), z),
         kernel=lambda p, t: (4.0 / np.pi**3)
         * t ** (-0.5 * (p["mu"] + p["nu"]))
         * _gamma_big(p["mu"], p["nu"], p["a"], p["b"], t),
@@ -303,18 +259,14 @@ def _build_catalog():
         anchor="Theorem recprodKrepr",
     )
 
-    def ikquot_lhs(p, z):
-        mu, nu, a, b = p["mu"], p["nu"], p["a"], p["b"]
-        w = _sqrtz(z)
-        return z ** (-0.5 * (mu + nu)) * _iv_scaled(mu, a * w) \
-            / _kv_scaled(nu, b * w)
-
     cat["IK_QUOT"] = _Entry(
         names=("mu", "nu", "a", "b"),
         check=lambda p: _chk(p["mu"] > -1.0 and p["mu"] + p["nu"] > 0.0
                              and p["a"] > 0 and p["b"] > 0,
                              "IK_QUOT requires mu > -1 and mu + nu > 0"),
-        lhs=ikquot_lhs,
+        lhs=lambda p, z: bessel_row(1.0, p["a"] + p["b"],
+                                    (("I", p["mu"], p["a"], 1),
+                                     ("K", p["nu"], p["b"], -1)), z),
         kernel=lambda p, t: -(2.0 / np.pi**2)
         * t ** (-0.5 * (p["mu"] + p["nu"]))
         * _sp.jv(p["mu"], p["a"] * np.sqrt(t))
@@ -327,16 +279,12 @@ def _build_catalog():
         anchor="Theorem theoquotIK",
     )
 
-    def krecip_lhs(p, z):
-        nu, b = p["nu"], p["b"]
-        w = _sqrtz(z)
-        return z ** (-0.5 * nu) / _kv_scaled(nu, b * w)
-
     cat["K_RECIP"] = _Entry(
         names=("nu", "b"),
         check=lambda p: _chk(p["nu"] > 0.5 and p["b"] > 0,
                              "K_RECIP requires nu > 1/2 and b > 0"),
-        lhs=krecip_lhs,
+        lhs=lambda p, z: bessel_row(1.0, p["b"], (("K", p["nu"], p["b"], -1),),
+                                    z),
         kernel=lambda p, t: -(2.0 / np.pi**2) * t ** (-0.5 * p["nu"])
         * _gamma_small(p["nu"], 0.0, p["b"], t),
         terms=lambda p: (HankelTerm(-2.0 / np.pi**2, -p["nu"], p["b"],
@@ -346,9 +294,10 @@ def _build_catalog():
     )
 
     def kratio_lhs(p, z):
-        mu = p["mu"]
-        w = _sqrtz(z)
-        return _kv_scaled(mu - 1.0, w) / (w * _kv_scaled(mu, w))
+        # not a row: z^{-1/2} there differs from 1/w in the last bit
+        w = np.sqrt(z)
+        return (_bessel_scaled("K", p["mu"] - 1.0, w)
+                / (w * _bessel_scaled("K", p["mu"], w)))
 
     def kratio_kernel(p, t):
         mu = p["mu"]

@@ -126,9 +126,12 @@ def test_variant_row_against_mpmath(label):
     def ref(x):
         return c0 * _mp_unnormalized(label, spec, x)
 
-    for x in np.geomspace(1e-3, 1e3, 10):
-        want = float(ref(mp.mpf(float(x))))
-        assert float(lt_value(spec, x)) == pytest.approx(want, rel=1e-13)
+    # far out the scaled factors keep sqrt(x) eps out of L; a value
+    # that underflows must underflow in both
+    for x in np.geomspace(1e-3, 1e3, 10).tolist() + [1e6, 1e12, 1e16, 1e20]:
+        want = float(ref(mp.mpf(x)))
+        assert float(lt_value(spec, x)) == pytest.approx(
+            want, rel=1e-13, abs=0.0), x
     for z in (0.3 + 0.2j, 2 + 1j, 7 - 3j, 40 + 25j):
         want = complex(ref(mp.mpc(z)))
         assert abs(complex(lt_value_complex(spec, z)) - want) \
@@ -137,6 +140,17 @@ def test_variant_row_against_mpmath(label):
         z = -mp.mpc(*s)
         want = complex(-mp.diff(ref, z) / ref(z))
         assert abs(pick_im(spec, *s) - want.imag) <= 1e-12 * abs(want), s
+
+
+def test_far_continuation_is_finite():
+    # unscaled I and K overflow past Re(a sqrt z) ~ 700: L was NaN here;
+    # mpmath's value, about 1e-336, rounds to zero like it
+    spec = Rho(0.8, 1.0)
+    z = 6e5 + 1j
+    c0 = 1 / _mp_unnormalized("rho", spec, mp.mpf("1e-60"))
+    want = complex(c0 * _mp_unnormalized("rho", spec, mp.mpc(z)))
+    got = complex(lt_value_complex(spec, z))
+    assert np.isfinite(got) and got == want == 0.0
 
 
 def test_complex_continuation_schwarz_symmetry():

@@ -382,6 +382,18 @@ def test_zeros_reject_bad_order():
             bessel_zeros(nu, 5)
 
 
+def test_zeros_domain_ends_where_the_scan_stops_bracketing():
+    # the default table of 64 zeros brackets them up to about 2.25e15;
+    # above, the scan found too few and raised ConvergenceError
+    nu = specfun._MAX_ZERO_ORDER
+    tau = -sp.ai_zeros(1)[0][0] * 2.0 ** (-1.0 / 3.0)
+    assert bessel_zeros(nu, 64)[0] == pytest.approx(
+        nu + tau * nu ** (1.0 / 3.0), rel=1e-15)
+    for nu in (np.nextafter(nu, math.inf), 3e15, 1e16):
+        with pytest.raises(DomainError, match="finite nu in"):
+            bessel_zeros(nu, 64)
+
+
 # ----------------------------------------------------------------------
 # hypergeometric pieces
 # ----------------------------------------------------------------------

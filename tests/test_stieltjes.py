@@ -378,9 +378,9 @@ def test_hankel_term_mutations_fail(name):
 
 
 def _mp_lhs(name, p, z):
-    """The left sides in mpmath, unscaled."""
+    """The left sides in mpmath, unscaled, at real or complex z."""
     g = {k: mp.mpf(v) for k, v in p.items()}
-    z = mp.mpf(z)
+    z = mp.mpmathify(z)
     w = mp.sqrt(z)
     mu, nu = g.get("mu", 0), g.get("nu", 0)
     a, b = g.get("a", 1), g.get("b", 1)
@@ -417,6 +417,24 @@ def test_oscillatory_rhs_wide_z_against_mpmath(name):
             assert r.info["reason"].startswith(UNRESOLVED), (name, z)
             assert 1e-12 * abs(want) < _ROUNDING * r.info["mass"]
             assert name in ("IK_PROD", "IK_EXP", "KK_PROD") and z >= 1e2
+
+
+# every entry of OSCILLATORY is one factor row on specfun.bessel_row
+@pytest.mark.parametrize("name", OSCILLATORY)
+def test_row_lhs_against_mpmath(name):
+    # 13 real z in 1e-6..1e6 within 1e-13 of mpmath, or both values
+    # below what double precision resolves; the continuation at the
+    # variant test's four complex z, and far out, where unscaled I and K
+    # overflow (IK_EQUAL was NaN there before its row)
+    rec = make_identity(name)
+    tiny = np.finfo(float).tiny
+    for z in np.logspace(-6.0, 6.0, 13).tolist() + [
+            0.3 + 0.2j, 2 + 1j, 7 - 3j, 40 + 25j, 6e5 + 1j]:
+        got = complex(rec.lhs_value(z))
+        with mp.workdps(30):
+            want = complex(_mp_lhs(name, rec.p, z))
+        assert abs(got - want) <= 1e-13 * abs(want) \
+            or max(abs(got), abs(want)) < tiny, (name, z)
 
 
 def test_unconverged_tricomi_rhs_carries_a_reason():
