@@ -143,8 +143,8 @@ def test_variant_row_against_mpmath(label):
 
 
 def test_far_continuation_is_finite():
-    # unscaled I and K overflow past Re(a sqrt z) ~ 700: L was NaN here;
-    # mpmath's value, about 1e-336, rounds to zero like it
+    # unscaled I and K overflow past Re(a sqrt z) ~ 700; mpmath's
+    # value, about 1e-336, rounds to zero like L
     spec = Rho(0.8, 1.0)
     z = 6e5 + 1j
     c0 = 1 / _mp_unnormalized("rho", spec, mp.mpf("1e-60"))

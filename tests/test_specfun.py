@@ -383,8 +383,8 @@ def test_zeros_reject_bad_order():
 
 
 def test_zeros_domain_ends_where_the_scan_stops_bracketing():
-    # the default table of 64 zeros brackets them up to about 2.25e15;
-    # above, the scan found too few and raised ConvergenceError
+    # the scan of the default table brackets its 64 zeros up to about
+    # 2.25e15 and finds too few above
     nu = specfun._MAX_ZERO_ORDER
     tau = -sp.ai_zeros(1)[0][0] * 2.0 ** (-1.0 / 3.0)
     assert bessel_zeros(nu, 64)[0] == pytest.approx(

@@ -425,7 +425,7 @@ def test_row_lhs_against_mpmath(name):
     # 13 real z in 1e-6..1e6 within 1e-13 of mpmath, or both values
     # below what double precision resolves; the continuation at the
     # variant test's four complex z, and far out, where unscaled I and K
-    # overflow (IK_EQUAL was NaN there before its row)
+    # overflow
     rec = make_identity(name)
     tiny = np.finfo(float).tiny
     for z in np.logspace(-6.0, 6.0, 13).tolist() + [
