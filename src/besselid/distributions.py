@@ -132,37 +132,41 @@ class McKayII(_Family):
             ((mu + 1.5, b - a), (mu + 1.5, b + a), (-1.0, b)))
 
 
-class _ShiftLadder(Ladder):
-    """Derivative ladder of f' given a ladder for f."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def derivatives(self, x, max_order: int) -> np.ndarray:
-        return self.base.derivatives(x, max_order + 1)[..., 1:]
-
-
 class _GaussMcKay(_Family):
-    """Families with L(x) = (b/(x+b))^e F(q(x)) / F(q(0)), F a Gauss
-    hypergeometric function; _lt_parts(x) gives (e, F(q(x)), F(q(0)))
-    and L is singular at x = -b + _a_scale a."""
+    """Families with L(x) = (b/(x+b))^e F(A, B; C; q(x)) / F(A, B; C; q(0)),
+    q(x) = (k a/(x+b))^2 and F Gauss's hypergeometric function, from the
+    family's row (e, (A, B, C), k); L is singular at x = k a - b.  The
+    ladder is a Cauchy circle on phi' itself, in closed form through
+    F' = (AB/C) F(A+1, B+1; C+1; .) (DLMF 15.5.1):
+
+        phi'(z) = (e + 2 q (AB/C) F(A+1, B+1; C+1; q) / F(A, B; C; q))
+                  / (z + b),
+
+    so no ladder takes a complex log."""
+
+    def _q(self, x):
+        return (self.row[2] * self.a / (x + self.b)) ** 2
+
+    def _f0(self):
+        return _sp.hyp2f1(*self.row[1], self._q(0.0))
 
     def laplace(self, x):
-        e, fx, f0 = self._lt_parts(x)
-        return (self.b / (x + self.b)) ** e * fx / f0
+        e, h, _ = self.row
+        return ((self.b / (x + self.b)) ** e * _sp.hyp2f1(*h, self._q(x))
+                / self._f0())
 
-    def _neg_log_lt(self, z):
-        # -ln L summed in log space: the phase of L itself passes +-pi on
-        # the Cauchy circle, where its principal log would jump by 2 pi i
-        e, fz, f0 = self._lt_parts(z)
-        return -e * np.log(self.b / (z + self.b)) - np.log(fz) + np.log(f0)
+    def _phi(self, z):
+        e, (A, B, C), _ = self.row
+        q = self._q(z)
+        return (e + 2.0 * q * (A * B / C)
+                * _sp.hyp2f1(A + 1.0, B + 1.0, C + 1.0, q)
+                / _sp.hyp2f1(A, B, C, q)) / (z + self.b)
 
     def phi_ladder(self):
-        # Cauchy circle on -ln L with the radius reaching toward the true
-        # singularity
-        gap = self.b - self.a * self._a_scale
-        return _ShiftLadder(CauchyLadder(self._neg_log_lt, radius_factor=0.6,
-                                         radius_shift=0.9 * gap))
+        # the radius reaches toward the true singularity at x = k a - b
+        gap = self.b - self.row[2] * self.a
+        return CauchyLadder(self._phi, radius_factor=0.6,
+                            radius_shift=0.9 * gap)
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,9 @@ class GenMcKay(_GaussMcKay):
     a: float
     b: float
     anchor = "Theorem th3"
-    _a_scale = 1.0
+    row = property(lambda s: (s.mu + s.nu, (0.5 * (s.mu + s.nu),
+                                           0.5 * (s.mu + s.nu + 1.0),
+                                           s.mu + 1.0), 1.0))
 
     def __post_init__(self):
         if not (self.mu + 1.0 > 0.0 and self.mu + self.nu > 0.0
@@ -181,17 +187,11 @@ class GenMcKay(_GaussMcKay):
             raise ParameterError(
                 "GenMcKay requires mu+1 > 0, mu+nu > 0 and b > a > 0")
 
-    def _lt_parts(self, x):
-        mu, nu, a, b = self.mu, self.nu, self.a, self.b
-        h = (0.5 * (mu + nu), 0.5 * (mu + nu + 1.0), mu + 1.0)
-        return (mu + nu, _sp.hyp2f1(*h, (a / (x + b)) ** 2),
-                _sp.hyp2f1(*h, (a / b) ** 2))
-
     def log_pdf(self, x):
         mu, nu, a, b = self.mu, self.nu, self.a, self.b
         lc = -(mu * np.log(0.5 * a) - (mu + nu) * np.log(b)
                + _sp.gammaln(mu + nu) - _sp.gammaln(mu + 1.0)
-               + np.log(self._lt_parts(0.0)[2]))
+               + np.log(self._f0()))
         return lc + (nu - 1.0) * np.log(x) - b * x + _log_iv(mu, a * x)
 
 
@@ -202,24 +202,19 @@ class SqMcKay(_GaussMcKay):
     a: float
     b: float
     anchor = "Theorem th4"
-    _a_scale = 2.0
+    row = property(lambda s: (4.0 * s.mu + 1.0,
+                              (s.mu + 0.5, 2.0 * s.mu + 0.5, s.mu + 1.0), 2.0))
 
     def __post_init__(self):
         if not (self.mu > -0.25 and self.b > 2.0 * self.a > 0.0):
             raise ParameterError("SqMcKay requires mu > -1/4 and b > 2a > 0")
-
-    def _lt_parts(self, x):
-        mu, a, b = self.mu, self.a, self.b
-        h = (mu + 0.5, 2.0 * mu + 0.5, mu + 1.0)
-        return (4.0 * mu + 1.0, _sp.hyp2f1(*h, 4.0 * a * a / (x + b) ** 2),
-                _sp.hyp2f1(*h, 4.0 * a * a / (b * b)))
 
     def log_pdf(self, x):
         mu, a, b = self.mu, self.a, self.b
         lc = -(4.0 * mu * np.log(2.0) + 2.0 * mu * np.log(a) - np.log(np.pi)
                - (4.0 * mu + 1.0) * np.log(b) + _sp.gammaln(mu + 0.5)
                + _sp.gammaln(2.0 * mu + 0.5) - _sp.gammaln(mu + 1.0)
-               + np.log(self._lt_parts(0.0)[2]))
+               + np.log(self._f0()))
         return lc + 2.0 * mu * np.log(x) - b * x + 2.0 * _log_iv(mu, a * x)
 
 

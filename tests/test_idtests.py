@@ -9,9 +9,9 @@ import pytest
 from scipy import special as sp
 
 from besselid import checks, distributions, idtests, smoothfn
-from besselid.distributions import (DIST_KINDS, GIG, GammaQuotient, KDist,
-                                    McKayI, NoncentralChiSq, hcm_profile,
-                                    kdist_quotient_kernel)
+from besselid.distributions import (DIST_KINDS, GIG, GammaQuotient, GenMcKay,
+                                    KDist, McKayI, NoncentralChiSq, SqMcKay,
+                                    hcm_profile, kdist_quotient_kernel)
 from besselid.errors import ConvergenceError, DomainError, ParameterError
 from besselid.idtests import (LT_KINDS, Chi, Evidence, IKMu, Omega1, Rho,
                               absmon_check, bernstein_check, bernstein_targets,
@@ -164,12 +164,13 @@ def test_complex_continuation_schwarz_symmetry():
 # derivative ladders of -(ln L)'
 # ----------------------------------------------------------------------
 
-# every variant at its defaults, and two families
+# every variant and every family with a ladder, at its defaults
 @pytest.mark.parametrize("spec", _at_defaults(
     "rho", "ikmu", "theta", "zeta", "kdist", "gammaquot", "omega1", "omega2",
-    "chi", "kappa", "epsilon", "epsilon_recip"))
+    "chi", "kappa", "epsilon", "epsilon_recip", "mckay1", "mckay2",
+    "genmckay", "sqmckay", "gig"))
 def test_neg_logderiv_matches_richardson(spec):
-    for x in (0.3, 2.0):
+    for x in (0.05, 0.3, 2.0, 50.0):
         h = 1e-4 * x
         ln = [float(np.log(lt_value(spec, x + k * h)))
               for k in (-2, -1, 1, 2)]
@@ -226,11 +227,64 @@ def test_bernstein_check_sample_targets():
 
 @pytest.mark.parametrize("kind,args", [
     ("gig", (-1.2, 2.0, 0.5)),          # mu < 0: K-ratio at order |mu|
-    ("sqmckay", (2.5, 0.5, 1.6)),       # phase of L passes pi on the circle
+    # on the Cauchy circles the phase of L passes pi for both, and at
+    # x = 0.05 that of F(q) for the second; phi' itself has no branch
+    ("sqmckay", (2.5, 0.5, 1.6)),
+    ("sqmckay", (2.975, 0.895, 1.836)),
 ])
 def test_bernstein_check_passes_proven_laws_off_defaults(kind, args):
     rep = bernstein_check(DIST_KINDS[kind](*args), label=kind)
     assert rep.passed, (rep.margin, rep.witness)
+
+
+def _near_edge_gauss_mckay(n=200, seed=7):
+    """n GenMcKay and then n SqMcKay draws with mu up to 3 and the
+    singularity of L close to 0: b - k a in (0.01, 0.3) a."""
+    rng = np.random.default_rng(seed)
+    gen, sq = [], []
+    for _ in range(n):
+        mu = rng.uniform(-0.9, 3.0)
+        nu = rng.uniform(0.1, 4.0) - mu
+        a = rng.uniform(0.2, 2.0)
+        gen.append(GenMcKay(mu, nu, a, a * (1.0 + rng.uniform(0.01, 0.3))))
+    for _ in range(n):
+        mu = rng.uniform(-0.2, 3.0)
+        a = rng.uniform(0.2, 2.0)
+        sq.append(SqMcKay(mu, a, a * (2.0 + rng.uniform(0.01, 0.3))))
+    return gen, sq
+
+
+def test_bernstein_check_passes_gauss_mckay_near_the_edge():
+    for fam in _near_edge_gauss_mckay():
+        bad = [(d, r.margin, r.witness) for d in fam
+               for r in [bernstein_check(d)] if not r.passed]
+        assert not bad, bad
+
+
+def _mp_gauss_mckay_phi(d, x, max_order):
+    """phi'(x) and its derivatives to max_order from mpmath's
+    derivatives of -ln L, L from the family's row."""
+    e, (A, B, C), k = d.row
+    a, b = mp.mpf(d.a), mp.mpf(d.b)
+
+    def neg_log_lt(t):
+        return e * mp.log((t + b) / b) - mp.log(
+            mp.hyp2f1(A, B, C, (k * a / (t + b)) ** 2))
+
+    return [float(v) for v in
+            list(mp.diffs(neg_log_lt, mp.mpf(x), max_order + 1))[1:]]
+
+
+@pytest.mark.parametrize("d", [
+    *(d for fam in _near_edge_gauss_mckay() for d in fam[::20]),
+    SqMcKay(2.975, 0.895, 1.836)], ids=repr)
+def test_gauss_mckay_ladder_against_mpmath(d):
+    # orders 0-3, each scaled by its largest value over x
+    x = np.array([0.05, 0.3, 2.0, 50.0])
+    got = d.phi_ladder().derivatives(x, 3)
+    want = np.array([_mp_gauss_mckay_phi(d, xi, 3) for xi in x.tolist()])
+    err = np.abs(got - want) / np.abs(want).max(axis=0)
+    assert err.max() <= 1e-13, err
 
 
 def test_selfdecomp_check_sample():

@@ -8,7 +8,6 @@ import pytest
 from scipy import special as sp
 
 from besselid import smoothfn
-from besselid.distributions import _ShiftLadder
 from besselid.errors import DomainError, ParameterError
 from besselid.idtests import (_DEFAULT_GRID, bernstein_targets,
                               lt_value_complex, neg_logderiv_ladder,
@@ -165,8 +164,6 @@ def _stieltjes_parts(lad) -> list:
         return [lad]
     if isinstance(lad, SumLadder):
         return [q for p in lad.parts for q in _stieltjes_parts(p)]
-    if isinstance(lad, _ShiftLadder):
-        return _stieltjes_parts(lad.base)
     return []
 
 
@@ -319,8 +316,6 @@ def _per_point(ladder, x, max_order):
         for c, p in zip(ladder.coefs, ladder.parts):
             out += c * _per_point(p, x, max_order)
         return out
-    if isinstance(ladder, _ShiftLadder):
-        return _per_point(ladder.base, x, max_order + 1)[1:]
     if isinstance(ladder, PowerLadder):
         base = x + ladder.shift
         return np.array([ladder.coef * falling_factorial(ladder.exponent, n)
@@ -435,7 +430,6 @@ LADDERS = {
     "stieltjes": lambda: StieltjesLadder((0.0, 2.0), (1.0, 0.5)),
     "cauchy": lambda: CauchyLadder(fn=lambda z: 1.0 / np.sqrt(z)),
     "sum": lambda: PowerLadder(1.0, -0.5) - RationalLadder(((1.0, 0.0),)),
-    "shift": lambda: _ShiftLadder(CauchyLadder(fn=np.log)),
 }
 
 

@@ -1,5 +1,5 @@
 """The scripts under tools/ import private names of the package: each
-must still import and parse its arguments."""
+must still import and parse its arguments, and the ladder sweep runs."""
 
 import os
 import subprocess
@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from besselid.idtests import bernstein_targets
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,3 +21,15 @@ def test_tool_help_exits_zero(script):
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert "usage:" in r.stdout
+
+
+def test_ladder_sweep_prints_every_bernstein_target():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, str(ROOT / "tools/ladder_sweep.py"),
+                        "--repeats", "1"], env=env, capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    head, *rows = r.stdout.splitlines()
+    assert head.startswith("median ")
+    assert [row.split()[0] for row in rows] == [
+        label for label, _ in bernstein_targets()]

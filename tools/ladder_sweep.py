@@ -21,7 +21,6 @@ import time
 import numpy as np
 
 from besselid import smoothfn
-from besselid.distributions import _ShiftLadder
 from besselid.idtests import _DEFAULT_GRID, bernstein_targets, \
     neg_logderiv_ladder
 from besselid.specfun import bessel_zeros
@@ -35,8 +34,6 @@ def term_counts(ladder, x, max_order: int) -> tuple:
     if isinstance(ladder, smoothfn.SumLadder):
         counts = [term_counts(p, x, max_order) for p in ladder.parts]
         return tuple(sum(c) for c in zip(*counts)) if counts else (0, 0)
-    if isinstance(ladder, _ShiftLadder):
-        return term_counts(ladder.base, x, max_order + 1)
     rungs = (max_order + 1) * x.size
     if isinstance(ladder, smoothfn.RationalLadder):
         return len(ladder.terms) * rungs, 0
