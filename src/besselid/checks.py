@@ -94,9 +94,9 @@ def _norm(d) -> Evidence:
 def _laplace(d, tol: float) -> Evidence:
     worst, wx = 0.0, None
     nums = numeric_laplace(lambda t: pdf(d, t), _LAPLACE_X, tol=1e-10)
-    for x, num in zip(_LAPLACE_X, nums):
-        closed = float(laplace_closed(d, x))
-        res = abs(closed - num.value) / max(abs(closed), 1e-300)
+    closed = laplace_closed(d, _LAPLACE_X).tolist()
+    for x, lx, num in zip(_LAPLACE_X, closed, nums):
+        res = abs(lx - num.value) / max(abs(lx), 1e-300)
         if res > worst:
             worst, wx = res, x
     return Evidence.graded(tol - worst, wx, nums.converged)

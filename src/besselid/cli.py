@@ -335,7 +335,7 @@ def profile_cmd(target, params, grid):
             lhss, rhss = rec.lhs_value(zs), rec.stieltjes_rhs(zs)
         elif target == "lt":
             d = _from_kind(DIST_KINDS, kv, "distribution")
-            lhss = [laplace_closed(d, z) for z in zs.tolist()]
+            lhss = laplace_closed(d, zs)
             rhss = numeric_laplace(lambda t: pdf(d, t), zs)
         else:
             raise click.UsageError(f"unknown profile target {target!r}")

@@ -47,8 +47,8 @@ class _Family:
         raise UnsupportedVariantError(f"no Laplace transform for {self!r}")
 
     def lt_value(self, x):
-        """L at real x > 0 (an array) through laplace_closed."""
-        return laplace_closed(self, float(x) if x.ndim == 0 else x)
+        """L at real x > 0 through laplace_closed."""
+        return laplace_closed(self, x)
 
     def lt_value_complex(self, z):
         raise UnsupportedVariantError(f"no continuation for {self!r}")
@@ -93,14 +93,10 @@ class McKayI(_Family):
         mu, a, b = self.mu, self.a, self.b
         return RationalLadder(((mu + 0.5, b - a), (mu + 0.5, b + a)))
 
-    def mgf_logderiv_im(self, re, im):
+    def mgf_logderiv_im(self, x, y):
         mu, a, b = self.mu, self.a, self.b
-
-        def at(x, y):
-            return (mu + 0.5) * (y / ((x + a - b) ** 2 + y * y)
-                                 + y / ((x - a - b) ** 2 + y * y))
-
-        return _pointwise(at, re, im)
+        return (mu + 0.5) * (y / ((x + a - b) ** 2 + y * y)
+                             + y / ((x - a - b) ** 2 + y * y))
 
 
 @dataclass(frozen=True)
@@ -221,15 +217,18 @@ class SqMcKay(_GaussMcKay):
 class _QuotientMixture(_Family):
     """Families with phi'(x) = integral of coef omega(t) / (x + node(t)) dt,
     omega = kdist_quotient_kernel(al, be, .); _mixture() gives
-    (coef, al, be, node).  L is a Tricomi psi, _laplace_at(x) at one
-    Python float x > 0."""
+    (coef, al, be, node).  L is a Tricomi psi, _laplace_at(x) over an
+    array x > 0; L(0) = 1."""
 
     def laplace(self, x):
-        # per point in Python floats: an array gives the scalar values
-        if np.ndim(x):
-            return np.array([self.laplace(xi) for xi in np.ravel(x).tolist()]
-                            ).reshape(np.shape(x))
-        return 1.0 if x == 0.0 else self._laplace_at(x)
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0.0):
+            raise DomainError(f"the Laplace transform of {self!r} "
+                              "requires x >= 0")
+        out = np.ones_like(x)
+        at = x != 0.0
+        out[at] = self._laplace_at(x[at])
+        return out[()]
 
     def phi_ladder(self):
         coef, al, be, node = self._mixture()
@@ -243,13 +242,11 @@ class _QuotientMixture(_Family):
         # fields, so never in ==, hash, repr or replace()
         return {}
 
-    def mgf_logderiv_im(self, re, im):
+    def mgf_logderiv_im(self, x, y):
         # one exp-sinh row per point: the rows share every level's nodes
         # and so every kernel evaluation
         coef, al, be, node = self._mixture()
-        re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
-                                     np.asarray(im, dtype=float))
-        x, y = re.reshape(-1, 1), im.reshape(-1, 1)
+        x, y = x[:, None], y[:, None]
 
         def weight(t, rows):
             yr = y[rows]
@@ -257,8 +254,8 @@ class _QuotientMixture(_Family):
 
         piece = half_line_piece(
             6.5, self._plan, lambda t: kdist_quotient_kernel(al, be, t))
-        res = integrate_pieces([piece], weight, re.size, tol=1e-11)
-        return np.array([r.value for r in res]).reshape(re.shape)[()]
+        res = integrate_pieces([piece], weight, x.size, tol=1e-11)
+        return np.array([r.value for r in res])
 
 
 @dataclass(frozen=True)
@@ -457,11 +454,14 @@ def pdf(d, x):
 def laplace_closed(d, x):
     """Closed-form Laplace transform L(x) = E e^{-xX}, x >= 0.
 
-    Accepts complex x where the closed form continues analytically
-    (everything except KDist and GammaQuotient, whose Tricomi factor is
-    evaluated for real arguments only here).
+    A scalar x is evaluated as a one-point array, so an array x gives
+    the values of the scalar calls bit for bit.  Accepts complex x where
+    the closed form continues analytically (everything except KDist and
+    GammaQuotient, whose Tricomi factor is evaluated for real arguments
+    only here).
     """
-    return d.laplace(x)
+    shape = np.shape(x)
+    return d.laplace(np.reshape(x, -1)).reshape(shape)[()]
 
 
 OMEGA_ANCHOR = "eq. (pdfome)"
@@ -501,22 +501,15 @@ def mgf_logderiv_im(d, re, im):
     elementwise over broadcast arrays re and im.
 
     Supported: McKayI (rational closed form), KDist and GammaQuotient
-    (positive Stieltjes kernels).
+    (positive Stieltjes kernels).  The family's method takes the points
+    as two 1-d arrays, so a scalar point is a one-point array.
     """
-    if np.any(np.asarray(im) <= 0.0):
-        raise DomainError("mgf_logderiv_im requires im > 0")
-    return d.mgf_logderiv_im(re, im)
-
-
-def _pointwise(fn, re, im):
-    """fn(re, im) in Python floats at each point of the broadcast arrays:
-    array squares and complex products round differently from the
-    scalar arithmetic of these closed forms."""
     re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
                                  np.asarray(im, dtype=float))
-    out = np.array([fn(float(x), float(y)) for x, y in zip(re.flat, im.flat)],
-                   dtype=float)
-    return out.reshape(re.shape)[()]
+    if np.any(im <= 0.0):
+        raise DomainError("mgf_logderiv_im requires im > 0")
+    return d.mgf_logderiv_im(re.reshape(-1), im.reshape(-1)
+                             ).reshape(re.shape)[()]
 
 
 def _hyperbolic_profile(g, u: float, w):

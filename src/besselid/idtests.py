@@ -90,8 +90,7 @@ class _Variant:
 
     def pick_im(self, re, im):
         c, factors = self.row
-        w = np.sqrt(-(np.asarray(re, dtype=float)
-                      + 1j * np.asarray(im, dtype=float)))
+        w = np.sqrt(-(re + 1j * im))
         dlog = -c
         for kind, order, scale, sign in factors:
             sw = scale * w
@@ -102,9 +101,7 @@ class _Variant:
             else:
                 d = -scale * _sp.kve(order - 1.0, sw) / _sp.kve(order, sw)
             dlog = dlog + sign * d
-        # no complex product: numpy's array loop rounds it differently
-        # from a single point
-        return np.imag(-0.5 * dlog / w)[()]
+        return np.imag(-0.5 * dlog / w)
 
 
 @dataclass(frozen=True)
@@ -274,9 +271,11 @@ def lt_value_complex(spec, z):
 
     Every variant continues its factor row with the principal square
     root; of the families, McKayI, GIG and KDist continue their closed
-    forms, and the others raise UnsupportedVariantError.
+    forms, and the others raise UnsupportedVariantError.  A scalar z is
+    evaluated as a one-point array.
     """
-    return spec.lt_value_complex(np.asarray(z, dtype=complex))
+    z = np.asarray(z, dtype=complex)
+    return spec.lt_value_complex(z.reshape(-1)).reshape(z.shape)[()]
 
 
 def neg_logderiv_ladder(spec) -> Ladder:
@@ -402,10 +401,14 @@ def selfdecomp_check(spec, alpha: float, grid=None, max_order: int = 6,
 
 def pick_im(spec, re, im):
     """Im[psi'(s)/psi(s)] at s = re + i im for psi(s) = L(-s),
-    elementwise over broadcast arrays re and im."""
-    if np.any(np.asarray(im) <= 0.0):
+    elementwise over broadcast arrays re and im.  The spec's pick_im
+    takes the points as two 1-d arrays, so a scalar point is a
+    one-point array."""
+    re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
+                                 np.asarray(im, dtype=float))
+    if np.any(im <= 0.0):
         raise DomainError("pick_im requires im > 0")
-    return spec.pick_im(re, im)
+    return spec.pick_im(re.reshape(-1), im.reshape(-1)).reshape(re.shape)[()]
 
 
 def _grid_minimum(spec, points):

@@ -49,9 +49,16 @@ def falling_factorial(p: float, n: int) -> float:
 class Ladder:
     """Base: derivatives(x, max_order) -> f^(n)(x), n = 0..max_order, at
     every element of x, shape x.shape + (max_order + 1,); a scalar x
-    gives one vector."""
+    gives one vector.  Each ladder's _derivatives takes x as a 1-d
+    array, so a scalar x is a one-point array and a grid gives the
+    per-point vectors bit for bit."""
 
     def derivatives(self, x, max_order: int) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return self._derivatives(x.reshape(-1), max_order).reshape(
+            x.shape + (max_order + 1,))
+
+    def _derivatives(self, x, max_order: int) -> np.ndarray:
         raise NotImplementedError
 
     def value(self, x: float) -> float:
@@ -69,14 +76,13 @@ class Ladder:
 
 def _rational_ladder_vec(coefs, roots, powers, x, max_order):
     """Derivatives of sum_i coefs[i] / (x + roots[i])^powers[i] at every
-    element of x, shape x.shape + (max_order + 1,)."""
+    element of the 1-d array x, shape (x.size, max_order + 1)."""
     coefs = np.asarray(coefs, dtype=float)
     powers = np.asarray(powers, dtype=float)
-    x = np.asarray(x, dtype=float)
-    base = x[..., None] + np.asarray(roots, dtype=float)
+    base = x[:, None] + np.asarray(roots, dtype=float)
     if np.any(base <= 0.0):
         raise DomainError("rational ladder evaluated at a pole or beyond")
-    out = np.empty(x.shape + (max_order + 1,))
+    out = np.empty((x.size, max_order + 1))
     term = np.empty_like(base)
     fac = np.ones_like(powers)
     for n in range(max_order + 1):
@@ -84,7 +90,7 @@ def _rational_ladder_vec(coefs, roots, powers, x, max_order):
             fac = fac * (-(powers + n - 1.0))
         np.power(base, -(powers + n), out=term)
         term *= coefs * fac
-        out[..., n] = term.sum(axis=-1)
+        out[:, n] = term.sum(axis=-1)
     return out
 
 
@@ -110,7 +116,7 @@ class RationalLadder(Ladder):
             powers.append(p)
         return coefs, roots, powers
 
-    def derivatives(self, x, max_order: int) -> np.ndarray:
+    def _derivatives(self, x, max_order: int) -> np.ndarray:
         coefs, roots, powers = self._unpack()
         return _rational_ladder_vec(coefs, roots, powers, x, max_order)
 
@@ -123,20 +129,14 @@ class PowerLadder(Ladder):
     exponent: float
     shift: float = 0.0
 
-    def derivatives(self, x, max_order: int) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if np.any(x + self.shift <= 0.0):
+    def _derivatives(self, x, max_order: int) -> np.ndarray:
+        base = x + self.shift
+        if np.any(base <= 0.0):
             raise DomainError("power ladder needs x + shift > 0")
         e = self.exponent
-        facs = [self.coef * falling_factorial(e, n)
-                for n in range(max_order + 1)]
-        out = np.empty(x.shape + (max_order + 1,))
-        # Python-float powers per point: numpy array powers differ from
-        # them in the last bit on a few percent of arguments
-        for row, xi in zip(out.reshape(-1, max_order + 1), x.ravel().tolist()):
-            base = xi + self.shift
-            row[:] = [f * base ** (e - n) for n, f in enumerate(facs)]
-        return out
+        facs = np.array([self.coef * falling_factorial(e, n)
+                         for n in range(max_order + 1)])
+        return facs * base[:, None] ** (e - np.arange(max_order + 1))
 
 
 # The Mittag-Leffler sum at x is split after its first K(x) = max(_ML_HEAD,
@@ -211,8 +211,7 @@ class MLSumLadder(Ladder):
         if self.mu <= -1.0 or self.a <= 0.0:
             raise ParameterError("MLSumLadder requires mu > -1 and a > 0")
 
-    def derivatives(self, x, max_order: int) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def _derivatives(self, x, max_order: int) -> np.ndarray:
         if np.any(x <= 0.0):
             raise DomainError("MLSumLadder requires x > 0")
         a, mu, nz = self.a, self.mu, self.n_zeros
@@ -220,13 +219,12 @@ class MLSumLadder(Ladder):
         # McMahon: j_k ~ pi (k + delta) beyond the last zero
         delta = 0.5 * mu - 0.25
         c = nz + 1.0 + delta
-        xf = x.reshape(-1)
-        below = np.searchsorted(roots, _ML_GAP * xf)
+        below = np.searchsorted(roots, _ML_GAP * x)
         if max_order >= 1 and np.any(below >= nz):
             raise DomainError(
                 f"MLSumLadder derivatives need x <= r_N / {_ML_GAP:g} = "
                 f"{roots[-1] / _ML_GAP!r} (N = n_zeros = {nz}); "
-                f"got x = {float(xf.max())!r}")
+                f"got x = {float(x.max())!r}")
         heads = np.clip(below, _ML_HEAD, nz)
         sizes = np.unique(heads)
         lo = int(heads.min(initial=nz))
@@ -241,10 +239,10 @@ class MLSumLadder(Ladder):
                              + np.log(_sp.zeta(ps + ps, c)))
         coefs = _ml_series_coefs(max_order)
         idx = np.add.outer(np.arange(max_order + 1), np.arange(_ML_TERMS + 1))
-        out = np.empty((xf.size, max_order + 1))
+        out = np.empty((x.size, max_order + 1))
         for m, k in zip(moments, sizes.tolist()):
             sel = heads == k
-            xg = xf[sel]
+            xg = x[sel]
             head = _rational_ladder_vec(np.ones(k), roots[:k], np.ones(k), xg,
                                         max_order)
             cm = coefs * (m + hurwitz)[idx]
@@ -255,7 +253,6 @@ class MLSumLadder(Ladder):
             for j in range(_ML_TERMS - 1, -1, -1):
                 acc = acc * xg[:, None] + cm[:, j]
             out[sel] = head + acc
-        out = out.reshape(x.shape + (max_order + 1,))
         # order-0 remainder: with j^2 ~ pi^2 (k + delta)^2 - (4 mu^2 - 1)/4
         # the shifted-argument digamma identity
         # sum_{n >= 0} 1/((n + c)^2 + q^2) = Im psi(c + i q) / q
@@ -269,7 +266,7 @@ class MLSumLadder(Ladder):
         tail[pos] = r * np.imag(_sp.digamma(c + 1j * q)) / q
         p = np.sqrt(-q2[neg])
         tail[neg] = r * (_sp.digamma(c + p) - _sp.digamma(c - p)) / (2.0 * p)
-        out[..., 0] += tail
+        out[:, 0] += tail
         return out
 
 
@@ -305,7 +302,7 @@ class StieltjesLadder(Ladder):
         keep = np.isfinite(m) & (m > 0.0)
         return cls(tuple(node(t[keep])), tuple(m[keep]))
 
-    def derivatives(self, x, max_order: int) -> np.ndarray:
+    def _derivatives(self, x, max_order: int) -> np.ndarray:
         n = len(self.nodes)
         return _rational_ladder_vec(self.masses, self.nodes, np.ones(n),
                                     x, max_order)
@@ -338,28 +335,20 @@ class CauchyLadder(Ladder):
     n_points: int = 64
     radius_shift: float = 0.0
 
-    def derivatives(self, x, max_order: int) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def _derivatives(self, x, max_order: int) -> np.ndarray:
         if np.any(x <= 0.0):
             raise DomainError("CauchyLadder requires x > 0")
         r = self.radius_factor * (x + self.radius_shift)
         m = self.n_points
         theta = 2.0 * np.pi * np.arange(m) / m
-        z = x[..., None] + r[..., None] * np.exp(1j * theta)
+        z = x[:, None] + r[:, None] * np.exp(1j * theta)
         vals = np.asarray(self.fn(z), dtype=complex)
         if not np.all(np.isfinite(vals)):
             raise DomainError("function returned non-finite values on circle")
-        coef = np.real(np.fft.fft(vals, axis=-1) / m).reshape(-1, m)
-        out = np.empty(x.shape + (max_order + 1,))
-        # Python-float r ** n per point, as in PowerLadder
-        for row, c, ri in zip(out.reshape(-1, max_order + 1), coef,
-                              r.ravel().tolist()):
-            fact = 1.0
-            for n in range(max_order + 1):
-                if n > 0:
-                    fact *= n
-                row[n] = float(c[n]) * fact / ri ** n
-        return out
+        coef = np.real(np.fft.fft(vals, axis=-1) / m)
+        n = np.arange(max_order + 1)
+        fact = np.array([math.factorial(k) for k in n.tolist()], dtype=float)
+        return coef[:, :max_order + 1] * fact / r[:, None] ** n
 
 
 class SumLadder(Ladder):
@@ -372,8 +361,8 @@ class SumLadder(Ladder):
         if len(self.parts) != len(self.coefs):
             raise ParameterError("parts and coefs must match in length")
 
-    def derivatives(self, x, max_order: int) -> np.ndarray:
-        out = np.zeros(np.shape(x) + (max_order + 1,))
+    def _derivatives(self, x, max_order: int) -> np.ndarray:
+        out = np.zeros(x.shape + (max_order + 1,))
         for c, p in zip(self.coefs, self.parts):
             out += c * p.derivatives(x, max_order)
         return out

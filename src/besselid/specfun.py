@@ -143,11 +143,15 @@ def bessel_row(coef, c, factors, z):
 
     at real z > 0 or complex z off (-oo, 0], with the principal sqrt z.
 
-    The factors are evaluated scaled, so nothing overflows; their scales
-    leave e^{expo sqrt z}.  expo sums the growing scales, takes c off,
-    then adds the decaying ones, so c cancels the scales it matches
-    exactly: a rounding error there would grow with sqrt z.
+    A scalar z is evaluated as a one-point array, so every value is the
+    one an array call gives at that point, bit for bit.  The factors are
+    evaluated scaled, so nothing overflows; their scales leave
+    e^{expo sqrt z}.  expo sums the growing scales, takes c off, then
+    adds the decaying ones, so c cancels the scales it matches exactly:
+    a rounding error there would grow with sqrt z.
     """
+    shape = np.shape(z)
+    z = np.reshape(z, -1)
     w = np.sqrt(z)
     power = grow = decay = 0.0
     num, den = [], []
@@ -160,12 +164,12 @@ def bessel_row(coef, c, factors, z):
             grow += scale
         else:
             decay -= scale
-    # Python's float ** where z is one: numpy's power differs from it in
-    # the last bit at some points
     lead = coef * z ** (0.5 * power) if power else coef
     value = math.prod(num, start=lead) / math.prod(den)
     expo = grow - c + decay
-    return value * np.exp(expo * w) if expo else value
+    if expo:
+        value = value * np.exp(expo * w)
+    return value.reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.special as _sp
@@ -31,8 +31,7 @@ from .errors import DomainError, ParameterError, UnsupportedVariantError
 from .quad import (HankelTerm, QuadResult, QuadRows, integrate_oscillatory,
                    integrate_singular_decay, positive_points,
                    tanh_sinh_finite)
-from .specfun import (_bessel_scaled, _tricomi_any, bessel_row,
-                      tricomi_boundary_mod2)
+from .specfun import _tricomi_any, bessel_row, tricomi_boundary_mod2
 
 __all__ = [
     "IdentityRecord", "make_identity", "catalog_names", "default_params",
@@ -50,7 +49,7 @@ _TIGHT = 1e-7
 class _Entry:
     names: tuple                  # parameter names in order
     check: object                 # params -> None or raises ParameterError
-    lhs: object                   # (params, z) -> value (complex capable)
+    lhs: object                   # (params, 1-d z) -> values (complex capable)
     defaults: dict
     anchor: str                   # source of the identity in the paper
     kernel: object = None         # (params, t array) -> array
@@ -293,12 +292,6 @@ def _build_catalog():
         anchor="Corollary theoquotIKcoro",
     )
 
-    def kratio_lhs(p, z):
-        # not a row: z^{-1/2} there differs from 1/w in the last bit
-        w = np.sqrt(z)
-        return (_bessel_scaled("K", p["mu"] - 1.0, w)
-                / (w * _bessel_scaled("K", p["mu"], w)))
-
     def kratio_kernel(p, t):
         mu = p["mu"]
         return (2.0 / np.pi**2) / (t * _bessel_mod2(mu, np.sqrt(t)))
@@ -306,7 +299,8 @@ def _build_catalog():
     cat["K_RATIO"] = _Entry(
         names=("mu",),
         check=lambda p: _chk(p["mu"] >= 0.0, "K_RATIO requires mu >= 0"),
-        lhs=kratio_lhs,
+        lhs=lambda p, z: bessel_row(1.0, 0.0, (("K", p["mu"] - 1.0, 1.0, 1),
+                                               ("K", p["mu"], 1.0, -1)), z),
         kernel=kratio_kernel,
         defaults={"mu": 0.9},
         anchor="eq. (integralKquot)",
@@ -376,7 +370,8 @@ def _build_catalog():
         names=("mu", "x", "y"),
         check=lambda p: _chk(p["x"] > 0 and p["y"] > 0,
                              "MCDONALD requires x, y > 0"),
-        lhs=lambda p, z: _sp.kv(p["mu"], p["x"]) * _sp.kv(p["mu"], p["y"]),
+        lhs=lambda p, z: np.full(z.shape, _sp.kv(p["mu"], p["x"])
+                                 * _sp.kv(p["mu"], p["y"])),
         rhs=mcdonald_rhs,
         laplace=False,
         defaults={"mu": 0.3, "x": 1.0, "y": 1.0},
@@ -400,7 +395,8 @@ def _build_catalog():
         names=("mu", "x", "y"),
         check=lambda p: _chk(p["mu"] > -0.5 and p["x"] > 0 and p["y"] > 0,
                              "I_PRODUCT_ANGLE requires mu > -1/2, x, y > 0"),
-        lhs=lambda p, z: _sp.iv(p["mu"], p["x"]) * _sp.iv(p["mu"], p["y"]),
+        lhs=lambda p, z: np.full(z.shape, _sp.iv(p["mu"], p["x"])
+                                 * _sp.iv(p["mu"], p["y"])),
         rhs=iprod_rhs,
         laplace=False,
         defaults={"mu": 0.7, "x": 0.9, "y": 1.4},
@@ -450,14 +446,12 @@ class IdentityRecord:
     # -- closed forms -------------------------------------------------------
     def lhs_value(self, z):
         """Closed-form left-hand side; z may be complex off (-oo, 0].
-        An array z gives the values of the scalar calls, one per point:
-        on an array some closed forms round differently in the last bit."""
+        A scalar z is evaluated as a one-point array, so an array z
+        gives the values of the scalar calls bit for bit."""
         za = np.asarray(z)
-        if not np.iscomplexobj(za):
-            positive_points(za, "lhs_value")
-        lhs = partial(self._entry().lhs, self.p)
-        return lhs(z) if za.ndim == 0 \
-            else np.array([lhs(v) for v in za.ravel().tolist()])
+        zs = za.reshape(-1) if np.iscomplexobj(za) \
+            else positive_points(za, "lhs_value")
+        return self._entry().lhs(self.p, zs).reshape(za.shape)[()]
 
     def kernel_density(self, t):
         """Kernel density m(t) of the representation integral."""
@@ -569,11 +563,8 @@ class IdentityRecord:
         if t <= 0.0:
             raise DomainError("inversion_check requires t > 0")
         etas = np.asarray(sorted(eta_ladder, reverse=True), dtype=float)
-        vals = []
-        for eta in etas:
-            fm = self.lhs_value(complex(-t, -eta))
-            fp = self.lhs_value(complex(-t, eta))
-            vals.append(float(np.real((fm - fp) / (2j * np.pi))))
+        f = self.lhs_value(np.concatenate([-t - 1j * etas, -t + 1j * etas]))
+        vals = np.real((f[:etas.size] - f[etas.size:]) / (2j * np.pi)).tolist()
         # Lagrange extrapolation to eta = 0
         out = 0.0
         for i, vi in enumerate(vals):

@@ -383,12 +383,13 @@ def test_zeta_witness_is_negative():
 
 
 def _pick_per_point(spec, re, im):
-    """Im[psi'/psi] at one point, with the scalar arithmetic of the Pick
-    values before they took arrays."""
+    """Im[psi'/psi] at one point, each formula written out; McKayI's in
+    numpy on one-point arrays, as pick_im evaluates a scalar point."""
     if isinstance(spec, McKayI):
         mu, a, b = spec.mu, spec.a, spec.b
-        return (mu + 0.5) * (im / ((re + a - b) ** 2 + im * im)
-                             + im / ((re - a - b) ** 2 + im * im))
+        x, y = np.array([re]), np.array([im])
+        return ((mu + 0.5) * (y / ((x + a - b) ** 2 + y * y)
+                              + y / ((x - a - b) ** 2 + y * y)))[0]
     if isinstance(spec, distributions._QuotientMixture):
         # one exp-sinh row with its own plan: factor omega * Jacobian,
         # weight coef im / ((node - re)^2 + im^2)
@@ -423,9 +424,10 @@ def test_pick_grid_equals_per_point(label, spec):
     assert rep == pick_check(spec, grid=grid, label=label)
 
 
-def test_mckay_pick_grid_keeps_python_float_squares():
+def test_mckay_pick_grid_equals_one_point_arrays():
     # an array square differs from the Python-float x ** 2 on about one
-    # argument in a thousand; a dense grid makes that visible
+    # argument in a thousand; a dense grid shows that the array call
+    # takes numpy's path at every point, as a one-point array does
     spec = McKayI(0.7, 0.3, 1.9)
     rng = np.random.default_rng(3)
     re, im = rng.uniform(-12.0, 12.0, 5000), rng.uniform(0.01, 5.0, 5000)

@@ -309,18 +309,21 @@ def test_high_order_consistency(make):
 # ----------------------------------------------------------------------
 
 def _per_point(ladder, x, max_order):
-    """Derivative vector of ladder at one Python-float x, with the
-    scalar arithmetic the ladders used before they took arrays."""
+    """Derivative vector of ladder at one Python-float x, each formula
+    written out.  The powers go through numpy on a one-point array, as
+    the ladders evaluate a scalar, over an array of orders: a scalar
+    exponent 2 would take numpy's exact square, where its power differs
+    in the last bit at some points."""
     if isinstance(ladder, SumLadder):
         out = np.zeros(max_order + 1)
         for c, p in zip(ladder.coefs, ladder.parts):
             out += c * _per_point(p, x, max_order)
         return out
     if isinstance(ladder, PowerLadder):
-        base = x + ladder.shift
-        return np.array([ladder.coef * falling_factorial(ladder.exponent, n)
-                         * base ** (ladder.exponent - n)
-                         for n in range(max_order + 1)])
+        n = np.arange(max_order + 1)
+        powers = np.array([x + ladder.shift]) ** (ladder.exponent - n)
+        return np.array([ladder.coef * falling_factorial(ladder.exponent, k)
+                         for k in n.tolist()]) * powers
     if isinstance(ladder, CauchyLadder):
         r = ladder.radius_factor * (x + ladder.radius_shift)
         m = ladder.n_points
@@ -328,10 +331,11 @@ def _per_point(ladder, x, max_order):
         coef = np.fft.fft(np.asarray(ladder.fn(x + r * np.exp(1j * theta)),
                                      dtype=complex)) / m
         out, fact = np.empty(max_order + 1), 1.0
+        powers = np.array([r]) ** np.arange(max_order + 1)
         for n in range(max_order + 1):
             if n > 0:
                 fact *= n
-            out[n] = float(np.real(coef[n])) * fact / r ** n
+            out[n] = float(np.real(coef[n])) * fact / powers[n]
         return out
     if isinstance(ladder, MLSumLadder):
         return _ml_per_point(ladder, x, max_order)
