@@ -6,12 +6,13 @@ Finite differencing cannot deliver that, so each function of interest
 is represented by a "ladder" object that produces the whole derivative
 vector analytically:
 
-* rational terms c / (x + r)^p differentiate in closed form;
+* rational terms c / (x + r) differentiate by a reciprocal recurrence,
+  one multiply per order and no powers;
 * Mittag-Leffler sums over squared Bessel zeros sum a short head of
   cached zeros exactly and the far zeros through a series in x over
-  their inverse-power moments, with closed forms beyond the last zero
-  (digamma at order 0, Hurwitz zeta above; orders >= 1 valid up to
-  x = r_N / 16);
+  their inverse-power moments, cut at each point where its terms fall
+  below rounding, with closed forms beyond the last zero (digamma at
+  order 0, Hurwitz zeta above; orders >= 1 valid up to x = r_N / 16);
 * Stieltjes transforms with a fixed positive kernel reduce to rational
   ladders over the nodes of one double-exponential quadrature level;
 * anything with a complex-analytic closed form is differentiated by
@@ -50,11 +51,15 @@ class Ladder:
     """Base: derivatives(x, max_order) -> f^(n)(x), n = 0..max_order, at
     every element of x, shape x.shape + (max_order + 1,); a scalar x
     gives one vector.  Each ladder's _derivatives takes x as a 1-d
-    array, so a scalar x is a one-point array and a grid gives the
-    per-point vectors bit for bit."""
+    array of finite points, so a scalar x is a one-point array and a
+    grid gives the per-point vectors bit for bit."""
 
     def derivatives(self, x, max_order: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            i = int(np.argmin(np.isfinite(x)))
+            raise DomainError(f"{type(self).__name__} needs finite x; got "
+                              f"x = {float(x.flat[i])!r} at flat index {i}")
         return self._derivatives(x.reshape(-1), max_order).reshape(
             x.shape + (max_order + 1,))
 
@@ -74,51 +79,35 @@ class Ladder:
         return SumLadder((self, other), (1.0, -1.0))
 
 
-def _rational_ladder_vec(coefs, roots, powers, x, max_order):
-    """Derivatives of sum_i coefs[i] / (x + roots[i])^powers[i] at every
-    element of the 1-d array x, shape (x.size, max_order + 1)."""
-    coefs = np.asarray(coefs, dtype=float)
-    powers = np.asarray(powers, dtype=float)
+def _rational_ladder_vec(coefs, roots, x, max_order):
+    """Derivatives of sum_i coefs[i] / (x + roots[i]) at each element of
+    the 1-d array x, shape (x.size, max_order + 1): the n-th is (-1)^n n!
+    sum_i coefs[i] v_i^{n+1}, v = 1/(x + roots).  Each point's row is
+    summed alone (a BLAS product's order would depend on the rows)."""
     base = x[:, None] + np.asarray(roots, dtype=float)
     if np.any(base <= 0.0):
         raise DomainError("rational ladder evaluated at a pole or beyond")
-    out = np.empty((x.size, max_order + 1))
-    term = np.empty_like(base)
-    fac = np.ones_like(powers)
+    inv = 1.0 / base
+    term = np.asarray(coefs, dtype=float) * inv
+    out, fac = np.empty((x.size, max_order + 1)), 1.0
     for n in range(max_order + 1):
         if n > 0:
-            fac = fac * (-(powers + n - 1.0))
-        np.power(base, -(powers + n), out=term)
-        term *= coefs * fac
-        out[:, n] = term.sum(axis=-1)
+            term *= inv
+            fac *= -n
+        out[:, n] = fac * term.sum(axis=-1)
     return out
 
 
 @dataclass(frozen=True)
 class RationalLadder(Ladder):
-    """Sum of terms coef / (x + root)^power.
-
-    terms: tuple of (coef, root) pairs or (coef, root, power) triples.
-    """
+    """Sum of terms coef / (x + root); terms: tuple of (coef, root)
+    pairs.  A power other than 1 is a PowerLadder(coef, -power, root)."""
 
     terms: tuple
 
-    def _unpack(self):
-        coefs, roots, powers = [], [], []
-        for t in self.terms:
-            if len(t) == 2:
-                c, r = t
-                p = 1.0
-            else:
-                c, r, p = t
-            coefs.append(c)
-            roots.append(r)
-            powers.append(p)
-        return coefs, roots, powers
-
     def _derivatives(self, x, max_order: int) -> np.ndarray:
-        coefs, roots, powers = self._unpack()
-        return _rational_ladder_vec(coefs, roots, powers, x, max_order)
+        return _rational_ladder_vec(*np.array(self.terms, dtype=float).T, x,
+                                    max_order)
 
 
 @dataclass(frozen=True)
@@ -141,7 +130,7 @@ class PowerLadder(Ladder):
 
 # The Mittag-Leffler sum at x is split after its first K(x) = max(_ML_HEAD,
 # number of r_k < _ML_GAP x) terms: those term by term, the rest through
-# _ML_TERMS + 1 terms of its series in x over inverse-power moments.
+# at most _ML_TERMS + 1 terms of its series in x over inverse-power moments.
 _ML_HEAD = 64
 _ML_GAP = 16.0
 _ML_TERMS = 24
@@ -160,6 +149,23 @@ def _ml_series_coefs(max_order: int) -> np.ndarray:
     return c
 
 
+def _ml_split(roots, x, max_order):
+    """(heads, cuts) at each x: the head K(x), and the last m kept of the
+    moment series.  Its order-n term t_m = (-1)^(n+m) (n+m)!/m! x^m M_{n+1+m}
+    has |t_{m+1} / t_m| <= (n+m+1)/(m+1) q, q = x / r_{K+1} (no moment root
+    lies below r_{K+1}), so |t_m| <= C(N+m, m) q^m |t_0| for n <= N =
+    max_order; the cut is the last m where that bound reaches 2^-53.  At
+    q <= 1/16 and N <= 8 each later ratio is at most (n+1) q <= 9/16: the
+    terms dropped sum to below (16/7) 2^-53 |t_0| <= 4 2^-53 |f^(n)|, as t_0
+    shares the sign of f^(n) and is at most (17/16)^9 times it.  With no
+    zero beyond the head (order 0 only) the series is empty, cut 0."""
+    heads = np.clip(np.searchsorted(roots, _ML_GAP * x), _ML_HEAD, roots.size)
+    q = x / np.append(roots, np.inf)[heads]
+    ms = np.arange(1, _ML_TERMS + 1)
+    bound = np.cumprod(q[:, None] * ((max_order + ms) / ms), axis=1)
+    return heads, np.count_nonzero(bound >= 2.0 ** -53, axis=1)
+
+
 def _inverse_power_sums(inv, starts, n_p):
     """sum(inv[s:] ** p) for each s of starts and p = 1..n_p, shape
     (len(starts), n_p); the powers by repeated multiplication, at most
@@ -170,8 +176,7 @@ def _inverse_power_sums(inv, starts, n_p):
     for p0 in range(0, n_p, rows.shape[0]):
         block = rows[:n_p - p0]
         for row in block:
-            np.multiply(prev, inv, out=row)
-            prev = row
+            prev = np.multiply(prev, inv, out=row)
         for g, s in enumerate(starts):
             out[g, p0:p0 + block.shape[0]] = block[:, s:].sum(axis=1)
     return out
@@ -188,19 +193,19 @@ class MLSumLadder(Ladder):
     summed exactly.  The rest, k = K+1..n_zeros, all with x / r_k <= 1/16,
     enter through
 
-        f^(n) rest = sum_{m <= 24} (-1)^(n+m) (n+m)!/m! x^m M_{n+1+m},
+        f^(n) rest = sum_{m <= L(x)} (-1)^(n+m) (n+m)!/m! x^m M_{n+1+m},
         M_p = sum_{K < k <= n_zeros} r_k^{-p},
 
-    whose truncation is below rounding.  The moments are built on each
-    call by repeated multiplication of 1/r_k, no powers.  Beyond
-    the last zero, McMahon's j_k ~ pi (k + mu/2 - 1/4) gives the
-    remainder in closed form: at order 0 for every x through the
-    digamma function, and at orders >= 1 as the Hurwitz zeta tail
-    (a/pi)^{2p} zeta(2p, n_zeros + 1 + mu/2 - 1/4) added to each M_p.
-    Orders >= 1 therefore need x <= r_{n_zeros}/16 (about 1e7/a^2 at
-    the default 4000 zeros) and raise DomainError beyond it.  Each point's
-    value depends on that point alone, so a grid gives the per-point
-    values bit for bit.
+    cut where its terms fall below rounding (_ml_split): 3 to 8 terms on
+    the Bernstein grid, 19 just below x = r_K / 16.  The moments, up to
+    the call's largest cut, are products of 1/r_k, no powers.  McMahon's
+    j_k ~ pi (k + mu/2 - 1/4) gives the remainder beyond the last zero in
+    closed form: at order 0 for every x through the digamma function,
+    and at orders >= 1 as the Hurwitz zeta tail (a/pi)^{2p} zeta(2p,
+    n_zeros + 1 + mu/2 - 1/4) added to each M_p.  Orders >= 1 therefore
+    need x <= r_{n_zeros}/16 (about 1e7/a^2 at the default 4000 zeros)
+    and raise DomainError beyond it.  Each point's value depends on that
+    point alone, so a grid gives the per-point values bit for bit.
     """
 
     mu: float
@@ -216,43 +221,40 @@ class MLSumLadder(Ladder):
             raise DomainError("MLSumLadder requires x > 0")
         a, mu, nz = self.a, self.mu, self.n_zeros
         roots = (bessel_zeros(mu, nz) / a) ** 2
-        # McMahon: j_k ~ pi (k + delta) beyond the last zero
-        delta = 0.5 * mu - 0.25
-        c = nz + 1.0 + delta
-        below = np.searchsorted(roots, _ML_GAP * x)
-        if max_order >= 1 and np.any(below >= nz):
+        # McMahon: j_k ~ pi (k + delta), delta = mu/2 - 1/4, past the last
+        c = nz + 1.0 + (0.5 * mu - 0.25)
+        heads, cuts = _ml_split(roots, x, max_order)
+        if max_order >= 1 and np.any(heads >= nz):
             raise DomainError(
                 f"MLSumLadder derivatives need x <= r_N / {_ML_GAP:g} = "
                 f"{roots[-1] / _ML_GAP!r} (N = n_zeros = {nz}); "
                 f"got x = {float(x.max())!r}")
-        heads = np.clip(below, _ML_HEAD, nz)
-        sizes = np.unique(heads)
+        sizes, group = np.unique(heads, return_inverse=True)
         lo = int(heads.min(initial=nz))
-        n_p = max_order + 1 + _ML_TERMS
+        top = int(cuts.max(initial=0))
         moments = _inverse_power_sums(1.0 / roots[lo:], (sizes - lo).tolist(),
-                                      n_p)
+                                      max_order + 1 + top)[group]
         # Hurwitz tail of M_p beyond the last zero, in logs: the factor
         # (a/pi)^{2p} alone overflows at large a
-        ps = np.arange(1, n_p + 1, dtype=float)
+        ps = np.arange(1, max_order + top + 2, dtype=float)
         with np.errstate(divide="ignore"):
             hurwitz = np.exp(ps * (2.0 * np.log(a / np.pi))
                              + np.log(_sp.zeta(ps + ps, c)))
-        coefs = _ml_series_coefs(max_order)
-        idx = np.add.outer(np.arange(max_order + 1), np.arange(_ML_TERMS + 1))
-        out = np.empty((x.size, max_order + 1))
-        for m, k in zip(moments, sizes.tolist()):
+        coefs = _ml_series_coefs(max_order)[:, :top + 1]
+        cm = coefs * (moments + hurwitz)[:, np.add.outer(
+            np.arange(max_order + 1), np.arange(top + 1))]
+        # order 0 takes the partial moments: its digamma remainder below
+        # covers the zeros beyond the last
+        cm[:, 0] = coefs[0] * moments[:, :top + 1]
+        # a point's coefficients above its own cut are +0, so its Horner
+        # sum is +0 until its cut: the bits of a sum started there
+        cm = np.where(np.arange(top + 1) <= cuts[:, None, None], cm, 0.0)
+        out = np.zeros((x.size, max_order + 1))
+        for j in range(top, -1, -1):
+            out = out * x[:, None] + cm[..., j]
+        for k in sizes.tolist():
             sel = heads == k
-            xg = x[sel]
-            head = _rational_ladder_vec(np.ones(k), roots[:k], np.ones(k), xg,
-                                        max_order)
-            cm = coefs * (m + hurwitz)[idx]
-            # order 0 takes the partial moments: its digamma remainder
-            # below covers the zeros beyond the last
-            cm[0] = coefs[0] * m[:_ML_TERMS + 1]
-            acc = np.broadcast_to(cm[:, -1], (xg.size, max_order + 1))
-            for j in range(_ML_TERMS - 1, -1, -1):
-                acc = acc * xg[:, None] + cm[:, j]
-            out[sel] = head + acc
+            out[sel] += _rational_ladder_vec(1.0, roots[:k], x[sel], max_order)
         # order-0 remainder: with j^2 ~ pi^2 (k + delta)^2 - (4 mu^2 - 1)/4
         # the shifted-argument digamma identity
         # sum_{n >= 0} 1/((n + c)^2 + q^2) = Im psi(c + i q) / q
@@ -303,9 +305,7 @@ class StieltjesLadder(Ladder):
         return cls(tuple(node(t[keep])), tuple(m[keep]))
 
     def _derivatives(self, x, max_order: int) -> np.ndarray:
-        n = len(self.nodes)
-        return _rational_ladder_vec(self.masses, self.nodes, np.ones(n),
-                                    x, max_order)
+        return _rational_ladder_vec(self.masses, self.nodes, x, max_order)
 
 
 def k_ratio_ladder(mu: float, a: float) -> StieltjesLadder:
@@ -364,5 +364,5 @@ class SumLadder(Ladder):
     def _derivatives(self, x, max_order: int) -> np.ndarray:
         out = np.zeros(x.shape + (max_order + 1,))
         for c, p in zip(self.coefs, self.parts):
-            out += c * p.derivatives(x, max_order)
+            out += c * p._derivatives(x, max_order)
         return out

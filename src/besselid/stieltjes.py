@@ -70,16 +70,16 @@ def _chk(cond: bool, msg: str):
 
 
 def _bessel_mod2(mu, r):
-    """J_mu(r)^2 + Y_mu(r)^2, switching to the Hankel-modulus asymptotic
-    2/(pi r) (1 + (4 mu^2 - 1)/(8 r^2)) where scipy's J, Y lose accuracy."""
-    r = np.asarray(r, dtype=float)
+    """J_mu(r)^2 + Y_mu(r)^2 = |H^(1)_mu(r)|^2 (DLMF 10.4.3): +inf where
+    it overflows (scipy's hankel1 is NaN there), and past r = 1e6, where H
+    loses accuracy, the asymptotic 2/(pi r) (1 + (4 mu^2 - 1)/(8 r^2))."""
     big = r > 1e6
-    rs = np.where(big, 1.0, r)
-    with np.errstate(invalid="ignore"):
-        small = _sp.jv(mu, rs) ** 2 + _sp.yv(mu, rs) ** 2
+    h = _sp.hankel1(mu, np.where(big, 1.0, r))
+    with np.errstate(over="ignore"):
+        small = h.real * h.real + h.imag * h.imag
     ra = np.where(big, r, 1.0)
     large = 2.0 / (np.pi * ra) * (1.0 + (4.0 * mu * mu - 1.0) / (8.0 * ra * ra))
-    return np.where(big, large, small)
+    return np.where(big, large, np.where(np.isnan(small), np.inf, small))
 
 
 def _gamma_big(mu, nu, a, b, t):

@@ -125,7 +125,8 @@ def test_pick_im_array_equals_one_point_calls(label, spec):
 
 
 _LADDERS = {
-    "rational": lambda: RationalLadder(((2.0, 0.3), (1.0, 0.1, 2.5))),
+    "rational": lambda: RationalLadder(((2.0, 0.3),))
+    + PowerLadder(1.0, -2.5, 0.1),
     "power": lambda: PowerLadder(1.5, -0.7, 0.2),
     "power-square": lambda: PowerLadder(0.8, 2.0, 0.5),
     "mlsum": lambda: MLSumLadder(mu=0.8, a=1.3, n_zeros=500),

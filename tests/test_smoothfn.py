@@ -38,11 +38,13 @@ def test_rational_ladder_single_pole():
 
 
 def test_rational_ladder_general_power():
-    lad = RationalLadder(((1.5, 2.0, 2.5),))  # 1.5/(x+2)^{2.5}
+    # 2/(x+3) + 1.5/(x+2)^{2.5}: a power other than 1 is a PowerLadder
+    lad = RationalLadder(((2.0, 3.0),)) + PowerLadder(1.5, -2.5, 2.0)
     x = 1.0
     d = lad.derivatives(x, 3)
     for n in range(4):
-        want = 1.5 * falling_factorial(-2.5, n) * (x + 2.0) ** (-2.5 - n)
+        want = (2.0 * (-1.0) ** n * math.factorial(n) / (x + 3.0) ** (n + 1)
+                + 1.5 * falling_factorial(-2.5, n) * (x + 2.0) ** (-2.5 - n))
         assert d[n] == pytest.approx(want, rel=1e-13)
 
 
@@ -141,6 +143,21 @@ def test_ml_sum_ladder_against_mpmath(mu, a, x):
         assert abs(got[n] - want) <= 1e-13 * abs(want), (n, got[n], want)
 
 
+def test_ml_sum_ladder_against_mpmath_where_the_series_is_cut():
+    # the Bernstein grid, where at a = 12 the moment series keeps 6 to 19
+    # terms over three head sizes, and an x just below r_65 / 16, where
+    # x / r_{K+1} is nearest 1/16 and the series keeps the most, 19
+    mu, a = 1.0, 12.0
+    roots = (bessel_zeros(mu, 4000) / a) ** 2
+    x = np.append(_DEFAULT_GRID, np.nextafter(roots[64] / 16.0, 0.0))
+    assert smoothfn._ml_split(roots, x, 8)[1][-1] == 18
+    got = MLSumLadder(mu, a).derivatives(x, 8)
+    for xi, row in zip(x.tolist(), got):
+        for n in range(9):
+            want = _ml_reference(mu, a, xi, n)
+            assert abs(row[n] - want) <= 1e-13 * abs(want), (xi, n, row[n])
+
+
 @pytest.mark.parametrize("mu,a", ((0.8, 1.0), (0.3, 3.0), (1.0, 12.0)))
 def test_ml_sum_point_does_not_depend_on_its_grid(mu, a):
     # at a = 12 the grid spans several head sizes K(x)
@@ -197,6 +214,27 @@ def test_stieltjes_ladders_match_level_ten(monkeypatch):
         scale = np.abs(ref).max(axis=0)
         err = float((np.abs(got[label] - ref).max(axis=0) / scale).max())
         assert err <= 1e-12, (label, err)
+
+
+def test_stieltjes_ladders_match_the_exact_node_sum():
+    # every Stieltjes part of the default Bernstein ladders, orders 0-8 on
+    # the Bernstein grid, against sum_i m_i (-1)^n n! / (x + t_i)^(n+1)
+    # in 30 digits on the same nodes t_i and masses m_i
+    grid = np.asarray(_DEFAULT_GRID)
+    parts = [p for _, spec in bernstein_targets()
+             for p in _stieltjes_parts(neg_logderiv_ladder(spec))]
+    assert len(parts) == 11
+    for lad in parts:
+        got = lad.derivatives(grid, 8)
+        with mp.workdps(30):
+            for x, row in zip(grid.tolist(), got):
+                inv = [1 / (mp.mpf(x) + mp.mpf(t)) for t in lad.nodes]
+                term = [mp.mpf(m) * v for m, v in zip(lad.masses, inv)]
+                for n in range(9):
+                    if n:
+                        term = [u * v for u, v in zip(term, inv)]
+                    want = (-1) ** n * mp.factorial(n) * mp.fsum(term)
+                    assert abs(row[n] - want) <= 1e-15 * abs(want), (x, n)
 
 
 def test_stieltjes_ladder_is_exact_rational():
@@ -340,21 +378,23 @@ def _per_point(ladder, x, max_order):
     if isinstance(ladder, MLSumLadder):
         return _ml_per_point(ladder, x, max_order)
     if isinstance(ladder, RationalLadder):
-        coefs, roots, powers = map(np.asarray, ladder._unpack())
+        coefs, roots = np.array(ladder.terms).T
     else:
         coefs, roots = np.asarray(ladder.masses), np.asarray(ladder.nodes)
-        powers = np.ones(roots.size)
-    return _rational_per_point(coefs, roots, powers, x, max_order)
+    return _rational_per_point(coefs, roots, x, max_order)
 
 
-def _rational_per_point(coefs, roots, powers, x, max_order):
-    base = x + roots
-    out = np.empty(max_order + 1)
-    out[0] = np.sum(coefs * base ** (-powers))
-    fac = np.ones_like(powers)
-    for n in range(1, max_order + 1):
-        fac = fac * (-(powers + n - 1.0))
-        out[n] = np.sum(coefs * fac * base ** (-(powers + n)))
+def _rational_per_point(coefs, roots, x, max_order):
+    """sum_i coefs[i] / (x + roots[i]) at one x and its derivatives, the
+    n-th as (-1)^n n! sum_i coefs[i] v_i^{n+1}, v = 1 / (x + roots)."""
+    inv = 1.0 / (x + roots)
+    term = coefs * inv
+    out, fac = np.empty(max_order + 1), 1.0
+    for n in range(max_order + 1):
+        if n:
+            term = term * inv
+            fac *= -n
+        out[n] = fac * np.sum(term)
     return out
 
 
@@ -362,29 +402,33 @@ def _ml_per_point(ladder, x, max_order, head=64, gap=16.0, terms=24):
     """The Mittag-Leffler ladder at one x: the first K = max(head, first k
     with r_k >= gap x) terms exactly, the rest by the series over the
     moments M_p = sum_{k >= K} r_k^{-p} (plus the Hurwitz tail at orders
-    >= 1), and the digamma remainder at order 0."""
+    >= 1) up to the last m <= terms with C(max_order + m, m) q^m >= 2^-53,
+    q = x / r_{K+1}, and the digamma remainder at order 0."""
     a, mu, nz = ladder.a, ladder.mu, ladder.n_zeros
     roots = (bessel_zeros(mu, nz) / a) ** 2
     k = max(head, int(np.searchsorted(roots, gap * x)))
     assert k < nz
-    out = _rational_per_point(np.ones(k), roots[:k], np.ones(k), x,
-                              max_order)
+    q, bound, cut = x / float(roots[k]), 1.0, 0
+    for m in range(1, terms + 1):
+        bound *= q * ((max_order + m) / m)
+        cut += bound >= 2.0 ** -53
+    out = _rational_per_point(np.ones(k), roots[:k], x, max_order)
     inv = 1.0 / roots[k:]
     pw, moments = inv, []
-    for _ in range(max_order + 1 + terms):
+    for _ in range(max_order + 1 + cut):
         moments.append(float(np.sum(pw)))
         pw = pw * inv
     c = nz + 1.0 + (0.5 * mu - 0.25)
-    p = np.arange(2.0, max_order + 2 + terms)
+    p = np.arange(2.0, max_order + 2 + cut)
     hurwitz = np.exp(p * (2.0 * np.log(a / np.pi)) + np.log(sp.zeta(p + p, c)))
     for n in range(max_order + 1):
-        m = moments[n:n + terms + 1]
+        m = moments[n:n + cut + 1]
         if n:
             m = [mj + float(hurwitz[n - 1 + j]) for j, mj in enumerate(m)]
         coef = [(-1) ** (n + j) * math.factorial(n + j) / math.factorial(j)
-                for j in range(terms + 1)]
-        acc = coef[terms] * m[terms]
-        for j in range(terms - 1, -1, -1):
+                for j in range(cut + 1)]
+        acc = coef[cut] * m[cut]
+        for j in range(cut - 1, -1, -1):
             acc = acc * x + coef[j] * m[j]
         out[n] += acc
     xs = x - (4.0 * mu * mu - 1.0) / (4.0 * a * a)
@@ -428,7 +472,8 @@ def test_selfdecomp_quotient_grid_equals_per_point(label, spec, alpha):
 
 # one ladder of each class, every one singular at x = 0
 LADDERS = {
-    "rational": lambda: RationalLadder(((2.0, 0.0), (1.0, 0.0, 2.5))),
+    "rational": lambda: RationalLadder(((2.0, 0.0), (1.0, 0.5)))
+    + PowerLadder(1.0, -2.5),
     "power": lambda: PowerLadder(1.5, -0.7),
     "mlsum": lambda: MLSumLadder(mu=0.8, a=1.3, n_zeros=500),
     "stieltjes": lambda: StieltjesLadder((0.0, 2.0), (1.0, 0.5)),
@@ -456,3 +501,16 @@ def test_ladder_keeps_the_shape_of_x(kind):
 def test_ladder_rejects_a_grid_reaching_x_le_0(kind, bad):
     with pytest.raises(DomainError):
         LADDERS[kind]().derivatives(np.array([1.0, bad, 2.0]), 2)
+
+
+@pytest.mark.parametrize("kind", LADDERS)
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_ladder_rejects_a_non_finite_x(kind, bad):
+    # one DomainError naming the point, before any arithmetic: no NaN row,
+    # no RuntimeWarning (an error under this suite) and no other reason
+    lad = LADDERS[kind]()
+    with pytest.raises(DomainError, match=rf"finite x; got x = {bad!r} at "
+                       r"flat index 1\b"):
+        lad.derivatives(np.array([1.0, bad, 2.0]), 2)
+    with pytest.raises(DomainError, match="flat index 0"):
+        lad.derivatives(bad, 0)

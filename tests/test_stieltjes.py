@@ -198,6 +198,41 @@ def test_k_ratio_kernel_mass_closed_form_and_divergence():
             make_identity("K_RATIO", mu=mu).kernel_mass()
 
 
+def _ladder_nodes():
+    """The 257 nodes t of exp-sinh level 7 on [-6, 6], the nodes of every
+    K-ratio ladder: t from 2.5e-138 to 4.0e137."""
+    levels = [tanhsinh.de_level("exp", 6.0, k)
+              for k in range(tanhsinh.FIRST_LEVEL, 8)]
+    return np.concatenate([lv[2] for lv in levels])
+
+
+@pytest.mark.parametrize("mu", (0.0, 0.3, 0.9, 1.2))
+def test_k_ratio_modulus_matches_mpmath(mu):
+    # J_mu^2 + Y_mu^2 at r = sqrt(t), against 40 digits
+    r = np.sqrt(_ladder_nodes())
+    assert r.size == 257
+    got = stieltjes._bessel_mod2(mu, r)
+    with mp.workdps(40):
+        want = np.array([float(mp.besselj(mu, x) ** 2 + mp.bessely(mu, x) ** 2)
+                         for x in map(mp.mpf, r.tolist())])
+    assert np.max(np.abs(got / want - 1.0)) <= 2e-14
+
+
+@pytest.mark.parametrize("mu", (2.5, 10.0))
+def test_k_ratio_kernel_is_zero_where_the_modulus_overflows(mu):
+    # Y_mu(sqrt t)^2 ~ t^-mu passes the largest double at the smallest
+    # nodes: the kernel there is exactly 0, never NaN
+    t = _ladder_nodes()
+    with mp.workdps(30):
+        over = np.array([mp.bessely(mu, mp.sqrt(mp.mpf(x))) ** 2 > 1.7e308
+                         for x in t[t < 1e-10].tolist()])
+    assert over.any()
+    m = make_identity("K_RATIO", mu=mu).kernel_density(t)
+    assert not np.any(np.isnan(m))
+    assert np.all(m[t < 1e-10][over] == 0.0)
+    assert np.all(m[t >= 1e-10] > 0.0)
+
+
 def test_equal_argument_kernel_mass():
     # int J_mu^2(sqrt t) / t dt = 2 int J_mu^2(r) / r dr = 1 / mu
     mu = 1.3

@@ -6,10 +6,13 @@ For each of the 17 targets of `idtests.bernstein_targets()` evaluates
 `neg_logderiv_ladder(spec).derivatives(grid, 8)` on the default
 Bernstein grid (9 x in 0.05..50), with the Bessel zeros already
 computed by one untimed sweep.  Prints the median of the timed sweeps
-in ms, each target's median, and a deterministic count of the
-(root x point x order) terms of its rational parts: those summed
-exactly, and those that enter a Mittag-Leffler ladder through its
-moment series (0 on a checkout without the series).
+in ms, each target's median, and four deterministic counts of its work:
+`exact`, the (root x point x order) terms of its reciprocal recurrences
+(rational, Stieltjes and Mittag-Leffler head terms); `powers`, the
+elements of its array powers (a PowerLadder's (x + shift)^(e - n) and a
+Cauchy circle's r^n); `moments`, the (power x zero) terms of its
+Mittag-Leffler moments; and `series`, the (coefficient x point x order)
+steps of their Horner sums.
 """
 
 from __future__ import annotations
@@ -29,26 +32,33 @@ GRID = np.asarray(_DEFAULT_GRID)
 ORDER = 8
 
 
-def term_counts(ladder, x, max_order: int) -> tuple:
-    """(exact, series) counts of root x point x order terms."""
+FIELDS = ("exact", "powers", "moments", "series")
+
+
+def work_counts(ladder, x, max_order: int) -> dict:
+    """The four counts of one ladder.derivatives(x, max_order) call."""
     if isinstance(ladder, smoothfn.SumLadder):
-        counts = [term_counts(p, x, max_order) for p in ladder.parts]
-        return tuple(sum(c) for c in zip(*counts)) if counts else (0, 0)
+        parts = [work_counts(p, x, max_order) for p in ladder.parts]
+        return {f: sum(c[f] for c in parts) for f in FIELDS}
+    out = dict.fromkeys(FIELDS, 0)
     rungs = (max_order + 1) * x.size
     if isinstance(ladder, smoothfn.RationalLadder):
-        return len(ladder.terms) * rungs, 0
-    if isinstance(ladder, smoothfn.StieltjesLadder):
-        return len(ladder.nodes) * rungs, 0
-    if isinstance(ladder, smoothfn.MLSumLadder):
+        out["exact"] = len(ladder.terms) * rungs
+    elif isinstance(ladder, smoothfn.StieltjesLadder):
+        out["exact"] = len(ladder.nodes) * rungs
+    elif isinstance(ladder, (smoothfn.PowerLadder, smoothfn.CauchyLadder)):
+        out["powers"] = rungs
+    elif isinstance(ladder, smoothfn.MLSumLadder):
         nz = ladder.n_zeros
-        head = getattr(smoothfn, "_ML_HEAD", None)
-        if head is None:
-            return nz * rungs, 0
         roots = (bessel_zeros(ladder.mu, nz) / ladder.a) ** 2
-        k = np.maximum(head, np.searchsorted(roots, smoothfn._ML_GAP * x))
-        exact = int(np.minimum(k, nz).sum()) * (max_order + 1)
-        return exact, nz * rungs - exact
-    return 0, 0
+        heads, cuts = smoothfn._ml_split(roots, x, max_order)
+        out["exact"] = int(heads.sum()) * (max_order + 1)
+        out["moments"] = ((max_order + 1 + int(cuts.max()))
+                          * (nz - int(heads.min())))
+        out["series"] = (max_order + 1) * sum(
+            int((heads == k).sum()) * (int(cuts[heads == k].max()) + 1)
+            for k in np.unique(heads).tolist())
+    return out
 
 
 def sweep(ladders) -> dict:
@@ -70,15 +80,14 @@ def main() -> None:
     sweep(ladders)
     runs = [sweep(ladders) for _ in range(args.repeats)]
     total = statistics.median(sum(r.values()) for r in runs)
-    counts = {label: term_counts(lad, GRID, ORDER) for label, lad in ladders}
-    exact = sum(c[0] for c in counts.values())
-    series = sum(c[1] for c in counts.values())
+    counts = {label: work_counts(lad, GRID, ORDER) for label, lad in ladders}
+    totals = {f: sum(c[f] for c in counts.values()) for f in FIELDS}
     print(f"median {total * 1e3:.2f} ms over {args.repeats} sweeps; "
-          f"terms exact {exact:,}, by series {series:,}")
+          + ", ".join(f"{f} {n:,}" for f, n in totals.items()))
     for label, _ in ladders:
         ms = statistics.median(r[label] for r in runs) * 1e3
-        e, s = counts[label]
-        print(f"  {label:14s} {ms:7.3f} ms  exact {e:9,}  series {s:9,}")
+        print(f"  {label:14s} {ms:7.3f} ms  " + "  ".join(
+            f"{f} {counts[label][f]:7,}" for f in FIELDS))
 
 
 if __name__ == "__main__":
