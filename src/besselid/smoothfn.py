@@ -221,7 +221,7 @@ class MLSumLadder(Ladder):
             raise DomainError("MLSumLadder requires x > 0")
         a, mu, nz = self.a, self.mu, self.n_zeros
         roots = (bessel_zeros(mu, nz) / a) ** 2
-        # McMahon: j_k ~ pi (k + delta), delta = mu/2 - 1/4, past the last
+        # McMahon past the last zero: j_k ~ pi (k + delta), delta = mu/2 - 1/4
         c = nz + 1.0 + (0.5 * mu - 0.25)
         heads, cuts = _ml_split(roots, x, max_order)
         if max_order >= 1 and np.any(heads >= nz):
