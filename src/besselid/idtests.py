@@ -16,7 +16,7 @@ the function, not about the differencing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.special as _sp
@@ -278,8 +278,15 @@ def lt_value_complex(spec, z):
     return spec.lt_value_complex(z.reshape(-1)).reshape(z.shape)[()]
 
 
+@lru_cache(maxsize=64)
 def neg_logderiv_ladder(spec) -> Ladder:
-    """Analytic derivative ladder for phi'(x) = -(ln L)'(x)."""
+    """Analytic derivative ladder for phi'(x) = -(ln L)'(x).
+
+    Memoised by spec value (specs are frozen, hashable dataclasses; equal
+    parameters give one ladder) for the last 64 specs, so a repeated
+    check reuses its Stieltjes nodes and Mittag-Leffler tables; call
+    neg_logderiv_ladder.cache_clear() after changing what a ladder is
+    built from."""
     return spec.phi_ladder()
 
 

@@ -15,8 +15,9 @@ vector analytically:
   order 0, Hurwitz zeta above; orders >= 1 valid up to x = r_N / 16);
 * Stieltjes transforms with a fixed positive kernel reduce to rational
   ladders over the nodes of one double-exponential quadrature level;
-* anything with a complex-analytic closed form is differentiated by
-  Cauchy's integral formula on a circle.
+* anything with a complex-analytic closed form that is real on the
+  real axis is differentiated by Cauchy's integral formula on a circle,
+  evaluated on its upper half only (Schwarz reflection).
 """
 
 from __future__ import annotations
@@ -166,6 +167,18 @@ def _ml_split(roots, x, max_order):
     return heads, np.count_nonzero(bound >= 2.0 ** -53, axis=1)
 
 
+@lru_cache(maxsize=64)
+def _ml_table(mu: float, a: float, n_zeros: int):
+    """(roots r_k, 1/r_k, moments) of MLSumLadder(mu, a, n_zeros), kept
+    across calls: moments maps a head K to its far-zero moment sums
+    M_p = sum_{k > K} r_k^{-p}, p = 1, 2, ..., and grows in place."""
+    roots = (bessel_zeros(mu, n_zeros) / a) ** 2
+    inv = 1.0 / roots
+    roots.setflags(write=False)
+    inv.setflags(write=False)
+    return roots, inv, {}
+
+
 def _inverse_power_sums(inv, starts, n_p):
     """sum(inv[s:] ** p) for each s of starts and p = 1..n_p, shape
     (len(starts), n_p); the powers by repeated multiplication, at most
@@ -198,7 +211,10 @@ class MLSumLadder(Ladder):
 
     cut where its terms fall below rounding (_ml_split): 3 to 8 terms on
     the Bernstein grid, 19 just below x = r_K / 16.  The moments, up to
-    the call's largest cut, are products of 1/r_k, no powers.  McMahon's
+    the call's largest cut, are products of 1/r_k, no powers, kept per
+    head K across calls (_ml_table); a call needing more powers than a
+    head has rebuilds that head from p = 1, so no moment's bits depend
+    on the calls made before.  McMahon's
     j_k ~ pi (k + mu/2 - 1/4) gives the remainder beyond the last zero in
     closed form: at order 0 for every x through the digamma function,
     and at orders >= 1 as the Hurwitz zeta tail (a/pi)^{2p} zeta(2p,
@@ -220,7 +236,7 @@ class MLSumLadder(Ladder):
         if np.any(x <= 0.0):
             raise DomainError("MLSumLadder requires x > 0")
         a, mu, nz = self.a, self.mu, self.n_zeros
-        roots = (bessel_zeros(mu, nz) / a) ** 2
+        roots, inv, table = _ml_table(mu, a, nz)
         # McMahon past the last zero: j_k ~ pi (k + delta), delta = mu/2 - 1/4
         c = nz + 1.0 + (0.5 * mu - 0.25)
         heads, cuts = _ml_split(roots, x, max_order)
@@ -230,10 +246,13 @@ class MLSumLadder(Ladder):
                 f"{roots[-1] / _ML_GAP!r} (N = n_zeros = {nz}); "
                 f"got x = {float(x.max())!r}")
         sizes, group = np.unique(heads, return_inverse=True)
-        lo = int(heads.min(initial=nz))
         top = int(cuts.max(initial=0))
-        moments = _inverse_power_sums(1.0 / roots[lo:], (sizes - lo).tolist(),
-                                      max_order + 1 + top)[group]
+        n_p = max_order + 1 + top
+        build = [k for k in sizes.tolist() if len(table.get(k, ())) < n_p]
+        if build:
+            table.update(zip(build, _inverse_power_sums(
+                inv[build[0]:], [k - build[0] for k in build], n_p)))
+        moments = np.array([table[k][:n_p] for k in sizes.tolist()])[group]
         # Hurwitz tail of M_p beyond the last zero, in logs: the factor
         # (a/pi)^{2p} alone overflows at large a
         ps = np.arange(1, max_order + top + 2, dtype=float)
@@ -324,6 +343,13 @@ class CauchyLadder(Ladder):
 
         f^(n)(x) = n! r^{-n} (1/M) sum_k f(x + r e^{i theta_k}) e^{-i n theta_k}
 
+    fn must be real on the real axis.  By Schwarz reflection, f(conj z)
+    = conj f(z), so the lower half circle repeats the upper one
+    conjugated: fn is evaluated at theta_k = 2 pi k / M for k = 0..M/2
+    only (M = n_points, even), and the Hermitian FFT (np.fft.hfft) gives
+    the coefficients.  An imaginary part above 1e-12 of the row's
+    largest |f| at theta = 0 or pi raises DomainError naming x.
+
     The radius is radius_factor * (x + radius_shift); radius_shift > 0
     widens the circle when the nearest singularity sits left of the
     origin instead of at it (the circle must stay inside the
@@ -335,17 +361,27 @@ class CauchyLadder(Ladder):
     n_points: int = 64
     radius_shift: float = 0.0
 
+    def __post_init__(self):
+        if self.n_points < 2 or self.n_points % 2:
+            raise ParameterError("CauchyLadder needs an even n_points >= 2")
+
     def _derivatives(self, x, max_order: int) -> np.ndarray:
         if np.any(x <= 0.0):
             raise DomainError("CauchyLadder requires x > 0")
         r = self.radius_factor * (x + self.radius_shift)
         m = self.n_points
-        theta = 2.0 * np.pi * np.arange(m) / m
+        theta = 2.0 * np.pi * np.arange(m // 2 + 1) / m
         z = x[:, None] + r[:, None] * np.exp(1j * theta)
         vals = np.asarray(self.fn(z), dtype=complex)
         if not np.all(np.isfinite(vals)):
             raise DomainError("function returned non-finite values on circle")
-        coef = np.real(np.fft.fft(vals, axis=-1) / m)
+        # theta = 0 and theta = pi lie on the real axis
+        off = np.abs(vals[:, ::m // 2].imag).max(axis=1) \
+            > 1e-12 * np.abs(vals).max(axis=1)
+        if np.any(off):
+            raise DomainError("CauchyLadder needs fn real on the real axis; "
+                              f"it is not at x = {float(x[off][0])!r}")
+        coef = np.fft.hfft(vals, n=m, axis=-1) / m
         n = np.arange(max_order + 1)
         fact = np.array([math.factorial(k) for k in n.tolist()], dtype=float)
         return coef[:, :max_order + 1] * fact / r[:, None] ** n

@@ -1,5 +1,6 @@
 """Infinite-divisibility checks: ladders, sign tests, profiles, Landau."""
 
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -318,7 +319,8 @@ def test_selfdecomp_margin_is_stable_under_one_ulp_noise(label, spec):
     margin = _noisy_selfdecomp_margin(spec, 0.5)
     assert margin == selfdecomp_check(spec, 0.5).margin
     rng = np.random.default_rng(2024)
-    grid_shape = (len(idtests._SELFDECOMP_GRID), 64)
+    # the upper half circle: 33 of the 64 points
+    grid_shape = (len(idtests._SELFDECOMP_GRID), 33)
     moves = [abs(_noisy_selfdecomp_margin(
         spec, 0.5, rng.choice((-1.0, 1.0), grid_shape)) / margin - 1.0)
         for _ in range(5)]
@@ -579,6 +581,56 @@ def test_bernstein_check_builds_each_leaf_ladder_once(monkeypatch):
     assert calls == [(9,)] * 5
 
 
+@pytest.mark.parametrize("spec,changed", [
+    (Rho(0.8, 1.0), Rho(0.8, 1.1)),
+    (DIST_KINDS["kdist"](1.2, 2.0, 1.0), DIST_KINDS["kdist"](1.2, 2.5, 1.0)),
+    (GenMcKay(0.8, 1.2, 0.5, 1.4), GenMcKay(0.8, 1.2, 0.5, 1.5))], ids=repr)
+def test_bernstein_check_builds_a_ladder_once_per_parameter_set(
+        spec, changed, monkeypatch):
+    built = []
+    phi_ladder = type(spec).phi_ladder
+
+    def counting(s):
+        built.append(s)
+        return phi_ladder(s)
+
+    monkeypatch.setattr(type(spec), "phi_ladder", counting)
+    first = bernstein_check(spec)
+    # an equal spec, not the same object, takes the memoised ladder
+    again = bernstein_check(replace(spec))
+    assert first.passed and again == first and len(built) == 1
+    assert bernstein_check(changed).passed and built == [spec, changed]
+
+
+def test_every_shipped_cauchy_function_is_real_on_the_axis(monkeypatch):
+    # CauchyLadder reads the lower half circle as the conjugate of the
+    # upper one; every function the checks hand it is real at theta = 0
+    # and pi to far below its 1e-12 guard
+    seen = []
+    derivatives = CauchyLadder._derivatives
+
+    def recording(self, x, max_order):
+        r = self.radius_factor * (x + self.radius_shift)
+        vals = self.fn(x[:, None] + r[:, None] * np.exp([0.0, 1j * np.pi]))
+        seen.append(float(np.max(np.abs(vals.imag) / np.abs(vals))))
+        return derivatives(self, x, max_order)
+
+    monkeypatch.setattr(CauchyLadder, "_derivatives", recording)
+    for label, spec in selfdecomp_targets():
+        for alpha in checks.SELFDECOMP_ALPHAS:
+            assert selfdecomp_check(spec, alpha).passed, (label, alpha)
+    for label in ("genmckay", "sqmckay"):
+        assert bernstein_check(dict(bernstein_targets())[label]).passed
+    for kind in ("gammaquot", "kdist", "gig", "mckay1"):
+        hcm_check(DIST_KINDS[kind](*distributions.DIST_DEFAULTS[kind]), 1.0)
+    for mu, lam, u in profile_targets():
+        assert noncentral_profile_check(mu, lam, u).passed
+    for mu, u in checks.ABSMON_CASES:
+        assert absmon_check(mu, u).passed
+    assert len(seen) == 6 * 3 + 2 + 3 + 3 + 3
+    assert max(seen) <= 1e-14, max(seen)
+
+
 def test_selfdecomp_check_makes_two_continuation_calls(monkeypatch):
     calls = []
 
@@ -588,7 +640,8 @@ def test_selfdecomp_check_makes_two_continuation_calls(monkeypatch):
 
     monkeypatch.setattr(idtests, "lt_value_complex", counting)
     assert selfdecomp_check(DIST_KINDS["kdist"](1.2, 2.0, 1.0), 0.5).passed
-    assert calls == [(7, 64)] * 2
+    # 7 points, 33 on each upper half circle
+    assert calls == [(7, 33)] * 2
 
 
 def test_hcm_check_evaluates_the_profile_once(monkeypatch):
@@ -601,8 +654,8 @@ def test_hcm_check_evaluates_the_profile_once(monkeypatch):
 
     monkeypatch.setattr(idtests, "_hyperbolic_profile", counting)
     assert hcm_check(DIST_KINDS["kdist"](1.2, 2.0, 1.0), 1.0).passed
-    # 8 points, 64 on each circle
-    assert calls == [(8, 64)]
+    # 8 points, 33 on each upper half circle
+    assert calls == [(8, 33)]
 
 
 def _profile_per_point(mu, lam, u, w_grid):

@@ -9,9 +9,9 @@ from scipy import special as sp
 
 from besselid import smoothfn
 from besselid.errors import DomainError, ParameterError
-from besselid.idtests import (_DEFAULT_GRID, bernstein_targets,
-                              lt_value_complex, neg_logderiv_ladder,
-                              selfdecomp_targets)
+from besselid.idtests import (_DEFAULT_GRID, _SELFDECOMP_GRID,
+                              bernstein_targets, lt_value_complex,
+                              neg_logderiv_ladder, selfdecomp_targets)
 from besselid.smoothfn import (CauchyLadder, MLSumLadder, PowerLadder,
                                RationalLadder, StieltjesLadder, SumLadder,
                                falling_factorial, k_ratio_ladder)
@@ -172,6 +172,24 @@ def test_ml_sum_point_does_not_depend_on_its_grid(mu, a):
             assert np.array_equal(on_grid[i], alone), xi
 
 
+def test_ml_moment_table_grows_to_the_bits_of_a_fresh_table():
+    # an order-2 call fills the table with a few powers per head; the
+    # order-8 calls after it need more powers and, far out, new heads
+    mu, a = 0.8, 1.3
+    table = smoothfn._ml_table(mu, a, 4000)[2]
+    grid = _log_grid(5, 0.05, 50.0, 9)
+    far = np.array([200.0, 3e3, 1e5])
+    lad = MLSumLadder(mu, a)
+    lad.derivatives(grid, 2)
+    filled = {k: len(m) for k, m in table.items()}
+    grown = [lad.derivatives(grid, 8), lad.derivatives(far, 8)]
+    assert all(len(table[k]) > n for k, n in filled.items())
+    assert len(table) > len(filled)
+    for x, got in zip((grid, far), grown):
+        smoothfn._ml_table.cache_clear()
+        assert np.array_equal(got, MLSumLadder(mu, a).derivatives(x, 8))
+
+
 # ----------------------------------------------------------------------
 # Stieltjes ladders on the exp-sinh level table
 # ----------------------------------------------------------------------
@@ -209,6 +227,8 @@ def test_stieltjes_ladders_match_level_ten(monkeypatch):
     got = {label: neg_logderiv_ladder(spec).derivatives(grid, 8)
            for label, spec in targets}
     monkeypatch.setattr(smoothfn, "_LADDER_LEVEL", 10)
+    # the memo holds the level-7 ladders built above
+    neg_logderiv_ladder.cache_clear()
     for label, spec in targets:
         ref = neg_logderiv_ladder(spec).derivatives(grid, 8)
         scale = np.abs(ref).max(axis=0)
@@ -300,6 +320,74 @@ def test_cauchy_ladder_rejects_nonpositive_x():
         CauchyLadder(fn=np.exp).derivatives(-1.0, 2)
 
 
+def test_cauchy_ladder_rejects_a_function_not_real_on_the_axis():
+    # the lower half circle is the conjugate of the upper one only for a
+    # function real on the real axis; (1 + i)/(1 + z) is not
+    lad = CauchyLadder(fn=lambda z: (1.0 + 1.0j) / (1.0 + z))
+    with pytest.raises(DomainError, match=r"real axis; it is not at "
+                       r"x = 1\.5$"):
+        lad.derivatives(np.array([1.5, 2.0]), 4)
+    with pytest.raises(ParameterError, match="even"):
+        CauchyLadder(fn=np.exp, n_points=63)
+
+
+def _scaled_error(got, want):
+    """The largest |got - want| of each order over the grid, scaled by
+    that order's largest |want|; the worst order's value."""
+    return float((np.abs(got - want).max(axis=0)
+                  / np.abs(want).max(axis=0)).max())
+
+
+def test_cauchy_ladder_against_mpmath_on_the_bernstein_grid():
+    # exp(-sqrt z)/(1 + z), with a branch point at 0 and a pole at -1,
+    # orders 0-8 against mpmath's derivatives in 40 digits
+    grid = np.asarray(_DEFAULT_GRID)
+    got = CauchyLadder(lambda z: np.exp(-np.sqrt(z)) / (1.0 + z)) \
+        .derivatives(grid, 8)
+    with mp.workdps(40):
+        want = np.array([[float(v) for v in mp.diffs(
+            lambda t: mp.exp(-mp.sqrt(t)) / (1 + t), mp.mpf(x), 8)]
+            for x in grid.tolist()])
+    assert _scaled_error(got, want) <= 1e-12
+
+
+def _mp_kdist_lt_diffs(d, x, n):
+    """L^(k)(x), k = 0..n, of the K-distribution d in mpmath: L(x) is the
+    mean of (1 + s u)^-alpha over u ~ Gamma(beta, 1), s = c x, c = mu /
+    (alpha beta); differentiated under the mean, with E u^k (1 + s u)^-a
+    = (beta)_k s^{-beta-k} U(beta + k, beta - a + k + 1, 1/s) (DLMF
+    13.4.4)."""
+    a, b = mp.mpf(d.alpha), mp.mpf(d.beta)
+    c = mp.mpf(d.mu) / (a * b)
+    s = c * x
+    return [mp.ff(-a, k) * mp.rf(b, k) * c ** k * s ** (-b - k)
+            * mp.hyperu(b + k, b - a + 1, 1 / s) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("alpha", (0.25, 0.5, 0.75))
+def test_selfdecomp_quotient_ladder_against_mpmath(alpha):
+    # selfdecomp_check's ladder of q(x) = L(x)/L(alpha x) for the
+    # K-distribution, orders 0-6 on its grid, against the Leibniz rule
+    # L^(n)(x) = sum_k C(n, k) q^(n-k)(x) alpha^k L^(k)(alpha x) in 40 digits
+    spec = dict(selfdecomp_targets())["kdist"]
+    grid = np.asarray(_SELFDECOMP_GRID)
+    got = CauchyLadder(lambda z: lt_value_complex(spec, z)
+                       / lt_value_complex(spec, alpha * z)) \
+        .derivatives(grid, 6)
+    want = []
+    with mp.workdps(40):
+        for x in grid.tolist():
+            num = _mp_kdist_lt_diffs(spec, mp.mpf(x), 6)
+            den = [mp.mpf(alpha) ** k * v for k, v in
+                   enumerate(_mp_kdist_lt_diffs(spec, alpha * mp.mpf(x), 6))]
+            q = []
+            for n in range(7):
+                q.append((num[n] - sum(mp.binomial(n, k) * q[n - k] * den[k]
+                                       for k in range(1, n + 1))) / den[0])
+            want.append([float(v) for v in q])
+    assert _scaled_error(got, np.array(want)) <= 2e-9
+
+
 # ----------------------------------------------------------------------
 # linear combinations
 # ----------------------------------------------------------------------
@@ -365,15 +453,16 @@ def _per_point(ladder, x, max_order):
     if isinstance(ladder, CauchyLadder):
         r = ladder.radius_factor * (x + ladder.radius_shift)
         m = ladder.n_points
-        theta = 2.0 * np.pi * np.arange(m) / m
-        coef = np.fft.fft(np.asarray(ladder.fn(x + r * np.exp(1j * theta)),
-                                     dtype=complex)) / m
+        # the upper half circle: fn is real on the axis
+        theta = 2.0 * np.pi * np.arange(m // 2 + 1) / m
+        coef = np.fft.hfft(np.asarray(ladder.fn(x + r * np.exp(1j * theta)),
+                                      dtype=complex), n=m) / m
         out, fact = np.empty(max_order + 1), 1.0
         powers = np.array([r]) ** np.arange(max_order + 1)
         for n in range(max_order + 1):
             if n > 0:
                 fact *= n
-            out[n] = float(np.real(coef[n])) * fact / powers[n]
+            out[n] = float(coef[n]) * fact / powers[n]
         return out
     if isinstance(ladder, MLSumLadder):
         return _ml_per_point(ladder, x, max_order)

@@ -4,15 +4,19 @@
 
 For each of the 17 targets of `idtests.bernstein_targets()` evaluates
 `neg_logderiv_ladder(spec).derivatives(grid, 8)` on the default
-Bernstein grid (9 x in 0.05..50), with the Bessel zeros already
-computed by one untimed sweep.  Prints the median of the timed sweeps
-in ms, each target's median, and four deterministic counts of its work:
-`exact`, the (root x point x order) terms of its reciprocal recurrences
-(rational, Stieltjes and Mittag-Leffler head terms); `powers`, the
-elements of its array powers (a PowerLadder's (x + shift)^(e - n) and a
-Cauchy circle's r^n); `moments`, the (power x zero) terms of its
-Mittag-Leffler moments; and `series`, the (coefficient x point x order)
-steps of their Horner sums.
+Bernstein grid (9 x in 0.05..50), with the Bessel zeros and the
+Mittag-Leffler moment tables already built by one untimed sweep.
+Prints the median of the timed sweeps in ms, each target's median, and
+five deterministic counts of its work: `exact`, the (root x point x
+order) terms of its reciprocal recurrences (rational, Stieltjes and
+Mittag-Leffler head terms); `powers`, the elements of its array powers
+(a PowerLadder's (x + shift)^(e - n) and a Cauchy circle's r^n);
+`moments`, the (power x zero) terms of the moment-table builds of the
+untimed sweep (targets sharing a Mittag-Leffler factor build its table
+once, and the timed sweeps build none); `series`, the (coefficient x
+point x order) steps of their Horner sums; and `circle`, the points
+where a Cauchy ladder evaluates its function, x.size (n_points/2 + 1)
+on the upper half circle.
 """
 
 from __future__ import annotations
@@ -26,17 +30,17 @@ import numpy as np
 from besselid import smoothfn
 from besselid.idtests import _DEFAULT_GRID, bernstein_targets, \
     neg_logderiv_ladder
-from besselid.specfun import bessel_zeros
 
 GRID = np.asarray(_DEFAULT_GRID)
 ORDER = 8
 
 
-FIELDS = ("exact", "powers", "moments", "series")
+FIELDS = ("exact", "powers", "moments", "series", "circle")
 
 
 def work_counts(ladder, x, max_order: int) -> dict:
-    """The four counts of one ladder.derivatives(x, max_order) call."""
+    """The five counts of one ladder.derivatives(x, max_order) call,
+    made next: its moments count the heads its moment tables lack."""
     if isinstance(ladder, smoothfn.SumLadder):
         parts = [work_counts(p, x, max_order) for p in ladder.parts]
         return {f: sum(c[f] for c in parts) for f in FIELDS}
@@ -46,15 +50,20 @@ def work_counts(ladder, x, max_order: int) -> dict:
         out["exact"] = len(ladder.terms) * rungs
     elif isinstance(ladder, smoothfn.StieltjesLadder):
         out["exact"] = len(ladder.nodes) * rungs
-    elif isinstance(ladder, (smoothfn.PowerLadder, smoothfn.CauchyLadder)):
+    elif isinstance(ladder, smoothfn.PowerLadder):
         out["powers"] = rungs
+    elif isinstance(ladder, smoothfn.CauchyLadder):
+        out["powers"] = rungs
+        out["circle"] = x.size * (ladder.n_points // 2 + 1)
     elif isinstance(ladder, smoothfn.MLSumLadder):
         nz = ladder.n_zeros
-        roots = (bessel_zeros(ladder.mu, nz) / ladder.a) ** 2
+        roots, _, table = smoothfn._ml_table(ladder.mu, ladder.a, nz)
         heads, cuts = smoothfn._ml_split(roots, x, max_order)
+        n_p = max_order + 1 + int(cuts.max())
+        build = [k for k in np.unique(heads).tolist()
+                 if len(table.get(k, ())) < n_p]
         out["exact"] = int(heads.sum()) * (max_order + 1)
-        out["moments"] = ((max_order + 1 + int(cuts.max()))
-                          * (nz - int(heads.min())))
+        out["moments"] = n_p * (nz - build[0]) if build else 0
         out["series"] = (max_order + 1) * sum(
             int((heads == k).sum()) * (int(cuts[heads == k].max()) + 1)
             for k in np.unique(heads).tolist())
@@ -77,10 +86,12 @@ def main() -> None:
     args = p.parse_args()
     ladders = [(label, neg_logderiv_ladder(spec))
                for label, spec in bernstein_targets()]
-    sweep(ladders)
+    counts = {}
+    for label, lad in ladders:  # the untimed sweep
+        counts[label] = work_counts(lad, GRID, ORDER)
+        lad.derivatives(GRID, ORDER)
     runs = [sweep(ladders) for _ in range(args.repeats)]
     total = statistics.median(sum(r.values()) for r in runs)
-    counts = {label: work_counts(lad, GRID, ORDER) for label, lad in ladders}
     totals = {f: sum(c[f] for c in counts.values()) for f in FIELDS}
     print(f"median {total * 1e3:.2f} ms over {args.repeats} sweeps; "
           + ", ".join(f"{f} {n:,}" for f, n in totals.items()))
