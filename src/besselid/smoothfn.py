@@ -169,14 +169,12 @@ def _ml_split(roots, x, max_order):
 
 @lru_cache(maxsize=64)
 def _ml_table(mu: float, a: float, n_zeros: int):
-    """(roots r_k, 1/r_k, moments) of MLSumLadder(mu, a, n_zeros), kept
-    across calls: moments maps a head K to its far-zero moment sums
-    M_p = sum_{k > K} r_k^{-p}, p = 1, 2, ..., and grows in place."""
+    """(roots r_k, moments) of MLSumLadder(mu, a, n_zeros), kept across
+    calls: moments maps a head K to its far-zero moment sums M_p =
+    sum_{k > K} r_k^{-p}, p = 1, 2, ..., and grows in place."""
     roots = (bessel_zeros(mu, n_zeros) / a) ** 2
-    inv = 1.0 / roots
     roots.setflags(write=False)
-    inv.setflags(write=False)
-    return roots, inv, {}
+    return roots, {}
 
 
 def _inverse_power_sums(inv, starts, n_p):
@@ -236,7 +234,7 @@ class MLSumLadder(Ladder):
         if np.any(x <= 0.0):
             raise DomainError("MLSumLadder requires x > 0")
         a, mu, nz = self.a, self.mu, self.n_zeros
-        roots, inv, table = _ml_table(mu, a, nz)
+        roots, table = _ml_table(mu, a, nz)
         # McMahon past the last zero: j_k ~ pi (k + delta), delta = mu/2 - 1/4
         c = nz + 1.0 + (0.5 * mu - 0.25)
         heads, cuts = _ml_split(roots, x, max_order)
@@ -251,7 +249,7 @@ class MLSumLadder(Ladder):
         build = [k for k in sizes.tolist() if len(table.get(k, ())) < n_p]
         if build:
             table.update(zip(build, _inverse_power_sums(
-                inv[build[0]:], [k - build[0] for k in build], n_p)))
+                1.0 / roots[build[0]:], [k - build[0] for k in build], n_p)))
         moments = np.array([table[k][:n_p] for k in sizes.tolist()])[group]
         # Hurwitz tail of M_p beyond the last zero, in logs: the factor
         # (a/pi)^{2p} alone overflows at large a

@@ -176,7 +176,7 @@ def test_ml_moment_table_grows_to_the_bits_of_a_fresh_table():
     # an order-2 call fills the table with a few powers per head; the
     # order-8 calls after it need more powers and, far out, new heads
     mu, a = 0.8, 1.3
-    table = smoothfn._ml_table(mu, a, 4000)[2]
+    table = smoothfn._ml_table(mu, a, 4000)[1]
     grid = _log_grid(5, 0.05, 50.0, 9)
     far = np.array([200.0, 3e3, 1e5])
     lad = MLSumLadder(mu, a)
