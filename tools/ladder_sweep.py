@@ -39,8 +39,8 @@ FIELDS = ("exact", "powers", "moments", "series", "circle")
 
 
 def work_counts(ladder, x, max_order: int) -> dict:
-    """The five counts of one ladder.derivatives(x, max_order) call,
-    made next: its moments count the heads its moment tables lack."""
+    """The five counts of the ladder.derivatives(x, max_order) call about
+    to be made; `moments` counts only the heads its tables still lack."""
     if isinstance(ladder, smoothfn.SumLadder):
         parts = [work_counts(p, x, max_order) for p in ladder.parts]
         return {f: sum(c[f] for c in parts) for f in FIELDS}
