@@ -17,13 +17,12 @@ f(uv) f(u/v) as a function of w = v + 1/v is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError, UnsupportedVariantError
-from .quad.tanhsinh import half_line_piece, integrate_pieces
+from .quad.tanhsinh import half_line_piece, integrate_pieces, spec_plan
 from .smoothfn import (CauchyLadder, Ladder, PowerLadder, RationalLadder,
                        StieltjesLadder, k_ratio_ladder)
 from .specfun import _bessel_scaled, _tricomi_complex, tricomi_psi
@@ -235,12 +234,9 @@ class _QuotientMixture(_Family):
         return StieltjesLadder.from_kernel(
             lambda t: kdist_quotient_kernel(al, be, t), coef, node)
 
-    @cached_property
-    def _plan(self) -> dict:
-        # per exp-sinh level, omega times the Jacobian: the nodes depend
-        # on the level only, not on (re, im); outside the dataclass
-        # fields, so never in ==, hash, repr or replace()
-        return {}
+    # per exp-sinh level, omega times the Jacobian: the nodes depend on
+    # the level only, not on (re, im)
+    _plan = property(spec_plan)
 
     def mgf_logderiv_im(self, x, y):
         # one exp-sinh row per point: the rows share every level's nodes

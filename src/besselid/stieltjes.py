@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 import scipy.special as _sp
@@ -31,6 +31,7 @@ from .errors import DomainError, ParameterError, UnsupportedVariantError
 from .quad import (HankelTerm, QuadResult, QuadRows, integrate_oscillatory,
                    integrate_singular_decay, positive_points,
                    tanh_sinh_finite)
+from .quad.tanhsinh import spec_plan
 from .specfun import _tricomi_any, bessel_row, tricomi_boundary_mod2
 
 __all__ = [
@@ -464,12 +465,9 @@ class IdentityRecord:
             raise DomainError("kernel_density requires t > 0")
         return e.kernel(self.p, t)
 
-    @cached_property
-    def _plan(self) -> dict:
-        # the quadrature plan, per piece and level: nodes, step, points
-        # and weight-free factors; outside the dataclass fields, so never
-        # in ==, hash, repr or replace()
-        return {}
+    # the quadrature plan, per piece and level: nodes, step, points and
+    # weight-free factors
+    _plan = property(spec_plan)
 
     def _integrate_kernel(self, weight, tol: float, n_rows: int = None):
         """Integral of kernel * weight over (0, oo) on the planned
@@ -501,7 +499,7 @@ class IdentityRecord:
         p = self.p
         if e.rhs is not None:
             # a product identity: one right side for every z
-            rows = [e.rhs(p)] * zs.size
+            rows = [_product_rhs(self)] * zs.size
         else:
             tol = tol if tol is not None else 0.01 * self.tol
             # one row as a scalar: numpy broadcasts 1-d arrays faster
@@ -574,6 +572,14 @@ class IdentityRecord:
                     w *= ej / (ej - etas[i])
             out += w * vi
         return out
+
+
+@lru_cache(maxsize=64)
+def _product_rhs(rec: IdentityRecord) -> QuadResult:
+    """The right side of a product identity, which has no z: memoised
+    by record value for the last 64 records.  Call
+    _product_rhs.cache_clear() after changing an entry's rhs."""
+    return rec._entry().rhs(rec.p)
 
 
 def make_identity(name: str, **params) -> IdentityRecord:

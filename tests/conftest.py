@@ -2,13 +2,17 @@
 
 import pytest
 
-from besselid import idtests, smoothfn
+from besselid import idtests, smoothfn, stieltjes
+from besselid.quad import tanhsinh
 
 
 @pytest.fixture(autouse=True)
-def _fresh_ladder_memos():
-    """Each test builds its phi' ladders and Mittag-Leffler moment tables
-    anew, so a test that monkeypatches a builder, a kernel or a zero
-    table never reads a ladder that an earlier test built."""
+def _fresh_memos():
+    """Each test builds its phi' ladders, Mittag-Leffler moment tables,
+    quadrature plans and product right sides anew, so a test that
+    monkeypatches a builder, a kernel or a zero table never reads a
+    ladder, plan or right side that an earlier test built."""
     idtests.neg_logderiv_ladder.cache_clear()
     smoothfn._ml_table.cache_clear()
+    tanhsinh.spec_plan.cache_clear()
+    stieltjes._product_rhs.cache_clear()

@@ -382,6 +382,8 @@ def test_quotient_memo_is_invisible_and_read_only(kind, args):
     used, unused = DIST_KINDS[kind](*args), DIST_KINDS[kind](*args)
     mgf_logderiv_im(used, 0.5, 1.0)
     assert len(used._plan) > 0
+    # an equal spec shares the plan
+    assert unused._plan is used._plan
     assert used == unused and hash(used) == hash(unused)
     assert repr(used) == repr(unused)
     for x, h, t, a in used._plan.values():
@@ -407,8 +409,12 @@ def test_pick_check_evaluates_omega_once_per_node_level(monkeypatch):
 
     monkeypatch.setattr(distributions, "kdist_quotient_kernel", counting)
     d = DIST_KINDS["kdist"](1.2, 2.0, 1.0)
-    pick_check(d)
+    first = pick_check(d)
     assert 0 < len(calls) == len(d._plan) <= 12
+    # an equal spec, built separately, reuses the plan: no kernel call
+    calls.clear()
+    assert pick_check(DIST_KINDS["kdist"](1.2, 2.0, 1.0)) == first
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

@@ -621,7 +621,8 @@ def test_kernel_memo_reuses_exp_sinh_node_sets(monkeypatch):
     for x, h, t, a in used._plan.values():
         for m in (x, t, a):
             assert not m.flags.writeable
-    assert dataclasses.replace(used)._plan == {}
+    # an equal record shares the plan
+    assert dataclasses.replace(used)._plan is used._plan
 
 
 def test_plan_warm_z_calls_no_kernel_and_no_hankel(monkeypatch):
@@ -641,6 +642,56 @@ def test_plan_warm_z_calls_no_kernel_and_no_hankel(monkeypatch):
     # the warm calls read the plan and add nothing to it
     assert rec._plan.keys() == planned.keys()
     assert all(rec._plan[k] is planned[k] for k in planned)
+
+
+@pytest.mark.parametrize("name", ("IK_EQUAL", "TRICOMI_RATIO"))
+def test_equal_records_share_one_plan(name, monkeypatch):
+    # the plan is keyed by the record's value: a second, separately
+    # built record with equal parameters evaluates no kernel and no
+    # Hankel function on its first call, and gives the same result
+    calls = _counting_kernel(monkeypatch, name)
+    first = make_identity(name).stieltjes_rhs(1.0)
+    assert calls
+    hankel = []
+    for fn in ("hankel1e", "hankel2e"):
+        monkeypatch.setattr(oscillatory._sp, fn,
+                            lambda nu, x: hankel.append(x) or 0.0 * x)
+    calls.clear()
+    assert make_identity(name).stieltjes_rhs(1.0) == first
+    assert calls == [] and hankel == []
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_product_rhs_runs_once_per_parameter_set(name, monkeypatch):
+    # a product identity's right side has no z: one evaluation serves
+    # every z of every equal record, bit for bit a fresh evaluation
+    entry = stieltjes._CATALOG[name]
+    want = entry.rhs(default_params(name))
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return entry.rhs(p)
+
+    monkeypatch.setitem(stieltjes._CATALOG, name,
+                        dataclasses.replace(entry, rhs=counting))
+    for rec in (make_identity(name), make_identity(name)):
+        for z in MEMO_ZS:
+            assert rec.stieltjes_rhs(z) == want, (name, z)
+    assert len(calls) == 1
+    # other parameters evaluate their own right side
+    make_identity(name, x=1.1).stieltjes_rhs(1.0)
+    assert len(calls) == 2
+
+
+def test_plan_and_product_memos_are_bounded():
+    for k in range(65):
+        make_identity("IK_EQUAL", mu=0.1 + 0.01 * k)._plan
+        make_identity("I_PRODUCT_ANGLE", x=0.5 + 0.01 * k).stieltjes_rhs(1.0)
+    for memo in (tanhsinh.spec_plan, stieltjes._product_rhs):
+        info = memo.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize == info.maxsize, memo
 
 
 def test_hankel_factors_only_on_live_nodes(monkeypatch):
