@@ -21,7 +21,7 @@ not support inversion or inner Laplace evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -498,8 +498,10 @@ class IdentityRecord:
         e = self._entry()
         p = self.p
         if e.rhs is not None:
-            # a product identity: one right side for every z
-            rows = [_product_rhs(self)] * zs.size
+            # a product identity: one right side for every z, a copy of
+            # the memo's, so a caller cannot change the memo
+            r = _product_rhs(self)
+            rows = [replace(r, info=dict(r.info))] * zs.size
         else:
             tol = tol if tol is not None else 0.01 * self.tol
             # one row as a scalar: numpy broadcasts 1-d arrays faster

@@ -679,6 +679,10 @@ def test_product_rhs_runs_once_per_parameter_set(name, monkeypatch):
         for z in MEMO_ZS:
             assert rec.stieltjes_rhs(z) == want, (name, z)
     assert len(calls) == 1
+    # a caller that changes its result does not change the memo
+    got = rec.stieltjes_rhs(1.0)
+    got.value, got.info["reason"] = 0.0, "changed"
+    assert rec.stieltjes_rhs(1.0) == want
     # other parameters evaluate their own right side
     make_identity(name, x=1.1).stieltjes_rhs(1.0)
     assert len(calls) == 2
