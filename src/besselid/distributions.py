@@ -16,6 +16,7 @@ f(uv) f(u/v) as a function of w = v + 1/v is shared.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -438,13 +439,32 @@ def _log_kv(nu, z):
 def log_pdf(d, x):
     """Natural log of the density of d at x > 0 (vectorized)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    # NaN fails the comparison
+    if not np.all(x > 0.0):
         raise DomainError("densities are supported on x > 0")
     return d.log_pdf(x)
 
 
 def pdf(d, x):
+    """Density of d at x > 0.  A read-only 1-d float array (a node table
+    of the quadrature, see tanhsinh.de_level) is answered from a memo
+    keyed by d's value and the nodes' bytes, so every Laplace point and
+    every row on one table shares one evaluation; the values are the
+    same bits as a fresh evaluation, and read-only."""
+    if (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == float
+            and not x.flags.writeable):
+        return _pdf_on_table(d, x.tobytes())
     return np.exp(log_pdf(d, x))
+
+
+@functools.lru_cache(maxsize=64)
+def _pdf_on_table(d, nodes: bytes) -> np.ndarray:
+    """pdf(d, x) on the nodes x given by their bytes, for the last 64
+    (spec, table) pairs.  Call _pdf_on_table.cache_clear() after
+    changing a family's log_pdf."""
+    v = np.exp(log_pdf(d, np.frombuffer(nodes)))
+    v.setflags(write=False)
+    return v
 
 
 def laplace_closed(d, x):
@@ -502,8 +522,8 @@ def mgf_logderiv_im(d, re, im):
     """
     re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
                                  np.asarray(im, dtype=float))
-    if np.any(im <= 0.0):
-        raise DomainError("mgf_logderiv_im requires im > 0")
+    if np.isnan(re).any() or not np.all(im > 0.0):
+        raise DomainError("mgf_logderiv_im requires im > 0 and re not NaN")
     return d.mgf_logderiv_im(re.reshape(-1), im.reshape(-1)
                              ).reshape(re.shape)[()]
 

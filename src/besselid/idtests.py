@@ -261,7 +261,8 @@ def lt_value(spec, x):
     """L(x) for x > 0: a variant's factor row from scaled Bessel
     functions, a family's closed form."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    # NaN fails the comparison
+    if not np.all(x > 0.0):
         raise DomainError("lt_value requires x > 0")
     return spec.lt_value(x)
 
@@ -413,8 +414,8 @@ def pick_im(spec, re, im):
     one-point array."""
     re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
                                  np.asarray(im, dtype=float))
-    if np.any(im <= 0.0):
-        raise DomainError("pick_im requires im > 0")
+    if np.isnan(re).any() or not np.all(im > 0.0):
+        raise DomainError("pick_im requires im > 0 and re not NaN")
     return spec.pick_im(re.reshape(-1), im.reshape(-1)).reshape(re.shape)[()]
 
 

@@ -42,6 +42,7 @@ from .tanhsinh import (Piece, de_level, half_line_piece, integrate_pieces,
 
 _HALF_PI = 0.5 * np.pi
 _RAY = np.exp(0.25j * np.pi)
+_SQRT2 = np.sqrt(2.0)
 _ASYMPTOTIC = 1e6       # |x| beyond which H_nu(x) uses its Hankel series
 _TS_MAX = 4.0           # tanh-sinh range of the head
 _ES_MAX = 6.5           # exp-sinh range of the ray, the tail and the half line
@@ -115,9 +116,17 @@ def _pieces(terms: list, kernel, plan: dict) -> list:
             x, h, r, jac = de_level("exp", _ES_MAX, level)
             u = u0 + rotate * r
             a = rotate * jac * 2.0 * u * sum(tm(u) for tm in group)
-            # past |u| ~ 1e154 on the ray u^2 overflows to nan; the terms
-            # are exact zeros there, and the weights vanish at infinity
-            t = u * u
+            if rotate == 1.0:
+                t = u * u
+            else:
+                # u^2 = u0^2 + sqrt2 u0 r + i (sqrt2 u0 r + r^2) from its
+                # parts: the complex product's real part is a difference
+                # of two terms of about r^2/2, which keeps no digit, not
+                # even the sign, once r is past about 1e17
+                c = _SQRT2 * u0 * r
+                t = (u0 * u0 + c) + 1j * (c + r * r)
+            # past |u| ~ 1e154 u^2 overflows; the terms are exact zeros
+            # there, and the weights vanish at infinity
             t[~np.isfinite(t)] = np.inf
             return x, h, t, a if rotate != 1.0 else a.real
         return build

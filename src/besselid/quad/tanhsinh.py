@@ -31,7 +31,9 @@ def de_level(kind: str, x_max: float, level: int) -> tuple:
     [-x_max, x_max] (all at FIRST_LEVEL, the new odd ones after it), its
     step h and the map's weight-free arrays, with s = (pi/2) sinh x:
     kind "exp" (exp-sinh onto (0, oo)) the nodes e^s and their Jacobian;
-    "tanh" q = e^{-2|s|}, 1 + q, cosh x, cosh(s)^2 (see tanh_sinh_level)."""
+    "tanh" q = e^{-2|s|}, 1 + q, cosh x, cosh(s)^2 (see tanh_sinh_level).
+    The arrays are shared by every caller and never written: a callee
+    may key values computed on them by their bytes (distributions.pdf)."""
     h = x_max / 2.0 ** level
     if level == FIRST_LEVEL:
         x = np.arange(-x_max, x_max + 0.5 * h, h)
@@ -76,7 +78,9 @@ class Piece:
 
     def level(self, level: int) -> tuple:
         """(x, h, t, a) of one level, built on first use: t and a
-        read-only, a's non-finite tail values zeroed."""
+        read-only, a's non-finite tail values zeroed.  An integrand
+        receives this t itself, so a read-only node table (for the half
+        line, de_level's own array) is what it sees on every call."""
         step = self.plan.get((self.name, level))
         if step is None:
             x, h, t, a = self.build(level)

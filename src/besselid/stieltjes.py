@@ -461,7 +461,8 @@ class IdentityRecord:
             raise UnsupportedVariantError(
                 f"{self.name} is a product identity without a Stieltjes kernel")
         t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0):
+        # NaN fails the comparison
+        if not np.all(t > 0.0):
             raise DomainError("kernel_density requires t > 0")
         return e.kernel(self.p, t)
 

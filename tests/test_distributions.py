@@ -11,14 +11,15 @@ from scipy import special as sp
 
 from paramsets import PARAM_SETS
 
-from besselid import distributions
-from besselid.distributions import (DIST_KINDS, hcm_profile,
+from besselid import checks, distributions
+from besselid.distributions import (DIST_DEFAULTS, DIST_KINDS, hcm_profile,
                                     kdist_quotient_kernel, laplace_closed,
                                     log_pdf, mgf_logderiv_im, pdf)
 from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
 from besselid.idtests import _SELFDECOMP_GRID, neg_logderiv, pick_check
 from besselid.quad import integrate_singular_decay, numeric_laplace
+from besselid.quad.tanhsinh import FIRST_LEVEL, MAX_LEVEL, de_level
 
 
 def _all_cases():
@@ -42,9 +43,12 @@ def test_parameter_validation():
 
 
 def test_pdf_rejects_nonpositive_x():
+    # NaN too, anywhere in an array: no silent NaN density
     d = DIST_KINDS["mckay1"](1.0, 0.5, 1.5)
-    with pytest.raises(DomainError):
-        pdf(d, 0.0)
+    for bad in (0.0, np.nan, [1.0, np.nan, 2.0]):
+        for fn in (pdf, log_pdf):
+            with pytest.raises(DomainError):
+                fn(d, bad)
 
 
 # ----------------------------------------------------------------------
@@ -415,6 +419,91 @@ def test_pick_check_evaluates_omega_once_per_node_level(monkeypatch):
     calls.clear()
     assert pick_check(DIST_KINDS["kdist"](1.2, 2.0, 1.0)) == first
     assert calls == []
+
+
+# ----------------------------------------------------------------------
+# densities on node tables: one evaluation per (spec, table)
+# ----------------------------------------------------------------------
+
+def _half_line_tables():
+    """The exp-sinh node tables of numeric_laplace and the norm rows."""
+    return [de_level("exp", 6.5, k)[2] for k in range(FIRST_LEVEL,
+                                                     MAX_LEVEL + 1)]
+
+
+def _counting_log_pdf(monkeypatch, d) -> list:
+    """Patch d's family to record the nodes of each log_pdf call."""
+    seen, inner = [], type(d).log_pdf
+
+    def counting(self, x):
+        seen.append(np.array(x))
+        return inner(self, x)
+
+    monkeypatch.setattr(type(d), "log_pdf", counting)
+    return seen
+
+
+def test_pdf_on_tables_equals_a_fresh_evaluation_and_is_read_only():
+    # all 8 families, two parameter sets each, at levels 3-12: the
+    # memo's values are the bits of an evaluation on a writable copy,
+    # which bypasses the memo; 160 (spec, table) pairs leave the memo at
+    # its bound
+    for kind, args in _all_cases():
+        if args not in PARAM_SETS[kind][:2]:
+            continue
+        d = DIST_KINDS[kind](*args)
+        for t in _half_line_tables():
+            got = pdf(d, t)
+            want = pdf(d, t.copy())
+            assert want.flags.writeable
+            assert got.tobytes() == want.tobytes(), (kind, t.size)
+            assert pdf(d, t) is got
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+    info = distributions._pdf_on_table.cache_info()
+    assert info.maxsize == 64 and info.currsize == 64
+
+
+def test_numeric_laplace_of_a_density_is_the_same_cold_and_warm():
+    # the array call equals the one-point calls bit for bit, whether
+    # the density memo is cold or already holds the tables
+    d = DIST_KINDS["kdist"](1.2, 2.0, 1.0)
+    xs = (1e-3, 0.1, 1.0, 10.0, 1e3)
+    rows = numeric_laplace(lambda t: pdf(d, t), xs, tol=1e-10)
+    for x, row in zip(xs, rows):
+        distributions._pdf_on_table.cache_clear()
+        cold = numeric_laplace(lambda t: pdf(d, t), x, tol=1e-10)
+        warm = numeric_laplace(lambda t: pdf(d, t), x, tol=1e-10)
+        assert cold == row and warm == row, x
+
+
+def test_numeric_laplace_at_a_new_point_reuses_the_density(monkeypatch):
+    d = DIST_KINDS["gig"](0.7, 1.0, 1.5)
+    seen = _counting_log_pdf(monkeypatch, d)
+    first = numeric_laplace(lambda t: pdf(d, t), 1.0, tol=1e-10)
+    assert 0 < len(seen) == distributions._pdf_on_table.cache_info().currsize
+    seen.clear()
+    second = numeric_laplace(lambda t: pdf(d, t), 1.7, tol=1e-10)
+    assert second.n_evals <= first.n_evals
+    assert seen == []
+    assert second.value == pytest.approx(float(laplace_closed(d, 1.7)),
+                                         rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", [k for k in DIST_KINDS if k != "nchisq"])
+def test_laplace_row_reuses_the_norm_rows_tables(kind, monkeypatch):
+    # both rows integrate on the exp-sinh tables of range 6.5: the
+    # laplace row evaluates the density only on levels that the norm
+    # row did not reach
+    d = DIST_KINDS[kind](*DIST_DEFAULTS[kind])
+    seen = _counting_log_pdf(monkeypatch, d)
+    assert checks._norm(d).passed
+    norm_tables = {x.tobytes() for x in seen}
+    deepest = max(x.size for x in seen)
+    seen.clear()
+    assert checks._laplace(d, 1e-7).passed
+    for x in seen:
+        assert x.tobytes() not in norm_tables and x.size > deepest
 
 
 # ----------------------------------------------------------------------

@@ -58,8 +58,23 @@ def test_lt_kinds_registry():
 
 
 def test_lt_value_domain():
-    with pytest.raises(DomainError):
-        lt_value(IKMu(1.0), 0.0)
+    for bad in (0.0, np.nan, [1.0, np.nan]):
+        with pytest.raises(DomainError):
+            lt_value(IKMu(1.0), bad)
+
+
+@pytest.mark.parametrize("spec", [IKMu(1.0), KDist(1.2, 2.0, 1.0),
+                                  McKayI(1.0, 0.5, 1.5)],
+                         ids=["ikmu", "kdist", "mckay1"])
+def test_pick_im_rejects_nan_and_nonpositive_im(spec):
+    # a DomainError naming the point's fault, not NaN or an engine error
+    for re, im in ((0.0, 0.0), (0.0, np.nan), (np.nan, 1.0),
+                   ([0.0, np.nan], 1.0), (0.0, [1.0, np.nan])):
+        with pytest.raises(DomainError, match="pick_im requires"):
+            pick_im(spec, re, im)
+        if isinstance(spec, McKayI):
+            with pytest.raises(DomainError, match="mgf_logderiv_im requires"):
+                distributions.mgf_logderiv_im(spec, re, im)
 
 
 @pytest.mark.parametrize("spec", [KDist(1.2, 2.0, 1.0),

@@ -90,8 +90,9 @@ def test_domain_errors_on_evaluation():
     rec = make_identity("IK_EQUAL")
     with pytest.raises(DomainError):
         rec.lhs_value(-1.0)
-    with pytest.raises(DomainError):
-        rec.kernel_density(0.0)
+    for bad in (0.0, np.nan, [1.0, np.nan]):
+        with pytest.raises(DomainError):
+            rec.kernel_density(bad)
     with pytest.raises(DomainError):
         rec.stieltjes_rhs(0.0)
     with pytest.raises(DomainError):
@@ -141,6 +142,31 @@ def test_equal_argument_inner_laplace_closed_form(mu):
         want = (mu / s) * np.exp(-0.5 / s) * sp.iv(mu, 0.5 / s)
         got = mu * rec.laplace_density(s, tol=1e-10).value
         assert abs(got - want) <= 1e-8 * abs(want)
+
+
+def test_contour_ray_points_have_positive_real_part():
+    # t = u^2 on the ray u = u0 + r e^{i pi/4}, built from its parts:
+    # Re t = u0^2 + sqrt2 u0 r > 0 at every node of every level.  As the
+    # complex product u * u, Re t is a difference of two terms of about
+    # r^2/2 and comes out <= 0 at some nodes past r ~ 1e17, where the
+    # weight e^{-st} then overflows against an exact-zero Hankel factor
+    n_finite = 0
+    for name in catalog_names():
+        rec = make_identity(name)
+        e = rec._entry()
+        terms = e.terms(rec.p)
+        if not any(tm.frequency > 0.0 for tm in terms):
+            continue
+        pieces = oscillatory._pieces(terms, lambda t: e.kernel(rec.p, t), {})
+        (ray,) = [pc for pc in pieces if pc.name == "ray"]
+        for level in range(tanhsinh.FIRST_LEVEL, tanhsinh.MAX_LEVEL + 1):
+            # a build runs with floating-point warnings off, as in
+            # integrate_pieces
+            with np.errstate(all="ignore"):
+                t = ray.level(level)[2]
+            assert np.all(t.real > 0.0), (name, level)
+            n_finite += int(np.isfinite(t).sum())
+    assert n_finite > 50_000
 
 
 def test_no_inner_laplace_outside_density_entries():
