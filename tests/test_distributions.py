@@ -448,9 +448,8 @@ def test_pdf_on_tables_equals_a_fresh_evaluation_and_is_read_only():
     # memo's values are the bits of an evaluation on a writable copy,
     # which bypasses the memo; 160 (spec, table) pairs leave the memo at
     # its bound
-    for kind, args in _all_cases():
-        if args not in PARAM_SETS[kind][:2]:
-            continue
+    for kind, args in ((k, a) for k, sets in PARAM_SETS.items()
+                       for a in sets[:2]):
         d = DIST_KINDS[kind](*args)
         for t in _half_line_tables():
             got = pdf(d, t)
