@@ -16,7 +16,6 @@ f(uv) f(u/v) as a function of w = v + 1/v is shared.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -71,6 +70,7 @@ class McKayI(_Family):
     a: float
     b: float
     anchor = "Theorem th1"
+    defaults = (1.0, 0.5, 1.5)
 
     def __post_init__(self):
         if not (self.mu > -0.5 and self.b > self.a > 0.0):
@@ -106,6 +106,7 @@ class McKayII(_Family):
     a: float
     b: float
     anchor = "Theorem th2"
+    defaults = (0.7, 0.6, 1.2)
 
     def __post_init__(self):
         if not (self.mu > -1.0 and self.b > self.a > 0.0):
@@ -173,6 +174,7 @@ class GenMcKay(_GaussMcKay):
     a: float
     b: float
     anchor = "Theorem th3"
+    defaults = (0.8, 1.2, 0.5, 1.4)
     row = property(lambda s: (s.mu + s.nu, (0.5 * (s.mu + s.nu),
                                            0.5 * (s.mu + s.nu + 1.0),
                                            s.mu + 1.0), 1.0))
@@ -198,6 +200,7 @@ class SqMcKay(_GaussMcKay):
     a: float
     b: float
     anchor = "Theorem th4"
+    defaults = (0.5, 0.3, 1.0)
     row = property(lambda s: (4.0 * s.mu + 1.0,
                               (s.mu + 0.5, 2.0 * s.mu + 0.5, s.mu + 1.0), 2.0))
 
@@ -235,8 +238,8 @@ class _QuotientMixture(_Family):
         return StieltjesLadder.from_kernel(
             lambda t: kdist_quotient_kernel(al, be, t), coef, node)
 
-    # per exp-sinh level, omega times the Jacobian: the nodes depend on
-    # the level only, not on (re, im)
+    # the spec's plan: per exp-sinh level omega times the Jacobian, as
+    # the nodes depend on the level only, not on (re, im)
     _plan = property(spec_plan)
 
     def mgf_logderiv_im(self, x, y):
@@ -262,6 +265,7 @@ class KDist(_QuotientMixture):
     beta: float
     mu: float
     anchor = "Theorem thK"
+    defaults = (1.2, 2.0, 1.0)
 
     def __post_init__(self):
         if not (self.alpha > 0.0 and self.beta > 0.0 and self.mu > 0.0):
@@ -300,6 +304,7 @@ class GIG(_Family):
     a: float
     b: float
     anchor = "Theorem Thnewgigd"
+    defaults = (0.7, 1.0, 1.5)
 
     def __post_init__(self):
         if not (self.a > 0.0 and self.b > 0.0):
@@ -341,6 +346,7 @@ class GammaQuotient(_QuotientMixture):
     alpha0: float
     beta0: float
     anchor = "Lemma 4"
+    defaults = (1.2, 1.0, 0.8, 1.5)
 
     def __post_init__(self):
         if min(self.alpha, self.beta, self.alpha0, self.beta0) <= 0.0:
@@ -383,6 +389,7 @@ class NoncentralChiSq(_Family):
     mu: float
     lam: float
     anchor = "Theorem noncentralchihcm"
+    defaults = (1.0, 0.4)
 
     def __post_init__(self):
         if not (self.mu > 0.0 and self.lam > 0.0):
@@ -408,16 +415,7 @@ DIST_KINDS = {
 _KIND_NAMES = {cls: name for name, cls in DIST_KINDS.items()}
 
 # representative in-domain parameters (positional) of the report rows
-DIST_DEFAULTS = {
-    "mckay1": (1.0, 0.5, 1.5),
-    "mckay2": (0.7, 0.6, 1.2),
-    "genmckay": (0.8, 1.2, 0.5, 1.4),
-    "sqmckay": (0.5, 0.3, 1.0),
-    "kdist": (1.2, 2.0, 1.0),
-    "gig": (0.7, 1.0, 1.5),
-    "gammaquot": (1.2, 1.0, 0.8, 1.5),
-    "nchisq": (1.0, 0.4),
-}
+DIST_DEFAULTS = {name: cls.defaults for name, cls in DIST_KINDS.items()}
 
 
 def _log_iv(nu, z):
@@ -439,32 +437,27 @@ def _log_kv(nu, z):
 def log_pdf(d, x):
     """Natural log of the density of d at x > 0 (vectorized)."""
     x = np.asarray(x, dtype=float)
-    # NaN fails the comparison
-    if not np.all(x > 0.0):
-        raise DomainError("densities are supported on x > 0")
+    # NaN fails both comparisons
+    if not np.all((x > 0.0) & (x < np.inf)):
+        raise DomainError("densities are supported on finite x > 0")
     return d.log_pdf(x)
 
 
 def pdf(d, x):
     """Density of d at x > 0.  A read-only 1-d float array (a node table
-    of the quadrature, see tanhsinh.de_level) is answered from a memo
-    keyed by d's value and the nodes' bytes, so every Laplace point and
+    of the quadrature, see tanhsinh.de_level) is answered from d's plan
+    (spec_plan), keyed by the nodes' bytes, so every Laplace point and
     every row on one table shares one evaluation; the values are the
     same bits as a fresh evaluation, and read-only."""
     if (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == float
             and not x.flags.writeable):
-        return _pdf_on_table(d, x.tobytes())
+        plan, key = spec_plan(d), x.tobytes()
+        v = plan.get(key)
+        if v is None:
+            v = plan[key] = np.exp(log_pdf(d, x))
+            v.setflags(write=False)
+        return v
     return np.exp(log_pdf(d, x))
-
-
-@functools.lru_cache(maxsize=64)
-def _pdf_on_table(d, nodes: bytes) -> np.ndarray:
-    """pdf(d, x) on the nodes x given by their bytes, for the last 64
-    (spec, table) pairs.  Call _pdf_on_table.cache_clear() after
-    changing a family's log_pdf."""
-    v = np.exp(log_pdf(d, np.frombuffer(nodes)))
-    v.setflags(write=False)
-    return v
 
 
 def laplace_closed(d, x):
@@ -522,8 +515,8 @@ def mgf_logderiv_im(d, re, im):
     """
     re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
                                  np.asarray(im, dtype=float))
-    if np.isnan(re).any() or not np.all(im > 0.0):
-        raise DomainError("mgf_logderiv_im requires im > 0 and re not NaN")
+    if not np.all(np.isfinite(re) & (im > 0.0) & (im < np.inf)):
+        raise DomainError("mgf_logderiv_im requires finite re and im > 0")
     return d.mgf_logderiv_im(re.reshape(-1), im.reshape(-1)
                              ).reshape(re.shape)[()]
 

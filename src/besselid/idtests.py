@@ -16,13 +16,14 @@ the function, not about the differencing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.special as _sp
 
-from .distributions import DIST_DEFAULTS, DIST_KINDS, _hyperbolic_profile
+from .distributions import DIST_KINDS, _hyperbolic_profile
 from .errors import ConvergenceError, DomainError, ParameterError
+from .quad.tanhsinh import spec_plan
 from .smoothfn import (CauchyLadder, Ladder, MLSumLadder, PowerLadder,
                        SumLadder, k_ratio_ladder)
 from .specfun import bessel_row
@@ -261,9 +262,9 @@ def lt_value(spec, x):
     """L(x) for x > 0: a variant's factor row from scaled Bessel
     functions, a family's closed form."""
     x = np.asarray(x, dtype=float)
-    # NaN fails the comparison
-    if not np.all(x > 0.0):
-        raise DomainError("lt_value requires x > 0")
+    # NaN fails both comparisons
+    if not np.all((x > 0.0) & (x < np.inf)):
+        raise DomainError("lt_value requires finite x > 0")
     return spec.lt_value(x)
 
 
@@ -279,16 +280,13 @@ def lt_value_complex(spec, z):
     return spec.lt_value_complex(z.reshape(-1)).reshape(z.shape)[()]
 
 
-@lru_cache(maxsize=64)
 def neg_logderiv_ladder(spec) -> Ladder:
-    """Analytic derivative ladder for phi'(x) = -(ln L)'(x).
-
-    Memoised by spec value (specs are frozen, hashable dataclasses; equal
-    parameters give one ladder) for the last 64 specs, so a repeated
-    check reuses its Stieltjes nodes and Mittag-Leffler tables; call
-    neg_logderiv_ladder.cache_clear() after changing what a ladder is
-    built from."""
-    return spec.phi_ladder()
+    """Analytic derivative ladder for phi'(x) = -(ln L)'(x), kept in
+    the spec's plan (quad.tanhsinh.spec_plan) under "phi'"."""
+    plan = spec_plan(spec)
+    if "phi'" not in plan:
+        plan["phi'"] = spec.phi_ladder()
+    return plan["phi'"]
 
 
 def neg_logderiv(spec, x):
@@ -414,8 +412,8 @@ def pick_im(spec, re, im):
     one-point array."""
     re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
                                  np.asarray(im, dtype=float))
-    if np.isnan(re).any() or not np.all(im > 0.0):
-        raise DomainError("pick_im requires im > 0 and re not NaN")
+    if not np.all(np.isfinite(re) & (im > 0.0) & (im < np.inf)):
+        raise DomainError("pick_im requires finite re and im > 0")
     return spec.pick_im(re.reshape(-1), im.reshape(-1)).reshape(re.shape)[()]
 
 
@@ -585,11 +583,10 @@ def landau_bound_margin(mu: float, n: int = 20, lo: float = 0.1,
 # ----------------------------------------------------------------------
 
 _KINDS = {**LT_KINDS, **DIST_KINDS}
-_DEFAULTS = {**{k: v.defaults for k, v in LT_KINDS.items()}, **DIST_DEFAULTS}
 
 
 def _default(label):
-    return _KINDS[label](*_DEFAULTS[label])
+    return _KINDS[label](*_KINDS[label].defaults)
 
 
 def bernstein_targets():

@@ -115,10 +115,14 @@ def half_line_piece(x_max: float, plan: dict, kernel=None) -> Piece:
 
 @functools.lru_cache(maxsize=64)
 def spec_plan(spec) -> dict:
-    """The plan of the pieces of a frozen, hashable spec (an identity
-    record or a distribution), memoised by value for the last 64: equal
-    parameters share one plan.  Call spec_plan.cache_clear() after
-    changing what a plan is built from."""
+    """The plan of a frozen, hashable spec (identity record,
+    distribution, variant or MLSumLadder): what is computed once for
+    it, memoised by value for the last 64 specs.  Keys: (piece name,
+    level) a quadrature level (Piece.level); "phi'" the phi' ladder
+    (idtests.neg_logderiv_ladder); "rhs" a product identity's right
+    side; a node table's bytes the read-only density on it
+    (distributions.pdf); "roots", "moments" an MLSumLadder's tables.
+    One spec_plan.cache_clear() drops all of it."""
     return {}
 
 
@@ -201,17 +205,17 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
 
 
 def tanh_sinh_finite(f, a: float, b: float, tol: float = 1e-12,
-                     u_max: float = 4.0, max_level: int = 12) -> QuadResult:
+                     max_level: int = 12) -> QuadResult:
     """Integral over [a, b] tolerating endpoint singularities."""
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise DomainError("tanh_sinh_finite requires finite a < b")
-    piece = Piece("finite", u_max,
-                  functools.partial(tanh_sinh_level, a, b, u_max), {})
+    piece = Piece("finite", 4.0,
+                  functools.partial(tanh_sinh_level, a, b, 4.0), {})
     return integrate_pieces([piece], lambda t, rows: f(t), 1, tol,
                             max_level)[0]
 
 
-def integrate_singular_decay(f, tol: float = 1e-10, u_max: float = 6.5,
+def integrate_singular_decay(f, tol: float = 1e-10,
                              max_level: int = 12) -> QuadResult:
     """Integral of f over (0, infinity) by the exp-sinh transform.
 
@@ -219,5 +223,5 @@ def integrate_singular_decay(f, tol: float = 1e-10, u_max: float = 6.5,
     origin together with exponential or algebraic (faster than 1/t)
     decay at infinity.
     """
-    return integrate_pieces([half_line_piece(u_max, {})],
+    return integrate_pieces([half_line_piece(6.5, {})],
                             lambda t, rows: f(t), 1, tol, max_level)[0]

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError
-from .quad.tanhsinh import FIRST_LEVEL, de_level
+from .quad.tanhsinh import FIRST_LEVEL, de_level, spec_plan
 from .specfun import bessel_zeros
 from .stieltjes import make_identity
 
@@ -167,16 +167,6 @@ def _ml_split(roots, x, max_order):
     return heads, np.count_nonzero(bound >= 2.0 ** -53, axis=1)
 
 
-@lru_cache(maxsize=64)
-def _ml_table(mu: float, a: float, n_zeros: int):
-    """(roots r_k, moments) of MLSumLadder(mu, a, n_zeros), kept across
-    calls: moments maps a head K to its far-zero moment sums M_p =
-    sum_{k > K} r_k^{-p}, p = 1, 2, ..., and grows in place."""
-    roots = (bessel_zeros(mu, n_zeros) / a) ** 2
-    roots.setflags(write=False)
-    return roots, {}
-
-
 def _inverse_power_sums(inv, starts, n_p):
     """sum(inv[s:] ** p) for each s of starts and p = 1..n_p, shape
     (len(starts), n_p); the powers by repeated multiplication, at most
@@ -210,9 +200,9 @@ class MLSumLadder(Ladder):
     cut where its terms fall below rounding (_ml_split): 3 to 8 terms on
     the Bernstein grid, 19 just below x = r_K / 16.  The moments, up to
     the call's largest cut, are products of 1/r_k, no powers, kept per
-    head K across calls (_ml_table); a call needing more powers than a
-    head has rebuilds that head from p = 1, so no moment's bits depend
-    on the calls made before.  McMahon's
+    head K in the ladder's plan (spec_plan); a call needing more powers
+    than a head has rebuilds that head from p = 1, so no moment's bits
+    depend on the calls made before.  McMahon's
     j_k ~ pi (k + mu/2 - 1/4) gives the remainder beyond the last zero in
     closed form: at order 0 for every x through the digamma function,
     and at orders >= 1 as the Hurwitz zeta tail (a/pi)^{2p} zeta(2p,
@@ -230,11 +220,20 @@ class MLSumLadder(Ladder):
         if self.mu <= -1.0 or self.a <= 0.0:
             raise ParameterError("MLSumLadder requires mu > -1 and a > 0")
 
+    def _table(self):
+        """(roots r_k, moments M_p per head K), kept in the plan."""
+        plan = spec_plan(self)
+        if "roots" not in plan:
+            roots = (bessel_zeros(self.mu, self.n_zeros) / self.a) ** 2
+            roots.setflags(write=False)
+            plan.update(roots=roots, moments={})
+        return plan["roots"], plan["moments"]
+
     def _derivatives(self, x, max_order: int) -> np.ndarray:
         if np.any(x <= 0.0):
             raise DomainError("MLSumLadder requires x > 0")
         a, mu, nz = self.a, self.mu, self.n_zeros
-        roots, table = _ml_table(mu, a, nz)
+        roots, table = self._table()
         # McMahon past the last zero: j_k ~ pi (k + delta), delta = mu/2 - 1/4
         c = nz + 1.0 + (0.5 * mu - 0.25)
         heads, cuts = _ml_split(roots, x, max_order)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 import scipy.special as _sp
@@ -466,8 +465,7 @@ class IdentityRecord:
             raise DomainError("kernel_density requires t > 0")
         return e.kernel(self.p, t)
 
-    # the quadrature plan, per piece and level: nodes, step, points and
-    # weight-free factors
+    # the record's plan (its keys: see quad.tanhsinh.spec_plan)
     _plan = property(spec_plan)
 
     def _integrate_kernel(self, weight, tol: float, n_rows: int = None):
@@ -499,9 +497,12 @@ class IdentityRecord:
         e = self._entry()
         p = self.p
         if e.rhs is not None:
-            # a product identity: one right side for every z, a copy of
-            # the memo's, so a caller cannot change the memo
-            r = _product_rhs(self)
+            # a product identity: one right side for every z, kept in
+            # the plan; a copy of it, so a caller cannot change the plan
+            plan = self._plan
+            if "rhs" not in plan:
+                plan["rhs"] = e.rhs(p)
+            r = plan["rhs"]
             rows = [replace(r, info=dict(r.info))] * zs.size
         else:
             tol = tol if tol is not None else 0.01 * self.tol
@@ -549,21 +550,20 @@ class IdentityRecord:
     # -- Perron-Stieltjes inversion -----------------------------------------
     inversion_anchor = "Lemma 7"
 
-    def inversion_check(self, t: float,
-                        eta_ladder=(1e-2, 1e-3, 1e-4)) -> float:
+    def inversion_check(self, t: float) -> float:
         """Density recovered from boundary values of the LHS:
 
             D(eta) = [F(-t - i eta) - F(-t + i eta)] / (2 pi i),
 
-        polynomially extrapolated to eta = 0 along the ladder.  The
-        result should match measure_density(t).
+        polynomially extrapolated to eta = 0 from eta = 1e-2, 1e-3 and
+        1e-4.  The result should match measure_density(t).
         """
         if self._entry().kernel is None:
             raise UnsupportedVariantError(
                 f"{self.name} is not a Stieltjes transform")
         if t <= 0.0:
             raise DomainError("inversion_check requires t > 0")
-        etas = np.asarray(sorted(eta_ladder, reverse=True), dtype=float)
+        etas = np.array([1e-2, 1e-3, 1e-4])
         f = self.lhs_value(np.concatenate([-t - 1j * etas, -t + 1j * etas]))
         vals = np.real((f[:etas.size] - f[etas.size:]) / (2j * np.pi)).tolist()
         # Lagrange extrapolation to eta = 0
@@ -575,14 +575,6 @@ class IdentityRecord:
                     w *= ej / (ej - etas[i])
             out += w * vi
         return out
-
-
-@lru_cache(maxsize=64)
-def _product_rhs(rec: IdentityRecord) -> QuadResult:
-    """The right side of a product identity, which has no z: memoised
-    by record value for the last 64 records.  Call
-    _product_rhs.cache_clear() after changing an entry's rhs."""
-    return rec._entry().rhs(rec.p)
 
 
 def make_identity(name: str, **params) -> IdentityRecord:

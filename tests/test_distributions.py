@@ -19,7 +19,8 @@ from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
 from besselid.idtests import _SELFDECOMP_GRID, neg_logderiv, pick_check
 from besselid.quad import integrate_singular_decay, numeric_laplace
-from besselid.quad.tanhsinh import FIRST_LEVEL, MAX_LEVEL, de_level
+from besselid.quad.tanhsinh import (FIRST_LEVEL, MAX_LEVEL, de_level,
+                                    spec_plan)
 
 
 def _all_cases():
@@ -43,9 +44,10 @@ def test_parameter_validation():
 
 
 def test_pdf_rejects_nonpositive_x():
-    # NaN too, anywhere in an array: no silent NaN density
+    # NaN and +-inf too, anywhere in an array: no silent NaN density
     d = DIST_KINDS["mckay1"](1.0, 0.5, 1.5)
-    for bad in (0.0, np.nan, [1.0, np.nan, 2.0]):
+    for bad in (0.0, np.nan, np.inf, -np.inf, [1.0, np.nan, 2.0],
+                [1.0, np.inf]):
         for fn in (pdf, log_pdf):
             with pytest.raises(DomainError):
                 fn(d, bad)
@@ -445,22 +447,25 @@ def _counting_log_pdf(monkeypatch, d) -> list:
 
 def test_pdf_on_tables_equals_a_fresh_evaluation_and_is_read_only():
     # all 8 families, two parameter sets each, at levels 3-12: the
-    # memo's values are the bits of an evaluation on a writable copy,
-    # which bypasses the memo; 160 (spec, table) pairs leave the memo at
-    # its bound
-    for kind, args in ((k, a) for k, sets in PARAM_SETS.items()
-                       for a in sets[:2]):
-        d = DIST_KINDS[kind](*args)
+    # plan's values are the bits of an evaluation on a writable copy,
+    # which bypasses the plan; the 16 specs hold one plan each, with
+    # their 10 tables under the tables' bytes
+    specs = [DIST_KINDS[k](*a) for k, sets in PARAM_SETS.items()
+             for a in sets[:2]]
+    for d in specs:
         for t in _half_line_tables():
             got = pdf(d, t)
             want = pdf(d, t.copy())
             assert want.flags.writeable
-            assert got.tobytes() == want.tobytes(), (kind, t.size)
+            assert got.tobytes() == want.tobytes(), (d, t.size)
             assert pdf(d, t) is got
             with pytest.raises(ValueError):
                 got[0] = 0.0
-    info = distributions._pdf_on_table.cache_info()
-    assert info.maxsize == 64 and info.currsize == 64
+    info = spec_plan.cache_info()
+    assert info.maxsize == 64 and info.currsize == len(specs) == 16
+    for d in specs:
+        assert spec_plan(d).keys() == {t.tobytes()
+                                       for t in _half_line_tables()}
 
 
 def test_numeric_laplace_of_a_density_is_the_same_cold_and_warm():
@@ -470,7 +475,7 @@ def test_numeric_laplace_of_a_density_is_the_same_cold_and_warm():
     xs = (1e-3, 0.1, 1.0, 10.0, 1e3)
     rows = numeric_laplace(lambda t: pdf(d, t), xs, tol=1e-10)
     for x, row in zip(xs, rows):
-        distributions._pdf_on_table.cache_clear()
+        spec_plan.cache_clear()
         cold = numeric_laplace(lambda t: pdf(d, t), x, tol=1e-10)
         warm = numeric_laplace(lambda t: pdf(d, t), x, tol=1e-10)
         assert cold == row and warm == row, x
@@ -480,7 +485,7 @@ def test_numeric_laplace_at_a_new_point_reuses_the_density(monkeypatch):
     d = DIST_KINDS["gig"](0.7, 1.0, 1.5)
     seen = _counting_log_pdf(monkeypatch, d)
     first = numeric_laplace(lambda t: pdf(d, t), 1.0, tol=1e-10)
-    assert 0 < len(seen) == distributions._pdf_on_table.cache_info().currsize
+    assert 0 < len(seen) == len(spec_plan(d))
     seen.clear()
     second = numeric_laplace(lambda t: pdf(d, t), 1.7, tol=1e-10)
     assert second.n_evals <= first.n_evals

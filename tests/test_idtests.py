@@ -58,9 +58,11 @@ def test_lt_kinds_registry():
 
 
 def test_lt_value_domain():
-    for bad in (0.0, np.nan, [1.0, np.nan]):
-        with pytest.raises(DomainError):
-            lt_value(IKMu(1.0), bad)
+    # every Bernstein target: at x = inf eight of them gave NaN
+    for bad in (0.0, np.nan, np.inf, -np.inf, [1.0, np.nan], [1.0, np.inf]):
+        for label, spec in bernstein_targets():
+            with pytest.raises(DomainError):
+                lt_value(spec, bad)
 
 
 @pytest.mark.parametrize("spec", [IKMu(1.0), KDist(1.2, 2.0, 1.0),
@@ -69,7 +71,9 @@ def test_lt_value_domain():
 def test_pick_im_rejects_nan_and_nonpositive_im(spec):
     # a DomainError naming the point's fault, not NaN or an engine error
     for re, im in ((0.0, 0.0), (0.0, np.nan), (np.nan, 1.0),
-                   ([0.0, np.nan], 1.0), (0.0, [1.0, np.nan])):
+                   ([0.0, np.nan], 1.0), (0.0, [1.0, np.nan]),
+                   (np.inf, 1.0), (-np.inf, 1.0), (0.0, np.inf),
+                   (0.0, -np.inf), (0.0, [1.0, np.inf])):
         with pytest.raises(DomainError, match="pick_im requires"):
             pick_im(spec, re, im)
         if isinstance(spec, McKayI):

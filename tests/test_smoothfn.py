@@ -12,6 +12,7 @@ from besselid.errors import DomainError, ParameterError
 from besselid.idtests import (_DEFAULT_GRID, _SELFDECOMP_GRID,
                               bernstein_targets, lt_value_complex,
                               neg_logderiv_ladder, selfdecomp_targets)
+from besselid.quad.tanhsinh import spec_plan
 from besselid.smoothfn import (CauchyLadder, MLSumLadder, PowerLadder,
                                RationalLadder, StieltjesLadder, SumLadder,
                                falling_factorial, k_ratio_ladder)
@@ -176,17 +177,17 @@ def test_ml_moment_table_grows_to_the_bits_of_a_fresh_table():
     # an order-2 call fills the table with a few powers per head; the
     # order-8 calls after it need more powers and, far out, new heads
     mu, a = 0.8, 1.3
-    table = smoothfn._ml_table(mu, a, 4000)[1]
     grid = _log_grid(5, 0.05, 50.0, 9)
     far = np.array([200.0, 3e3, 1e5])
     lad = MLSumLadder(mu, a)
     lad.derivatives(grid, 2)
+    table = spec_plan(lad)["moments"]
     filled = {k: len(m) for k, m in table.items()}
     grown = [lad.derivatives(grid, 8), lad.derivatives(far, 8)]
     assert all(len(table[k]) > n for k, n in filled.items())
     assert len(table) > len(filled)
     for x, got in zip((grid, far), grown):
-        smoothfn._ml_table.cache_clear()
+        spec_plan.cache_clear()
         assert np.array_equal(got, MLSumLadder(mu, a).derivatives(x, 8))
 
 
@@ -227,8 +228,8 @@ def test_stieltjes_ladders_match_level_ten(monkeypatch):
     got = {label: neg_logderiv_ladder(spec).derivatives(grid, 8)
            for label, spec in targets}
     monkeypatch.setattr(smoothfn, "_LADDER_LEVEL", 10)
-    # the memo holds the level-7 ladders built above
-    neg_logderiv_ladder.cache_clear()
+    # the plans hold the level-7 ladders built above
+    spec_plan.cache_clear()
     for label, spec in targets:
         ref = neg_logderiv_ladder(spec).derivatives(grid, 8)
         scale = np.abs(ref).max(axis=0)

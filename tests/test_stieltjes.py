@@ -715,13 +715,18 @@ def test_product_rhs_runs_once_per_parameter_set(name, monkeypatch):
 
 
 def test_plan_and_product_memos_are_bounded():
+    # 130 records, 65 of them with a product right side: the plans end
+    # at their bound, and the 32 latest product records' plans hold
+    # their right side
     for k in range(65):
         make_identity("IK_EQUAL", mu=0.1 + 0.01 * k)._plan
         make_identity("I_PRODUCT_ANGLE", x=0.5 + 0.01 * k).stieltjes_rhs(1.0)
-    for memo in (tanhsinh.spec_plan, stieltjes._product_rhs):
-        info = memo.cache_info()
-        assert info.maxsize is not None
-        assert info.currsize == info.maxsize, memo
+    info = tanhsinh.spec_plan.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize == info.maxsize
+    products = [make_identity("I_PRODUCT_ANGLE", x=0.5 + 0.01 * k)
+                for k in range(33, 65)]
+    assert all("rhs" in rec._plan for rec in products)
 
 
 def test_hankel_factors_only_on_live_nodes(monkeypatch):
