@@ -170,7 +170,8 @@ def _idtests_checks(cfg) -> list:
            for label, spec in bernstein_targets()]
     out += [Check(f"selfdecomp:{label}:{alpha:g}", SELFDECOMP_ANCHOR,
                   f"{label} alpha={alpha:g}",
-                  partial(selfdecomp_check, spec, alpha, label=label))
+                  partial(selfdecomp_check, spec, alpha,
+                          max_order=cfg.max_order, label=label))
             for label, spec in selfdecomp_targets()
             for alpha in SELFDECOMP_ALPHAS]
     out += [Check(f"pick:{label}", PICK_ANCHOR, label,

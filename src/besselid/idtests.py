@@ -1,6 +1,6 @@
 """Numerical infinite-divisibility machinery for the Bessel Laplace
 transforms: complete-monotonicity ladders, Bernstein checks,
-self-decomposability quotients, Pick-function grids, hyperbolic
+self-decomposability differences, Pick-function grids, hyperbolic
 complete-monotonicity profiles, absolute monotonicity of the I-product,
 the noncentral chi-square profile signs, and the Landau constant.
 
@@ -326,7 +326,6 @@ class Evidence:
 
 
 _DEFAULT_GRID = tuple(np.exp(np.linspace(np.log(0.05), np.log(50.0), 9)))
-_SELFDECOMP_GRID = tuple(np.exp(np.linspace(np.log(0.1), np.log(10.0), 7)))
 
 
 def cm_check(target, grid=None, max_order: int = 8, slack: float = 1e-9,
@@ -358,12 +357,12 @@ def cm_check(target, grid=None, max_order: int = 8, slack: float = 1e-9,
     return Evidence.graded(worst, witness, slack=slack, label=label)
 
 
-def _normalization_gate(lt, label: str):
-    """The failing evidence when the transform lt is off 1 by more than
-    1e-6 at x = 1e-16, else None.  x is that small because several
+def _normalization_gate(spec, label: str):
+    """The failing evidence when the spec's L is off 1 by more than 1e-6
+    at x = 1e-16, else None.  x is that small because several
     transforms carry e^{-c sqrt(x)} factors, so the approach to 1 is
     O(sqrt(x)), not O(x)."""
-    l0 = float(lt(1e-16))
+    l0 = float(lt_value(spec, 1e-16))
     if abs(l0 - 1.0) > 1e-6:
         return Evidence.graded(-abs(l0 - 1.0), (1e-16, -1), label=label)
 
@@ -371,34 +370,41 @@ def _normalization_gate(lt, label: str):
 def bernstein_check(spec, grid=None, max_order: int = 8,
                     slack: float = 1e-9, label: str = "") -> Evidence:
     """Bernstein-function test: phi(0+) = 0 and phi' completely monotone."""
-    return (_normalization_gate(lambda x: lt_value(spec, x), label)
-            or cm_check(neg_logderiv_ladder(spec), grid, max_order, slack,
-                        label=label))
+    return _normalization_gate(spec, label) or cm_check(
+        neg_logderiv_ladder(spec), grid, max_order, slack, label=label)
 
 
 SELFDECOMP_ANCHOR = "Lemma 2"
 
 
-def selfdecomp_check(spec, alpha: float, grid=None, max_order: int = 6,
-                     slack: float = 1e-9, label: str = "") -> Evidence:
-    """Complete monotonicity of x -> L(x)/L(alpha x), alpha in (0, 1).
+@dataclass(frozen=True)
+class _AlphaDifference(Ladder):
+    """phi'(x) - alpha phi'(alpha x) = (1 - alpha) b + int e^{-xs} (k(s) -
+    k(s/alpha)) ds for phi'(x) = b + int e^{-xt} k(t) dt: completely
+    monotone for every alpha in (0, 1) exactly when k is non-increasing.
+    Its n-th derivative, phi'^(n)(x) - alpha^(n+1) phi'^(n)(alpha x),
+    takes one call of the ladder phi of phi' on x and alpha x."""
 
-    Together with the value 1 at 0+ this is the numerical surrogate for
-    the quotient being a Laplace transform (self-decomposability).
-    """
+    phi: Ladder
+    alpha: float
+
+    def _derivatives(self, x, max_order: int) -> np.ndarray:
+        both = self.phi.derivatives(np.concatenate([x, self.alpha * x]),
+                                    max_order)
+        powers = np.cumprod(np.full(max_order + 1, self.alpha))
+        return both[:x.size] - powers * both[x.size:]
+
+
+def selfdecomp_check(spec, alpha: float, grid=None, max_order: int = 8,
+                     slack: float = 1e-9, label: str = "") -> Evidence:
+    """Self-decomposability at one alpha in (0, 1), that is Levy measure
+    k(t)/t dt with k non-increasing (Sato 1999, Cor. 15.11): L(0+) = 1
+    and phi'(x) - alpha phi'(alpha x) completely monotone."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError("selfdecomp_check requires alpha in (0, 1)")
-    if grid is None:
-        grid = _SELFDECOMP_GRID
-
-    def q(z):
-        return lt_value_complex(spec, z) / lt_value_complex(spec, alpha * z)
-
-    def q0(x):
-        return float(lt_value(spec, x)) / float(lt_value(spec, alpha * x))
-
-    return (_normalization_gate(q0, label)
-            or cm_check(CauchyLadder(q), grid, max_order, slack, label=label))
+    return _normalization_gate(spec, label) or cm_check(
+        _AlphaDifference(neg_logderiv_ladder(spec), alpha), grid, max_order,
+        slack, label=label)
 
 
 # ----------------------------------------------------------------------
@@ -437,15 +443,14 @@ def _grid_minimum(spec, points):
 
 
 PICK_ANCHOR = "Lemma 3"
+_PICK_GRID = tuple((x, y) for x in np.linspace(-5.0, 5.0, 11)
+                   for y in (0.25, 0.5, 1.0, 2.5, 5.0))
 
 
-def pick_check(spec, grid=None, slack: float = 1e-12,
+def pick_check(spec, grid=_PICK_GRID, slack: float = 1e-12,
                label: str = "") -> Evidence:
     """Positivity of Im[psi'/psi] over an upper-half-plane grid: the
     margin is the grid minimum, and a failure names its point."""
-    if grid is None:
-        grid = tuple((x, y) for x in np.linspace(-5.0, 5.0, 11)
-                     for y in (0.25, 0.5, 1.0, 2.5, 5.0))
     value, point = _grid_minimum(spec, grid)
     return Evidence.graded(value, point if value < -slack else None,
                            slack=slack, label=label)
@@ -483,7 +488,7 @@ def _profile_ladder(g, u: float) -> CauchyLadder:
     return CauchyLadder(lambda w: _hyperbolic_profile(g, u, w))
 
 
-def hcm_check(d, u: float, w_grid=None, max_order: int = 8,
+def hcm_check(d, u: float, w_grid=_DEFAULT_W_GRID, max_order: int = 8,
               slack: float = 1e-9, label: str = "") -> Evidence:
     """Complete monotonicity in w = v + 1/v of pdf(uv) pdf(u/v).
 
@@ -491,15 +496,13 @@ def hcm_check(d, u: float, w_grid=None, max_order: int = 8,
     through it, every other one through the Cauchy ladder of its
     profile, evaluated by its complex log-density.
     """
-    if w_grid is None:
-        w_grid = _DEFAULT_W_GRID
     target = d.hcm_ladder(u) or _profile_ladder(
         lambda x: np.exp(d.log_pdf(x)), u)
     return cm_check(target, w_grid, max_order, slack, label=label)
 
 
 def noncentral_profile_check(mu: float, lam: float, u: float,
-                             w_grid=None) -> Evidence:
+                             w_grid=_DEFAULT_W_GRID) -> Evidence:
     """Positivity, decrease and convexity of the noncentral chi-square
     profile w -> pdf(uv) pdf(u/v) on (2, oo): a cm_check of its profile
     ladder at orders 0 to 2.
@@ -511,8 +514,6 @@ def noncentral_profile_check(mu: float, lam: float, u: float,
         raise ParameterError(
             "noncentral_profile_check requires lam <= 2 mu + 1")
     d = DIST_KINDS["nchisq"](mu, lam)
-    if w_grid is None:
-        w_grid = _DEFAULT_W_GRID
     return cm_check(_profile_ladder(lambda x: np.exp(d.log_pdf(x)), u),
                     w_grid, 2)
 
@@ -520,15 +521,14 @@ def noncentral_profile_check(mu: float, lam: float, u: float,
 ABSMON_ANCHOR = "Theorem thprodIabsmon"
 
 
-def absmon_check(mu: float, u: float, w_grid=None, max_order: int = 6,
-                 slack: float = 1e-9, label: str = "") -> Evidence:
+def absmon_check(mu: float, u: float, w_grid=_DEFAULT_W_GRID,
+                 max_order: int = 6, slack: float = 1e-9,
+                 label: str = "") -> Evidence:
     """Absolute monotonicity in w of I_mu(uv) I_mu(u/v) on (2, oo): a
     cm_check with signs "positive" of the profile ladder of I_mu, so
     the witness is the worst (w, order) pair."""
     if not (mu > -0.5 and u > 0.0):
         raise ParameterError("absmon_check requires mu > -1/2 and u > 0")
-    if w_grid is None:
-        w_grid = _DEFAULT_W_GRID
     return cm_check(_profile_ladder(lambda x: _sp.iv(mu, x), u), w_grid,
                     max_order, slack, signs="positive", label=label)
 

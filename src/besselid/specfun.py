@@ -398,19 +398,18 @@ _MAX_ZERO_ORDER = 2e15
 
 
 def bessel_zeros(nu: float, nmax: int) -> np.ndarray:
-    """First `nmax` positive zeros of J_nu, -1 < nu <= 2e15, as an array
-    (cached)."""
+    """First `nmax` positive zeros of J_nu, -1 < nu <= 2e15, as a
+    read-only view of the cached table."""
     if not -1.0 < nu <= _MAX_ZERO_ORDER:
         raise DomainError(f"bessel_zeros requires finite nu in "
                           f"(-1, {_MAX_ZERO_ORDER:g}]")
     if nmax < 1:
         raise DomainError("nmax must be >= 1")
     key = float(nu)
-    cached = _zero_cache.get(key)
-    if cached is not None and cached.size >= nmax:
-        return cached[:nmax]
-    zeros = _compute_zeros(key, max(nmax, 64))
-    _zero_cache[key] = zeros
+    zeros = _zero_cache.get(key)
+    if zeros is None or zeros.size < nmax:
+        zeros = _zero_cache[key] = _compute_zeros(key, max(nmax, 64))
+        zeros.setflags(write=False)
     return zeros[:nmax]
 
 

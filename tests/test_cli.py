@@ -210,15 +210,16 @@ def test_verify_all_verdicts_hold_without_avx512():
 
 
 def test_engine_tests_pass_without_avx512():
-    # the quadrature, Stieltjes and acceptance tests under numpy's AVX2
-    # loops, as on an x86-64 machine without AVX-512: no library call may
-    # return a value at one dispatch level and raise at another.  This
-    # file is not among them, so the test does not run itself
+    # the quadrature, Stieltjes, acceptance and idtests tests under
+    # numpy's AVX2 loops, as on an x86-64 machine without AVX-512: no
+    # library call may return a value at one dispatch level and raise at
+    # another, and no sign check may change its verdict.  This file is
+    # not among them, so the test does not run itself
     root = Path(__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"),
                NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
     files = [str(root / "tests" / f"test_{name}.py")
-             for name in ("quad", "stieltjes", "acceptance")]
+             for name in ("quad", "stieltjes", "acceptance", "idtests")]
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          *files], cwd=root, env=env, capture_output=True, text=True)

@@ -17,7 +17,7 @@ from besselid.distributions import (DIST_DEFAULTS, DIST_KINDS, hcm_profile,
                                     log_pdf, mgf_logderiv_im, pdf)
 from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
-from besselid.idtests import _SELFDECOMP_GRID, neg_logderiv, pick_check
+from besselid.idtests import neg_logderiv, pick_check
 from besselid.quad import integrate_singular_decay, numeric_laplace
 from besselid.quad.tanhsinh import (FIRST_LEVEL, MAX_LEVEL, de_level,
                                     spec_plan)
@@ -516,12 +516,13 @@ def test_laplace_row_reuses_the_norm_rows_tables(kind, monkeypatch):
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
 def test_kdist_lt_value_complex_matches_mpmath_on_selfdecomp_circles(alpha):
-    # the Cauchy circles of selfdecomp_check's default grid, scaled by
-    # alpha as its quotient L(z)/L(alpha z) needs them
+    # the 64-point circles of radius x/2 about seven x from 0.1 to 10,
+    # scaled by alpha: those of the self-decomposability quotient
+    # L(z)/L(alpha z) that the check once differentiated
     al, be, mu = 1.2, 2.0, 1.0
     theta = 2.0 * np.pi * np.arange(64) / 64
     z = np.concatenate([alpha * (x + 0.5 * x * np.exp(1j * theta))
-                        for x in _SELFDECOMP_GRID])
+                        for x in np.geomspace(0.1, 10.0, 7)])
     got = DIST_KINDS["kdist"](al, be, mu).lt_value_complex(z)
     with mp.workdps(40):
         def ref(w):

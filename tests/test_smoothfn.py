@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from besselid import smoothfn
+from besselid import idtests, smoothfn
 from besselid.errors import DomainError, ParameterError
-from besselid.idtests import (_DEFAULT_GRID, _SELFDECOMP_GRID,
-                              bernstein_targets, lt_value_complex,
-                              neg_logderiv_ladder, selfdecomp_targets)
+from besselid.idtests import (_DEFAULT_GRID, bernstein_targets,
+                              lt_value_complex, neg_logderiv_ladder,
+                              selfdecomp_targets)
 from besselid.quad.tanhsinh import spec_plan
 from besselid.smoothfn import (CauchyLadder, MLSumLadder, PowerLadder,
                                RationalLadder, StieltjesLadder, SumLadder,
@@ -367,11 +367,12 @@ def _mp_kdist_lt_diffs(d, x, n):
 
 @pytest.mark.parametrize("alpha", (0.25, 0.5, 0.75))
 def test_selfdecomp_quotient_ladder_against_mpmath(alpha):
-    # selfdecomp_check's ladder of q(x) = L(x)/L(alpha x) for the
-    # K-distribution, orders 0-6 on its grid, against the Leibniz rule
-    # L^(n)(x) = sum_k C(n, k) q^(n-k)(x) alpha^k L^(k)(alpha x) in 40 digits
+    # the Cauchy ladder of q(x) = L(x)/L(alpha x) on the K-distribution's
+    # continuation, orders 0-6 at seven x from 0.1 to 10, against the
+    # Leibniz rule L^(n)(x) = sum_k C(n, k) q^(n-k)(x) alpha^k L^(k)(alpha x)
+    # in 40 digits
     spec = dict(selfdecomp_targets())["kdist"]
-    grid = np.asarray(_SELFDECOMP_GRID)
+    grid = np.geomspace(0.1, 10.0, 7)
     got = CauchyLadder(lambda z: lt_value_complex(spec, z)
                        / lt_value_complex(spec, alpha * z)) \
         .derivatives(grid, 6)
@@ -552,12 +553,26 @@ def test_bernstein_ladder_grid_equals_per_point(label, spec):
 @pytest.mark.parametrize("alpha", (0.25, 0.5, 0.75))
 @pytest.mark.parametrize("label,spec", selfdecomp_targets())
 def test_selfdecomp_quotient_grid_equals_per_point(label, spec, alpha):
-    # the quotient ladder of selfdecomp_check
+    # the Cauchy ladder of L(x)/L(alpha x) on the continuation
     lad = CauchyLadder(lambda z: lt_value_complex(spec, z)
                        / lt_value_complex(spec, alpha * z), radius_factor=0.5)
     x = _log_grid(11, 0.1, 10.0, 9)
     want = np.array([_per_point(lad, float(xi), 6) for xi in x])
     assert np.array_equal(lad.derivatives(x, 6), want), (label, alpha)
+
+
+@pytest.mark.parametrize("alpha", (0.25, 0.5, 0.75))
+@pytest.mark.parametrize("label,spec", selfdecomp_targets())
+def test_selfdecomp_difference_grid_equals_per_point(label, spec, alpha):
+    # the ladder of selfdecomp_check, phi'(x) - alpha phi'(alpha x)
+    phi = neg_logderiv_ladder(spec)
+    x = _log_grid(11, 0.05, 50.0, 9)
+    powers = np.cumprod(np.full(9, alpha))
+    want = np.array([_per_point(phi, float(xi), 8)
+                     - powers * _per_point(phi, alpha * float(xi), 8)
+                     for xi in x])
+    got = idtests._AlphaDifference(phi, alpha).derivatives(x, 8)
+    assert np.array_equal(got, want), (label, alpha)
 
 
 # one ladder of each class, every one singular at x = 0

@@ -319,6 +319,16 @@ def test_report_zero_tables_evaluate_few_jv_points(monkeypatch):
     assert sum(points) <= 6000
 
 
+def test_bessel_zeros_are_read_only():
+    # a caller writing into the result would change every later call's
+    # zeros, which share the cached table
+    z = bessel_zeros(0.5, 10)
+    first = float(z[0])
+    with pytest.raises(ValueError):
+        z[0] = 0.0
+    assert bessel_zeros(0.5, 10)[0] == first
+
+
 def test_brentq_errors_and_endpoint_roots():
     f = lambda x: x * x - 2.0  # noqa: E731
     with pytest.raises(ConvergenceError, match="sign"):
