@@ -501,8 +501,10 @@ def kdist_quotient_kernel(al: float, be: float, t):
         return 0.5 * (kdist_quotient_kernel(al, be - delta, t)
                       + kdist_quotient_kernel(al, be + delta, t))
     lo, hi = min(al, be), max(al, be)
-    return make_identity("TRICOMI_RATIO", a=lo,
-                         c=1.0 + lo - hi).kernel_density(t)
+    # e^{-t} underflows from t = 700 on, out to inf: there the kernel is 0
+    dead = np.asarray(t, dtype=float) >= 700.0
+    rec = make_identity("TRICOMI_RATIO", a=lo, c=1.0 + lo - hi)
+    return np.where(dead, 0.0, rec.kernel_density(np.where(dead, 1.0, t)))
 
 
 def mgf_logderiv_im(d, re, im):

@@ -328,8 +328,9 @@ class Evidence:
 _DEFAULT_GRID = tuple(np.exp(np.linspace(np.log(0.05), np.log(50.0), 9)))
 
 
-def cm_check(target, grid=None, max_order: int = 8, slack: float = 1e-9,
-             signs: str = "alternating", label: str = "") -> Evidence:
+def cm_check(target, grid=_DEFAULT_GRID, max_order: int = 8,
+             slack: float = 1e-9, signs: str = "alternating",
+             label: str = "") -> Evidence:
     """Sign-pattern test of the derivatives of the smoothfn ladder
     target, evaluated once on the whole grid.
 
@@ -339,8 +340,6 @@ def cm_check(target, grid=None, max_order: int = 8, slack: float = 1e-9,
     per order by the largest derivative magnitude on the grid; a failure
     names the (x, order) pair attaining it.
     """
-    if grid is None:
-        grid = _DEFAULT_GRID
     grid = tuple(float(g) for g in grid)
     table = target.derivatives(np.array(grid), max_order)
     if signs == "alternating":
@@ -361,13 +360,17 @@ def _normalization_gate(spec, label: str):
     """The failing evidence when the spec's L is off 1 by more than 1e-6
     at x = 1e-16, else None.  x is that small because several
     transforms carry e^{-c sqrt(x)} factors, so the approach to 1 is
-    O(sqrt(x)), not O(x)."""
-    l0 = float(lt_value(spec, 1e-16))
+    O(sqrt(x)), not O(x).  L there is kept in the spec's plan under
+    "L(0+)"."""
+    plan = spec_plan(spec)
+    if "L(0+)" not in plan:
+        plan["L(0+)"] = float(lt_value(spec, 1e-16))
+    l0 = plan["L(0+)"]
     if abs(l0 - 1.0) > 1e-6:
         return Evidence.graded(-abs(l0 - 1.0), (1e-16, -1), label=label)
 
 
-def bernstein_check(spec, grid=None, max_order: int = 8,
+def bernstein_check(spec, grid=_DEFAULT_GRID, max_order: int = 8,
                     slack: float = 1e-9, label: str = "") -> Evidence:
     """Bernstein-function test: phi(0+) = 0 and phi' completely monotone."""
     return _normalization_gate(spec, label) or cm_check(
@@ -395,8 +398,9 @@ class _AlphaDifference(Ladder):
         return both[:x.size] - powers * both[x.size:]
 
 
-def selfdecomp_check(spec, alpha: float, grid=None, max_order: int = 8,
-                     slack: float = 1e-9, label: str = "") -> Evidence:
+def selfdecomp_check(spec, alpha: float, grid=_DEFAULT_GRID,
+                     max_order: int = 8, slack: float = 1e-9,
+                     label: str = "") -> Evidence:
     """Self-decomposability at one alpha in (0, 1), that is Levy measure
     k(t)/t dt with k non-increasing (Sato 1999, Cor. 15.11): L(0+) = 1
     and phi'(x) - alpha phi'(alpha x) completely monotone."""

@@ -119,10 +119,12 @@ def spec_plan(spec) -> dict:
     distribution, variant or MLSumLadder): what is computed once for
     it, memoised by value for the last 64 specs.  Keys: (piece name,
     level) a quadrature level (Piece.level); "phi'" the phi' ladder
-    (idtests.neg_logderiv_ladder); "rhs" a product identity's right
+    (idtests.neg_logderiv_ladder); "L(0+)" L at x = 1e-16
+    (idtests._normalization_gate); "rhs" a product identity's right
     side; a node table's bytes the read-only density on it
-    (distributions.pdf); "roots", "moments" an MLSumLadder's tables.
-    One spec_plan.cache_clear() drops all of it."""
+    (distributions.pdf); "roots", "moments", "tail0", "hurwitz" an
+    MLSumLadder's tables (MLSumLadder._plan).  One
+    spec_plan.cache_clear() drops all of it."""
     return {}
 
 

@@ -99,6 +99,14 @@ def _rational_ladder_vec(coefs, roots, x, max_order):
     return out
 
 
+def _keep_rows(ladder, rows):
+    """Keep the (coefficients, roots) rows of a frozen ladder as one
+    read-only float array, _rows, built once at construction."""
+    rows = np.array(rows, dtype=float)
+    rows.setflags(write=False)
+    object.__setattr__(ladder, "_rows", rows)
+
+
 @dataclass(frozen=True)
 class RationalLadder(Ladder):
     """Sum of terms coef / (x + root); terms: tuple of (coef, root)
@@ -106,9 +114,11 @@ class RationalLadder(Ladder):
 
     terms: tuple
 
+    def __post_init__(self):
+        _keep_rows(self, tuple(zip(*self.terms)))
+
     def _derivatives(self, x, max_order: int) -> np.ndarray:
-        return _rational_ladder_vec(*np.array(self.terms, dtype=float).T, x,
-                                    max_order)
+        return _rational_ladder_vec(*self._rows, x, max_order)
 
 
 @dataclass(frozen=True)
@@ -160,8 +170,10 @@ def _ml_split(roots, x, max_order):
     terms dropped sum to below (16/7) 2^-53 |t_0| <= 4 2^-53 |f^(n)|, as t_0
     shares the sign of f^(n) and is at most (17/16)^9 times it.  With no
     zero beyond the head (order 0 only) the series is empty, cut 0."""
-    heads = np.clip(np.searchsorted(roots, _ML_GAP * x), _ML_HEAD, roots.size)
-    q = x / np.append(roots, np.inf)[heads]
+    heads = np.searchsorted(roots, _ML_GAP * x)
+    np.clip(heads, _ML_HEAD, roots.size, out=heads)
+    # past the last zero q = x / inf = 0
+    q = np.where(heads < roots.size, x / roots.take(heads, mode="clip"), 0.0)
     ms = np.arange(1, _ML_TERMS + 1)
     bound = np.cumprod(q[:, None] * ((max_order + ms) / ms), axis=1)
     return heads, np.count_nonzero(bound >= 2.0 ** -53, axis=1)
@@ -209,7 +221,10 @@ class MLSumLadder(Ladder):
     n_zeros + 1 + mu/2 - 1/4) added to each M_p.  Orders >= 1 therefore
     need x <= r_{n_zeros}/16 (about 1e7/a^2 at the default 4000 zeros)
     and raise DomainError beyond it.  Each point's value depends on that
-    point alone, so a grid gives the per-point values bit for bit.
+    point alone, so a grid gives the per-point values bit for bit.  The
+    plan (_plan) keeps all that is grid-free: the roots, the moments, the
+    order-0 constant r psi'(c) and the Hurwitz vector; points that share
+    one head K, as the Bernstein grid's do, take one head sum.
     """
 
     mu: float
@@ -220,44 +235,56 @@ class MLSumLadder(Ladder):
         if self.mu <= -1.0 or self.a <= 0.0:
             raise ParameterError("MLSumLadder requires mu > -1 and a > 0")
 
-    def _table(self):
-        """(roots r_k, moments M_p per head K), kept in the plan."""
+    def _plan(self):
+        """The ladder's plan (spec_plan), built on first use: "roots" r_k,
+        "moments" M_p per head K, "tail0" r psi'(c) and "hurwitz" the
+        Hurwitz tails of M_1, M_2, ..., rebuilt from p = 1 when short."""
         plan = spec_plan(self)
         if "roots" not in plan:
             roots = (bessel_zeros(self.mu, self.n_zeros) / self.a) ** 2
             roots.setflags(write=False)
-            plan.update(roots=roots, moments={})
-        return plan["roots"], plan["moments"]
+            plan.update(roots=roots, moments={}, hurwitz=np.empty(0),
+                        tail0=self.a * self.a / (np.pi * np.pi)
+                        * float(_sp.polygamma(1, self._c)))
+        return plan
+
+    # McMahon past the last zero: j_k ~ pi (k + delta), delta = mu/2 - 1/4
+    _c = property(lambda s: s.n_zeros + 1.0 + (0.5 * s.mu - 0.25))
 
     def _derivatives(self, x, max_order: int) -> np.ndarray:
         if np.any(x <= 0.0):
             raise DomainError("MLSumLadder requires x > 0")
-        a, mu, nz = self.a, self.mu, self.n_zeros
-        roots, table = self._table()
-        # McMahon past the last zero: j_k ~ pi (k + delta), delta = mu/2 - 1/4
-        c = nz + 1.0 + (0.5 * mu - 0.25)
+        if not x.size:
+            return np.zeros((0, max_order + 1))
+        a, mu, nz, c = self.a, self.mu, self.n_zeros, self._c
+        plan = self._plan()
+        roots, table = plan["roots"], plan["moments"]
         heads, cuts = _ml_split(roots, x, max_order)
         if max_order >= 1 and np.any(heads >= nz):
             raise DomainError(
                 f"MLSumLadder derivatives need x <= r_N / {_ML_GAP:g} = "
                 f"{roots[-1] / _ML_GAP!r} (N = n_zeros = {nz}); "
                 f"got x = {float(x.max())!r}")
-        sizes, group = np.unique(heads, return_inverse=True)
-        top = int(cuts.max(initial=0))
+        # one head, as on the Bernstein grid, is one group of every point
+        sizes, group = np.unique(heads, return_inverse=True) \
+            if heads.min() < heads.max() else (heads[:1], slice(None))
+        sizes = sizes.tolist()
+        top = int(cuts.max())
         n_p = max_order + 1 + top
-        build = [k for k in sizes.tolist() if len(table.get(k, ())) < n_p]
+        build = [k for k in sizes if len(table.get(k, ())) < n_p]
         if build:
             table.update(zip(build, _inverse_power_sums(
                 1.0 / roots[build[0]:], [k - build[0] for k in build], n_p)))
-        moments = np.array([table[k][:n_p] for k in sizes.tolist()])[group]
-        # Hurwitz tail of M_p beyond the last zero, in logs: the factor
-        # (a/pi)^{2p} alone overflows at large a
-        ps = np.arange(1, max_order + top + 2, dtype=float)
-        with np.errstate(divide="ignore"):
-            hurwitz = np.exp(ps * (2.0 * np.log(a / np.pi))
-                             + np.log(_sp.zeta(ps + ps, c)))
+        moments = np.array([table[k][:n_p] for k in sizes])[group]
+        if plan["hurwitz"].size < n_p:
+            # Hurwitz tail of M_p beyond the last zero, in logs: the
+            # factor (a/pi)^{2p} alone overflows at large a
+            ps = np.arange(1, n_p + 1, dtype=float)
+            with np.errstate(divide="ignore"):
+                plan["hurwitz"] = np.exp(ps * (2.0 * np.log(a / np.pi))
+                                         + np.log(_sp.zeta(ps + ps, c)))
         coefs = _ml_series_coefs(max_order)[:, :top + 1]
-        cm = coefs * (moments + hurwitz)[:, np.add.outer(
+        cm = coefs * (moments + plan["hurwitz"][:n_p])[:, np.add.outer(
             np.arange(max_order + 1), np.arange(top + 1))]
         # order 0 takes the partial moments: its digamma remainder below
         # covers the zeros beyond the last
@@ -268,8 +295,8 @@ class MLSumLadder(Ladder):
         out = np.zeros((x.size, max_order + 1))
         for j in range(top, -1, -1):
             out = out * x[:, None] + cm[..., j]
-        for k in sizes.tolist():
-            sel = heads == k
+        for k in sizes:
+            sel = heads == k if len(sizes) > 1 else slice(None)
             out[sel] += _rational_ladder_vec(1.0, roots[:k], x[sel], max_order)
         # order-0 remainder: with j^2 ~ pi^2 (k + delta)^2 - (4 mu^2 - 1)/4
         # the shifted-argument digamma identity
@@ -278,7 +305,7 @@ class MLSumLadder(Ladder):
         xs = x - (4.0 * mu * mu - 1.0) / (4.0 * a * a)
         q2 = a * a * xs / (np.pi * np.pi)
         r = a * a / (np.pi * np.pi)
-        tail = np.full(x.shape, r * float(_sp.polygamma(1, c)))
+        tail = np.full(x.shape, plan["tail0"])
         pos, neg = q2 > 0.0, q2 < 0.0
         q = np.sqrt(q2[pos])
         tail[pos] = r * np.imag(_sp.digamma(c + 1j * q)) / q
@@ -320,8 +347,11 @@ class StieltjesLadder(Ladder):
         keep = np.isfinite(m) & (m > 0.0)
         return cls(tuple(node(t[keep])), tuple(m[keep]))
 
+    def __post_init__(self):
+        _keep_rows(self, (self.masses, self.nodes))
+
     def _derivatives(self, x, max_order: int) -> np.ndarray:
-        return _rational_ladder_vec(self.masses, self.nodes, x, max_order)
+        return _rational_ladder_vec(*self._rows, x, max_order)
 
 
 def k_ratio_ladder(mu: float, a: float) -> StieltjesLadder:

@@ -460,9 +460,9 @@ class IdentityRecord:
             raise UnsupportedVariantError(
                 f"{self.name} is a product identity without a Stieltjes kernel")
         t = np.asarray(t, dtype=float)
-        # NaN fails the comparison
-        if not np.all(t > 0.0):
-            raise DomainError("kernel_density requires t > 0")
+        # NaN fails both comparisons
+        if not np.all((t > 0.0) & (t < np.inf)):
+            raise DomainError("kernel_density requires finite t > 0")
         return e.kernel(self.p, t)
 
     # the record's plan (its keys: see quad.tanhsinh.spec_plan)

@@ -709,6 +709,26 @@ def test_bernstein_check_builds_a_ladder_once_per_parameter_set(
     assert bernstein_check(changed).passed and built == [spec, changed]
 
 
+@pytest.mark.parametrize("check", [bernstein_check,
+                                   partial(selfdecomp_check, alpha=0.5)],
+                         ids=("bernstein", "selfdecomp"))
+def test_normalization_gate_evaluates_l_once_per_parameter_set(
+        check, monkeypatch):
+    calls = []
+
+    def counting(spec, x):
+        calls.append(spec)
+        return lt_value(spec, x)
+
+    monkeypatch.setattr(idtests, "lt_value", counting)
+    spec, changed = Rho(0.8, 1.0), Rho(0.8, 1.1)
+    first = check(spec)
+    # an equal spec, not the same object, takes L(0+) from the plan
+    again = check(replace(spec))
+    assert first.passed and again == first and calls == [spec]
+    assert check(changed).passed and calls == [spec, changed]
+
+
 def test_every_shipped_cauchy_function_is_real_on_the_axis(monkeypatch):
     # CauchyLadder reads the lower half circle as the conjugate of the
     # upper one; every function the checks hand it is real at theta = 0

@@ -191,6 +191,62 @@ def test_ml_moment_table_grows_to_the_bits_of_a_fresh_table():
         assert np.array_equal(got, MLSumLadder(mu, a).derivatives(x, 8))
 
 
+# (mu, a, calls that warm the plan, the call under test): the a = 12
+# Bernstein grid, whose heads exceed 64; order 0 at x = 2, where
+# q = 0 and the remainder is "tail0", and past r_N / 16, where the
+# series is empty; an empty grid; order 8 after order 2
+@pytest.mark.parametrize("mu,a,warm,call", [
+    (1.0, 12.0, [(_DEFAULT_GRID[:3], 8)], (_DEFAULT_GRID, 8)),
+    (1.5, 1.0, [(_DEFAULT_GRID, 8)], ([2.0, 3e7, 1e9], 0)),
+    (0.8, 1.0, [(_DEFAULT_GRID, 8)], ([], 8)),
+    (0.8, 1.3, [([], 2), (_DEFAULT_GRID, 2)], (_DEFAULT_GRID, 8)),
+], ids=("a12-heads", "order0-far", "empty", "order8-after-2"))
+def test_ml_plan_gives_the_bits_of_a_fresh_plan(mu, a, warm, call):
+    lad = MLSumLadder(mu, a)
+    # another spec's plan first: no table is shared between specs
+    MLSumLadder(mu + 0.5, 2.0 * a).derivatives(np.array(_DEFAULT_GRID), 8)
+    for x, n in warm:
+        lad.derivatives(np.array(x), n)
+    got = lad.derivatives(np.array(call[0]), call[1])
+    spec_plan.cache_clear()
+    fresh = MLSumLadder(mu, a).derivatives(np.array(call[0]), call[1])
+    assert got.shape == fresh.shape == (len(call[0]), call[1] + 1)
+    assert np.array_equal(got, fresh)
+
+
+def test_ml_plan_constants_against_mpmath():
+    # order 0 at x = (4 mu^2 - 1) / (4 a^2) = 2 takes its remainder from
+    # "tail0" alone; orders 1-8 at the a = 12 grid's far points from
+    # "hurwitz"; past r_N / 16 the series is empty
+    lad = MLSumLadder(1.5, 1.0)
+    x = np.array([2.0, 3e7])
+    heads, cuts = smoothfn._ml_split(lad._plan()["roots"], x, 0)
+    assert heads.tolist() == [64, 4000] and cuts[1] == 0
+    got = lad.derivatives(x, 0)
+    for xi, v in zip(x.tolist(), got[:, 0]):
+        want = _ml_reference(1.5, 1.0, xi, 0)
+        assert abs(v - want) <= 1e-13 * abs(want), (xi, v, want)
+    lad = MLSumLadder(1.0, 12.0)
+    lad.derivatives(np.array(_DEFAULT_GRID[:2]), 2)
+    got = lad.derivatives(np.array(_DEFAULT_GRID[-2:]), 8)
+    for xi, row in zip(_DEFAULT_GRID[-2:], got):
+        for n in range(9):
+            want = _ml_reference(1.0, 12.0, xi, n)
+            assert abs(row[n] - want) <= 1e-13 * abs(want), (xi, n, row[n])
+
+
+def test_ladder_rows_are_read_only():
+    kr = k_ratio_ladder(0.9, 1.0)
+    rat = RationalLadder(((2.0, 3.0), (0.5, 1.0)))
+    assert kr._rows.tolist() == [list(kr.masses), list(kr.nodes)]
+    assert rat._rows.tolist() == [[2.0, 0.5], [3.0, 1.0]]
+    for rows in (kr._rows, rat._rows):
+        assert rows.dtype == float and not rows.flags.writeable
+        for row in rows:
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1.0
+
+
 # ----------------------------------------------------------------------
 # Stieltjes ladders on the exp-sinh level table
 # ----------------------------------------------------------------------

@@ -90,13 +90,23 @@ def test_domain_errors_on_evaluation():
     rec = make_identity("IK_EQUAL")
     with pytest.raises(DomainError):
         rec.lhs_value(-1.0)
-    for bad in (0.0, np.nan, [1.0, np.nan]):
+    for bad in (0.0, np.nan, [1.0, np.nan], np.inf, -np.inf, [1.0, np.inf]):
         with pytest.raises(DomainError):
             rec.kernel_density(bad)
     with pytest.raises(DomainError):
         rec.stieltjes_rhs(0.0)
     with pytest.raises(DomainError):
         rec.inversion_check(-2.0)
+
+
+@pytest.mark.parametrize("name", [n for n in stieltjes.catalog_names()
+                                  if stieltjes.make_identity(n)._entry().kernel])
+def test_every_kernel_rejects_infinite_points(name):
+    # t = inf has no kernel value (the Bessel kernels are NaN there)
+    rec = stieltjes.make_identity(name)
+    for bad in (np.inf, [0.5, np.inf]):
+        with pytest.raises(DomainError, match="kernel_density"):
+            rec.kernel_density(bad)
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, 0.0, -1.0))

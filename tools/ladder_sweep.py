@@ -57,7 +57,8 @@ def work_counts(ladder, x, max_order: int) -> dict:
         out["circle"] = x.size * (ladder.n_points // 2 + 1)
     elif isinstance(ladder, smoothfn.MLSumLadder):
         nz = ladder.n_zeros
-        roots, table = ladder._table()
+        plan = ladder._plan()
+        roots, table = plan["roots"], plan["moments"]
         heads, cuts = smoothfn._ml_split(roots, x, max_order)
         n_p = max_order + 1 + int(cuts.max())
         build = [k for k in np.unique(heads).tolist()
