@@ -214,10 +214,9 @@ def test_ml_plan_gives_the_bits_of_a_fresh_plan(mu, a, warm, call):
     assert np.array_equal(got, fresh)
 
 
-def test_ml_plan_constants_against_mpmath():
+def test_ml_order_zero_constant_against_mpmath():
     # order 0 at x = (4 mu^2 - 1) / (4 a^2) = 2 takes its remainder from
-    # "tail0" alone; orders 1-8 at the a = 12 grid's far points from
-    # "hurwitz"; past r_N / 16 the series is empty
+    # "tail0" alone; past r_N / 16 the series is empty
     lad = MLSumLadder(1.5, 1.0)
     x = np.array([2.0, 3e7])
     heads, cuts = smoothfn._ml_split(lad._plan()["roots"], x, 0)
@@ -226,13 +225,6 @@ def test_ml_plan_constants_against_mpmath():
     for xi, v in zip(x.tolist(), got[:, 0]):
         want = _ml_reference(1.5, 1.0, xi, 0)
         assert abs(v - want) <= 1e-13 * abs(want), (xi, v, want)
-    lad = MLSumLadder(1.0, 12.0)
-    lad.derivatives(np.array(_DEFAULT_GRID[:2]), 2)
-    got = lad.derivatives(np.array(_DEFAULT_GRID[-2:]), 8)
-    for xi, row in zip(_DEFAULT_GRID[-2:], got):
-        for n in range(9):
-            want = _ml_reference(1.0, 12.0, xi, n)
-            assert abs(row[n] - want) <= 1e-13 * abs(want), (xi, n, row[n])
 
 
 def test_ladder_rows_are_read_only():
