@@ -9,7 +9,7 @@ import numpy as np
 from ..errors import DomainError
 from .oscillatory import HankelTerm, integrate_oscillatory
 from .result import QuadResult, QuadRows
-from .tanhsinh import (half_line_piece, integrate_pieces,
+from .tanhsinh import (HALF_LINE, half_line_piece, integrate_pieces,
                        integrate_singular_decay, tanh_sinh_finite)
 
 __all__ = [
@@ -36,13 +36,14 @@ def positive_points(x, what: str) -> np.ndarray:
 
 def numeric_laplace(f, x, tol: float = 1e-10):
     """Numeric Laplace transform: integral of e^{-x t} f(t) over (0, oo).
-    An array x gives a QuadRows from one exp-sinh call, which evaluates
-    f once per level for all rows; row i equals the call at x[i]."""
+    An array x gives a QuadRows from one exp-sinh call on the shared
+    tanhsinh.HALF_LINE, which evaluates f once per run of levels for all
+    rows; row i equals the call at x[i]."""
     xs = positive_points(x, "numeric_laplace")
     # one row as a scalar: numpy broadcasts 1-d arrays faster
     col = -xs[:, None] if xs.size > 1 else -float(xs[0])
     rows = integrate_pieces(
-        [half_line_piece(6.5, {})], lambda t, rows: np.exp(
+        [half_line_piece(6.5, HALF_LINE)], lambda t, rows: np.exp(
             (col if len(rows) == xs.size else col[rows]) * t) * f(t),
         xs.size, tol)
     return rows if np.asarray(x).ndim else rows[0]

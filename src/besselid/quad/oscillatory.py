@@ -25,7 +25,7 @@ A term with Omega < 0 is to be written as its complex conjugate, which
 has the same real part on the real axis.  With no terms the kernel is
 integrated over the whole half line by exp-sinh in t.  Every value but
 the weight's sits on nodes that do not depend on the weight, so a plan
-shared across calls (one per term list) keeps them, level by level.
+shared across calls (one per term list) keeps them in its pieces.
 """
 
 from __future__ import annotations
@@ -101,10 +101,18 @@ def _hankel_scaled(kind: int, nu: float, x):
     return out
 
 
-def _pieces(terms: list, kernel, plan: dict) -> list:
+def _pieces(terms: list, kernel) -> list:
     if not terms:
-        return [half_line_piece(_ES_MAX, plan, kernel)]
-    u0 = _head_length(terms)
+        return [half_line_piece(_ES_MAX, {}, kernel)]
+    if min(tm.frequency for tm in terms) < 0.0:
+        raise DomainError("integrate_oscillatory needs net frequencies >= 0")
+    # u0 = 2 pi over the smallest Hankel scale or frequency: past it
+    # every Hankel factor is in its oscillatory regime, so the terms
+    # carry no cancelling singular parts
+    scales = [s for tm in terms for _, _, s, _ in tm.factors] \
+        + [abs(tm.omega) for tm in terms]
+    scales = [s for s in scales if s > 0.0]
+    u0 = 2.0 * np.pi / min(scales) if scales else 1.0
 
     def head(level):
         x, h, u, jac = tanh_sinh_level(0.0, u0, _TS_MAX, level)
@@ -133,22 +141,12 @@ def _pieces(terms: list, kernel, plan: dict) -> list:
 
     rays = [tm for tm in terms if tm.frequency > 0.0]
     flat = [tm for tm in terms if tm.frequency == 0.0]
-    out = [Piece("head", _TS_MAX, head, plan)]
+    out = [Piece("head", _TS_MAX, head)]
     if rays:
-        out.append(Piece("ray", _ES_MAX, on_path(_RAY, rays), plan))
+        out.append(Piece("ray", _ES_MAX, on_path(_RAY, rays)))
     if flat:
-        out.append(Piece("tail", _ES_MAX, on_path(1.0, flat), plan))
+        out.append(Piece("tail", _ES_MAX, on_path(1.0, flat)))
     return out
-
-
-def _head_length(terms) -> float:
-    """u0 = 2 pi over the smallest Hankel scale or frequency: past it
-    every Hankel factor is in its oscillatory regime, so the terms
-    carry no cancelling singular parts."""
-    scales = [s for tm in terms for _, _, s, _ in tm.factors] \
-        + [abs(tm.omega) for tm in terms]
-    scales = [s for s in scales if s > 0.0]
-    return 2.0 * np.pi / min(scales) if scales else 1.0
 
 
 def integrate_oscillatory(weight, terms, kernel, tol: float = 1e-7,
@@ -159,17 +157,18 @@ def integrate_oscillatory(weight, terms, kernel, tol: float = 1e-7,
 
     weight is called on real and complex t (see the module docstring);
     kernel only on real t, in (0, u0^2] when there are terms.  plan
-    keeps every value but the weight's across calls with the same terms
-    and kernel.  The error estimate and info["reason"] are those of
-    tanhsinh.integrate_pieces.  With n_rows, weight(t) has one row per
-    integrand, shape (n_rows, t.size) (or (t.size,) for one), and the
-    result is a QuadRows whose row i equals the one-row call on weight
-    row i, bit for bit.
+    keeps, under "pieces", every value but the weight's across calls
+    with the same terms and kernel (u0, the ray/tail split, the levels:
+    see tanhsinh.Piece).  The error estimate and info["reason"] are
+    those of tanhsinh.integrate_pieces.  With n_rows, weight(t) has one
+    row per integrand, shape (n_rows, t.size) (or (t.size,) for one),
+    and the result is a QuadRows whose row i equals the one-row call on
+    weight row i, bit for bit.
     """
-    if terms and min(tm.frequency for tm in terms) < 0.0:
-        raise DomainError("integrate_oscillatory needs net frequencies >= 0")
-    pieces = _pieces(terms, kernel, {} if plan is None else plan)
+    plan = {} if plan is None else plan
+    if "pieces" not in plan:
+        plan["pieces"] = _pieces(terms, kernel)
     n = n_rows or 1
-    out = integrate_pieces(pieces, lambda t, rows: weight(t)
+    out = integrate_pieces(plan["pieces"], lambda t, rows: weight(t)
                            if len(rows) == n else weight(t)[rows], n, tol)
     return out if n_rows else out[0]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,8 @@ MAX_LEVEL = 12
 # nine catalog kernels with Hankel terms stayed below 51 eps times it)
 _ROUNDING = 64.0 * float(np.finfo(float).eps)
 UNRESOLVED = "below the absolute resolution of the representation"
+# the one plan of integrate_singular_decay's and numeric_laplace's half line
+HALF_LINE: dict = {}
 
 
 @functools.lru_cache(maxsize=64)
@@ -66,29 +68,50 @@ def tanh_sinh_level(a: float, b: float, x_max: float, level: int) -> tuple:
 @dataclass(eq=False)
 class Piece:
     """One path of an integral (a finite interval, the half line, or a
-    head, ray or tail of the contour engine).  Its plan holds per level,
+    head, ray or tail of the contour engine).  steps holds per level,
     built once by build(level), the nodes x, the step h, the points t
     and the weight-free factor a (Jacobian times kernel or Hankel-term
-    values): the level's sum for a row is h * Re sum a weight(t, row)."""
+    values): the level's sum for a row is h * Re sum a weight(t, row).
+    table holds them joined (run); depth ends the next call's run."""
 
     name: str
     x_max: float
     build: object
-    plan: dict
+    steps: list = field(default_factory=list)
+    table: tuple = (None, None, [0])
+    depth: int = FIRST_LEVEL
 
     def level(self, level: int) -> tuple:
         """(x, h, t, a) of one level, built on first use: t and a
         read-only, a's non-finite tail values zeroed.  An integrand
-        receives this t itself, so a read-only node table (for the half
-        line, de_level's own array) is what it sees on every call."""
-        step = self.plan.get((self.name, level))
-        if step is None:
-            x, h, t, a = self.build(level)
+        receives this t itself (or a view of the table), so a read-only
+        node table is what it sees on every call."""
+        while len(self.steps) <= level - FIRST_LEVEL:
+            x, h, t, a = self.build(FIRST_LEVEL + len(self.steps))
             a = _tails_zeroed(a, x, self.x_max)
             t.setflags(write=False)
             a.setflags(write=False)
-            step = self.plan[(self.name, level)] = x, h, t, a
-        return step
+            self.steps.append((x, h, t, a))
+        return self.steps[level - FIRST_LEVEL]
+
+    def run(self, last: int) -> tuple:
+        """(t, a, ends): levels FIRST_LEVEL..last as views of the table,
+        FIRST_LEVEL + i at ends[i]:ends[i + 1], joined (the levels
+        becoming its views) when it has fewer; one level is its own."""
+        x, h, t, a = self.level(last)
+        n = last - FIRST_LEVEL + 1
+        if n == 1:
+            return t, a, (0, t.size)
+        if len(self.table[2]) <= n:
+            t, a = (np.concatenate([s[i] for s in self.steps]) for i in (2, 3))
+            t.setflags(write=False)
+            a.setflags(write=False)
+            ends = np.cumsum([0] + [s[2].size for s in self.steps]).tolist()
+            self.steps = [(s[0], s[1], t[i:j], a[i:j])
+                          for s, i, j in zip(self.steps, ends, ends[1:])]
+            self.table = t, a, ends
+        t, a, ends = self.table
+        return t[:ends[n]], a[:ends[n]], ends[:n + 1]
 
 
 def _tails_zeroed(v, x, x_max: float):
@@ -105,20 +128,24 @@ def _tails_zeroed(v, x, x_max: float):
 
 
 def half_line_piece(x_max: float, plan: dict, kernel=None) -> Piece:
-    """exp-sinh on (0, oo): the factor is the Jacobian times kernel(t),
-    or the Jacobian alone."""
-    def build(level):
-        x, h, t, jac = de_level("exp", x_max, level)
-        return x, h, t, jac if kernel is None else jac * kernel(t)
-    return Piece("half-line", x_max, build, plan)
+    """exp-sinh on (0, oo), kept in plan under "half-line": the factor
+    is the Jacobian times kernel(t), or the Jacobian alone."""
+    if "half-line" not in plan:
+        def build(level):
+            x, h, t, jac = de_level("exp", x_max, level)
+            return x, h, t, jac if kernel is None else jac * kernel(t)
+        plan["half-line"] = Piece("half-line", x_max, build)
+    return plan["half-line"]
 
 
 @functools.lru_cache(maxsize=64)
 def spec_plan(spec) -> dict:
     """The plan of a frozen, hashable spec (identity record,
     distribution, variant or MLSumLadder): what is computed once for
-    it, memoised by value for the last 64 specs.  Keys: (piece name,
-    level) a quadrature level (Piece.level); "phi'" the phi' ladder
+    it, memoised by value for the last 64 specs.  Keys: "pieces" the
+    contour engine's pieces (integrate_oscillatory) and "half-line" an
+    exp-sinh piece, each with its table and depth (Piece); "terms" a
+    record's Hankel terms; "phi'" the phi' ladder
     (idtests.neg_logderiv_ladder); "L(0+)" L at x = 1e-16
     (idtests._normalization_gate); "rhs" a product identity's right
     side; a node table's bytes the read-only density on it
@@ -141,7 +168,12 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
     A piece of a row drops out at the level where its last difference
     is within the row's budget, and a row stops when all its pieces
     have, so row i equals the one-row call on its integrand, bit for
-    bit; the level bookkeeping runs per row in Python floats.
+    bit; the level bookkeeping runs per row in Python floats.  A piece's
+    weight runs once for all rows on its run (Piece.run) to its depth,
+    then per level for the live rows; each level is summed alone, and
+    one that a row does not reach is neither counted nor checked.  The
+    depth moves to the lowest level the piece stopped at in a row, but
+    up by one level at most.
 
     The error estimate is the sum of the last differences plus a
     rounding floor, 64 eps times the integral of |integrand| along the
@@ -158,33 +190,56 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
     mass = [[0.0] * n_pieces for _ in range(n_rows)]
     diff = [[0.0] * n_pieces for _ in range(n_rows)]
     n_evals, budget = [0] * n_rows, [0.0] * n_rows
-    # per piece, the rows it is still live in
+    # per piece, its live rows and its run: the real part over |v| of
+    # its values v for all rows (one reduction sums both) and the offsets
     live = [list(range(n_rows)) for _ in pieces]
+    runs = []
+    for piece in pieces:
+        t, a, ends = piece.run(min(piece.depth, max_level))
+        v = (a * weight(t, live[0])).reshape(n_rows, t.size)
+        parts = np.empty((2, n_rows, t.size))
+        parts[0] = v.real
+        np.abs(v, out=parts[1])
+        runs.append((parts, ends))
+        piece.depth = min(piece.depth + 1, max_level)
     level = FIRST_LEVEL
     while True:
-        for k, (piece, on) in enumerate(zip(pieces, live)):
+        i = level - FIRST_LEVEL
+        for k, (piece, on, (parts, ends)) in enumerate(
+                zip(pieces, live, runs)):
             if not on:
                 continue
             x, h, t, a = piece.level(level)
-            v = (a * weight(t, on)).reshape(len(on), x.size)
-            masses = np.abs(v).sum(axis=-1).tolist()
+            # the level's columns in parts, and the row at of each live row
+            if i + 1 < len(ends):
+                cols, at = slice(ends[i], ends[i + 1]), on
+            else:
+                v = (a * weight(t, on)).reshape(len(on), x.size)
+                cols, at = slice(None), range(len(on))
+                parts = np.array((v.real, np.abs(v)))
+            sums, masses = np.add.reduce(parts[..., cols], -1).tolist()
             # a finite sum of |v| has no non-finite term to look for
-            if not all(map(math.isfinite, masses)):
-                v = _tails_zeroed(v, x, piece.x_max)
-                masses = np.abs(v).sum(axis=-1).tolist()
-            for r, s, m in zip(on, v.real.sum(axis=-1).tolist(), masses):
+            if not math.isfinite(sum(masses)):
+                v = _tails_zeroed((a * weight(t, on)).reshape(
+                    len(on), x.size), x, piece.x_max)
+                at, parts = range(len(on)), np.array((v.real, np.abs(v)))
+                sums, masses = np.add.reduce(parts, -1).tolist()
+            for r, j in zip(on, at):
                 val, mas = value[r], mass[r]
-                new = 0.5 * val[k] + h * s
+                new = 0.5 * val[k] + h * sums[j]
                 diff[r][k] = abs(new - val[k])
-                val[k], mas[k] = new, 0.5 * mas[k] + h * m
-                n_evals[r] += t.size
+                val[k], mas[k] = new, 0.5 * mas[k] + h * masses[j]
+                n_evals[r] += x.size
         if level > FIRST_LEVEL:
             for r in set().union(*live):
                 floor = _ROUNDING * sum(mass[r])
                 budget[r] = max(tol * abs(sum(value[r])) - floor,
                                 floor) / n_pieces
-            live = [[r for r in on if diff[r][k] > budget[r]]
-                    for k, on in enumerate(live)]
+            live, old = [[r for r in on if diff[r][k] > budget[r]]
+                         for k, on in enumerate(live)], live
+            for piece, on, was in zip(pieces, live, old):
+                if len(on) < len(was):
+                    piece.depth = min(piece.depth, level)
         if not any(live) or level == max_level:
             break
         level += 1
@@ -212,7 +267,7 @@ def tanh_sinh_finite(f, a: float, b: float, tol: float = 1e-12,
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise DomainError("tanh_sinh_finite requires finite a < b")
     piece = Piece("finite", 4.0,
-                  functools.partial(tanh_sinh_level, a, b, 4.0), {})
+                  functools.partial(tanh_sinh_level, a, b, 4.0))
     return integrate_pieces([piece], lambda t, rows: f(t), 1, tol,
                             max_level)[0]
 
@@ -225,5 +280,5 @@ def integrate_singular_decay(f, tol: float = 1e-10,
     origin together with exponential or algebraic (faster than 1/t)
     decay at infinity.
     """
-    return integrate_pieces([half_line_piece(6.5, {})],
+    return integrate_pieces([half_line_piece(6.5, HALF_LINE)],
                             lambda t, rows: f(t), 1, tol, max_level)[0]

@@ -473,10 +473,12 @@ class IdentityRecord:
         engine: contour rotation of the entry's Hankel terms, or the
         whole half line by exp-sinh where it lists none; with n_rows,
         one row per row of weight(t) (see integrate_oscillatory)."""
-        e = self._entry()
-        return integrate_oscillatory(weight, e.terms(self.p),
+        e, plan = self._entry(), self._plan
+        if "terms" not in plan:
+            plan["terms"] = e.terms(self.p)
+        return integrate_oscillatory(weight, plan["terms"],
                                      lambda t: e.kernel(self.p, t),
-                                     tol=tol, plan=self._plan, n_rows=n_rows)
+                                     tol=tol, plan=plan, n_rows=n_rows)
 
     def measure_density(self, t):
         """Density recovered by Perron-Stieltjes inversion of the LHS.
@@ -503,7 +505,7 @@ class IdentityRecord:
             if "rhs" not in plan:
                 plan["rhs"] = e.rhs(p)
             r = plan["rhs"]
-            rows = [replace(r, info=dict(r.info))] * zs.size
+            rows = [replace(r, info=dict(r.info)) for _ in range(zs.size)]
         else:
             tol = tol if tol is not None else 0.01 * self.tol
             # one row as a scalar: numpy broadcasts 1-d arrays faster

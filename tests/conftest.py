@@ -12,5 +12,8 @@ def _fresh_memos():
     ladders, product right sides, densities on node tables and
     Mittag-Leffler tables.  So a test that monkeypatches a builder, a
     kernel, a density or a zero table never reads a plan that an
-    earlier test built."""
+    earlier test built.  The shared kernel-free half line
+    (quad.tanhsinh.HALF_LINE) starts cold too, so the runs of levels
+    that a test sees do not depend on the tests before it."""
     tanhsinh.spec_plan.cache_clear()
+    tanhsinh.HALF_LINE.clear()

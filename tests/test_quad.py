@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from besselid import distributions
+from besselid.quad import oscillatory, tanhsinh
 from besselid.distributions import DIST_DEFAULTS, DIST_KINDS, pdf
 from besselid.errors import DomainError
 from besselid.quad import (HankelTerm, QuadRows, integrate_oscillatory,
@@ -143,7 +144,7 @@ def test_oscillatory_without_terms_is_one_half_line_piece():
                               tol=1e-12, plan=plan)
     assert r.converged
     assert r.value == pytest.approx(np.e * sp.exp1(1.0), rel=1e-12)
-    assert {key[0] for key in plan} == {"half-line"}
+    assert [piece.name for piece in plan["pieces"]] == ["half-line"]
 
 
 def test_oscillatory_linearity():
@@ -353,3 +354,225 @@ def test_engine_counters_are_pinned(monkeypatch):
         pick_check(DIST_KINDS[kind](*DIST_DEFAULTS[kind]))
         assert (sum(r.n_evals for r in rows), sum(r.converged for r in rows),
                 len(rows)) == want, kind
+
+
+# ----------------------------------------------------------------------
+# runs of levels: no result depends on what a plan saw before
+# ----------------------------------------------------------------------
+
+KERNEL_ENTRIES = [n for n in catalog_names()
+                  if make_identity(n)._entry().kernel is not None]
+LAPLACE_ENTRIES = [n for n in KERNEL_ENTRIES
+                   if make_identity(n)._entry().laplace]
+FAMILIES = [k for k in DIST_KINDS if k != "nchisq"]
+PICK_POINTS = [(float(x), float(y)) for x in np.linspace(-5.0, 5.0, 4)
+               for y in (0.25, 1.0, 5.0)]
+
+
+def _cold_plans():
+    tanhsinh.spec_plan.cache_clear()
+    tanhsinh.HALF_LINE.clear()
+
+
+def _assert_history_free(one, many, points):
+    """one(p) at each point and many() on cold plans give, field for
+    field, what they give after warm-up calls that stopped lower (the
+    point with the fewest evaluations) and higher (the most), each
+    repeated until the depth has settled, and after one another."""
+    cold = []
+    for p in points:
+        _cold_plans()
+        cold.append(one(p))
+    _cold_plans()
+    rows = many()
+    evals = [r.n_evals for r in cold]
+    assert min(evals) < max(evals)
+    for warm in (points[evals.index(min(evals))],
+                 points[evals.index(max(evals))]):
+        for first_many in (True, False):
+            _cold_plans()
+            for _ in range(10):
+                one(warm)
+            if first_many:
+                assert many() == rows, warm
+            assert [one(p) for p in points] == cold, warm
+            assert many() == rows, warm
+
+
+@pytest.mark.parametrize("name", KERNEL_ENTRIES)
+def test_stieltjes_rhs_is_history_free(name):
+    zs = [float(z) for z in np.logspace(-6.0, 6.0, 13)]
+    _assert_history_free(lambda z: make_identity(name).stieltjes_rhs(z),
+                         lambda: make_identity(name).stieltjes_rhs(zs), zs)
+
+
+@pytest.mark.parametrize("name", LAPLACE_ENTRIES)
+def test_inner_laplace_is_history_free(name):
+    # the inner Laplace density and the kernel mass share the record's
+    # plan with the Stieltjes rows, whose depth they inherit
+    params = {"mu": 1.5} if name == "K_RATIO" else {}
+    ss = [0.03, 0.3, 3.0, 30.0]
+
+    def rec():
+        return make_identity(name, **params)
+
+    _assert_history_free(
+        lambda s: rec().laplace_density(s),
+        lambda: [rec().kernel_mass(), rec().stieltjes_rhs(1.0)], ss)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_numeric_laplace_is_history_free(kind):
+    # the shared half line, after any family's calls
+    d = DIST_KINDS[kind](*DIST_DEFAULTS[kind])
+    other = DIST_KINDS["gig"](*DIST_DEFAULTS["gig"])
+    xs = [float(x) for x in np.logspace(-3.0, 3.0, 7)]
+
+    def one(x):
+        return numeric_laplace(lambda t: pdf(d, t), x, tol=1e-10)
+
+    _assert_history_free(
+        one, lambda: [numeric_laplace(lambda t: pdf(d, t), xs, tol=1e-10),
+                      numeric_laplace(lambda t: pdf(other, t), 0.5)], xs)
+
+
+@pytest.mark.parametrize("kind", ["kdist", "gammaquot"])
+def test_pick_rows_are_history_free(kind, monkeypatch):
+    # the quotient families' Pick rows: one exp-sinh row per point on
+    # the spec's half line, recorded as the engine returns them
+    d = DIST_KINDS[kind](*DIST_DEFAULTS[kind])
+    engine, got = distributions.integrate_pieces, []
+
+    def recording(*args, **kwargs):
+        got.append(engine(*args, **kwargs))
+        return got[-1]
+
+    monkeypatch.setattr(distributions, "integrate_pieces", recording)
+
+    def pick(points):
+        re, im = (np.array(v) for v in zip(*points))
+        distributions.mgf_logderiv_im(d, re, im)
+        return got[-1]
+
+    _assert_history_free(lambda p: pick([p])[0],
+                         lambda: pick(PICK_POINTS), PICK_POINTS)
+
+
+# ----------------------------------------------------------------------
+# runs of levels: what a warm call costs
+# ----------------------------------------------------------------------
+
+def _levels_upto(level: int) -> int:
+    """Nodes of one DE piece on the levels FIRST_LEVEL, ..., level."""
+    return sum(tanhsinh.de_level("exp", 6.5, k)[0].size
+               for k in range(tanhsinh.FIRST_LEVEL, level + 1))
+
+
+def _stop_level(n_evals: int) -> int:
+    """The level at which a one-piece row that counts n_evals stopped."""
+    level = tanhsinh.FIRST_LEVEL
+    while _levels_upto(level) < n_evals:
+        level += 1
+    assert _levels_upto(level) == n_evals
+    return level
+
+
+def _counting_weights(monkeypatch, module) -> tuple:
+    """Record (points, rows) of every weight call of `module`'s engine,
+    and every QuadRows it returns."""
+    engine, calls, out = module.integrate_pieces, [], []
+
+    def counting(pieces, weight, *args, **kwargs):
+        def counted(t, rows):
+            calls.append((t.size, len(rows)))
+            return weight(t, rows)
+        out.append(engine(pieces, counted, *args, **kwargs))
+        return out[-1]
+
+    monkeypatch.setattr(module, "integrate_pieces", counting)
+    return calls, out
+
+
+def test_warm_one_piece_call_makes_one_weight_call(monkeypatch):
+    # TRICOMI_RATIO is one half-line piece: once the depth has reached
+    # the level a z stops at, the call is one weight call on levels
+    # FIRST_LEVEL..that level, and it counts exactly those points
+    calls, _ = _counting_weights(monkeypatch, oscillatory)
+    rec = make_identity("TRICOMI_RATIO")
+    cold = rec.stieltjes_rhs(1.0)
+    assert len(calls) > 2
+    for _ in range(10):
+        rec.stieltjes_rhs(1.0)
+    calls.clear()
+    assert rec.stieltjes_rhs(1.0) == cold
+    assert calls == [(cold.n_evals, 1)]
+    (piece,) = rec._plan["pieces"]
+    assert _levels_upto(piece.depth) == cold.n_evals
+
+
+def test_depth_follows_the_lowest_stop_up_by_one_level(monkeypatch):
+    # a deep one-row call on a cold plan moves the depth up by one
+    # level only, so the 55-row call after it evaluates every row on the
+    # first two levels at once, as it would on a cold plan, and no point
+    # of a level that some row does not reach; repeated, the many-row
+    # call's run ends at the lowest level at which a row stopped
+    calls, out = _counting_weights(monkeypatch, distributions)
+    d = DIST_KINDS["gammaquot"](*DIST_DEFAULTS["gammaquot"])
+    grid = [(float(x), float(y)) for x in np.linspace(-5.0, 5.0, 11)
+            for y in np.linspace(0.25, 5.0, 5)]
+    re, im = (np.array(v) for v in zip(*grid))
+    deep = (-5.0, 0.25)
+    distributions.mgf_logderiv_im(d, *np.array([deep]).T)
+    first = tanhsinh.FIRST_LEVEL
+    assert calls[0] == (_levels_upto(first), 1) and len(calls) > 5
+    piece = d._plan["half-line"]
+    assert piece.depth == first + 1
+    calls.clear()
+    distributions.mgf_logderiv_im(d, re, im)
+    assert calls[0] == (_levels_upto(first + 1), 55)
+    spent = sum(n * rows for n, rows in calls)
+    _cold_plans()
+    calls.clear()
+    distributions.mgf_logderiv_im(d, re, im)
+    assert sum(n * rows for n, rows in calls) == spent
+    # the depth of a repeated grid settles where its lowest row stops
+    for _ in range(10):
+        distributions.mgf_logderiv_im(d, re, im)
+    low = min(_stop_level(r.n_evals) for r in out[-1])
+    assert low < max(_stop_level(r.n_evals) for r in out[-1])
+    calls.clear()
+    distributions.mgf_logderiv_im(d, re, im)
+    assert calls[0] == (_levels_upto(low), 55)
+
+
+def test_unconsumed_non_finite_levels_do_not_raise():
+    # e^{-t} converges before level 8; with the depth at 8, levels past
+    # its stop are evaluated but not reached, and non-finite values in
+    # their core change nothing; on a level it reaches they still raise
+    first = tanhsinh.FIRST_LEVEL
+
+    def poisoned(levels):
+        # e^{-t}, but NaN on the core nodes (|x| < 1) of these levels
+        bad = [np.empty(0)]
+        for k in levels:
+            x, h, t, jac = tanhsinh.de_level("exp", 6.5, k)
+            bad.append(t[np.abs(x) < 1.0])
+        bad = np.concatenate(bad)
+
+        def weight(t, rows):
+            return np.where(np.isin(t, bad), np.nan, np.exp(-t))
+        return weight
+
+    def run(weight, depth):
+        piece = half_line_piece(6.5, {})
+        piece.level(8)
+        piece.depth = depth
+        return integrate_pieces([piece], weight, 1, tol=1e-10)[0]
+
+    clean = run(poisoned([]), first)
+    stop = _stop_level(clean.n_evals)
+    assert first < stop < 8
+    assert run(poisoned(range(stop + 1, 9)), 8) == clean
+    for depth in (first, stop, 8):
+        with pytest.raises(DomainError):
+            run(poisoned([stop]), depth)

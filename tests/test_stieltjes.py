@@ -167,7 +167,7 @@ def test_contour_ray_points_have_positive_real_part():
         terms = e.terms(rec.p)
         if not any(tm.frequency > 0.0 for tm in terms):
             continue
-        pieces = oscillatory._pieces(terms, lambda t: e.kernel(rec.p, t), {})
+        pieces = oscillatory._pieces(terms, lambda t: e.kernel(rec.p, t))
         (ray,) = [pc for pc in pieces if pc.name == "ray"]
         for level in range(tanhsinh.FIRST_LEVEL, tanhsinh.MAX_LEVEL + 1):
             # a build runs with floating-point warnings off, as in
@@ -611,6 +611,11 @@ def _counting_kernel(monkeypatch, name):
     return calls
 
 
+def _planned_levels(rec) -> list:
+    """(x, h, t, a) of every level in the record's plan, piece by piece."""
+    return [step for piece in rec._plan["pieces"] for step in piece.steps]
+
+
 def test_kernel_memo_reuses_node_sets(monkeypatch):
     # the contour plan holds each head level's kernel values: one kernel
     # call per planned head level
@@ -618,8 +623,8 @@ def test_kernel_memo_reuses_node_sets(monkeypatch):
     used, unused = make_identity("IK_EQUAL"), make_identity("IK_EQUAL")
     used.stieltjes_rhs(1.0)
     first = len(calls)
-    heads = [key for key in used._plan if key[0] == "head"]
-    assert first == len(heads) > 0
+    head = used._plan["pieces"][0]
+    assert head.name == "head" and first == len(head.steps) > 0
     # z = 10 converges on a prefix of the z = 1 levels
     used.stieltjes_rhs(10.0)
     used.stieltjes_rhs(1.0)
@@ -629,7 +634,7 @@ def test_kernel_memo_reuses_node_sets(monkeypatch):
     assert used == unused and hash(used) == hash(unused)
     assert repr(used) == repr(unused)
     # stored arrays cannot be changed through a weight
-    for x, h, t, a in used._plan.values():
+    for x, h, t, a in _planned_levels(used):
         for m in (x, t, a):
             assert not m.flags.writeable
             with pytest.raises(ValueError):
@@ -648,13 +653,13 @@ def test_kernel_memo_reuses_exp_sinh_node_sets(monkeypatch):
     used = make_identity("TRICOMI_RATIO")
     used.stieltjes_rhs(1.0)
     first = len(calls)
-    assert first == len(used._plan) > 0
-    assert {key[0] for key in used._plan} == {"half-line"}
+    assert first == len(_planned_levels(used)) > 0
+    assert [p.name for p in used._plan["pieces"]] == ["half-line"]
     used.stieltjes_rhs(1.0)
     assert len(calls) == first
     used.stieltjes_rhs(10.0)
-    assert len(calls) == len(used._plan)
-    for x, h, t, a in used._plan.values():
+    assert len(calls) == len(_planned_levels(used))
+    for x, h, t, a in _planned_levels(used):
         for m in (x, t, a):
             assert not m.flags.writeable
     # an equal record shares the plan
@@ -666,6 +671,7 @@ def test_plan_warm_z_calls_no_kernel_and_no_hankel(monkeypatch):
     rec = make_identity("IK_EQUAL")
     rec.stieltjes_rhs(1.0)
     planned = dict(rec._plan)
+    n_levels = len(_planned_levels(rec))
     hankel = []
     for fn in ("hankel1e", "hankel2e"):
         monkeypatch.setattr(oscillatory._sp, fn,
@@ -678,6 +684,7 @@ def test_plan_warm_z_calls_no_kernel_and_no_hankel(monkeypatch):
     # the warm calls read the plan and add nothing to it
     assert rec._plan.keys() == planned.keys()
     assert all(rec._plan[k] is planned[k] for k in planned)
+    assert len(_planned_levels(rec)) == n_levels
 
 
 @pytest.mark.parametrize("name", ("IK_EQUAL", "TRICOMI_RATIO"))
@@ -722,6 +729,18 @@ def test_product_rhs_runs_once_per_parameter_set(name, monkeypatch):
     # other parameters evaluate their own right side
     make_identity(name, x=1.1).stieltjes_rhs(1.0)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_product_rows_are_separate_objects(name):
+    # every z of an array call gets its own copy of the right side: a
+    # change to one row's info shows in no other row and not in the plan
+    rows = make_identity(name).stieltjes_rhs(np.array([1.0, 2.0, 3.0]))
+    assert rows[0] == rows[1] == rows[2]
+    assert rows[0] is not rows[1] and rows[0].info is not rows[1].info
+    rows[0].info["x"] = 1.0
+    assert "x" not in rows[1].info and "x" not in rows[2].info
+    assert "x" not in make_identity(name).stieltjes_rhs(1.0).info
 
 
 def test_plan_and_product_memos_are_bounded():
