@@ -157,13 +157,12 @@ def integrate_oscillatory(weight, terms, kernel, tol: float = 1e-7,
 
     weight is called on real and complex t (see the module docstring);
     kernel only on real t, in (0, u0^2] when there are terms.  plan
-    keeps, under "pieces", every value but the weight's across calls
-    with the same terms and kernel (u0, the ray/tail split, the levels:
-    see tanhsinh.Piece).  The error estimate and info["reason"] are
-    those of tanhsinh.integrate_pieces.  With n_rows, weight(t) has one
-    row per integrand, shape (n_rows, t.size) (or (t.size,) for one),
-    and the result is a QuadRows whose row i equals the one-row call on
-    weight row i, bit for bit.
+    keeps every value but the weight's across calls with the same terms
+    and kernel, in its "pieces" (tanhsinh.Piece).  The error estimate
+    and info["reason"] are those of tanhsinh.integrate_pieces.  With
+    n_rows, weight(t) has one row per integrand, shape (n_rows, t.size)
+    (or (t.size,) for one), and the result is a QuadRows whose row i
+    equals the one-row call on weight row i, bit for bit.
     """
     plan = {} if plan is None else plan
     if "pieces" not in plan:

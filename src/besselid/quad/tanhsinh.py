@@ -96,12 +96,10 @@ class Piece:
 
     def run(self, last: int) -> tuple:
         """(t, a, ends): levels FIRST_LEVEL..last as views of the table,
-        FIRST_LEVEL + i at ends[i]:ends[i + 1], joined (the levels
-        becoming its views) when it has fewer; one level is its own."""
-        x, h, t, a = self.level(last)
+        FIRST_LEVEL + i at ends[i]:ends[i + 1], joined from the built
+        levels (which become its views) when it has fewer."""
+        self.level(last)
         n = last - FIRST_LEVEL + 1
-        if n == 1:
-            return t, a, (0, t.size)
         if len(self.table[2]) <= n:
             t, a = (np.concatenate([s[i] for s in self.steps]) for i in (2, 3))
             t.setflags(write=False)
@@ -168,11 +166,11 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
     A piece of a row drops out at the level where its last difference
     is within the row's budget, and a row stops when all its pieces
     have, so row i equals the one-row call on its integrand, bit for
-    bit; the level bookkeeping runs per row in Python floats.  A piece's
-    weight runs once for all rows on its run (Piece.run) to its depth,
-    then per level for the live rows; each level is summed alone, and
-    one that a row does not reach is neither counted nor checked.  The
-    depth moves to the lowest level the piece stopped at in a row, but
+    bit; the level bookkeeping runs per row in Python floats.  A warm
+    piece's weight runs once for all rows on its run (Piece.run) up to
+    its depth, then per level for the live rows; each level is summed
+    alone, and one a row does not reach is neither counted nor checked.
+    The depth moves to the lowest level the piece stopped at in a row,
     up by one level at most.
 
     The error estimate is the sum of the last differences plus a
@@ -190,16 +188,19 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
     mass = [[0.0] * n_pieces for _ in range(n_rows)]
     diff = [[0.0] * n_pieces for _ in range(n_rows)]
     n_evals, budget = [0] * n_rows, [0.0] * n_rows
-    # per piece, its live rows and its run: the real part over |v| of
-    # its values v for all rows (one reduction sums both) and the offsets
+    # per piece, its live rows and its run (none on a cold piece): the
+    # real part over |v| of its values v for all rows (one reduction
+    # sums both) and the levels' offsets
     live = [list(range(n_rows)) for _ in pieces]
     runs = []
     for piece in pieces:
-        t, a, ends = piece.run(min(piece.depth, max_level))
-        v = (a * weight(t, live[0])).reshape(n_rows, t.size)
-        parts = np.empty((2, n_rows, t.size))
-        parts[0] = v.real
-        np.abs(v, out=parts[1])
+        parts, ends = None, ()
+        if piece.depth > FIRST_LEVEL:
+            t, a, ends = piece.run(min(piece.depth, max_level))
+            v = (a * weight(t, live[0])).reshape(n_rows, t.size)
+            parts = np.empty((2, n_rows, t.size))
+            parts[0] = v.real
+            np.abs(v, out=parts[1])
         runs.append((parts, ends))
         piece.depth = min(piece.depth + 1, max_level)
     level = FIRST_LEVEL
@@ -210,20 +211,20 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
             if not on:
                 continue
             x, h, t, a = piece.level(level)
-            # the level's columns in parts, and the row at of each live row
+            # the level's sums, and the row at of each live row in them
+            at = on
             if i + 1 < len(ends):
-                cols, at = slice(ends[i], ends[i + 1]), on
-            else:
+                sums, masses = np.add.reduce(
+                    parts[..., ends[i]:ends[i + 1]], -1).tolist()
+            # past the run, or a non-finite value on it (a finite sum of
+            # |v| has none): the live rows on this level alone
+            if i + 1 >= len(ends) or not math.isfinite(sum(masses)):
                 v = (a * weight(t, on)).reshape(len(on), x.size)
-                cols, at = slice(None), range(len(on))
-                parts = np.array((v.real, np.abs(v)))
-            sums, masses = np.add.reduce(parts[..., cols], -1).tolist()
-            # a finite sum of |v| has no non-finite term to look for
-            if not math.isfinite(sum(masses)):
-                v = _tails_zeroed((a * weight(t, on)).reshape(
-                    len(on), x.size), x, piece.x_max)
-                at, parts = range(len(on)), np.array((v.real, np.abs(v)))
-                sums, masses = np.add.reduce(parts, -1).tolist()
+                masses = np.add.reduce(np.abs(v), -1).tolist()
+                if not math.isfinite(sum(masses)):
+                    v = _tails_zeroed(v, x, piece.x_max)
+                    masses = np.add.reduce(np.abs(v), -1).tolist()
+                sums, at = np.add.reduce(v.real, -1).tolist(), range(len(on))
             for r, j in zip(on, at):
                 val, mas = value[r], mass[r]
                 new = 0.5 * val[k] + h * sums[j]
@@ -235,11 +236,10 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
                 floor = _ROUNDING * sum(mass[r])
                 budget[r] = max(tol * abs(sum(value[r])) - floor,
                                 floor) / n_pieces
-            live, old = [[r for r in on if diff[r][k] > budget[r]]
-                         for k, on in enumerate(live)], live
-            for piece, on, was in zip(pieces, live, old):
-                if len(on) < len(was):
-                    piece.depth = min(piece.depth, level)
+            for k, on in enumerate(live):
+                live[k] = [r for r in on if diff[r][k] > budget[r]]
+                if len(live[k]) < len(on):
+                    pieces[k].depth = min(pieces[k].depth, level)
         if not any(live) or level == max_level:
             break
         level += 1
