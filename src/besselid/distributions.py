@@ -22,7 +22,8 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError, UnsupportedVariantError
-from .quad.tanhsinh import half_line_piece, integrate_pieces, spec_plan
+from .quad.tanhsinh import (half_line_piece, integrate_pieces, run_ends,
+                            spec_plan)
 from .smoothfn import (CauchyLadder, Ladder, PowerLadder, RationalLadder,
                        StieltjesLadder, k_ratio_ladder)
 from .specfun import _bessel_scaled, _tricomi_complex, tricomi_psi
@@ -445,17 +446,22 @@ def log_pdf(d, x):
 
 def pdf(d, x):
     """Density of d at x > 0.  A read-only 1-d float array (a node table
-    of the quadrature, see tanhsinh.de_level) is answered from d's plan
-    (spec_plan), keyed by the nodes' bytes, so every Laplace point and
-    every row on one table shares one evaluation; the values are the
+    of the quadrature, see tanhsinh.de_level, or a run of them, see
+    tanhsinh.run_ends) is answered level by level from d's plan
+    (spec_plan), keyed by each level's bytes, so every Laplace point and
+    every row on one level shares one evaluation; the values are the
     same bits as a fresh evaluation, and read-only."""
     if (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == float
             and not x.flags.writeable):
-        plan, key = spec_plan(d), x.tobytes()
-        v = plan.get(key)
-        if v is None:
-            v = plan[key] = np.exp(log_pdf(d, x))
-            v.setflags(write=False)
+        plan, ends, out = spec_plan(d), run_ends(x.size), []
+        for i, j in zip(ends, ends[1:]):
+            key = x[i:j].tobytes()
+            if key not in plan:
+                plan[key] = np.exp(log_pdf(d, x[i:j]))
+                plan[key].setflags(write=False)
+            out.append(plan[key])
+        v = out[0] if len(out) == 1 else np.concatenate(out)
+        v.setflags(write=False)
         return v
     return np.exp(log_pdf(d, x))
 

@@ -104,15 +104,7 @@ def _hankel_scaled(kind: int, nu: float, x):
 def _pieces(terms: list, kernel) -> list:
     if not terms:
         return [half_line_piece(_ES_MAX, {}, kernel)]
-    if min(tm.frequency for tm in terms) < 0.0:
-        raise DomainError("integrate_oscillatory needs net frequencies >= 0")
-    # u0 = 2 pi over the smallest Hankel scale or frequency: past it
-    # every Hankel factor is in its oscillatory regime, so the terms
-    # carry no cancelling singular parts
-    scales = [s for tm in terms for _, _, s, _ in tm.factors] \
-        + [abs(tm.omega) for tm in terms]
-    scales = [s for s in scales if s > 0.0]
-    u0 = 2.0 * np.pi / min(scales) if scales else 1.0
+    u0 = _head_length(terms)
 
     def head(level):
         x, h, u, jac = tanh_sinh_level(0.0, u0, _TS_MAX, level)
@@ -149,6 +141,16 @@ def _pieces(terms: list, kernel) -> list:
     return out
 
 
+def _head_length(terms) -> float:
+    """u0 = 2 pi over the smallest Hankel scale or frequency: past it
+    every Hankel factor is in its oscillatory regime, so the terms
+    carry no cancelling singular parts."""
+    scales = [s for tm in terms for _, _, s, _ in tm.factors] \
+        + [abs(tm.omega) for tm in terms]
+    scales = [s for s in scales if s > 0.0]
+    return 2.0 * np.pi / min(scales) if scales else 1.0
+
+
 def integrate_oscillatory(weight, terms, kernel, tol: float = 1e-7,
                           plan: dict = None, n_rows: int = None):
     """Integral of kernel(t) * weight(t) over (0, oo), where
@@ -158,14 +160,20 @@ def integrate_oscillatory(weight, terms, kernel, tol: float = 1e-7,
     weight is called on real and complex t (see the module docstring);
     kernel only on real t, in (0, u0^2] when there are terms.  plan
     keeps every value but the weight's across calls with the same terms
-    and kernel, in its "pieces" (tanhsinh.Piece).  The error estimate
-    and info["reason"] are those of tanhsinh.integrate_pieces.  With
-    n_rows, weight(t) has one row per integrand, shape (n_rows, t.size)
-    (or (t.size,) for one), and the result is a QuadRows whose row i
-    equals the one-row call on weight row i, bit for bit.
+    and kernel, in its "pieces" (tanhsinh.Piece); terms may be a
+    function returning them, called only when plan has no pieces.  The
+    error estimate and info["reason"] are those of
+    tanhsinh.integrate_pieces.  With n_rows, weight(t) has one row per
+    integrand, shape (n_rows, t.size) (or (t.size,) for one), and the
+    result is a QuadRows whose row i equals the one-row call on weight
+    row i, bit for bit.
     """
     plan = {} if plan is None else plan
     if "pieces" not in plan:
+        terms = terms() if callable(terms) else terms
+        if terms and min(tm.frequency for tm in terms) < 0.0:
+            raise DomainError(
+                "integrate_oscillatory needs net frequencies >= 0")
         plan["pieces"] = _pieces(terms, kernel)
     n = n_rows or 1
     out = integrate_pieces(plan["pieces"], lambda t, rows: weight(t)

@@ -72,44 +72,57 @@ class Piece:
     built once by build(level), the nodes x, the step h, the points t
     and the weight-free factor a (Jacobian times kernel or Hankel-term
     values): the level's sum for a row is h * Re sum a weight(t, row).
-    table holds them joined (run); depth ends the next call's run."""
+    table joins the levels' t and a (run); depth ends the next run."""
 
     name: str
     x_max: float
     build: object
     steps: list = field(default_factory=list)
-    table: tuple = (None, None, [0])
+    table: tuple = (np.empty(0), None, [0])
     depth: int = FIRST_LEVEL
 
     def level(self, level: int) -> tuple:
         """(x, h, t, a) of one level, built on first use: t and a
-        read-only, a's non-finite tail values zeroed.  An integrand
-        receives this t itself (or a view of the table), so a read-only
-        node table is what it sees on every call."""
+        read-only (views of the table once it holds them), a's
+        non-finite tail values zeroed.  An integrand receives this t, so
+        a read-only node table is what it sees on every call."""
         while len(self.steps) <= level - FIRST_LEVEL:
             x, h, t, a = self.build(FIRST_LEVEL + len(self.steps))
             a = _tails_zeroed(a, x, self.x_max)
             t.setflags(write=False)
             a.setflags(write=False)
             self.steps.append((x, h, t, a))
-        return self.steps[level - FIRST_LEVEL]
+        x, h, t, a = self.steps[level - FIRST_LEVEL]
+        if t is None:
+            t, a, ends = self.table
+            i, j = ends[level - FIRST_LEVEL:level - FIRST_LEVEL + 2]
+            t, a = t[i:j], a[i:j]
+        return x, h, t, a
 
     def run(self, last: int) -> tuple:
-        """(t, a, ends): levels FIRST_LEVEL..last as views of the table,
-        FIRST_LEVEL + i at ends[i]:ends[i + 1], joined from the built
-        levels (which become its views) when it has fewer."""
-        self.level(last)
-        n = last - FIRST_LEVEL + 1
-        if len(self.table[2]) <= n:
-            t, a = (np.concatenate([s[i] for s in self.steps]) for i in (2, 3))
+        """(t, a, ends) of the levels FIRST_LEVEL..last, level
+        FIRST_LEVEL + i at ends[i]:ends[i + 1] of the table (run_ends),
+        joined from every built level when it holds fewer."""
+        n = last - FIRST_LEVEL + 2
+        if len(self.table[2]) < n:
+            self.level(last)
+            t, a = (np.concatenate([self.level(k)[i] for k in range(
+                FIRST_LEVEL, FIRST_LEVEL + len(self.steps))]) for i in (2, 3))
             t.setflags(write=False)
             a.setflags(write=False)
-            ends = np.cumsum([0] + [s[2].size for s in self.steps]).tolist()
-            self.steps = [(s[0], s[1], t[i:j], a[i:j])
-                          for s, i, j in zip(self.steps, ends, ends[1:])]
-            self.table = t, a, ends
+            self.table = t, a, run_ends(t.size)
+            self.steps = [(x, h, None, None) for x, h, _, _ in self.steps]
         t, a, ends = self.table
-        return t[:ends[n]], a[:ends[n]], ends[:n + 1]
+        return t[:ends[n - 1]], a[:ends[n - 1]], ends[:n]
+
+
+def run_ends(n: int) -> list:
+    """Offsets of the levels in a run of n nodes (Piece.run), level
+    FIRST_LEVEL + i at ends[i]:ends[i + 1]; [0, n] for one level."""
+    ends = [0]
+    while ends[-1] < n:
+        ends.append(2 ** (FIRST_LEVEL + len(ends)) + 1)
+    return ends if ends[-1] == n > 0 else [0, n]
 
 
 def _tails_zeroed(v, x, x_max: float):
@@ -142,11 +155,10 @@ def spec_plan(spec) -> dict:
     distribution, variant or MLSumLadder): what is computed once for
     it, memoised by value for the last 64 specs.  Keys: "pieces" the
     contour engine's pieces (integrate_oscillatory) and "half-line" an
-    exp-sinh piece, each with its table and depth (Piece); "terms" a
-    record's Hankel terms; "phi'" the phi' ladder
-    (idtests.neg_logderiv_ladder); "L(0+)" L at x = 1e-16
-    (idtests._normalization_gate); "rhs" a product identity's right
-    side; a node table's bytes the read-only density on it
+    exp-sinh piece, each with its levels' table and depth (Piece);
+    "phi'" the phi' ladder (idtests.neg_logderiv_ladder); "L(0+)" L at
+    x = 1e-16 (idtests._normalization_gate); "rhs" a product identity's
+    right side; a level's node bytes the read-only density on it
     (distributions.pdf); "roots", "moments", "tail0", "hurwitz" an
     MLSumLadder's tables (MLSumLadder._plan).  One
     spec_plan.cache_clear() drops all of it."""
@@ -166,12 +178,14 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
     A piece of a row drops out at the level where its last difference
     is within the row's budget, and a row stops when all its pieces
     have, so row i equals the one-row call on its integrand, bit for
-    bit; the level bookkeeping runs per row in Python floats.  A warm
-    piece's weight runs once for all rows on its run (Piece.run) up to
-    its depth, then per level for the live rows; each level is summed
-    alone, and one a row does not reach is neither counted nor checked.
-    The depth moves to the lowest level the piece stopped at in a row,
-    up by one level at most.
+    bit; the level bookkeeping runs per row in Python floats.  In a
+    one-row call a piece's weight runs once on its run of levels up to
+    its depth (Piece.run), then per level; a level of the run that the
+    row does not reach is neither counted nor checked.  (Many rows hold
+    more values than one level's at once, and a level's weight call
+    costs them its arithmetic more than its overhead.)  Every call
+    moves the depth up by one level at most, and to the lowest level
+    the piece stopped at in a row.
 
     The error estimate is the sum of the last differences plus a
     rounding floor, 64 eps times the integral of |integrand| along the
@@ -188,17 +202,16 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
     mass = [[0.0] * n_pieces for _ in range(n_rows)]
     diff = [[0.0] * n_pieces for _ in range(n_rows)]
     n_evals, budget = [0] * n_rows, [0.0] * n_rows
-    # per piece, its live rows and its run (none on a cold piece): the
-    # real part over |v| of its values v for all rows (one reduction
-    # sums both) and the levels' offsets
+    # per piece, its live rows and its run: the real part over |v| of
+    # its values v (one reduction sums both) and the levels' offsets
     live = [list(range(n_rows)) for _ in pieces]
     runs = []
     for piece in pieces:
         parts, ends = None, ()
-        if piece.depth > FIRST_LEVEL:
+        if n_rows == 1 and piece.depth > FIRST_LEVEL:
             t, a, ends = piece.run(min(piece.depth, max_level))
-            v = (a * weight(t, live[0])).reshape(n_rows, t.size)
-            parts = np.empty((2, n_rows, t.size))
+            v = (a * weight(t, [0])).reshape(1, t.size)
+            parts = np.empty((2, 1, t.size))
             parts[0] = v.real
             np.abs(v, out=parts[1])
         runs.append((parts, ends))
@@ -210,26 +223,26 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
                 zip(pieces, live, runs)):
             if not on:
                 continue
-            x, h, t, a = piece.level(level)
-            # the level's sums, and the row at of each live row in them
-            at = on
+            # the level's sums from the run, or past it or on a non-finite
+            # value (a finite sum of |v| has none) from the level alone
+            masses = [math.nan]
             if i + 1 < len(ends):
+                x, h = piece.steps[i][:2]
                 sums, masses = np.add.reduce(
                     parts[..., ends[i]:ends[i + 1]], -1).tolist()
-            # past the run, or a non-finite value on it (a finite sum of
-            # |v| has none): the live rows on this level alone
-            if i + 1 >= len(ends) or not math.isfinite(sum(masses)):
+            if not math.isfinite(sum(masses)):
+                x, h, t, a = piece.level(level)
                 v = (a * weight(t, on)).reshape(len(on), x.size)
-                masses = np.add.reduce(np.abs(v), -1).tolist()
-                if not math.isfinite(sum(masses)):
+                masses = np.abs(v).sum(axis=-1).tolist()
+                if not all(map(math.isfinite, masses)):
                     v = _tails_zeroed(v, x, piece.x_max)
-                    masses = np.add.reduce(np.abs(v), -1).tolist()
-                sums, at = np.add.reduce(v.real, -1).tolist(), range(len(on))
-            for r, j in zip(on, at):
+                    masses = np.abs(v).sum(axis=-1).tolist()
+                sums = v.real.sum(axis=-1).tolist()
+            for r, s, m in zip(on, sums, masses):
                 val, mas = value[r], mass[r]
-                new = 0.5 * val[k] + h * sums[j]
+                new = 0.5 * val[k] + h * s
                 diff[r][k] = abs(new - val[k])
-                val[k], mas[k] = new, 0.5 * mas[k] + h * masses[j]
+                val[k], mas[k] = new, 0.5 * mas[k] + h * m
                 n_evals[r] += x.size
         if level > FIRST_LEVEL:
             for r in set().union(*live):

@@ -473,12 +473,10 @@ class IdentityRecord:
         engine: contour rotation of the entry's Hankel terms, or the
         whole half line by exp-sinh where it lists none; with n_rows,
         one row per row of weight(t) (see integrate_oscillatory)."""
-        e, plan = self._entry(), self._plan
-        if "terms" not in plan:
-            plan["terms"] = e.terms(self.p)
-        return integrate_oscillatory(weight, plan["terms"],
+        e = self._entry()
+        return integrate_oscillatory(weight, lambda: e.terms(self.p),
                                      lambda t: e.kernel(self.p, t),
-                                     tol=tol, plan=plan, n_rows=n_rows)
+                                     tol=tol, plan=self._plan, n_rows=n_rows)
 
     def measure_density(self, t):
         """Density recovered by Perron-Stieltjes inversion of the LHS.

@@ -511,38 +511,38 @@ def test_warm_one_piece_call_makes_one_weight_call(monkeypatch):
 
 
 def test_depth_follows_the_lowest_stop_up_by_one_level(monkeypatch):
-    # a deep one-row call on a cold plan moves the depth up by one
-    # level only, so the 55-row call after it evaluates every row on the
-    # first two levels at once, as it would on a cold plan, and no point
-    # of a level that some row does not reach; repeated, the many-row
-    # call's run ends at the lowest level at which a row stopped
+    # deep one-row calls raise the depth by one level each, up to where
+    # they stop; a 55-row call has no run, so it evaluates what it does
+    # on a cold plan however deep the calls before it went, and leaves
+    # the depth at its lowest row's stop at most, where the next
+    # one-row call's run ends
     calls, out = _counting_weights(monkeypatch, distributions)
     d = DIST_KINDS["gammaquot"](*DIST_DEFAULTS["gammaquot"])
     grid = [(float(x), float(y)) for x in np.linspace(-5.0, 5.0, 11)
             for y in np.linspace(0.25, 5.0, 5)]
     re, im = (np.array(v) for v in zip(*grid))
-    deep = (-5.0, 0.25)
-    distributions.mgf_logderiv_im(d, *np.array([deep]).T)
-    first = tanhsinh.FIRST_LEVEL
-    assert calls[0] == (_levels_upto(first), 1) and len(calls) > 5
-    piece = d._plan["half-line"]
-    assert piece.depth == first + 1
-    calls.clear()
     distributions.mgf_logderiv_im(d, re, im)
-    assert calls[0] == (_levels_upto(first + 1), 55)
-    spent = sum(n * rows for n, rows in calls)
-    _cold_plans()
+    cold = sorted(calls)
+    stops = [_stop_level(r.n_evals) for r in out[-1]]
+    low, high = min(stops), max(stops)
+    assert low + 2 < high
+    deep = np.array([grid[stops.index(high)]]).T
+    for n in (1, 3, high - tanhsinh.FIRST_LEVEL + 2):
+        _cold_plans()
+        for _ in range(n):
+            distributions.mgf_logderiv_im(d, *deep)
+        piece = d._plan["half-line"]
+        assert piece.depth == min(tanhsinh.FIRST_LEVEL + n, high)
+        for _ in range(3):
+            calls.clear()
+            distributions.mgf_logderiv_im(d, re, im)
+            assert sorted(calls) == cold
+            assert piece.depth <= low
+    depth = piece.depth
     calls.clear()
-    distributions.mgf_logderiv_im(d, re, im)
-    assert sum(n * rows for n, rows in calls) == spent
-    # the depth of a repeated grid settles where its lowest row stops
-    for _ in range(10):
-        distributions.mgf_logderiv_im(d, re, im)
-    low = min(_stop_level(r.n_evals) for r in out[-1])
-    assert low < max(_stop_level(r.n_evals) for r in out[-1])
-    calls.clear()
-    distributions.mgf_logderiv_im(d, re, im)
-    assert calls[0] == (_levels_upto(low), 55)
+    distributions.mgf_logderiv_im(d, *deep)
+    assert calls[0] == (_levels_upto(depth), 1)
+    assert piece.depth == depth + 1
 
 
 def test_unconsumed_non_finite_levels_do_not_raise():

@@ -613,7 +613,9 @@ def _counting_kernel(monkeypatch, name):
 
 def _planned_levels(rec) -> list:
     """(x, h, t, a) of every level in the record's plan, piece by piece."""
-    return [step for piece in rec._plan["pieces"] for step in piece.steps]
+    return [piece.level(k) for piece in rec._plan["pieces"]
+            for k in range(tanhsinh.FIRST_LEVEL,
+                           tanhsinh.FIRST_LEVEL + len(piece.steps))]
 
 
 def test_kernel_memo_reuses_node_sets(monkeypatch):
