@@ -102,18 +102,19 @@ class Piece:
     def run(self, last: int) -> tuple:
         """(t, a, ends) of the levels FIRST_LEVEL..last, level
         FIRST_LEVEL + i at ends[i]:ends[i + 1] of the table (run_ends),
-        joined from every built level when it holds fewer."""
-        n = last - FIRST_LEVEL + 2
-        if len(self.table[2]) < n:
+        joined anew up to last when it holds fewer levels."""
+        n = last - FIRST_LEVEL + 1
+        if len(self.table[2]) <= n:
             self.level(last)
-            t, a = (np.concatenate([self.level(k)[i] for k in range(
-                FIRST_LEVEL, FIRST_LEVEL + len(self.steps))]) for i in (2, 3))
+            t, a = (np.concatenate([self.level(FIRST_LEVEL + k)[i]
+                                    for k in range(n)]) for i in (2, 3))
             t.setflags(write=False)
             a.setflags(write=False)
             self.table = t, a, run_ends(t.size)
-            self.steps = [(x, h, None, None) for x, h, _, _ in self.steps]
+            self.steps[:n] = [(x, h, None, None)
+                              for x, h, _, _ in self.steps[:n]]
         t, a, ends = self.table
-        return t[:ends[n - 1]], a[:ends[n - 1]], ends[:n]
+        return t[:ends[n]], a[:ends[n]], ends[:n + 1]
 
 
 def run_ends(n: int) -> list:
