@@ -65,7 +65,7 @@ def tanh_sinh_level(a: float, b: float, x_max: float, level: int) -> tuple:
             half * _HALF_PI * cosh_x / cosh_s2)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Piece:
     """One path of an integral (a finite interval, the half line, or a
     head, ray or tail of the contour engine).  steps holds per level,
