@@ -182,11 +182,9 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
     bit; the level bookkeeping runs per row in Python floats.  In a
     one-row call a piece's weight runs once on its run of levels up to
     its depth (Piece.run), then per level; a level of the run that the
-    row does not reach is neither counted nor checked.  (Many rows hold
-    more values than one level's at once, and a level's weight call
-    costs them its arithmetic more than its overhead.)  Every call
-    moves the depth up by one level at most, and to the lowest level
-    the piece stopped at in a row.
+    row does not reach is neither counted nor checked.  A call moves
+    the depth up by one level at most, and to the lowest level the
+    piece stopped at in a row.
 
     The error estimate is the sum of the last differences plus a
     rounding floor, 64 eps times the integral of |integrand| along the
