@@ -224,12 +224,12 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
                 continue
             # the level's sums from the run, or past it or on a non-finite
             # value (a finite sum of |v| has none) from the level alone
-            masses = [math.nan]
-            if i + 1 < len(ends):
+            on_run = i + 1 < len(ends)
+            if on_run:
                 x, h = piece.steps[i][:2]
                 sums, masses = np.add.reduce(
                     parts[..., ends[i]:ends[i + 1]], -1).tolist()
-            if not math.isfinite(sum(masses)):
+            if not on_run or not math.isfinite(masses[0]):
                 x, h, t, a = piece.level(level)
                 v = (a * weight(t, on)).reshape(len(on), x.size)
                 masses = np.abs(v).sum(axis=-1).tolist()
