@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, fields
 
@@ -139,18 +140,25 @@ def _from_kind(kinds: dict, kv: dict, what: str):
     kind = kv.pop("kind", None)
     if kind not in kinds:
         raise click.UsageError(f"unknown {what} kind {kind!r}")
-    out = kinds[kind](**{k: float(v) for k, v in kv.items()})
-    kv.clear()
+    return kinds[kind](**_numbers(kv))
+
+
+def _numbers(kv: dict, *keys: str) -> dict:
+    """The values of `keys`, or of every key left when none is named,
+    popped from kv as finite floats."""
+    out = {}
+    for key in keys or list(kv):
+        if key not in kv:
+            raise click.UsageError(f"missing parameter {key}=")
+        text = kv.pop(key)
+        try:
+            out[key] = float(text)
+        except ValueError:
+            out[key] = math.nan
+        if not math.isfinite(out[key]):
+            raise click.UsageError(f"{key} must be a finite number, "
+                                   f"got {text!r}")
     return out
-
-
-def _pop_float(kv: dict, key: str) -> float:
-    if key not in kv:
-        raise click.UsageError(f"missing parameter {key}=")
-    try:
-        return float(kv.pop(key))
-    except ValueError:
-        raise click.UsageError(f"{key} must be a number")
 
 
 # ----------------------------------------------------------------------
@@ -252,8 +260,7 @@ def verify(scope, config_path, **overrides):
 
 
 def _eval_bessel(fn, kv):
-    nu = _pop_float(kv, "nu")
-    x = _pop_float(kv, "x")
+    nu, x = _numbers(kv, "nu", "x").values()
     scaled = kv.pop("scaled", "false").lower() in ("1", "true", "yes")
     if fn in (bessel_i, bessel_k):
         return float(fn(nu, x, scaled=scaled))
@@ -278,29 +285,28 @@ def eval_cmd(name, params):
                   "bessel_i": bessel_i, "bessel_k": bessel_k}[name]
             value = _eval_bessel(fn, kv)
         elif name == "bessel_zero":
-            value = bessel_zero(_pop_float(kv, "nu"), int(_pop_float(kv, "n")))
-        elif name == "tricomi_psi":
-            value = float(tricomi_psi(_pop_float(kv, "a"),
-                                      _pop_float(kv, "c"),
-                                      _pop_float(kv, "x")))
-        elif name == "kummer_m":
-            value = float(kummer_m(_pop_float(kv, "a"), _pop_float(kv, "c"),
-                                   _pop_float(kv, "x")))
+            nu, n = _numbers(kv, "nu", "n").values()
+            if not n.is_integer():
+                raise click.UsageError("n must be a whole number")
+            value = bessel_zero(nu, int(n))
+        elif name in ("tricomi_psi", "kummer_m"):
+            fn = tricomi_psi if name == "tricomi_psi" else kummer_m
+            value = float(fn(*_numbers(kv, "a", "c", "x").values()))
         elif name in ("pdf", "lt"):
-            x = _pop_float(kv, "x")
+            x = _numbers(kv, "x")["x"]
             d = _from_kind(DIST_KINDS, kv, "distribution")
             value = float(pdf(d, x)) if name == "pdf" \
                 else float(laplace_closed(d, x))
         elif name == "ltspec":
-            x = _pop_float(kv, "x")
+            x = _numbers(kv, "x")["x"]
             value = float(lt_value(_from_kind(LT_KINDS, kv, "transform"), x))
         elif name in ("lhs", "kernel"):
             ident = _identity_name(kv.pop("id", ""))
             if ident is None:
                 raise click.UsageError("unknown identity id")
-            point = _pop_float(kv, "z" if name == "lhs" else "t")
-            rec = make_identity(ident, **{k: float(v) for k, v in kv.items()})
-            kv.clear()
+            key = "z" if name == "lhs" else "t"
+            point = _numbers(kv, key)[key]
+            rec = make_identity(ident, **_numbers(kv))
             value = float(rec.lhs_value(point)) if name == "lhs" \
                 else float(rec.kernel_density(point))
         else:
@@ -330,8 +336,7 @@ def profile_cmd(target, params, grid):
     rows = []
     try:
         if _identity_name(target) is not None:
-            rec = make_identity(_identity_name(target),
-                                **{k: float(v) for k, v in kv.items()})
+            rec = make_identity(_identity_name(target), **_numbers(kv))
             lhss, rhss = rec.lhs_value(zs), rec.stieltjes_rhs(zs)
         elif target == "lt":
             d = _from_kind(DIST_KINDS, kv, "distribution")

@@ -3,14 +3,13 @@
 Real arguments on the public surface, but for the complex z that
 `bessel_row` also takes.  Bessel-function zeros of real order are
 computed here (McMahon's expansion, rounded once from a double-double,
-beyond a head of zeros that Newton's method polishes; the low zeros at
-large order are bracketed on a grid and refined by an exact port of
-scipy's Brent root finder) and cached per order.  Every Bessel-product
-left side (the catalog's Stieltjes entries and the Laplace-transform
-variants) is one factor row evaluated by `bessel_row` from scaled I and
-K, so none overflows.  Everything else is delegated to scipy.special
-behind a thin contract that adds domain checking and the scaled-variant
-switches.
+beyond a head of zeros that Newton's method polishes; at large order
+the polish starts the low zeros from brackets scanned on a grid) and
+cached per order.  Every Bessel-product left side (the catalog's
+Stieltjes entries and the Laplace-transform variants) is one factor row
+evaluated by `bessel_row` from scaled I and K, so none overflows.
+Everything else is delegated to scipy.special behind a thin contract
+that adds domain checking and the scaled-variant switches.
 """
 
 from __future__ import annotations
@@ -271,74 +270,9 @@ def _newton_polish(nu: float, x: np.ndarray, moving=None):
     return x, moved
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-             maxiter: int = 100) -> float:
-    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
-
-    A line-for-line port of scipy/optimize/Zeros/brentq.c (scipy,
-    BSD-3-Clause; R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4): the same floating-point steps in the same
-    order, so the result equals scipy.optimize.brentq(f, xa, xb,
-    xtol=xtol, rtol=rtol, maxiter=maxiter) bit for bit.  Unlike scipy it
-    raises ConvergenceError when the bracket does not change sign, when
-    f is NaN, and when maxiter iterations do not converge.
-    """
-
-    def fval(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ConvergenceError(f"brentq: f({x!r}) is NaN")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = fval(xpre), fval(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ConvergenceError(f"brentq: no sign change on [{xa!r}, {xb!r}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fval(xcur)
-    raise ConvergenceError(f"brentq: no convergence in {maxiter} iterations")
-
-
 def _scan_low_zeros(nu: float, count: int) -> np.ndarray:
-    """Bracketed scan for the first `count` zeros (robust at large order).
+    """Midpoints of the sign-change brackets of the first `count` zeros,
+    each bracket no wider than 1, for `_newton_polish` to converge from.
 
     The grid has 40 cells per zero up to McMahon's zero 0.6 nu past
     the last.  Cells narrower than pi hold one zero at most, the gaps
@@ -346,7 +280,10 @@ def _scan_low_zeros(nu: float, count: int) -> np.ndarray:
     large order, would step over the first zeros, crowded within a few
     nu^(1/3) of nu: there the grid ends at Qu and Wong's upper bound on
     j_{nu,count+1} (Trans. AMS 351, 1999), nu + tau nu^(1/3)
-    + (3/10) tau^2 nu^(-1/3) with tau = -a 2^(-1/3), a the zero of Ai."""
+    + (3/10) tau^2 nu^(-1/3) with tau = -a 2^(-1/3), a the zero of Ai.
+    Where the cells are wider than the polish's step clip of 1 (from nu
+    of about 4e5 on), all brackets are halved at once until none is: 11
+    passes at nu = 2e15."""
     lo = max(nu, 1e-6)
     hi = _mcmahon(nu, np.array([count + max(2.0, 0.6 * nu)]))[0]
     if hi - lo > 40 * count * math.pi:
@@ -354,20 +291,25 @@ def _scan_low_zeros(nu: float, count: int) -> np.ndarray:
         hi = nu + tau * nu ** (1 / 3) + 0.3 * tau * tau * nu ** (-1 / 3)
     grid = np.linspace(lo, hi, 40 * count + 1)
     vals = _sp.jv(nu, grid)
+    if np.isnan(vals).any():
+        raise ConvergenceError(f"J_{nu} is NaN on the scan grid")
     sign = np.sign(vals)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    roots = []
-    for i in idx[: count]:
-        roots.append(_brentq(lambda t: _sp.jv(nu, t), grid[i], grid[i + 1],
-                             xtol=1e-14, rtol=8.9e-16))
-    if len(roots) < count:
+    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0][:count]
+    if idx.size < count:
         raise ConvergenceError(f"could not bracket {count} zeros of J_{nu}")
-    return np.asarray(roots)
+    a, b, sa = grid[idx], grid[idx + 1], sign[idx]
+    while np.max(b - a) > 1.0:
+        mid = 0.5 * (a + b)
+        right = np.sign(_sp.jv(nu, mid)) == sa
+        a, b = np.where(right, mid, a), np.where(right, b, mid)
+    return 0.5 * (a + b)
 
 
 def _compute_zeros(nu: float, nmax: int) -> np.ndarray:
     """The first `nmax` zeros: McMahon's expansion beyond the head, and
-    on the head Newton's method from it."""
+    on the head Newton's method from McMahon's zeros or, where the scan
+    replaces them, from its bracket midpoints.  Raises ConvergenceError
+    when a head zero is still moving after the polish's last step."""
     n = np.arange(1.0, nmax + 1.0)
     h = _head_size(nu, nmax)
     x = _mcmahon(nu, n, terms=4)
@@ -385,7 +327,10 @@ def _compute_zeros(nu: float, nmax: int) -> np.ndarray:
         low = _scan_low_zeros(nu, min(h, max(n_low, 2)))
         head[: low.size] = low
         moving[: low.size] = True
-        head, _ = _newton_polish(nu, head, moving)
+        head, moving = _newton_polish(nu, head, moving)
+    if moving.any():
+        raise ConvergenceError(f"zero {np.flatnonzero(moving)[0] + 1} of "
+                               f"J_{nu} still moving after 30 Newton steps")
     x[:h] = head
     if not np.all(np.diff(x) > 0):
         raise ConvergenceError(f"zero sequence of J_{nu} not monotone")

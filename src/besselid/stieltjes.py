@@ -412,12 +412,20 @@ def catalog_names() -> tuple:
     return tuple(_CATALOG)
 
 
+def _entry(name: str) -> _Entry:
+    if name not in _CATALOG:
+        raise ParameterError(f"unknown identity {name!r}; "
+                             f"known: {', '.join(_CATALOG)}")
+    return _CATALOG[name]
+
+
 def default_params(name: str) -> dict:
-    return dict(_CATALOG[name].defaults)
+    return dict(_entry(name).defaults)
 
 
 def tolerance(name: str) -> float:
     """Residual tolerance of the catalog entry `name`; one for all."""
+    _entry(name)
     return _TIGHT
 
 
@@ -579,10 +587,7 @@ class IdentityRecord:
 
 def make_identity(name: str, **params) -> IdentityRecord:
     """Construct a catalog identity, validating the parameter domain."""
-    if name not in _CATALOG:
-        raise ParameterError(f"unknown identity {name!r}; "
-                             f"known: {', '.join(_CATALOG)}")
-    e = _CATALOG[name]
+    e = _entry(name)
     extras = set(params) - set(e.names) - set(e.options)
     if extras:
         raise ParameterError(f"{name} does not take parameters {sorted(extras)}")

@@ -83,6 +83,32 @@ def test_eval_usage_errors(runner):
                                 "a=1", "b=1.5", "x=-1"]).exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["eval", "pdf", "kind=mckay1", "mu=abc", "a=0.5", "b=1.5", "x=1"],
+    ["eval", "lhs", "id=IK_EQUAL", "mu=abc", "z=1"],
+    ["profile", "IK_EQUAL", "mu=abc"],
+    ["eval", "lt", "kind=mckay1", "mu=1", "a=0.5", "b=1.5", "x=nan"],
+    ["eval", "tricomi_psi", "a=1", "c=0.5", "x=inf"],
+    ["eval", "bessel_zero", "nu=0.5", "n=nan"],
+], ids=["kind-param", "identity-param", "profile-param", "point", "special",
+        "zero-index"])
+def test_non_finite_numbers_are_usage_errors(runner, args):
+    # every number passes one parser: text that is not a finite float is
+    # a usage error, not a traceback or a nan printed with exit 0
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2, r.output
+    assert "must be a finite number" in r.output
+
+
+def test_eval_bessel_zero_index_must_be_whole(runner):
+    r = runner.invoke(main, ["eval", "bessel_zero", "nu=0.5", "n=2.7"])
+    assert r.exit_code == 2, r.output
+    assert "whole number" in r.output
+    r = runner.invoke(main, ["eval", "bessel_zero", "nu=0.5", "n=2.0"])
+    assert r.exit_code == 0, r.output
+    assert float(r.output) == pytest.approx(2.0 * np.pi, rel=1e-15)
+
+
 def test_eval_extended_domain_only_for_ik_prod(runner):
     ext = ["z=1", "extended_domain=1"]
     assert runner.invoke(main, ["eval", "lhs", "id=I_EXP"] + ext
@@ -258,7 +284,8 @@ print(json.dumps({"code": code, "optimize": seen,
 
 
 def test_cli_never_imports_scipy_optimize():
-    # a fresh interpreter: the tests import scipy.optimize themselves
+    # a fresh interpreter, so that no module the test session imported
+    # counts
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], cwd=root,
@@ -266,7 +293,8 @@ def test_cli_never_imports_scipy_optimize():
     got = json.loads(proc.stdout)
     assert got["optimize"] == [False, False]
     assert got["code"] == 0
-    # the report ran the bracketed Brent scan (orders above 1)
+    # the report scanned for the low zeros of orders above 1, whose
+    # bracket midpoints Newton's method polishes
     assert {1.1, 1.2} <= set(got["orders"])
 
 

@@ -7,7 +7,6 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy import special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,8 +119,9 @@ def test_zeros_match_mpmath():
 
 @pytest.mark.parametrize("nu", (1.1, 1.2, 3.0, 10.0, 40.0))
 def test_scanned_zeros_match_mpmath(nu):
-    # the first ceil(nu) + 2 zeros come from the bracketed Brent scan,
-    # the others from McMahon's expansion; both polished by Newton
+    # Newton's method starts the first ceil(nu) + 2 zeros from the
+    # midpoints of the scan's sign-change brackets, the others from
+    # McMahon's expansion
     zs = bessel_zeros(nu, 4000)
     k = math.ceil(nu)
     for n in (1, 2, k + 2, k + 3, 100, 4000):
@@ -129,51 +129,19 @@ def test_scanned_zeros_match_mpmath(nu):
                                           rel=1e-14, abs=0.0)
 
 
-def _scipy_brentq(f, xa, xb, xtol, rtol, maxiter=100):
-    return scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol,
-                                 maxiter=maxiter)
-
-
-def test_brentq_is_bit_identical_to_scipy_on_scan_brackets(monkeypatch):
-    port = specfun._brentq
-    brackets = []
-
-    def both(f, xa, xb, xtol, rtol):
-        brackets.append((xa, xb))
-        root = port(f, xa, xb, xtol, rtol)
-        assert root == _scipy_brentq(f, xa, xb, xtol, rtol)
-        return root
-
-    monkeypatch.setattr(specfun, "_brentq", both)
-    for nu in [*np.linspace(0.0, 40.0, 81), 1.1, 1.2]:
-        specfun._scan_low_zeros(float(nu), max(2, math.ceil(nu) + 2))
-    assert len(brackets) > 1000
-
-
-def test_brentq_is_bit_identical_to_scipy_on_rough_functions():
-    # J_nu is so smooth near its zeros that most step choices land on the
-    # same root; cubics plus a fast sine exercise every branch
-    rng = np.random.default_rng(7)
-    xs = np.linspace(-3.0, 3.0, 31)
-    n = 0
-    for c in rng.normal(size=(3000, 4)):
-        def f(x):
-            return c[0] + c[1] * x + c[2] * x**3 + np.sin(5.0 * c[3] * x)
-
-        v = f(xs)
-        for i in np.nonzero(v[:-1] * v[1:] < 0.0)[0]:
-            for xtol, rtol in ((1e-14, 8.9e-16), (1e-6, 1e-6), (1e-2, 1e-3)):
-                n += 1
-                assert specfun._brentq(f, xs[i], xs[i + 1], xtol, rtol) \
-                    == _scipy_brentq(f, xs[i], xs[i + 1], xtol, rtol)
-    assert n > 1000
-
-
-@pytest.mark.parametrize("nu", (0.0, 0.5, 1.1, 1.2, 1.5, 3.0, 10.0, 40.0))
-def test_zeros_unchanged_by_brentq_port(monkeypatch, nu):
-    ours = specfun._compute_zeros(nu, 4000)
-    monkeypatch.setattr(specfun, "_brentq", _scipy_brentq)
-    assert np.array_equal(specfun._compute_zeros(nu, 4000), ours)
+def test_scanned_zero_sweep_matches_mpmath():
+    # seeded orders log-uniform in (1, 250], each at the first two, one
+    # seeded and the last of the ceil(nu) + 2 zeros that Newton's method
+    # starts from the scan's bracket midpoints.  besseljzero's first call
+    # at an order isolates its zeros by bisection, which took 0.45 s at
+    # nu = 200, 9 s at 300 and over 2 minutes at 609
+    rng = np.random.default_rng(11)
+    for nu in np.exp(rng.uniform(0.0, np.log(250.0), 12)):
+        last = math.ceil(nu) + 2
+        zs = bessel_zeros(nu, last)
+        for k in {1, 2, int(rng.integers(1, last + 1)), last}:
+            assert zs[k - 1] == pytest.approx(
+                float(mp.besseljzero(nu, k)), rel=1e-14, abs=0.0), (nu, k)
 
 
 def _full_polish(nu, x, active=None):
@@ -329,22 +297,6 @@ def test_bessel_zeros_are_read_only():
     assert bessel_zeros(0.5, 10)[0] == first
 
 
-def test_brentq_errors_and_endpoint_roots():
-    f = lambda x: x * x - 2.0  # noqa: E731
-    with pytest.raises(ConvergenceError, match="sign"):
-        specfun._brentq(f, 2.0, 3.0, 1e-14, 8.9e-16)
-    with pytest.raises(ConvergenceError, match="iterations"):
-        specfun._brentq(f, 0.0, 3.0, 1e-14, 8.9e-16, maxiter=1)
-    with pytest.raises(ConvergenceError, match="NaN"):
-        specfun._brentq(lambda x: math.nan if x > 1.0 else -1.0, 0.0, 3.0,
-                        1e-14, 8.9e-16)
-    g = lambda x: x - 1.5  # noqa: E731
-    assert specfun._brentq(g, 1.5, 3.0, 1e-14, 8.9e-16) == 1.5
-    assert specfun._brentq(g, 0.0, 1.5, 1e-14, 8.9e-16) == 1.5
-    assert specfun._brentq(f, 0.0, 3.0, 1e-14, 8.9e-16) == pytest.approx(
-        math.sqrt(2.0), rel=1e-15)
-
-
 def test_zeros_increase_with_order():
     for n in (1, 5, 20):
         a = bessel_zero(0.3, n)
@@ -403,6 +355,54 @@ def test_zeros_domain_ends_where_the_scan_stops_bracketing():
     for nu in (np.nextafter(nu, math.inf), 3e15, 1e16):
         with pytest.raises(DomainError, match="finite nu in"):
             bessel_zeros(nu, 64)
+
+
+class _FakeSpecial:
+    """scipy.special with jv and jvp replaceable; `points` records the
+    size of each jv call."""
+
+    def __init__(self, jv=sp.jv, jvp=sp.jvp):
+        self.points = []
+        self._jv, self._jvp = jv, jvp
+
+    def __getattr__(self, name):
+        return getattr(sp, name)
+
+    def jv(self, v, x):
+        self.points.append(np.size(x))
+        return self._jv(v, x)
+
+    def jvp(self, v, x):
+        return self._jvp(v, x)
+
+
+def test_scan_halves_wide_brackets_below_the_step_clip(monkeypatch):
+    # at nu = 2e15 the grid's cells are about 1,800 wide: 11 passes of
+    # one jv call each halve every bracket below the polish's step clip
+    fake = _FakeSpecial()
+    monkeypatch.setattr(specfun, "_sp", fake)
+    mids = specfun._scan_low_zeros(2e15, 64)
+    assert fake.points == [40 * 64 + 1] + [64] * 11
+    # each start lies within one clipped Newton step of its zero
+    assert np.all(np.abs(mids - specfun._compute_zeros(2e15, 64)) <= 1.0)
+
+
+def test_nan_on_the_scan_grid_raises(monkeypatch):
+    monkeypatch.setattr(specfun, "_sp", _FakeSpecial(
+        jv=lambda v, x: np.full(np.shape(x), np.nan)))
+    monkeypatch.setattr(specfun, "_zero_cache", {})
+    with pytest.raises(ConvergenceError, match="NaN on the scan grid"):
+        bessel_zeros(3.0, 64)
+
+
+def test_zero_still_moving_after_the_polish_raises(monkeypatch):
+    # J' of the wrong sign drives every Newton step away from its zero
+    monkeypatch.setattr(specfun, "_sp", _FakeSpecial(
+        jvp=lambda v, x: -sp.jvp(v, x)))
+    monkeypatch.setattr(specfun, "_zero_cache", {})
+    with pytest.raises(ConvergenceError,
+                       match=r"zero 1 of J_3\.0 still moving"):
+        bessel_zeros(3.0, 64)
 
 
 # ----------------------------------------------------------------------
@@ -468,6 +468,21 @@ def test_tricomi_laguerre_regime_outside_the_sweep(a, c, z):
     with mp.workdps(40):
         want = complex(mp.hyperu(a, c, z))
     assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_tricomi_psi_below_five_matches_mpmath_sweep():
+    # the per-point path (scipy hyperu, checked against its Kummer
+    # transform, else the Euler integral) at 300 seeded (a, c, x) with
+    # x log-uniform below the Gauss-Laguerre regime.  The worst draw is
+    # 3.2e-10 off, at a = 2.05, c = -2.84, x = 3.40, where hyperu and
+    # its transform agree within 1e-11 and are both that far off; near
+    # a = 48, x = 0.19 the two agree on values 8.6e-10 off
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        a, c = rng.uniform(0.05, 50.0), rng.uniform(-3.0, 2.0)
+        x = 10.0 ** rng.uniform(-6.0, np.log10(5.0))
+        assert tricomi_psi(a, c, x) == pytest.approx(
+            float(mp.hyperu(a, c, x)), rel=1e-9, abs=0.0), (a, c, x)
 
 
 @pytest.mark.parametrize("a, c", [(0.38, 0.26), (1.18, 1.78)])

@@ -46,6 +46,13 @@ def test_tolerance_classes():
     assert make_identity("KK_RECIP").tol == 1e-7
 
 
+def test_tolerance_rejects_unknown_names():
+    # a misspelt name raises, as make_identity does, not a tolerance
+    for name in ("IK_EQUAl", "ik_equal", ""):
+        with pytest.raises(ParameterError, match="unknown identity"):
+            tolerance(name)
+
+
 def test_residual_detects_kernel_perturbation():
     # a 1% kernel error must surface as a ~1e-2 residual, far above
     # the pass tolerance -- the check has teeth
