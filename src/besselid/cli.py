@@ -58,8 +58,7 @@ class RunConfig:
     def __post_init__(self):
         if not self.tol_tight > 0.0:
             raise ParameterError("the tolerance must be positive")
-        if not (self.grid_n >= 1 and self.grid_hi > self.grid_lo > 0.0):
-            raise ParameterError("grid must be nonempty with 0 < lo < hi")
+        _log_grid(self.grid_lo, self.grid_hi, self.grid_n)
         if not self.max_order >= 1:
             raise ParameterError("max_order must be at least 1")
         if self.fmt not in ("json", "csv"):
@@ -67,8 +66,15 @@ class RunConfig:
 
     @property
     def grid(self):
-        return np.logspace(np.log10(self.grid_lo), np.log10(self.grid_hi),
-                           self.grid_n)
+        return _log_grid(self.grid_lo, self.grid_hi, self.grid_n)
+
+
+def _log_grid(lo: float, hi: float, n: int):
+    """n log-spaced points from lo to hi; ParameterError naming a bad grid."""
+    if not (n >= 1 and 0.0 < lo <= hi < math.inf):
+        raise ParameterError(f"grid {lo:g}:{hi:g}:{n} needs finite "
+                             "0 < lo <= hi and n >= 1")
+    return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
 def _parse_grid(text: str):
@@ -330,11 +336,10 @@ def profile_cmd(target, params, grid):
     integral; for a distribution transform it is the numeric Laplace
     transform of the density.
     """
-    lo, hi, n = _parse_grid(grid)
-    zs = np.logspace(np.log10(lo), np.log10(hi), n)
     kv = _parse_kv(params)
     rows = []
     try:
+        zs = _log_grid(*_parse_grid(grid))
         if _identity_name(target) is not None:
             rec = make_identity(_identity_name(target), **_numbers(kv))
             lhss, rhss = rec.lhs_value(zs), rec.stieltjes_rhs(zs)

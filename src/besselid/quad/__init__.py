@@ -37,7 +37,7 @@ def positive_points(x, what: str) -> np.ndarray:
 def numeric_laplace(f, x, tol: float = 1e-10):
     """Numeric Laplace transform: integral of e^{-x t} f(t) over (0, oo).
     An array x gives a QuadRows from one exp-sinh call on the shared
-    tanhsinh.HALF_LINE, which evaluates f once per run of levels for all
+    tanhsinh.HALF_LINE, which evaluates f once per level for all live
     rows; row i equals the call at x[i]."""
     xs = positive_points(x, "numeric_laplace")
     # one row as a scalar: numpy broadcasts 1-d arrays faster

@@ -181,10 +181,10 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
     have, so row i equals the one-row call on its integrand, bit for
     bit; the level bookkeeping runs per row in Python floats.  In a
     one-row call a piece's weight runs once on its run of levels up to
-    its depth (Piece.run), then per level; a level of the run that the
-    row does not reach is neither counted nor checked.  A call moves
-    the depth up by one level at most, and to the lowest level the
-    piece stopped at in a row.
+    its depth (Piece.run), then per level, and one reduction sums a
+    level of every run; a level of a run that the row does not reach is
+    neither counted nor checked.  A call moves the depth up by one
+    level at most, and to the lowest level the piece stopped at in a row.
 
     The error estimate is the sum of the last differences plus a
     rounding floor, 64 eps times the integral of |integrand| along the
@@ -194,55 +194,78 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
     what double precision resolves on these paths), or no convergence
     by max_level.  Non-finite values count as in _tails_zeroed.
     """
-    n_pieces = len(pieces)
-    # per row, per piece: trapezoid sum, sum of |integrand| and last
-    # difference, from zero at the first level
-    value = [[0.0] * n_pieces for _ in range(n_rows)]
-    mass = [[0.0] * n_pieces for _ in range(n_rows)]
-    diff = [[0.0] * n_pieces for _ in range(n_rows)]
-    n_evals, budget = [0] * n_rows, [0.0] * n_rows
-    # per piece, its live rows and its run: the real part over |v| of
-    # its values v (one reduction sums both) and the levels' offsets
-    live = [list(range(n_rows)) for _ in pieces]
-    runs = []
-    for piece in pieces:
-        parts, ends = None, ()
-        if n_rows == 1 and piece.depth > FIRST_LEVEL:
-            t, a, ends = piece.run(min(piece.depth, max_level))
-            v = (a * weight(t, [0])).reshape(1, t.size)
-            parts = np.empty((2, 1, t.size))
-            parts[0] = v.real
-            np.abs(v, out=parts[1])
-        runs.append((parts, ends))
-        piece.depth = min(piece.depth + 1, max_level)
-    level = FIRST_LEVEL
-    while True:
-        i = level - FIRST_LEVEL
-        for k, (piece, on, (parts, ends)) in enumerate(
-                zip(pieces, live, runs)):
-            if not on:
-                continue
+    if n_rows == 1:
+        return QuadRows([_one_row(pieces, weight, tol, max_level)])
+    return QuadRows(_many_rows(pieces, weight, n_rows, tol, max_level))
+
+
+def _one_row(pieces, weight, tol, max_level) -> QuadResult:
+    n_pieces, row = len(pieces), [0]
+    # per piece: trapezoid sum, sum of |integrand| and last difference
+    value, mass, diff = ([0.0] * n_pieces for _ in range(3))
+    # the warm pieces' runs side by side, zero past each: the real part
+    # over |v| of the values v, each (part, piece) row of a level one
+    # pairwise sum as on the level alone; all offsets prefix the longest
+    runs = [piece.run(min(piece.depth, max_level))
+            if piece.depth > FIRST_LEVEL else None for piece in pieces]
+    n_run = [len(run[2]) - 1 if run else 0 for run in runs]
+    ends = max((run[2] for run in runs if run), key=len, default=[0])
+    stack = np.zeros((2, n_pieces, ends[-1]))
+    for k, run in enumerate(runs):
+        pieces[k].depth = min(pieces[k].depth + 1, max_level)
+        if run:
+            t, a, _ = run
+            v = (a * weight(t, row)).reshape(t.size)
+            stack[0, k, :t.size] = v.real
+            np.abs(v, out=stack[1, k, :t.size])
+    live, n_evals = list(range(n_pieces)), 0
+    for i, level in enumerate(range(FIRST_LEVEL, max_level + 1)):
+        if i + 1 < len(ends):
+            sums, masses = np.add.reduce(
+                stack[..., ends[i]:ends[i + 1]], -1).tolist()
+        for k in live:
             # the level's sums from the run, or past it or on a non-finite
             # value (a finite sum of |v| has none) from the level alone
-            on_run = i + 1 < len(ends)
-            if on_run:
-                x, h = piece.steps[i][:2]
-                sums, masses = np.add.reduce(
-                    parts[..., ends[i]:ends[i + 1]], -1).tolist()
-            if not on_run or not math.isfinite(masses[0]):
-                x, h, t, a = piece.level(level)
-                v = (a * weight(t, on)).reshape(len(on), x.size)
-                masses = np.abs(v).sum(axis=-1).tolist()
-                if not all(map(math.isfinite, masses)):
-                    v = _tails_zeroed(v, x, piece.x_max)
-                    masses = np.abs(v).sum(axis=-1).tolist()
-                sums = v.real.sum(axis=-1).tolist()
+            if i < n_run[k] and math.isfinite(masses[k]):
+                size, h = ends[i + 1] - ends[i], pieces[k].steps[i][1]
+                s, m = sums[k], masses[k]
+            else:
+                size, h, (s,), (m,) = _sums(pieces[k], level, weight, row)
+            new = 0.5 * value[k] + h * s
+            diff[k] = abs(new - value[k])
+            value[k], mass[k] = new, 0.5 * mass[k] + h * m
+            n_evals += size
+        if level > FIRST_LEVEL:
+            floor = _ROUNDING * sum(mass)
+            budget = max(tol * abs(sum(value)) - floor, floor) / n_pieces
+            for k in live:
+                if diff[k] <= budget:
+                    pieces[k].depth = min(pieces[k].depth, level)
+            live = [k for k in live if diff[k] > budget]
+        if not live:
+            break
+    return _result(value, mass, diff, n_evals, tol, max_level)
+
+
+def _many_rows(pieces, weight, n_rows, tol, max_level) -> list:
+    n_pieces = len(pieces)
+    value, mass, diff = ([[0.0] * n_pieces for _ in range(n_rows)]
+                         for _ in range(3))     # per row, as in _one_row
+    n_evals, budget = [0] * n_rows, [0.0] * n_rows
+    live = [list(range(n_rows)) for _ in pieces]     # per piece
+    for piece in pieces:
+        piece.depth = min(piece.depth + 1, max_level)
+    for level in range(FIRST_LEVEL, max_level + 1):
+        for k, (piece, on) in enumerate(zip(pieces, live)):
+            if not on:
+                continue
+            size, h, sums, masses = _sums(piece, level, weight, on)
             for r, s, m in zip(on, sums, masses):
                 val, mas = value[r], mass[r]
                 new = 0.5 * val[k] + h * s
                 diff[r][k] = abs(new - val[k])
                 val[k], mas[k] = new, 0.5 * mas[k] + h * m
-                n_evals[r] += x.size
+                n_evals[r] += size
         if level > FIRST_LEVEL:
             for r in set().union(*live):
                 floor = _ROUNDING * sum(mass[r])
@@ -252,25 +275,37 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
                 live[k] = [r for r in on if diff[r][k] > budget[r]]
                 if len(live[k]) < len(on):
                     pieces[k].depth = min(pieces[k].depth, level)
-        if not any(live) or level == max_level:
+        if not any(live):
             break
-        level += 1
+    return [_result(value[r], mass[r], diff[r], n_evals[r], tol, max_level)
+            for r in range(n_rows)]
 
-    out = []
-    for r in range(n_rows):
-        total, floor = sum(value[r]), _ROUNDING * sum(mass[r])
-        err = sum(diff[r]) + floor
-        converged = err <= tol * abs(total)
-        info = {"mass": floor / _ROUNDING}
-        if not converged:
-            if floor >= 0.5 * tol * abs(total):
-                info["reason"] = (f"{UNRESOLVED}: tol * |value| = "
-                                  f"{tol * abs(total):.3g}, rounding floor "
-                                  f"{floor:.3g}")
-            else:
-                info["reason"] = f"no convergence by level {max_level}"
-        out.append(QuadResult(total, err, n_evals[r], converged, info=info))
-    return QuadRows(out)
+
+def _sums(piece, level: int, weight, on: list) -> tuple:
+    """(nodes, h, real part sums, |value| sums) of one level, per row."""
+    x, h, t, a = piece.level(level)
+    v = (a * weight(t, on)).reshape(len(on), x.size)
+    masses = np.abs(v).sum(axis=-1).tolist()
+    if not all(map(math.isfinite, masses)):
+        v = _tails_zeroed(v, x, piece.x_max)
+        masses = np.abs(v).sum(axis=-1).tolist()
+    return x.size, h, v.real.sum(axis=-1).tolist(), masses
+
+
+def _result(value, mass, diff, n_evals, tol, max_level) -> QuadResult:
+    """One row's QuadResult from its pieces' sums, masses and diffs."""
+    total, floor = sum(value), _ROUNDING * sum(mass)
+    err = sum(diff) + floor
+    converged = err <= tol * abs(total)
+    info = {"mass": floor / _ROUNDING}
+    if not converged:
+        if floor >= 0.5 * tol * abs(total):
+            info["reason"] = (f"{UNRESOLVED}: tol * |value| = "
+                              f"{tol * abs(total):.3g}, rounding floor "
+                              f"{floor:.3g}")
+        else:
+            info["reason"] = f"no convergence by level {max_level}"
+    return QuadResult(total, err, n_evals, converged, info=info)
 
 
 def tanh_sinh_finite(f, a: float, b: float, tol: float = 1e-12,

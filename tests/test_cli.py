@@ -412,6 +412,22 @@ def test_verify_max_order_below_one_is_usage_error(runner, order):
     assert r.exit_code == 2, r.output
 
 
+@pytest.mark.parametrize("grid", ["1:inf:3", "nan:1:3", "0:1:3", "-1:1:3",
+                                  "10:1:3", "1:10:-2", "1:10:0"])
+def test_bad_grid_is_a_usage_error(runner, tmp_path, grid):
+    # one check for verify's flag and config file and for profile: a
+    # non-finite end, lo <= 0, hi < lo or n < 1 is a usage error that
+    # names the grid, not failing rows or a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid = {grid}\n")
+    for args in (["verify", "identities", "--grid", grid],
+                 ["verify", "identities", "--config", str(cfg)],
+                 ["profile", "IK_EQUAL", "--grid", grid]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, (args, r.output)
+        assert f"grid {grid} needs finite" in r.output, args
+
+
 def test_verify_exit_code_is_returned_through_click(capsys):
     # a library caller gets the code back instead of a SystemExit
     code = main(["verify", "idtests", "--only", "landau", "--stable"],

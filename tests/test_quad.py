@@ -1,5 +1,7 @@
 """Quadrature engines: closed-form checks, properties, error honesty."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -551,12 +553,13 @@ def test_unconsumed_non_finite_levels_do_not_raise():
     # their core change nothing; on a level it reaches they still raise
     first = tanhsinh.FIRST_LEVEL
 
-    def poisoned(levels):
-        # e^{-t}, but NaN on the core nodes (|x| < 1) of these levels
+    def poisoned(levels, core=True):
+        # e^{-t}, but NaN on the half line's core nodes (|x| < 1) of
+        # these levels, or on their tails (|x| > 0.75 x_max)
         bad = [np.empty(0)]
         for k in levels:
             x, h, t, jac = tanhsinh.de_level("exp", 6.5, k)
-            bad.append(t[np.abs(x) < 1.0])
+            bad.append(t[np.abs(x) < 1.0 if core else np.abs(x) > 4.875])
         bad = np.concatenate(bad)
 
         def weight(t, rows):
@@ -576,3 +579,39 @@ def test_unconsumed_non_finite_levels_do_not_raise():
     for depth in (first, stop, 8):
         with pytest.raises(DomainError):
             run(poisoned([stop]), depth)
+
+    # two pieces, the half line and [0, 1], both with runs to level 8
+    # and only the half line poisoned: a call from depth 8 leaves each
+    # piece's depth at its stop, and the weight calls show that a NaN
+    # on the half line sends no level of [0, 1] past its run
+    calls = []
+
+    def two(weight, depth=8):
+        pieces = [half_line_piece(6.5, {}), tanhsinh.Piece(
+            "unit", 4.0, functools.partial(tanhsinh.tanh_sinh_level,
+                                           0.0, 1.0, 4.0))]
+        for piece in pieces:
+            piece.level(8)
+            piece.depth = depth
+        calls.clear()
+        out = integrate_pieces(
+            pieces, lambda t, rows: calls.append(t) or weight(t, rows), 1,
+            tol=1e-10)[0]
+        return out, [piece.depth for piece in pieces]
+
+    clean, stops = two(poisoned([]))
+    stop = stops[0]
+    assert first < stop < 8 and first < stops[1] < 8
+    assert [t.size for t in calls] == [_levels_upto(8)] * 2
+    assert two(poisoned(range(stop + 1, 9))) == (clean, stops)
+    assert len(calls) == 2
+    # NaN tails on a level both pieces reach: that level alone of the
+    # half line again, its tails zeroed (e^{-t} is below any bit of the
+    # sum there), and [0, 1] still from its run
+    both = min(stops)
+    assert two(poisoned([both], core=False)) == (clean, stops)
+    (again,) = calls[2:]
+    assert np.array_equal(again, tanhsinh.de_level("exp", 6.5, both)[2])
+    for depth in (first, stop, 8):
+        with pytest.raises(DomainError):
+            two(poisoned([stop]), depth)

@@ -603,6 +603,33 @@ def test_rhs_rows_equal_one_z_calls(name):
     assert rows.n_evals == sum(r.n_evals for r in rows)
 
 
+@pytest.mark.parametrize("name", OSCILLATORY)
+def test_warm_multi_piece_runs_equal_the_array_rows(name):
+    # one-z calls on a record whose pieces have runs of unequal depth
+    # sum every piece's levels from one stacked array; each still gives
+    # row i of the array call, field for field, and moves the depths as
+    # a two-row call of the same z, which takes no run, does
+    rows = make_identity(name).stieltjes_rhs(ROW_ZS)
+
+    def warmed():
+        tanhsinh.spec_plan.cache_clear()
+        rec = make_identity(name)
+        for _ in range(12):
+            rec.stieltjes_rhs(1.0)
+        return rec, rec._plan["pieces"]
+
+    rec, pieces = warmed()
+    depths = [p.depth for p in pieces]
+    assert min(depths) > tanhsinh.FIRST_LEVEL and len(set(depths)) > 1
+    got = [(rec.stieltjes_rhs(z), [p.depth for p in pieces])
+           for z in ROW_ZS.tolist()]
+    rec, pieces = warmed()
+    for z, row, (one, after) in zip(ROW_ZS.tolist(), rows, got):
+        assert one == row, (name, z)
+        assert list(rec.stieltjes_rhs(np.array([z, z]))) == [one, one]
+        assert [p.depth for p in pieces] == after, (name, z)
+
+
 def _counting_kernel(monkeypatch, name):
     """Replace the catalog kernel of `name` by one that records the size
     of each node array it is called on."""

@@ -1,6 +1,8 @@
 """The scripts under tools/ import private names of the package: each
-must still import and parse its arguments, and the ladder sweep runs."""
+must still import and parse its arguments, and the ladder sweep and the
+engine counts run."""
 
+import json
 import os
 import subprocess
 import sys
@@ -33,3 +35,15 @@ def test_ladder_sweep_prints_every_bernstein_target():
     assert head.startswith("median ")
     assert [row.split()[0] for row in rows] == [
         label for label, _ in bernstein_targets()]
+
+
+def test_engine_counts_of_the_report():
+    # every point consumed by a row was evaluated by a weight call
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, str(ROOT / "tools/engine_counts.py"),
+                        "report"], env=env, capture_output=True, text=True,
+                       timeout=300)
+    assert r.returncode == 0, r.stderr
+    counts = json.loads(r.stdout)
+    assert counts["weight_calls"] >= counts["engine_calls"] > 0
+    assert counts["points_evaluated"] >= counts["points_consumed"] > 0
