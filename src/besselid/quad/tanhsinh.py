@@ -194,15 +194,16 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
     what double precision resolves on these paths), or no convergence
     by max_level.  Non-finite values count as in _tails_zeroed.
     """
+    if max_level < FIRST_LEVEL:
+        raise DomainError(f"max_level must be at least {FIRST_LEVEL}")
     if n_rows == 1:
         return QuadRows([_one_row(pieces, weight, tol, max_level)])
     return QuadRows(_many_rows(pieces, weight, n_rows, tol, max_level))
 
 
 def _one_row(pieces, weight, tol, max_level) -> QuadResult:
-    n_pieces, row = len(pieces), [0]
     # per piece: trapezoid sum, sum of |integrand| and last difference
-    value, mass, diff = ([0.0] * n_pieces for _ in range(3))
+    value, mass, diff = ([0.0] * len(pieces) for _ in range(3))
     # the warm pieces' runs side by side, zero past each: the real part
     # over |v| of the values v, each (part, piece) row of a level one
     # pairwise sum as on the level alone; all offsets prefix the longest
@@ -210,15 +211,15 @@ def _one_row(pieces, weight, tol, max_level) -> QuadResult:
             if piece.depth > FIRST_LEVEL else None for piece in pieces]
     n_run = [len(run[2]) - 1 if run else 0 for run in runs]
     ends = max((run[2] for run in runs if run), key=len, default=[0])
-    stack = np.zeros((2, n_pieces, ends[-1]))
+    stack = np.zeros((2, len(pieces), ends[-1]))
     for k, run in enumerate(runs):
         pieces[k].depth = min(pieces[k].depth + 1, max_level)
         if run:
             t, a, _ = run
-            v = (a * weight(t, row)).reshape(t.size)
+            v = (a * weight(t, [0])).reshape(t.size)
             stack[0, k, :t.size] = v.real
             np.abs(v, out=stack[1, k, :t.size])
-    live, n_evals = list(range(n_pieces)), 0
+    live, n_evals = list(range(len(pieces))), 0
     for i, level in enumerate(range(FIRST_LEVEL, max_level + 1)):
         if i + 1 < len(ends):
             sums, masses = np.add.reduce(
@@ -230,14 +231,14 @@ def _one_row(pieces, weight, tol, max_level) -> QuadResult:
                 size, h = ends[i + 1] - ends[i], pieces[k].steps[i][1]
                 s, m = sums[k], masses[k]
             else:
-                size, h, (s,), (m,) = _sums(pieces[k], level, weight, row)
+                size, h, (s,), (m,) = _sums(pieces[k], level, weight, [0])
             new = 0.5 * value[k] + h * s
             diff[k] = abs(new - value[k])
             value[k], mass[k] = new, 0.5 * mass[k] + h * m
             n_evals += size
         if level > FIRST_LEVEL:
             floor = _ROUNDING * sum(mass)
-            budget = max(tol * abs(sum(value)) - floor, floor) / n_pieces
+            budget = max(tol * abs(sum(value)) - floor, floor) / len(pieces)
             for k in live:
                 if diff[k] <= budget:
                     pieces[k].depth = min(pieces[k].depth, level)
@@ -248,8 +249,7 @@ def _one_row(pieces, weight, tol, max_level) -> QuadResult:
 
 
 def _many_rows(pieces, weight, n_rows, tol, max_level) -> list:
-    n_pieces = len(pieces)
-    value, mass, diff = ([[0.0] * n_pieces for _ in range(n_rows)]
+    value, mass, diff = ([[0.0] * len(pieces) for _ in range(n_rows)]
                          for _ in range(3))     # per row, as in _one_row
     n_evals, budget = [0] * n_rows, [0.0] * n_rows
     live = [list(range(n_rows)) for _ in pieces]     # per piece
@@ -270,7 +270,7 @@ def _many_rows(pieces, weight, n_rows, tol, max_level) -> list:
             for r in set().union(*live):
                 floor = _ROUNDING * sum(mass[r])
                 budget[r] = max(tol * abs(sum(value[r])) - floor,
-                                floor) / n_pieces
+                                floor) / len(pieces)
             for k, on in enumerate(live):
                 live[k] = [r for r in on if diff[r][k] > budget[r]]
                 if len(live[k]) < len(on):
@@ -282,7 +282,7 @@ def _many_rows(pieces, weight, n_rows, tol, max_level) -> list:
 
 
 def _sums(piece, level: int, weight, on: list) -> tuple:
-    """(nodes, h, real part sums, |value| sums) of one level, per row."""
+    """(node count, h, real part sums, |v| sums) of one level, per row."""
     x, h, t, a = piece.level(level)
     v = (a * weight(t, on)).reshape(len(on), x.size)
     masses = np.abs(v).sum(axis=-1).tolist()

@@ -139,6 +139,15 @@ def test_oscillatory_rejects_empty_or_negative_frequency_terms():
                                   lambda t: np.exp(-t), tol=1e-10)
 
 
+def test_max_level_below_the_first_level_raises():
+    # no level would run, and a sum of nothing would read as converged
+    with pytest.raises(DomainError, match="max_level"):
+        integrate_singular_decay(lambda t: np.exp(-t), max_level=2)
+    with pytest.raises(DomainError, match="max_level"):
+        integrate_pieces([half_line_piece(6.5, {})],
+                         lambda t, rows: np.exp(-t), 2, 1e-10, max_level=2)
+
+
 def test_oscillatory_without_terms_is_one_half_line_piece():
     # int_0^oo e^{-t} / (1 + t) dt = e E1(1), by exp-sinh in t
     plan = {}
