@@ -21,12 +21,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.special as _sp
 
-from .errors import DomainError, ParameterError, UnsupportedVariantError
+from .errors import (DomainError, ParameterError, UnsupportedVariantError,
+                     real_array)
 from .quad.tanhsinh import (half_line_piece, integrate_pieces, run_ends,
                             spec_plan)
 from .smoothfn import (CauchyLadder, Ladder, PowerLadder, RationalLadder,
                        StieltjesLadder, k_ratio_ladder)
-from .specfun import _bessel_scaled, _tricomi_complex, tricomi_psi
+from .specfun import _bessel_scaled, tricomi_psi
 from .stieltjes import make_identity
 
 __all__ = [
@@ -86,9 +87,6 @@ class McKayI(_Family):
     def laplace(self, x):
         mu, a, b = self.mu, self.a, self.b
         return ((b * b - a * a) / ((x + b) ** 2 - a * a)) ** (mu + 0.5)
-
-    def lt_value_complex(self, z):
-        return laplace_closed(self, z)
 
     def phi_ladder(self):
         mu, a, b = self.mu, self.a, self.b
@@ -285,11 +283,6 @@ class KDist(_QuotientMixture):
         arg = al * be / (mu * x)
         return arg ** al * tricomi_psi(al, 1.0 + al - be, arg)
 
-    def lt_value_complex(self, z):
-        al, be, mu = self.alpha, self.beta, self.mu
-        arg = al * be / (mu * z)
-        return arg ** al * _tricomi_complex(al, 1.0 + al - be, arg)
-
     def _mixture(self):
         # nodes r/t with r = al be / mu; for alpha > beta the kernel is
         # rebuilt with the roles exchanged, hence the coefficient min
@@ -322,9 +315,6 @@ class GIG(_Family):
         return ((a / (2.0 * x + a)) ** (0.5 * mu)
                 * _sp.kv(mu, np.sqrt(b * (2.0 * x + a)))
                 / _sp.kv(mu, np.sqrt(a * b)))
-
-    def lt_value_complex(self, z):
-        return laplace_closed(self, z)
 
     def phi_ladder(self):
         """phi'(x) = 2 mu/(2x+a) + (b/g) K_{mu-1}(g)/K_mu(g), g = sqrt(b(2x+a)),
@@ -437,7 +427,7 @@ def _log_kv(nu, z):
 
 def log_pdf(d, x):
     """Natural log of the density of d at x > 0 (vectorized)."""
-    x = np.asarray(x, dtype=float)
+    x = real_array(x)
     # NaN fails both comparisons
     if not np.all((x > 0.0) & (x < np.inf)):
         raise DomainError("densities are supported on finite x > 0")
@@ -470,10 +460,8 @@ def laplace_closed(d, x):
     """Closed-form Laplace transform L(x) = E e^{-xX}, x >= 0.
 
     A scalar x is evaluated as a one-point array, so an array x gives
-    the values of the scalar calls bit for bit.  Accepts complex x where
-    the closed form continues analytically (everything except KDist and
-    GammaQuotient, whose Tricomi factor is evaluated for real arguments
-    only here).
+    the values of the scalar calls bit for bit.  Complex x continues the
+    closed form, but for KDist and GammaQuotient, whose psi is real only.
     """
     shape = np.shape(x)
     return d.laplace(np.reshape(x, -1)).reshape(shape)[()]

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its complex-input check."""
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -15,3 +17,12 @@ class ConvergenceError(RuntimeError):
 
 class UnsupportedVariantError(NotImplementedError):
     """The requested operation has no closed form for this variant."""
+
+
+def real_array(x, what: str = "x") -> np.ndarray:
+    """x as a float array; DomainError where x is complex, whose
+    imaginary part a float conversion would drop."""
+    arr = np.asarray(x)
+    if arr.dtype.kind == "c":
+        raise DomainError(f"{what} must be real, got complex input")
+    return arr.astype(float, copy=False)

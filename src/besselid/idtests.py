@@ -22,7 +22,7 @@ import numpy as np
 import scipy.special as _sp
 
 from .distributions import DIST_KINDS, _hyperbolic_profile
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError, real_array
 from .quad.tanhsinh import spec_plan
 from .smoothfn import (CauchyLadder, Ladder, MLSumLadder, PowerLadder,
                        SumLadder, k_ratio_ladder)
@@ -261,7 +261,7 @@ LT_KINDS = {
 def lt_value(spec, x):
     """L(x) for x > 0: a variant's factor row from scaled Bessel
     functions, a family's closed form."""
-    x = np.asarray(x, dtype=float)
+    x = real_array(x)
     # NaN fails both comparisons
     if not np.all((x > 0.0) & (x < np.inf)):
         raise DomainError("lt_value requires finite x > 0")
@@ -269,12 +269,10 @@ def lt_value(spec, x):
 
 
 def lt_value_complex(spec, z):
-    """Analytic continuation of L to complex z with Re z > 0.
-
-    Every variant continues its factor row with the principal square
-    root; of the families, McKayI, GIG and KDist continue their closed
-    forms, and the others raise UnsupportedVariantError.  A scalar z is
-    evaluated as a one-point array.
+    """Analytic continuation of a variant's L to complex z with Re z > 0:
+    its factor row at the principal square root.  A family raises
+    UnsupportedVariantError.  A scalar z is evaluated as a one-point
+    array.
     """
     z = np.asarray(z, dtype=complex)
     return spec.lt_value_complex(z.reshape(-1)).reshape(z.shape)[()]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as _sp
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, real_array
 
 __all__ = [
     "BoundaryPsiPair",
@@ -56,7 +56,7 @@ class BoundaryPsiPair:
 
 
 def _as_float_array(x, name="x"):
-    arr = np.asarray(x, dtype=float)
+    arr = real_array(x, name)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite")
     return arr
@@ -423,43 +423,35 @@ def _laguerre_rule(a: float, n: int):
     return nodes, weights
 
 
-def _laguerre_covers(a: float, c: float, z):
-    """Mask of the points of an array z that _tricomi_laguerre takes."""
-    m = a + 1.0 - c
-    return ((z.real >= 0.0) & (np.abs(z) >= 5.0) & (a > 0.0)
-            & (-5.0 <= m) & (min(m, a) <= 21.5))
+def _tricomi_laguerre(a: float, c: float, x):
+    """psi(a, c, x) over a 1-d array x >= 5, for a > 0, m = a + 1 - c
+    >= -5 and min(m, a) <= 21.5.
 
-
-def _tricomi_laguerre(a: float, c: float, z):
-    """psi(a, c, z) over a 1-d array z with Re z >= 0, |z| >= 5, for
-    a > 0, m = a + 1 - c >= -5 and min(m, a) <= 21.5.
-
-    DLMF 13.4.4 with t = rho / z rotates the Euler integral onto the
-    positive axis, psi = z^{-a} int_0^oo rho^{a-1} e^{-rho} / Gamma(a)
-    (1 + rho/z)^{c-a-1} drho: a Gauss-Laguerre sum whose only
-    singularity, rho = -z, is pole-like of order m.  For -5 <= m <= 7
-    (below -5 the integrand grows too fast for any node count) 30 nodes
-    stay within 1e-13 where Re sqrt(z) >= 2.8 and 80 down to |z| = 5 on
-    the imaginary axis; a larger m takes m/7 times as many, at most 250
-    at m = 21.5.  Beyond it the rule loses digits near |z| = 5, so
-    m > 21.5 (then c < 1) goes through psi = z^{1-c} psi(a-c+1, 2-c, z)
-    (DLMF 13.2.40), of pole order a: weight rho^{a-c} e^{-rho}, integrand
-    (1 + rho/z)^{-a}, the same prefactor z^{-a}.  Each point is one row
-    of an elementwise product, independent of the rest of the batch.
+    DLMF 13.4.4 with t = rho / x turns the Euler integral into
+    psi = x^{-a} int_0^oo rho^{a-1} e^{-rho} / Gamma(a) (1 + rho/x)^{c-a-1}
+    drho: a Gauss-Laguerre sum whose only singularity, rho = -x, is
+    pole-like of order m.  For -5 <= m <= 7 (below -5 the integrand
+    grows too fast for any node count) 30 nodes stay within 1e-13 where
+    sqrt(x) >= 2.8 and 80 down to x = 5; a larger m takes m/7 times as
+    many, at most 250 at m = 21.5.  Beyond it m > 21.5 (then c < 1) goes
+    through psi = x^{1-c} psi(a-c+1, 2-c, x) (DLMF 13.2.40), of pole
+    order a: weight rho^{a-c} e^{-rho}, integrand (1 + rho/x)^{-a}, the
+    same prefactor x^{-a}.  Each point is one row of an elementwise
+    product, independent of the rest of the batch.
     """
     m = a + 1.0 - c
     b, power = a, c - a - 1.0
     if m > 21.5:
         b, power, m = a - c + 1.0, -a, a
     scale = max(1.0, m / 7.0)
-    out = np.empty_like(z)
-    far = np.sqrt(z).real >= 2.8
+    out = np.empty_like(x)
+    far = np.sqrt(x) >= 2.8
     for mask, n in ((far, 30), (~far, 80)):
         if mask.any():
             rho, w = _laguerre_rule(float(b), 10 * math.ceil(n * scale / 10))
-            zm = z[mask]
-            out[mask] = np.sum(w * (1.0 + rho / zm[:, None]) ** power,
-                               axis=1) * zm ** -a
+            xm = x[mask]
+            out[mask] = np.sum(w * (1.0 + rho / xm[:, None]) ** power,
+                               axis=1) * xm ** -a
     return out
 
 
@@ -472,60 +464,13 @@ def tricomi_psi(a: float, c: float, x):
         raise DomainError("tricomi_psi requires x > 0")
     flat = arr.ravel()
     out = np.empty_like(flat)
-    rule = _laguerre_covers(a, c, flat)
+    m = a + 1.0 - c  # the points that _tricomi_laguerre takes:
+    rule = (flat >= 5.0) & (-5.0 <= m) & (min(m, a) <= 21.5)
     if rule.any():
         out[rule] = _tricomi_laguerre(a, c, flat[rule])
     for i in np.flatnonzero(~rule):
         out[i] = _tricomi_psi_scalar(a, c, flat[i])
     return _maybe_scalar(out.reshape(arr.shape), x)
-
-
-def _tricomi_complex_large(a: float, c: float, z):
-    """Divergent-series asymptotics psi ~ z^{-a} sum (a)_k (a-c+1)_k /
-    (k! (-z)^k), each element truncated at its smallest term."""
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    live = np.ones(z.shape, dtype=bool)
-    for k in range(40):
-        nxt = term * (a + k) * (a - c + 1.0 + k) / ((k + 1.0) * (-z))
-        live &= np.abs(nxt) < np.abs(term)
-        if not live.any():
-            break
-        term = np.where(live, nxt, term)
-        total = np.where(live, total + term, total)
-    return np.exp(-a * np.log(z)) * total
-
-
-def _tricomi_complex_kummer(a: float, c: float, z):
-    """psi from the two-Kummer connection formula."""
-    m1 = _sp.hyp1f1(a, c, z)
-    m2 = _sp.hyp1f1(a - c + 1.0, 2.0 - c, z)
-    g1 = math.gamma(1.0 - c) / math.gamma(a - c + 1.0)
-    g2 = math.gamma(c - 1.0) / math.gamma(a)
-    return g1 * m1 + g2 * np.exp((1.0 - c) * np.log(z)) * m2
-
-
-def _tricomi_complex(a: float, c: float, z):
-    """Tricomi psi(a, c, z) for complex z off (-oo, 0], c non-integer,
-    elementwise over an array of any shape.
-
-    Where _laguerre_covers holds (a > 0, Re z >= 0, |z| >= 5, a
-    pole order the rule reaches) psi is a Gauss-Laguerre sum; elsewhere
-    |z| > 25 goes through the large-argument asymptotic series and the
-    rest through the two-Kummer connection formula.
-    """
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    rule = _laguerre_covers(a, c, flat)
-    large = ~rule & (np.abs(flat) > 25.0)
-    kummer = ~(rule | large)
-    out = np.empty_like(flat)
-    for mask, regime in ((rule, _tricomi_laguerre),
-                         (large, _tricomi_complex_large),
-                         (kummer, _tricomi_complex_kummer)):
-        if mask.any():
-            out[mask] = regime(a, c, flat[mask])
-    return out.reshape(z.shape)[()]
 
 
 def _tricomi_any(a: float, c: float, z):
@@ -538,8 +483,6 @@ def _tricomi_any(a: float, c: float, z):
         p2 = _tricomi_any(a + 2.0, c, z)
         return (2.0 * (a + 1.0) - c + z) * p1 \
             - (a + 1.0) * (a + 2.0 - c) * p2
-    if np.iscomplexobj(np.asarray(z)):
-        return _tricomi_complex(a, c, z)
     return tricomi_psi(a, c, z)
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.special as _sp
 
-from .errors import DomainError, ParameterError, UnsupportedVariantError
+from .errors import (DomainError, ParameterError, UnsupportedVariantError,
+                     real_array)
 from .quad import (HankelTerm, QuadResult, QuadRows, integrate_oscillatory,
                    integrate_singular_decay, positive_points,
                    tanh_sinh_finite)
@@ -453,9 +454,10 @@ class IdentityRecord:
 
     # -- closed forms -------------------------------------------------------
     def lhs_value(self, z):
-        """Closed-form left-hand side; z may be complex off (-oo, 0].
-        A scalar z is evaluated as a one-point array, so an array z
-        gives the values of the scalar calls bit for bit."""
+        """Closed-form left-hand side; z may be complex off (-oo, 0] but
+        for a Tricomi entry, whose psi is real only (DomainError).  A
+        scalar z is evaluated as a one-point array, so an array z gives
+        the values of the scalar calls bit for bit."""
         za = np.asarray(z)
         zs = za.reshape(-1) if np.iscomplexobj(za) \
             else positive_points(za, "lhs_value")
@@ -467,7 +469,7 @@ class IdentityRecord:
         if e.kernel is None:
             raise UnsupportedVariantError(
                 f"{self.name} is a product identity without a Stieltjes kernel")
-        t = np.asarray(t, dtype=float)
+        t = real_array(t, "t")
         # NaN fails both comparisons
         if not np.all((t > 0.0) & (t < np.inf)):
             raise DomainError("kernel_density requires finite t > 0")

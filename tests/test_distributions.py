@@ -53,6 +53,16 @@ def test_pdf_rejects_nonpositive_x():
                 fn(d, bad)
 
 
+@pytest.mark.parametrize("x", [np.array([1.0 + 1.0j]), 1.0 + 0.0j],
+                         ids=["array", "python"])
+def test_density_rejects_complex_x(x):
+    # a float conversion would read x = 1 + i as 1
+    d = DIST_KINDS["gig"](0.7, 1.0, 1.5)
+    for fn in (pdf, log_pdf):
+        with pytest.raises(DomainError, match="must be real"):
+            fn(d, x)
+
+
 # ----------------------------------------------------------------------
 # normalization and reductions
 # ----------------------------------------------------------------------
@@ -510,26 +520,3 @@ def test_laplace_row_reuses_the_norm_rows_tables(kind, monkeypatch):
     assert checks._laplace(d, 1e-7).passed
     for x in seen:
         assert x.tobytes() not in norm_tables and x.size > deepest
-
-
-# ----------------------------------------------------------------------
-# complex continuation of the K-distribution transform
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
-def test_kdist_lt_value_complex_matches_mpmath_on_selfdecomp_circles(alpha):
-    # the 64-point circles of radius x/2 about seven x from 0.1 to 10,
-    # scaled by alpha: those of the self-decomposability quotient
-    # L(z)/L(alpha z) that the check once differentiated
-    al, be, mu = 1.2, 2.0, 1.0
-    theta = 2.0 * np.pi * np.arange(64) / 64
-    z = np.concatenate([alpha * (x + 0.5 * x * np.exp(1j * theta))
-                        for x in np.geomspace(0.1, 10.0, 7)])
-    got = DIST_KINDS["kdist"](al, be, mu).lt_value_complex(z)
-    with mp.workdps(40):
-        def ref(w):
-            arg = mp.mpf(al) * be / (mu * mp.mpc(w))
-            return complex(arg ** al * mp.hyperu(al, 1.0 + al - be, arg))
-
-        want = np.array([ref(w) for w in z])
-    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10

@@ -13,7 +13,8 @@ from besselid import checks, distributions, idtests, smoothfn
 from besselid.distributions import (DIST_KINDS, GIG, GammaQuotient, GenMcKay,
                                     KDist, McKayI, NoncentralChiSq, SqMcKay,
                                     hcm_profile, kdist_quotient_kernel)
-from besselid.errors import ConvergenceError, DomainError, ParameterError
+from besselid.errors import (ConvergenceError, DomainError, ParameterError,
+                             UnsupportedVariantError)
 from besselid.idtests import (LT_KINDS, Chi, Evidence, IKMu, Omega1, Rho,
                               absmon_check, bernstein_check, bernstein_targets,
                               cm_check, hcm_check, landau_bound_margin,
@@ -65,6 +66,16 @@ def test_lt_value_domain():
                 lt_value(spec, bad)
 
 
+@pytest.mark.parametrize("x", [np.array([1.0 + 1.0j]), 1.0 + 0.0j],
+                         ids=["array", "python"])
+def test_lt_value_rejects_complex_x(x):
+    # a float conversion would read x = 1 + i as 1; the continuation is
+    # lt_value_complex
+    for spec in (Rho(0.8, 1.0), KDist(1.2, 2.0, 1.0)):
+        with pytest.raises(DomainError, match="must be real"):
+            lt_value(spec, x)
+
+
 @pytest.mark.parametrize("spec", [IKMu(1.0), KDist(1.2, 2.0, 1.0),
                                   McKayI(1.0, 0.5, 1.5)],
                          ids=["ikmu", "kdist", "mckay1"])
@@ -103,12 +114,19 @@ def _at_defaults(*labels):
 
 
 def test_complex_continuation_agrees_on_real_axis():
-    for spec in _at_defaults(*LT_KINDS, "mckay1", "gig", "kdist"):
+    for spec in _at_defaults(*LT_KINDS):
         for x in (0.4, 1.3, 6.0):
             zval = lt_value_complex(spec, complex(x, 0.0))
             assert complex(zval).imag == pytest.approx(0.0, abs=1e-12)
             assert complex(zval).real == pytest.approx(
                 float(lt_value(spec, x)), rel=1e-10), spec
+
+
+@pytest.mark.parametrize("kind", DIST_KINDS)
+def test_families_have_no_continuation(kind):
+    spec = DIST_KINDS[kind](*DIST_KINDS[kind].defaults)
+    with pytest.raises(UnsupportedVariantError, match="no continuation"):
+        lt_value_complex(spec, 1.0 + 0.5j)
 
 
 def _mp_unnormalized(label, p, x):

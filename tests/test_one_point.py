@@ -65,7 +65,8 @@ def test_lhs_value_array_equals_one_point_calls(name):
     real = np.concatenate([_WIDE, _DEFAULT, _real_points(5, 1e-6, 1e6, n),
                            np.array(_KNOWN.get(name, ()))])
     _assert_equals_one_point_calls(rec.lhs_value, real)
-    if name in ("MCDONALD", "I_PRODUCT_ANGLE"):
+    # complex z: the Bessel entries only, as a Tricomi entry's psi is real
+    if name in ("MCDONALD", "I_PRODUCT_ANGLE") or name.startswith("TRICOMI"):
         return
     _assert_equals_one_point_calls(rec.lhs_value, _complex_points(9, n))
 

@@ -211,6 +211,14 @@ def test_laplace_rejects_bad_points_anywhere_in_an_array(bad):
         numeric_laplace(lambda t: np.exp(-t), [])
 
 
+@pytest.mark.parametrize("x", [np.array([1.0 + 1.0j]), 1.0 + 0.0j],
+                         ids=["array", "python"])
+def test_laplace_rejects_complex_x(x):
+    # a float conversion would read x = 1 + i as 1
+    with pytest.raises(DomainError, match="numeric_laplace points must be"):
+        numeric_laplace(lambda t: np.exp(-t), x)
+
+
 @pytest.mark.parametrize("kind", [k for k in DIST_DEFAULTS if k != "nchisq"])
 def test_laplace_rows_equal_one_x_calls(kind):
     # one exp-sinh call over 25 x gives, row by row, every field of the

@@ -10,8 +10,7 @@ from scipy import special as sp
 from besselid import idtests, smoothfn
 from besselid.errors import DomainError, ParameterError
 from besselid.idtests import (_DEFAULT_GRID, bernstein_targets,
-                              lt_value_complex, neg_logderiv_ladder,
-                              selfdecomp_targets)
+                              neg_logderiv_ladder, selfdecomp_targets)
 from besselid.quad.tanhsinh import spec_plan
 from besselid.smoothfn import (CauchyLadder, MLSumLadder, PowerLadder,
                                RationalLadder, StieltjesLadder, SumLadder,
@@ -400,44 +399,6 @@ def test_cauchy_ladder_against_mpmath_on_the_bernstein_grid():
     assert _scaled_error(got, want) <= 1e-12
 
 
-def _mp_kdist_lt_diffs(d, x, n):
-    """L^(k)(x), k = 0..n, of the K-distribution d in mpmath: L(x) is the
-    mean of (1 + s u)^-alpha over u ~ Gamma(beta, 1), s = c x, c = mu /
-    (alpha beta); differentiated under the mean, with E u^k (1 + s u)^-a
-    = (beta)_k s^{-beta-k} U(beta + k, beta - a + k + 1, 1/s) (DLMF
-    13.4.4)."""
-    a, b = mp.mpf(d.alpha), mp.mpf(d.beta)
-    c = mp.mpf(d.mu) / (a * b)
-    s = c * x
-    return [mp.ff(-a, k) * mp.rf(b, k) * c ** k * s ** (-b - k)
-            * mp.hyperu(b + k, b - a + 1, 1 / s) for k in range(n + 1)]
-
-
-@pytest.mark.parametrize("alpha", (0.25, 0.5, 0.75))
-def test_selfdecomp_quotient_ladder_against_mpmath(alpha):
-    # the Cauchy ladder of q(x) = L(x)/L(alpha x) on the K-distribution's
-    # continuation, orders 0-6 at seven x from 0.1 to 10, against the
-    # Leibniz rule L^(n)(x) = sum_k C(n, k) q^(n-k)(x) alpha^k L^(k)(alpha x)
-    # in 40 digits
-    spec = dict(selfdecomp_targets())["kdist"]
-    grid = np.geomspace(0.1, 10.0, 7)
-    got = CauchyLadder(lambda z: lt_value_complex(spec, z)
-                       / lt_value_complex(spec, alpha * z)) \
-        .derivatives(grid, 6)
-    want = []
-    with mp.workdps(40):
-        for x in grid.tolist():
-            num = _mp_kdist_lt_diffs(spec, mp.mpf(x), 6)
-            den = [mp.mpf(alpha) ** k * v for k, v in
-                   enumerate(_mp_kdist_lt_diffs(spec, alpha * mp.mpf(x), 6))]
-            q = []
-            for n in range(7):
-                q.append((num[n] - sum(mp.binomial(n, k) * q[n - k] * den[k]
-                                       for k in range(1, n + 1))) / den[0])
-            want.append([float(v) for v in q])
-    assert _scaled_error(got, np.array(want)) <= 2e-9
-
-
 # ----------------------------------------------------------------------
 # linear combinations
 # ----------------------------------------------------------------------
@@ -596,17 +557,6 @@ def test_bernstein_ladder_grid_equals_per_point(label, spec):
     x = _log_grid(7, 0.05, 50.0, 13)
     want = np.array([_per_point(lad, float(xi), 8) for xi in x])
     assert np.array_equal(lad.derivatives(x, 8), want), label
-
-
-@pytest.mark.parametrize("alpha", (0.25, 0.5, 0.75))
-@pytest.mark.parametrize("label,spec", selfdecomp_targets())
-def test_selfdecomp_quotient_grid_equals_per_point(label, spec, alpha):
-    # the Cauchy ladder of L(x)/L(alpha x) on the continuation
-    lad = CauchyLadder(lambda z: lt_value_complex(spec, z)
-                       / lt_value_complex(spec, alpha * z), radius_factor=0.5)
-    x = _log_grid(11, 0.1, 10.0, 9)
-    want = np.array([_per_point(lad, float(xi), 6) for xi in x])
-    assert np.array_equal(lad.derivatives(x, 6), want), (label, alpha)
 
 
 @pytest.mark.parametrize("alpha", (0.25, 0.5, 0.75))

@@ -49,6 +49,25 @@ def test_half_integer_k_closed_form():
                                              rel=1e-14)
 
 
+# complex x in every form: numpy's float conversion would drop the
+# imaginary part (bessel_j(0.5, [1 + 1j]) read as J_0.5(1) = 0.6714),
+# and a Python complex would raise TypeError
+COMPLEX_INPUTS = {"array": np.array([1.0 + 1.0j]), "python": 1.0 + 0.0j,
+                  "list": [2.0, 1.0j]}
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x: bessel_j(0.5, x), lambda x: bessel_y(0.5, x),
+    lambda x: bessel_i(0.5, x), lambda x: bessel_k(0.5, x, scaled=True),
+    lambda x: kummer_m(0.7, 0.3, x), lambda x: tricomi_psi(0.7, 0.3, x),
+    lambda x: tricomi_boundary_mod2(1.5, 0.5, x)],
+    ids=["j", "y", "i", "k", "kummer_m", "tricomi_psi", "boundary"])
+@pytest.mark.parametrize("x", COMPLEX_INPUTS.values(), ids=COMPLEX_INPUTS)
+def test_complex_input_raises(fn, x):
+    with pytest.raises(DomainError, match="must be real"):
+        fn(x)
+
+
 @pytest.mark.parametrize("x", (1.0, 1e2, 1e4, 1e6))
 def test_scaled_variants_finite_at_large_argument(x):
     for nu in (0.0, 1.0, 2.5):

@@ -1,7 +1,6 @@
 """Stieltjes-transform identity catalog: residuals, kernels, inversion."""
 
 import dataclasses
-import math
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +14,7 @@ from besselid.errors import (DomainError, ParameterError,
 from besselid.quad import QuadRows, numeric_laplace
 from besselid.quad import oscillatory, tanhsinh
 from besselid.quad.tanhsinh import _ROUNDING, UNRESOLVED
-from besselid.specfun import _tricomi_complex, kummer_m, tricomi_psi
+from besselid.specfun import kummer_m, tricomi_psi
 from besselid.stieltjes import (catalog_names, default_params, make_identity,
                                 tolerance)
 
@@ -134,6 +133,28 @@ def test_lhs_takes_complex_points_off_the_cut():
     got = rec.lhs_value(zs)
     assert got.shape == (3,) and np.all(np.isfinite(got))
     assert got[1] == rec.lhs_value(3.0 - 1e-3j)
+
+
+@pytest.mark.parametrize("z", [np.array([1.0 + 1.0j]), 1.0 + 0.0j],
+                         ids=["array", "python"])
+def test_real_only_entry_points_reject_complex(z):
+    # a float conversion would read 1 + i as 1
+    rec = make_identity("IK_EQUAL")
+    with pytest.raises(DomainError, match="t must be real"):
+        rec.kernel_density(z)
+    with pytest.raises(DomainError, match="stieltjes_rhs points must be"):
+        rec.stieltjes_rhs(z)
+
+
+@pytest.mark.parametrize("name", TRICOMI)
+def test_tricomi_entries_reject_complex_z(name):
+    # psi is real only: a Tricomi left side off the real axis, and so its
+    # Perron-Stieltjes inversion, raise where the Bessel entries continue
+    rec = make_identity(name)
+    with pytest.raises(DomainError, match="must be real"):
+        rec.lhs_value(2.0 + 1.0j)
+    with pytest.raises(DomainError, match="must be real"):
+        rec.inversion_check(1.0)
 
 
 def test_product_entries_have_no_kernel():
@@ -844,130 +865,21 @@ def test_node_table_is_bounded_and_read_only():
 
 
 # ----------------------------------------------------------------------
-# complex Tricomi psi: one array path over three regimes
+# Tricomi psi: the limits of the Gauss-Laguerre rule
 # ----------------------------------------------------------------------
 
-EPS = np.finfo(float).eps
-
-
-@pytest.mark.parametrize("z", [
-    0.7 + 0.2j, np.array(30.0 - 1.0j), np.linspace(0.1, 40.0, 6) + 1.0j,
-    (np.linspace(0.1, 40.0, 6) + 2.0j).reshape(2, 3)])
-def test_tricomi_complex_keeps_shape(z):
-    assert np.shape(_tricomi_complex(0.6, -0.4, z)) == np.shape(z)
-
-
-def test_tricomi_complex_reaches_each_regime(monkeypatch):
-    # a > 0, Re z >= 0 and |z| >= 5: the Gauss-Laguerre rule, 30 nodes
-    # where Re sqrt(z) >= 2.8 and 80 below; else |z| > 25: asymptotic
-    # series; else the Kummer connection; each agrees with mpmath
-    z = np.array([40.0 + 5.0j, 12.0 + 3.0j, 9.0 + 2.0j, 0.5 + 5.5j,
-                  -20.0 + 25.0j, -40.0 + 1.0j,
-                  0.5 + 0.5j, -3.0 + 1.0j, 4.0 + 0.0j, -10.0 + 15.0j])
-    want = {"_tricomi_laguerre": z[:4], "_tricomi_complex_large": z[4:6],
-            "_tricomi_complex_kummer": z[6:]}
-    seen = {}
-    for name in want:
-
-        def spy(a, c, w, name=name, fn=getattr(specfun, name)):
-            seen[name] = w.copy()
-            return fn(a, c, w)
-
-        monkeypatch.setattr(specfun, name, spy)
-    got = _tricomi_complex(1.2, 0.2, z)
-    for name, pts in want.items():
-        np.testing.assert_array_equal(seen[name], pts)
-    with mp.workdps(40):
-        ref = np.array([complex(mp.hyperu(1.2, 0.2, w)) for w in z])
-    err = np.abs(got - ref) / np.abs(ref)
-    assert np.all(err[:4] <= 1e-13) and np.all(err <= 1e-9)
-
-    rules = []
-
-    def rule_spy(a, n, fn=specfun._laguerre_rule):
-        rules.append(n)
-        return fn(a, n)
-
-    monkeypatch.setattr(specfun, "_laguerre_rule", rule_spy)
-    for w, n in zip(z[:4], (30, 30, 30, 80)):
-        rules.clear()
-        _tricomi_complex(1.2, 0.2, w)
-        assert rules == [n], w
-
-
-def _kummer_kappa(a, c, z, psi):
-    """Cancellation factor (|g1 M1| + |g2 z^{1-c} M2|) / |psi| of the
-    connection formula on its own regime, 1 elsewhere."""
-    g1 = math.gamma(1.0 - c) / math.gamma(a - c + 1.0)
-    g2 = math.gamma(c - 1.0) / math.gamma(a)
-    kummer = (np.abs(z) <= 25.0) & ((z.real < 0.0) | (np.abs(z) < 5.0))
-    w = np.where(kummer, z, 1.0)
-    m2 = sp.hyp1f1(a - c + 1.0, 2.0 - c, w)
-    parts = np.abs(g1 * sp.hyp1f1(a, c, w)) \
-        + np.abs(g2 * np.exp((1.0 - c) * np.log(w)) * m2)
-    return np.where(kummer, np.maximum(parts / np.abs(psi), 1.0), 1.0)
-
-
-def test_tricomi_complex_array_matches_elementwise():
-    # seeded circles z = x + (x/2) e^{i theta}, as the Cauchy ladders
-    # place them, plus scattered points; array products may round
-    # differently, which the connection formula amplifies by kappa
-    rng = np.random.default_rng(8)
-    theta = 2.0 * np.pi * np.arange(64) / 64
-    for _ in range(30):
-        a = rng.uniform(0.05, 3.0)
-        c = rng.uniform(-3.0, 0.99)
-        while abs(c - round(c)) < 1e-3:
-            c = rng.uniform(-3.0, 0.99)
-        x = 10.0 ** rng.uniform(-2.0, 3.0)
-        z = np.concatenate([
-            x + 0.5 * x * np.exp(1j * theta),
-            10.0 ** rng.uniform(-2.0, 3.0, 32)
-            * np.exp(1j * rng.uniform(-3.0, 3.0, 32))])
-        arr = _tricomi_complex(a, c, z)
-        one = np.array([_tricomi_complex(a, c, w) for w in z])
-        assert all(np.ndim(v) == 0 for v in one)
-        ok = np.isfinite(one)
-        np.testing.assert_array_equal(np.isfinite(arr), ok)
-        with np.errstate(all="ignore"):
-            kappa = _kummer_kappa(a, c, z[ok], one[ok])
-        assert np.all(np.abs(arr[ok] - one[ok])
-                      <= 8.0 * EPS * kappa * np.abs(one[ok])), (a, c, x)
-
-
-def test_tricomi_complex_kummer_regime_at_large_imaginary_part():
-    # the Kummer connection cancelled beyond double precision here
-    # (relative error 769); the point now takes the Gauss-Laguerre rule
-    a, c = 2.498179279424799, -0.9096527087346504
-    z = 6.55859066916802 + 22.993461633812156j
-    with mp.workdps(40):
-        want = complex(mp.hyperu(a, c, z))
-    assert abs(_tricomi_complex(a, c, z) - want) <= 1e-12 * abs(want)
-
-
-def test_tricomi_complex_laplace_regime_at_small_a():
-    # frozen exp-sinh nodes from t ~ 5e-12 dropped the t^(a-1) head here
-    # (relative error 0.31); the Gauss-Laguerre weight holds it exactly
-    a, c, z = 0.05, -0.4, 12.0 + 3.0j
-    with mp.workdps(40):
-        want = complex(mp.hyperu(a, c, z))
-    assert abs(_tricomi_complex(a, c, z) - want) <= 1e-12 * abs(want)
-
-
-@pytest.mark.parametrize("a, c, z", [(1.0, 21.5, 5j), (1.0, 21.5, 6.0 + 2.0j),
-                                     (2.0, 25.5, 5.5)])
+@pytest.mark.parametrize("a, c, z", [(2.0, 25.5, 5.5)])
 def test_tricomi_psi_keeps_growing_integrands_off_the_rule(a, c, z):
     # for c - a - 1 > 5 the Gauss-Laguerre rule is up to 1.6e-9 off here,
-    # so these points stay on the Kummer connection and on hyperu
-    psi = _tricomi_complex if isinstance(z, complex) else tricomi_psi
+    # so the point stays on hyperu
     with mp.workdps(40):
-        want = complex(mp.hyperu(a, c, z))
-    assert abs(psi(a, c, z) - want) <= 1e-12 * abs(want)
+        want = float(mp.hyperu(a, c, z))
+    assert abs(tricomi_psi(a, c, z) - want) <= 1e-12 * abs(want)
 
 
 def test_tricomi_psi_takes_large_pole_orders_through_kummer(monkeypatch):
     # the rule's Jacobi matrix has order 80 m / 7 for m = a + 1 - c up to
-    # 21.5; beyond it the rule takes psi = z^{1-c} psi(a-c+1, 2-c, z),
+    # 21.5; beyond it the rule takes psi = x^{1-c} psi(a-c+1, 2-c, x),
     # whose pole order is a, so a K-distribution with a large beta
     # (m = beta) or a very negative c builds a rule of at most 80 nodes
     from besselid.distributions import GammaQuotient, KDist
@@ -983,70 +895,21 @@ def test_tricomi_psi_takes_large_pole_orders_through_kummer(monkeypatch):
     monkeypatch.setattr(specfun, "_laguerre_rule", spy)
     real = [(1.0, -20000.0, 10.0), (1.2, 1.2 - 999.0, 12000.0),
             (1.0, -40.5, 6.0)]
-    cplx = [(1.0, -40.5, 6.0 + 1.0j), (1.0, -40.5, 5.0j)]
-    got = [tricomi_psi(a, c, x) for a, c, x in real] \
-        + [_tricomi_complex(a, c, z) for a, c, z in cplx]
+    got = [tricomi_psi(a, c, x) for a, c, x in real]
     KDist(1.2, 1000.0, 1.0).laplace(0.1)
     GammaQuotient(1.0, 1.0, 500.0, 1.0).laplace(10.0)
-    assert len(sizes) == 7 and max(sizes) <= 80
+    assert len(sizes) == 5 and max(sizes) <= 80
     with mp.workdps(30):
-        want = [complex(mp.hyperu(a, c, z)) for a, c, z in real + cplx]
+        want = [float(mp.hyperu(a, c, x)) for a, c, x in real]
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * abs(w)
 
     # at the largest order it covers directly the rule takes 250 nodes
-    # near |z| = 5
+    # below sqrt(x) = 2.8
     sizes.clear()
-    _tricomi_complex(0.5, -20.0, 5.0j)
+    tricomi_psi(0.5, -20.0, 5.0)
     tricomi_psi(0.5, -20.0, 100.0)
     assert sizes == [250, 100]
-
-
-@pytest.mark.parametrize("a, c, z", [(19.98, -11.53, -5.83j),
-                                     (1.0, -40.5, 60.0 + 1.0j)])
-def test_tricomi_complex_kummer_route_at_large_pole_order(a, c, z):
-    # m = 32.5 and 42.5: the Kummer connection and the asymptotic series
-    # were 2.8e-2 and 4.1e-2 off here; the transformed point has pole
-    # order a and takes the rule
-    with mp.workdps(40):
-        want = complex(mp.hyperu(a, c, z))
-    assert abs(_tricomi_complex(a, c, z) - want) <= 1e-12 * abs(want)
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "m = 51.5 and, after the Kummer transformation, a = 49.1: both "
-    "beyond the rule's 21.5, so the point stays on the Kummer "
-    "connection, 3.4e6 off; see the FOUND line on large pole orders "
-    "in CHANGES.md"))
-def test_tricomi_complex_large_pole_order_and_large_a():
-    a, c, z = 49.1, -1.42, 5.96j
-    with mp.workdps(40):
-        want = complex(mp.hyperu(a, c, z))
-    assert abs(_tricomi_complex(a, c, z) - want) <= 1e-12 * abs(want)
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "the asymptotic series of _tricomi_complex is truncated at its "
-    "smallest term, which at |z| ~ 25 is still 5.4e-5 of psi; see the "
-    "FOUND line on the left half-plane in CHANGES.md"))
-def test_tricomi_complex_asymptotic_regime_in_left_half_plane():
-    a, c = 2.1410641348153567, -1.4631265781559317
-    z = -24.34528086533426 + 7.3122572339310254j
-    with mp.workdps(40):
-        want = complex(mp.hyperu(a, c, z))
-    assert abs(_tricomi_complex(a, c, z) - want) <= 1e-12 * abs(want)
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "the Kummer connection of _tricomi_complex cancels at large |Im z| "
-    "in the left half-plane (relative error 8.1e-7 here); see the FOUND "
-    "line on the left half-plane in CHANGES.md"))
-def test_tricomi_complex_kummer_regime_in_left_half_plane():
-    a, c = 0.9413673606321847, -0.6447906938320163
-    z = -6.8662472021770355 - 22.44064202631428j
-    with mp.workdps(40):
-        want = complex(mp.hyperu(a, c, z))
-    assert abs(_tricomi_complex(a, c, z) - want) <= 1e-12 * abs(want)
 
 
 # ----------------------------------------------------------------------
