@@ -427,17 +427,17 @@ def _tricomi_laguerre(a: float, c: float, x):
     """psi(a, c, x) over a 1-d array x >= 5, for a > 0, m = a + 1 - c
     >= -5 and min(m, a) <= 21.5.
 
-    DLMF 13.4.4 with t = rho / x turns the Euler integral into
-    psi = x^{-a} int_0^oo rho^{a-1} e^{-rho} / Gamma(a) (1 + rho/x)^{c-a-1}
+    DLMF 13.4.4 with t = rho / x turns the Euler integral into psi =
+    x^{-a} int_0^oo rho^{a-1} e^{-rho} / Gamma(a) (1 + rho/x)^{c-a-1}
     drho: a Gauss-Laguerre sum whose only singularity, rho = -x, is
     pole-like of order m.  For -5 <= m <= 7 (below -5 the integrand
     grows too fast for any node count) 30 nodes stay within 1e-13 where
     sqrt(x) >= 2.8 and 80 down to x = 5; a larger m takes m/7 times as
-    many, at most 250 at m = 21.5.  Beyond it m > 21.5 (then c < 1) goes
-    through psi = x^{1-c} psi(a-c+1, 2-c, x) (DLMF 13.2.40), of pole
-    order a: weight rho^{a-c} e^{-rho}, integrand (1 + rho/x)^{-a}, the
-    same prefactor x^{-a}.  Each point is one row of an elementwise
-    product, independent of the rest of the batch.
+    many, at most 250 at m = 21.5.  A larger m (then c < 1) goes through
+    psi = x^{1-c} psi(a-c+1, 2-c, x) (DLMF 13.2.40), of pole order a:
+    weight rho^{a-c} e^{-rho}, integrand (1 + rho/x)^{-a}, the same
+    prefactor x^{-a}.  Each point is one row of an elementwise product,
+    independent of the rest of the batch.
     """
     m = a + 1.0 - c
     b, power = a, c - a - 1.0

@@ -444,7 +444,8 @@ def test_tricomi_laguerre_regime_matches_mpmath():
     # [5, 1e4] and complex z with Re z >= 0, |z| log-uniform in [5, 1e4]
     # or, every other draw, in [5, 16] where the node count switches; a
     # quarter of the z lie on the imaginary axis, where the rule
-    # converges slowest
+    # converges slowest.  tricomi_psi takes real x only, but the rule is
+    # elementwise arithmetic and holds at these z too
     rng = np.random.default_rng(2026)
     worst = 0.0
     for k in range(200):
