@@ -223,7 +223,7 @@ class _QuotientMixture(_Family):
     array x > 0; L(0) = 1."""
 
     def laplace(self, x):
-        x = np.asarray(x, dtype=float)
+        x = real_array(x)
         if np.any(x < 0.0):
             raise DomainError(f"the Laplace transform of {self!r} "
                               "requires x >= 0")
@@ -461,7 +461,8 @@ def laplace_closed(d, x):
 
     A scalar x is evaluated as a one-point array, so an array x gives
     the values of the scalar calls bit for bit.  Complex x continues the
-    closed form, but for KDist and GammaQuotient, whose psi is real only.
+    closed form, but KDist and GammaQuotient, whose psi is real only,
+    raise DomainError there.
     """
     shape = np.shape(x)
     return d.laplace(np.reshape(x, -1)).reshape(shape)[()]

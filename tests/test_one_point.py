@@ -161,7 +161,8 @@ def test_tricomi_families_at_zero_and_below(d):
     vals = laplace_closed(d, np.array([0.0, 0.5, 0.0, 3.0]))
     assert vals[0] == 1.0 and vals[2] == 1.0
     assert 0.0 < vals[3] < vals[1] < 1.0
-    for bad in (-1.0, [0.0, -1e-300, 2.0], [[1.0], [-0.5]]):
+    for bad in (-1.0, [0.0, -1e-300, 2.0], [[1.0], [-0.5]], 1.0 + 1.0j,
+                np.array([0.5 + 0.5j])):
         with pytest.raises(DomainError):
             laplace_closed(d, bad)
     with pytest.raises(DomainError):
