@@ -497,7 +497,7 @@ def kdist_quotient_kernel(al: float, be: float, t):
                       + kdist_quotient_kernel(al, be + delta, t))
     lo, hi = min(al, be), max(al, be)
     # e^{-t} underflows from t = 700 on, out to inf: there the kernel is 0
-    dead = np.asarray(t, dtype=float) >= 700.0
+    dead = real_array(t, "t") >= 700.0
     rec = make_identity("TRICOMI_RATIO", a=lo, c=1.0 + lo - hi)
     return np.where(dead, 0.0, rec.kernel_density(np.where(dead, 1.0, t)))
 
@@ -510,8 +510,7 @@ def mgf_logderiv_im(d, re, im):
     (positive Stieltjes kernels).  The family's method takes the points
     as two 1-d arrays, so a scalar point is a one-point array.
     """
-    re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
-                                 np.asarray(im, dtype=float))
+    re, im = np.broadcast_arrays(real_array(re, "re"), real_array(im, "im"))
     if not np.all(np.isfinite(re) & (im > 0.0) & (im < np.inf)):
         raise DomainError("mgf_logderiv_im requires finite re and im > 0")
     return d.mgf_logderiv_im(re.reshape(-1), im.reshape(-1)
@@ -531,7 +530,7 @@ def _hyperbolic_profile(g, u: float, w):
 
 def hcm_profile(d, u: float, w):
     """Hyperbolic profile f(uv) f(u/v) with v + 1/v = w, w > 2."""
-    w = np.asarray(w, dtype=float)
+    w = real_array(w, "w")
     if np.any(w <= 2.0):
         raise DomainError("hcm_profile requires w > 2")
     return _hyperbolic_profile(lambda x: pdf(d, x), u, w)

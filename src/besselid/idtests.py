@@ -418,8 +418,7 @@ def pick_im(spec, re, im):
     elementwise over broadcast arrays re and im.  The spec's pick_im
     takes the points as two 1-d arrays, so a scalar point is a
     one-point array."""
-    re, im = np.broadcast_arrays(np.asarray(re, dtype=float),
-                                 np.asarray(im, dtype=float))
+    re, im = np.broadcast_arrays(real_array(re, "re"), real_array(im, "im"))
     if not np.all(np.isfinite(re) & (im > 0.0) & (im < np.inf)):
         raise DomainError("pick_im requires finite re and im > 0")
     return spec.pick_im(re.reshape(-1), im.reshape(-1)).reshape(re.shape)[()]

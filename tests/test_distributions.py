@@ -55,12 +55,21 @@ def test_pdf_rejects_nonpositive_x():
 
 @pytest.mark.parametrize("x", [np.array([1.0 + 1.0j]), 1.0 + 0.0j],
                          ids=["array", "python"])
-def test_density_rejects_complex_x(x):
+def test_real_entry_points_reject_complex_x(x):
     # a float conversion would read x = 1 + i as 1
     d = DIST_KINDS["gig"](0.7, 1.0, 1.5)
     for fn in (pdf, log_pdf):
         with pytest.raises(DomainError, match="must be real"):
             fn(d, x)
+    with pytest.raises(DomainError, match="w must be real"):
+        hcm_profile(d, 1.0, x + 2.0)
+    with pytest.raises(DomainError, match="t must be real"):
+        kdist_quotient_kernel(1.2, 2.0, x)
+    mckay1 = DIST_KINDS["mckay1"](1.0, 0.5, 1.5)
+    with pytest.raises(DomainError, match="re must be real"):
+        mgf_logderiv_im(mckay1, x, 1.0)
+    with pytest.raises(DomainError, match="im must be real"):
+        mgf_logderiv_im(mckay1, 0.0, x)
 
 
 # ----------------------------------------------------------------------

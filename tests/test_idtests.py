@@ -74,6 +74,10 @@ def test_lt_value_rejects_complex_x(x):
     for spec in (Rho(0.8, 1.0), KDist(1.2, 2.0, 1.0)):
         with pytest.raises(DomainError, match="must be real"):
             lt_value(spec, x)
+        with pytest.raises(DomainError, match="re must be real"):
+            pick_im(spec, x, 1.0)
+        with pytest.raises(DomainError, match="im must be real"):
+            pick_im(spec, 0.0, x)
 
 
 @pytest.mark.parametrize("spec", [IKMu(1.0), KDist(1.2, 2.0, 1.0),

@@ -607,6 +607,15 @@ def test_ladder_rejects_a_grid_reaching_x_le_0(kind, bad):
 
 
 @pytest.mark.parametrize("kind", LADDERS)
+@pytest.mark.parametrize("bad", (1.0 + 1.0j, np.array([2.0, 1.0 + 1.0j])),
+                         ids=["python", "array"])
+def test_ladder_rejects_a_complex_x(kind, bad):
+    # a float conversion would read 1 + i as 1
+    with pytest.raises(DomainError, match="must be real"):
+        LADDERS[kind]().derivatives(bad, 2)
+
+
+@pytest.mark.parametrize("kind", LADDERS)
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
 def test_ladder_rejects_a_non_finite_x(kind, bad):
     # one DomainError naming the point, before any arithmetic: no NaN row,
