@@ -22,7 +22,7 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import (DomainError, ParameterError, UnsupportedVariantError,
-                     real_array)
+                     real_array, upper_half_plane)
 from .quad.tanhsinh import (half_line_piece, integrate_pieces, run_ends,
                             spec_plan)
 from .smoothfn import (CauchyLadder, Ladder, PowerLadder, RationalLadder,
@@ -252,7 +252,7 @@ class _QuotientMixture(_Family):
             return coef * yr / ((node(t) - x[rows]) ** 2 + yr * yr)
 
         piece = half_line_piece(
-            6.5, self._plan, lambda t: kdist_quotient_kernel(al, be, t))
+            self._plan, lambda t: kdist_quotient_kernel(al, be, t))
         res = integrate_pieces([piece], weight, x.size, tol=1e-11)
         return np.array([r.value for r in res])
 
@@ -510,9 +510,7 @@ def mgf_logderiv_im(d, re, im):
     (positive Stieltjes kernels).  The family's method takes the points
     as two 1-d arrays, so a scalar point is a one-point array.
     """
-    re, im = np.broadcast_arrays(real_array(re, "re"), real_array(im, "im"))
-    if not np.all(np.isfinite(re) & (im > 0.0) & (im < np.inf)):
-        raise DomainError("mgf_logderiv_im requires finite re and im > 0")
+    re, im = upper_half_plane(re, im, "mgf_logderiv_im")
     return d.mgf_logderiv_im(re.reshape(-1), im.reshape(-1)
                              ).reshape(re.shape)[()]
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its complex-input check."""
+"""Exception types shared across the package, and its checks of real
+and complex input."""
 
 import numpy as np
 
@@ -26,3 +27,22 @@ def real_array(x, what: str = "x") -> np.ndarray:
     if arr.dtype.kind == "c":
         raise DomainError(f"{what} must be real, got complex input")
     return arr.astype(float, copy=False)
+
+
+def off_cut(z, what: str) -> np.ndarray:
+    """z as a complex array; DomainError where a part of z is not finite
+    or z lies on the cut (-oo, 0], whichever the sign of its zero
+    imaginary part: the two rims of the cut give different values."""
+    arr = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(arr) & ((arr.imag != 0.0) | (arr.real > 0.0))):
+        raise DomainError(f"{what} requires finite z off the cut (-oo, 0]")
+    return arr
+
+
+def upper_half_plane(re, im, what: str) -> tuple:
+    """re and im broadcast to float arrays; DomainError unless every re
+    is finite and every im in (0, oo)."""
+    re, im = np.broadcast_arrays(real_array(re, "re"), real_array(im, "im"))
+    if not np.all(np.isfinite(re) & (im > 0.0) & (im < np.inf)):
+        raise DomainError(f"{what} requires finite re and im > 0")
+    return re, im

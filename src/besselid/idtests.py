@@ -22,7 +22,8 @@ import numpy as np
 import scipy.special as _sp
 
 from .distributions import DIST_KINDS, _hyperbolic_profile
-from .errors import ConvergenceError, DomainError, ParameterError, real_array
+from .errors import (ConvergenceError, DomainError, ParameterError, off_cut,
+                     real_array, upper_half_plane)
 from .quad.tanhsinh import spec_plan
 from .smoothfn import (CauchyLadder, Ladder, MLSumLadder, PowerLadder,
                        SumLadder, k_ratio_ladder)
@@ -31,7 +32,7 @@ from .specfun import bessel_row
 __all__ = [
     "Rho", "Omega1", "Omega2", "IKMu", "Chi", "Theta", "Zeta", "Kappa",
     "Epsilon", "EpsilonRecip", "LT_KINDS",
-    "lt_value", "lt_value_complex", "neg_logderiv", "neg_logderiv_ladder",
+    "lt_value", "lt_value_complex", "neg_logderiv_ladder",
     "Evidence", "cm_check", "bernstein_check",
     "selfdecomp_check", "pick_check", "pick_im", "zeta_witness_search",
     "hcm_check", "noncentral_profile_check",
@@ -269,12 +270,12 @@ def lt_value(spec, x):
 
 
 def lt_value_complex(spec, z):
-    """Analytic continuation of a variant's L to complex z with Re z > 0:
-    its factor row at the principal square root.  A family raises
-    UnsupportedVariantError.  A scalar z is evaluated as a one-point
-    array.
+    """Analytic continuation of a variant's L to complex z off the cut
+    (-oo, 0] (errors.off_cut): its factor row at the principal square
+    root.  A family raises UnsupportedVariantError.  A scalar z is
+    evaluated as a one-point array.
     """
-    z = np.asarray(z, dtype=complex)
+    z = off_cut(z, "lt_value_complex")
     return spec.lt_value_complex(z.reshape(-1)).reshape(z.shape)[()]
 
 
@@ -285,11 +286,6 @@ def neg_logderiv_ladder(spec) -> Ladder:
     if "phi'" not in plan:
         plan["phi'"] = spec.phi_ladder()
     return plan["phi'"]
-
-
-def neg_logderiv(spec, x):
-    """phi'(x) = -(ln L)'(x) through the analytic ladder."""
-    return neg_logderiv_ladder(spec).value(float(x))
 
 
 # ----------------------------------------------------------------------
@@ -324,19 +320,23 @@ class Evidence:
 
 
 _DEFAULT_GRID = tuple(np.exp(np.linspace(np.log(0.05), np.log(50.0), 9)))
+# the margin below zero that a sign check still passes: rounding of
+# the derivative ladders (cm_check) and of Im[psi'/psi] (pick_check)
+CM_SLACK = 1e-9
+PICK_SLACK = 1e-12
 
 
 def cm_check(target, grid=_DEFAULT_GRID, max_order: int = 8,
-             slack: float = 1e-9, signs: str = "alternating",
-             label: str = "") -> Evidence:
+             signs: str = "alternating", label: str = "") -> Evidence:
     """Sign-pattern test of the derivatives of the smoothfn ladder
     target, evaluated once on the whole grid.
 
     signs = "alternating" tests (-1)^n f^(n) >= 0 (complete
     monotonicity); "positive" tests f^(n) >= 0 (absolute monotonicity).
     The margin is the most negative required-sign derivative, scaled
-    per order by the largest derivative magnitude on the grid; a failure
-    names the (x, order) pair attaining it.
+    per order by the largest derivative magnitude on the grid; it
+    passes down to -CM_SLACK, and a failure names the (x, order) pair
+    attaining it.
     """
     grid = tuple(float(g) for g in grid)
     table = target.derivatives(np.array(grid), max_order)
@@ -350,8 +350,8 @@ def cm_check(target, grid=_DEFAULT_GRID, max_order: int = 8,
     margins = signed / scale
     worst = float(np.min(margins))
     i, n = np.unravel_index(np.argmin(margins), margins.shape)
-    witness = (grid[i], int(n)) if worst < -slack else None
-    return Evidence.graded(worst, witness, slack=slack, label=label)
+    witness = (grid[i], int(n)) if worst < -CM_SLACK else None
+    return Evidence.graded(worst, witness, slack=CM_SLACK, label=label)
 
 
 def _normalization_gate(spec, label: str):
@@ -369,10 +369,10 @@ def _normalization_gate(spec, label: str):
 
 
 def bernstein_check(spec, grid=_DEFAULT_GRID, max_order: int = 8,
-                    slack: float = 1e-9, label: str = "") -> Evidence:
+                    label: str = "") -> Evidence:
     """Bernstein-function test: phi(0+) = 0 and phi' completely monotone."""
     return _normalization_gate(spec, label) or cm_check(
-        neg_logderiv_ladder(spec), grid, max_order, slack, label=label)
+        neg_logderiv_ladder(spec), grid, max_order, label=label)
 
 
 SELFDECOMP_ANCHOR = "Lemma 2"
@@ -397,8 +397,7 @@ class _AlphaDifference(Ladder):
 
 
 def selfdecomp_check(spec, alpha: float, grid=_DEFAULT_GRID,
-                     max_order: int = 8, slack: float = 1e-9,
-                     label: str = "") -> Evidence:
+                     max_order: int = 8, label: str = "") -> Evidence:
     """Self-decomposability at one alpha in (0, 1), that is Levy measure
     k(t)/t dt with k non-increasing (Sato 1999, Cor. 15.11): L(0+) = 1
     and phi'(x) - alpha phi'(alpha x) completely monotone."""
@@ -406,7 +405,7 @@ def selfdecomp_check(spec, alpha: float, grid=_DEFAULT_GRID,
         raise ParameterError("selfdecomp_check requires alpha in (0, 1)")
     return _normalization_gate(spec, label) or cm_check(
         _AlphaDifference(neg_logderiv_ladder(spec), alpha), grid, max_order,
-        slack, label=label)
+        label=label)
 
 
 # ----------------------------------------------------------------------
@@ -418,9 +417,7 @@ def pick_im(spec, re, im):
     elementwise over broadcast arrays re and im.  The spec's pick_im
     takes the points as two 1-d arrays, so a scalar point is a
     one-point array."""
-    re, im = np.broadcast_arrays(real_array(re, "re"), real_array(im, "im"))
-    if not np.all(np.isfinite(re) & (im > 0.0) & (im < np.inf)):
-        raise DomainError("pick_im requires finite re and im > 0")
+    re, im = upper_half_plane(re, im, "pick_im")
     return spec.pick_im(re.reshape(-1), im.reshape(-1)).reshape(re.shape)[()]
 
 
@@ -448,27 +445,27 @@ _PICK_GRID = tuple((x, y) for x in np.linspace(-5.0, 5.0, 11)
                    for y in (0.25, 0.5, 1.0, 2.5, 5.0))
 
 
-def pick_check(spec, grid=_PICK_GRID, slack: float = 1e-12,
-               label: str = "") -> Evidence:
+def pick_check(spec, grid=_PICK_GRID, label: str = "") -> Evidence:
     """Positivity of Im[psi'/psi] over an upper-half-plane grid: the
-    margin is the grid minimum, and a failure names its point."""
+    margin is the grid minimum, passing down to -PICK_SLACK, and a
+    failure names its point."""
     value, point = _grid_minimum(spec, grid)
-    return Evidence.graded(value, point if value < -slack else None,
-                           slack=slack, label=label)
+    return Evidence.graded(value, point if value < -PICK_SLACK else None,
+                           slack=PICK_SLACK, label=label)
 
 
-def zeta_witness_search(spec=None):
-    """Search the upper half-plane for Im[psi'/psi] < 0 for the I-product.
+def zeta_witness_search():
+    """Search the upper half-plane for Im[psi'/psi] < 0 for the I-product
+    Zeta(1, 1, 1, 2).
 
     Returns ((re, im), value) at the most negative point found; a
     genuinely negative value certifies the failure of the Pick property
     (the transform is not a generalized gamma convolution).
     """
-    if spec is None:
-        spec = Zeta(1.0, 1.0, 1.0, 2.0)
     value, point = _grid_minimum(
-        spec, [(x, y) for x in np.linspace(-20.0, 5.0, 51)
-               for y in np.geomspace(0.05, 5.0, 12)])
+        Zeta(1.0, 1.0, 1.0, 2.0),
+        [(x, y) for x in np.linspace(-20.0, 5.0, 51)
+         for y in np.geomspace(0.05, 5.0, 12)])
     return point, value
 
 
@@ -490,7 +487,7 @@ def _profile_ladder(g, u: float) -> CauchyLadder:
 
 
 def hcm_check(d, u: float, w_grid=_DEFAULT_W_GRID, max_order: int = 8,
-              slack: float = 1e-9, label: str = "") -> Evidence:
+              label: str = "") -> Evidence:
     """Complete monotonicity in w = v + 1/v of pdf(uv) pdf(u/v).
 
     A family with an exact profile ladder (the gamma quotient) is tested
@@ -499,14 +496,13 @@ def hcm_check(d, u: float, w_grid=_DEFAULT_W_GRID, max_order: int = 8,
     """
     target = d.hcm_ladder(u) or _profile_ladder(
         lambda x: np.exp(d.log_pdf(x)), u)
-    return cm_check(target, w_grid, max_order, slack, label=label)
+    return cm_check(target, w_grid, max_order, label=label)
 
 
-def noncentral_profile_check(mu: float, lam: float, u: float,
-                             w_grid=_DEFAULT_W_GRID) -> Evidence:
+def noncentral_profile_check(mu: float, lam: float, u: float) -> Evidence:
     """Positivity, decrease and convexity of the noncentral chi-square
     profile w -> pdf(uv) pdf(u/v) on (2, oo): a cm_check of its profile
-    ladder at orders 0 to 2.
+    ladder at orders 0 to 2 on the default w grid.
 
     Convexity is claimed for lam <= 2 mu + 1 (and decrease for lam <=
     2(2 mu + 1)); outside the convex region there is no claim to test.
@@ -516,22 +512,21 @@ def noncentral_profile_check(mu: float, lam: float, u: float,
             "noncentral_profile_check requires lam <= 2 mu + 1")
     d = DIST_KINDS["nchisq"](mu, lam)
     return cm_check(_profile_ladder(lambda x: np.exp(d.log_pdf(x)), u),
-                    w_grid, 2)
+                    _DEFAULT_W_GRID, 2)
 
 
 ABSMON_ANCHOR = "Theorem thprodIabsmon"
 
 
 def absmon_check(mu: float, u: float, w_grid=_DEFAULT_W_GRID,
-                 max_order: int = 6, slack: float = 1e-9,
-                 label: str = "") -> Evidence:
+                 max_order: int = 6) -> Evidence:
     """Absolute monotonicity in w of I_mu(uv) I_mu(u/v) on (2, oo): a
     cm_check with signs "positive" of the profile ladder of I_mu, so
     the witness is the worst (w, order) pair."""
     if not (mu > -0.5 and u > 0.0):
         raise ParameterError("absmon_check requires mu > -1/2 and u > 0")
     return cm_check(_profile_ladder(lambda x: _sp.iv(mu, x), u), w_grid,
-                    max_order, slack, signs="positive", label=label)
+                    max_order, signs="positive")
 
 
 # ----------------------------------------------------------------------
@@ -565,16 +560,16 @@ def landau_constant() -> float:
     return float(np.cbrt(t) * _sp.j0(t))
 
 
-def landau_bound_margin(mu: float, n: int = 20, lo: float = 0.1,
-                        hi: float = 100.0) -> float:
+def landau_bound_margin(mu: float) -> float:
     """Worst slack of I_mu(sqrt x) K_mu(sqrt x) <= pi c_L^2 / (sqrt 3 x^{2/3})
-    over a log grid; nonpositive return means the bound holds there.
+    over 20 log-spaced x in [0.1, 100]; nonpositive return means the
+    bound holds there.
 
     The x^{2/3} decay outpaces the product's x^{1/2} tail, so the bound
-    is a bounded-range statement; the default grid stops at x = 100.
+    is a bounded-range statement; the grid stops at x = 100.
     """
     cl2 = landau_constant() ** 2
-    x = np.geomspace(lo, hi, n)
+    x = np.geomspace(0.1, 100.0, 20)
     prod = bessel_row(1.0, 0.0, (("I", mu, 1.0, 1), ("K", mu, 1.0, 1)), x)
     return float(np.max(prod * np.sqrt(3.0) * x ** (2.0 / 3.0) / np.pi - cl2))
 

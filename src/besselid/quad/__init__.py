@@ -43,7 +43,7 @@ def numeric_laplace(f, x, tol: float = 1e-10):
     # one row as a scalar: numpy broadcasts 1-d arrays faster
     col = -xs[:, None] if xs.size > 1 else -float(xs[0])
     rows = integrate_pieces(
-        [half_line_piece(6.5, HALF_LINE)], lambda t, rows: np.exp(
+        [half_line_piece(HALF_LINE)], lambda t, rows: np.exp(
             (col if len(rows) == xs.size else col[rows]) * t) * f(t),
         xs.size, tol)
     return rows if np.asarray(x).ndim else rows[0]

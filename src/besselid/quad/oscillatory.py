@@ -37,15 +37,15 @@ import scipy.special as _sp
 
 from ..errors import DomainError
 from .result import QuadResult
-from .tanhsinh import (Piece, de_level, half_line_piece, integrate_pieces,
-                       tanh_sinh_level)
+from .tanhsinh import (HALF_LINE_X_MAX, Piece, de_level, half_line_piece,
+                       integrate_pieces, tanh_sinh_level)
 
 _HALF_PI = 0.5 * np.pi
 _RAY = np.exp(0.25j * np.pi)
 _SQRT2 = np.sqrt(2.0)
 _ASYMPTOTIC = 1e6       # |x| beyond which H_nu(x) uses its Hankel series
 _TS_MAX = 4.0           # tanh-sinh range of the head
-_ES_MAX = 6.5           # exp-sinh range of the ray, the tail and the half line
+_ES_MAX = HALF_LINE_X_MAX    # exp-sinh range of the ray and the tail
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def _hankel_scaled(kind: int, nu: float, x):
 
 def _pieces(terms: list, kernel) -> list:
     if not terms:
-        return [half_line_piece(_ES_MAX, {}, kernel)]
+        return [half_line_piece({}, kernel)]
     u0 = _head_length(terms)
 
     def head(level):
@@ -151,8 +151,8 @@ def _head_length(terms) -> float:
     return 2.0 * np.pi / min(scales) if scales else 1.0
 
 
-def integrate_oscillatory(weight, terms, kernel, tol: float = 1e-7,
-                          plan: dict = None, n_rows: int = None):
+def integrate_oscillatory(weight, terms, kernel, tol: float, plan: dict,
+                          n_rows: int = None):
     """Integral of kernel(t) * weight(t) over (0, oo), where
     kernel(t) = Re sum(term(sqrt t) for term in terms); with no terms,
     the whole half line by exp-sinh in t.
@@ -168,7 +168,6 @@ def integrate_oscillatory(weight, terms, kernel, tol: float = 1e-7,
     result is a QuadRows whose row i equals the one-row call on weight
     row i, bit for bit.
     """
-    plan = {} if plan is None else plan
     if "pieces" not in plan:
         terms = terms() if callable(terms) else terms
         if terms and min(tm.frequency for tm in terms) < 0.0:

@@ -13,9 +13,6 @@ class QuadResult:
     converged: bool
     info: dict = field(default_factory=dict)
 
-    def __float__(self):
-        return self.value
-
 
 class QuadRows(tuple):
     """The QuadResults of one engine call, one per row, with the call's

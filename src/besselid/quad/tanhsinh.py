@@ -23,8 +23,13 @@ MAX_LEVEL = 12
 # nine catalog kernels with Hankel terms stayed below 51 eps times it)
 _ROUNDING = 64.0 * float(np.finfo(float).eps)
 UNRESOLVED = "below the absolute resolution of the representation"
+# exp-sinh range of every half-line path: the half line, and the
+# contour engine's ray and tail
+HALF_LINE_X_MAX = 6.5
 # the one plan of integrate_singular_decay's and numeric_laplace's half line
 HALF_LINE: dict = {}
+_EMPTY = np.empty(0)
+_EMPTY.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -68,53 +73,51 @@ def tanh_sinh_level(a: float, b: float, x_max: float, level: int) -> tuple:
 @dataclass(eq=False, slots=True)
 class Piece:
     """One path of an integral (a finite interval, the half line, or a
-    head, ray or tail of the contour engine).  steps holds per level,
-    built once by build(level), the nodes x, the step h, the points t
-    and the weight-free factor a (Jacobian times kernel or Hankel-term
-    values): the level's sum for a row is h * Re sum a weight(t, row).
-    table joins the levels' t and a (run); depth ends the next run."""
+    head, ray or tail of the contour engine).  build(level) gives a
+    level's nodes x, step h, points t and weight-free factor a
+    (Jacobian times kernel or Hankel-term values): the level's sum for
+    a row is h * Re sum a weight(t, row).  steps holds each built
+    level's (x, h); t and a join the built levels' points and factors
+    in one read-only table, level FIRST_LEVEL + i at ends[i]:ends[i +
+    1]; depth ends the next run."""
 
     name: str
     x_max: float
     build: object
     steps: list = field(default_factory=list)
-    table: tuple = (np.empty(0), None, [0])
+    ends: list = field(default_factory=lambda: [0])
+    t: np.ndarray = field(default_factory=lambda: _EMPTY)
+    a: np.ndarray = field(default_factory=lambda: _EMPTY)
     depth: int = FIRST_LEVEL
 
-    def level(self, level: int) -> tuple:
-        """(x, h, t, a) of one level, built on first use: t and a
-        read-only (views of the table once it holds them), a's
-        non-finite tail values zeroed.  An integrand receives this t, so
-        a read-only node table is what it sees on every call."""
-        while len(self.steps) <= level - FIRST_LEVEL:
+    def _grow(self, last: int) -> None:
+        """Build the levels up to last, each joined onto the table as
+        it is built, its factor's non-finite tail values zeroed."""
+        while len(self.steps) <= last - FIRST_LEVEL:
             x, h, t, a = self.build(FIRST_LEVEL + len(self.steps))
             a = _tails_zeroed(a, x, self.x_max)
-            t.setflags(write=False)
-            a.setflags(write=False)
-            self.steps.append((x, h, t, a))
-        x, h, t, a = self.steps[level - FIRST_LEVEL]
-        if t is None:
-            t, a, ends = self.table
-            i, j = ends[level - FIRST_LEVEL:level - FIRST_LEVEL + 2]
-            t, a = t[i:j], a[i:j]
-        return x, h, t, a
+            self.t, self.a = (np.concatenate([old, new]) for old, new in
+                              ((self.t, t), (self.a, a)))
+            self.t.setflags(write=False)
+            self.a.setflags(write=False)
+            self.steps.append((x, h))
+            self.ends.append(self.t.size)
+
+    def level(self, level: int) -> tuple:
+        """(x, h, t, a) of one level, built on first use, t and a
+        read-only views of the table.  An integrand receives this t, so
+        a read-only node table is what it sees on every call."""
+        self._grow(level)
+        i = level - FIRST_LEVEL
+        j, k = self.ends[i:i + 2]
+        return (*self.steps[i], self.t[j:k], self.a[j:k])
 
     def run(self, last: int) -> tuple:
         """(t, a, ends) of the levels FIRST_LEVEL..last, level
-        FIRST_LEVEL + i at ends[i]:ends[i + 1] of the table (run_ends),
-        joined anew up to last when it holds fewer levels."""
-        n = last - FIRST_LEVEL + 1
-        if len(self.table[2]) <= n:
-            self.level(last)
-            t, a = (np.concatenate([self.level(FIRST_LEVEL + k)[i]
-                                    for k in range(n)]) for i in (2, 3))
-            t.setflags(write=False)
-            a.setflags(write=False)
-            self.table = t, a, run_ends(t.size)
-            self.steps[:n] = [(x, h, None, None)
-                              for x, h, _, _ in self.steps[:n]]
-        t, a, ends = self.table
-        return t[:ends[n]], a[:ends[n]], ends[:n + 1]
+        FIRST_LEVEL + i at ends[i]:ends[i + 1] (run_ends)."""
+        self._grow(last)
+        ends = self.ends[:last - FIRST_LEVEL + 2]
+        return self.t[:ends[-1]], self.a[:ends[-1]], ends
 
 
 def run_ends(n: int) -> list:
@@ -139,14 +142,14 @@ def _tails_zeroed(v, x, x_max: float):
     return np.where(finite, v, 0.0)
 
 
-def half_line_piece(x_max: float, plan: dict, kernel=None) -> Piece:
+def half_line_piece(plan: dict, kernel=None) -> Piece:
     """exp-sinh on (0, oo), kept in plan under "half-line": the factor
     is the Jacobian times kernel(t), or the Jacobian alone."""
     if "half-line" not in plan:
         def build(level):
-            x, h, t, jac = de_level("exp", x_max, level)
+            x, h, t, jac = de_level("exp", HALF_LINE_X_MAX, level)
             return x, h, t, jac if kernel is None else jac * kernel(t)
-        plan["half-line"] = Piece("half-line", x_max, build)
+        plan["half-line"] = Piece("half-line", HALF_LINE_X_MAX, build)
     return plan["half-line"]
 
 
@@ -167,11 +170,10 @@ def spec_plan(spec) -> dict:
 
 
 @np.errstate(all="ignore")
-def integrate_pieces(pieces, weight, n_rows: int, tol: float,
-                     max_level: int = MAX_LEVEL) -> QuadRows:
+def integrate_pieces(pieces, weight, n_rows: int, tol: float) -> QuadRows:
     """Integrals of n_rows integrands, each the sum over the pieces of
     their level sums (see Piece) on the levels FIRST_LEVEL, ...,
-    max_level; a QuadRows of one QuadResult per row.
+    MAX_LEVEL; a QuadRows of one QuadResult per row.
 
     weight(t, rows) gives the rows listed in the index list `rows` at
     the points t, shape (len(rows), t.size) or, for one row, (t.size,);
@@ -192,35 +194,33 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float,
     converged when the estimate is within tol * |value|; otherwise
     info["reason"] says why: the floor alone is not (the value is below
     what double precision resolves on these paths), or no convergence
-    by max_level.  Non-finite values count as in _tails_zeroed.
+    by MAX_LEVEL.  Non-finite values count as in _tails_zeroed.
     """
-    if max_level < FIRST_LEVEL:
-        raise DomainError(f"max_level must be at least {FIRST_LEVEL}")
     if n_rows == 1:
-        return QuadRows([_one_row(pieces, weight, tol, max_level)])
-    return QuadRows(_many_rows(pieces, weight, n_rows, tol, max_level))
+        return QuadRows([_one_row(pieces, weight, tol)])
+    return QuadRows(_many_rows(pieces, weight, n_rows, tol))
 
 
-def _one_row(pieces, weight, tol, max_level) -> QuadResult:
+def _one_row(pieces, weight, tol) -> QuadResult:
     # per piece: trapezoid sum, sum of |integrand| and last difference
     value, mass, diff = ([0.0] * len(pieces) for _ in range(3))
     # the warm pieces' runs side by side, zero past each: the real part
     # over |v| of the values v, each (part, piece) row of a level one
     # pairwise sum as on the level alone; all offsets prefix the longest
-    runs = [piece.run(min(piece.depth, max_level))
+    runs = [piece.run(min(piece.depth, MAX_LEVEL))
             if piece.depth > FIRST_LEVEL else None for piece in pieces]
     n_run = [len(run[2]) - 1 if run else 0 for run in runs]
     ends = max((run[2] for run in runs if run), key=len, default=[0])
     stack = np.zeros((2, len(pieces), ends[-1]))
     for k, run in enumerate(runs):
-        pieces[k].depth = min(pieces[k].depth + 1, max_level)
+        pieces[k].depth = min(pieces[k].depth + 1, MAX_LEVEL)
         if run:
             t, a, _ = run
             v = (a * weight(t, [0])).reshape(t.size)
             stack[0, k, :t.size] = v.real
             np.abs(v, out=stack[1, k, :t.size])
     live, n_evals = list(range(len(pieces))), 0
-    for i, level in enumerate(range(FIRST_LEVEL, max_level + 1)):
+    for i, level in enumerate(range(FIRST_LEVEL, MAX_LEVEL + 1)):
         if i + 1 < len(ends):
             sums, masses = np.add.reduce(
                 stack[..., ends[i]:ends[i + 1]], -1).tolist()
@@ -245,17 +245,17 @@ def _one_row(pieces, weight, tol, max_level) -> QuadResult:
             live = [k for k in live if diff[k] > budget]
         if not live:
             break
-    return _result(value, mass, diff, n_evals, tol, max_level)
+    return _result(value, mass, diff, n_evals, tol)
 
 
-def _many_rows(pieces, weight, n_rows, tol, max_level) -> list:
+def _many_rows(pieces, weight, n_rows, tol) -> list:
     value, mass, diff = ([[0.0] * len(pieces) for _ in range(n_rows)]
                          for _ in range(3))     # per row, as in _one_row
     n_evals, budget = [0] * n_rows, [0.0] * n_rows
     live = [list(range(n_rows)) for _ in pieces]     # per piece
     for piece in pieces:
-        piece.depth = min(piece.depth + 1, max_level)
-    for level in range(FIRST_LEVEL, max_level + 1):
+        piece.depth = min(piece.depth + 1, MAX_LEVEL)
+    for level in range(FIRST_LEVEL, MAX_LEVEL + 1):
         for k, (piece, on) in enumerate(zip(pieces, live)):
             if not on:
                 continue
@@ -277,7 +277,7 @@ def _many_rows(pieces, weight, n_rows, tol, max_level) -> list:
                     pieces[k].depth = min(pieces[k].depth, level)
         if not any(live):
             break
-    return [_result(value[r], mass[r], diff[r], n_evals[r], tol, max_level)
+    return [_result(value[r], mass[r], diff[r], n_evals[r], tol)
             for r in range(n_rows)]
 
 
@@ -292,7 +292,7 @@ def _sums(piece, level: int, weight, on: list) -> tuple:
     return x.size, h, v.real.sum(axis=-1).tolist(), masses
 
 
-def _result(value, mass, diff, n_evals, tol, max_level) -> QuadResult:
+def _result(value, mass, diff, n_evals, tol) -> QuadResult:
     """One row's QuadResult from its pieces' sums, masses and diffs."""
     total, floor = sum(value), _ROUNDING * sum(mass)
     err = sum(diff) + floor
@@ -304,28 +304,25 @@ def _result(value, mass, diff, n_evals, tol, max_level) -> QuadResult:
                               f"{tol * abs(total):.3g}, rounding floor "
                               f"{floor:.3g}")
         else:
-            info["reason"] = f"no convergence by level {max_level}"
+            info["reason"] = f"no convergence by level {MAX_LEVEL}"
     return QuadResult(total, err, n_evals, converged, info=info)
 
 
-def tanh_sinh_finite(f, a: float, b: float, tol: float = 1e-12,
-                     max_level: int = 12) -> QuadResult:
+def tanh_sinh_finite(f, a: float, b: float, tol: float = 1e-12) -> QuadResult:
     """Integral over [a, b] tolerating endpoint singularities."""
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise DomainError("tanh_sinh_finite requires finite a < b")
     piece = Piece("finite", 4.0,
                   functools.partial(tanh_sinh_level, a, b, 4.0))
-    return integrate_pieces([piece], lambda t, rows: f(t), 1, tol,
-                            max_level)[0]
+    return integrate_pieces([piece], lambda t, rows: f(t), 1, tol)[0]
 
 
-def integrate_singular_decay(f, tol: float = 1e-10,
-                             max_level: int = 12) -> QuadResult:
+def integrate_singular_decay(f, tol: float = 1e-10) -> QuadResult:
     """Integral of f over (0, infinity) by the exp-sinh transform.
 
     Handles an integrable algebraic singularity t^p (p > -1) at the
     origin together with exponential or algebraic (faster than 1/t)
     decay at infinity.
     """
-    return integrate_pieces([half_line_piece(6.5, HALF_LINE)],
-                            lambda t, rows: f(t), 1, tol, max_level)[0]
+    return integrate_pieces([half_line_piece(HALF_LINE)],
+                            lambda t, rows: f(t), 1, tol)[0]

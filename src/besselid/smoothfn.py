@@ -30,7 +30,7 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, ParameterError, real_array
-from .quad.tanhsinh import FIRST_LEVEL, de_level, spec_plan
+from .quad.tanhsinh import FIRST_LEVEL, _tails_zeroed, de_level, spec_plan
 from .specfun import bessel_zeros
 from .stieltjes import make_identity
 
@@ -67,17 +67,8 @@ class Ladder:
     def _derivatives(self, x, max_order: int) -> np.ndarray:
         raise NotImplementedError
 
-    def value(self, x: float) -> float:
-        return float(self.derivatives(x, 0)[0])
-
     def __add__(self, other):
         return SumLadder((self, other))
-
-    def __neg__(self):
-        return SumLadder((self,), (-1.0,))
-
-    def __sub__(self, other):
-        return SumLadder((self, other), (1.0, -1.0))
 
 
 def _rational_ladder_vec(coefs, roots, x, max_order):
@@ -219,8 +210,8 @@ class MLSumLadder(Ladder):
     closed form: at order 0 for every x through the digamma function,
     and at orders >= 1 as the Hurwitz zeta tail (a/pi)^{2p} zeta(2p,
     n_zeros + 1 + mu/2 - 1/4) added to each M_p.  Orders >= 1 therefore
-    need x <= r_{n_zeros}/16 (about 1e7/a^2 at the default 4000 zeros)
-    and raise DomainError beyond it.  Each point's value depends on that
+    need x <= r_{n_zeros}/16 (about 1e7/a^2 at its n_zeros = 4000
+    zeros) and raise DomainError beyond it.  Each point's value depends on that
     point alone, so a grid gives the per-point values bit for bit.  The
     plan (_plan) keeps all that is grid-free: the roots, the moments, the
     order-0 constant r psi'(c) and the Hurwitz vector; points that share
@@ -229,7 +220,7 @@ class MLSumLadder(Ladder):
 
     mu: float
     a: float
-    n_zeros: int = 4000
+    n_zeros = 4000
 
     def __post_init__(self):
         if self.mu <= -1.0 or self.a <= 0.0:
@@ -326,7 +317,7 @@ _LADDER_X_MAX = 6.0
 @dataclass(frozen=True)
 class StieltjesLadder(Ladder):
     """f(x) = sum_i masses[i] / (x + nodes[i]); the discretization of a
-    Stieltjes transform with positive kernel on fixed quadrature nodes."""
+    Stieltjes transform on fixed quadrature nodes."""
 
     nodes: tuple
     masses: tuple
@@ -336,15 +327,18 @@ class StieltjesLadder(Ladder):
         """coef * integral of kernel(t) / (x + node(t)) over t > 0: the
         kernel evaluated once on every node of the exp-sinh trapezoid of
         level _LADDER_LEVEL on [-_LADDER_X_MAX, _LADDER_X_MAX] (the
-        levels of quad.tanhsinh.de_level up to it), keeping the nodes
-        whose mass is finite and positive."""
+        levels of quad.tanhsinh.de_level up to it).  Every nonzero mass
+        is kept with its sign; a non-finite one is dropped on a tail
+        node and raises DomainError on a core node, as in the
+        quadrature (quad.tanhsinh._tails_zeroed)."""
         levels = [de_level("exp", _LADDER_X_MAX, k)
                   for k in range(FIRST_LEVEL, _LADDER_LEVEL + 1)]
-        t = np.concatenate([lv[2] for lv in levels])
+        x, t, jac = (np.concatenate([lv[i] for lv in levels])
+                     for i in (0, 2, 3))
         with np.errstate(all="ignore"):
-            m = coef * levels[-1][1] * np.concatenate(
-                [lv[3] for lv in levels]) * kernel(t)
-        keep = np.isfinite(m) & (m > 0.0)
+            m = coef * levels[-1][1] * jac * kernel(t)
+        m = _tails_zeroed(m, x, _LADDER_X_MAX)
+        keep = m != 0.0
         return cls(tuple(node(t[keep])), tuple(m[keep]))
 
     def __post_init__(self):
@@ -373,7 +367,7 @@ class CauchyLadder(Ladder):
     fn must be real on the real axis.  By Schwarz reflection, f(conj z)
     = conj f(z), so the lower half circle repeats the upper one
     conjugated: fn is evaluated at theta_k = 2 pi k / M for k = 0..M/2
-    only (M = n_points, even), and the Hermitian FFT (np.fft.hfft) gives
+    only (M = n_points = 64), and the Hermitian FFT (np.fft.hfft) gives
     the coefficients.  An imaginary part above 1e-12 of the row's
     largest |f| at theta = 0 or pi raises DomainError naming x.
 
@@ -385,12 +379,8 @@ class CauchyLadder(Ladder):
 
     fn: object
     radius_factor: float = 0.5
-    n_points: int = 64
     radius_shift: float = 0.0
-
-    def __post_init__(self):
-        if self.n_points < 2 or self.n_points % 2:
-            raise ParameterError("CauchyLadder needs an even n_points >= 2")
+    n_points = 64
 
     def _derivatives(self, x, max_order: int) -> np.ndarray:
         if np.any(x <= 0.0):

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import (DomainError, ParameterError, UnsupportedVariantError,
-                     real_array)
+                     off_cut, real_array)
 from .quad import (HankelTerm, QuadResult, QuadRows, integrate_oscillatory,
                    integrate_singular_decay, positive_points,
                    tanh_sinh_finite)
@@ -454,12 +454,13 @@ class IdentityRecord:
 
     # -- closed forms -------------------------------------------------------
     def lhs_value(self, z):
-        """Closed-form left-hand side; z may be complex off (-oo, 0] but
-        for a Tricomi entry, whose psi is real only (DomainError).  A
-        scalar z is evaluated as a one-point array, so an array z gives
-        the values of the scalar calls bit for bit."""
+        """Closed-form left-hand side; z may be complex off the cut
+        (-oo, 0] (errors.off_cut) but for a Tricomi entry, whose psi is
+        real only (DomainError).  A scalar z is evaluated as a one-point
+        array, so an array z gives the values of the scalar calls bit
+        for bit."""
         za = np.asarray(z)
-        zs = za.reshape(-1) if np.iscomplexobj(za) \
+        zs = off_cut(za, "lhs_value").reshape(-1) if np.iscomplexobj(za) \
             else positive_points(za, "lhs_value")
         return self._entry().lhs(self.p, zs).reshape(za.shape)[()]
 

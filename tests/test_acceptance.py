@@ -177,7 +177,7 @@ def test_criterion_6_bernstein_selfdecomp():
     ok = True
     worst = ("", 0.0)
     for label, spec in bernstein_targets():
-        rep = bernstein_check(spec, max_order=8, slack=1e-9)
+        rep = bernstein_check(spec, max_order=8)
         if rep.margin < worst[1]:
             worst = (f"bernstein:{label}", rep.margin)
         ok = ok and rep.passed
@@ -200,7 +200,7 @@ def test_criterion_7_pick():
     ok = True
     worst = 0.0
     for label, spec in pick_targets():
-        rep = pick_check(spec, slack=1e-12)
+        rep = pick_check(spec)
         worst = min(worst, rep.margin)
         ok = ok and rep.passed
     point, value = zeta_witness_search()
@@ -240,7 +240,7 @@ def test_criterion_8_hcm_profiles():
 
 def test_criterion_9_landau():
     c_err = abs(landau_constant() - 0.7857468704)
-    margins = {mu: landau_bound_margin(mu, n=20) for mu in (0.5, 1.0, 3.0)}
+    margins = {mu: landau_bound_margin(mu) for mu in (0.5, 1.0, 3.0)}
     ok = c_err < 1e-8 and all(m < 0.0 for m in margins.values())
     _report(9, ok, f"constant err {c_err:.2e}, bound margins "
             + " ".join(f"mu={mu:g}:{m:.3f}" for mu, m in margins.items()))

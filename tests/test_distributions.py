@@ -17,7 +17,7 @@ from besselid.distributions import (DIST_DEFAULTS, DIST_KINDS, hcm_profile,
                                     log_pdf, mgf_logderiv_im, pdf)
 from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
-from besselid.idtests import neg_logderiv, pick_check
+from besselid.idtests import neg_logderiv_ladder, pick_check
 from besselid.quad import integrate_singular_decay, numeric_laplace
 from besselid.quad.tanhsinh import (FIRST_LEVEL, MAX_LEVEL, de_level,
                                     spec_plan)
@@ -189,7 +189,8 @@ def test_mckay1_neg_logderiv_is_exact_partial_fraction():
     d = DIST_KINDS["mckay1"](mu, a, b)
     for x in (0.1, 1.0, 7.0):
         want = (mu + 0.5) * (1.0 / (x + b - a) + 1.0 / (x + b + a))
-        assert neg_logderiv(d, x) == pytest.approx(want, rel=1e-13)
+        assert neg_logderiv_ladder(d).derivatives(x, 0)[0] \
+            == pytest.approx(want, rel=1e-13)
 
 
 def _assert_neg_logderiv_matches_fd(d):
@@ -198,7 +199,8 @@ def _assert_neg_logderiv_matches_fd(d):
         grid = [float(laplace_closed(d, x + k * h)) for k in (-2, -1, 1, 2)]
         num = -(-grid[3] + 8 * grid[2] - 8 * grid[1] + grid[0]) / (12 * h)
         want = num / float(laplace_closed(d, x))
-        assert neg_logderiv(d, x) == pytest.approx(want, rel=1e-7), (d, x)
+        assert neg_logderiv_ladder(d).derivatives(x, 0)[0] \
+            == pytest.approx(want, rel=1e-7), (d, x)
 
 
 _GIG_MU_ZERO = (0.0, 1.0, 1.0)
@@ -225,7 +227,7 @@ def test_neg_logderiv_positive_on_grid():
             continue
         d = DIST_KINDS[kind](*args)
         for xi in x:
-            assert neg_logderiv(d, float(xi)) > 0.0
+            assert neg_logderiv_ladder(d).derivatives(xi, 0)[0] > 0.0
 
 
 # ----------------------------------------------------------------------

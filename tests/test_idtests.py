@@ -19,7 +19,7 @@ from besselid.idtests import (LT_KINDS, Chi, Evidence, IKMu, Omega1, Rho,
                               absmon_check, bernstein_check, bernstein_targets,
                               cm_check, hcm_check, landau_bound_margin,
                               landau_constant, lt_value, lt_value_complex,
-                              neg_logderiv, noncentral_profile_check,
+                              neg_logderiv_ladder, noncentral_profile_check,
                               pick_check, pick_im, pick_targets,
                               profile_targets, selfdecomp_check,
                               selfdecomp_targets, zeta_witness_search)
@@ -217,7 +217,8 @@ def test_neg_logderiv_matches_richardson(spec):
         ln = [float(np.log(lt_value(spec, x + k * h)))
               for k in (-2, -1, 1, 2)]
         num = -(-ln[3] + 8 * ln[2] - 8 * ln[1] + ln[0]) / (12 * h)
-        assert neg_logderiv(spec, x) == pytest.approx(num, rel=1e-7)
+        assert neg_logderiv_ladder(spec).derivatives(x, 0)[0] \
+            == pytest.approx(num, rel=1e-7)
 
 
 # ----------------------------------------------------------------------
@@ -530,7 +531,7 @@ def _pick_per_point(spec, re, im):
             return coef * im / ((node(t) - re) ** 2 + im * im)
 
         piece = half_line_piece(
-            6.5, {}, lambda t: kdist_quotient_kernel(al, be, t))
+            {}, lambda t: kdist_quotient_kernel(al, be, t))
         return integrate_pieces([piece], weight, 1, tol=1e-11)[0].value
     return spec.pick_im(re, im)
 
@@ -836,17 +837,19 @@ def _profile_per_point(mu, lam, u, w_grid):
 
 @pytest.mark.parametrize("mu,lam,u", profile_targets() + [
     (1.0, 3.0, 1.0), (0.5, 1.9, 0.3), (2.0, 9.5, 1.5), (0.5, 10.0, 1.0)])
-def test_noncentral_profile_grid_equals_per_point(mu, lam, u):
+def test_noncentral_profile_grid_equals_per_point(mu, lam, u, monkeypatch):
+    # a denser and wider grid than the default that the check reads
     w_grid = tuple(2.0 + np.geomspace(0.01, 30.0, 12))
+    monkeypatch.setattr(idtests, "_DEFAULT_W_GRID", w_grid)
     want = _profile_per_point(mu, lam, u, w_grid)
     if lam > 2.0 * mu + 1.0:
         # no convexity claimed, and the stencil shows the profile
         # failing there anyway
         assert not want.passed
         with pytest.raises(ParameterError):
-            noncentral_profile_check(mu, lam, u, w_grid)
+            noncentral_profile_check(mu, lam, u)
         return
-    got = noncentral_profile_check(mu, lam, u, w_grid)
+    got = noncentral_profile_check(mu, lam, u)
     assert (got.verdict, got.witness) == (want.verdict, want.witness)
     assert got.margin == pytest.approx(want.margin, rel=1e-6, abs=1e-12)
 

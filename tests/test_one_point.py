@@ -130,7 +130,7 @@ _LADDERS = {
     + PowerLadder(1.0, -2.5, 0.1),
     "power": lambda: PowerLadder(1.5, -0.7, 0.2),
     "power-square": lambda: PowerLadder(0.8, 2.0, 0.5),
-    "mlsum": lambda: MLSumLadder(mu=0.8, a=1.3, n_zeros=500),
+    "mlsum": lambda: MLSumLadder(mu=0.8, a=1.3),
     "stieltjes": lambda: k_ratio_ladder(0.7, 1.2),
     "cauchy": lambda: CauchyLadder(fn=lambda z: np.exp(-np.sqrt(z)),
                                    radius_factor=0.4),

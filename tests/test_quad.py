@@ -63,8 +63,8 @@ def test_singular_decay_algebraic_tail():
     assert r.value == pytest.approx(1.0, rel=1e-10)
 
 
-def test_singular_decay_rows_equal_one_row_calls():
-    # rows that stop at different levels, and with max_level 8 some that
+def test_singular_decay_rows_equal_one_row_calls(monkeypatch):
+    # rows that stop at different levels, and with MAX_LEVEL 8 some that
     # never converge; every field of each row equals the one-row call
     rng = np.random.default_rng(17)
     c, r, y = (rng.uniform(0.2, 3.0, 9), rng.uniform(-4.0, 4.0, 9),
@@ -76,13 +76,12 @@ def test_singular_decay_rows_equal_one_row_calls():
             / ((t - r2[k]) ** 2 + y2[k] * y2[k])
 
     for max_level in (12, 8):
-        got = integrate_pieces([half_line_piece(6.5, {})], rows, 9,
-                               tol=1e-11, max_level=max_level)
+        monkeypatch.setattr(tanhsinh, "MAX_LEVEL", max_level)
+        got = integrate_pieces([half_line_piece({})], rows, 9, tol=1e-11)
         for i in range(9):
             one = integrate_singular_decay(
                 lambda t: np.exp(-c[i] * t) * np.sqrt(t) * y[i]
-                / ((t - r[i]) ** 2 + y[i] * y[i]), tol=1e-11,
-                max_level=max_level)
+                / ((t - r[i]) ** 2 + y[i] * y[i]), tol=1e-11)
             assert (got[i].value, got[i].err_estimate, got[i].n_evals,
                     got[i].converged) == (one.value, one.err_estimate,
                                           one.n_evals, one.converged)
@@ -116,7 +115,8 @@ def _stieltjes(z):
 
 def test_oscillatory_j0_squared_stieltjes():
     terms, kernel = _j_squared(0.0)
-    r = integrate_oscillatory(_stieltjes(1.0), terms, kernel, tol=1e-9)
+    r = integrate_oscillatory(_stieltjes(1.0), terms, kernel, tol=1e-9,
+                              plan={})
     want = 2.0 * sp.iv(0, 1.0) * sp.kv(0, 1.0)
     assert r.converged
     assert r.value == pytest.approx(want, rel=1e-8)
@@ -126,7 +126,8 @@ def test_oscillatory_cosine_closed_form():
     # u = sqrt(t): int_0^oo cos(sqrt t)/(2 sqrt t (1+t)) dt
     #            = int_0^oo cos(u)/(1+u^2) du = pi/(2e)
     terms, kernel = _cos_over_root()
-    r = integrate_oscillatory(_stieltjes(1.0), terms, kernel, tol=1e-9)
+    r = integrate_oscillatory(_stieltjes(1.0), terms, kernel, tol=1e-9,
+                              plan={})
     assert r.value == pytest.approx(np.pi / (2.0 * np.e), rel=1e-8)
 
 
@@ -136,16 +137,7 @@ def test_oscillatory_rejects_empty_or_negative_frequency_terms():
                   [HankelTerm(1.0, 0.0, 0.0, ((2, 0.0, 1.0, 1),))]):
         with pytest.raises(DomainError):
             integrate_oscillatory(_stieltjes(1.0), terms,
-                                  lambda t: np.exp(-t), tol=1e-10)
-
-
-def test_max_level_below_the_first_level_raises():
-    # no level would run, and a sum of nothing would read as converged
-    with pytest.raises(DomainError, match="max_level"):
-        integrate_singular_decay(lambda t: np.exp(-t), max_level=2)
-    with pytest.raises(DomainError, match="max_level"):
-        integrate_pieces([half_line_piece(6.5, {})],
-                         lambda t, rows: np.exp(-t), 2, 1e-10, max_level=2)
+                                  lambda t: np.exp(-t), tol=1e-10, plan={})
 
 
 def test_oscillatory_without_terms_is_one_half_line_piece():
@@ -160,11 +152,13 @@ def test_oscillatory_without_terms_is_one_half_line_piece():
 
 def test_oscillatory_linearity():
     (f_terms, f), (g_terms, g) = _cos_over_root(), _j_squared(0.0)
-    rf = integrate_oscillatory(_stieltjes(1.0), f_terms, f, tol=1e-9)
-    rg = integrate_oscillatory(_stieltjes(1.0), g_terms, g, tol=1e-9)
+    rf = integrate_oscillatory(_stieltjes(1.0), f_terms, f, tol=1e-9,
+                               plan={})
+    rg = integrate_oscillatory(_stieltjes(1.0), g_terms, g, tol=1e-9,
+                               plan={})
     rc = integrate_oscillatory(
         _stieltjes(1.0), _cos_over_root(2.0)[0] + _j_squared(0.0, coef=3.0)[0],
-        lambda t: 2.0 * f(t) + 3.0 * g(t), tol=1e-9)
+        lambda t: 2.0 * f(t) + 3.0 * g(t), tol=1e-9, plan={})
     combined = 2.0 * rf.value + 3.0 * rg.value
     budget = 2.0 * rf.err_estimate + 3.0 * rg.err_estimate + rc.err_estimate
     assert abs(rc.value - combined) <= max(budget, 1e-8)
@@ -191,7 +185,7 @@ def test_laplace_of_j_squared_gives_bessel_kernel():
     mu, x = 1.0, 0.8
     terms, kernel = _j_squared(mu)
     r = integrate_oscillatory(lambda t: np.exp(-x * t), terms, kernel,
-                              tol=1e-10)
+                              tol=1e-10, plan={})
     want = np.exp(-0.5 / x) * sp.iv(mu, 0.5 / x) / x
     assert r.value == pytest.approx(want, rel=1e-8)
 
@@ -264,7 +258,7 @@ def _battery():
         for scale in (1.0, 1e-12, 1e12):
             terms, kernel = case(scale)
             cases.append((lambda w=weight, tm=terms, k=kernel:
-                           integrate_oscillatory(w, tm, k, tol=tol),
+                           integrate_oscillatory(w, tm, k, tol=tol, plan={}),
                            scale * want))
 
     ts(lambda x: x ** 3, 0.0, 1.0, 0.25, tol=1e-10)
@@ -584,7 +578,7 @@ def test_unconsumed_non_finite_levels_do_not_raise():
         return weight
 
     def run(weight, depth):
-        piece = half_line_piece(6.5, {})
+        piece = half_line_piece({})
         piece.level(8)
         piece.depth = depth
         return integrate_pieces([piece], weight, 1, tol=1e-10)[0]
@@ -604,7 +598,7 @@ def test_unconsumed_non_finite_levels_do_not_raise():
     calls = []
 
     def two(weight, depth=8):
-        pieces = [half_line_piece(6.5, {}), tanhsinh.Piece(
+        pieces = [half_line_piece({}), tanhsinh.Piece(
             "unit", 4.0, functools.partial(tanhsinh.tanh_sinh_level,
                                            0.0, 1.0, 4.0))]
         for piece in pieces:

@@ -79,14 +79,16 @@ def test_ml_sum_order_zero_is_bessel_ratio(mu):
     for x in np.exp(np.linspace(np.log(0.1), np.log(100.0), 9)):
         s = np.sqrt(x)
         want = (a / (2.0 * s)) * sp.ive(mu + 1.0, a * s) / sp.ive(mu, a * s)
-        assert lad.value(float(x)) == pytest.approx(want, abs=1e-9 * want)
+        assert lad.derivatives(float(x), 0)[0] == pytest.approx(
+            want, abs=1e-9 * want)
 
 
 def test_ml_sum_derivative_vs_central_difference():
-    lad = MLSumLadder(mu=1.0, a=1.0, n_zeros=2000)
+    lad = MLSumLadder(mu=1.0, a=1.0)
     x, h = 2.0, 1e-4
     d = lad.derivatives(x, 1)
-    num = (lad.value(x + h) - lad.value(x - h)) / (2.0 * h)
+    num = (lad.derivatives(x + h, 0)[0] - lad.derivatives(x - h, 0)[0]) \
+        / (2.0 * h)
     assert d[1] == pytest.approx(num, rel=1e-6)
 
 
@@ -99,15 +101,16 @@ def test_ml_sum_rejects_bad_parameters():
 
 def test_ml_sum_derivatives_stop_where_the_moment_series_ends():
     # orders >= 1 need x <= r_N / 16; order 0 has its closed remainder
-    lad = MLSumLadder(mu=0.3, a=2.0, n_zeros=500)
-    edge = (bessel_zeros(0.3, 500)[-1] / 2.0) ** 2 / 16.0
+    lad = MLSumLadder(mu=0.3, a=2.0)
+    edge = (bessel_zeros(0.3, MLSumLadder.n_zeros)[-1] / 2.0) ** 2 / 16.0
     assert np.all(np.isfinite(lad.derivatives(np.array([1.0, 0.99 * edge]),
                                               8)))
     with pytest.raises(DomainError, match="MLSumLadder"):
         lad.derivatives(np.array([1.0, 1.01 * edge]), 1)
     s = np.sqrt(1.01 * edge)
     want = sp.ive(1.3, 2.0 * s) / sp.ive(0.3, 2.0 * s) / s
-    assert lad.value(1.01 * edge) == pytest.approx(want, rel=1e-12)
+    assert lad.derivatives(1.01 * edge, 0)[0] == pytest.approx(want,
+                                                          rel=1e-12)
 
 
 ML_CASES = ((0.0, 0.7), (0.3, 3.0), (0.8, 1.3), (1.0, 1.0), (2.5, 2.0))
@@ -320,7 +323,7 @@ def test_k_ratio_ladder_order_zero(mu):
     for x in (0.2, 1.0, 10.0, 80.0):
         s = np.sqrt(x)
         want = (a / (2.0 * s)) * sp.kve(mu - 1.0, a * s) / sp.kve(mu, a * s)
-        assert lad.value(x) == pytest.approx(want, rel=1e-6)
+        assert lad.derivatives(x, 0)[0] == pytest.approx(want, rel=1e-6)
 
 
 def test_k_ratio_ladder_rejects_bad_scale():
@@ -375,8 +378,6 @@ def test_cauchy_ladder_rejects_a_function_not_real_on_the_axis():
     with pytest.raises(DomainError, match=r"real axis; it is not at "
                        r"x = 1\.5$"):
         lad.derivatives(np.array([1.5, 2.0]), 4)
-    with pytest.raises(ParameterError, match="even"):
-        CauchyLadder(fn=np.exp, n_points=63)
 
 
 def _scaled_error(got, want):
@@ -408,12 +409,8 @@ def test_sum_ladder_arithmetic():
     b = PowerLadder(2.0, -2.0, 3.0)
     x = 1.2
     s = (a + b).derivatives(x, 4)
-    d = (a - b).derivatives(x, 4)
-    n = (-a).derivatives(x, 4)
     da, db = a.derivatives(x, 4), b.derivatives(x, 4)
     assert np.allclose(s, da + db, rtol=1e-14)
-    assert np.allclose(d, da - db, rtol=1e-14)
-    assert np.allclose(n, -da, rtol=1e-14)
 
 
 def test_sum_ladder_rejects_mismatched_coefs():
@@ -427,7 +424,7 @@ def test_sum_ladder_rejects_mismatched_coefs():
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("make", [
-    lambda: MLSumLadder(mu=1.0, a=1.5, n_zeros=1500),
+    lambda: MLSumLadder(mu=1.0, a=1.5),
     lambda: k_ratio_ladder(0.7, 1.2),
     lambda: CauchyLadder(fn=lambda z: np.exp(-np.sqrt(z)), radius_factor=0.4),
 ])
@@ -578,10 +575,11 @@ LADDERS = {
     "rational": lambda: RationalLadder(((2.0, 0.0), (1.0, 0.5)))
     + PowerLadder(1.0, -2.5),
     "power": lambda: PowerLadder(1.5, -0.7),
-    "mlsum": lambda: MLSumLadder(mu=0.8, a=1.3, n_zeros=500),
+    "mlsum": lambda: MLSumLadder(mu=0.8, a=1.3),
     "stieltjes": lambda: StieltjesLadder((0.0, 2.0), (1.0, 0.5)),
     "cauchy": lambda: CauchyLadder(fn=lambda z: 1.0 / np.sqrt(z)),
-    "sum": lambda: PowerLadder(1.0, -0.5) - RationalLadder(((1.0, 0.0),)),
+    "sum": lambda: SumLadder((PowerLadder(1.0, -0.5),
+                              RationalLadder(((1.0, 0.0),))), (1.0, -1.0)),
 }
 
 

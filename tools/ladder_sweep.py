@@ -54,9 +54,9 @@ def work_counts(ladder, x, max_order: int) -> dict:
         out["powers"] = rungs
     elif isinstance(ladder, smoothfn.CauchyLadder):
         out["powers"] = rungs
-        out["circle"] = x.size * (ladder.n_points // 2 + 1)
+        out["circle"] = x.size * (smoothfn.CauchyLadder.n_points // 2 + 1)
     elif isinstance(ladder, smoothfn.MLSumLadder):
-        nz = ladder.n_zeros
+        nz = smoothfn.MLSumLadder.n_zeros
         plan = ladder._plan()
         roots, table = plan["roots"], plan["moments"]
         heads, cuts = smoothfn._ml_split(roots, x, max_order)
