@@ -30,9 +30,8 @@ def real_array(x, what: str = "x") -> np.ndarray:
 
 
 def off_cut(z, what: str) -> np.ndarray:
-    """z as a complex array; DomainError where a part of z is not finite
-    or z lies on the cut (-oo, 0], whichever the sign of its zero
-    imaginary part: the two rims of the cut give different values."""
+    """z as a complex array; DomainError at a non-finite part and on the
+    cut (-oo, 0], whose two rims differ, whatever the sign of Im z = 0."""
     arr = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(arr) & ((arr.imag != 0.0) | (arr.real > 0.0))):
         raise DomainError(f"{what} requires finite z off the cut (-oo, 0]")

@@ -334,9 +334,8 @@ def cm_check(target, grid=_DEFAULT_GRID, max_order: int = 8,
     signs = "alternating" tests (-1)^n f^(n) >= 0 (complete
     monotonicity); "positive" tests f^(n) >= 0 (absolute monotonicity).
     The margin is the most negative required-sign derivative, scaled
-    per order by the largest derivative magnitude on the grid; it
-    passes down to -CM_SLACK, and a failure names the (x, order) pair
-    attaining it.
+    per order by the largest derivative magnitude on the grid; a failure,
+    below -CM_SLACK, names the (x, order) pair attaining it.
     """
     grid = tuple(float(g) for g in grid)
     table = target.derivatives(np.array(grid), max_order)
@@ -447,8 +446,8 @@ _PICK_GRID = tuple((x, y) for x in np.linspace(-5.0, 5.0, 11)
 
 def pick_check(spec, grid=_PICK_GRID, label: str = "") -> Evidence:
     """Positivity of Im[psi'/psi] over an upper-half-plane grid: the
-    margin is the grid minimum, passing down to -PICK_SLACK, and a
-    failure names its point."""
+    margin is the grid minimum, and a failure, below -PICK_SLACK, names
+    its point."""
     value, point = _grid_minimum(spec, grid)
     return Evidence.graded(value, point if value < -PICK_SLACK else None,
                            slack=PICK_SLACK, label=label)

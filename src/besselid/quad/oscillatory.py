@@ -45,7 +45,6 @@ _RAY = np.exp(0.25j * np.pi)
 _SQRT2 = np.sqrt(2.0)
 _ASYMPTOTIC = 1e6       # |x| beyond which H_nu(x) uses its Hankel series
 _TS_MAX = 4.0           # tanh-sinh range of the head
-_ES_MAX = HALF_LINE_X_MAX    # exp-sinh range of the ray and the tail
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def _pieces(terms: list, kernel) -> list:
 
     def on_path(rotate, group):
         def build(level):
-            x, h, r, jac = de_level("exp", _ES_MAX, level)
+            x, h, r, jac = de_level("exp", HALF_LINE_X_MAX, level)
             u = u0 + rotate * r
             a = rotate * jac * 2.0 * u * sum(tm(u) for tm in group)
             if rotate == 1.0:
@@ -135,9 +134,9 @@ def _pieces(terms: list, kernel) -> list:
     flat = [tm for tm in terms if tm.frequency == 0.0]
     out = [Piece("head", _TS_MAX, head)]
     if rays:
-        out.append(Piece("ray", _ES_MAX, on_path(_RAY, rays)))
+        out.append(Piece("ray", HALF_LINE_X_MAX, on_path(_RAY, rays)))
     if flat:
-        out.append(Piece("tail", _ES_MAX, on_path(1.0, flat)))
+        out.append(Piece("tail", HALF_LINE_X_MAX, on_path(1.0, flat)))
     return out
 
 

@@ -23,13 +23,10 @@ MAX_LEVEL = 12
 # nine catalog kernels with Hankel terms stayed below 51 eps times it)
 _ROUNDING = 64.0 * float(np.finfo(float).eps)
 UNRESOLVED = "below the absolute resolution of the representation"
-# exp-sinh range of every half-line path: the half line, and the
-# contour engine's ray and tail
+# exp-sinh range of the half line and of the contour engine's ray and tail
 HALF_LINE_X_MAX = 6.5
 # the one plan of integrate_singular_decay's and numeric_laplace's half line
 HALF_LINE: dict = {}
-_EMPTY = np.empty(0)
-_EMPTY.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -73,51 +70,42 @@ def tanh_sinh_level(a: float, b: float, x_max: float, level: int) -> tuple:
 @dataclass(eq=False, slots=True)
 class Piece:
     """One path of an integral (a finite interval, the half line, or a
-    head, ray or tail of the contour engine).  build(level) gives a
-    level's nodes x, step h, points t and weight-free factor a
-    (Jacobian times kernel or Hankel-term values): the level's sum for
-    a row is h * Re sum a weight(t, row).  steps holds each built
-    level's (x, h); t and a join the built levels' points and factors
-    in one read-only table, level FIRST_LEVEL + i at ends[i]:ends[i +
-    1]; depth ends the next run."""
+    head, ray or tail of the contour engine).  build(level) gives the
+    nodes x, step h, points t and weight-free factor a (Jacobian times
+    kernel or Hankel-term values) of a level, whose sum for a row is
+    h * Re sum a weight(t, row).  steps holds each built level's (x, h)
+    and table its t and a, joined in one read-only run (t, a, ends);
+    depth ends the next run."""
 
     name: str
     x_max: float
     build: object
     steps: list = field(default_factory=list)
-    ends: list = field(default_factory=lambda: [0])
-    t: np.ndarray = field(default_factory=lambda: _EMPTY)
-    a: np.ndarray = field(default_factory=lambda: _EMPTY)
+    table: tuple = (np.empty(0), np.empty(0), (0,))
     depth: int = FIRST_LEVEL
 
-    def _grow(self, last: int) -> None:
-        """Build the levels up to last, each joined onto the table as
-        it is built, its factor's non-finite tail values zeroed."""
-        while len(self.steps) <= last - FIRST_LEVEL:
-            x, h, t, a = self.build(FIRST_LEVEL + len(self.steps))
-            a = _tails_zeroed(a, x, self.x_max)
-            self.t, self.a = (np.concatenate([old, new]) for old, new in
-                              ((self.t, t), (self.a, a)))
-            self.t.setflags(write=False)
-            self.a.setflags(write=False)
-            self.steps.append((x, h))
-            self.ends.append(self.t.size)
-
     def level(self, level: int) -> tuple:
-        """(x, h, t, a) of one level, built on first use, t and a
-        read-only views of the table.  An integrand receives this t, so
-        a read-only node table is what it sees on every call."""
-        self._grow(level)
-        i = level - FIRST_LEVEL
-        j, k = self.ends[i:i + 2]
-        return (*self.steps[i], self.t[j:k], self.a[j:k])
+        """(x, h, t, a) of one level, t and a read-only views of the
+        table.  An integrand receives this t, so a read-only node table
+        is what it sees on every call."""
+        t, a, ends = self.run(level)
+        return (*self.steps[level - FIRST_LEVEL], t[ends[-2]:], a[ends[-2]:])
 
     def run(self, last: int) -> tuple:
-        """(t, a, ends) of the levels FIRST_LEVEL..last, level
-        FIRST_LEVEL + i at ends[i]:ends[i + 1] (run_ends)."""
-        self._grow(last)
-        ends = self.ends[:last - FIRST_LEVEL + 2]
-        return self.t[:ends[-1]], self.a[:ends[-1]], ends
+        """(t, a, ends) of the levels FIRST_LEVEL..last (run_ends), each
+        joined onto the table when built, its a's tails zeroed."""
+        while len(self.steps) <= last - FIRST_LEVEL:
+            x, h, t, a = self.build(FIRST_LEVEL + len(self.steps))
+            t0, a0, ends = self.table
+            t, a = np.concatenate([t0, t]), np.concatenate(
+                [a0, _tails_zeroed(a, x, self.x_max)])
+            t.setflags(write=False)
+            a.setflags(write=False)
+            self.table = t, a, ends + (t.size,)
+            self.steps.append((x, h))
+        t, a, ends = self.table
+        ends = ends[:last - FIRST_LEVEL + 2]
+        return t[:ends[-1]], a[:ends[-1]], ends
 
 
 def run_ends(n: int) -> list:

@@ -328,9 +328,8 @@ class StieltjesLadder(Ladder):
         kernel evaluated once on every node of the exp-sinh trapezoid of
         level _LADDER_LEVEL on [-_LADDER_X_MAX, _LADDER_X_MAX] (the
         levels of quad.tanhsinh.de_level up to it).  Every nonzero mass
-        is kept with its sign; a non-finite one is dropped on a tail
-        node and raises DomainError on a core node, as in the
-        quadrature (quad.tanhsinh._tails_zeroed)."""
+        keeps its sign; a non-finite one drops on a tail node and raises
+        on a core node (quad.tanhsinh._tails_zeroed)."""
         levels = [de_level("exp", _LADDER_X_MAX, k)
                   for k in range(FIRST_LEVEL, _LADDER_LEVEL + 1)]
         x, t, jac = (np.concatenate([lv[i] for lv in levels])

@@ -455,10 +455,9 @@ class IdentityRecord:
     # -- closed forms -------------------------------------------------------
     def lhs_value(self, z):
         """Closed-form left-hand side; z may be complex off the cut
-        (-oo, 0] (errors.off_cut) but for a Tricomi entry, whose psi is
-        real only (DomainError).  A scalar z is evaluated as a one-point
-        array, so an array z gives the values of the scalar calls bit
-        for bit."""
+        (errors.off_cut) but for a Tricomi entry, whose psi is real only
+        (DomainError).  A scalar z is evaluated as a one-point array, so
+        an array z gives the values of the scalar calls bit for bit."""
         za = np.asarray(z)
         zs = off_cut(za, "lhs_value").reshape(-1) if np.iscomplexobj(za) \
             else positive_points(za, "lhs_value")

@@ -126,6 +126,19 @@ def test_complex_continuation_agrees_on_real_axis():
                 float(lt_value(spec, x)), rel=1e-10), spec
 
 
+@pytest.mark.parametrize("z", [
+    complex(np.nan, 1.0), complex(1.0, -np.inf), complex(-2.0, 0.0),
+    complex(-2.0, -0.0), 0j, np.array([1.0 + 1.0j, complex(-2.0, 0.0)])],
+    ids=["nan", "inf", "upper-rim", "lower-rim", "zero", "array"])
+def test_continuation_rejects_z_on_the_cut_or_not_finite(z):
+    # rho's continuation gave one value at both rims of the cut, and
+    # NaN at a NaN part
+    for spec in (Rho(0.8, 1.0), IKMu(1.0)):
+        with pytest.raises(DomainError, match=r"lt_value_complex requires "
+                           r"finite z off the cut"):
+            lt_value_complex(spec, z)
+
+
 @pytest.mark.parametrize("kind", DIST_KINDS)
 def test_families_have_no_continuation(kind):
     spec = DIST_KINDS[kind](*DIST_KINDS[kind].defaults)

@@ -308,6 +308,36 @@ def test_stieltjes_ladders_match_the_exact_node_sum():
                     assert abs(row[n] - want) <= 1e-15 * abs(want), (x, n)
 
 
+def test_stieltjes_ladder_keeps_the_sign_of_every_mass():
+    # (t - 1) e^{-t} is negative on (0, 1): the ladder is the signed
+    # quadrature of int (t - 1) e^{-t} / (x + t) dt = 1 - (x + 1) e^x E1(x)
+    lad = StieltjesLadder.from_kernel(lambda t: (t - 1.0) * np.exp(-t), 1.0,
+                                      lambda t: t)
+    assert min(lad.masses) < 0.0 < max(lad.masses)
+    for x in (0.3, 1.0, 5.0):
+        want = 1.0 - (x + 1.0) * np.exp(x) * sp.exp1(x)
+        assert lad.derivatives(x, 0)[0] == pytest.approx(want, rel=1e-10)
+
+
+def test_stieltjes_ladder_drops_non_finite_tail_masses_only():
+    # a NaN kernel value on the tail nodes (|x| >= 0.75 x_max, here
+    # t < 1e-30) drops, as the quadrature zeroes it; on a core node it
+    # raises
+    def exp_nan_where(bad):
+        return lambda t: np.where(bad(t), np.nan, np.exp(-t))
+
+    ref = StieltjesLadder.from_kernel(lambda t: np.exp(-t), 1.0, lambda t: t)
+    tails = StieltjesLadder.from_kernel(exp_nan_where(lambda t: t < 1e-30),
+                                        1.0, lambda t: t)
+    assert len(tails.masses) < len(ref.masses)
+    np.testing.assert_allclose(tails.derivatives(1.0, 4),
+                               ref.derivatives(1.0, 4), rtol=1e-15)
+    with pytest.raises(DomainError, match="non-finite"):
+        StieltjesLadder.from_kernel(
+            exp_nan_where(lambda t: np.abs(np.log(t)) < 0.01), 1.0,
+            lambda t: t)
+
+
 def test_stieltjes_ladder_is_exact_rational():
     lad = StieltjesLadder(nodes=(1.0, 4.0), masses=(0.5, 2.0))
     ref = RationalLadder(((0.5, 1.0), (2.0, 4.0)))

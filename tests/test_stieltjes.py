@@ -135,6 +135,23 @@ def test_lhs_takes_complex_points_off_the_cut():
     assert got[1] == rec.lhs_value(3.0 - 1e-3j)
 
 
+# a part that is not finite, and both rims of the cut: -2 + 0j and
+# -2 - 0j gave the two rims by the sign of the zero, a product entry
+# its constant at every one of them
+OFF_DOMAIN_Z = [complex(np.nan, 1.0), complex(1.0, np.inf),
+                complex(-2.0, 0.0), complex(-2.0, -0.0), 0j,
+                np.array([1.0 + 1.0j, complex(-2.0, 0.0)])]
+OFF_DOMAIN_IDS = ["nan", "inf", "upper-rim", "lower-rim", "zero", "array"]
+
+
+@pytest.mark.parametrize("name", ["IK_EQUAL", "K_RATIO", "MCDONALD"])
+@pytest.mark.parametrize("z", OFF_DOMAIN_Z, ids=OFF_DOMAIN_IDS)
+def test_lhs_rejects_complex_z_on_the_cut_or_not_finite(name, z):
+    with pytest.raises(DomainError, match=r"lhs_value requires finite z "
+                       r"off the cut"):
+        make_identity(name).lhs_value(z)
+
+
 @pytest.mark.parametrize("z", [np.array([1.0 + 1.0j]), 1.0 + 0.0j],
                          ids=["array", "python"])
 def test_real_only_entry_points_reject_complex(z):

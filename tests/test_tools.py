@@ -38,49 +38,74 @@ def test_ladder_sweep_prints_every_bernstein_target():
 
 
 def test_engine_counts_of_the_report():
-    # every point consumed by a row was evaluated by a weight call
+    # the engine's work on `verify all --stable`, exactly: a change to it
+    # fails here until the pin moves with the reason
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     r = subprocess.run([sys.executable, str(ROOT / "tools/engine_counts.py"),
                         "report"], env=env, capture_output=True, text=True,
                        timeout=300)
     assert r.returncode == 0, r.stderr
-    counts = json.loads(r.stdout)
-    assert counts["weight_calls"] >= counts["engine_calls"] > 0
-    assert counts["points_evaluated"] >= counts["points_consumed"] > 0
+    assert json.loads(r.stdout) == {
+        "engine_calls": 44, "weight_calls": 252,
+        "points_evaluated": 173851, "points_consumed": 173467}
 
 
-# every function that no invocation of tools/reach.py calls, with the
+# every function that no traffic of tools/reach.py calls, with the
 # reason it stays; a new one that only the tests reach fails below
 _TRACER = "perfbench's tracer wraps it by name"
-_API = "library API that only the tests call"
 KEPT_UNREACHED = {
     "idtests.lt_value_complex": _TRACER,
     "specfun.tricomi_psi_boundary": _TRACER,
     "specfun.BoundaryPsiPair.modulus_sq": "of the pair that "
                                           "tricomi_psi_boundary returns",
-    "distributions.hcm_profile": _API,
-    "idtests.neg_logderiv": _API,
-    "idtests.Evidence.passed": _API,
-    "quad.result.QuadResult.__float__": _API,
-    "quad.result.QuadRows.n_evals": _API,
-    "smoothfn.Ladder.value": _API,
-    "smoothfn.Ladder.__neg__": _API,
-    "smoothfn.Ladder.__sub__": _API,
-    "stieltjes.default_params": _API,
-    "stieltjes.IdentityRecord.residual": _API,
-    "stieltjes.IdentityRecord.laplace_density": _API,
-    "stieltjes.IdentityRecord.kernel_mass": _API,
+    "distributions.hcm_profile": "the reference of the HCM ladder tests",
+    "quad.result.QuadRows.n_evals": "perfbench's tracer and "
+                                    "tools/engine_counts.py read it",
+    "stieltjes.default_params": "tools/reach.py builds its invocations "
+                                "with it",
+    "stieltjes.IdentityRecord.residual": "8 test call sites, which a test "
+                                         "helper would only move",
+    "stieltjes.IdentityRecord.laplace_density": "the acceptance and "
+                                                "closed-form mass tests "
+                                                "check the paper's densities "
+                                                "through it",
+    "stieltjes.IdentityRecord.kernel_mass": "as laplace_density",
+}
+# every defaulted parameter that no traced call sets to another value,
+# with the caller that passes its default; a new one fails below
+KEPT_PARAMETERS = {
+    "idtests.Evidence.graded(converged)": "a row's convergence: true on "
+                                          "every traced row, false in the "
+                                          "inconclusive tests",
+    "idtests.absmon_check(max_order)": "perfbench's ABSMON_ORDER, 6",
+    "idtests.bernstein_check(max_order)": "the CLI's --max-order and "
+                                          "perfbench's BERNSTEIN_ORDER, 8",
+    "idtests.selfdecomp_check(max_order)": "the CLI's --max-order, 8",
+    "quad.__init__.numeric_laplace(tol)": "perfbench's and the laplace "
+                                          "rows' tol, 1e-10",
 }
 
 
-def test_reach_lists_only_kept_functions():
+@pytest.fixture(scope="module")
+def reach_report():
+    """The sections of tools/reach.py's output: the statement counts,
+    the unreached functions and the parameters no call sets."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     r = subprocess.run([sys.executable, str(ROOT / "tools/reach.py")],
                        env=env, capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr
-    head, unreached = r.stdout.split("unreached functions:\n")
+    head, rest = r.stdout.split("unreached functions:\n")
+    return (head, *rest.split("defaulted parameters that no call sets:\n"))
+
+
+def test_reach_lists_only_kept_functions(reach_report):
+    head, unreached, _ = reach_report
     total = head.splitlines()[-1].split()
     assert total[0] == "total"
     hit, statements = map(int, total[1].split("/"))
     assert 0 < hit < statements
     assert sorted(unreached.split()) == sorted(KEPT_UNREACHED)
+
+
+def test_reach_lists_only_kept_parameters(reach_report):
+    assert sorted(reach_report[2].split()) == sorted(KEPT_PARAMETERS)

@@ -7,14 +7,18 @@ Runs a fixed set of CLI invocations in this interpreter under
 from a config file, `profile` of every catalog identity and every
 distribution's closed Laplace transform, `eval` of every target kind
 (each distribution, variant and identity at its defaults), `zeros` and
-`landau`.  The package is imported under the trace, so its import-time
-statements count.
+`landau`; then the warm-up rounds of the `zsweep` and `idchecks`
+benchmark workloads, from `perfbench/workloads.py` (read, not changed)
+at seed 90417.  The package is imported under the trace, so its
+import-time statements count.
 
 Prints, per module of the package, the statements reached over the
 statements in it (docstrings excluded; a statement is reached when a
-line of its head runs), then every function that no invocation calls.
+line of its head runs), then every function that no invocation calls,
+then every defaulted parameter of a reached function or method that no
+traced call sets to another value (neither `is` nor `==` its default).
 A function whose whole body is one `raise` is an error branch and is
-not listed.
+not listed; nested functions are not looked at.
 """
 
 from __future__ import annotations
@@ -22,13 +26,17 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import inspect
 import io
 import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "besselid"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "besselid"
+PERFBENCH = ROOT / "perfbench"
+SEED = 90417
 
 CONFIG = """\
 # a config file in both of its line forms
@@ -120,12 +128,56 @@ def _functions(tree, prefix: str = ""):
             yield from _functions(node, f"{prefix}{node.name}.")
 
 
+def _module_name(path) -> str:
+    return ".".join(Path(path).relative_to(PACKAGE).with_suffix("").parts)
+
+
+def defaulted() -> dict:
+    """{code: (name, {parameter: default})} of every function and method
+    of the loaded package modules, decorators unwrapped, that has a
+    parameter with a default."""
+    out = {}
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] != "besselid":
+            continue
+        for key, obj in vars(module).items():
+            members = [(f"{key}.{k}", v) for k, v in vars(obj).items()] \
+                if inspect.isclass(obj) else [(key, obj)]
+            for name, fn in members:
+                fn = inspect.unwrap(
+                    getattr(fn, "__func__", getattr(fn, "fget", fn)))
+                # a dataclass's generated __init__ has no file
+                if not (inspect.isfunction(fn) and fn.__module__ == mod_name
+                        and fn.__code__.co_filename.startswith(str(PACKAGE))):
+                    continue
+                params = {p.name: p.default for p in
+                          inspect.signature(fn).parameters.values()
+                          if p.default is not p.empty}
+                if params and fn.__code__ not in out:
+                    out[fn.__code__] = (
+                        f"{_module_name(fn.__code__.co_filename)}.{name}",
+                        params)
+    return out
+
+
+def _is_default(value, default) -> bool:
+    if value is default:
+        return True
+    try:
+        return bool(value == default)
+    except (TypeError, ValueError):     # an array's truth is ambiguous
+        return False
+
+
 def trace(config_path: str) -> tuple:
-    """Run the invocations under sys.settrace: their number, and the
-    sets of (file, line) executed and of (file, first line) of the code
-    objects called."""
+    """Run the invocations and the warm-up rounds under sys.settrace:
+    the number of invocations, the sets of (file, line) executed and of
+    (file, first line) of the code objects called, and the defaulted
+    parameters of the called functions that no call sets, as
+    "module.function(parameter)"."""
     root = str(PACKAGE)
     lines, calls = set(), set()
+    table, unset = {}, {}
 
     def local(frame, event, arg):
         if event == "line":
@@ -138,6 +190,11 @@ def trace(config_path: str) -> tuple:
             return None
         calls.add((code.co_filename, code.co_firstlineno))
         lines.add((code.co_filename, frame.f_lineno))
+        if code in table:
+            params = table[code][1]
+            left = unset.setdefault(code, set(params))
+            left -= {p for p in left
+                     if not _is_default(frame.f_locals[p], params[p])}
         return local
 
     import click
@@ -149,18 +206,29 @@ def trace(config_path: str) -> tuple:
         sys.settrace(None)
     # built untraced: reading the defaults reaches nothing of its own
     runs = invocations(config_path)
+    table.update(defaulted())
+    sys.path.insert(0, str(PERFBENCH))
+    from workloads import OPS, make_inputs
+
+    rounds = [(OPS[w], make_inputs(w, SEED, 0)["warmup"])
+              for w in ("zsweep", "idchecks")]
     sys.settrace(tracer)
     try:
-        for args in runs:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for args in runs:
                 try:
                     cli.main(args, standalone_mode=False)
                 except click.ClickException:
                     pass
+            for ops, rnd in rounds:
+                for _, op in ops(rnd):
+                    op()
     finally:
         sys.settrace(None)
-    return len(runs), lines, calls
+    params = sorted(f"{table[code][0]}({p})" for code, left in unset.items()
+                    for p in left)
+    return len(runs), lines, calls, params
 
 
 def reach(lines, calls) -> tuple:
@@ -168,7 +236,7 @@ def reach(lines, calls) -> tuple:
     modules, unreached = [], []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        name = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        name = _module_name(path)
         ran = {line for f, line in lines if f == str(path)}
         heads = _statements(tree).values()
         modules.append((name, sum(1 for h in heads if ran.intersection(h)),
@@ -185,9 +253,10 @@ def main(argv=None) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "reach.cfg"
         config.write_text(CONFIG)
-        n_runs, lines, calls = trace(str(config))
+        n_runs, lines, calls, params = trace(str(config))
     modules, unreached = reach(lines, calls)
-    print(f"{n_runs} invocations")
+    print(f"{n_runs} invocations and the zsweep and idchecks warm-up "
+          f"rounds (seed {SEED})")
     print(f"{'module':24s} reached/statements")
     for name, hit, total in modules:
         print(f"{name:24s} {hit:4d}/{total}")
@@ -196,6 +265,9 @@ def main(argv=None) -> None:
     print("unreached functions:")
     for fn in unreached:
         print(f"  {fn}")
+    print("defaulted parameters that no call sets:")
+    for param in params:
+        print(f"  {param}")
 
 
 if __name__ == "__main__":
