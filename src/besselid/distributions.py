@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.special as _sp
 
-from .errors import (DomainError, ParameterError, UnsupportedVariantError,
+from .errors import (ParameterError, UnsupportedVariantError, points,
                      real_array, upper_half_plane)
 from .quad.tanhsinh import (half_line_piece, integrate_pieces, run_ends,
                             spec_plan)
@@ -223,14 +223,10 @@ class _QuotientMixture(_Family):
     array x > 0; L(0) = 1."""
 
     def laplace(self, x):
-        x = real_array(x)
-        if np.any(x < 0.0):
-            raise DomainError(f"the Laplace transform of {self!r} "
-                              "requires x >= 0")
         out = np.ones_like(x)
         at = x != 0.0
         out[at] = self._laplace_at(x[at])
-        return out[()]
+        return out
 
     def phi_ladder(self):
         coef, al, be, node = self._mixture()
@@ -427,11 +423,7 @@ def _log_kv(nu, z):
 
 def log_pdf(d, x):
     """Natural log of the density of d at x > 0 (vectorized)."""
-    x = real_array(x)
-    # NaN fails both comparisons
-    if not np.all((x > 0.0) & (x < np.inf)):
-        raise DomainError("densities are supported on finite x > 0")
-    return d.log_pdf(x)
+    return d.log_pdf(points(x, "log_pdf"))
 
 
 def pdf(d, x):
@@ -457,15 +449,14 @@ def pdf(d, x):
 
 
 def laplace_closed(d, x):
-    """Closed-form Laplace transform L(x) = E e^{-xX}, x >= 0.
+    """Closed-form Laplace transform L(x) = E e^{-xX} at real finite
+    x >= 0 (errors.points), else DomainError.
 
     A scalar x is evaluated as a one-point array, so an array x gives
-    the values of the scalar calls bit for bit.  Complex x continues the
-    closed form, but KDist and GammaQuotient, whose psi is real only,
-    raise DomainError there.
+    the values of the scalar calls bit for bit.
     """
-    shape = np.shape(x)
-    return d.laplace(np.reshape(x, -1)).reshape(shape)[()]
+    x = points(x, "laplace_closed", closed=True)
+    return d.laplace(x.reshape(-1)).reshape(x.shape)[()]
 
 
 OMEGA_ANCHOR = "eq. (pdfome)"
@@ -528,9 +519,7 @@ def _hyperbolic_profile(g, u: float, w):
 
 def hcm_profile(d, u: float, w):
     """Hyperbolic profile f(uv) f(u/v) with v + 1/v = w, w > 2."""
-    w = real_array(w, "w")
-    if np.any(w <= 2.0):
-        raise DomainError("hcm_profile requires w > 2")
+    w = points(w, "hcm_profile", low=2.0, name="w")
     return _hyperbolic_profile(lambda x: pdf(d, x), u, w)
 
 

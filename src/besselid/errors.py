@@ -1,6 +1,8 @@
 """Exception types shared across the package, and its checks of real
 and complex input."""
 
+import math
+
 import numpy as np
 
 
@@ -27,6 +29,33 @@ def real_array(x, what: str = "x") -> np.ndarray:
     if arr.dtype.kind == "c":
         raise DomainError(f"{what} must be real, got complex input")
     return arr.astype(float, copy=False)
+
+
+def points(x, what: str, low: float = 0.0, closed: bool = False,
+           name: str = "x") -> np.ndarray:
+    """x as a float array, a scalar staying 0-d; DomainError naming the
+    entry point `what`, the first point that is not finite and above low
+    (at or above it when closed) and its flat index.  low = -inf asks
+    for finite points alone.  The one rule for every real entry point."""
+    arr = real_array(x, f"{what} {name}")
+    flat = arr.reshape(-1)
+    # a loop beats numpy's reductions on a few points; NaN fails every
+    # comparison
+    if flat.size <= 16:
+        vals = flat.tolist()
+        ok = [low <= v < math.inf for v in vals] if closed \
+            else [low < v < math.inf for v in vals]
+        if all(ok):
+            return arr
+        i = ok.index(False)
+    else:
+        ok = (flat >= low if closed else flat > low) & (flat < np.inf)
+        if ok.all():
+            return arr
+        i = int(np.argmin(ok))
+    bound = "" if low == -math.inf else f" {'>=' if closed else '>'} {low:g}"
+    raise DomainError(f"{what} requires finite {name}{bound}; got {name} = "
+                      f"{float(flat[i])!r} at flat index {i}")
 
 
 def off_cut(z, what: str) -> np.ndarray:

@@ -22,8 +22,8 @@ import numpy as np
 import scipy.special as _sp
 
 from .distributions import DIST_KINDS, _hyperbolic_profile
-from .errors import (ConvergenceError, DomainError, ParameterError, off_cut,
-                     real_array, upper_half_plane)
+from .errors import (ConvergenceError, ParameterError, off_cut, points,
+                     upper_half_plane)
 from .quad.tanhsinh import spec_plan
 from .smoothfn import (CauchyLadder, Ladder, MLSumLadder, PowerLadder,
                        SumLadder, k_ratio_ladder)
@@ -262,11 +262,7 @@ LT_KINDS = {
 def lt_value(spec, x):
     """L(x) for x > 0: a variant's factor row from scaled Bessel
     functions, a family's closed form."""
-    x = real_array(x)
-    # NaN fails both comparisons
-    if not np.all((x > 0.0) & (x < np.inf)):
-        raise DomainError("lt_value requires finite x > 0")
-    return spec.lt_value(x)
+    return spec.lt_value(points(x, "lt_value"))
 
 
 def lt_value_complex(spec, z):

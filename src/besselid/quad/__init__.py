@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ..errors import DomainError, real_array
+from ..errors import DomainError, points
 from .oscillatory import HankelTerm, integrate_oscillatory
 from .result import QuadResult, QuadRows
 from .tanhsinh import (HALF_LINE, half_line_piece, integrate_pieces,
@@ -25,12 +23,11 @@ __all__ = [
 
 
 def positive_points(x, what: str) -> np.ndarray:
-    """x as a 1-d float array of one or more finite points > 0, else
-    DomainError."""
-    xs = real_array(x, f"{what} points").reshape(-1)
-    # NaN fails both comparisons; a loop beats np.all on a few points
-    if not (xs.size and all(0.0 < v < math.inf for v in xs.tolist())):
-        raise DomainError(f"{what} requires one or more finite points > 0")
+    """x as a 1-d float array of one or more finite points > 0
+    (errors.points), else DomainError."""
+    xs = points(x, what, name="points").reshape(-1)
+    if not xs.size:
+        raise DomainError(f"{what} requires one or more points")
     return xs
 
 

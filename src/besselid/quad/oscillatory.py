@@ -37,14 +37,13 @@ import scipy.special as _sp
 
 from ..errors import DomainError
 from .result import QuadResult
-from .tanhsinh import (HALF_LINE_X_MAX, Piece, de_level, half_line_piece,
-                       integrate_pieces, tanh_sinh_level)
+from .tanhsinh import (FINITE_X_MAX, HALF_LINE_X_MAX, Piece, de_level,
+                       half_line_piece, integrate_pieces, tanh_sinh_level)
 
 _HALF_PI = 0.5 * np.pi
 _RAY = np.exp(0.25j * np.pi)
 _SQRT2 = np.sqrt(2.0)
 _ASYMPTOTIC = 1e6       # |x| beyond which H_nu(x) uses its Hankel series
-_TS_MAX = 4.0           # tanh-sinh range of the head
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def _pieces(terms: list, kernel) -> list:
     u0 = _head_length(terms)
 
     def head(level):
-        x, h, u, jac = tanh_sinh_level(0.0, u0, _TS_MAX, level)
+        x, h, u, jac = tanh_sinh_level(0.0, u0, FINITE_X_MAX, level)
         t = u * u
         return x, h, t, 2.0 * u * jac * kernel(t)
 
@@ -132,7 +131,7 @@ def _pieces(terms: list, kernel) -> list:
 
     rays = [tm for tm in terms if tm.frequency > 0.0]
     flat = [tm for tm in terms if tm.frequency == 0.0]
-    out = [Piece("head", _TS_MAX, head)]
+    out = [Piece("head", FINITE_X_MAX, head)]
     if rays:
         out.append(Piece("ray", HALF_LINE_X_MAX, on_path(_RAY, rays)))
     if flat:

@@ -25,6 +25,8 @@ _ROUNDING = 64.0 * float(np.finfo(float).eps)
 UNRESOLVED = "below the absolute resolution of the representation"
 # exp-sinh range of the half line and of the contour engine's ray and tail
 HALF_LINE_X_MAX = 6.5
+# tanh-sinh range of a finite interval and of the contour engine's head
+FINITE_X_MAX = 4.0
 # the one plan of integrate_singular_decay's and numeric_laplace's half line
 HALF_LINE: dict = {}
 
@@ -300,8 +302,8 @@ def tanh_sinh_finite(f, a: float, b: float, tol: float = 1e-12) -> QuadResult:
     """Integral over [a, b] tolerating endpoint singularities."""
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise DomainError("tanh_sinh_finite requires finite a < b")
-    piece = Piece("finite", 4.0,
-                  functools.partial(tanh_sinh_level, a, b, 4.0))
+    piece = Piece("finite", FINITE_X_MAX,
+                  functools.partial(tanh_sinh_level, a, b, FINITE_X_MAX))
     return integrate_pieces([piece], lambda t, rows: f(t), 1, tol)[0]
 
 

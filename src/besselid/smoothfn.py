@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.special as _sp
 
-from .errors import DomainError, ParameterError, real_array
+from .errors import DomainError, ParameterError, points
 from .quad.tanhsinh import FIRST_LEVEL, _tails_zeroed, de_level, spec_plan
 from .specfun import bessel_zeros
 from .stieltjes import make_identity
@@ -56,11 +56,7 @@ class Ladder:
     grid gives the per-point vectors bit for bit."""
 
     def derivatives(self, x, max_order: int) -> np.ndarray:
-        x = real_array(x)
-        if not np.all(np.isfinite(x)):
-            i = int(np.argmin(np.isfinite(x)))
-            raise DomainError(f"{type(self).__name__} needs finite x; got "
-                              f"x = {float(x.flat[i])!r} at flat index {i}")
+        x = points(x, type(self).__name__, low=-math.inf)
         return self._derivatives(x.reshape(-1), max_order).reshape(
             x.shape + (max_order + 1,))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as _sp
 
-from .errors import ConvergenceError, DomainError, real_array
+from .errors import ConvergenceError, DomainError, points
 
 __all__ = [
     "BoundaryPsiPair",
@@ -55,51 +55,28 @@ class BoundaryPsiPair:
         return self.re * self.re + self.im * self.im
 
 
-def _as_float_array(x, name="x"):
-    arr = real_array(x, name)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    return arr
-
-
-def _maybe_scalar(result, x):
-    if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
-        return float(result)
-    return result
-
-
 def bessel_j(nu: float, x):
-    """Bessel function of the first kind, order nu >= -1."""
+    """Bessel function of the first kind, order nu >= -1, at x >= 0."""
     if nu < -1.0:
         raise DomainError("bessel_j requires nu >= -1")
-    arr = _as_float_array(x)
-    return _maybe_scalar(_sp.jv(nu, arr), x)
+    return _sp.jv(nu, points(x, "bessel_j", closed=True))[()]
 
 
 def bessel_y(nu: float, x):
     """Bessel function of the second kind for x > 0."""
-    arr = _as_float_array(x)
-    if np.any(arr <= 0.0):
-        raise DomainError("bessel_y requires x > 0")
-    return _maybe_scalar(_sp.yv(nu, arr), x)
+    return _sp.yv(nu, points(x, "bessel_y"))[()]
 
 
 def bessel_i(nu: float, x, scaled: bool = False):
     """Modified Bessel function I_nu; scaled=True returns e^{-x} I_nu(x)."""
-    arr = _as_float_array(x)
-    if np.any(arr < 0.0):
-        raise DomainError("bessel_i requires x >= 0")
-    return _maybe_scalar(_bessel_scaled("I", nu, arr) if scaled
-                         else _sp.iv(nu, arr), x)
+    arr = points(x, "bessel_i", closed=True)
+    return (_bessel_scaled("I", nu, arr) if scaled else _sp.iv(nu, arr))[()]
 
 
 def bessel_k(nu: float, x, scaled: bool = False):
     """Modified Bessel function K_nu for x > 0; scaled=True returns e^{x} K_nu(x)."""
-    arr = _as_float_array(x)
-    if np.any(arr <= 0.0):
-        raise DomainError("bessel_k requires x > 0")
-    return _maybe_scalar(_bessel_scaled("K", nu, arr) if scaled
-                         else _sp.kv(nu, arr), x)
+    arr = points(x, "bessel_k")
+    return (_bessel_scaled("K", nu, arr) if scaled else _sp.kv(nu, arr))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +348,7 @@ def kummer_m(a: float, c: float, x):
     """Kummer confluent function M(a, c, x) = Phi(a; c; x)."""
     if c <= 0.0 and c == np.floor(c):
         raise DomainError("kummer_m: c must not be a non-positive integer")
-    arr = _as_float_array(x)
-    return _maybe_scalar(_sp.hyp1f1(a, c, arr), x)
+    return _sp.hyp1f1(a, c, points(x, "kummer_m", low=-math.inf))[()]
 
 
 def _tricomi_psi_integral(a: float, c: float, x: float) -> float:
@@ -459,9 +435,7 @@ def tricomi_psi(a: float, c: float, x):
     """Tricomi confluent function psi(a, c, x) for a > 0, x > 0."""
     if a <= 0.0:
         raise DomainError("tricomi_psi requires a > 0")
-    arr = _as_float_array(x)
-    if np.any(arr <= 0.0):
-        raise DomainError("tricomi_psi requires x > 0")
+    arr = points(x, "tricomi_psi")
     flat = arr.ravel()
     out = np.empty_like(flat)
     m = a + 1.0 - c  # the points that _tricomi_laguerre takes:
@@ -470,7 +444,7 @@ def tricomi_psi(a: float, c: float, x):
         out[rule] = _tricomi_laguerre(a, c, flat[rule])
     for i in np.flatnonzero(~rule):
         out[i] = _tricomi_psi_scalar(a, c, flat[i])
-    return _maybe_scalar(out.reshape(arr.shape), x)
+    return out.reshape(arr.shape)[()]
 
 
 def _tricomi_any(a: float, c: float, z):
@@ -500,9 +474,7 @@ def _boundary_re_im(a: float, c: float, t):
         raise DomainError("Tricomi boundary values require c < 1")
     if c == np.floor(c):
         raise DomainError("Tricomi boundary values require non-integer c")
-    arr = _as_float_array(t, "t")
-    if np.any(arr <= 0.0):
-        raise DomainError("Tricomi boundary values require t > 0")
+    arr = points(t, "tricomi_psi_boundary", name="t")
     A = _sp.gamma(1.0 - c) / _sp.gamma(a - c + 1.0) * _sp.hyp1f1(a, c, -arr)
     B = (
         _sp.gamma(c - 1.0)
@@ -531,5 +503,5 @@ def tricomi_boundary_mod2(a: float, c: float, t):
     at each t; the result has the shape of t.
     """
     re, im = _boundary_re_im(a, c, t)
-    return _maybe_scalar(re * re + im * im, t)
+    return (re * re + im * im)[()]
 

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import (DomainError, ParameterError, UnsupportedVariantError,
-                     off_cut, real_array)
+                     off_cut, points)
 from .quad import (HankelTerm, QuadResult, QuadRows, integrate_oscillatory,
                    integrate_singular_decay, positive_points,
                    tanh_sinh_finite)
@@ -469,11 +469,7 @@ class IdentityRecord:
         if e.kernel is None:
             raise UnsupportedVariantError(
                 f"{self.name} is a product identity without a Stieltjes kernel")
-        t = real_array(t, "t")
-        # NaN fails both comparisons
-        if not np.all((t > 0.0) & (t < np.inf)):
-            raise DomainError("kernel_density requires finite t > 0")
-        return e.kernel(self.p, t)
+        return e.kernel(self.p, points(t, "kernel_density", name="t"))
 
     # the record's plan (its keys: see quad.tanhsinh.spec_plan)
     _plan = property(spec_plan)
@@ -540,8 +536,7 @@ class IdentityRecord:
         if not self._entry().laplace:
             raise UnsupportedVariantError(
                 f"{self.name} has no inner-Laplace density")
-        if s <= 0.0:
-            raise DomainError("laplace_density requires s > 0")
+        points(s, "laplace_density", name="s")
         return self._integrate_kernel(lambda t: np.exp(-s * t), tol)
 
     def kernel_mass(self, tol: float = 1e-9) -> QuadResult:
@@ -571,8 +566,7 @@ class IdentityRecord:
         if self._entry().kernel is None:
             raise UnsupportedVariantError(
                 f"{self.name} is not a Stieltjes transform")
-        if t <= 0.0:
-            raise DomainError("inversion_check requires t > 0")
+        points(t, "inversion_check", name="t")
         etas = np.array([1e-2, 1e-3, 1e-4])
         f = self.lhs_value(np.concatenate([-t - 1j * etas, -t + 1j * etas]))
         vals = np.real((f[:etas.size] - f[etas.size:]) / (2j * np.pi)).tolist()

@@ -100,6 +100,19 @@ def test_non_finite_numbers_are_usage_errors(runner, args):
     assert "must be a finite number" in r.output
 
 
+@pytest.mark.parametrize("args", [
+    ["eval", "lt", "kind=gig", "mu=0.7", "a=1", "b=1.5", "x=-1"],
+    ["eval", "lt", "kind=mckay1", "mu=1", "a=0.5", "b=1.5", "x=-1"],
+    ["eval", "lt", "kind=mckay2", "mu=0.7", "a=0.6", "b=1.2", "x=-0.6"],
+    ["eval", "bessel_j", "nu=0.5", "x=-1"],
+], ids=["gig", "mckay1", "mckay2", "bessel_j"])
+def test_points_off_the_domain_are_usage_errors(runner, args):
+    # these printed nan or inf and exited 0
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2, r.output
+    assert "requires finite x >= 0; got x = -" in r.output
+
+
 def test_eval_bessel_zero_index_must_be_whole(runner):
     r = runner.invoke(main, ["eval", "bessel_zero", "nu=0.5", "n=2.7"])
     assert r.exit_code == 2, r.output

@@ -43,16 +43,6 @@ def test_parameter_validation():
         DIST_KINDS["nchisq"](1.0, 0.0)
 
 
-def test_pdf_rejects_nonpositive_x():
-    # NaN and +-inf too, anywhere in an array: no silent NaN density
-    d = DIST_KINDS["mckay1"](1.0, 0.5, 1.5)
-    for bad in (0.0, np.nan, np.inf, -np.inf, [1.0, np.nan, 2.0],
-                [1.0, np.inf]):
-        for fn in (pdf, log_pdf):
-            with pytest.raises(DomainError):
-                fn(d, bad)
-
-
 @pytest.mark.parametrize("x", [np.array([1.0 + 1.0j]), 1.0 + 0.0j],
                          ids=["array", "python"])
 def test_real_entry_points_reject_complex_x(x):
@@ -300,12 +290,6 @@ def test_gig_lt_profile_decreasing():
     f = np.array([float(laplace_closed(d, u * vi))
                   * float(laplace_closed(d, u / vi)) for vi in v])
     assert np.all(np.diff(f) < 0.0)
-
-
-def test_profile_rejects_w_at_or_below_two():
-    d = DIST_KINDS["kdist"](1.2, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        hcm_profile(d, 1.0, 2.0)
 
 
 # ----------------------------------------------------------------------

@@ -190,11 +190,6 @@ def test_laplace_of_j_squared_gives_bessel_kernel():
     assert r.value == pytest.approx(want, rel=1e-8)
 
 
-def test_laplace_rejects_nonpositive_x():
-    with pytest.raises(DomainError):
-        numeric_laplace(lambda t: np.exp(-t), 0.0)
-
-
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, 0.0, -1.0))
 def test_laplace_rejects_bad_points_anywhere_in_an_array(bad):
     with pytest.raises(DomainError, match="numeric_laplace"):

@@ -7,10 +7,14 @@
 
 Wraps `quad.tanhsinh.integrate_pieces`, under every module name the
 package calls it by, and the weight of each of its calls, and prints
-JSON with four counts: engine calls, weight calls, points evaluated
+JSON with five counts: engine calls, weight calls, points evaluated
 (points times rows of every weight call) and points consumed (the sum
 of `n_evals` over the rows the engine returns).  More points evaluated
 than consumed means some levels were evaluated that no row reached.
+The fifth, points dropped, counts the weight values that the callers
+of `quad.integrate_oscillatory` computed for rows the engine had
+already stopped: that engine evaluates its caller's weight on every
+row and keeps the live ones.
 
 For zsweep and idchecks the inputs are those of one benchmark child,
 from `perfbench/workloads.make_inputs` (read, not changed): its warm-up
@@ -29,16 +33,17 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 COUNTS = ("engine_calls", "weight_calls", "points_evaluated",
-          "points_consumed")
+          "points_consumed", "points_dropped")
 
 
 def install(counts: dict) -> None:
-    """Replace integrate_pieces by a counting wrapper in every module
-    that calls it."""
-    from besselid import distributions, quad
+    """Replace integrate_pieces and integrate_oscillatory by counting
+    wrappers in every module that calls them."""
+    from besselid import distributions, quad, stieltjes
     from besselid.quad import oscillatory, tanhsinh
 
     engine = tanhsinh.integrate_pieces
+    contour = oscillatory.integrate_oscillatory
 
     def counted(pieces, weight, *args, **kwargs):
         def counted_weight(t, rows):
@@ -51,8 +56,25 @@ def install(counts: dict) -> None:
         counts["points_consumed"] += out.n_evals
         return out
 
+    def counted_contour(weight, *args, **kwargs):
+        computed = 0
+
+        def counted_weight(t):
+            nonlocal computed
+            values = weight(t)
+            computed += values.size
+            return values
+
+        kept = counts["points_evaluated"]
+        out = contour(counted_weight, *args, **kwargs)
+        counts["points_dropped"] += computed - (counts["points_evaluated"]
+                                                - kept)
+        return out
+
     for module in (tanhsinh, oscillatory, quad, distributions):
         module.integrate_pieces = counted
+    for module in (oscillatory, quad, stieltjes):
+        module.integrate_oscillatory = counted_contour
 
 
 def child(workload: str, seed: int, part: int, counts: dict) -> None:
