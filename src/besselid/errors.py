@@ -38,21 +38,18 @@ def points(x, what: str, low: float = 0.0, closed: bool = False,
     (at or above it when closed) and its flat index.  low = -inf asks
     for finite points alone.  The one rule for every real entry point."""
     arr = real_array(x, f"{what} {name}")
+    # a loop accepts a few points faster than numpy's reductions; NaN
+    # fails every comparison
+    if arr.size <= 16:
+        vals = arr.ravel().tolist()
+        if all(low <= v < math.inf for v in vals) if closed \
+                else all(low < v < math.inf for v in vals):
+            return arr
     flat = arr.reshape(-1)
-    # a loop beats numpy's reductions on a few points; NaN fails every
-    # comparison
-    if flat.size <= 16:
-        vals = flat.tolist()
-        ok = [low <= v < math.inf for v in vals] if closed \
-            else [low < v < math.inf for v in vals]
-        if all(ok):
-            return arr
-        i = ok.index(False)
-    else:
-        ok = (flat >= low if closed else flat > low) & (flat < np.inf)
-        if ok.all():
-            return arr
-        i = int(np.argmin(ok))
+    ok = (flat >= low if closed else flat > low) & (flat < np.inf)
+    if ok.all():
+        return arr
+    i = int(np.argmin(ok))
     bound = "" if low == -math.inf else f" {'>=' if closed else '>'} {low:g}"
     raise DomainError(f"{what} requires finite {name}{bound}; got {name} = "
                       f"{float(flat[i])!r} at flat index {i}")
