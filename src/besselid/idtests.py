@@ -88,7 +88,8 @@ class _Variant:
                   else (float(sign), k_ratio_ladder(order, scale))
                   for kind, order, scale, sign in factors]
         coefs, parts = zip(*terms)
-        return SumLadder(parts, coefs)
+        # a lone term of coefficient 1, as Rho's, is its own ladder
+        return parts[0] if coefs == (1.0,) else SumLadder(parts, coefs)
 
     def pick_im(self, re, im):
         c, factors = self.row

@@ -148,7 +148,8 @@ def _ml_series_coefs(max_order: int) -> np.ndarray:
 
 
 def _ml_split(roots, x, max_order):
-    """(heads, cuts) at each x: the head K(x), and the last m kept of the
+    """(heads, cuts) at each x for each row of roots, shape (..., N), as
+    roots.shape[:-1] + x.shape: the head K(x), and the last m kept of the
     moment series.  Its order-n term t_m = (-1)^(n+m) (n+m)!/m! x^m M_{n+1+m}
     has |t_{m+1} / t_m| <= (n+m+1)/(m+1) q, q = x / r_{K+1} (no moment root
     lies below r_{K+1}), so |t_m| <= C(N+m, m) q^m |t_0| for n <= N =
@@ -157,13 +158,15 @@ def _ml_split(roots, x, max_order):
     terms dropped sum to below (16/7) 2^-53 |t_0| <= 4 2^-53 |f^(n)|, as t_0
     shares the sign of f^(n) and is at most (17/16)^9 times it.  With no
     zero beyond the head (order 0 only) the series is empty, cut 0."""
-    heads = np.searchsorted(roots, _ML_GAP * x)
-    np.clip(heads, _ML_HEAD, roots.size, out=heads)
-    # past the last zero q = x / inf = 0
-    q = np.where(heads < roots.size, x / roots.take(heads, mode="clip"), 0.0)
+    n, gap = roots.shape[-1], _ML_GAP * x
+    heads = np.maximum([r.searchsorted(gap) for r in roots.reshape(-1, n)],
+                       _ML_HEAD).reshape(roots.shape[:-1] + x.shape)
+    # r_{K+1} from the flat roots; past the last zero q = x / inf = 0
+    row = np.arange(0, roots.size, n).reshape(roots.shape[:-1] + (1,))
+    q = np.where(heads < n, x / roots.take(heads + row, mode="clip"), 0.0)
     ms = np.arange(1, _ML_TERMS + 1)
-    bound = np.cumprod(q[:, None] * ((max_order + ms) / ms), axis=1)
-    return heads, np.count_nonzero(bound >= 2.0 ** -53, axis=1)
+    bound = np.cumprod(q[..., None] * ((max_order + ms) / ms), axis=-1)
+    return heads, np.count_nonzero(bound >= 2.0 ** -53, axis=-1)
 
 
 def _inverse_power_sums(inv, starts, n_p):
@@ -198,7 +201,7 @@ class MLSumLadder(Ladder):
 
     cut where its terms fall below rounding (_ml_split): 3 to 8 terms on
     the Bernstein grid, 19 just below x = r_K / 16.  The moments, up to
-    the call's largest cut, are products of 1/r_k, no powers, kept per
+    the pass's largest cut, are products of 1/r_k, no powers, kept per
     head K in the ladder's plan (spec_plan); a call needing more powers
     than a head has rebuilds that head from p = 1, so no moment's bits
     depend on the calls made before.  McMahon's
@@ -210,8 +213,10 @@ class MLSumLadder(Ladder):
     zeros) and raise DomainError beyond it.  Each point's value depends on that
     point alone, so a grid gives the per-point values bit for bit.  The
     plan (_plan) keeps all that is grid-free: the roots, the moments, the
-    order-0 constant r psi'(c) and the Hurwitz vector; points that share
-    one head K, as the Bernstein grid's do, take one head sum.
+    order-0 constant r psi'(c) and the Hurwitz vector.  A ladder is
+    evaluated as a group of one (_ml_tables); a SumLadder evaluates all
+    its MLSumLadder parts as one group, whose rows that share one head
+    K, as the Bernstein grid's do, take one head sum.
     """
 
     mu: float
@@ -239,67 +244,90 @@ class MLSumLadder(Ladder):
     _c = property(lambda s: s.n_zeros + 1.0 + (0.5 * s.mu - 0.25))
 
     def _derivatives(self, x, max_order: int) -> np.ndarray:
-        if np.any(x <= 0.0):
-            raise DomainError("MLSumLadder requires x > 0")
-        if not x.size:
-            return np.zeros((0, max_order + 1))
-        a, mu, nz, c = self.a, self.mu, self.n_zeros, self._c
-        plan = self._plan()
-        roots, table = plan["roots"], plan["moments"]
-        heads, cuts = _ml_split(roots, x, max_order)
-        if max_order >= 1 and np.any(heads >= nz):
-            raise DomainError(
-                f"MLSumLadder derivatives need x <= r_N / {_ML_GAP:g} = "
-                f"{roots[-1] / _ML_GAP!r} (N = n_zeros = {nz}); "
-                f"got x = {float(x.max())!r}")
-        # one head, as on the Bernstein grid, is one group of every point
-        sizes, group = np.unique(heads, return_inverse=True) \
-            if heads.min() < heads.max() else (heads[:1], slice(None))
-        sizes = sizes.tolist()
-        top = int(cuts.max())
-        n_p = max_order + 1 + top
-        build = [k for k in sizes if len(table.get(k, ())) < n_p]
+        return _ml_tables((self,), x, max_order)[0]
+
+
+def _ml_tables(ladders, x, max_order):
+    """The tables of a group of MLSumLadders at the points x, shape
+    (len(ladders), x.size, max_order + 1), in one pass over the stacked
+    (ladder, point) rows: one split, one Horner loop up to the group's
+    largest cut, one head sum per distinct head K and one order-0 tail.
+    Every row is summed in the order its ladder alone would sum it, so
+    each table has the bits of its ladder evaluated alone."""
+    n_l = len(ladders)
+    if not n_l or not x.size:
+        return np.zeros((n_l, x.size, max_order + 1))
+    if np.any(x <= 0.0):
+        raise DomainError("MLSumLadder requires x > 0")
+    plans = [lad._plan() for lad in ladders]
+    roots = np.array([plan["roots"] for plan in plans])
+    nz = roots.shape[1]
+    heads, cuts = _ml_split(roots, x, max_order)
+    if max_order >= 1 and heads.max() >= nz:
+        i = (heads >= nz).any(axis=1).argmax()
+        raise DomainError(
+            f"MLSumLadder derivatives need x <= r_N / {_ML_GAP:g} = "
+            f"{float(roots[i, -1]) / _ML_GAP!r} (N = n_zeros = {nz}); "
+            f"got x = {float(x.max())!r}")
+    heads, cuts = heads.ravel(), cuts.ravel()
+    rows, xr = np.arange(n_l).repeat(x.size), np.concatenate([x] * n_l)
+    top = int(cuts.max())
+    n_p = max_order + 1 + top
+    # the (head, ladder) pairs in use, head first; one head for the whole
+    # group, as on the Bernstein grid, is one pair per ladder
+    key = heads * n_l + rows
+    pairs, group = np.unique(key, return_inverse=True) \
+        if heads.min() < heads.max() else (key[::x.size], rows)
+    pairs = [divmod(p, n_l) for p in pairs.tolist()]
+    for i, (lad, plan) in enumerate(zip(ladders, plans)):
+        table = plan["moments"]
+        build = [k for k, j in pairs if j == i and len(table.get(k, ())) < n_p]
         if build:
             table.update(zip(build, _inverse_power_sums(
-                1.0 / roots[build[0]:], [k - build[0] for k in build], n_p)))
-        moments = np.array([table[k][:n_p] for k in sizes])[group]
+                1.0 / roots[i, build[0]:], [k - build[0] for k in build], n_p)))
         if plan["hurwitz"].size < n_p:
             # Hurwitz tail of M_p beyond the last zero, in logs: the
             # factor (a/pi)^{2p} alone overflows at large a
             ps = np.arange(1, n_p + 1, dtype=float)
             with np.errstate(divide="ignore"):
-                plan["hurwitz"] = np.exp(ps * (2.0 * np.log(a / np.pi))
-                                         + np.log(_sp.zeta(ps + ps, c)))
-        coefs = _ml_series_coefs(max_order)[:, :top + 1]
-        cm = coefs * (moments + plan["hurwitz"][:n_p])[:, np.add.outer(
-            np.arange(max_order + 1), np.arange(top + 1))]
-        # order 0 takes the partial moments: its digamma remainder below
-        # covers the zeros beyond the last
-        cm[:, 0] = coefs[0] * moments[:, :top + 1]
-        # a point's coefficients above its own cut are +0, so its Horner
-        # sum is +0 until its cut: the bits of a sum started there
-        cm = np.where(np.arange(top + 1) <= cuts[:, None, None], cm, 0.0)
-        out = np.zeros((x.size, max_order + 1))
-        for j in range(top, -1, -1):
-            out = out * x[:, None] + cm[..., j]
-        for k in sizes:
-            sel = heads == k if len(sizes) > 1 else slice(None)
-            out[sel] += _rational_ladder_vec(1.0, roots[:k], x[sel], max_order)
-        # order-0 remainder: with j^2 ~ pi^2 (k + delta)^2 - (4 mu^2 - 1)/4
-        # the shifted-argument digamma identity
-        # sum_{n >= 0} 1/((n + c)^2 + q^2) = Im psi(c + i q) / q
-        # sums it in closed form
-        xs = x - (4.0 * mu * mu - 1.0) / (4.0 * a * a)
-        q2 = a * a * xs / (np.pi * np.pi)
-        r = a * a / (np.pi * np.pi)
-        tail = np.full(x.shape, plan["tail0"])
-        pos, neg = q2 > 0.0, q2 < 0.0
-        q = np.sqrt(q2[pos])
-        tail[pos] = r * np.imag(_sp.digamma(c + 1j * q)) / q
-        p = np.sqrt(-q2[neg])
-        tail[neg] = r * (_sp.digamma(c + p) - _sp.digamma(c - p)) / (2.0 * p)
-        out[:, 0] += tail
-        return out
+                plan["hurwitz"] = np.exp(ps * (2.0 * np.log(lad.a / np.pi))
+                                         + np.log(_sp.zeta(ps + ps, lad._c)))
+    # the Horner coefficients per pair, then per row
+    moments = np.array([plans[j]["moments"][k][:n_p] for k, j in pairs])
+    hurwitz = np.array([plans[j]["hurwitz"][:n_p] for _, j in pairs])
+    coefs = _ml_series_coefs(max_order)[:, :top + 1]
+    cm = coefs * (moments + hurwitz)[:, np.add.outer(
+        np.arange(max_order + 1), np.arange(top + 1))]
+    # order 0 takes the partial moments: its digamma remainder below
+    # covers the zeros beyond the last
+    cm[:, 0] = coefs[0] * moments[:, :top + 1]
+    # a row's coefficients above its own cut are +0, so its Horner sum
+    # is +0 until its cut: the bits of a sum started there
+    cm = np.where(np.arange(top + 1) <= cuts[:, None, None], cm[group], 0.0)
+    out = np.zeros((xr.size, max_order + 1))
+    for j in range(top, -1, -1):
+        out = out * xr[:, None] + cm[..., j]
+    sizes = sorted({k for k, _ in pairs})
+    for k in sizes:
+        sel = heads == k if len(sizes) > 1 else slice(None)
+        out[sel] += _rational_ladder_vec(1.0, roots[rows[sel], :k], xr[sel],
+                                         max_order)
+    # order-0 remainder: with j^2 ~ pi^2 (k + delta)^2 - (4 mu^2 - 1)/4
+    # the shifted-argument digamma identity
+    # sum_{n >= 0} 1/((n + c)^2 + q^2) = Im psi(c + i q) / q
+    # sums it in closed form
+    shift, aa, r, c, tail = np.array([(
+        (4.0 * lad.mu * lad.mu - 1.0) / (4.0 * lad.a * lad.a), lad.a * lad.a,
+        lad.a * lad.a / (np.pi * np.pi), lad._c, plan["tail0"])
+        for lad, plan in zip(ladders, plans)])[rows].T
+    q2 = aa * (xr - shift) / (np.pi * np.pi)
+    pos, neg = q2 > 0.0, q2 < 0.0
+    q = np.sqrt(q2[pos])
+    tail[pos] = r[pos] * np.imag(_sp.digamma(c[pos] + 1j * q)) / q
+    p, c = np.sqrt(-q2[neg]), c[neg]
+    tail[neg] = r[neg] * (_sp.digamma(c + p) - _sp.digamma(c - p)) / (2.0 * p)
+    out[:, 0] += tail
+    return out.reshape(n_l, x.size, max_order + 1)
 
 
 # The exp-sinh level of every Stieltjes ladder.  Against level 10, level
@@ -410,7 +438,11 @@ class SumLadder(Ladder):
             raise ParameterError("parts and coefs must match in length")
 
     def _derivatives(self, x, max_order: int) -> np.ndarray:
+        # the Mittag-Leffler parts in one pass, their tables added in turn
+        ml = iter(_ml_tables([p for p in self.parts
+                              if isinstance(p, MLSumLadder)], x, max_order))
         out = np.zeros(x.shape + (max_order + 1,))
         for c, p in zip(self.coefs, self.parts):
-            out += c * p._derivatives(x, max_order)
+            out += c * (next(ml) if isinstance(p, MLSumLadder)
+                        else p._derivatives(x, max_order))
         return out

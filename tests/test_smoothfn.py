@@ -229,6 +229,57 @@ def test_ml_order_zero_constant_against_mpmath():
         assert abs(v - want) <= 1e-13 * abs(want), (xi, v, want)
 
 
+def _ml_group(label):
+    """The MLSumLadder parts of a variant's phi' ladder, or a hand-built
+    group of three whose heads differ between parts and between points;
+    the part with the smallest roots (a = 12) sits in the middle."""
+    if label == "mixed":
+        return (MLSumLadder(0.3, 0.7), MLSumLadder(1.0, 12.0),
+                MLSumLadder(2.5, 3.0))
+    spec = idtests.LT_KINDS[label](*idtests.LT_KINDS[label].defaults)
+    return tuple(p for p in neg_logderiv_ladder(spec).parts
+                 if isinstance(p, MLSumLadder))
+
+
+@pytest.mark.parametrize("label", ("omega1", "omega2", "zeta", "mixed"))
+def test_ml_group_gives_each_part_the_bits_of_the_part_alone(label):
+    parts = _ml_group(label)
+    # x up to r_N / 16 of the part with the smallest roots
+    edge = min(p._plan()["roots"][-1] for p in parts) / 16.0
+    rng = np.random.default_rng(sum(map(ord, label)))
+    x = np.concatenate([_DEFAULT_GRID, [edge], np.exp(
+        rng.uniform(np.log(1e-3), np.log(edge), 40))])
+    heads = smoothfn._ml_split(np.array([p._plan()["roots"] for p in parts]),
+                               x, 9)[0]
+    assert len(np.unique(heads)) > 2 and heads.max() == parts[0].n_zeros - 1
+    coefs = rng.uniform(-2.0, 2.0, len(parts))
+    for n in range(10):
+        tables = smoothfn._ml_tables(parts, x, n)
+        summed = SumLadder(parts, coefs).derivatives(x, n)
+        want = np.zeros((x.size, n + 1))
+        for part, c, table in zip(parts, coefs, tables):
+            spec_plan.cache_clear()
+            alone = part.derivatives(x, n)
+            assert np.array_equal(table, alone), (label, n, part)
+            want += c * alone
+        assert np.array_equal(summed, want), (label, n)
+
+
+def test_ml_group_on_an_empty_grid_and_past_the_last_zero():
+    parts = _ml_group("mixed")
+    lad = SumLadder(parts)
+    for n in (0, 8):
+        assert smoothfn._ml_tables(parts, np.empty(0), n).shape \
+            == (3, 0, n + 1)
+        assert lad.derivatives(np.empty(0), n).shape == (0, n + 1)
+    # only the middle part's r_N / 16 is passed, and the message names it
+    edge = float(parts[1]._plan()["roots"][-1]) / 16.0
+    with pytest.raises(DomainError, match=rf"^MLSumLadder .* = {edge!r} \("):
+        lad.derivatives(np.array([1.0, 1.01 * edge]), 1)
+    assert np.all(np.isfinite(lad.derivatives(np.array([1.0, 1.01 * edge]),
+                                              0)))
+
+
 def test_ladder_rows_are_read_only():
     kr = k_ratio_ladder(0.9, 1.0)
     rat = RationalLadder(((2.0, 3.0), (0.5, 1.0)))

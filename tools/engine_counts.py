@@ -7,14 +7,17 @@
 
 Wraps `quad.tanhsinh.integrate_pieces`, under every module name the
 package calls it by, and the weight of each of its calls, and prints
-JSON with five counts: engine calls, weight calls, points evaluated
+JSON with seven counts: engine calls, weight calls, points evaluated
 (points times rows of every weight call) and points consumed (the sum
 of `n_evals` over the rows the engine returns).  More points evaluated
 than consumed means some levels were evaluated that no row reached.
 The fifth, points dropped, counts the weight values that the callers
 of `quad.integrate_oscillatory` computed for rows the engine had
 already stopped: that engine evaluates its caller's weight on every
-row and keeps the live ones.
+row and keeps the live ones.  The last two count the Mittag-Leffler
+passes (`smoothfn._ml_tables` calls on at least one ladder) and the
+`MLSumLadder`s they evaluate: a `SumLadder` takes all its
+Mittag-Leffler parts in one pass.
 
 For zsweep and idchecks the inputs are those of one benchmark child,
 from `perfbench/workloads.make_inputs` (read, not changed): its warm-up
@@ -33,17 +36,19 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 COUNTS = ("engine_calls", "weight_calls", "points_evaluated",
-          "points_consumed", "points_dropped")
+          "points_consumed", "points_dropped", "ml_passes", "ml_ladders")
 
 
 def install(counts: dict) -> None:
     """Replace integrate_pieces and integrate_oscillatory by counting
-    wrappers in every module that calls them."""
-    from besselid import distributions, quad, stieltjes
+    wrappers in every module that calls them, and the Mittag-Leffler
+    pass in smoothfn."""
+    from besselid import distributions, quad, smoothfn, stieltjes
     from besselid.quad import oscillatory, tanhsinh
 
     engine = tanhsinh.integrate_pieces
     contour = oscillatory.integrate_oscillatory
+    tables = smoothfn._ml_tables
 
     def counted(pieces, weight, *args, **kwargs):
         def counted_weight(t, rows):
@@ -71,8 +76,15 @@ def install(counts: dict) -> None:
                                                 - kept)
         return out
 
+    def counted_tables(ladders, *args):
+        if ladders:
+            counts["ml_passes"] += 1
+            counts["ml_ladders"] += len(ladders)
+        return tables(ladders, *args)
+
     for module in (tanhsinh, oscillatory, quad, distributions):
         module.integrate_pieces = counted
+    smoothfn._ml_tables = counted_tables
     for module in (oscillatory, quad, stieltjes):
         module.integrate_oscillatory = counted_contour
 
