@@ -148,22 +148,22 @@ def _ml_series_coefs(max_order: int) -> np.ndarray:
 
 
 def _ml_split(roots, x, max_order):
-    """(heads, cuts) at each x for each row of roots, shape (..., N), as
-    roots.shape[:-1] + x.shape: the head K(x), and the last m kept of the
-    moment series.  Its order-n term t_m = (-1)^(n+m) (n+m)!/m! x^m M_{n+1+m}
-    has |t_{m+1} / t_m| <= (n+m+1)/(m+1) q, q = x / r_{K+1} (no moment root
-    lies below r_{K+1}), so |t_m| <= C(N+m, m) q^m |t_0| for n <= N =
-    max_order; the cut is the last m where that bound reaches 2^-53.  At
+    """(heads, cuts), shape (len(roots), x.size), at each x for each
+    ladder's squared zeros in roots (arrays of one length): the head
+    K(x), and the last m kept of the moment series.  Its order-n term
+    t_m = (-1)^(n+m) (n+m)!/m! x^m M_{n+1+m} has |t_{m+1} / t_m| <=
+    (n+m+1)/(m+1) q, q = x / r_{K+1} (no moment root lies below
+    r_{K+1}), so |t_m| <= C(N+m, m) q^m |t_0| for n <= N = max_order;
+    the cut is the last m where that bound reaches 2^-53.  At
     q <= 1/16 and N <= 8 each later ratio is at most (n+1) q <= 9/16: the
     terms dropped sum to below (16/7) 2^-53 |t_0| <= 4 2^-53 |f^(n)|, as t_0
     shares the sign of f^(n) and is at most (17/16)^9 times it.  With no
     zero beyond the head (order 0 only) the series is empty, cut 0."""
-    n, gap = roots.shape[-1], _ML_GAP * x
-    heads = np.maximum([r.searchsorted(gap) for r in roots.reshape(-1, n)],
-                       _ML_HEAD).reshape(roots.shape[:-1] + x.shape)
-    # r_{K+1} from the flat roots; past the last zero q = x / inf = 0
-    row = np.arange(0, roots.size, n).reshape(roots.shape[:-1] + (1,))
-    q = np.where(heads < n, x / roots.take(heads + row, mode="clip"), 0.0)
+    gap = _ML_GAP * x
+    heads = np.maximum([r.searchsorted(gap) for r in roots], _ML_HEAD)
+    far = np.array([r.take(k, mode="clip") for r, k in zip(roots, heads)])
+    # past the last zero q = x / inf = 0
+    q = np.where(heads < roots[0].size, x / far, 0.0)
     ms = np.arange(1, _ML_TERMS + 1)
     bound = np.cumprod(q[..., None] * ((max_order + ms) / ms), axis=-1)
     return heads, np.count_nonzero(bound >= 2.0 ** -53, axis=-1)
@@ -260,14 +260,14 @@ def _ml_tables(ladders, x, max_order):
     if np.any(x <= 0.0):
         raise DomainError("MLSumLadder requires x > 0")
     plans = [lad._plan() for lad in ladders]
-    roots = np.array([plan["roots"] for plan in plans])
-    nz = roots.shape[1]
+    roots = [plan["roots"] for plan in plans]
+    nz = roots[0].size
     heads, cuts = _ml_split(roots, x, max_order)
     if max_order >= 1 and heads.max() >= nz:
         i = (heads >= nz).any(axis=1).argmax()
         raise DomainError(
             f"MLSumLadder derivatives need x <= r_N / {_ML_GAP:g} = "
-            f"{float(roots[i, -1]) / _ML_GAP!r} (N = n_zeros = {nz}); "
+            f"{float(roots[i][-1]) / _ML_GAP!r} (N = n_zeros = {nz}); "
             f"got x = {float(x.max())!r}")
     heads, cuts = heads.ravel(), cuts.ravel()
     rows, xr = np.arange(n_l).repeat(x.size), np.concatenate([x] * n_l)
@@ -284,7 +284,7 @@ def _ml_tables(ladders, x, max_order):
         build = [k for k, j in pairs if j == i and len(table.get(k, ())) < n_p]
         if build:
             table.update(zip(build, _inverse_power_sums(
-                1.0 / roots[i, build[0]:], [k - build[0] for k in build], n_p)))
+                1.0 / roots[i][build[0]:], [k - build[0] for k in build], n_p)))
         if plan["hurwitz"].size < n_p:
             # Hurwitz tail of M_p beyond the last zero, in logs: the
             # factor (a/pi)^{2p} alone overflows at large a
@@ -310,8 +310,8 @@ def _ml_tables(ladders, x, max_order):
     sizes = sorted({k for k, _ in pairs})
     for k in sizes:
         sel = heads == k if len(sizes) > 1 else slice(None)
-        out[sel] += _rational_ladder_vec(1.0, roots[rows[sel], :k], xr[sel],
-                                         max_order)
+        head = np.array([r[:k] for r in roots])[rows[sel]]
+        out[sel] += _rational_ladder_vec(1.0, head, xr[sel], max_order)
     # order-0 remainder: with j^2 ~ pi^2 (k + delta)^2 - (4 mu^2 - 1)/4
     # the shifted-argument digamma identity
     # sum_{n >= 0} 1/((n + c)^2 + q^2) = Im psi(c + i q) / q
@@ -319,7 +319,7 @@ def _ml_tables(ladders, x, max_order):
     shift, aa, r, c, tail = np.array([(
         (4.0 * lad.mu * lad.mu - 1.0) / (4.0 * lad.a * lad.a), lad.a * lad.a,
         lad.a * lad.a / (np.pi * np.pi), lad._c, plan["tail0"])
-        for lad, plan in zip(ladders, plans)])[rows].T
+        for lad, plan in zip(ladders, plans)]).T[:, rows]
     q2 = aa * (xr - shift) / (np.pi * np.pi)
     pos, neg = q2 > 0.0, q2 < 0.0
     q = np.sqrt(q2[pos])

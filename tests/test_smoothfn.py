@@ -153,7 +153,7 @@ def test_ml_sum_ladder_against_mpmath_where_the_series_is_cut():
     mu, a = 1.0, 12.0
     roots = (bessel_zeros(mu, 4000) / a) ** 2
     x = np.append(_DEFAULT_GRID, np.nextafter(roots[64] / 16.0, 0.0))
-    assert smoothfn._ml_split(roots, x, 8)[1][-1] == 18
+    assert smoothfn._ml_split([roots], x, 8)[1][0, -1] == 18
     got = MLSumLadder(mu, a).derivatives(x, 8)
     for xi, row in zip(x.tolist(), got):
         for n in range(9):
@@ -221,8 +221,8 @@ def test_ml_order_zero_constant_against_mpmath():
     # "tail0" alone; past r_N / 16 the series is empty
     lad = MLSumLadder(1.5, 1.0)
     x = np.array([2.0, 3e7])
-    heads, cuts = smoothfn._ml_split(lad._plan()["roots"], x, 0)
-    assert heads.tolist() == [64, 4000] and cuts[1] == 0
+    heads, cuts = smoothfn._ml_split([lad._plan()["roots"]], x, 0)
+    assert heads.tolist() == [[64, 4000]] and cuts[0, 1] == 0
     got = lad.derivatives(x, 0)
     for xi, v in zip(x.tolist(), got[:, 0]):
         want = _ml_reference(1.5, 1.0, xi, 0)
@@ -249,8 +249,7 @@ def test_ml_group_gives_each_part_the_bits_of_the_part_alone(label):
     rng = np.random.default_rng(sum(map(ord, label)))
     x = np.concatenate([_DEFAULT_GRID, [edge], np.exp(
         rng.uniform(np.log(1e-3), np.log(edge), 40))])
-    heads = smoothfn._ml_split(np.array([p._plan()["roots"] for p in parts]),
-                               x, 9)[0]
+    heads = smoothfn._ml_split([p._plan()["roots"] for p in parts], x, 9)[0]
     assert len(np.unique(heads)) > 2 and heads.max() == parts[0].n_zeros - 1
     coefs = rng.uniform(-2.0, 2.0, len(parts))
     for n in range(10):

@@ -59,7 +59,7 @@ def work_counts(ladder, x, max_order: int) -> dict:
         nz = smoothfn.MLSumLadder.n_zeros
         plan = ladder._plan()
         roots, table = plan["roots"], plan["moments"]
-        heads, cuts = smoothfn._ml_split(roots, x, max_order)
+        heads, cuts = (a[0] for a in smoothfn._ml_split([roots], x, max_order))
         n_p = max_order + 1 + int(cuts.max())
         build = [k for k in np.unique(heads).tolist()
                  if len(table.get(k, ())) < n_p]
