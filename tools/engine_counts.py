@@ -1,5 +1,5 @@
-"""Count the DE quadrature engine's work in one benchmark child or in
-`besselid verify all --stable`.
+"""Count the DE quadrature engine's work and the Mittag-Leffler passes
+in one benchmark child or in `besselid verify all --stable`.
 
     PYTHONPATH=src python3 tools/engine_counts.py zsweep|idchecks \
         [--seed 90417] [--part 0]
