@@ -488,9 +488,12 @@ def kdist_quotient_kernel(al: float, be: float, t):
                       + kdist_quotient_kernel(al, be + delta, t))
     lo, hi = min(al, be), max(al, be)
     # e^{-t} underflows from t = 700 on, out to inf: there the kernel is 0
-    dead = real_array(t, "t") >= 700.0
-    rec = make_identity("TRICOMI_RATIO", a=lo, c=1.0 + lo - hi)
-    return np.where(dead, 0.0, rec.kernel_density(np.where(dead, 1.0, t)))
+    t = real_array(t, "t")
+    live = ~(t >= 700.0)
+    out = np.zeros(t.shape)
+    out[live] = make_identity("TRICOMI_RATIO", a=lo, c=1.0 + lo - hi
+                              ).kernel_density(t[live])
+    return out
 
 
 def mgf_logderiv_im(d, re, im):

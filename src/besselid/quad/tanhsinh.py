@@ -193,82 +193,96 @@ def integrate_pieces(pieces, weight, n_rows: int, tol: float) -> QuadRows:
 
 def _one_row(pieces, weight, tol) -> QuadResult:
     # per piece: trapezoid sum, sum of |integrand| and last difference
-    value, mass, diff = ([0.0] * len(pieces) for _ in range(3))
+    n = len(pieces)
+    value, mass, diff = [0.0] * n, [0.0] * n, [0.0] * n
     # the warm pieces' runs side by side, zero past each: the real part
     # over |v| of the values v, each (part, piece) row of a level one
     # pairwise sum as on the level alone; all offsets prefix the longest
-    runs = [piece.run(min(piece.depth, MAX_LEVEL))
-            if piece.depth > FIRST_LEVEL else None for piece in pieces]
-    n_run = [len(run[2]) - 1 if run else 0 for run in runs]
-    ends = max((run[2] for run in runs if run), key=len, default=[0])
-    stack = np.zeros((2, len(pieces), ends[-1]))
+    runs, n_run, ends = [], [], [0]
+    for piece in pieces:
+        depth = piece.depth
+        run = depth > FIRST_LEVEL and piece.run(min(depth, MAX_LEVEL))
+        piece.depth = min(depth + 1, MAX_LEVEL)
+        runs.append(run)
+        n_run.append(len(run[2]) - 1 if run else 0)
+        ends = run[2] if run and len(run[2]) > len(ends) else ends
+    stack = np.zeros((2, n, ends[-1]))
     for k, run in enumerate(runs):
-        pieces[k].depth = min(pieces[k].depth + 1, MAX_LEVEL)
         if run:
             t, a, _ = run
             v = (a * weight(t, [0])).reshape(t.size)
             stack[0, k, :t.size] = v.real
             np.abs(v, out=stack[1, k, :t.size])
-    live, n_evals = list(range(len(pieces))), 0
+    live, n_evals, n_levels = list(range(n)), 0, len(ends) - 1
     for i, level in enumerate(range(FIRST_LEVEL, MAX_LEVEL + 1)):
-        if i + 1 < len(ends):
-            sums, masses = np.add.reduce(
-                stack[..., ends[i]:ends[i + 1]], -1).tolist()
+        if i < n_levels:
+            lo, hi = ends[i], ends[i + 1]
+            sums, masses = np.add.reduce(stack[..., lo:hi], -1).tolist()
         for k in live:
             # the level's sums from the run, or past it or on a non-finite
             # value (a finite sum of |v| has none) from the level alone
             if i < n_run[k] and math.isfinite(masses[k]):
-                size, h = ends[i + 1] - ends[i], pieces[k].steps[i][1]
-                s, m = sums[k], masses[k]
+                h, s, m = pieces[k].steps[i][1], sums[k], masses[k]
+                n_evals += hi - lo
             else:
                 size, h, (s,), (m,) = _sums(pieces[k], level, weight, [0])
+                n_evals += size
             new = 0.5 * value[k] + h * s
             diff[k] = abs(new - value[k])
             value[k], mass[k] = new, 0.5 * mass[k] + h * m
-            n_evals += size
         if level > FIRST_LEVEL:
             floor = _ROUNDING * sum(mass)
-            budget = max(tol * abs(sum(value)) - floor, floor) / len(pieces)
+            budget = max(tol * abs(sum(value)) - floor, floor) / n
+            for k in live:
+                if not diff[k] > budget:
+                    break
+            else:
+                continue        # every piece goes on
             for k in live:
                 if diff[k] <= budget:
                     pieces[k].depth = min(pieces[k].depth, level)
             live = [k for k in live if diff[k] > budget]
-        if not live:
-            break
+            if not live:
+                break
     return _result(value, mass, diff, n_evals, tol)
 
 
 def _many_rows(pieces, weight, n_rows, tol) -> list:
-    value, mass, diff = ([[0.0] * len(pieces) for _ in range(n_rows)]
-                         for _ in range(3))     # per row, as in _one_row
+    # as in _one_row, one flat list per piece, indexed by row
+    value, mass, diff = ([[0.0] * n_rows for _ in pieces] for _ in range(3))
     n_evals, budget = [0] * n_rows, [0.0] * n_rows
     live = [list(range(n_rows)) for _ in pieces]     # per piece
     for piece in pieces:
         piece.depth = min(piece.depth + 1, MAX_LEVEL)
     for level in range(FIRST_LEVEL, MAX_LEVEL + 1):
-        for k, (piece, on) in enumerate(zip(pieces, live)):
+        for piece, on, val, mas, dif in zip(pieces, live, value, mass, diff):
             if not on:
                 continue
             size, h, sums, masses = _sums(piece, level, weight, on)
             for r, s, m in zip(on, sums, masses):
-                val, mas = value[r], mass[r]
-                new = 0.5 * val[k] + h * s
-                diff[r][k] = abs(new - val[k])
-                val[k], mas[k] = new, 0.5 * mas[k] + h * m
+                new = 0.5 * val[r] + h * s
+                dif[r] = abs(new - val[r])
+                val[r], mas[r] = new, 0.5 * mas[r] + h * m
                 n_evals[r] += size
         if level > FIRST_LEVEL:
+            # each row's totals over the pieces, left to right as by sum()
+            total, total_mass = value[0], mass[0]
+            for val, mas in zip(value[1:], mass[1:]):
+                total = [a + b for a, b in zip(total, val)]
+                total_mass = [a + b for a, b in zip(total_mass, mas)]
             for r in set().union(*live):
-                floor = _ROUNDING * sum(mass[r])
-                budget[r] = max(tol * abs(sum(value[r])) - floor,
+                floor = _ROUNDING * total_mass[r]
+                budget[r] = max(tol * abs(total[r]) - floor,
                                 floor) / len(pieces)
-            for k, on in enumerate(live):
-                live[k] = [r for r in on if diff[r][k] > budget[r]]
-                if len(live[k]) < len(on):
+            for k, (on, dif) in enumerate(zip(live, diff)):
+                kept = [r for r in on if dif[r] > budget[r]]
+                if len(kept) < len(on):
+                    live[k] = kept
                     pieces[k].depth = min(pieces[k].depth, level)
-        if not any(live):
-            break
-    return [_result(value[r], mass[r], diff[r], n_evals[r], tol)
-            for r in range(n_rows)]
+            if not any(live):
+                break
+    return [_result(*row, n, tol)
+            for *row, n in zip(zip(*value), zip(*mass), zip(*diff), n_evals)]
 
 
 def _sums(piece, level: int, weight, on: list) -> tuple:

@@ -75,7 +75,8 @@ def _bessel_mod2(mu, r):
     it overflows (scipy's hankel1 is NaN there), and past r = 1e6, where H
     loses accuracy, the asymptotic 2/(pi r) (1 + (4 mu^2 - 1)/(8 r^2))."""
     big = r > 1e6
-    h = _sp.hankel1(mu, np.where(big, 1.0, r))
+    h = np.zeros(r.shape, dtype=complex)
+    h[~big] = _sp.hankel1(mu, r[~big])
     with np.errstate(over="ignore"):
         small = h.real * h.real + h.imag * h.imag
     ra = np.where(big, r, 1.0)
@@ -323,10 +324,11 @@ def _build_catalog():
         t = np.asarray(t, dtype=float)
         # e^{-t} underflows past ~745; the kernel is identically zero
         # there in double precision, so skip the boundary evaluation
-        dead = t >= 700.0
-        ts = np.where(dead, 1.0, t)
-        out = ts ** (-c) * np.exp(-ts) / tricomi_boundary_mod2(a, c, ts) * norm
-        return np.where(dead, 0.0, out)
+        live = ~(t >= 700.0)
+        tl, out = t[live], np.zeros(t.shape)
+        out[live] = (tl ** (-c) * np.exp(-tl)
+                     / tricomi_boundary_mod2(a, c, tl) * norm)
+        return out
 
     def tric_entry(da, dc, gamma_shift, sign=1.0, anchor="Theorem tricrepr",
                    **extra):

@@ -11,7 +11,7 @@ from scipy import special as sp
 
 from paramsets import PARAM_SETS
 
-from besselid import checks, distributions
+from besselid import checks, distributions, stieltjes
 from besselid.distributions import (DIST_DEFAULTS, DIST_KINDS, hcm_profile,
                                     kdist_quotient_kernel, laplace_closed,
                                     log_pdf, mgf_logderiv_im, pdf)
@@ -21,6 +21,8 @@ from besselid.idtests import neg_logderiv_ladder, pick_check
 from besselid.quad import integrate_singular_decay, numeric_laplace
 from besselid.quad.tanhsinh import (FIRST_LEVEL, MAX_LEVEL, de_level,
                                     spec_plan)
+from besselid.specfun import tricomi_boundary_mod2
+from besselid.stieltjes import make_identity
 
 
 def _all_cases():
@@ -317,6 +319,45 @@ def test_quotient_kernel_is_exactly_zero_from_700(al, be):
     k = kdist_quotient_kernel(al, be, np.concatenate([live, dead]))
     assert np.all(np.isfinite(k[:30]) & (k[:30] > 0.0))
     assert np.all(k[30:] == 0.0)
+
+
+def test_quotient_kernels_hand_only_live_points_to_the_boundary(monkeypatch):
+    # TRICOMI_RATIO's kernel and the K-distribution's quotient kernel
+    # hand the Tricomi boundary the points below t = 700 alone; there
+    # they give t^-c e^-t / |psi(a, c, -t)|^2 / (Gamma(a + 1)
+    # Gamma(a - c + 1)) bit for bit, elsewhere an exact zero
+    handed = []
+
+    def counting(a, c, t):
+        handed.extend(np.ravel(t))
+        return tricomi_boundary_mod2(a, c, t)
+
+    def formula(a, c, t):
+        return (t ** (-c) * np.exp(-t) / tricomi_boundary_mod2(a, c, t)
+                * np.exp(-sp.gammaln(a + 1.0) - sp.gammaln(a - c + 1.0)))
+
+    monkeypatch.setattr(stieltjes, "tricomi_boundary_mod2", counting)
+    live = np.exp(np.linspace(np.log(1e-3), np.log(699.0), 30))
+    mixed = np.insert(live, [4, 11, 19, 30], [700.0, 750.0, 1e4, np.inf])
+    # kernel_density takes finite t only; the K-distribution's kernel at
+    # (alpha, beta) = (2.2, 1.5) is TRICOMI_RATIO's at (a, c) = (1.5, 0.3)
+    for a, c, kernel, t in [
+            (1.5, 0.5, make_identity("TRICOMI_RATIO").kernel_density,
+             mixed[:-1]),
+            (1.5, 1.0 + 1.5 - 2.2,
+             lambda t: kdist_quotient_kernel(2.2, 1.5, t), mixed)]:
+        handed.clear()
+        got = kernel(t)
+        assert handed == live.tolist()
+        want = np.zeros(t.shape)
+        want[t < 700.0] = formula(a, c, live)
+        assert got.tobytes() == want.tobytes()
+        for x in (3.0, 750.0):
+            handed.clear()
+            k = kernel(x)
+            assert np.shape(k) == () and handed == ([x] if x < 700.0 else [])
+            assert k == (formula(a, c, np.array([x]))[0] if x < 700.0
+                         else 0.0)
 
 
 @pytest.mark.parametrize("t", [0.7, np.linspace(0.1, 800.0, 6),

@@ -89,6 +89,42 @@ def test_singular_decay_rows_equal_one_row_calls(monkeypatch):
     converged = [g.converged for g in got]
     assert any(converged) and not all(converged)
 
+    # three pieces, [0, 1], [1, 3] and [3, 9], with the peak of width y
+    # at r on any of them: each piece stops at different levels in
+    # different rows, and every field of each row equals the one-row
+    # call on the same pieces, warm with the many-row call's runs
+    c, r, y = (rng.uniform(0.2, 3.0, 12), rng.uniform(0.0, 9.0, 12),
+               np.geomspace(0.02, 3.0, 12))
+    c2, r2, y2 = c[:, None], r[:, None], y[:, None]
+    levels = np.zeros((3, 12), dtype=int)     # per piece, per row
+
+    def rows3(t, k):
+        levels[np.searchsorted([1.0, 3.0], t.mean()), k] += 1
+        return np.exp(-c2[k] * t) * np.sqrt(t) * y2[k] \
+            / ((t - r2[k]) ** 2 + y2[k] * y2[k])
+
+    def finite(a, b):
+        return tanhsinh.Piece("finite", tanhsinh.FINITE_X_MAX,
+                              functools.partial(tanhsinh.tanh_sinh_level,
+                                                a, b, tanhsinh.FINITE_X_MAX))
+
+    for max_level in (12, 8):
+        monkeypatch.setattr(tanhsinh, "MAX_LEVEL", max_level)
+        pieces = [finite(0.0, 1.0), finite(1.0, 3.0), finite(3.0, 9.0)]
+        levels[:] = 0
+        got = integrate_pieces(pieces, rows3, 12, tol=1e-11)
+        assert all(len(set(stops)) > 1 for stops in levels.tolist())
+        for i in range(12):
+            one = integrate_pieces(pieces, lambda t, k: rows3(t, [i])[0], 1,
+                                   tol=1e-11)[0]
+            assert (got[i].value, got[i].err_estimate, got[i].n_evals,
+                    got[i].converged, got[i].info) == (
+                one.value, one.err_estimate, one.n_evals, one.converged,
+                one.info)
+        assert len({g.n_evals for g in got}) > 2
+    converged = [g.converged for g in got]
+    assert any(converged) and not all(converged)
+
 
 # ----------------------------------------------------------------------
 # oscillatory sqrt-phase integrals

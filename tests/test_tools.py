@@ -43,7 +43,8 @@ def test_engine_counts_of_the_report():
     # the contour engine's callers compute 74,564 weight values, of which
     # the engine keeps 61,700.  ml_passes, ml_ladders: the report
     # evaluates 22 Mittag-Leffler ladders in 14 passes, each SumLadder's
-    # Mittag-Leffler parts in one
+    # Mittag-Leffler parts in one.  boundary_points: the Tricomi kernels
+    # hand the boundary modulus their points below t = 700 alone
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     r = subprocess.run([sys.executable, str(ROOT / "tools/engine_counts.py"),
                         "report"], env=env, capture_output=True, text=True,
@@ -52,7 +53,8 @@ def test_engine_counts_of_the_report():
     assert json.loads(r.stdout) == {
         "engine_calls": 44, "weight_calls": 252,
         "points_evaluated": 173851, "points_consumed": 173467,
-        "points_dropped": 12864, "ml_passes": 14, "ml_ladders": 22}
+        "points_dropped": 12864, "ml_passes": 14, "ml_ladders": 22,
+        "boundary_points": 11921}
 
 
 # every function that no traffic of tools/reach.py calls, with the

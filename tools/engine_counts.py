@@ -7,7 +7,7 @@ in one benchmark child or in `besselid verify all --stable`.
 
 Wraps `quad.tanhsinh.integrate_pieces`, under every module name the
 package calls it by, and the weight of each of its calls, and prints
-JSON with seven counts: engine calls, weight calls, points evaluated
+JSON with eight counts: engine calls, weight calls, points evaluated
 (points times rows of every weight call) and points consumed (the sum
 of `n_evals` over the rows the engine returns).  More points evaluated
 than consumed means some levels were evaluated that no row reached.
@@ -17,7 +17,9 @@ already stopped: that engine evaluates its caller's weight on every
 row and keeps the live ones.  The last two count the Mittag-Leffler
 passes (`smoothfn._ml_tables` calls on at least one ladder) and the
 `MLSumLadder`s they evaluate: a `SumLadder` takes all its
-Mittag-Leffler parts in one pass.
+Mittag-Leffler parts in one pass.  The eighth, boundary points, counts
+the points handed to `specfun.tricomi_boundary_mod2`, the Tricomi
+kernels' modulus on the cut.
 
 For zsweep and idchecks the inputs are those of one benchmark child,
 from `perfbench/workloads.make_inputs` (read, not changed): its warm-up
@@ -34,21 +36,25 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 COUNTS = ("engine_calls", "weight_calls", "points_evaluated",
-          "points_consumed", "points_dropped", "ml_passes", "ml_ladders")
+          "points_consumed", "points_dropped", "ml_passes", "ml_ladders",
+          "boundary_points")
 
 
 def install(counts: dict) -> None:
     """Replace integrate_pieces and integrate_oscillatory by counting
-    wrappers in every module that calls them, and the Mittag-Leffler
-    pass in smoothfn."""
+    wrappers in every module that calls them, the Mittag-Leffler pass
+    in smoothfn and the Tricomi boundary modulus in stieltjes."""
     from besselid import distributions, quad, smoothfn, stieltjes
     from besselid.quad import oscillatory, tanhsinh
 
     engine = tanhsinh.integrate_pieces
     contour = oscillatory.integrate_oscillatory
     tables = smoothfn._ml_tables
+    boundary = stieltjes.tricomi_boundary_mod2
 
     def counted(pieces, weight, *args, **kwargs):
         def counted_weight(t, rows):
@@ -82,9 +88,14 @@ def install(counts: dict) -> None:
             counts["ml_ladders"] += len(ladders)
         return tables(ladders, *args)
 
+    def counted_boundary(a, c, t):
+        counts["boundary_points"] += np.size(t)
+        return boundary(a, c, t)
+
     for module in (tanhsinh, oscillatory, quad, distributions):
         module.integrate_pieces = counted
     smoothfn._ml_tables = counted_tables
+    stieltjes.tricomi_boundary_mod2 = counted_boundary
     for module in (oscillatory, quad, stieltjes):
         module.integrate_oscillatory = counted_contour
 
