@@ -47,10 +47,6 @@ class _Family:
     def phi_ladder(self) -> Ladder:
         raise UnsupportedVariantError(f"no Laplace transform for {self!r}")
 
-    def lt_value(self, x):
-        """L at real x > 0 through laplace_closed."""
-        return laplace_closed(self, x)
-
     def lt_value_complex(self, z):
         raise UnsupportedVariantError(f"no continuation for {self!r}")
 

@@ -76,10 +76,10 @@ class _Variant:
             log_f0 += sign * lf
         return float(np.exp(-log_f0))
 
-    def lt_value(self, x):
+    def laplace(self, x):
         return bessel_row(self._norm, *self.row, x)
 
-    lt_value_complex = lt_value
+    lt_value_complex = laplace
 
     def phi_ladder(self):
         c, factors = self.row
@@ -262,8 +262,10 @@ LT_KINDS = {
 
 def lt_value(spec, x):
     """L(x) for x > 0: a variant's factor row from scaled Bessel
-    functions, a family's closed form."""
-    return spec.lt_value(points(x, "lt_value"))
+    functions, a family's closed form.  A scalar x is evaluated as a
+    one-point array."""
+    x = points(x, "lt_value")
+    return spec.laplace(x.reshape(-1)).reshape(x.shape)[()]
 
 
 def lt_value_complex(spec, z):
@@ -386,8 +388,8 @@ class _AlphaDifference(Ladder):
     alpha: float
 
     def _derivatives(self, x, max_order: int) -> np.ndarray:
-        both = self.phi.derivatives(np.concatenate([x, self.alpha * x]),
-                                    max_order)
+        both = self.phi._derivatives(np.concatenate([x, self.alpha * x]),
+                                     max_order)
         powers = np.cumprod(np.full(max_order + 1, self.alpha))
         return both[:x.size] - powers * both[x.size:]
 
@@ -497,8 +499,8 @@ def hcm_check(d, u: float, w_grid=_DEFAULT_W_GRID, max_order: int = 8,
 
 def noncentral_profile_check(mu: float, lam: float, u: float) -> Evidence:
     """Positivity, decrease and convexity of the noncentral chi-square
-    profile w -> pdf(uv) pdf(u/v) on (2, oo): a cm_check of its profile
-    ladder at orders 0 to 2 on the default w grid.
+    profile w -> pdf(uv) pdf(u/v) on (2, oo): its hcm_check at orders 0
+    to 2 on the default w grid.
 
     Convexity is claimed for lam <= 2 mu + 1 (and decrease for lam <=
     2(2 mu + 1)); outside the convex region there is no claim to test.
@@ -506,9 +508,7 @@ def noncentral_profile_check(mu: float, lam: float, u: float) -> Evidence:
     if not lam <= 2.0 * mu + 1.0:
         raise ParameterError(
             "noncentral_profile_check requires lam <= 2 mu + 1")
-    d = DIST_KINDS["nchisq"](mu, lam)
-    return cm_check(_profile_ladder(lambda x: np.exp(d.log_pdf(x)), u),
-                    _DEFAULT_W_GRID, 2)
+    return hcm_check(DIST_KINDS["nchisq"](mu, lam), u, _DEFAULT_W_GRID, 2)
 
 
 ABSMON_ANCHOR = "Theorem thprodIabsmon"

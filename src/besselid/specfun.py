@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as _sp
@@ -24,7 +23,6 @@ import scipy.special as _sp
 from .errors import ConvergenceError, DomainError, points
 
 __all__ = [
-    "BoundaryPsiPair",
     "bessel_j",
     "bessel_y",
     "bessel_i",
@@ -37,22 +35,6 @@ __all__ = [
     "tricomi_psi_boundary",
     "tricomi_boundary_mod2",
 ]
-
-
-@dataclass(frozen=True)
-class BoundaryPsiPair:
-    """Real and imaginary part of the Tricomi function on the cut.
-
-    Values are the limit of psi(a, c, z) as z approaches -t from the
-    upper half plane (arg z -> +pi).
-    """
-
-    re: float
-    im: float
-
-    @property
-    def modulus_sq(self) -> float:
-        return self.re * self.re + self.im * self.im
 
 
 def bessel_j(nu: float, x):
@@ -460,11 +442,14 @@ def _tricomi_any(a: float, c: float, z):
     return tricomi_psi(a, c, z)
 
 
-def _boundary_re_im(a: float, c: float, t):
-    """Real and imaginary part of psi(a, c, t e^{i pi}) on an array t > 0.
+def tricomi_psi_boundary(a: float, c: float, t):
+    """psi(a, c, t e^{i pi}) on the cut, vectorized over t > 0.
 
-    Connection formula psi(a, c, t e^{i pi}) = A - e^{-i pi c} B, with A
-    and B real and written through the two Kummer solutions
+    The limit of psi(a, c, z) as z approaches -t from the upper half
+    plane (arg z -> +pi), for a > 0 and c < 1 with c not a non-positive
+    integer: complex, of the shape of t, so a scalar t gives a complex
+    scalar.  Connection formula psi(a, c, t e^{i pi}) = A - e^{-i pi c} B,
+    with A and B real and written through the two Kummer solutions
         y1(x) = M(a, c, x),   y2(x) = x^{1-c} M(a-c+1, 2-c, x),
     so only real-argument series are evaluated.
     """
@@ -482,26 +467,16 @@ def _boundary_re_im(a: float, c: float, t):
         * arr ** (1.0 - c)
         * _sp.hyp1f1(a - c + 1.0, 2.0 - c, -arr)
     )
-    return A - np.cos(np.pi * c) * B, np.sin(np.pi * c) * B
-
-
-def tricomi_psi_boundary(a: float, c: float, t: float) -> BoundaryPsiPair:
-    """Boundary values of psi(a, c, .) on the negative axis.
-
-    Returns the limit of psi(a, c, t e^{i pi}) for t > 0 as the cut is
-    approached from above.  Requires a > 0 and c < 1 with c not a
-    non-positive integer.  For many t use tricomi_boundary_mod2.
-    """
-    re, im = _boundary_re_im(a, c, t)
-    return BoundaryPsiPair(float(re), float(im))
+    # the parts are assigned, not multiplied out of complex factors, so
+    # each keeps the bits (and any NaN or signed zero) of its formula
+    out = np.empty(arr.shape, dtype=complex)
+    out.real = A - np.cos(np.pi * c) * B
+    out.imag = np.sin(np.pi * c) * B
+    return out[()]
 
 
 def tricomi_boundary_mod2(a: float, c: float, t):
-    """|psi(a, c, t e^{i pi})|^2 on the cut, vectorized over t > 0.
-
-    Same domain as tricomi_psi_boundary, and the modulus_sq of its pair
-    at each t; the result has the shape of t.
-    """
-    re, im = _boundary_re_im(a, c, t)
-    return (re * re + im * im)[()]
-
+    """|psi(a, c, t e^{i pi})|^2 on the cut, vectorized over t > 0: the
+    re^2 + im^2 of tricomi_psi_boundary, of the shape of t."""
+    v = tricomi_psi_boundary(a, c, t)
+    return v.real * v.real + v.imag * v.imag

@@ -1,6 +1,7 @@
 """Distribution catalog: densities, transforms, log-derivatives, profiles."""
 
 import dataclasses
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +12,7 @@ from scipy import special as sp
 
 from paramsets import PARAM_SETS
 
-from besselid import checks, distributions, stieltjes
+from besselid import checks, distributions, specfun, stieltjes
 from besselid.distributions import (DIST_DEFAULTS, DIST_KINDS, hcm_profile,
                                     kdist_quotient_kernel, laplace_closed,
                                     log_pdf, mgf_logderiv_im, pdf)
@@ -358,6 +359,29 @@ def test_quotient_kernels_hand_only_live_points_to_the_boundary(monkeypatch):
             assert np.shape(k) == () and handed == ([x] if x < 700.0 else [])
             assert k == (formula(a, c, np.array([x]))[0] if x < 700.0
                          else 0.0)
+
+
+def test_quotient_kernels_reach_the_traced_boundary(monkeypatch):
+    # perfbench's tracer replaces specfun.tricomi_psi_boundary, wherever
+    # a besselid module holds it, by a wrapper: each Tricomi kernel call
+    # passes through that wrapper once, with the points below t = 700
+    boundary, handed = specfun.tricomi_psi_boundary, []
+
+    def counting(a, c, t):
+        handed.append(np.ravel(t).tolist())
+        return boundary(a, c, t)
+
+    for name, module in list(sys.modules.items()):
+        if name == "besselid" or name.startswith("besselid."):
+            for attr, obj in list(vars(module).items()):
+                if obj is boundary:
+                    monkeypatch.setattr(module, attr, counting)
+    t = np.array([1e-3, 0.5, 3.0, 40.0, 699.0, 700.0, 1e4])
+    for kernel in (make_identity("TRICOMI_RATIO").kernel_density,
+                   lambda t: kdist_quotient_kernel(1.2, 2.0, t)):
+        handed.clear()
+        kernel(t)
+        assert handed == [t[:5].tolist()]
 
 
 @pytest.mark.parametrize("t", [0.7, np.linspace(0.1, 800.0, 6),

@@ -11,10 +11,11 @@ from scipy import special as sp
 
 from besselid import checks, distributions, idtests, smoothfn
 from besselid.distributions import (DIST_KINDS, GIG, GammaQuotient, GenMcKay,
-                                    KDist, McKayI, NoncentralChiSq, SqMcKay,
-                                    hcm_profile, kdist_quotient_kernel)
+                                    KDist, McKayI, McKayII, NoncentralChiSq,
+                                    SqMcKay, hcm_profile,
+                                    kdist_quotient_kernel)
 from besselid.errors import (ConvergenceError, DomainError, ParameterError,
-                             UnsupportedVariantError)
+                             UnsupportedVariantError, points)
 from besselid.idtests import (LT_KINDS, Chi, Evidence, IKMu, Omega1, Rho,
                               absmon_check, bernstein_check, bernstein_targets,
                               cm_check, hcm_check, landau_bound_margin,
@@ -105,6 +106,22 @@ def test_tricomi_lt_value_on_arrays_equals_per_point(spec):
     got = lt_value(spec, x)
     assert got.shape == x.shape and np.array_equal(got, want)
     assert distributions.laplace_closed(spec, 0.0) == 1.0
+
+
+def test_lt_value_checks_a_family_point_once(monkeypatch):
+    # lt_value checks x once and hands it to the family's laplace, not
+    # through laplace_closed, which would check it again
+    spec = McKayII(0.7, 0.6, 1.2)
+    want = distributions.laplace_closed(spec, 1.5)
+    checked = []
+
+    def counting(x, what, *args, **kwargs):
+        checked.append(what)
+        return points(x, what, *args, **kwargs)
+
+    monkeypatch.setattr(idtests, "points", counting)
+    monkeypatch.setattr(distributions, "points", counting)
+    assert lt_value(spec, 1.5) == want and checked == ["lt_value"]
 
 
 def test_all_transforms_are_normalized_at_zero():
@@ -389,7 +406,7 @@ class _SqrtTransform:
     """L(x) = sqrt(x): L(0+) = 0, so the normalization gate of both
     checks must fail before any ladder is built."""
 
-    def lt_value(self, x):
+    def laplace(self, x):
         return np.sqrt(x)
 
 
@@ -429,7 +446,7 @@ class _CompoundPoisson:
     with Levy measure e^{-t} dt, so k(t) = t e^{-t} rises on (0, 1):
     infinitely divisible, not self-decomposable."""
 
-    def lt_value(self, x):
+    def laplace(self, x):
         return np.exp(-x / (1.0 + x))
 
     def phi_ladder(self):
@@ -448,7 +465,7 @@ class _Poisson:
     """phi' = e^{-x}, L = exp(-(1 - e^{-x})): the Poisson law, whose Levy
     measure is a point mass at 1, so it is not self-decomposable."""
 
-    def lt_value(self, x):
+    def laplace(self, x):
         return np.exp(np.expm1(-x))
 
     def phi_ladder(self):

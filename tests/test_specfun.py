@@ -524,11 +524,12 @@ def test_kummer_m_matches_mpmath(acx):
                                  (2.0, -0.5, 1.3)])
 def test_tricomi_boundary_pair_matches_complex_oracle(act):
     a, c, t = act
-    pair = tricomi_psi_boundary(a, c, t)
+    v = tricomi_psi_boundary(a, c, t)
     ref = mp.hyperu(a, c, mp.mpc(t) * mp.exp(1j * mp.pi))
-    assert pair.re == pytest.approx(float(ref.real), rel=1e-9, abs=1e-12)
-    assert pair.im == pytest.approx(float(ref.imag), rel=1e-9, abs=1e-12)
-    assert pair.modulus_sq == pytest.approx(float(abs(ref) ** 2), rel=1e-9)
+    assert v.real == pytest.approx(float(ref.real), rel=1e-9, abs=1e-12)
+    assert v.imag == pytest.approx(float(ref.imag), rel=1e-9, abs=1e-12)
+    assert tricomi_boundary_mod2(a, c, t) == pytest.approx(
+        float(abs(ref) ** 2), rel=1e-9)
 
 
 def test_tricomi_boundary_rejects_integer_c():
@@ -568,16 +569,24 @@ def test_tricomi_boundary_mod2_matches_mpmath_sweep():
                                np.linspace(0.1, 5.0, 12).reshape(3, 4)])
 def test_tricomi_boundary_mod2_keeps_shape(t):
     assert np.shape(tricomi_boundary_mod2(1.5, 0.5, t)) == np.shape(t)
+    v = tricomi_psi_boundary(1.5, 0.5, t)
+    assert np.shape(v) == np.shape(t) and np.iscomplexobj(v)
+    # a scalar t gives a complex scalar, not a 0-d array
+    assert isinstance(v, np.ndarray) == (np.ndim(t) > 0)
 
 
 @pytest.mark.parametrize("ac", [(1.5, 0.5), (0.7, 0.2), (2.0, -0.5),
                                 (0.3, -2.7)])
 def test_tricomi_boundary_mod2_equals_scalar_pair(ac):
+    # the array call gives the per-point values, and the modulus is the
+    # re^2 + im^2 of each, bit for bit
     a, c = ac
     t = np.exp(np.linspace(np.log(1e-3), np.log(700.0), 60))
-    pairs = np.array([tricomi_psi_boundary(a, c, ti).modulus_sq for ti in t])
-    np.testing.assert_allclose(tricomi_boundary_mod2(a, c, t), pairs,
-                               rtol=1e-14, atol=0.0)
+    values = np.array([tricomi_psi_boundary(a, c, ti) for ti in t])
+    np.testing.assert_array_equal(tricomi_psi_boundary(a, c, t), values)
+    np.testing.assert_array_equal(
+        tricomi_boundary_mod2(a, c, t),
+        values.real * values.real + values.imag * values.imag)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])

@@ -62,9 +62,6 @@ def test_engine_counts_of_the_report():
 _TRACER = "perfbench's tracer wraps it by name"
 KEPT_UNREACHED = {
     "idtests.lt_value_complex": _TRACER,
-    "specfun.tricomi_psi_boundary": _TRACER,
-    "specfun.BoundaryPsiPair.modulus_sq": "of the pair that "
-                                          "tricomi_psi_boundary returns",
     "distributions.hcm_profile": "the reference of the HCM ladder tests",
     "quad.result.QuadRows.n_evals": "perfbench's tracer and "
                                     "tools/engine_counts.py read it",
