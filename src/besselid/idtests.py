@@ -533,22 +533,12 @@ LANDAU_ANCHOR = "Corollary part g"
 
 
 def landau_constant() -> float:
-    """sup over t > 0 of t^(1/3) J_0(t), by golden section plus Newton.
+    """sup over t > 0 of t^(1/3) J_0(t), by Newton's method.
 
-    The maximizer solves J_0(t) = 3 t J_1(t) inside (0, j_{0,1}).
+    The maximizer solves J_0(t) = 3 t J_1(t) inside (0, j_{0,1}); Newton
+    from t = 0.8 reaches it within 5 steps from any start in [0.5, 1.1].
     """
-    g = lambda t: np.cbrt(t) * _sp.j0(t)
-    lo, hi = 0.2, 2.3
-    inv_phi = 0.5 * (np.sqrt(5.0) - 1.0)
-    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
-    for _ in range(60):
-        if g(c) > g(d):
-            hi, d = d, c
-            c = hi - inv_phi * (hi - lo)
-        else:
-            lo, c = c, d
-            d = lo + inv_phi * (hi - lo)
-    t = 0.5 * (lo + hi)
+    t = 0.8
     for _ in range(8):
         h = _sp.j0(t) - 3.0 * t * _sp.j1(t)
         hp = -_sp.j1(t) - 3.0 * t * _sp.j0(t)

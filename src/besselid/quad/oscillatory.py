@@ -36,7 +36,6 @@ import numpy as np
 import scipy.special as _sp
 
 from ..errors import DomainError
-from .result import QuadResult
 from .tanhsinh import (FINITE_X_MAX, HALF_LINE_X_MAX, Piece, de_level,
                        half_line_piece, integrate_pieces, tanh_sinh_level)
 

@@ -35,8 +35,7 @@ from .quad.tanhsinh import spec_plan
 from .specfun import _tricomi_any, bessel_row, tricomi_boundary_mod2
 
 __all__ = [
-    "IdentityRecord", "make_identity", "catalog_names", "default_params",
-    "tolerance",
+    "IdentityRecord", "make_identity", "catalog_names", "tolerance",
 ]
 
 _TIGHT = 1e-7
@@ -48,10 +47,9 @@ _TIGHT = 1e-7
 
 @dataclass(frozen=True)
 class _Entry:
-    names: tuple                  # parameter names in order
     check: object                 # params -> None or raises ParameterError
     lhs: object                   # (params, 1-d z) -> values (complex capable)
-    defaults: dict
+    defaults: dict                # parameter names, in order, and values
     anchor: str                   # source of the identity in the paper
     kernel: object = None         # (params, t array) -> array
     terms: object = lambda p: ()  # params -> HankelTerms, Re sum = kernel
@@ -60,7 +58,7 @@ class _Entry:
     z_factor: bool = False        # integral carries z/(z+t) instead of 1/(z+t)
     laplace: bool = True          # the inner Laplace transform is a density
     rhs: object = None            # params -> QuadResult, in place of a kernel
-    options: tuple = ()           # optional parameters beyond `names`
+    options: tuple = ()           # optional parameters beyond `defaults`
     origin: object = None         # params -> p with m(t) ~ t^p at t = 0,
                                   # where kernel_mass may diverge
 
@@ -119,7 +117,6 @@ def _build_catalog():
 
     # --- pure Bessel family -------------------------------------------------
     cat["I_EXP"] = _Entry(
-        names=("mu", "a"),
         check=lambda p: _chk(p["a"] > 0 and p["mu"] > -0.5,
                              "I_EXP requires a > 0 and mu > -1/2"),
         lhs=lambda p, z: bessel_row(1.0, p["a"], (("I", p["mu"], p["a"], 1),),
@@ -143,7 +140,6 @@ def _build_catalog():
                  "(pass extended_domain=1 for nu > -1, nu - mu < 2)")
 
     cat["IK_PROD"] = _Entry(
-        names=("mu", "nu", "a", "b"),
         check=ikprod_check,
         lhs=lambda p, z: bessel_row(1.0, 0.0, (("I", p["mu"], p["a"], 1),
                                                ("K", p["nu"], p["b"], 1)), z),
@@ -160,7 +156,6 @@ def _build_catalog():
     )
 
     cat["IK_EQUAL"] = _Entry(
-        names=("mu",),
         check=lambda p: _chk(p["mu"] > -1.0, "IK_EQUAL requires mu > -1"),
         lhs=lambda p, z: bessel_row(2.0, 0.0, (("I", p["mu"], 1.0, 1),
                                                ("K", p["mu"], 1.0, 1)), z),
@@ -179,7 +174,6 @@ def _build_catalog():
                - _sp.yv(nu, b * rt) * np.sin(a * rt))
 
     cat["IK_EXP"] = _Entry(
-        names=("mu", "nu", "a", "b"),
         check=lambda p: _chk(p["mu"] > -1.0 and p["nu"] > -1.0
                              and p["a"] > 0 and p["b"] > 0,
                              "IK_EXP requires mu, nu > -1 and a, b > 0"),
@@ -203,7 +197,6 @@ def _build_catalog():
                + _sp.jv(nu, b * rt) * _sp.yv(mu, a * rt))
 
     cat["KK_PROD"] = _Entry(
-        names=("mu", "nu", "a", "b"),
         check=lambda p: _chk(p["mu"] >= 0 and p["nu"] >= 0
                              and p["a"] > 0 and p["b"] > 0,
                              "KK_PROD requires mu, nu >= 0 and a, b > 0"),
@@ -219,7 +212,6 @@ def _build_catalog():
     )
 
     cat["II_EXP"] = _Entry(
-        names=("mu", "nu", "a", "b"),
         check=lambda p: _chk(p["mu"] > -1.0 and p["nu"] > -1.0
                              and p["mu"] + p["nu"] > -1.0
                              and p["a"] > 0 and p["b"] > 0,
@@ -241,7 +233,6 @@ def _build_catalog():
     )
 
     cat["KK_RECIP"] = _Entry(
-        names=("mu", "nu", "a", "b"),
         check=lambda p: _chk(p["mu"] + p["nu"] > 1.0
                              and p["a"] > 0 and p["b"] > 0,
                              "KK_RECIP requires mu + nu > 1 and a, b > 0"),
@@ -261,7 +252,6 @@ def _build_catalog():
     )
 
     cat["IK_QUOT"] = _Entry(
-        names=("mu", "nu", "a", "b"),
         check=lambda p: _chk(p["mu"] > -1.0 and p["mu"] + p["nu"] > 0.0
                              and p["a"] > 0 and p["b"] > 0,
                              "IK_QUOT requires mu > -1 and mu + nu > 0"),
@@ -281,7 +271,6 @@ def _build_catalog():
     )
 
     cat["K_RECIP"] = _Entry(
-        names=("nu", "b"),
         check=lambda p: _chk(p["nu"] > 0.5 and p["b"] > 0,
                              "K_RECIP requires nu > 1/2 and b > 0"),
         lhs=lambda p, z: bessel_row(1.0, p["b"], (("K", p["nu"], p["b"], -1),),
@@ -299,7 +288,6 @@ def _build_catalog():
         return (2.0 / np.pi**2) / (t * _bessel_mod2(mu, np.sqrt(t)))
 
     cat["K_RATIO"] = _Entry(
-        names=("mu",),
         check=lambda p: _chk(p["mu"] >= 0.0, "K_RATIO requires mu >= 0"),
         lhs=lambda p, z: bessel_row(1.0, 0.0, (("K", p["mu"] - 1.0, 1.0, 1),
                                                ("K", p["mu"], 1.0, -1)), z),
@@ -334,7 +322,6 @@ def _build_catalog():
                    **extra):
         """psi(a + da, c + dc, z) / psi(a, c, z) over the Tricomi kernel."""
         return _Entry(
-            names=("a", "c"),
             check=tric_check,
             lhs=lambda p, z: _tricomi_any(p["a"] + da, p["c"] + dc, z)
             / _tricomi_any(p["a"], p["c"], z),
@@ -370,7 +357,6 @@ def _build_catalog():
         return integrate_singular_decay(f, tol=1e-12)
 
     cat["MCDONALD"] = _Entry(
-        names=("mu", "x", "y"),
         check=lambda p: _chk(p["x"] > 0 and p["y"] > 0,
                              "MCDONALD requires x, y > 0"),
         lhs=lambda p, z: np.full(z.shape, _sp.kv(p["mu"], p["x"])
@@ -395,7 +381,6 @@ def _build_catalog():
                           r.n_evals, r.converged, info=r.info)
 
     cat["I_PRODUCT_ANGLE"] = _Entry(
-        names=("mu", "x", "y"),
         check=lambda p: _chk(p["mu"] > -0.5 and p["x"] > 0 and p["y"] > 0,
                              "I_PRODUCT_ANGLE requires mu > -1/2, x, y > 0"),
         lhs=lambda p, z: np.full(z.shape, _sp.iv(p["mu"], p["x"])
@@ -422,10 +407,6 @@ def _entry(name: str) -> _Entry:
     return _CATALOG[name]
 
 
-def default_params(name: str) -> dict:
-    return dict(_entry(name).defaults)
-
-
 def tolerance(name: str) -> float:
     """Residual tolerance of the catalog entry `name`; one for all."""
     _entry(name)
@@ -442,10 +423,6 @@ class IdentityRecord:
     @property
     def p(self) -> dict:
         return dict(self.params)
-
-    @property
-    def tol(self) -> float:
-        return tolerance(self.name)
 
     @property
     def anchor(self) -> str:
@@ -513,7 +490,7 @@ class IdentityRecord:
             r = plan["rhs"]
             rows = [replace(r, info=dict(r.info)) for _ in range(zs.size)]
         else:
-            tol = tol if tol is not None else 0.01 * self.tol
+            tol = tol if tol is not None else 0.01 * _TIGHT
             # one row as a scalar: numpy broadcasts 1-d arrays faster
             col = zs[:, None] if zs.size > 1 else float(zs[0])
             rows = []
@@ -586,13 +563,9 @@ class IdentityRecord:
 def make_identity(name: str, **params) -> IdentityRecord:
     """Construct a catalog identity, validating the parameter domain."""
     e = _entry(name)
-    extras = set(params) - set(e.names) - set(e.options)
+    extras = set(params) - set(e.defaults) - set(e.options)
     if extras:
         raise ParameterError(f"{name} does not take parameters {sorted(extras)}")
-    p = dict(e.defaults)
-    p.update(params)
-    missing = set(e.names) - set(p)
-    if missing:
-        raise ParameterError(f"{name} missing parameters {sorted(missing)}")
+    p = {**e.defaults, **params}
     e.check(p)
     return IdentityRecord(name, tuple(sorted(p.items())))

@@ -978,7 +978,7 @@ def test_landau_constant_value():
     t = mp.findroot(lambda t: mp.besselj(0, t) - 3 * t * mp.besselj(1, t),
                     mp.mpf("0.86"))
     want = float(mp.cbrt(t) * mp.besselj(0, t))
-    assert c == pytest.approx(want, abs=1e-12)
+    assert c == pytest.approx(want, rel=1e-15, abs=0.0)
     assert c == pytest.approx(0.7857468704, abs=1e-8)
 
 

@@ -15,8 +15,7 @@ from besselid.quad import QuadRows, numeric_laplace
 from besselid.quad import oscillatory, tanhsinh
 from besselid.quad.tanhsinh import _ROUNDING, UNRESOLVED
 from besselid.specfun import kummer_m, tricomi_psi
-from besselid.stieltjes import (catalog_names, default_params, make_identity,
-                                tolerance)
+from besselid.stieltjes import catalog_names, make_identity, tolerance
 
 TRICOMI = ("TRICOMI_RATIO", "TRICOMI_Cm1", "TRICOMI_Ap1", "TRICOMI_Cp1",
            "TRICOMI_Am1")
@@ -42,7 +41,7 @@ def test_tolerance_classes():
     # one residual tolerance: KK_RECIP and IK_QUOT, once a looser class
     # of their own, are held to it like every other entry
     assert {tolerance(name) for name in catalog_names()} == {1e-7}
-    assert make_identity("KK_RECIP").tol == 1e-7
+    assert tolerance("KK_RECIP") == 1e-7
 
 
 def test_tolerance_rejects_unknown_names():
@@ -770,7 +769,7 @@ def test_product_rhs_runs_once_per_parameter_set(name, monkeypatch):
     # a product identity's right side has no z: one evaluation serves
     # every z of every equal record, bit for bit a fresh evaluation
     entry = stieltjes._CATALOG[name]
-    want = entry.rhs(default_params(name))
+    want = entry.rhs(make_identity(name).p)
     calls = []
 
     def counting(p):
@@ -933,5 +932,6 @@ def test_verification_rows_and_csv():
 
 def test_default_params_round_trip():
     for name in catalog_names():
-        rec = make_identity(name, **default_params(name))
-        assert rec.p == default_params(name)
+        p = make_identity(name).p
+        assert p == stieltjes._CATALOG[name].defaults
+        assert make_identity(name, **p).p == p

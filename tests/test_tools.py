@@ -65,8 +65,6 @@ KEPT_UNREACHED = {
     "distributions.hcm_profile": "the reference of the HCM ladder tests",
     "quad.result.QuadRows.n_evals": "perfbench's tracer and "
                                     "tools/engine_counts.py read it",
-    "stieltjes.default_params": "tools/reach.py builds its invocations "
-                                "with it",
     "stieltjes.IdentityRecord.residual": "8 test call sites, which a test "
                                          "helper would only move",
     "stieltjes.IdentityRecord.laplace_density": "the acceptance and "

@@ -55,12 +55,12 @@ def invocations(config_path: str) -> list:
     """The CLI argument lists to run, in order."""
     from besselid.distributions import DIST_DEFAULTS, DIST_KINDS
     from besselid.idtests import LT_KINDS
-    from besselid.stieltjes import catalog_names, default_params
+    from besselid.stieltjes import catalog_names, make_identity
 
     runs = [["verify", "all", "--stable"],
             ["verify", "all", "--stable", "--format", "csv"],
             ["verify", "identities", "--config", config_path]]
-    idents = [(name, [f"{k}={v!r}" for k, v in default_params(name).items()])
+    idents = [(name, [f"{k}={v!r}" for k, v in make_identity(name).p.items()])
               for name in catalog_names()]
     dists = [(kind, ["kind=" + kind] + _numbers(
         [f.name for f in fields(cls)], DIST_DEFAULTS[kind]))
