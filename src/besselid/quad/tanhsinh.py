@@ -146,10 +146,11 @@ def half_line_piece(plan: dict, kernel=None) -> Piece:
 @functools.lru_cache(maxsize=64)
 def spec_plan(spec) -> dict:
     """The plan of a frozen, hashable spec (identity record,
-    distribution, variant or MLSumLadder): what is computed once for
-    it, memoised by value for the last 64 specs.  Keys: "pieces" the
-    contour engine's pieces (integrate_oscillatory) and "half-line" an
-    exp-sinh piece, each with its levels' table and depth (Piece);
+    distribution, variant, MLSumLadder or ("tricomi_psi", a, c)): what
+    is computed once for it, memoised by value for the last 64 specs.
+    Keys: "pieces" the contour engine's pieces (integrate_oscillatory)
+    and "half-line" an exp-sinh piece, each with its levels' table and
+    depth (Piece); "psi" Tricomi psi's table (specfun._psi_euler);
     "phi'" the phi' ladder (idtests.neg_logderiv_ladder); "L(0+)" L at
     x = 1e-16 (idtests._normalization_gate); "rhs" a product identity's
     right side; a level's node bytes the read-only density on it

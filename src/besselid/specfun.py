@@ -8,19 +8,20 @@ the polish starts the low zeros from brackets scanned on a grid) and
 cached per order.  Every Bessel-product left side (the catalog's
 Stieltjes entries and the Laplace-transform variants) is one factor row
 evaluated by `bessel_row` from scaled I and K, so none overflows.
-Everything else is delegated to scipy.special behind a thin contract
-that adds domain checking and the scaled-variant switches.
+The real Tricomi psi is its Euler integral on one exp-sinh table per
+(a, c); the rest is scipy.special behind a thin contract that adds
+domain checking and the scaled-variant switches.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 import scipy.special as _sp
 
 from .errors import ConvergenceError, DomainError, points
+from .quad.tanhsinh import half_line_piece, integrate_pieces, spec_plan
 
 __all__ = [
     "bessel_j",
@@ -333,113 +334,82 @@ def kummer_m(a: float, c: float, x):
     return _sp.hyp1f1(a, c, points(x, "kummer_m", low=-math.inf))[()]
 
 
-def _tricomi_psi_integral(a: float, c: float, x: float) -> float:
-    """Euler integral for psi(a, c, x); valid for a > 0, x > 0, any c."""
-    from .quad.tanhsinh import integrate_singular_decay
-
-    lg = _sp.gammaln(a)
-
-    def f(t):
-        return np.exp(-x * t + (a - 1.0) * np.log(t)
-                      + (c - a - 1.0) * np.log1p(t) - lg)
-
-    res = integrate_singular_decay(f, tol=1e-13)
-    if not res.converged:
-        raise ConvergenceError(f"psi({a},{c},{x}) integral did not converge")
-    return res.value
+# psi's exp-sinh levels (1,025 nodes) and acceptance; below _PSI_MIN_A
+# the kernel's t^{a-1} holds mass under the first node
+_PSI_LEVEL, _PSI_TOL, _PSI_MIN_A = 9, 1e-13, 0.1
 
 
-def _tricomi_psi_scalar(a: float, c: float, x: float) -> float:
-    direct = _sp.hyperu(a, c, x)
-    # cross-check via the Kummer transformation psi(a,c,x) =
-    # x^{1-c} psi(a-c+1, 2-c, x); scipy's algorithm selection differs
-    # between the two parameter points, which exposes its weak regions
-    with np.errstate(over="ignore", invalid="ignore"):
-        alt = x ** (1.0 - c) * _sp.hyperu(a - c + 1.0, 2.0 - c, x)
-    if np.isfinite(direct) and np.isfinite(alt):
-        if abs(direct - alt) <= 1e-11 * max(abs(direct), abs(alt)):
-            return float(direct)
-    return _tricomi_psi_integral(a, c, x)
-
-
-@functools.lru_cache(maxsize=64)
-def _laguerre_rule(a: float, n: int):
-    """n-point Gauss rule for the weight rho^{a-1} e^{-rho} / Gamma(a).
-
-    Golub & Welsch, Math. Comp. 23 (1969): the nodes are the eigenvalues
-    of the Jacobi matrix of the generalized Laguerre polynomials, and
-    since the weight has unit mass the weights are the squared first
-    components of its eigenvectors.  Read-only (nodes, weights).
-    """
-    k = np.arange(n, dtype=float)
-    off = np.sqrt(k[1:] * (k[1:] + a - 1.0))
-    jac = np.diag(2.0 * k + a) + np.diag(off, 1) + np.diag(off, -1)
-    nodes, vecs = np.linalg.eigh(jac)
-    weights = vecs[0] ** 2
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _tricomi_laguerre(a: float, c: float, x):
-    """psi(a, c, x) over a 1-d array x >= 5, for a > 0, m = a + 1 - c
-    >= -5 and min(m, a) <= 21.5.
-
-    DLMF 13.4.4 with t = rho / x turns the Euler integral into psi =
-    x^{-a} int_0^oo rho^{a-1} e^{-rho} / Gamma(a) (1 + rho/x)^{c-a-1}
-    drho: a Gauss-Laguerre sum whose only singularity, rho = -x, is
-    pole-like of order m.  For -5 <= m <= 7 (below -5 the integrand
-    grows too fast for any node count) 30 nodes stay within 1e-13 where
-    sqrt(x) >= 2.8 and 80 down to x = 5; a larger m takes m/7 times as
-    many, at most 250 at m = 21.5.  A larger m (then c < 1) goes through
-    psi = x^{1-c} psi(a-c+1, 2-c, x) (DLMF 13.2.40), of pole order a:
-    weight rho^{a-c} e^{-rho}, integrand (1 + rho/x)^{-a}, the same
-    prefactor x^{-a}.  Each point is one row of an elementwise product,
-    independent of the rest of the batch.
-    """
-    m = a + 1.0 - c
-    b, power = a, c - a - 1.0
-    if m > 21.5:
-        b, power, m = a - c + 1.0, -a, a
-    scale = max(1.0, m / 7.0)
-    out = np.empty_like(x)
-    far = np.sqrt(x) >= 2.8
-    for mask, n in ((far, 30), (~far, 80)):
-        if mask.any():
-            rho, w = _laguerre_rule(float(b), 10 * math.ceil(n * scale / 10))
-            xm = x[mask]
-            out[mask] = np.sum(w * (1.0 + rho / xm[:, None]) ** power,
-                               axis=1) * xm ** -a
+def _psi_euler(a: float, c: float, x: np.ndarray) -> np.ndarray:
+    """psi(a, c, x) over a 1-d array x > 0, for c <= 2 and a not below
+    about _PSI_MIN_A: int_0^oo e^{-xt} k(t) dt, k(t) = t^{a-1}
+    (1+t)^{c-a-1} / Gamma(a) (DLMF 13.4.4), by exp-sinh on the
+    "half-line" piece of the plan of ("tricomi_psi", a, c).  Its "psi"
+    keeps the piece's nodes t up to _PSI_LEVEL and hk, that level's step
+    times the factor (k and the Jacobian): each x is one row of one
+    pass, sum(hk e^{-xt}), whose level below is twice the sum over the
+    first half of hk.  The rows not within _PSI_TOL of it (a row of 0
+    never is) go alone through integrate_pieces on the piece, and raise
+    ConvergenceError unless they converge.  A row is independent of the
+    batch, bit for bit."""
+    plan = spec_plan(("tricomi_psi", a, c))
+    if "psi" not in plan:
+        lg = _sp.gammaln(a)
+        piece = half_line_piece(plan, lambda t: np.exp(
+            (a - 1.0) * np.log(t) + (c - a - 1.0) * np.log1p(t) - lg))
+        t, k, _ = piece.run(_PSI_LEVEL)
+        hk = piece.steps[-1][1] * k
+        hk.setflags(write=False)
+        plan["psi"] = t, hk
+    t, hk = plan["psi"]
+    with np.errstate(over="ignore"):    # x t = inf: a term of 0
+        terms = hk * np.exp(-x[:, None] * t)
+    out = terms.sum(axis=1)
+    coarse = 2.0 * terms[:, :(t.size + 1) // 2].sum(axis=1)
+    bad = np.flatnonzero(~(np.abs(out - coarse) < _PSI_TOL * out))
+    if bad.size:
+        col = -x[bad, None]
+        rows = integrate_pieces([plan["half-line"]], lambda t, r: np.exp(
+            col[r] * t), bad.size, _PSI_TOL)
+        for i, res in zip(bad, rows):
+            if not (res.converged and res.value > 0.0):
+                why = res.info.get("reason", "0 on every node")
+                raise ConvergenceError(f"psi({a}, {c}, {x[i]}): {why}")
+            out[i] = res.value
     return out
 
 
 def tricomi_psi(a: float, c: float, x):
-    """Tricomi confluent function psi(a, c, x) for a > 0, x > 0."""
+    """Tricomi confluent function psi(a, c, x) for a > 0, x > 0: for
+    c > 2 x^{1-c} psi(a-c+1, 2-c, x) (DLMF 13.2.40), whose Euler kernel
+    decays; for a < _PSI_MIN_A the recurrence in a (_tricomi_any); else
+    _psi_euler."""
     if a <= 0.0:
         raise DomainError("tricomi_psi requires a > 0")
     arr = points(x, "tricomi_psi")
-    flat = arr.ravel()
-    out = np.empty_like(flat)
-    m = a + 1.0 - c  # the points that _tricomi_laguerre takes:
-    rule = (flat >= 5.0) & (-5.0 <= m) & (min(m, a) <= 21.5)
-    if rule.any():
-        out[rule] = _tricomi_laguerre(a, c, flat[rule])
-    for i in np.flatnonzero(~rule):
-        out[i] = _tricomi_psi_scalar(a, c, flat[i])
+    flat = arr.reshape(-1)
+    if c > 2.0:
+        out = flat ** (1.0 - c) * _tricomi_any(a - c + 1.0, 2.0 - c, flat)
+    elif a < _PSI_MIN_A:
+        out = _tricomi_any(a, c, flat)
+    else:
+        out = _psi_euler(a, c, flat)
     return out.reshape(arr.shape)[()]
 
 
 def _tricomi_any(a: float, c: float, z):
-    if a <= 0.0:
-        # three-term recurrence in a,
-        #   psi(a) = (2(a+1) - c + z) psi(a+1)
-        #            - (a+1)(a+2-c) psi(a+2),
-        # keeps evaluation inside the a > 0 region
-        p1 = _tricomi_any(a + 1.0, c, z)
-        p2 = _tricomi_any(a + 2.0, c, z)
-        return (2.0 * (a + 1.0) - c + z) * p1 \
-            - (a + 1.0) * (a + 2.0 - c) * p2
-    return tricomi_psi(a, c, z)
+    """psi(a, c, z) for any real a; below _PSI_MIN_A by the recurrence
+    psi(a) = (2(a+1) - c + z) psi(a+1) - (a+1)(a+2-c) psi(a+2) (DLMF
+    13.3.7) in one loop down from psi(a+n+1) and psi(a+n), n the fewest
+    steps from _PSI_MIN_A: the direction in which psi is stable."""
+    if a >= _PSI_MIN_A:
+        return tricomi_psi(a, c, z)
+    n = math.ceil(_PSI_MIN_A - a)
+    hi, out = tricomi_psi(a + n + 1.0, c, z), tricomi_psi(a + n, c, z)
+    for b in range(n - 1, -1, -1):
+        ab = a + b
+        hi, out = out, ((2.0 * (ab + 1.0) - c + z) * out
+                        - (ab + 1.0) * (ab + 2.0 - c) * hi)
+    return out
 
 
 def tricomi_psi_boundary(a: float, c: float, t):

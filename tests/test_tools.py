@@ -44,15 +44,17 @@ def test_engine_counts_of_the_report():
     # the engine keeps 61,700.  ml_passes, ml_ladders: the report
     # evaluates 22 Mittag-Leffler ladders in 14 passes, each SumLadder's
     # Mittag-Leffler parts in one.  boundary_points: the Tricomi kernels
-    # hand the boundary modulus their points below t = 700 alone
+    # hand the boundary modulus their points below t = 700 alone.  One
+    # engine call is Tricomi psi's: KDist's L(1e-16) needs psi at
+    # x = 2.4e16, which its one array pass does not accept
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     r = subprocess.run([sys.executable, str(ROOT / "tools/engine_counts.py"),
                         "report"], env=env, capture_output=True, text=True,
                        timeout=300)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == {
-        "engine_calls": 44, "weight_calls": 252,
-        "points_evaluated": 173851, "points_consumed": 173467,
+        "engine_calls": 38, "weight_calls": 252,
+        "points_evaluated": 176149, "points_consumed": 175765,
         "points_dropped": 12864, "ml_passes": 14, "ml_ladders": 22,
         "boundary_points": 11921}
 

@@ -48,7 +48,7 @@ def install(counts: dict) -> None:
     """Replace integrate_pieces and integrate_oscillatory by counting
     wrappers in every module that calls them, the Mittag-Leffler pass
     in smoothfn and the Tricomi boundary modulus in stieltjes."""
-    from besselid import distributions, quad, smoothfn, stieltjes
+    from besselid import distributions, quad, smoothfn, specfun, stieltjes
     from besselid.quad import oscillatory, tanhsinh
 
     engine = tanhsinh.integrate_pieces
@@ -92,7 +92,7 @@ def install(counts: dict) -> None:
         counts["boundary_points"] += np.size(t)
         return boundary(a, c, t)
 
-    for module in (tanhsinh, oscillatory, quad, distributions):
+    for module in (tanhsinh, oscillatory, quad, distributions, specfun):
         module.integrate_pieces = counted
     smoothfn._ml_tables = counted_tables
     stieltjes.tricomi_boundary_mod2 = counted_boundary

@@ -1,19 +1,22 @@
-"""Time and check the two regimes of the real Tricomi psi on a seeded draw.
+"""Time and check the real Tricomi psi on a seeded draw, below and above x = 5.
 
     PYTHONPATH=src python3 tools/psi_sweep.py [--repeats 7]
 
 Draws DRAWS parameter pairs a in (0.01, 3], c in (-3, 3) (c kept 1e-3
 from an integer) and, for each pair and regime, POINTS points inside
-that regime's region, from SEED:
+that regime's range of x, from SEED:
 
-    real-rule     x in [5, 1e4]: the Gauss-Laguerre rule
-    real-scalar   x in [0.01, 5): scipy's hyperu per point
+    x<5    x in [0.01, 5)
+    x>=5   x in [5, 1e4]
 
-Each batch is one call of `specfun.tricomi_psi`.  One untimed pass
-fills the Gauss-Laguerre rule cache; the median over the timed passes
-is printed in us per point.  Where mpmath is installed, the first 4
-points of every batch are also compared with mpmath's hyperu at 30
-digits, and each regime's worst relative error is printed.
+Both regimes take the same (a, c) draws and the same method (the
+Euler integral of `specfun._psi_euler`, with the recurrence in a below
+a = 0.1 and the Kummer transformation above c = 2).  Each batch is one
+call of `specfun.tricomi_psi`.  One untimed pass fills each (a, c)'s
+plan; the median over the timed passes is printed in us per point.
+Where mpmath is installed, the first 4 points of every batch are also
+compared with mpmath's hyperu at 30 digits, and each regime's worst
+relative error is printed.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import numpy as np
 from besselid.specfun import tricomi_psi
 
 # log10 of each regime's range of x
-REGIMES = {"real-rule": (np.log10(5.0), 4.0),
-           "real-scalar": (-2.0, np.log10(5.0))}
+REGIMES = {"x<5": (-2.0, np.log10(5.0)),
+           "x>=5": (np.log10(5.0), 4.0)}
 SEED = 7
 DRAWS = 20
 POINTS = 64
@@ -85,7 +88,7 @@ def main() -> None:
         _time(cases[name])
         us = statistics.median(_time(cases[name])
                                for _ in range(args.repeats)) / n * 1e6
-        line = f"  {name:12s} {us:7.2f} us/point"
+        line = f"  {name:6s} {us:7.2f} us/point"
         if have_mp:
             line += f"   worst rel err {_worst_error(cases[name]):.1e}"
         print(line)
