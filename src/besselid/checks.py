@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from .distributions import (DIST_DEFAULTS, DIST_KINDS, OMEGA_ANCHOR,
                             NoncentralChiSq, format_dist,
                             kdist_quotient_kernel, laplace_closed, pdf)
@@ -27,7 +29,8 @@ from .idtests import (ABSMON_ANCHOR, LANDAU_ANCHOR, PICK_ANCHOR,
 from .quad import integrate_singular_decay, numeric_laplace
 from .stieltjes import IdentityRecord, catalog_names, make_identity
 
-__all__ = ["Check", "SCOPES", "table", "SELFDECOMP_ALPHAS", "ABSMON_CASES"]
+__all__ = ["Check", "SCOPES", "table", "residuals", "log_points",
+           "SELFDECOMP_ALPHAS", "ABSMON_CASES"]
 
 SELFDECOMP_ALPHAS = (0.25, 0.5, 0.75)
 ABSMON_CASES = ((0.0, 1.0), (0.7, 0.5), (2.0, 1.5))
@@ -65,21 +68,41 @@ class Check:
                 "witness": ev.witness}
 
 
+def residuals(target, zs, tol: float) -> list:
+    """(z, lhs, rhs, residual) at each float z of zs: the closed left
+    side of an IdentityRecord against its Stieltjes right side,
+    integrated to 0.01 * tol, or a distribution's closed Laplace
+    transform against the numeric transform of its density, integrated
+    to 1e-10.  rhs is the engine's QuadResult; the residual is
+    |lhs - rhs| / |lhs|."""
+    if isinstance(target, IdentityRecord):
+        lhss = target.lhs_value(zs)
+        rhss = target.stieltjes_rhs(zs, tol=0.01 * tol)
+    else:
+        lhss = laplace_closed(target, zs)
+        rhss = numeric_laplace(lambda t: pdf(target, t), zs, tol=1e-10)
+    return [(z, lhs, rhs, abs(lhs - rhs.value) / max(abs(lhs), 1e-300))
+            for z, lhs, rhs in zip(zs, lhss.tolist(), rhss)]
+
+
+def log_points(grid) -> list:
+    """The n log-spaced floats from lo to hi of a grid (lo, hi, n)."""
+    lo, hi, n = grid
+    return np.logspace(np.log10(lo), np.log10(hi), n).tolist()
+
+
 def _identity(name: str, zs, tol: float) -> Evidence:
     """Worst residual over zs; inconclusive, with the first uncertified
     z and the engine's reason as witness, where a right side is not
     certified.  The margin then covers the certified z only."""
-    rec = make_identity(name)
     worst, wz, uncertified = 0.0, None, None
-    for z, lhs, rhs in zip(zs, rec.lhs_value(zs),
-                           rec.stieltjes_rhs(zs, tol=0.01 * tol)):
+    for z, lhs, rhs, res in residuals(make_identity(name), zs, tol):
         # the quadrature aims well below tol; its own error estimate
         # certifying tol itself is still conclusive
         if not (rhs.converged or rhs.err_estimate <= 0.5 * tol * abs(lhs)):
             if uncertified is None:
                 uncertified = f"z={z:g}: {rhs.info['reason']}"
             continue
-        res = abs(lhs - rhs.value) / max(abs(lhs), 1e-300)
         if res > worst:
             worst, wz = res, z
     return Evidence.graded(tol - worst, uncertified or wz,
@@ -93,13 +116,12 @@ def _norm(d) -> Evidence:
 
 def _laplace(d, tol: float) -> Evidence:
     worst, wx = 0.0, None
-    nums = numeric_laplace(lambda t: pdf(d, t), _LAPLACE_X, tol=1e-10)
-    closed = laplace_closed(d, _LAPLACE_X).tolist()
-    for x, lx, num in zip(_LAPLACE_X, closed, nums):
-        res = abs(lx - num.value) / max(abs(lx), 1e-300)
+    rows = residuals(d, _LAPLACE_X, tol)
+    for x, _, _, res in rows:
         if res > worst:
             worst, wx = res, x
-    return Evidence.graded(tol - worst, wx, nums.converged)
+    return Evidence.graded(tol - worst, wx,
+                           all(rhs.converged for _, _, rhs, _ in rows))
 
 
 def _omega_mass(al: float, be: float, tol: float) -> Evidence:
@@ -141,7 +163,7 @@ def _inversion_params(name: str, t: float) -> str:
 # ----------------------------------------------------------------------
 
 def _identity_checks(cfg) -> list:
-    zs = [float(z) for z in cfg.grid]
+    zs = log_points(cfg.grid)
     return [Check(f"identity:{rec.name}", rec.anchor,
                   " ".join(f"{k}={v:g}" for k, v in rec.params),
                   partial(_identity, rec.name, zs, cfg.tol_tight))

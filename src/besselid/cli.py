@@ -21,10 +21,9 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import click
-import numpy as np
 
 from . import __version__, checks
 # perfbench/workloads.py reads the three underscored names as cli attributes
@@ -34,7 +33,6 @@ from .distributions import (DIST_DEFAULTS as _DIST_DEFAULTS, DIST_KINDS,
                             laplace_closed, pdf)
 from .errors import DomainError, ParameterError, UnsupportedVariantError
 from .idtests import LT_KINDS, landau_constant, lt_value
-from .quad import numeric_laplace
 from .specfun import (bessel_i, bessel_j, bessel_k, bessel_y, bessel_zero,
                       bessel_zeros, kummer_m, tricomi_psi)
 from .stieltjes import catalog_names, make_identity
@@ -43,46 +41,47 @@ REPORT_VERSION = 1
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Suite configuration; flags override config-file values."""
+    """Suite settings: one field per option of `verify` but --config,
+    named as the option."""
 
     tol_tight: float = 1e-7
-    grid_lo: float = 1e-2
-    grid_hi: float = 1e2
-    grid_n: int = 7
+    grid: tuple = (1e-2, 1e2, 7)
     max_order: int = 8
-    fmt: str = "json"
+    format: str = "json"
     stable: bool = False
     allow_inconclusive: bool = False
     only: str = ""
 
-    def __post_init__(self):
-        if not self.tol_tight > 0.0:
-            raise ParameterError("the tolerance must be positive")
-        _log_grid(self.grid_lo, self.grid_hi, self.grid_n)
-        if not self.max_order >= 1:
-            raise ParameterError("max_order must be at least 1")
-        if self.fmt not in ("json", "csv"):
-            raise ParameterError("format must be json or csv")
 
-    @property
-    def grid(self):
-        return _log_grid(self.grid_lo, self.grid_hi, self.grid_n)
+class _Tolerance(click.ParamType):
+    """A float above 0 (inf is, nan is not)."""
 
+    name = "float"
 
-def _log_grid(lo: float, hi: float, n: int):
-    """n log-spaced points from lo to hi; ParameterError naming a bad grid."""
-    if not (n >= 1 and 0.0 < lo <= hi < math.inf):
-        raise ParameterError(f"grid {lo:g}:{hi:g}:{n} needs finite "
-                             "0 < lo <= hi and n >= 1")
-    return np.logspace(np.log10(lo), np.log10(hi), n)
+    def convert(self, value, param, ctx):
+        x = click.FLOAT.convert(value, param, ctx)
+        if not x > 0.0:
+            self.fail(f"the tolerance must be positive, got {value}",
+                      param, ctx)
+        return x
 
 
-def _parse_grid(text: str):
-    try:
-        lo, hi, n = text.split(":")
-        return float(lo), float(hi), int(n)
-    except ValueError:
-        raise click.UsageError(f"grid must be lo:hi:n, got {text!r}")
+class _Grid(click.ParamType):
+    """A log grid lo:hi:n, as (lo, hi, n) with finite 0 < lo <= hi and
+    n >= 1; checks.log_points gives its points."""
+
+    name = "lo:hi:n"
+
+    def convert(self, value, param, ctx):
+        try:
+            lo, hi, n = value.split(":")
+            lo, hi, n = float(lo), float(hi), int(n)
+        except ValueError:
+            self.fail(f"grid must be lo:hi:n, got {value!r}", param, ctx)
+        if not (n >= 1 and 0.0 < lo <= hi < math.inf):
+            self.fail(f"grid {lo:g}:{hi:g}:{n} needs finite "
+                      "0 < lo <= hi and n >= 1", param, ctx)
+        return lo, hi, n
 
 
 def _load_config_file(path: str) -> dict:
@@ -102,27 +101,19 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-_PARSERS = {"float": float, "int": int, "str": str,
-            "bool": lambda v: v.lower() in ("1", "true", "yes", "on")}
-
-
-def _config_from(path, **overrides) -> RunConfig:
-    """File values converted by their RunConfig field's type; flags win."""
-    kwargs = {}
-    types = {f.name: f.type for f in fields(RunConfig)}
-    try:
-        for key, val in (_load_config_file(path) if path else {}).items():
-            key = "fmt" if key == "format" else key
-            if key not in types and key != "grid":
-                raise click.UsageError(f"unknown config key {key!r}")
-            kwargs[key] = val if key == "grid" else _PARSERS[types[key]](val)
-        kwargs.update((k, v) for k, v in overrides.items() if v is not None)
-        if "grid" in kwargs:
-            lo, hi, n = _parse_grid(kwargs.pop("grid"))
-            kwargs.update(grid_lo=lo, grid_hi=hi, grid_n=n)
-        return RunConfig(**kwargs)
-    except ValueError as exc:  # a value of the wrong type, or out of range
-        raise click.UsageError(str(exc))
+def _read_config(ctx, param, path):
+    """The eager --config: the file's values become the defaults of the
+    other options, each keyed by its name, so a value goes through its
+    flag's type and a flag on the command line still wins."""
+    if path is None:
+        return
+    values = _load_config_file(path)
+    options = {p.name for p in ctx.command.params
+               if isinstance(p, click.Option) and p is not param}
+    unknown = sorted(set(values) - options)
+    if unknown:
+        raise click.UsageError(f"unknown config keys {unknown}")
+    ctx.default_map = values
 
 
 def _parse_kv(tokens):
@@ -135,18 +126,29 @@ def _parse_kv(tokens):
     return out
 
 
-def _identity_name(text: str):
-    """Case-insensitive catalog lookup (entry names are mixed-case)."""
-    by_fold = {n.lower(): n for n in catalog_names()}
-    return by_fold.get(text.lower())
-
-
 def _from_kind(kinds: dict, kv: dict, what: str):
     """kinds[kind] built from the key=value pairs left in kv (consumed)."""
     kind = kv.pop("kind", None)
     if kind not in kinds:
         raise click.UsageError(f"unknown {what} kind {kind!r}")
     return kinds[kind](**_numbers(kv))
+
+
+def _target(name: str, kv: dict):
+    """The catalog identity `name` (any case; entry names are
+    mixed-case), or for "lt" the distribution of kind=..., built from
+    the key=value pairs left in kv (consumed)."""
+    if name == "lt":
+        return _from_kind(DIST_KINDS, kv, "distribution")
+    by_fold = {n.lower(): n for n in catalog_names()}
+    if name.lower() not in by_fold:
+        raise click.UsageError(f"unknown identity {name!r}")
+    return make_identity(by_fold[name.lower()], **_numbers(kv))
+
+
+# the library's errors that a bad parameter or point raises: exit 2
+_USAGE_ERRORS = (ParameterError, DomainError, UnsupportedVariantError,
+                 TypeError)
 
 
 def _numbers(kv: dict, *keys: str) -> dict:
@@ -192,14 +194,7 @@ def _envelope(scope: str, cfg: RunConfig, rows) -> dict:
         "version": REPORT_VERSION,
         "tool": f"besselid {__version__}",
         "scope": scope,
-        "config": {
-            "tol_tight": cfg.tol_tight,
-            "grid": f"{cfg.grid_lo:g}:{cfg.grid_hi:g}:{cfg.grid_n}",
-            "max_order": cfg.max_order,
-            "format": cfg.fmt, "stable": cfg.stable,
-            "allow_inconclusive": cfg.allow_inconclusive,
-            "only": cfg.only,
-        },
+        "config": dict(asdict(cfg), grid="{:g}:{:g}:{}".format(*cfg.grid)),
         "rows": rows,
         "summary": counts,
     }
@@ -239,26 +234,26 @@ def main():
 
 @main.command()
 @click.argument("scope", type=click.Choice([*checks.SCOPES, "all"]))
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None, help="key-value config file")
-@click.option("--tol-tight", type=float, default=None)
-@click.option("--grid", default=None, help="log grid as lo:hi:n")
-@click.option("--max-order", type=int, default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default=None)
+@click.option("--config", type=click.Path(exists=True), is_eager=True,
+              expose_value=False, callback=_read_config,
+              help="key-value file of these options")
+@click.option("--tol-tight", type=_Tolerance())
+@click.option("--grid", type=_Grid(), help="log grid as lo:hi:n")
+@click.option("--max-order", type=click.IntRange(min=1))
+@click.option("--format", type=click.Choice(["json", "csv"]))
 @click.option("--stable", is_flag=True, default=None,
               help="omit timings for byte-identical output")
 @click.option("--allow-inconclusive", is_flag=True, default=None)
 @click.option("--only", default=None,
               help="run only rows whose id contains this substring")
-def verify(scope, config_path, **overrides):
+def verify(scope, **settings):
     """Run the verification suite for SCOPE and print a report."""
-    cfg = _config_from(config_path, **overrides)
+    cfg = RunConfig(**{k: v for k, v in settings.items() if v is not None})
     table = [c for c in checks.table(scope, cfg) if cfg.only in c.id]
     if not table:
         raise click.UsageError(f"--only {cfg.only!r} matches no checks")
     rows = _run_tasks([(c.id, c.report) for c in table], cfg)
-    _emit(_envelope(scope, cfg, rows), cfg.fmt)
+    _emit(_envelope(scope, cfg, rows), cfg.format)
     verdicts = {row["verdict"] for row in rows}
     if "inconclusive" in verdicts and not cfg.allow_inconclusive:
         click.get_current_context().exit(3)
@@ -307,18 +302,16 @@ def eval_cmd(name, params):
             x = _numbers(kv, "x")["x"]
             value = float(lt_value(_from_kind(LT_KINDS, kv, "transform"), x))
         elif name in ("lhs", "kernel"):
-            ident = _identity_name(kv.pop("id", ""))
-            if ident is None:
-                raise click.UsageError("unknown identity id")
+            ident = kv.pop("id", "")
             key = "z" if name == "lhs" else "t"
             point = _numbers(kv, key)[key]
-            rec = make_identity(ident, **_numbers(kv))
+            # id= names an identity; "lt" is a profile target only
+            rec = _target("" if ident == "lt" else ident, kv)
             value = float(rec.lhs_value(point)) if name == "lhs" \
                 else float(rec.kernel_density(point))
         else:
             raise click.UsageError(f"unknown eval target {name!r}")
-    except (ParameterError, DomainError, UnsupportedVariantError,
-            TypeError) as exc:
+    except _USAGE_ERRORS as exc:
         raise click.UsageError(str(exc))
     if kv:
         raise click.UsageError(f"unused parameters {sorted(kv)}")
@@ -328,36 +321,24 @@ def eval_cmd(name, params):
 @main.command("profile")
 @click.argument("target")
 @click.argument("params", nargs=-1)
-@click.option("--grid", default="1e-2:1e2:25", help="log grid as lo:hi:n")
+@click.option("--grid", type=_Grid(), default="1e-2:1e2:25",
+              help="log grid as lo:hi:n")
 def profile_cmd(target, params, grid):
     """CSV of (z, lhs, rhs, residual) for an identity or `lt kind=...`.
 
     For an identity name the right side is the Stieltjes representation
-    integral; for a distribution transform it is the numeric Laplace
-    transform of the density.
+    integral, at verify's default tolerance; for a distribution
+    transform it is the numeric Laplace transform of the density.
     """
     kv = _parse_kv(params)
-    rows = []
     try:
-        zs = _log_grid(*_parse_grid(grid))
-        if _identity_name(target) is not None:
-            rec = make_identity(_identity_name(target), **_numbers(kv))
-            lhss, rhss = rec.lhs_value(zs), rec.stieltjes_rhs(zs)
-        elif target == "lt":
-            d = _from_kind(DIST_KINDS, kv, "distribution")
-            lhss = laplace_closed(d, zs)
-            rhss = numeric_laplace(lambda t: pdf(d, t), zs)
-        else:
-            raise click.UsageError(f"unknown profile target {target!r}")
-        for z, lhs, rhs in zip(zs.tolist(), lhss, rhss):
-            lhs = float(lhs)
-            res = abs(lhs - rhs.value) / max(abs(lhs), 1e-300)
-            rows.append({"z": z, "lhs": lhs, "rhs": float(rhs.value),
-                         "residual": res})
-    except (ParameterError, DomainError, UnsupportedVariantError,
-            TypeError) as exc:
+        rows = checks.residuals(_target(target, kv), checks.log_points(grid),
+                                RunConfig.tol_tight)
+    except _USAGE_ERRORS as exc:
         raise click.UsageError(str(exc))
-    click.echo(rows_to_csv(rows), nl=False)
+    click.echo(rows_to_csv([{"z": z, "lhs": lhs, "rhs": float(rhs.value),
+                             "residual": res}
+                            for z, lhs, rhs, res in rows]), nl=False)
 
 
 @main.command("zeros")

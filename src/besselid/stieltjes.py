@@ -502,12 +502,6 @@ class IdentityRecord:
                                        r.n_evals, r.converged, info=r.info))
         return QuadRows(rows) if np.asarray(z).ndim else rows[0]
 
-    def residual(self, z: float, tol: float = None) -> float:
-        """|lhs - rhs| / max(|lhs|, tiny) at z > 0."""
-        lhs = self.lhs_value(z)
-        rhs = self.stieltjes_rhs(z, tol=tol)
-        return abs(lhs - rhs.value) / max(abs(lhs), 1e-300)
-
     # -- inner Laplace ------------------------------------------------------
     def laplace_density(self, s: float, tol: float = 1e-9) -> QuadResult:
         """Inner Laplace transform g(s) = integral e^{-st} m(t) dt; the

@@ -11,6 +11,7 @@ from scipy import special as sp
 
 from paramsets import PARAM_SETS
 
+from besselid.checks import residuals
 from besselid.distributions import (DIST_KINDS, kdist_quotient_kernel,
                                     laplace_closed, pdf)
 from besselid.idtests import (absmon_check, bernstein_check,
@@ -120,8 +121,9 @@ def test_criterion_4_identity_catalog():
     worst = ("", 0.0)
     for name in catalog_names():
         rec = make_identity(name)
-        for z in np.logspace(-2.0, 2.0, 7):
-            res = rec.residual(float(z))
+        # right sides at verify's default tolerance 1e-7, to 1e-9
+        zs = np.logspace(-2.0, 2.0, 7).tolist()
+        for z, _, _, res in residuals(rec, zs, 1e-7):
             ratio = res / tolerance(name)
             if ratio > worst[1]:
                 worst = (f"{name}@{z:.3g}", ratio)
@@ -150,8 +152,8 @@ def test_criterion_5_tricomi():
     for a, c in ((1.5, 0.5), (2.0, -0.5), (0.7, 0.2)):
         for name in names:
             rec = make_identity(name, a=a, c=c)
-            for z in (0.5, 1.0, 5.0):
-                worst = max(worst, rec.residual(z))
+            for _, _, _, res in residuals(rec, [0.5, 1.0, 5.0], 1e-7):
+                worst = max(worst, res)
     wr = 0.0
     for a, c in ((1.5, 0.5), (2.0, -0.5), (0.7, 0.2)):
         for x in (0.5, 1.0, 5.0):

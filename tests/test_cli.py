@@ -402,11 +402,27 @@ def test_verify_config_file_with_flag_override(runner, tmp_path):
                              "--only", "landau:bound:1"])
     rep = json.loads(r.output)
     assert [row["id"] for row in rep["rows"]] == ["landau:bound:1"]
+    cfg.write_text("stable = true\nonly = landau:constant\nformat = csv\n")
+    r = runner.invoke(main, ["verify", "idtests", "--config", str(cfg),
+                             "--format", "json"])
+    assert json.loads(r.output)["config"]["format"] == "json"
+    # the keys are verify's long option names, with - or _, in both line
+    # forms
+    for text in ("max-order 4", "max_order = 4", "max-order = 4",
+                 "allow_inconclusive true", "tol-tight 0.001"):
+        cfg.write_text(f"stable = true\nonly = landau:constant\n{text}\n")
+        r = runner.invoke(main, ["verify", "idtests", "--config", str(cfg)])
+        assert r.exit_code == 0, (text, r.output)
+        key, val = text.replace("=", " ").split()
+        setting = json.loads(r.output)["config"][key.replace("-", "_")]
+        assert str(setting).lower() == val, text
     # the thread pool and the hard tolerance class are gone, and so are
-    # their config keys; a bad value in the file or on the command line
-    # is a usage error too
+    # their config keys; so are the old grid_* and fmt keys; a value the
+    # flag would reject is a usage error in the file too
     for text in ("threads = 2", "tol_hard = 1e-4", "max_order = abc",
-                 "tol_tight = -1", "format = xml"):
+                 "tol_tight = -1", "tol_tight = nan", "format = xml",
+                 "stable = ture", "grid_lo = 0.5", "grid = 1:10:3\ngrid_n = 5",
+                 "fmt = csv", "config = other.cfg"):
         cfg.write_text(f"stable = true\n{text}\n")
         r = runner.invoke(main, ["verify", "idtests", "--config", str(cfg)])
         assert r.exit_code == 2, text

@@ -439,7 +439,7 @@ def test_tricomi_psi_matches_mpmath(acx):
         float(mp.hyperu(a, c, x)), rel=1e-13, abs=0.0)
 
 
-def test_tricomi_laguerre_regime_matches_mpmath():
+def test_tricomi_psi_above_five_matches_mpmath_sweep():
     # seeded sweep of real x log-uniform in [5, 1e4]; the two dropped
     # draws per case keep the (a, c, x) of the seed's earlier sweep,
     # which also drew a complex z
@@ -456,7 +456,7 @@ def test_tricomi_laguerre_regime_matches_mpmath():
 
 
 @pytest.mark.parametrize("z", [6.3, 7.9])
-def test_tricomi_laguerre_regime_at_its_node_switch(z):
+def test_tricomi_psi_above_five_at_the_sweeps_slow_corner(z):
     # the slowest corner of the sweep above, c - a - 1 near -7
     a, c = 3.0, -2.99
     with mp.workdps(30):
@@ -467,7 +467,7 @@ def test_tricomi_laguerre_regime_at_its_node_switch(z):
 @pytest.mark.parametrize("a, c", [(12.0, 0.5), (12.0, 1.5), (9.0, 14.5),
                                   (0.5, -20.0)])
 @pytest.mark.parametrize("z", [7.9])
-def test_tricomi_laguerre_regime_outside_the_sweep(a, c, z):
+def test_tricomi_psi_above_five_outside_the_sweep(a, c, z):
     # pole order m = a + 1 - c near 12 and at 21.5, and c - a - 1 = 4.5,
     # a growing kernel that the Kummer transformation turns around
     with mp.workdps(40):

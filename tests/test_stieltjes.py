@@ -8,6 +8,7 @@ import pytest
 from scipy import special as sp
 
 from besselid import stieltjes
+from besselid.checks import residuals
 from besselid.cli import rows_to_csv
 from besselid.errors import (DomainError, ParameterError,
                              UnsupportedVariantError)
@@ -33,8 +34,9 @@ LAPLACE = ("I_EXP", "IK_PROD", "IK_EQUAL", "IK_EXP", "KK_PROD", "II_EXP",
 def test_residual_within_tolerance(name):
     rec = make_identity(name)
     zs = (0.5, 1.0, 5.0) if name in TRICOMI else (0.1, 1.0, 10.0)
-    for z in zs:
-        assert rec.residual(z) <= tolerance(name), (name, z)
+    # right sides at verify's default tolerance 1e-7, to 1e-9
+    for z, _, _, res in residuals(rec, zs, 1e-7):
+        assert res <= tolerance(name), (name, z)
 
 
 def test_tolerance_classes():
@@ -78,7 +80,7 @@ def test_ik_prod_domain_and_extension():
         make_identity("IK_PROD", mu=0.2, nu=1.5, a=0.5, b=1.0)
     rec = make_identity("IK_PROD", mu=0.2, nu=1.5, a=0.5, b=1.0,
                         extended_domain=1)
-    assert rec.residual(1.0) <= 1e-6
+    assert residuals(rec, [1.0], 1e-7)[0][3] <= 1e-6
     with pytest.raises(ParameterError):
         make_identity("IK_PROD", mu=0.2, nu=2.5, a=0.5, b=1.0,
                       extended_domain=1)
@@ -315,12 +317,12 @@ def test_equal_argument_kernel_mass():
                                     (2.0, 3.0, 2.5)])
 def test_mcdonald_product(mu, x, y):
     rec = make_identity("MCDONALD", mu=mu, x=x, y=y)
-    assert rec.residual(1.0) <= 1e-8
+    assert residuals(rec, [1.0], 1e-7)[0][3] <= 1e-8
 
 
 def test_angular_i_product():
     rec = make_identity("I_PRODUCT_ANGLE", mu=0.7, x=0.9, y=1.4)
-    assert rec.residual(1.0) <= 1e-9
+    assert residuals(rec, [1.0], 1e-7)[0][3] <= 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -356,8 +358,8 @@ def test_measure_density_sign_convention():
 def test_tricomi_entries(name, ac):
     a, c = ac
     rec = make_identity(name, a=a, c=c)
-    for z in (0.5, 1.0, 5.0):
-        assert rec.residual(z) <= 1e-6, (name, ac, z)
+    for z, _, _, res in residuals(rec, [0.5, 1.0, 5.0], 1e-7):
+        assert res <= 1e-6, (name, ac, z)
 
 
 def test_tricomi_rejects_integer_c():
@@ -872,7 +874,7 @@ def test_node_table_is_bounded_and_read_only():
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("a, c, z", [(2.0, 25.5, 5.5)])
-def test_tricomi_psi_keeps_growing_integrands_off_the_rule(a, c, z):
+def test_tricomi_psi_takes_growing_kernels_through_kummer(a, c, z):
     # c - a - 1 = 22.5: the Euler kernel grows, so psi takes the Kummer
     # transformation to a = -22.5 and the recurrence in a from there
     with mp.workdps(40):
@@ -880,7 +882,7 @@ def test_tricomi_psi_keeps_growing_integrands_off_the_rule(a, c, z):
     assert abs(tricomi_psi(a, c, z) - want) <= 1e-12 * abs(want)
 
 
-def test_tricomi_psi_takes_large_pole_orders_through_kummer():
+def test_tricomi_psi_at_large_pole_orders_matches_mpmath():
     # a large pole order m = a + 1 - c (a K-distribution with a large
     # beta, m = beta, or a very negative c): the kernel's (1+t)^{-m}
     # falls off steeply near t = 0, where the exp-sinh nodes are dense
@@ -904,8 +906,8 @@ def test_tricomi_psi_takes_large_pole_orders_through_kummer():
 
 def test_verification_rows_and_csv():
     rec = make_identity("IK_EQUAL")
-    rows = [{"entry_id": rec.name, "z": z, "residual": rec.residual(z)}
-            for z in (1.0, 2.0)]
+    rows = [{"entry_id": rec.name, "z": z, "residual": res}
+            for z, _, _, res in residuals(rec, [1.0, 2.0], 1e-7)]
     assert all(r["residual"] <= 1e-7 for r in rows)
     csv_text = rows_to_csv(rows)
     assert csv_text.splitlines()[0] == "entry_id,z,residual"

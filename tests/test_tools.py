@@ -67,8 +67,7 @@ KEPT_UNREACHED = {
     "distributions.hcm_profile": "the reference of the HCM ladder tests",
     "quad.result.QuadRows.n_evals": "perfbench's tracer and "
                                     "tools/engine_counts.py read it",
-    "stieltjes.IdentityRecord.residual": "8 test call sites, which a test "
-                                         "helper would only move",
+    "quad.result.QuadRows.converged": "perfbench's tracer reads it",
     "stieltjes.IdentityRecord.laplace_density": "the acceptance and "
                                                 "closed-form mass tests "
                                                 "check the paper's densities "

@@ -39,9 +39,10 @@ PERFBENCH = ROOT / "perfbench"
 SEED = 90417
 
 CONFIG = """\
-# a config file in both of its line forms
+# a config file in both of its line forms and key spellings
 format = csv
 max-order 4
+tol_tight = 1e-7
 only identity:K_RATIO
 stable = true
 """
