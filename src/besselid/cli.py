@@ -234,8 +234,8 @@ def main():
 
 @main.command()
 @click.argument("scope", type=click.Choice([*checks.SCOPES, "all"]))
-@click.option("--config", type=click.Path(exists=True), is_eager=True,
-              expose_value=False, callback=_read_config,
+@click.option("--config", type=click.Path(exists=True, dir_okay=False),
+              is_eager=True, expose_value=False, callback=_read_config,
               help="key-value file of these options")
 @click.option("--tol-tight", type=_Tolerance())
 @click.option("--grid", type=_Grid(), help="log grid as lo:hi:n")

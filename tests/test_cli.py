@@ -428,6 +428,9 @@ def test_verify_config_file_with_flag_override(runner, tmp_path):
         assert r.exit_code == 2, text
     assert runner.invoke(main, ["verify", "idtests", "--tol-tight",
                                 "-1"]).exit_code == 2
+    # a directory is no config file (it raised IsADirectoryError)
+    assert runner.invoke(main, ["verify", "idtests", "--config",
+                                str(tmp_path)]).exit_code == 2
     assert runner.invoke(main, ["verify", "idtests", "--tol-hard",
                                 "1e-4"]).exit_code == 2
 
