@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import re
 import time
 from dataclasses import asdict, dataclass
 
@@ -85,11 +86,13 @@ class _Grid(click.ParamType):
 
 
 def _load_config_file(path: str) -> dict:
-    """Plain key-value config: one `key = value` or `key value` per line."""
+    """Plain key-value config: one `key = value` or `key value` per line.
+    A `#` at the start of a line or after whitespace starts a comment;
+    any other `#` belongs to the value."""
     out = {}
     with open(path) as fh:
         for raw in fh:
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" in line:

@@ -334,21 +334,28 @@ def cm_check(target, grid=_DEFAULT_GRID, max_order: int = 8,
     monotonicity); "positive" tests f^(n) >= 0 (absolute monotonicity).
     The margin is the most negative required-sign derivative, scaled
     per order by the largest derivative magnitude on the grid; a failure,
-    below -CM_SLACK, names the (x, order) pair attaining it.
+    below -CM_SLACK, names the (x, order) pair attaining it.  A NaN or
+    infinite derivative raises ConvergenceError naming the first such
+    (x, order) pair: a grid does not pass or fail on values that could
+    not be computed.
     """
+    if signs not in ("alternating", "positive"):
+        raise ParameterError("signs must be 'alternating' or 'positive'")
     grid = tuple(float(g) for g in grid)
     table = target.derivatives(np.array(grid), max_order)
+    scale = np.maximum(np.abs(table).max(axis=0), 1e-300)
+    if not scale.max() < np.inf:
+        i, n = divmod(int(np.isfinite(table).argmin()), max_order + 1)
+        raise ConvergenceError(f"derivative of order {n} is "
+                               f"{float(table[i, n])!r} at x = {grid[i]!r}")
+    margins = table / scale
     if signs == "alternating":
-        signed = table * (-1.0) ** np.arange(max_order + 1)
-    elif signs == "positive":
-        signed = table
-    else:
-        raise ParameterError("signs must be 'alternating' or 'positive'")
-    scale = np.maximum(np.max(np.abs(table), axis=0), 1e-300)
-    margins = signed / scale
-    worst = float(np.min(margins))
-    i, n = np.unravel_index(np.argmin(margins), margins.shape)
-    witness = (grid[i], int(n)) if worst < -CM_SLACK else None
+        # (-1)^n f^(n): the odd orders negated, exactly
+        margins[:, 1::2] *= -1.0
+    k = int(margins.argmin())
+    worst = margins.item(k)
+    i, n = divmod(k, max_order + 1)
+    witness = (grid[i], n) if worst < -CM_SLACK else None
     return Evidence.graded(worst, witness, slack=CM_SLACK, label=label)
 
 

@@ -70,20 +70,22 @@ class Ladder:
 def _rational_ladder_vec(coefs, roots, x, max_order):
     """Derivatives of sum_i coefs[i] / (x + roots[i]) at each element of
     the 1-d array x, shape (x.size, max_order + 1): the n-th is (-1)^n n!
-    sum_i coefs[i] v_i^{n+1}, v = 1/(x + roots).  Each point's row is
-    summed alone (a BLAS product's order would depend on the rows)."""
+    sum_i coefs[i] v_i^{n+1}, v = 1/(x + roots).  One (point, root)
+    buffer takes one in-place multiply and one sum per order, each
+    point's row summed alone (a BLAS product's order would depend on the
+    rows); the factors (-1)^n n! (_order_constants) multiply the
+    (order, point) sums once."""
     base = x[:, None] + np.asarray(roots, dtype=float)
-    if np.any(base <= 0.0):
+    if (base <= 0.0).any():
         raise DomainError("rational ladder evaluated at a pole or beyond")
     inv = 1.0 / base
     term = np.asarray(coefs, dtype=float) * inv
-    out, fac = np.empty((x.size, max_order + 1)), 1.0
-    for n in range(max_order + 1):
-        if n > 0:
-            term *= inv
-            fac *= -n
-        out[:, n] = fac * term.sum(axis=-1)
-    return out
+    sums = np.empty((max_order + 1, x.size))
+    np.add.reduce(term, axis=-1, out=sums[0])
+    for row in sums[1:]:
+        np.multiply(term, inv, out=term)
+        np.add.reduce(term, axis=-1, out=row)
+    return np.multiply(sums, _order_constants(max_order)[0], out=sums).T
 
 
 def _keep_rows(ladder, rows):
@@ -118,7 +120,7 @@ class PowerLadder(Ladder):
 
     def _derivatives(self, x, max_order: int) -> np.ndarray:
         base = x + self.shift
-        if np.any(base <= 0.0):
+        if (base <= 0.0).any():
             raise DomainError("power ladder needs x + shift > 0")
         e = self.exponent
         facs = np.array([self.coef * falling_factorial(e, n)
@@ -136,15 +138,24 @@ _ML_BLOCK = 8
 
 
 @lru_cache(maxsize=None)
-def _ml_series_coefs(max_order: int) -> np.ndarray:
-    """(-1)^(n+m) (n+m)!/m!, the coefficient of x^m M_{n+1+m} in the
-    n-th derivative of sum_k 1/(x + r_k); rows n = 0..max_order,
-    columns m = 0.._ML_TERMS."""
+def _order_constants(max_order: int) -> tuple:
+    """The ladders' read-only constants for orders 0..max_order: the
+    column (-1)^n n! of _rational_ladder_vec, by the running product
+    1, -1, 2, -6, ...; (-1)^(n+m) (n+m)!/m!, the coefficient of
+    x^m M_{n+1+m} in the n-th derivative of sum_k 1/(x + r_k), rows n,
+    columns m = 0.._ML_TERMS; and the ratios (max_order + m)/m,
+    m = 1.._ML_TERMS, of _ml_split's bound."""
+    fac = np.arange(0.0, -1.0 - max_order, -1.0)
+    fac[0] = 1.0
+    np.multiply.accumulate(fac, out=fac)
     c = np.array([[(-1) ** (n + m) * math.perm(n + m, n)
                    for m in range(_ML_TERMS + 1)]
                   for n in range(max_order + 1)], dtype=float)
-    c.setflags(write=False)
-    return c
+    ms = np.arange(1, _ML_TERMS + 1)
+    out = fac[:, None], c, (max_order + ms) / ms
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _ml_split(roots, x, max_order):
@@ -164,8 +175,7 @@ def _ml_split(roots, x, max_order):
     far = np.array([r.take(k, mode="clip") for r, k in zip(roots, heads)])
     # past the last zero q = x / inf = 0
     q = np.where(heads < roots[0].size, x / far, 0.0)
-    ms = np.arange(1, _ML_TERMS + 1)
-    bound = np.cumprod(q[..., None] * ((max_order + ms) / ms), axis=-1)
+    bound = np.cumprod(q[..., None] * _order_constants(max_order)[2], axis=-1)
     return heads, np.count_nonzero(bound >= 2.0 ** -53, axis=-1)
 
 
@@ -257,7 +267,7 @@ def _ml_tables(ladders, x, max_order):
     n_l = len(ladders)
     if not n_l or not x.size:
         return np.zeros((n_l, x.size, max_order + 1))
-    if np.any(x <= 0.0):
+    if (x <= 0.0).any():
         raise DomainError("MLSumLadder requires x > 0")
     plans = [lad._plan() for lad in ladders]
     roots = [plan["roots"] for plan in plans]
@@ -295,7 +305,7 @@ def _ml_tables(ladders, x, max_order):
     # the Horner coefficients per pair, then per row
     moments = np.array([plans[j]["moments"][k][:n_p] for k, j in pairs])
     hurwitz = np.array([plans[j]["hurwitz"][:n_p] for _, j in pairs])
-    coefs = _ml_series_coefs(max_order)[:, :top + 1]
+    coefs = _order_constants(max_order)[1][:, :top + 1]
     cm = coefs * (moments + hurwitz)[:, np.add.outer(
         np.arange(max_order + 1), np.arange(top + 1))]
     # order 0 takes the partial moments: its digamma remainder below
@@ -304,9 +314,10 @@ def _ml_tables(ladders, x, max_order):
     # a row's coefficients above its own cut are +0, so its Horner sum
     # is +0 until its cut: the bits of a sum started there
     cm = np.where(np.arange(top + 1) <= cuts[:, None, None], cm[group], 0.0)
-    out = np.zeros((xr.size, max_order + 1))
+    out, xc = np.zeros((xr.size, max_order + 1)), xr[:, None]
     for j in range(top, -1, -1):
-        out = out * xr[:, None] + cm[..., j]
+        np.multiply(out, xc, out=out)
+        np.add(out, cm[..., j], out=out)
     sizes = sorted({k for k, _ in pairs})
     for k in sizes:
         sel = heads == k if len(sizes) > 1 else slice(None)
@@ -322,10 +333,13 @@ def _ml_tables(ladders, x, max_order):
         for lad, plan in zip(ladders, plans)]).T[:, rows]
     q2 = aa * (xr - shift) / (np.pi * np.pi)
     pos, neg = q2 > 0.0, q2 < 0.0
-    q = np.sqrt(q2[pos])
-    tail[pos] = r[pos] * np.imag(_sp.digamma(c[pos] + 1j * q)) / q
-    p, c = np.sqrt(-q2[neg]), c[neg]
-    tail[neg] = r[neg] * (_sp.digamma(c + p) - _sp.digamma(c - p)) / (2.0 * p)
+    if pos.any():
+        q = np.sqrt(q2[pos])
+        tail[pos] = r[pos] * np.imag(_sp.digamma(c[pos] + 1j * q)) / q
+    if neg.any():
+        p, c = np.sqrt(-q2[neg]), c[neg]
+        tail[neg] = r[neg] * (_sp.digamma(c + p) - _sp.digamma(c - p)) \
+            / (2.0 * p)
     out[:, 0] += tail
     return out.reshape(n_l, x.size, max_order + 1)
 
@@ -392,7 +406,9 @@ class CauchyLadder(Ladder):
     conjugated: fn is evaluated at theta_k = 2 pi k / M for k = 0..M/2
     only (M = n_points = 64), and the Hermitian FFT (np.fft.hfft) gives
     the coefficients.  An imaginary part above 1e-12 of the row's
-    largest |f| at theta = 0 or pi raises DomainError naming x.
+    largest |f| at theta = 0 or pi raises DomainError naming x.  The
+    M coefficients give orders 0..M-1; a higher max_order raises
+    ParameterError.
 
     The radius is radius_factor * (x + radius_shift); radius_shift > 0
     widens the circle when the nearest singularity sits left of the
@@ -404,27 +420,33 @@ class CauchyLadder(Ladder):
     radius_factor: float = 0.5
     radius_shift: float = 0.0
     n_points = 64
+    # e^{i theta_k} on the upper half circle, and k! for every order
+    # that n_points coefficients give
+    _circle = np.exp(1j * (2.0 * np.pi * np.arange(n_points // 2 + 1)
+                           / n_points))
+    _fact = np.array([math.factorial(k) for k in range(n_points)], float)
 
     def _derivatives(self, x, max_order: int) -> np.ndarray:
-        if np.any(x <= 0.0):
+        if (x <= 0.0).any():
             raise DomainError("CauchyLadder requires x > 0")
-        r = self.radius_factor * (x + self.radius_shift)
         m = self.n_points
-        theta = 2.0 * np.pi * np.arange(m // 2 + 1) / m
-        z = x[:, None] + r[:, None] * np.exp(1j * theta)
+        if max_order >= m:
+            raise ParameterError(f"CauchyLadder gives orders below {m}; "
+                                 f"got max_order = {max_order}")
+        r = self.radius_factor * (x + self.radius_shift)
+        z = x[:, None] + r[:, None] * self._circle
         vals = np.asarray(self.fn(z), dtype=complex)
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise DomainError("function returned non-finite values on circle")
         # theta = 0 and theta = pi lie on the real axis
         off = np.abs(vals[:, ::m // 2].imag).max(axis=1) \
             > 1e-12 * np.abs(vals).max(axis=1)
-        if np.any(off):
+        if off.any():
             raise DomainError("CauchyLadder needs fn real on the real axis; "
                               f"it is not at x = {float(x[off][0])!r}")
         coef = np.fft.hfft(vals, n=m, axis=-1) / m
-        n = np.arange(max_order + 1)
-        fact = np.array([math.factorial(k) for k in n.tolist()], dtype=float)
-        return coef[:, :max_order + 1] * fact / r[:, None] ** n
+        return coef[:, :max_order + 1] * self._fact[:max_order + 1] \
+            / r[:, None] ** np.arange(max_order + 1)
 
 
 class SumLadder(Ladder):

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from scipy import special as sp
 
 from besselid import checks
-from besselid.cli import RunConfig, main
+from besselid.cli import RunConfig, _load_config_file, main
 from besselid.distributions import DIST_KINDS, laplace_closed, pdf
 from besselid.errors import ConvergenceError, DomainError
 from besselid.idtests import Evidence
@@ -433,6 +433,26 @@ def test_verify_config_file_with_flag_override(runner, tmp_path):
                                 str(tmp_path)]).exit_code == 2
     assert runner.invoke(main, ["verify", "idtests", "--tol-hard",
                                 "1e-4"]).exit_code == 2
+
+
+def test_config_file_comments_start_a_line_or_follow_whitespace(
+        runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment line\n  # an indented one\n"
+                   "stable = true  # a trailing comment\n"
+                   "only = landau:constant\t# after a tab\n")
+    assert _load_config_file(str(cfg)) == {"stable": "true",
+                                           "only": "landau:constant"}
+    r = runner.invoke(main, ["verify", "idtests", "--config", str(cfg)])
+    assert r.exit_code == 0, r.output
+    assert [row["id"] for row in json.loads(r.output)["rows"]] \
+        == ["landau:constant"]
+    # a # inside a value is the value's: cut there, this line read as
+    # `only = identity:` and ran all 17 identity rows
+    cfg.write_text("only = identity:#x\n")
+    assert _load_config_file(str(cfg)) == {"only": "identity:#x"}
+    r = runner.invoke(main, ["verify", "identities", "--config", str(cfg)])
+    assert r.exit_code == 2, r.output
 
 
 @pytest.mark.parametrize("order", ("-1", "0"))

@@ -1,5 +1,6 @@
 """Infinite-divisibility checks: ladders, sign tests, profiles, Landau."""
 
+import json
 from dataclasses import dataclass, replace
 from functools import partial
 from types import SimpleNamespace
@@ -284,6 +285,40 @@ def test_cm_check_fails_with_witness():
     rep = cm_check(PowerLadder(1.0, 2.0), max_order=2)
     assert not rep.passed and rep.margin == -1.0
     assert rep.witness == (idtests._DEFAULT_GRID[-1], 1)
+
+
+class _Table(smoothfn.Ladder):
+    """A ladder whose derivative table on the grid is given."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=float)
+
+    def _derivatives(self, x, max_order):
+        return self.table.copy()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index,value,where", [
+    # one NaN entry; an inf column, named at its first point; -inf
+    ((1, 2), np.nan, (1, 2)), ((slice(None), 1), np.inf, (0, 1)),
+    ((2, 0), -np.inf, (2, 0))], ids=("nan", "inf-column", "-inf"))
+def test_cm_check_on_a_non_finite_table_is_inconclusive(index, value, where):
+    grid = (0.5, 1.0, 2.0)
+    table = RationalLadder(((1.0, 1.0),)).derivatives(np.array(grid), 3)
+    table[index] = value
+    i, n = where
+    want = (f"derivative of order {n} is {float(table[i, n])!r} at "
+            f"x = {grid[i]!r}")
+    # it returned fail with margin NaN, no witness, and warned in the
+    # division
+    with pytest.raises(ConvergenceError) as exc:
+        cm_check(_Table(table), grid, 3)
+    assert str(exc.value) == want
+    row = checks.Check("t", "", "", partial(cm_check, _Table(table), grid,
+                                            3)).report()
+    assert (row["verdict"], row["margin"], row["witness"]) \
+        == ("inconclusive", None, want)
+    json.dumps(row, allow_nan=False)
 
 
 def test_cm_check_rejects_bad_signs():

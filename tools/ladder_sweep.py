@@ -4,10 +4,12 @@
 
 For each of the 17 targets of `idtests.bernstein_targets()` evaluates
 `neg_logderiv_ladder(spec).derivatives(grid, 8)` on the default
-Bernstein grid (9 x in 0.05..50), with the Bessel zeros and the
-Mittag-Leffler moment tables already built by one untimed sweep.
-Prints the median of the timed sweeps in ms, each target's median, and
-five deterministic counts of its work: `exact`, the (root x point x
+Bernstein grid (9 x in 0.05..50) and on the one point x = 1, with the
+Bessel zeros and the Mittag-Leffler moment tables already built by one
+untimed sweep of each.  Prints the median of the timed sweeps in ms on
+each grid, each target's two medians (the one-point one is the fixed
+cost of a call), and five deterministic counts of its work on the
+nine points: `exact`, the (root x point x
 order) terms of its reciprocal recurrences (rational, Stieltjes and
 Mittag-Leffler head terms); `powers`, the elements of its array powers
 (a PowerLadder's (x + shift)^(e - n) and a Cauchy circle's r^n);
@@ -32,6 +34,7 @@ from besselid.idtests import _DEFAULT_GRID, bernstein_targets, \
     neg_logderiv_ladder
 
 GRID = np.asarray(_DEFAULT_GRID)
+ONE = np.array([1.0])
 ORDER = 8
 
 
@@ -71,12 +74,12 @@ def work_counts(ladder, x, max_order: int) -> dict:
     return out
 
 
-def sweep(ladders) -> dict:
-    """Seconds per target of one sweep."""
+def sweep(ladders, grid) -> dict:
+    """Seconds per target of one sweep over the grid."""
     out = {}
     for label, lad in ladders:
         t0 = time.perf_counter()
-        lad.derivatives(GRID, ORDER)
+        lad.derivatives(grid, ORDER)
         out[label] = time.perf_counter() - t0
     return out
 
@@ -88,18 +91,23 @@ def main() -> None:
     ladders = [(label, neg_logderiv_ladder(spec))
                for label, spec in bernstein_targets()]
     counts = {}
-    for label, lad in ladders:  # the untimed sweep
+    for label, lad in ladders:  # the untimed sweeps
         counts[label] = work_counts(lad, GRID, ORDER)
         lad.derivatives(GRID, ORDER)
-    runs = [sweep(ladders) for _ in range(args.repeats)]
-    total = statistics.median(sum(r.values()) for r in runs)
+    sweep(ladders, ONE)
+    runs = {g: [sweep(ladders, grid) for _ in range(args.repeats)]
+            for g, grid in (("nine", GRID), ("one", ONE))}
+    total = {g: statistics.median(sum(r.values()) for r in rs)
+             for g, rs in runs.items()}
     totals = {f: sum(c[f] for c in counts.values()) for f in FIELDS}
-    print(f"median {total * 1e3:.2f} ms over {args.repeats} sweeps; "
+    print(f"median {total['nine'] * 1e3:.2f} ms over {args.repeats} sweeps "
+          f"(one point: {total['one'] * 1e3:.2f} ms); "
           + ", ".join(f"{f} {n:,}" for f, n in totals.items()))
     for label, _ in ladders:
-        ms = statistics.median(r[label] for r in runs) * 1e3
-        print(f"  {label:14s} {ms:7.3f} ms  " + "  ".join(
-            f"{f} {counts[label][f]:7,}" for f in FIELDS))
+        ms = [statistics.median(r[label] for r in runs[g]) * 1e3
+              for g in ("nine", "one")]
+        print(f"  {label:14s} {ms[0]:7.3f} ms {ms[1]:7.3f} ms 1pt  "
+              + "  ".join(f"{f} {counts[label][f]:7,}" for f in FIELDS))
 
 
 if __name__ == "__main__":
